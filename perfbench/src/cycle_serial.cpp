@@ -84,7 +84,7 @@ void run_cycle_serial(const Options& o, Result& r, Spans& spans) {
 
   std::vector<double> setup_s, graph_s, mu_s;
   std::unique_ptr<Cycle> c;
-  for (int rep = 0; rep < kSetupReps || total(setup_s) < kSetupMinS; ++rep) {
+  for (int rep = 0; rep < kSetupReps; ++rep) {
     c.reset();
     const double t0 = now_s();
     Graph g = make_cycle(z.n);

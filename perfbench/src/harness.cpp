@@ -15,6 +15,7 @@
 #include <ostream>
 
 #include "obs/trace.hpp"
+#include "util/serial.hpp"
 #include "util/simd.hpp"
 
 #ifndef PERFBENCH_BUILD_TYPE
@@ -57,17 +58,6 @@ void write_number(std::ostream& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   out << buf;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(const unsigned char* p, std::size_t n, std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 }  // namespace
@@ -320,19 +310,19 @@ double copy_gib_per_s(std::size_t bytes) {
 }
 
 std::uint64_t hash_loads(std::span<const dlb::Load> loads) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = dlb::fnv1a64({});
   for (const dlb::Load x : loads) {
-    unsigned char le[8];
+    std::uint8_t le[8];
     const auto u = static_cast<std::uint64_t>(x);
-    for (int b = 0; b < 8; ++b) le[b] = static_cast<unsigned char>(u >> (8 * b));
-    h = fnv1a(le, 8, h);
+    for (int b = 0; b < 8; ++b) le[b] = static_cast<std::uint8_t>(u >> (8 * b));
+    h = dlb::fnv1a64(le, h);
   }
   return h;
 }
 
 std::uint64_t hash_bytes(const std::string& s) {
-  return fnv1a(reinterpret_cast<const unsigned char*>(s.data()), s.size(),
-               kFnvOffset);
+  return dlb::fnv1a64(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 
 }  // namespace perfbench

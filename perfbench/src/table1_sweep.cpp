@@ -119,15 +119,22 @@ SweepTiming run_sweep(const Matrix& m, const std::vector<Scenario>& list,
 }  // namespace
 
 void run_table1_sweep(const Options& o, Result& r, Spans& spans) {
+  // A set-up takes ~50 ms, short enough for one stretch of the host's
+  // speed to decide all of them. So after the first kSetupReps, one more
+  // set-up follows every sweep, and setup_s is the median over the run.
   std::vector<double> setup_s, graph_s, mu_s;
-  std::unique_ptr<Matrix> m;
-  for (int rep = 0; rep < kSetupReps || total(setup_s) < kSetupMinS; ++rep) {
-    m.reset();
+  const auto set_up = [&] {
     const double t0 = now_s();
-    m = build_matrix(o.seed, o.tiny);
+    std::unique_ptr<Matrix> fresh = build_matrix(o.seed, o.tiny);
     setup_s.push_back(now_s() - t0);
-    graph_s.push_back(m->graph_s);
-    mu_s.push_back(m->mu_s);
+    graph_s.push_back(fresh->graph_s);
+    mu_s.push_back(fresh->mu_s);
+    return fresh;
+  };
+  std::unique_ptr<Matrix> m;
+  for (int rep = 0; rep < kSetupReps; ++rep) {
+    m.reset();
+    m = set_up();
   }
   const std::vector<Scenario>& list = m->scenarios;
 
@@ -185,6 +192,7 @@ void run_table1_sweep(const Options& o, Result& r, Spans& spans) {
     } else {
       r.check("table1-sweep sweeps agree", this_csv == csv);
     }
+    set_up();
   }
   spans.enable(false);
   obs::MetricsRegistry::instance().arm(false);

@@ -116,7 +116,7 @@ void run_torus_sharded(const Options& o, Result& r, Spans& spans) {
 
   std::vector<double> setup_s, graph_s, mu_s;
   std::unique_ptr<Torus> tor;
-  for (int rep = 0; rep < kSetupReps || total(setup_s) < kSetupMinS; ++rep) {
+  for (int rep = 0; rep < kSetupReps; ++rep) {
     tor.reset();
     const double t0 = now_s();
     Graph g = make_torus2d(z.side, z.side);

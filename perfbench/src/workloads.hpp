@@ -8,12 +8,9 @@
 
 namespace perfbench {
 
-/// Each run sets up at least kSetupReps times and for at least
-/// kSetupMinS seconds in total; setup_s is the median. The second rule
-/// gives short set-ups (table1-sweep's ~60 ms) enough repetitions to be
-/// steady.
+/// Each run sets up kSetupReps times before it measures; setup_s is the
+/// median. table1-sweep, whose set-up is short, adds one per sweep.
 inline constexpr int kSetupReps = 3;
-inline constexpr double kSetupMinS = 1.0;
 /// Intra-round worker threads of the pooled workloads.
 inline constexpr int kThreads = 4;
 
