@@ -115,8 +115,9 @@ int main(int argc, char** argv) {
                 *balancer,
                 LoadVector(static_cast<std::size_t>(g.num_nodes()), 0));
 
-  // Admission-limited Poisson demand: uniform churn, with bursts beyond
-  // the per-round cap queued in the FIFO backlog (part of the snapshot).
+  // Admission-limited Poisson demand: uniform churn, with arrivals beyond
+  // the per-round cap queued per node in the FIFO ring (part of the
+  // snapshot).
   PoissonWorkload inner(
       PoissonWorkload::Params{.arrival_rate = 0.08, .departure_rate = 0.05});
   AdmissionQueue workload(inner,

@@ -32,12 +32,16 @@ std::uint64_t RoundEngineBase::round_begin() const noexcept {
   return mono_ns();
 }
 
-void RoundEngineBase::round_end(std::uint64_t start_ns) {
-  if (start_ns == 0) return;
+obs::EngineTelemetry& RoundEngineBase::telemetry() {
   if (!telemetry_) {
     telemetry_ = std::make_unique<obs::EngineTelemetry>(engine_kind());
   }
-  obs::EngineTelemetry& tel = *telemetry_;
+  return *telemetry_;
+}
+
+void RoundEngineBase::round_end(std::uint64_t start_ns) {
+  if (start_ns == 0) return;
+  obs::EngineTelemetry& tel = telemetry();
   tel.rounds.inc();
   tel.round_seconds.observe(static_cast<double>(mono_ns() - start_ns) * 1e-9);
   tel.time.set(t_);
@@ -128,7 +132,18 @@ void RoundEngineBase::load_core_state(StateReader& r) {
 
 void RoundEngineBase::apply_workload(ThreadPool* pool) {
   if (workload_ == nullptr) return;
-  workload_->prepare(t_, loads_);
+  obs::EngineTelemetry& tel = telemetry();
+  {
+    obs::PhaseScope phase(tel.workload_prepare, "workload_prepare",
+                          engine_kind(), "t", t_ + 1);
+    if (pool != nullptr && pool->parallelism() > 1) {
+      workload_->prepare_parallel(t_, loads_, *pool);
+    } else {
+      workload_->prepare(t_, loads_);
+    }
+  }
+  obs::PhaseScope phase(tel.workload_apply, "workload_apply", engine_kind(),
+                        "t", t_ + 1);
   // Sparse fast path: a process that knows its round's touched-node set
   // (burst hotspot, adversary targets) hands it over and the engine
   // applies exactly those deltas — no n virtual delta() calls per round.

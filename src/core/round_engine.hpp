@@ -209,9 +209,14 @@ class RoundEngineBase {
   /// reads engine state exclusively; it cannot perturb determinism.
   std::uint64_t round_begin() const noexcept;
   void round_end(std::uint64_t start_ns);
+  /// The metric handles, registered on first use: the first armed round,
+  /// or the first round with a workload (its phase scopes need them).
+  obs::EngineTelemetry& telemetry();
   /// Applies the attached workload's deltas for round t_ (no-op without
-  /// one). `pool` may be null; it is only used when the process allows
-  /// parallel generation.
+  /// one), timed as the workload_prepare and workload_apply phases.
+  /// `pool` may be null; with parallelism > 1 the process prepares
+  /// through prepare_parallel(), and its deltas are applied in parallel
+  /// when it allows parallel generation.
   void apply_workload(ThreadPool* pool);
 
   Step t_ = 0;
@@ -230,8 +235,7 @@ class RoundEngineBase {
   ConservationPolicy audit_;
   ThreadPool* pool_ = nullptr;
   WorkloadProcess* workload_ = nullptr;
-  /// Lazily-registered metric handles (null until a round runs with the
-  /// registry armed).
+  /// Lazily-registered metric handles (null until telemetry() runs).
   std::unique_ptr<obs::EngineTelemetry> telemetry_;
 };
 

@@ -9,11 +9,10 @@ namespace dlb {
 
 namespace {
 
-/// Knuth's product-of-uniforms draw; valid for λ <= kPoissonProductCap
-/// (the exp(−λ) limit underflows for λ beyond ~745, and the method
-/// degenerates long before that).
-Load poisson_product(Rng& rng, double lambda) {
-  const double limit = std::exp(-lambda);
+/// Knuth's product-of-uniforms draw with threshold `limit` = exp(−λ);
+/// valid for λ <= kPoissonProductCap (the limit underflows for λ beyond
+/// ~745, and the method degenerates long before that).
+Load poisson_product(Rng& rng, double limit) {
   double p = 1.0;
   Load k = 0;
   do {
@@ -61,32 +60,53 @@ double inverse_normal_cdf(double p) {
 
 }  // namespace
 
-Load poisson_draw(Rng& rng, double lambda) {
-  DLB_REQUIRE(lambda >= 0.0, "poisson_draw: negative rate");
-  DLB_REQUIRE(lambda <= 1e15, "poisson_draw: rate overflows the load ledger");
-  if (lambda == 0.0) return 0;
-  if (lambda <= kPoissonProductCap) return poisson_product(rng, lambda);
-  if (lambda <= kPoissonSplitCap) {
+PoissonSampler::PoissonSampler(double lambda) : lambda_(lambda) {
+  DLB_REQUIRE(lambda >= 0.0, "Poisson rate: negative");
+  // Rates past the product method's range take the additive-split and
+  // normal-approximation regimes (high-traffic service scenarios); only
+  // the Load ledger bounds them.
+  DLB_REQUIRE(lambda <= 1e15, "Poisson rate: overflows the load ledger");
+  if (lambda == 0.0) return;  // chunks_ == 0 and λ == 0: draws are 0
+  if (lambda <= kPoissonProductCap) {
+    chunks_ = 1;
+    limit_ = std::exp(-lambda);
+  } else if (lambda <= kPoissonSplitCap) {
     // Poisson is additive: the sum of m independent Poisson(λ/m) draws
     // is exactly Poisson(λ), and λ/m sits inside the product method's
     // range. Exact distribution, O(λ) uniforms total.
-    const int chunks =
-        static_cast<int>(std::ceil(lambda / kPoissonProductCap));
-    const double per_chunk = lambda / chunks;
+    chunks_ = static_cast<int>(std::ceil(lambda / kPoissonProductCap));
+    limit_ = std::exp(-(lambda / chunks_));
+  } else {
+    sqrt_lambda_ = std::sqrt(lambda);
+  }
+}
+
+Load PoissonSampler::operator()(Rng& rng) const {
+  if (chunks_ > 0) {
     Load sum = 0;
-    for (int i = 0; i < chunks; ++i) sum += poisson_product(rng, per_chunk);
+    for (int i = 0; i < chunks_; ++i) sum += poisson_product(rng, limit_);
     return sum;
   }
+  if (lambda_ == 0.0) return 0;
   // Normal approximation via one inverse-CDF uniform. The clamp keeps
   // the (probability 2^-53) u == 0 draw out of log(0).
   const double u =
       std::min(std::max(rng.uniform_real(), 1e-300), 1.0 - 1e-16);
   const double z = inverse_normal_cdf(u);
-  const double k = std::round(lambda + std::sqrt(lambda) * z);
+  const double k = std::round(lambda_ + sqrt_lambda_ * z);
   return k <= 0.0 ? 0 : static_cast<Load>(k);
 }
 
+Load poisson_draw(Rng& rng, double lambda) {
+  return PoissonSampler(lambda)(rng);
+}
+
 void WorkloadProcess::prepare(Step /*t*/, std::span<const Load> /*loads*/) {}
+
+void WorkloadProcess::prepare_parallel(Step t, std::span<const Load> loads,
+                                       ThreadPool& /*pool*/) {
+  prepare(t, loads);
+}
 
 void WorkloadProcess::save_state(StateWriter& /*w*/) const {}
 void WorkloadProcess::load_state(StateReader& /*r*/) {}
@@ -134,14 +154,10 @@ Load CounterWorkload::delta(NodeId u, Step t) {
 
 // ------------------------------------------------------------- poisson --
 
-PoissonWorkload::PoissonWorkload(Params params) : params_(params) {
-  DLB_REQUIRE(params_.arrival_rate >= 0.0 && params_.departure_rate >= 0.0,
-              "PoissonWorkload: negative rate");
-  // No upper cap: poisson_draw covers large rates via the additive-split
-  // and normal-approximation regimes (high-traffic service scenarios).
-  DLB_REQUIRE(params_.arrival_rate <= 1e15 && params_.departure_rate <= 1e15,
-              "PoissonWorkload: rate overflows the load ledger");
-}
+PoissonWorkload::PoissonWorkload(Params params)
+    : params_(params),
+      arrivals_(params.arrival_rate),
+      departures_(params.departure_rate) {}
 
 std::string PoissonWorkload::name() const {
   return "poisson(in=" + fmt_rate(params_.arrival_rate) +
@@ -155,8 +171,8 @@ void PoissonWorkload::reset(NodeId /*n*/, std::uint64_t seed) {
 Load PoissonWorkload::delta(NodeId u, Step t) {
   Rng rng(stream_key(seed_, static_cast<std::uint64_t>(u),
                      static_cast<std::uint64_t>(t)));
-  const Load arrivals = poisson_draw(rng, params_.arrival_rate);
-  const Load departures = poisson_draw(rng, params_.departure_rate);
+  const Load arrivals = arrivals_(rng);
+  const Load departures = departures_(rng);
   return arrivals - departures;
 }
 

@@ -35,6 +35,8 @@
 
 namespace dlb {
 
+class ThreadPool;
+
 /// Counter-based per-(node, round) stream key: three SplitMix64 rounds
 /// over (seed, node, round). Workload generators seed a throwaway Rng
 /// from this instead of sharing one sequential stream, so any node's
@@ -73,6 +75,24 @@ Load poisson_draw(Rng& rng, double lambda);
 inline constexpr double kPoissonProductCap = 64.0;
 inline constexpr double kPoissonSplitCap = 4096.0;
 
+/// poisson_draw with its per-rate constants (the exp(−λ) threshold, the
+/// split regime's chunk count and per-chunk threshold, √λ) computed once
+/// at construction instead of on every draw. Draws are bit-identical to
+/// poisson_draw(rng, λ), which is this sampler built on the spot.
+class PoissonSampler {
+ public:
+  /// Same rate checks as poisson_draw.
+  explicit PoissonSampler(double lambda);
+
+  Load operator()(Rng& rng) const;
+
+ private:
+  double lambda_;
+  double sqrt_lambda_ = 0.0;  ///< normal regime
+  double limit_ = 0.0;        ///< product threshold (per chunk when split)
+  int chunks_ = 0;            ///< product draws per sample (0 = normal)
+};
+
 /// Per-round load perturbation source. Attach to any round engine via
 /// RoundEngineBase::set_workload; the engine calls prepare() once per
 /// round (serially) and then delta() for every node.
@@ -92,6 +112,14 @@ class WorkloadProcess {
   /// with the pre-injection loads. Processes needing global state (an
   /// argmax scan) compute it here. Default: no-op.
   virtual void prepare(Step t, std::span<const Load> loads);
+
+  /// prepare() with the engine's worker pool at hand. Engines holding a
+  /// pool with parallelism > 1 call this instead of prepare(); a process
+  /// whose round needs per-node work of its own (the admission adapter)
+  /// may spread it over the pool, but the state it leaves must equal what
+  /// prepare(t, loads) leaves, at any pool size. Default: prepare(t, loads).
+  virtual void prepare_parallel(Step t, std::span<const Load> loads,
+                                ThreadPool& pool);
 
   /// True when prepare() actually reads its loads span (the adversarial
   /// argmax scan). The sharded engine gathers a contiguous global copy of
@@ -199,6 +227,8 @@ class PoissonWorkload : public WorkloadProcess {
 
  private:
   Params params_;
+  PoissonSampler arrivals_;
+  PoissonSampler departures_;
   std::uint64_t seed_ = 0;
 };
 

@@ -8,6 +8,13 @@ namespace {
 
 Labels kind_labels(const char* kind) { return {{"engine", kind}}; }
 
+Histogram& phase(const char* kind, const char* name) {
+  return MetricsRegistry::instance().histogram(
+      "dlb_engine_phase_seconds",
+      "Wall-clock latency of one engine phase within a round.",
+      phase_seconds_bounds(), {{"engine", kind}, {"phase", name}});
+}
+
 }  // namespace
 
 EngineTelemetry::EngineTelemetry(const char* kind)
@@ -40,6 +47,8 @@ EngineTelemetry::EngineTelemetry(const char* kind)
       consumed(MetricsRegistry::instance().gauge(
           "dlb_engine_consumed_tokens",
           "Tokens consumed by the attached workload since adopt_loads.",
-          kind_labels(kind))) {}
+          kind_labels(kind))),
+      workload_prepare(phase(kind, "workload_prepare")),
+      workload_apply(phase(kind, "workload_apply")) {}
 
 }  // namespace dlb::obs

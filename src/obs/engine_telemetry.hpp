@@ -5,8 +5,9 @@
 // exposition wants (the service runs one engine; tests run many).
 //
 // RoundEngineBase creates the bundle lazily, on the first round that
-// executes with the registry armed; disarmed processes never register
-// the series and the round loop pays a single relaxed load.
+// executes with the registry armed or applies a workload (its phase
+// scopes take the workload histograms); a disarmed static run never
+// registers the series and the round loop pays a single relaxed load.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -24,6 +25,11 @@ struct EngineTelemetry {
   Gauge& max_load;           ///< dlb_engine_max_load
   Gauge& injected;           ///< dlb_engine_injected_tokens (workload ledger)
   Gauge& consumed;           ///< dlb_engine_consumed_tokens
+  /// dlb_engine_phase_seconds{phase="workload_prepare"|"workload_apply"}:
+  /// the attached workload's prepare hook (admission included) and the
+  /// application of its deltas to the loads.
+  Histogram& workload_prepare;
+  Histogram& workload_apply;
 };
 
 }  // namespace dlb::obs

@@ -222,9 +222,10 @@ EngineSnapshot EngineSnapshot::deserialize(
     throw serial_error("not a DLB snapshot (bad magic)");
   }
   const std::uint32_t version = header.u32();
-  if (version != kFormatVersion) {
+  if (version < kOldestReadableVersion || version > kFormatVersion) {
     throw serial_error("unsupported snapshot format version " +
                        std::to_string(version) + " (this build reads " +
+                       std::to_string(kOldestReadableVersion) + " to " +
                        std::to_string(kFormatVersion) + ")");
   }
   const std::uint64_t payload_len = header.u64();

@@ -43,8 +43,12 @@ class ShardedEngine;
 class EngineSnapshot {
  public:
   /// Bump on any incompatible layout change; deserialize() refuses other
-  /// versions rather than guessing at field offsets.
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// versions rather than guessing at field offsets. Version 2 changed
+  /// only the admission queue's blob (a per-node ring instead of a
+  /// request list); that blob tells the two apart itself, so version-1
+  /// images still restore.
+  static constexpr std::uint32_t kFormatVersion = 2;
+  static constexpr std::uint32_t kOldestReadableVersion = 1;
 
   /// Captures the full stepping state. Must be called between rounds
   /// (i.e. never from inside an observer); per-round transients — flow

@@ -202,12 +202,16 @@ std::uint64_t ShardedEngine::round_begin() const noexcept {
   return mono_ns();
 }
 
-void ShardedEngine::round_end(std::uint64_t start_ns) {
-  if (start_ns == 0) return;
+obs::EngineTelemetry& ShardedEngine::telemetry() {
   if (!telemetry_) {
     telemetry_ = std::make_unique<obs::EngineTelemetry>("sharded");
   }
-  obs::EngineTelemetry& tel = *telemetry_;
+  return *telemetry_;
+}
+
+void ShardedEngine::round_end(std::uint64_t start_ns) {
+  if (start_ns == 0) return;
+  obs::EngineTelemetry& tel = telemetry();
   tel.rounds.inc();
   tel.round_seconds.observe(static_cast<double>(mono_ns() - start_ns) * 1e-9);
   tel.time.set(t_);
@@ -336,13 +340,24 @@ Load ShardedEngine::load_of(NodeId u) const {
 
 void ShardedEngine::apply_workload() {
   if (workload_ == nullptr) return;
-  // The serial prepare hook sees the global loads only when it actually
-  // reads them (the adversarial argmax scan) — otherwise the O(n) gather
-  // is skipped and the span is empty.
-  const std::span<const Load> loads = workload_->prepare_reads_loads()
-                                          ? gather_into_scratch()
-                                          : std::span<const Load>();
-  workload_->prepare(t_, loads);
+  obs::EngineTelemetry& tel = telemetry();
+  {
+    obs::PhaseScope phase(tel.workload_prepare, "workload_prepare", "sharded",
+                          "t", t_ + 1);
+    // The prepare hook sees the global loads only when it actually reads
+    // them (the adversarial argmax scan) — otherwise the O(n) gather is
+    // skipped and the span is empty.
+    const std::span<const Load> loads = workload_->prepare_reads_loads()
+                                            ? gather_into_scratch()
+                                            : std::span<const Load>();
+    if (pool_ != nullptr && pool_->parallelism() > 1) {
+      workload_->prepare_parallel(t_, loads, *pool_);
+    } else {
+      workload_->prepare(t_, loads);
+    }
+  }
+  obs::PhaseScope phase(tel.workload_apply, "workload_apply", "sharded", "t",
+                        t_ + 1);
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   const bool logging = input_log_ != nullptr;
   if (const std::vector<NodeId>* sparse = workload_->affected_nodes()) {

@@ -355,6 +355,8 @@ class ShardedEngine {
   /// contract verbatim: observe cached state only, never force a refresh.
   std::uint64_t round_begin() const noexcept;
   void round_end(std::uint64_t start_ns);
+  /// The metric handles, registered on first use (RoundEngineBase's rule).
+  obs::EngineTelemetry& telemetry();
 
   /// Gathers the owned slices into scratch_ and returns a span over it
   /// (for prepare hooks that read the global loads).

@@ -150,6 +150,71 @@ TEST(PoissonDraw, DeterministicAcrossRegimeBoundaries) {
   }
 }
 
+namespace {
+
+/// The per-draw product method as it stood before its constants were
+/// hoisted: exp(−λ) (and the split regime's chunking) recomputed on every
+/// draw. Valid for λ <= kPoissonSplitCap.
+Load per_draw_reference(Rng& rng, double lambda) {
+  const auto product = [&rng](double rate) {
+    const double limit = std::exp(-rate);
+    double p = 1.0;
+    Load k = 0;
+    do {
+      ++k;
+      p *= rng.uniform_real();
+    } while (p > limit);
+    return k - 1;
+  };
+  if (lambda == 0.0) return 0;
+  if (lambda <= kPoissonProductCap) return product(lambda);
+  const int chunks = static_cast<int>(std::ceil(lambda / kPoissonProductCap));
+  Load sum = 0;
+  for (int i = 0; i < chunks; ++i) sum += product(lambda / chunks);
+  return sum;
+}
+
+}  // namespace
+
+TEST(PoissonDraw, HoistedSamplerIsBitIdenticalAcrossRegimeSeams) {
+  const double seams[] = {0.0,
+                          0.05,
+                          kPoissonProductCap - 0.5,
+                          kPoissonProductCap,
+                          kPoissonProductCap + 0.5,
+                          kPoissonSplitCap - 0.5,
+                          kPoissonSplitCap,
+                          kPoissonSplitCap + 0.5,
+                          1.0e6};
+  for (double lambda : seams) {
+    SCOPED_TRACE(lambda);
+    const PoissonSampler sampler(lambda);
+    Rng hoisted(77);
+    Rng plain(77);
+    Rng reference(77);
+    for (int i = 0; i < 200; ++i) {
+      const Load d = sampler(hoisted);
+      ASSERT_EQ(d, poisson_draw(plain, lambda)) << "draw " << i;
+      if (lambda <= kPoissonSplitCap) {
+        ASSERT_EQ(d, per_draw_reference(reference, lambda)) << "draw " << i;
+      }
+    }
+  }
+  // PoissonWorkload draws arrivals then departures from the node's stream.
+  PoissonWorkload w({.arrival_rate = kPoissonProductCap + 0.5,
+                     .departure_rate = kPoissonProductCap - 0.5});
+  w.reset(8, 3);
+  for (Step t = 0; t < 4; ++t) {
+    for (NodeId u = 0; u < 8; ++u) {
+      Rng rng(stream_key(3, static_cast<std::uint64_t>(u),
+                         static_cast<std::uint64_t>(t)));
+      const Load in = per_draw_reference(rng, kPoissonProductCap + 0.5);
+      const Load out = per_draw_reference(rng, kPoissonProductCap - 0.5);
+      EXPECT_EQ(w.delta(u, t), in - out) << "u=" << u << " t=" << t;
+    }
+  }
+}
+
 TEST(PoissonDraw, RejectsOnlyLedgerOverflowRates) {
   Rng rng(5);
   EXPECT_THROW(poisson_draw(rng, -1.0), invariant_error);

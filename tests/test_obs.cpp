@@ -354,6 +354,45 @@ TEST(TelemetryDeterminismTest, EngineGaugesMirrorEngineStateWhenArmed) {
             static_cast<double>(e.discrepancy()));
 }
 
+TEST(TelemetryDeterminismTest, WorkloadPhasesAreTimedOnBothEngines) {
+  // One workload_prepare and one workload_apply observation per round, on
+  // the flat engine (serial and pooled) and on the sharded one.
+  const Graph g = make_cycle(64);
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto count = [&](const char* engine, const char* phase) {
+    return reg.sample("dlb_engine_phase_seconds",
+                      {{"engine", engine}, {"phase", phase}});
+  };
+  TelemetryOn on(/*trace=*/false);
+  ThreadPool pool(3);
+  PoissonWorkload workload(
+      PoissonWorkload::Params{.arrival_rate = 0.05, .departure_rate = 0.03});
+  workload.reset(g.num_nodes(), 11);
+  for (const char* engine : {"flat", "sharded"}) {
+    SCOPED_TRACE(engine);
+    const double prepared = count(engine, "workload_prepare");
+    const double applied = count(engine, "workload_apply");
+    std::unique_ptr<Balancer> b = find_balancer_factory("SEND(floor)")(7);
+    const LoadVector initial = random_initial(g.num_nodes(), 200, 5);
+    if (std::string(engine) == "flat") {
+      Engine e(g, EngineConfig{.self_loops = g.degree()}, *b, initial);
+      e.set_workload(&workload);
+      for (int i = 0; i < 3; ++i) e.step();
+      e.set_thread_pool(&pool);
+      e.run(3);
+    } else {
+      ShardedEngineConfig config;
+      config.self_loops = g.degree();
+      ShardedEngine e(g, config, *b, initial, /*shards=*/2);
+      e.set_workload(&workload);
+      e.set_thread_pool(&pool);
+      e.run(6);
+    }
+    EXPECT_EQ(count(engine, "workload_prepare") - prepared, 6.0);
+    EXPECT_EQ(count(engine, "workload_apply") - applied, 6.0);
+  }
+}
+
 TEST(TelemetryDeterminismTest, ShardedChannelByteCountersTrackHaloTraffic) {
   const Graph g = make_cycle(64);
   std::unique_ptr<Balancer> b = find_balancer_factory("SEND(floor)")(7);

@@ -585,6 +585,418 @@ TEST(AdmissionQueue, CapsPerRoundInjectionAndDrainsFifo) {
   EXPECT_EQ(q.backlog_total(), 0);
 }
 
+std::vector<std::uint8_t> saved(const WorkloadProcess& w) {
+  StateWriter out;
+  w.save_state(out);
+  return out.take();
+}
+
+std::vector<Load> round_table(AdmissionQueue& q, NodeId n, Step t) {
+  std::vector<Load> table;
+  for (NodeId u = 0; u < n; ++u) table.push_back(q.delta(u, t));
+  return table;
+}
+
+TEST(AdmissionQueue, LaterArrivalsMergeIntoTheirNodesPlace) {
+  // Node 5 bursts, then node 2; node 5 bursts again while still queued.
+  // The second burst joins node 5's place at the front, not the tail.
+  class Script : public WorkloadProcess {
+   public:
+    std::string name() const override { return "script"; }
+    void reset(NodeId, std::uint64_t) override {}
+    Load delta(NodeId u, Step t) override {
+      if (u == 5 && (t == 0 || t == 2)) return 10;
+      if (u == 2 && t == 1) return 10;
+      return 0;
+    }
+  };
+  Script inner;
+  AdmissionQueue q(inner, AdmissionQueue::Params{.round_cap = 4});
+  q.reset(8, 1);
+  const LoadVector loads(8, 0);
+  q.prepare(0, loads);  // admits 4 of node 5's 10
+  q.prepare(1, loads);  // node 2 queues behind node 5; 4 more for node 5
+  EXPECT_EQ(q.pending_nodes(), (std::vector<NodeId>{5, 2}));
+  q.prepare(2, loads);  // node 5's 2 left + 10 new stay ahead of node 2
+  EXPECT_EQ(q.delta(5, 2), 4);
+  EXPECT_EQ(q.delta(2, 2), 0);
+  EXPECT_EQ(q.pending_nodes(), (std::vector<NodeId>{5, 2}));
+  EXPECT_EQ(q.backlog_total(), 18);
+  EXPECT_EQ(q.backlog_entries(), 2u);
+}
+
+TEST(AdmissionQueue, StateIsIdenticalSeriallyAndOnEveryPool) {
+  // 200 overloaded rounds, run serially and through prepare_parallel on
+  // pools of 1, 2, 3 and 8: every round's table, the ring order, the
+  // token total and the saved bytes must agree. The Poisson inner process
+  // is dense (the pooled per-node pass); the burst one is sparse on most
+  // rounds and dense on its drain rounds, so the table also crosses
+  // between the two modes.
+  constexpr NodeId kN = 1000;
+  const auto make_inner = [](bool dense) -> std::unique_ptr<WorkloadProcess> {
+    if (dense) {
+      return std::make_unique<PoissonWorkload>(
+          PoissonWorkload::Params{.arrival_rate = 0.6, .departure_rate = 0.2});
+    }
+    return std::make_unique<BurstWorkload>(BurstWorkload::Params{
+        .period = 1, .burst = 40, .drain_period = 5, .drain_amount = 1});
+  };
+  for (const bool dense : {true, false}) {
+    SCOPED_TRACE(dense ? "poisson inner" : "burst inner");
+    struct Leg {
+      std::unique_ptr<WorkloadProcess> inner;
+      std::unique_ptr<AdmissionQueue> queue;
+      std::unique_ptr<ThreadPool> pool;  // null: serial prepare()
+    };
+    std::vector<Leg> legs;
+    for (const int threads : {0, 1, 2, 3, 8}) {
+      Leg leg;
+      leg.inner = make_inner(dense);
+      leg.queue = std::make_unique<AdmissionQueue>(
+          *leg.inner, AdmissionQueue::Params{.round_cap = 16});
+      leg.queue->reset(kN, 42);
+      if (threads > 0) leg.pool = std::make_unique<ThreadPool>(threads);
+      legs.push_back(std::move(leg));
+    }
+    // A second copy of the inner process replays what it offers, for the
+    // queue's ledger: the table holds the round's consumption plus the
+    // admitted tokens, which are offered + backlog before − backlog after,
+    // at most the cap and exactly the cap while a backlog remains.
+    std::unique_ptr<WorkloadProcess> replay = make_inner(dense);
+    replay->reset(kN, 42);
+    const LoadVector loads(kN, 0);
+    for (Step t = 0; t < 200; ++t) {
+      const Load backlog_before = legs[0].queue->backlog_total();
+      for (Leg& leg : legs) {
+        if (leg.pool) {
+          leg.queue->prepare_parallel(t, loads, *leg.pool);
+        } else {
+          leg.queue->prepare(t, loads);
+        }
+      }
+      AdmissionQueue& ref = *legs[0].queue;
+      const std::vector<Load> table = round_table(ref, kN, t);
+      replay->prepare(t, loads);
+      Load offered = 0;
+      Load table_sum = 0;
+      for (NodeId u = 0; u < kN; ++u) {
+        const Load d = replay->delta(u, t);
+        offered += std::max<Load>(d, 0);
+        table_sum += table[static_cast<std::size_t>(u)] - std::min<Load>(d, 0);
+      }
+      const Load admitted = backlog_before + offered - ref.backlog_total();
+      ASSERT_EQ(table_sum, admitted) << "round " << t;
+      if (t == 0 && dense) {
+        // The ring started empty, so it holds the arrivals in node order.
+        const std::vector<NodeId> ring = ref.pending_nodes();
+        ASSERT_TRUE(std::is_sorted(ring.begin(), ring.end()));
+        ASSERT_GT(ring.size(), 1u);
+      }
+      ASSERT_LE(admitted, 16) << "round " << t;
+      if (ref.backlog_total() > 0) {
+        ASSERT_EQ(admitted, 16) << "round " << t;
+      }
+      for (std::size_t i = 1; i < legs.size(); ++i) {
+        AdmissionQueue& q = *legs[i].queue;
+        SCOPED_TRACE("pool " + std::to_string(legs[i].pool->parallelism()) +
+                     " round " + std::to_string(t));
+        ASSERT_EQ(round_table(q, kN, t), table);
+        ASSERT_EQ(q.pending_nodes(), ref.pending_nodes());
+        ASSERT_EQ(q.backlog_total(), ref.backlog_total());
+        ASSERT_EQ(saved(q), saved(ref));
+      }
+    }
+    EXPECT_GT(legs[0].queue->backlog_total(), 1000) << "not overloaded";
+  }
+}
+
+TEST(AdmissionQueue, StateStaysBoundedUnderSustainedOverload) {
+  // 10^4 rounds offering ~8x the cap: the token backlog grows without
+  // bound, the state does not — at most one ring entry per node, 12 bytes
+  // each in the saved state, whatever the round count.
+  constexpr NodeId kN = 1 << 12;
+  constexpr std::size_t kFixedBytes = 8 + 8 + 8;  // seed, ring tag, count
+  PoissonWorkload inner(
+      PoissonWorkload::Params{.arrival_rate = 0.125, .departure_rate = 0.0});
+  AdmissionQueue q(inner, AdmissionQueue::Params{.round_cap = 64});
+  q.reset(kN, 9);
+  ThreadPool pool(4);
+  const LoadVector loads(kN, 0);
+  Load backlog_at_1000 = 0;
+  for (Step t = 0; t < 10000; ++t) {
+    q.prepare_parallel(t, loads, pool);
+    ASSERT_LE(q.backlog_entries(), static_cast<std::size_t>(kN));
+    if (t == 999 || t == 9999) {
+      const std::size_t bytes = saved(q).size();
+      EXPECT_EQ(bytes, kFixedBytes + 12 * q.backlog_entries());
+      EXPECT_LE(bytes, kFixedBytes + 12 * static_cast<std::size_t>(kN));
+    }
+    if (t == 999) backlog_at_1000 = q.backlog_total();
+  }
+  EXPECT_GT(q.backlog_total(), 5 * backlog_at_1000) << "not overloaded";
+}
+
+TEST(AdmissionQueue, FormatOneRequestListMergesOnLoad) {
+  // A format-1 blob lists one (node, amount) entry per queued request;
+  // loading sums each node's amounts and keeps first-occurrence order.
+  BurstWorkload inner(BurstWorkload::Params{.period = 100, .burst = 50});
+  AdmissionQueue q(inner, AdmissionQueue::Params{.round_cap = 10});
+  q.reset(16, 7);
+  StateWriter v1;
+  v1.u64(7);  // the burst process's seed
+  const std::pair<NodeId, Load> requests[] = {{3, 5}, {1, 2}, {3, 4},
+                                              {7, 1}, {1, 1}};
+  v1.u64(std::size(requests));
+  for (const auto& [node, amount] : requests) {
+    v1.i32(node);
+    v1.i64(amount);
+  }
+  StateReader r(v1.data());
+  q.load_state(r);
+  r.expect_done("format-1 admission blob");
+  EXPECT_EQ(q.pending_nodes(), (std::vector<NodeId>{3, 1, 7}));
+  EXPECT_EQ(q.backlog_total(), 13);
+  EXPECT_EQ(q.backlog_entries(), 3u);
+
+  // Saved again it is the format-2 ring, which loads to the same state.
+  const std::vector<std::uint8_t> v2 = saved(q);
+  EXPECT_EQ(v2.size(), 8 + 8 + 8 + 3 * 12u);
+  BurstWorkload inner2(BurstWorkload::Params{.period = 100, .burst = 50});
+  AdmissionQueue q2(inner2, AdmissionQueue::Params{.round_cap = 10});
+  q2.reset(16, 7);
+  StateReader r2(v2);
+  q2.load_state(r2);
+  EXPECT_EQ(saved(q2), v2);
+
+  // The merged ring drains in first-occurrence order: node 3's 9, then 1
+  // of node 1's 3 (the burst lands at t = 100 only).
+  const LoadVector loads(16, 0);
+  q.prepare(1, loads);
+  EXPECT_EQ(q.delta(3, 1), 9);
+  EXPECT_EQ(q.delta(1, 1), 1);
+  EXPECT_EQ(q.pending_nodes(), (std::vector<NodeId>{1, 7}));
+
+  // A format-2 ring must not repeat a node.
+  StateWriter bad;
+  bad.u64(7);
+  bad.bytes(std::span<const std::uint8_t>(v2).subspan(8, 16));  // tag + count
+  bad.i32(3);
+  bad.i64(1);
+  bad.i32(3);
+  bad.i64(1);
+  bad.i32(7);
+  bad.i64(1);
+  StateReader rb(bad.data());
+  EXPECT_THROW(q2.load_state(rb), serial_error);
+  EXPECT_EQ(saved(q2), v2) << "failed load mutated the queue";
+}
+
+/// Rewrites a format-2 snapshot image as format 1: version 1 in the
+/// header and the admission blob as a request list in which each pending
+/// node appears twice (its first token, then the rest at the list's end).
+std::vector<std::uint8_t> as_format_one(const std::vector<std::uint8_t>& v2) {
+  StateReader h(v2);
+  const std::uint64_t magic = h.u64();
+  EXPECT_EQ(h.u32(), 2u);
+  const std::uint64_t len = h.u64();
+  h.u64();  // checksum
+  StateReader p(h.bytes(static_cast<std::size_t>(len)));
+  StateWriter out;
+  out.i32(p.i32());  // n
+  out.i32(p.i32());  // d
+  out.i32(p.i32());  // self-loops
+  out.u8(p.u8());    // structure tag
+  out.vec_i32(p.vec_i32());
+  out.u64(p.u64());  // adjacency hash
+  for (int i = 0; i < 3; ++i) out.str(p.str());  // graph, balancer, workload
+  out.i64(p.i64());                              // time
+  out.b(p.b());                                  // tracker flag
+  for (int blob = 0; blob < 4; ++blob) {
+    const std::uint64_t size = p.u64();
+    const auto bytes = p.bytes(static_cast<std::size_t>(size));
+    if (blob != 2) {  // not the workload blob
+      out.u64(size);
+      out.bytes(bytes);
+      continue;
+    }
+    StateReader w(bytes);
+    StateWriter v1;
+    v1.u64(w.u64());  // the inner burst process's seed
+    w.u64();          // ring tag
+    const std::uint64_t count = w.u64();
+    std::vector<std::pair<NodeId, Load>> head, tail;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const NodeId node = w.i32();
+      const Load amount = w.i64();
+      EXPECT_GE(amount, 2) << "need two requests per node";
+      head.emplace_back(node, 1);
+      tail.emplace_back(node, amount - 1);
+    }
+    v1.u64(2 * count);
+    for (const auto* part : {&head, &tail}) {
+      for (const auto& [node, amount] : *part) {
+        v1.i32(node);
+        v1.i64(amount);
+      }
+    }
+    out.u64(v1.size());
+    out.bytes(v1.data());
+  }
+  StateWriter image;
+  image.u64(magic);
+  image.u32(1);
+  image.u64(out.size());
+  image.u64(fnv1a64(out.data()));
+  image.bytes(out.data());
+  return image.take();
+}
+
+TEST(AdmissionQueue, FormatOneImageRestoresAndContinuesIdentically) {
+  constexpr Step kT = 40;
+  constexpr Step kSnapAt = 10;
+  Rig full("SEND(floor)", Churn::kAdmission, 1);
+  full.step_rounds(kT);
+
+  std::vector<std::uint8_t> v1;
+  {
+    Rig half("SEND(floor)", Churn::kAdmission, 1);
+    half.step_rounds(kSnapAt);
+    const auto& q = dynamic_cast<const AdmissionQueue&>(*half.wl.process);
+    ASSERT_GT(q.backlog_entries(), 0u) << "snapshot must hold a backlog";
+    v1 = as_format_one(
+        EngineSnapshot::capture(*half.engine, &half.tracker).serialize());
+  }
+  Rig resumed("SEND(floor)", Churn::kAdmission, 8);
+  EngineSnapshot::deserialize(v1).restore(*resumed.engine, &resumed.tracker);
+  ASSERT_EQ(resumed.engine->time(), kSnapAt);
+  resumed.step_rounds(kT - kSnapAt);
+  EXPECT_EQ(resumed.engine->loads(), full.engine->loads());
+  EXPECT_EQ(resumed.engine->injected_total(), full.engine->injected_total());
+  EXPECT_EQ(saved(*resumed.wl.process), saved(*full.wl.process));
+}
+
+TEST(AdmissionQueue, DenseInnerRunsIdenticallyFlatShardedAndRestored) {
+  // Poisson demand behind the cap: the dense admission table, applied by
+  // the flat engine serially and on a pool, by a 3-shard engine on a
+  // pool, and through a mid-run snapshot — all the same trajectory.
+  constexpr Step kT = 60;
+  const Graph g = make_cycle(500);
+  const LoadVector initial(static_cast<std::size_t>(g.num_nodes()), 2);
+  struct Demand {
+    PoissonWorkload inner{
+        PoissonWorkload::Params{.arrival_rate = 0.3, .departure_rate = 0.1}};
+    AdmissionQueue queue{inner, AdmissionQueue::Params{.round_cap = 20}};
+    explicit Demand(NodeId n) { queue.reset(n, 5); }
+  };
+  // Runs kT rounds on a pool of `threads`, through a snapshot at snap_at.
+  const auto flat_run = [&](int threads, Step snap_at) {
+    auto b = make_balancer(Algorithm::kSendFloor, 11);
+    Demand demand(g.num_nodes());
+    ThreadPool pool(threads);
+    Engine engine(g, EngineConfig{.self_loops = 2}, *b, initial);
+    engine.set_workload(&demand.queue);
+    engine.set_thread_pool(&pool);
+    engine.run(snap_at);
+    if (snap_at == kT) {
+      return std::make_pair(engine.loads(), saved(demand.queue));
+    }
+    const std::vector<std::uint8_t> bytes =
+        EngineSnapshot::capture(engine).serialize();
+    auto b2 = make_balancer(Algorithm::kSendFloor, 11);
+    Demand demand2(g.num_nodes());
+    Engine resumed(g, EngineConfig{.self_loops = 2}, *b2, initial);
+    resumed.set_workload(&demand2.queue);
+    resumed.set_thread_pool(&pool);
+    EngineSnapshot::deserialize(bytes).restore(resumed);
+    resumed.run(kT - snap_at);
+    return std::make_pair(resumed.loads(), saved(demand2.queue));
+  };
+  const auto want = flat_run(1, kT);
+  EXPECT_EQ(flat_run(8, kT), want);
+  EXPECT_EQ(flat_run(8, kT / 2), want);
+  EXPECT_EQ(flat_run(1, kT / 3), want);
+
+  auto b = make_balancer(Algorithm::kSendFloor, 11);
+  Demand demand(g.num_nodes());
+  ThreadPool pool(4);
+  ShardedEngineConfig config;
+  config.self_loops = 2;
+  ShardedEngine sharded(g, config, *b, initial, 3);
+  sharded.set_workload(&demand.queue);
+  sharded.set_thread_pool(&pool);
+  sharded.run(kT);
+  EXPECT_EQ(sharded.gather_loads(), want.first);
+  EXPECT_EQ(saved(demand.queue), want.second);
+}
+
+TEST(AdmissionQueue, LedgerOverflowNamesNodeAndRound) {
+  // λ = 1e15 (the largest rate PoissonWorkload accepts) at 2^14 nodes
+  // offers ~1.6e19 tokens in round 0, past int64. The error names the
+  // first node at which the backlog overflows, at any pool size.
+  constexpr NodeId kN = 1 << 14;
+  const auto message = [&](int threads) {
+    PoissonWorkload inner(
+        PoissonWorkload::Params{.arrival_rate = 1e15, .departure_rate = 0.0});
+    AdmissionQueue q(inner, AdmissionQueue::Params{.round_cap = 8});
+    q.reset(kN, 3);
+    const LoadVector loads(kN, 0);
+    try {
+      if (threads == 0) {
+        q.prepare(0, loads);
+      } else {
+        ThreadPool pool(threads);
+        q.prepare_parallel(0, loads, pool);
+      }
+    } catch (const invariant_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no overflow");
+  };
+  PoissonWorkload replay(
+      PoissonWorkload::Params{.arrival_rate = 1e15, .departure_rate = 0.0});
+  replay.reset(kN, 3);
+  NodeId first = 0;
+  for (Load total = 0;
+       !__builtin_add_overflow(total, replay.delta(first, 0), &total);) {
+    ++first;
+  }
+  const std::string serial = message(0);
+  EXPECT_NE(serial.find("overflow"), std::string::npos) << serial;
+  EXPECT_NE(serial.find("at node " + std::to_string(first) + " in round 0"),
+            std::string::npos)
+      << serial;
+  EXPECT_EQ(message(4), serial);
+  EXPECT_EQ(message(3), serial);
+
+  // The sparse path checks too: one node offered 3·2^61 twice.
+  class Huge : public WorkloadProcess {
+   public:
+    std::string name() const override { return "huge"; }
+    void reset(NodeId, std::uint64_t) override {}
+    void prepare(Step, std::span<const Load>) override {}
+    const std::vector<NodeId>* affected_nodes() const override {
+      return &nodes_;
+    }
+    Load delta(NodeId, Step) override { return Load{3} << 61; }
+
+   private:
+    std::vector<NodeId> nodes_{3};
+  };
+  Huge huge;
+  AdmissionQueue q(huge, AdmissionQueue::Params{.round_cap = 1});
+  q.reset(8, 0);
+  const LoadVector loads(8, 0);
+  q.prepare(0, loads);
+  try {
+    q.prepare(1, loads);
+    FAIL() << "the second offer must overflow";
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at node 3 in round 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(BalancerService, SigtermStopsCheckpointsAndResumes) {
   const std::string ck = ::testing::TempDir() + "dlb_service_test.ck";
   std::remove(ck.c_str());
