@@ -1,22 +1,12 @@
-// E13 — Round-kernel hot path: steps/sec of the lazy/batched engine vs
-// the per-node materializing path, per {n, d, balancer}.
+// E13 — Round-kernel hot path: steps/sec of the engine per {n, d,
+// balancer}.
 //
-// The refactor's whole point is simulation throughput at the paper's
-// scales (T = c·log(nK)/µ steps over millions of nodes), so this bench is
-// the tracked artifact for it. Every balancer is measured twice on the
-// same graph and initial load:
-//   * `pernode` — a no-op StepObserver is attached, forcing the
-//     materializing path: one virtual Balancer::decide per node per step,
-//     a zero-filled n×(d+d°) flow matrix, conservation audited every
-//     step. This is the pre-refactor engine, kept alive as the golden
-//     reference (tests/test_golden_equivalence.cpp proves the two paths
-//     are trajectory-identical).
-//   * `lazy` — no observer: one decide_all call per step scatters tokens
-//     straight into the next-load accumulator, no flow buffer exists,
-//     conservation audited every 64 steps.
-// items_per_second == engine steps per second; the lazy/pernode ratio per
-// balancer is the speedup the acceptance gate tracks (>= 3x for
-// SEND(floor) and ROTOR-ROUTER on the 2^20-node cycle).
+// Simulation throughput at the paper's scales (T = c·log(nK)/µ steps over
+// millions of nodes) is what this bench tracks. The `lazy` series run the
+// serial scatter path: one decide_all call per step scatters tokens
+// straight into the next-load accumulator, no flow buffer exists,
+// conservation is audited every 64 steps. items_per_second == engine
+// steps per second.
 //
 // CI runs this with --benchmark_min_time=0.1 as a smoke step so that a
 // kernel regression (or an accidental re-materialization) breaks the
@@ -47,28 +37,13 @@ namespace {
 
 using namespace dlb;
 
-/// Forces the materializing per-node path without doing any work.
-class NoopObserver : public StepObserver {
- public:
-  void on_step(Step, const Graph&, int, std::span<const Load>,
-               std::span<const Load>, std::span<const Load>) override {}
-};
-
-enum class Path { kLazy, kPerNode };
-
-void run_steps(benchmark::State& state, const Graph& g, Algorithm algo,
-               Path path, bool deferred_stats = false,
-               bool assign_first = false) {
+void run_steps(benchmark::State& state, const Graph& g, Algorithm algo) {
   auto balancer = balancer_factory(algo)(/*seed=*/42);
   EngineConfig config;
   config.self_loops = g.degree();  // d° = d, the theorems' regime
   config.check_conservation = true;
-  config.conservation_interval = path == Path::kLazy ? 64 : 1;
-  config.assign_first_scatter = assign_first;
+  config.conservation_interval = 64;
   Engine e(g, config, *balancer, random_initial(g.num_nodes(), 1000, 7));
-  e.set_deferred_stats(deferred_stats);
-  NoopObserver observer;
-  if (path == Path::kPerNode) e.add_observer(observer);
 
   for (auto _ : state) {
     e.step();
@@ -80,8 +55,7 @@ void run_steps(benchmark::State& state, const Graph& g, Algorithm algo,
       static_cast<double>(state.iterations()) *
           static_cast<double>(g.num_nodes()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(algorithm_name(algo) +
-                 (path == Path::kLazy ? "/lazy" : "/pernode"));
+  state.SetLabel(algorithm_name(algo) + "/lazy");
 }
 
 const Graph& cycle_1m() {
@@ -101,42 +75,21 @@ const Graph& cycle_256k() {
 
 // --------------------------- n = 2^20 cycle (d = 2), the acceptance pair --
 void BM_Cycle1M_SendFloor_Lazy(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kSendFloor, Path::kLazy);
-}
-void BM_Cycle1M_SendFloor_PerNode(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kSendFloor, Path::kPerNode);
-}
-void BM_Cycle1M_SendFloor_LazyDeferredStats(benchmark::State& s) {
-  // Pure run(T) mode: no fused min/max pass per step; observables are
-  // recomputed on demand (the ROADMAP stats-headroom item).
-  run_steps(s, cycle_1m(), Algorithm::kSendFloor, Path::kLazy,
-            /*deferred_stats=*/true);
+  run_steps(s, cycle_1m(), Algorithm::kSendFloor);
 }
 void BM_Cycle1M_RotorRouter_Lazy(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kRotorRouter, Path::kLazy);
-}
-void BM_Cycle1M_RotorRouter_PerNode(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kRotorRouter, Path::kPerNode);
+  run_steps(s, cycle_1m(), Algorithm::kRotorRouter);
 }
 void BM_Cycle1M_RotorRouterStar_Lazy(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kRotorRouterStar, Path::kLazy);
-}
-void BM_Cycle1M_RotorRouterStar_PerNode(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kRotorRouterStar, Path::kPerNode);
+  run_steps(s, cycle_1m(), Algorithm::kRotorRouterStar);
 }
 
 // ------------------------------- n = 2^18 cycle, the double-heavy kernels --
 void BM_Cycle256k_BoundedError_Lazy(benchmark::State& s) {
-  run_steps(s, cycle_256k(), Algorithm::kBoundedError, Path::kLazy);
-}
-void BM_Cycle256k_BoundedError_PerNode(benchmark::State& s) {
-  run_steps(s, cycle_256k(), Algorithm::kBoundedError, Path::kPerNode);
+  run_steps(s, cycle_256k(), Algorithm::kBoundedError);
 }
 void BM_Cycle256k_ContinuousMimic_Lazy(benchmark::State& s) {
-  run_steps(s, cycle_256k(), Algorithm::kContinuousMimic, Path::kLazy);
-}
-void BM_Cycle256k_ContinuousMimic_PerNode(benchmark::State& s) {
-  run_steps(s, cycle_256k(), Algorithm::kContinuousMimic, Path::kPerNode);
+  run_steps(s, cycle_256k(), Algorithm::kContinuousMimic);
 }
 
 // -------------------------- intra-round parallel thread-scaling series --
@@ -214,29 +167,22 @@ const Graph& hypercube_20_generic() {
 }
 
 void BM_StepImplicit_Cycle(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kSendFloor, Path::kLazy);
+  run_steps(s, cycle_1m(), Algorithm::kSendFloor);
 }
 void BM_StepGeneric_Cycle(benchmark::State& s) {
-  run_steps(s, cycle_1m_generic(), Algorithm::kSendFloor, Path::kLazy);
+  run_steps(s, cycle_1m_generic(), Algorithm::kSendFloor);
 }
 void BM_StepImplicit_Torus(benchmark::State& s) {
-  run_steps(s, torus_1024(), Algorithm::kSendFloor, Path::kLazy);
+  run_steps(s, torus_1024(), Algorithm::kSendFloor);
 }
 void BM_StepGeneric_Torus(benchmark::State& s) {
-  run_steps(s, torus_1024_generic(), Algorithm::kSendFloor, Path::kLazy);
+  run_steps(s, torus_1024_generic(), Algorithm::kSendFloor);
 }
 void BM_StepImplicit_Hypercube(benchmark::State& s) {
-  run_steps(s, hypercube_20(), Algorithm::kSendFloor, Path::kLazy);
+  run_steps(s, hypercube_20(), Algorithm::kSendFloor);
 }
 void BM_StepGeneric_Hypercube(benchmark::State& s) {
-  run_steps(s, hypercube_20_generic(), Algorithm::kSendFloor, Path::kLazy);
-}
-
-// Epoch-RMW revisit (ROADMAP): the kept-first-assign + plain-adds scatter
-// variant vs the epoch-stamped default, same graph and balancer.
-void BM_Cycle1M_SendFloor_LazyAssignFirst(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kSendFloor, Path::kLazy,
-            /*deferred_stats=*/false, /*assign_first=*/true);
+  run_steps(s, hypercube_20_generic(), Algorithm::kSendFloor);
 }
 
 // ----------------------------- sharded halo-exchange engine, k-shard series --
@@ -291,43 +237,25 @@ void BM_Sharded_Torus512_SendFloor(benchmark::State& s) {
 
 // ------------------------------------------ n = 2^18 torus (d = 4) slice --
 void BM_Torus512_SendFloor_Lazy(benchmark::State& s) {
-  run_steps(s, torus_512(), Algorithm::kSendFloor, Path::kLazy);
-}
-void BM_Torus512_SendFloor_PerNode(benchmark::State& s) {
-  run_steps(s, torus_512(), Algorithm::kSendFloor, Path::kPerNode);
+  run_steps(s, torus_512(), Algorithm::kSendFloor);
 }
 void BM_Torus512_RotorRouter_Lazy(benchmark::State& s) {
-  run_steps(s, torus_512(), Algorithm::kRotorRouter, Path::kLazy);
-}
-void BM_Torus512_RotorRouter_PerNode(benchmark::State& s) {
-  run_steps(s, torus_512(), Algorithm::kRotorRouter, Path::kPerNode);
+  run_steps(s, torus_512(), Algorithm::kRotorRouter);
 }
 
 BENCHMARK(BM_Cycle1M_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle1M_SendFloor_LazyDeferredStats)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle1M_SendFloor_PerNode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle1M_RotorRouter_PerNode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouterStar_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle1M_RotorRouterStar_PerNode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle256k_BoundedError_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle256k_BoundedError_PerNode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle256k_ContinuousMimic_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle256k_ContinuousMimic_PerNode)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepImplicit_Cycle)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepGeneric_Cycle)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepImplicit_Torus)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepGeneric_Torus)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepImplicit_Hypercube)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepGeneric_Hypercube)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle1M_SendFloor_LazyAssignFirst)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Torus512_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Torus512_SendFloor_PerNode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Torus512_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Torus512_RotorRouter_PerNode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepParallel_SendFloor)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepParallel_RotorRouter)

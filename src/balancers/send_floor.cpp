@@ -257,35 +257,21 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
     sweep(first, last, emit);
   };
 
-  if (sink.assign_first()) {
-    const auto next = sink.plain();
-    [[maybe_unused]] Load* vals = next.raw_values();
-    run([&](std::size_t u, Load acc) { next.assign(u, acc); },
+  const auto next = sink.scatter();
+  [[maybe_unused]] Load* vals = next.raw_values();
+  [[maybe_unused]] std::uint8_t* ep = next.raw_epoch();
+  [[maybe_unused]] const std::uint32_t st4 =
+      std::uint32_t{0x01010101} * next.epoch_stamp();
+  run([&](std::size_t u, Load acc) { next.add(u, acc); },
 #ifdef DLB_SIMD_AVX2
-        [&](std::size_t u, __m256i acc) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + u), acc);
-        }
+      [&](std::size_t u, __m256i acc) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + u), acc);
+        std::memcpy(ep + u, &st4, sizeof(st4));
+      }
 #else
-        0
+      0
 #endif
-    );
-  } else {
-    const auto next = sink.scatter();
-    [[maybe_unused]] Load* vals = next.raw_values();
-    [[maybe_unused]] std::uint8_t* ep = next.raw_epoch();
-    [[maybe_unused]] const std::uint32_t st4 =
-        std::uint32_t{0x01010101} * next.epoch_stamp();
-    run([&](std::size_t u, Load acc) { next.add(u, acc); },
-#ifdef DLB_SIMD_AVX2
-        [&](std::size_t u, __m256i acc) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + u), acc);
-          std::memcpy(ep + u, &st4, sizeof(st4));
-        }
-#else
-        0
-#endif
-    );
-  }
+  );
   sink.merge_emit_stats(lo, hi, last - first);
 }
 
@@ -301,9 +287,8 @@ void SendFloor::scatter_range(const TorusTopology& topo, NodeId first,
   // coordinate arithmetic per node, no read-modify-write accumulation.
   // next(u) = kept(u) + Σ_p ⌊x(neighbor)/d⁺⌋ is what the symmetric
   // scatter delivers, term for term; integer addition commutes, so the
-  // trajectory is byte-identical, and the single touch per slot makes
-  // the kernel valid under both accumulator protocols — and lets the
-  // round's min/max ride the emit sweep (merge_emit_stats). The AVX2
+  // trajectory is byte-identical, and the single touch per slot lets
+  // the round's min/max ride the emit sweep (merge_emit_stats). The AVX2
   // path gathers the same 2r + 3 streams four row-interior nodes at a
   // time (lane shifts need power-of-two d⁺; q·d is a short add chain so
   // the integer arithmetic stays exact); row ends and tails stay scalar.
@@ -311,7 +296,7 @@ void SendFloor::scatter_range(const TorusTopology& topo, NodeId first,
                         loads.data(), last - first, sink);
 }
 
-// Emit-mode selection around torus_gather_rows, shared by the flat
+// The epoch-stamped emit around torus_gather_rows, shared by the flat
 // scatter kernel (storage space == global space) and the windowed shard
 // kernel (storage space == window slots).
 void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
@@ -320,39 +305,23 @@ void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
                                       FlowSink& sink) {
   Load lo = std::numeric_limits<Load>::max();
   Load hi = std::numeric_limits<Load>::min();
-  if (sink.assign_first()) {
-    const auto next = sink.plain();
-    [[maybe_unused]] Load* vals = next.raw_values();
-    torus_gather_rows(
-        topo, div_, first, last, shift, ring_top, xs, lo, hi,
-        [&](std::size_t v, Load acc) { next.assign(v, acc); },
+  const auto next = sink.scatter();
+  [[maybe_unused]] Load* vals = next.raw_values();
+  [[maybe_unused]] std::uint8_t* ep = next.raw_epoch();
+  [[maybe_unused]] const std::uint32_t st4 =
+      std::uint32_t{0x01010101} * next.epoch_stamp();
+  torus_gather_rows(
+      topo, div_, first, last, shift, ring_top, xs, lo, hi,
+      [&](std::size_t v, Load acc) { next.add(v, acc); },
 #ifdef DLB_SIMD_AVX2
-        [&](std::size_t v, __m256i acc) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + v), acc);
-        }
+      [&](std::size_t v, __m256i acc) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + v), acc);
+        std::memcpy(ep + v, &st4, sizeof(st4));
+      }
 #else
-        0
+      0
 #endif
-    );
-  } else {
-    const auto next = sink.scatter();
-    [[maybe_unused]] Load* vals = next.raw_values();
-    [[maybe_unused]] std::uint8_t* ep = next.raw_epoch();
-    [[maybe_unused]] const std::uint32_t st4 =
-        std::uint32_t{0x01010101} * next.epoch_stamp();
-    torus_gather_rows(
-        topo, div_, first, last, shift, ring_top, xs, lo, hi,
-        [&](std::size_t v, Load acc) { next.add(v, acc); },
-#ifdef DLB_SIMD_AVX2
-        [&](std::size_t v, __m256i acc) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + v), acc);
-          std::memcpy(ep + v, &st4, sizeof(st4));
-        }
-#else
-        0
-#endif
-    );
-  }
+  );
   sink.merge_emit_stats(lo, hi, covered);
 }
 
@@ -405,25 +374,6 @@ template <class Topo>
 void SendFloor::scatter_range(const Topo& topo, NodeId first, NodeId last,
                               std::span<const Load> loads, FlowSink& sink) {
   const int d = topo.degree();
-  if (sink.assign_first()) {
-    // Kept-first assign pass: every slot's first touch of the round is
-    // this assign, which is what lets the neighbour shares below be
-    // plain adds with no epoch stamp and no zero-fill.
-    const auto next = sink.plain();
-    for (NodeId u = first; u < last; ++u) {
-      const Load x = loads[static_cast<std::size_t>(u)];
-      DLB_REQUIRE(x >= 0, "SendFloor cannot handle negative load");
-      next.assign(static_cast<std::size_t>(u), x - div_.quot(x) * d);
-    }
-    auto cur = topo.cursor(first);
-    for (NodeId u = first; u < last; ++u, cur.advance()) {
-      const Load q = div_.quot(loads[static_cast<std::size_t>(u)]);
-      for (int p = 0; p < d; ++p) {
-        next.add(static_cast<std::size_t>(cur.neighbor(p)), q);
-      }
-    }
-    return;
-  }
   const auto next = sink.scatter();
   auto cur = topo.cursor(first);
   for (NodeId u = first; u < last; ++u, cur.advance()) {

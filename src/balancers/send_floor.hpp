@@ -32,11 +32,6 @@ class SendFloor : public Balancer {
 
   bool parallel_decide_safe() const override { return true; }  // stateless
 
-  /// Supports the kept-first-assign + plain-adds scatter protocol (the
-  /// epoch-RMW alternative): pass 1 assigns every node's kept load,
-  /// pass 2 adds the neighbour shares.
-  bool assign_first_scatter_safe() const override { return true; }
-
   /// Windowed-gather support for the sharded engine: the cycle stencil
   /// reaches one slot each way; the r-dim torus row gather reaches
   /// stride(r−1) ring slots (the top dimension's wrap offset
@@ -59,8 +54,7 @@ class SendFloor : public Balancer {
   /// Cycle stencil: next(u) = kept(u) + ⌊x(u−1)/d⁺⌋ + ⌊x(u+1)/d⁺⌋ in one
   /// streaming sweep with a single accumulator touch per slot (integer
   /// addition commutes, so the trajectory is byte-identical to the
-  /// generic scatter order; each slot's one touch makes the kernel valid
-  /// for both the epoch and the assign-first protocol).
+  /// generic scatter order).
   void scatter_range(const CycleTopology& topo, NodeId first, NodeId last,
                      std::span<const Load> loads, FlowSink& sink);
   /// Torus row-blocked gather stencil: per dimension-0 row, all neighbor
@@ -73,7 +67,7 @@ class SendFloor : public Balancer {
   /// would still stream the port tables.)
   void scatter_range(const TorusTopology& topo, NodeId first, NodeId last,
                      std::span<const Load> loads, FlowSink& sink);
-  /// Emit-mode selection around the shared torus row-gather core; the
+  /// The shared torus row-gather core with its epoch-stamped emit; the
   /// flat kernel calls it with shift 0 / true wrap offsets, the windowed
   /// kernel with window-slot indices and ring-normalized top-dimension
   /// offsets (see send_floor.cpp).

@@ -66,16 +66,10 @@ class FlowSink {
       : g_(&g), d_loops_(d_loops), d_plus_(g.degree() + d_loops),
         rows_(rows), acc_(nullptr) {}
 
-  /// Scatter mode. `acc` must be sized to n with begin_round() (or, for
-  /// assign-first rounds, begin_round_plain()) called. `assign_first`
-  /// selects the plain-adds protocol: the engine only sets it for
-  /// balancers declaring assign_first_scatter_safe(), and only on the
-  /// serial whole-range path (a partial range's neighbor adds could land
-  /// on slots another range has not assigned yet).
-  FlowSink(const Graph& g, int d_loops, EpochAccumulator* acc,
-           bool assign_first = false)
+  /// Scatter mode. `acc` must be sized to n with begin_round() called.
+  FlowSink(const Graph& g, int d_loops, EpochAccumulator* acc)
       : g_(&g), d_loops_(d_loops), d_plus_(g.degree() + d_loops),
-        rows_(nullptr), acc_(acc), assign_first_(assign_first) {}
+        rows_(nullptr), acc_(acc) {}
 
   const Graph& graph() const noexcept { return *g_; }
   int self_loops() const noexcept { return d_loops_; }
@@ -104,17 +98,6 @@ class FlowSink {
     return EpochAccumulator::Scatter(*acc_);
   }
 
-  /// True when this scatter round runs the assign-first protocol: the
-  /// kernel must assign() every node's kept load before any add() lands
-  /// on that slot (two sweeps over its range), through plain(). False:
-  /// use scatter()/add() as usual.
-  bool assign_first() const noexcept { return assign_first_; }
-
-  /// Plain assign/add view for assign-first rounds.
-  EpochAccumulator::Plain plain() const noexcept {
-    return EpochAccumulator::Plain(*acc_);
-  }
-
   /// Emit-fused round statistics. A *single-touch* scatter kernel — one
   /// that writes each slot of its range exactly once with the slot's
   /// final next load (the cycle stencil, the torus row gather) — already
@@ -122,7 +105,7 @@ class FlowSink {
   /// into the emit sweep and reports it here, together with how many
   /// slots it covered. Ranges merge; when the merged coverage reaches n,
   /// the engine has the round's exact min/max and every slot stamped, and
-  /// skips its dedicated post-round pass (finalize_stats / plain_minmax)
+  /// skips its dedicated post-round pass (finalize_stats)
   /// — one fewer O(n) sweep per round. Kernels that cannot make the
   /// single-touch guarantee simply never call this; coverage stays short
   /// of n and the engine scans as before.
@@ -141,7 +124,6 @@ class FlowSink {
   int d_plus_;
   Load* rows_;             // nullptr in scatter mode
   EpochAccumulator* acc_;  // nullptr in row mode
-  bool assign_first_ = false;
   Load emit_min_ = std::numeric_limits<Load>::max();
   Load emit_max_ = std::numeric_limits<Load>::min();
   NodeId emit_covered_ = 0;
@@ -238,13 +220,6 @@ class Balancer {
   /// True for schemes (e.g. randomized rounding of [18]) that may send
   /// more than the available load, creating negative loads.
   virtual bool allows_negative() const { return false; }
-
-  /// True when this balancer's scatter kernel implements the assign-first
-  /// protocol (FlowSink::assign_first): a kept-load assign sweep over the
-  /// whole range before the edge-flow add sweep. The engine only drives a
-  /// balancer through EngineConfig::assign_first_scatter when it opts in
-  /// here. Default: false.
-  virtual bool assign_first_scatter_safe() const { return false; }
 
   /// True if the balancer itself needs the full per-port records every
   /// step (none of the built-in schemes do); the engine then never takes

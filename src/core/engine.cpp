@@ -198,36 +198,20 @@ void Engine::do_step() {
   const NodeId n = g_->num_nodes();
   obs::PhaseScope phase(flat_phases().scatter, "scatter", "flat", "t",
                         time() + 1);
-  if (config_.assign_first_scatter && balancer_->assign_first_scatter_safe()) {
-    // Assign-first protocol: the kernel's kept-load assign sweep is the
-    // logical zero-fill, edge flows are plain adds — no epoch stamps.
-    acc_.begin_round_plain();
-    FlowSink sink(*g_, config_.self_loops, &acc_, /*assign_first=*/true);
-    balancer_->decide_all(loads_, time(), sink);
-    if (sink.emit_covered() == n) {
-      // Single-touch kernel folded the min/max into its emit sweep over
-      // the whole round — the dedicated stats pass disappears.
-      round_min = sink.emit_min();
-      round_max = sink.emit_max();
-    } else {
-      acc_.plain_minmax(round_min, round_max);
-    }
+  acc_.begin_round();
+  FlowSink sink(*g_, config_.self_loops, &acc_);
+  balancer_->decide_all(loads_, time(), sink);
+  if (sink.emit_covered() == n) {
+    // Single-touch kernel: every slot was written (and stamped) exactly
+    // once with its final value, min/max folded into the emit sweep —
+    // no stale slots can exist, so finalize_stats' whole sweep
+    // (stale-fixup + stats) is recovered.
+    round_min = sink.emit_min();
+    round_max = sink.emit_max();
   } else {
-    acc_.begin_round();
-    FlowSink sink(*g_, config_.self_loops, &acc_);
-    balancer_->decide_all(loads_, time(), sink);
-    if (sink.emit_covered() == n) {
-      // Single-touch kernel: every slot was written (and stamped) exactly
-      // once with its final value, min/max folded into the emit sweep —
-      // no stale slots can exist, so finalize_stats' whole sweep
-      // (stale-fixup + stats) is recovered.
-      round_min = sink.emit_min();
-      round_max = sink.emit_max();
-    } else {
-      // Stale-slot fixup and the round's min/max share one sweep; the
-      // base then skips its own stats pass over the swapped-in vector.
-      acc_.finalize_stats(round_min, round_max);
-    }
+    // Stale-slot fixup and the round's min/max share one sweep; the
+    // base then skips its own stats pass over the swapped-in vector.
+    acc_.finalize_stats(round_min, round_max);
   }
   loads_.swap(acc_.values());
   publish_round_stats(round_min, round_max);

@@ -45,13 +45,6 @@ struct EngineConfig {
   int self_loops = 0;             ///< d°, the number of self-loops per node
   bool check_conservation = true; ///< verify Σx invariant (gated below)
   int conservation_interval = 1;  ///< audit every k-th step (1 = every step)
-  /// Scatter-path variant (the ROADMAP epoch-RMW revisit): replace the
-  /// epoch-stamped accumulator adds with a kept-load assign sweep plus
-  /// plain adds. Only takes effect for balancers that opt in via
-  /// Balancer::assign_first_scatter_safe(); trajectories are identical
-  /// either way (golden-tested). See BENCH_hotpath.json for the measured
-  /// trade on the 2^20-node cycle.
-  bool assign_first_scatter = false;
 };
 
 /// Drives one balancer over one graph; owns loads and flow buffers.
@@ -73,16 +66,6 @@ class Engine : public RoundEngineBase {
   const EngineConfig& config() const noexcept { return config_; }
   Balancer& balancer() noexcept { return *balancer_; }
   const Balancer& balancer() const noexcept { return *balancer_; }
-
-  /// Toggles the assign-first scatter variant mid-run. Safe at any round
-  /// boundary: both scatter variants leave the accumulator fully stamped
-  /// or fully assigned, and each round's begin_round/begin_round_plain
-  /// re-establishes its own invariant from either predecessor state.
-  /// (Exercised by the epoch-wrap regression test; snapshot/restore keys
-  /// on trajectories being identical either way.)
-  void set_assign_first_scatter(bool on) noexcept {
-    config_.assign_first_scatter = on;
-  }
 
   /// True once the per-node record matrix has been allocated (i.e. some
   /// step ran on the row path — an observer, wants_flow_matrix(), or a

@@ -11,14 +11,6 @@
 // earlier rounds are guaranteed never to leak into the new load vector
 // (unit-tested in test_engine.cpp). The stamps wrap every 255 rounds;
 // begin_round() then re-zeroes them once, which amortizes to nothing.
-// An alternative *assign-first* round protocol (the ROADMAP epoch-RMW
-// revisit) lives alongside the epoch one: begin_round_plain() +
-// Plain::assign/add + plain_minmax(). There the kernel guarantees the
-// first touch of every slot in the round is an assign (kept-load pass),
-// so neither stamps nor zero-fill are needed and later edge flows are
-// plain adds. Only kernels that opt in (Balancer::
-// assign_first_scatter_safe) may be driven this way — an interleaved
-// kernel would read stale values.
 #pragma once
 
 #include <algorithm>
@@ -63,30 +55,6 @@ class EpochAccumulator {
     Load* values_;
     std::uint8_t* epoch_;
     std::uint8_t current_;
-  };
-
-  /// Register-resident view for assign-first rounds: no stamps, no
-  /// logical zero-fill. The kernel must assign() every slot of the round
-  /// before any add() lands on it (the kept-load pass), or stale values
-  /// from earlier rounds leak.
-  class Plain {
-   public:
-    explicit Plain(EpochAccumulator& acc) noexcept
-        : values_(acc.values_.data()) {}
-
-    /// First touch of slot i this round: next[i] = v.
-    void assign(std::size_t i, Load v) const noexcept { values_[i] = v; }
-
-    /// Subsequent touches: next[i] += f.
-    void add(std::size_t i, Load f) const noexcept { values_[i] += f; }
-
-    /// Raw storage for vectorized single-touch kernels (see
-    /// Scatter::raw_values): a block store is byte-identical to per-slot
-    /// assign() when each slot is written exactly once.
-    Load* raw_values() const noexcept { return values_; }
-
-   private:
-    Load* values_;
   };
 
   /// Sizes the accumulator to n slots, all zero and all fresh.
@@ -166,27 +134,6 @@ class EpochAccumulator {
       fix_slot(i, cur);
       lo = std::min(lo, values_[i]);
       hi = std::max(hi, values_[i]);
-    }
-    min_out = lo;
-    max_out = hi;
-  }
-
-  /// Starts an assign-first round: nothing to do — the kernel's kept-load
-  /// assign pass is the logical zero-fill. Kept for call-site symmetry
-  /// with begin_round().
-  void begin_round_plain() noexcept {}
-
-  /// Assign/add view for assign-first rounds.
-  Plain plain() noexcept { return Plain(*this); }
-
-  /// Round statistics for assign-first rounds (which have no stale slots
-  /// to fix — every slot was assigned): one min/max sweep over values_.
-  void plain_minmax(Load& min_out, Load& max_out) const noexcept {
-    Load lo = std::numeric_limits<Load>::max();
-    Load hi = std::numeric_limits<Load>::min();
-    for (Load v : values_) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
     }
     min_out = lo;
     max_out = hi;

@@ -1,0 +1,143 @@
+#include "core/round_ledger.hpp"
+
+#include <algorithm>
+#include <chrono>
+#include <string>
+
+namespace dlb {
+
+namespace {
+
+std::uint64_t mono_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+}  // namespace
+
+void LoadScan::add(std::span<const Load> xs, bool with_sum) noexcept {
+  Load lo = min;
+  Load hi = max;
+  if (with_sum) {
+    auto s = static_cast<std::uint64_t>(sum);
+    for (const Load v : xs) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      s += static_cast<std::uint64_t>(v);
+    }
+    sum = static_cast<Load>(s);
+  } else {
+    for (const Load v : xs) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+  }
+  min = lo;
+  max = hi;
+}
+
+void WorkloadTally::merge(const WorkloadTally& o) noexcept {
+  ledger_overflow |= o.ledger_overflow;
+  ledger_overflow |= __builtin_add_overflow(injected, o.injected, &injected);
+  ledger_overflow |= __builtin_add_overflow(consumed, o.consumed, &consumed);
+  if (o.overflow_node >= 0 &&
+      (overflow_node < 0 || o.overflow_node < overflow_node)) {
+    overflow_node = o.overflow_node;
+  }
+}
+
+void RoundLedger::adopt(std::span<const Load> loads, ConservationPolicy audit) {
+  DLB_REQUIRE(!loads.empty(), "round engine: empty load vector");
+  DLB_REQUIRE(audit.interval >= 1, "round engine: audit interval must be >= 1");
+  Load sum = 0;
+  for (std::size_t u = 0; u < loads.size(); ++u) {
+    if (__builtin_add_overflow(sum, loads[u], &sum)) {
+      throw invariant_error("initial loads overflow the int64 total at node " +
+                            std::to_string(u));
+    }
+  }
+  const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
+  s_ = State{0, sum, sum, 0, 0, *lo, *hi, *lo};
+  published_ = false;
+  audit_ = audit;
+}
+
+void RoundLedger::commit_workload(const WorkloadTally& w) {
+  const std::string round = " in round " + std::to_string(s_.t);
+  if (w.overflow_node >= 0) {
+    throw invariant_error("workload delta overflows the int64 load of node " +
+                          std::to_string(w.overflow_node) + round);
+  }
+  State next = s_;
+  if (w.ledger_overflow ||
+      __builtin_add_overflow(next.injected, w.injected, &next.injected) ||
+      __builtin_add_overflow(next.consumed, w.consumed, &next.consumed) ||
+      __builtin_add_overflow(next.total, w.injected, &next.total) ||
+      __builtin_sub_overflow(next.total, w.consumed, &next.total)) {
+    throw invariant_error("workload churn overflows the int64 token ledger" +
+                          round);
+  }
+  s_ = next;
+}
+
+std::uint64_t RoundLedger::round_begin() const noexcept {
+  return obs::metrics_armed() ? mono_ns() : 0;
+}
+
+obs::EngineTelemetry& RoundLedger::telemetry(const char* kind) {
+  if (!telemetry_) telemetry_ = std::make_unique<obs::EngineTelemetry>(kind);
+  return *telemetry_;
+}
+
+void RoundLedger::round_end(std::uint64_t start_ns, const char* kind) {
+  if (start_ns == 0) return;
+  obs::EngineTelemetry& tel = telemetry(kind);
+  tel.rounds.inc();
+  tel.round_seconds.observe(static_cast<double>(mono_ns() - start_ns) * 1e-9);
+  tel.time.set(s_.t);
+  tel.injected.set(s_.injected);
+  tel.consumed.set(s_.consumed);
+  tel.min_load.set(s_.min);
+  tel.max_load.set(s_.max);
+  tel.discrepancy.set(s_.max - s_.min);
+}
+
+void RoundLedger::save_core(StateWriter& w, std::span<const Load> loads) const {
+  w.vec_i64(loads);
+  w.i64(s_.t);
+  w.i64(s_.total);
+  w.i64(s_.base);
+  w.i64(s_.injected);
+  w.i64(s_.consumed);
+  w.i64(s_.min);
+  w.i64(s_.max);
+  w.i64(s_.min_seen);
+  w.b(false);  // stats-dirty: never set
+}
+
+RoundLedger::Core RoundLedger::read_core(StateReader& r, std::size_t n) {
+  Core c;
+  c.loads = r.vec_i64();
+  if (c.loads.size() != n) {
+    throw serial_error("engine core state: load vector size mismatch");
+  }
+  State& s = c.ledger;
+  s.t = r.i64();
+  s.total = r.i64();
+  s.base = r.i64();
+  s.injected = r.i64();
+  s.consumed = r.i64();
+  s.min = r.i64();
+  s.max = r.i64();
+  s.min_seen = r.i64();
+  if (r.b()) {
+    throw serial_error(
+        "engine core state: stats-dirty byte set (engines only write 0)");
+  }
+  r.expect_done("engine core state");
+  return c;
+}
+
+}  // namespace dlb

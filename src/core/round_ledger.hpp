@@ -1,0 +1,239 @@
+// RoundLedger: the round bookkeeping every synchronous round engine
+// shares. RoundEngineBase (flat, irregular, dimension exchange) and
+// ShardedEngine each hold one, so the two substrates cannot drift apart:
+//   * the clock and the conservation ledger — Σx₀ (base), the tokens the
+//     workload injected and consumed, and the conserved total
+//     Σx₀ + injected − consumed, all int64-checked;
+//   * the cached statistics (min, max, min ever seen), committed from the
+//     min/max a round published from its own final sweep, or from the
+//     engine's scan of its loads on rounds that published nothing and on
+//     audited rounds (every ConservationPolicy::interval-th), where the
+//     scan also re-sums Σx against the total;
+//   * the workload-delta rule and the workload phases around it;
+//   * per-round telemetry and its lazily registered metric handles;
+//   * the core-state bytes after the load vector.
+// Where the loads live, how a scan visits them, and how dense workload
+// deltas are chunked stay with the engine.
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "core/load_vector.hpp"
+#include "dynamics/workload.hpp"
+#include "obs/engine_telemetry.hpp"
+#include "obs/trace.hpp"
+#include "util/assertions.hpp"
+#include "util/serial.hpp"
+#include "util/thread_pool.hpp"
+
+namespace dlb {
+
+/// Conservation-audit policy of a round engine.
+struct ConservationPolicy {
+  bool enabled = true;  ///< verify Σx == total after (gated) steps
+  int interval = 1;     ///< audit every `interval`-th step (>= 1)
+
+  /// Amortized audit for engines whose pre-refactor check was a
+  /// debug-only assert: still always on, but the O(n) re-sum lands on one
+  /// step in 64, which is noise next to the O(n·d) step work.
+  static ConservationPolicy gated() { return {true, 64}; }
+};
+
+/// Min, max and (on audited rounds) Σ of an engine's loads.
+struct LoadScan {
+  Load min = std::numeric_limits<Load>::max();
+  Load max = std::numeric_limits<Load>::min();
+  Load sum = 0;
+
+  /// Folds `xs` in, summing only when `with_sum`. The sum wraps: the
+  /// total is checked, so a conserving round's wrapped Σx still equals
+  /// it, and the plain loop keeps vectorizing.
+  void add(std::span<const Load> xs, bool with_sum) noexcept;
+};
+
+/// One chunk's workload churn (a pool range, a shard, or a sparse list),
+/// folded into the ledger by RoundLedger::commit_workload.
+struct WorkloadTally {
+  Load injected = 0;
+  Load consumed = 0;
+  bool ledger_overflow = false;  ///< a partial sum left int64
+  NodeId overflow_node = -1;     ///< first node whose load left int64
+
+  /// The delta rule: d > 0 injects; d < 0 consumes, truncated at zero, so
+  /// churn never drives a node negative on its own (a node at or below
+  /// zero gives nothing). Returns the change made to x. A load that would
+  /// leave int64 is left untouched and u is recorded; the caller stops its
+  /// chunk there, so each chunk reports its first such node.
+  Load apply(NodeId u, Load& x, Load d) noexcept {
+    if (d > 0) {
+      Load next;
+      if (__builtin_add_overflow(x, d, &next)) {
+        overflow_node = u;
+        return 0;
+      }
+      x = next;
+      ledger_overflow |= __builtin_add_overflow(injected, d, &injected);
+      return d;
+    }
+    if (d >= 0 || x <= 0) return 0;
+    const Load take = d < -x ? x : -d;
+    x -= take;
+    ledger_overflow |= __builtin_add_overflow(consumed, take, &consumed);
+    return -take;
+  }
+
+  /// Folds another chunk in. Partials are sums of non-negative terms, so
+  /// one overflows iff the whole round's does, and the lowest overflowing
+  /// node wins: the outcome is the same at any chunking.
+  void merge(const WorkloadTally& o) noexcept;
+};
+
+class RoundLedger {
+ public:
+  /// Restarts the ledger over non-empty `loads`: clock 0, Σx₀ (checked),
+  /// min/max primed.
+  void adopt(std::span<const Load> loads, ConservationPolicy audit);
+
+  Step time() const noexcept { return s_.t; }
+  Load total() const noexcept { return s_.total; }
+  Load base_total() const noexcept { return s_.base; }
+  Load injected_total() const noexcept { return s_.injected; }
+  Load consumed_total() const noexcept { return s_.consumed; }
+  Load discrepancy() const noexcept { return s_.max - s_.min; }
+  Load min_load_seen() const noexcept { return s_.min_seen; }
+
+  /// A round that already swept its new loads (a fused apply pull, an
+  /// emit-fused kernel, the scatter finalize) hands the min/max it saw
+  /// here, and end_round commits them without another O(n) pass. The
+  /// publication lasts until the next end_round.
+  void publish_round_stats(Load lo, Load hi) noexcept {
+    round_min_ = lo;
+    round_max_ = hi;
+    published_ = true;
+  }
+
+  /// Closes a round: advances the clock and commits its statistics. On
+  /// an audited round, or one that published nothing, `scan(with_sum)`
+  /// must return the LoadScan of the engine's loads (Σ only when
+  /// with_sum); an audited Σx that differs from total() throws.
+  template <class Scan>
+  void end_round(Scan&& scan) {
+    ++s_.t;
+    const bool audit = audit_.enabled &&
+                       (audit_.interval == 1 || s_.t % audit_.interval == 0);
+    if (audit || !published_) {
+      const LoadScan x = scan(audit);
+      DLB_REQUIRE(!audit || x.sum == s_.total,
+                  "token conservation violated by engine step");
+      commit_stats(x.min, x.max);
+    } else {
+      commit_stats(round_min_, round_max_);
+    }
+    published_ = false;
+  }
+
+  /// Metrics around one round. round_begin() returns a monotonic stamp
+  /// iff the registry is armed (0 otherwise), and round_end(0, …) is a
+  /// no-op, so a disarmed round pays one relaxed load. round_end publishes
+  /// the round counter, latency, ledger and statistics gauges; it reads
+  /// the ledger only, so telemetry cannot perturb a run.
+  std::uint64_t round_begin() const noexcept;
+  void round_end(std::uint64_t start_ns, const char* kind);
+  /// The metric handles of engine `kind`, registered on first use: the
+  /// first armed round, or the first round with a workload.
+  obs::EngineTelemetry& telemetry(const char* kind);
+
+  /// One round's workload churn, timed as the workload_prepare and
+  /// workload_apply phases. `w` prepares over `loads()` (through
+  /// prepare_parallel when `pool` has parallelism > 1); a sparse process's
+  /// list is applied in list order through `sparse(u, d, tally)`, a dense
+  /// one through `dense(tally)`, which chunks the n nodes the engine's
+  /// way. Either applies each delta with WorkloadTally::apply. Throws
+  /// invariant_error naming the round when the ledger would leave int64,
+  /// and the node too when a load would.
+  template <class LoadsFn, class Sparse, class Dense>
+  void apply_workload(WorkloadProcess& w, const char* kind, ThreadPool* pool,
+                      NodeId n, LoadsFn&& loads, Sparse&& sparse,
+                      Dense&& dense) {
+    obs::EngineTelemetry& tel = telemetry(kind);
+    {
+      obs::PhaseScope phase(tel.workload_prepare, "workload_prepare", kind,
+                            "t", s_.t + 1);
+      if (pool != nullptr && pool->parallelism() > 1) {
+        w.prepare_parallel(s_.t, loads(), *pool);
+      } else {
+        w.prepare(s_.t, loads());
+      }
+    }
+    obs::PhaseScope phase(tel.workload_apply, "workload_apply", kind, "t",
+                          s_.t + 1);
+    WorkloadTally tally;
+    // Sparse fast path: a process that knows its touched-node set (burst
+    // hotspot, adversary targets) hands it over — no n virtual delta()
+    // calls per round. The list crosses a trust boundary and is tiny, so
+    // its bounds check is always on.
+    if (const std::vector<NodeId>* list = w.affected_nodes()) {
+      for (const NodeId u : *list) {
+        DLB_REQUIRE(u >= 0 && u < n, "workload affected node out of range");
+        sparse(u, w.delta(u, s_.t), tally);
+        if (tally.overflow_node >= 0) break;
+      }
+    } else {
+      dense(tally);
+    }
+    commit_workload(tally);
+  }
+
+  /// The core-state fields after the load vector, in byte order. The
+  /// stats-dirty byte of the format is always written as 0; no engine
+  /// leaves its statistics stale.
+  struct State {
+    Step t = 0;
+    Load total = 0;
+    Load base = 0;
+    Load injected = 0;
+    Load consumed = 0;
+    Load min = 0;
+    Load max = 0;
+    Load min_seen = 0;
+  };
+  /// A parsed core state: the load vector and the ledger after it.
+  struct Core {
+    std::vector<std::int64_t> loads;
+    State ledger;
+  };
+  /// Writes `loads` then this ledger: the layout every engine shares, so
+  /// images move freely between the flat engine and any shard count.
+  void save_core(StateWriter& w, std::span<const Load> loads) const;
+  /// Parses a whole core-state blob for an engine of `n` nodes without
+  /// touching any engine, so a restore commits all of it or nothing.
+  /// Throws serial_error on a size mismatch, truncation, trailing bytes,
+  /// or a set stats-dirty byte.
+  static Core read_core(StateReader& r, std::size_t n);
+  /// Commits a parsed ledger (the engine commits the loads).
+  void restore(const State& s) noexcept {
+    s_ = s;
+    published_ = false;
+  }
+
+ private:
+  void commit_stats(Load lo, Load hi) noexcept {
+    s_.min = lo;
+    s_.max = hi;
+    s_.min_seen = lo < s_.min_seen ? lo : s_.min_seen;
+  }
+  void commit_workload(const WorkloadTally& tally);
+
+  State s_;
+  Load round_min_ = 0;
+  Load round_max_ = 0;
+  bool published_ = false;
+  ConservationPolicy audit_;
+  std::unique_ptr<obs::EngineTelemetry> telemetry_;
+};
+
+}  // namespace dlb

@@ -30,8 +30,7 @@ EngineTelemetry::EngineTelemetry(const char* kind)
           "dlb_engine_time", "Engine round counter (t).", kind_labels(kind))),
       discrepancy(MetricsRegistry::instance().gauge(
           "dlb_engine_discrepancy",
-          "max-min load from the engine's cached round statistics; not "
-          "updated on rounds whose stats are deferred.",
+          "max-min load from the engine's cached round statistics.",
           kind_labels(kind))),
       min_load(MetricsRegistry::instance().gauge(
           "dlb_engine_min_load", "Minimum node load (cached stats).",

@@ -4,7 +4,7 @@
 // instances of the same kind aggregate, which is exactly what the
 // exposition wants (the service runs one engine; tests run many).
 //
-// RoundEngineBase creates the bundle lazily, on the first round that
+// RoundLedger creates the bundle lazily, on the first round that
 // executes with the registry armed or applies a workload (its phase
 // scopes take the workload histograms); a disarmed static run never
 // registers the series and the round loop pays a single relaxed load.

@@ -3,8 +3,7 @@
 //
 // A snapshot taken between rounds captures everything the next round
 // depends on: the load vector and round counter, the conservation ledger
-// (base/injected/consumed totals), the cached statistics (so deferred-
-// stats runs restore the same observable history), the balancer's
+// (base/injected/consumed totals), the cached statistics, the balancer's
 // internal state (rotor ports, bounded-error residuals, CONT-MIMIC's
 // continuous trajectory, RNG words), the workload's stream seed, and —
 // optionally — a SteadyStateTracker's window. The equivalence contract,

@@ -20,13 +20,6 @@ namespace dlb {
 
 namespace {
 
-std::uint64_t mono_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Phase-latency histograms of the sharded engine (leaked; see
 /// MetricsRegistry::instance).
 struct ShardPhases {
@@ -130,8 +123,8 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
               "sharded engine: negative retry budget");
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
-  audit_ = ConservationPolicy{config_.check_conservation,
-                              config_.conservation_interval};
+  ledger_.adopt(initial, ConservationPolicy{config_.check_conservation,
+                                            config_.conservation_interval});
   if (channel != nullptr) {
     DLB_REQUIRE(channel->shard_count() == part_.shards(),
                 "sharded engine: channel endpoint count != shard count");
@@ -184,47 +177,9 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
         "dlb_shard_channel_bytes_drained_total",
         "Bytes this shard drained from the cross-shard channel.", labels);
   }
-
-  // Statistics adoption, mirroring RoundEngineBase::adopt_loads.
-  total_ = total_load(initial);
-  base_total_ = total_;
-  const auto [lo, hi] = std::minmax_element(initial.begin(), initial.end());
-  min_load_ = *lo;
-  max_load_ = *hi;
-  min_load_seen_ = min_load_;
-  stats_dirty_ = false;
 }
 
 ShardedEngine::~ShardedEngine() = default;
-
-std::uint64_t ShardedEngine::round_begin() const noexcept {
-  if (!obs::metrics_armed()) return 0;
-  return mono_ns();
-}
-
-obs::EngineTelemetry& ShardedEngine::telemetry() {
-  if (!telemetry_) {
-    telemetry_ = std::make_unique<obs::EngineTelemetry>("sharded");
-  }
-  return *telemetry_;
-}
-
-void ShardedEngine::round_end(std::uint64_t start_ns) {
-  if (start_ns == 0) return;
-  obs::EngineTelemetry& tel = telemetry();
-  tel.rounds.inc();
-  tel.round_seconds.observe(static_cast<double>(mono_ns() - start_ns) * 1e-9);
-  tel.time.set(t_);
-  tel.injected.set(injected_total_);
-  tel.consumed.set(consumed_total_);
-  // Cached stats only — never refresh from here (deferred-stats history
-  // must be identical with telemetry on or off).
-  if (!stats_dirty_) {
-    tel.min_load.set(min_load_);
-    tel.max_load.set(max_load_);
-    tel.discrepancy.set(max_load_ - min_load_);
-  }
-}
 
 void ShardedEngine::build_tier1_plan() {
   const int k = part_.shards();
@@ -340,89 +295,43 @@ Load ShardedEngine::load_of(NodeId u) const {
 
 void ShardedEngine::apply_workload() {
   if (workload_ == nullptr) return;
-  obs::EngineTelemetry& tel = telemetry();
-  {
-    obs::PhaseScope phase(tel.workload_prepare, "workload_prepare", "sharded",
-                          "t", t_ + 1);
-    // The prepare hook sees the global loads only when it actually reads
-    // them (the adversarial argmax scan) — otherwise the O(n) gather is
-    // skipped and the span is empty.
-    const std::span<const Load> loads = workload_->prepare_reads_loads()
-                                            ? gather_into_scratch()
-                                            : std::span<const Load>();
-    if (pool_ != nullptr && pool_->parallelism() > 1) {
-      workload_->prepare_parallel(t_, loads, *pool_);
-    } else {
-      workload_->prepare(t_, loads);
-    }
-  }
-  obs::PhaseScope phase(tel.workload_apply, "workload_apply", "sharded", "t",
-                        t_ + 1);
+  WorkloadProcess& wl = *workload_;
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   const bool logging = input_log_ != nullptr;
-  if (const std::vector<NodeId>* sparse = workload_->affected_nodes()) {
-    Load inj = 0;
-    Load con = 0;
-    for (const NodeId u : *sparse) {
-      DLB_REQUIRE(u >= 0 && u < part_.num_nodes(),
-                  "workload affected node out of range");
-      const Load d = workload_->delta(u, t_);
-      Shard& sh = shards_[static_cast<std::size_t>(part_.owner(u))];
-      Load& x = sh.window[static_cast<std::size_t>(w + (u - sh.begin))];
-      if (d > 0) {
-        x += d;
-        inj += d;
-        if (logging) sh.log_scratch.workload.emplace_back(u, d);
-      } else if (d < 0) {
-        const Load take = std::min(-d, std::max<Load>(x, 0));
-        x -= take;
-        con += take;
-        if (logging && take != 0) {
-          sh.log_scratch.workload.emplace_back(u, -take);
-        }
-      }
+  const Step t = time();
+  // Logged per owning shard, post-truncation, so replay needs no process.
+  const auto apply = [&](Shard& sh, NodeId u, Load d, WorkloadTally& tally) {
+    const Load applied = tally.apply(
+        u, sh.window[static_cast<std::size_t>(w + (u - sh.begin))], d);
+    if (logging && applied != 0) {
+      sh.log_scratch.workload.emplace_back(u, applied);
     }
-    injected_total_ += inj;
-    consumed_total_ += con;
-    total_ += inj - con;
-    return;
-  }
-  // Dense: per-shard partials, combined with commutative integer adds —
-  // identical totals for any shard count or pool size (the flat engine's
-  // per-chunk argument, with shards as the chunks).
-  for_shards(workload_->parallel_generate_safe(), [&](int s) {
-    Shard& sh = shards_[static_cast<std::size_t>(s)];
-    Load inj = 0;
-    Load con = 0;
-    for (NodeId i = 0; i < sh.size; ++i) {
-      const NodeId u = sh.begin + i;
-      const Load d = workload_->delta(u, t_);
-      Load& x = sh.window[static_cast<std::size_t>(w + i)];
-      if (d > 0) {
-        x += d;
-        inj += d;
-        if (logging) sh.log_scratch.workload.emplace_back(u, d);
-      } else if (d < 0) {
-        const Load take = std::min(-d, std::max<Load>(x, 0));
-        x -= take;
-        con += take;
-        if (logging && take != 0) {
-          sh.log_scratch.workload.emplace_back(u, -take);
-        }
-      }
-    }
-    sh.inj = inj;
-    sh.con = con;
-  });
-  Load inj = 0;
-  Load con = 0;
-  for (const Shard& sh : shards_) {
-    inj += sh.inj;
-    con += sh.con;
-  }
-  injected_total_ += inj;
-  consumed_total_ += con;
-  total_ += inj - con;
+  };
+  ledger_.apply_workload(
+      wl, "sharded", pool_, part_.num_nodes(),
+      // The prepare hook sees the global loads only when it reads them
+      // (the adversarial argmax scan); otherwise the O(n) gather is
+      // skipped and the span is empty.
+      [&] {
+        return wl.prepare_reads_loads() ? gather_into_scratch()
+                                        : std::span<const Load>();
+      },
+      [&](NodeId u, Load d, WorkloadTally& tally) {
+        apply(shards_[static_cast<std::size_t>(part_.owner(u))], u, d, tally);
+      },
+      [&](WorkloadTally& tally) {
+        // Shards are the chunks: per-shard tallies merged in shard order.
+        for_shards(wl.parallel_generate_safe(), [&](int s) {
+          Shard& sh = shards_[static_cast<std::size_t>(s)];
+          WorkloadTally part;
+          for (NodeId u = sh.begin; u < sh.begin + sh.size; ++u) {
+            apply(sh, u, wl.delta(u, t), part);
+            if (part.overflow_node >= 0) break;
+          }
+          sh.tally = part;
+        });
+        for (const Shard& sh : shards_) tally.merge(sh.tally);
+      });
 }
 
 void ShardedEngine::post_frame(int from, int to, ShardTag tag,
@@ -430,8 +339,8 @@ void ShardedEngine::post_frame(int from, int to, ShardTag tag,
                                std::span<const std::byte> payload) {
   Shard& sh = shards_[static_cast<std::size_t>(from)];
   sh.frame_scratch.clear();
-  append_frame(sh.frame_scratch, static_cast<std::uint8_t>(tag), from, t_ + 1,
-               seq, total, payload);
+  append_frame(sh.frame_scratch, static_cast<std::uint8_t>(tag), from,
+               time() + 1, seq, total, payload);
   channel_->post(from, to, tag,
                  std::span<const std::byte>(sh.frame_scratch.data(),
                                             sh.frame_scratch.size()));
@@ -478,7 +387,7 @@ bool ShardedEngine::inbound_complete(int s) const {
 void ShardedEngine::drain_frames(int s, ShardTag tag) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   ShardProtocol& proto = shard_protocol();
-  const std::int64_t round = t_ + 1;
+  const std::int64_t round = time() + 1;
   const int k = part_.shards();
   channel_->drain(
       s, tag, [&](int from, std::span<const std::byte> bytes) {
@@ -559,7 +468,7 @@ void ShardedEngine::collect_frames(ShardTag tag) {
           "sharded engine: frame stream " + std::to_string(missing_from) +
           " -> " + std::to_string(missing_to) + " (tag " +
           std::to_string(static_cast<int>(tag)) + ", round " +
-          std::to_string(t_ + 1) + ") still incomplete after " +
+          std::to_string(time() + 1) + ") still incomplete after " +
           std::to_string(attempt) + " re-post attempt(s) — sender lost?");
     }
     proto.retries.inc();
@@ -629,18 +538,20 @@ void ShardedEngine::apply_flow_payload(Shard& sh,
   }
 }
 
-void ShardedEngine::apply_halo_frames(int s) {
+void ShardedEngine::apply_frames(int s, ShardTag tag) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   const bool logging = input_log_ != nullptr;
-  const int k = part_.shards();
   // Ascending (sender, seq) order — fixed regardless of arrival order,
   // which is what keeps a faulted round byte-identical to a clean one.
-  for (int from = 0; from < k; ++from) {
-    const InboundStream& st = sh.inbound[static_cast<std::size_t>(from)];
+  for (const InboundStream& st : sh.inbound) {
     for (std::uint32_t seq = 0; seq < st.expected; ++seq) {
-      const std::vector<std::byte>& payload = st.payloads[seq];
-      apply_halo_payload(sh, std::span<const std::byte>(payload.data(),
-                                                        payload.size()));
+      const std::span<const std::byte> payload(st.payloads[seq].data(),
+                                               st.payloads[seq].size());
+      if (tag == ShardTag::kHaloLoads) {
+        apply_halo_payload(sh, payload);
+      } else {
+        apply_flow_payload(sh, payload);
+      }
       if (logging) {
         sh.log_scratch.stream.insert(sh.log_scratch.stream.end(),
                                      payload.begin(), payload.end());
@@ -649,21 +560,31 @@ void ShardedEngine::apply_halo_frames(int s) {
   }
 }
 
-void ShardedEngine::apply_flow_frames(int s) {
-  Shard& sh = shards_[static_cast<std::size_t>(s)];
-  const bool logging = input_log_ != nullptr;
-  const int k = part_.shards();
-  for (int from = 0; from < k; ++from) {
-    const InboundStream& st = sh.inbound[static_cast<std::size_t>(from)];
-    for (std::uint32_t seq = 0; seq < st.expected; ++seq) {
-      const std::vector<std::byte>& payload = st.payloads[seq];
-      apply_flow_payload(sh, std::span<const std::byte>(payload.data(),
-                                                        payload.size()));
-      if (logging) {
-        sh.log_scratch.stream.insert(sh.log_scratch.stream.end(),
-                                     payload.begin(), payload.end());
-      }
+template <class Finish>
+void ShardedEngine::drain_and_finish(ShardTag tag, Finish&& finish) {
+  // Drain/validate/finish in one parallel pass: completeness is a
+  // per-shard property, so a shard whose roster filled on the first
+  // drain finishes without another pool barrier. Only bytes that passed
+  // both checksums and the (round, seq, total) checks are ever applied;
+  // a shard with missing frames (lossy transport weather) drops into the
+  // serial re-post loop below.
+  std::vector<unsigned char> done(static_cast<std::size_t>(part_.shards()),
+                                  0);
+  std::atomic<bool> all_complete{true};
+  for_shards(true, [&](int s) {
+    drain_frames(s, tag);
+    if (inbound_complete(s)) {
+      finish(s);
+      done[static_cast<std::size_t>(s)] = 1;
+    } else {
+      all_complete.store(false, std::memory_order_relaxed);
     }
+  });
+  if (!all_complete.load(std::memory_order_relaxed)) {
+    collect_frames(tag);
+    for_shards(true, [&](int s) {
+      if (!done[static_cast<std::size_t>(s)]) finish(s);
+    });
   }
 }
 
@@ -693,30 +614,8 @@ void ShardedEngine::exchange_halos() {
                                             sh.payload_scratch.size()));
     }
   });
-  // Drain/validate/apply in one parallel pass: completeness is a
-  // per-shard property, so a shard whose roster filled on the first
-  // drain applies its frames without a third pool barrier. Only bytes
-  // that passed both checksums and the (round, seq, total) checks ever
-  // reach a load window; a shard with missing frames (lossy transport
-  // weather) drops into the serial re-post loop below.
-  std::vector<unsigned char> applied(
-      static_cast<std::size_t>(part_.shards()), 0);
-  std::atomic<bool> all_complete{true};
-  for_shards(true, [&](int s) {
-    drain_frames(s, ShardTag::kHaloLoads);
-    if (inbound_complete(s)) {
-      apply_halo_frames(s);
-      applied[static_cast<std::size_t>(s)] = 1;
-    } else {
-      all_complete.store(false, std::memory_order_relaxed);
-    }
-  });
-  if (!all_complete.load(std::memory_order_relaxed)) {
-    collect_frames(ShardTag::kHaloLoads);
-    for_shards(true, [&](int s) {
-      if (!applied[static_cast<std::size_t>(s)]) apply_halo_frames(s);
-    });
-  }
+  drain_and_finish(ShardTag::kHaloLoads,
+                   [&](int s) { apply_frames(s, ShardTag::kHaloLoads); });
 }
 
 void ShardedEngine::decide_tier1_core(Shard& sh, Balancer& bal, Step t) {
@@ -817,35 +716,14 @@ void ShardedEngine::decide_shard(int s, Step t) {
 }
 
 void ShardedEngine::drain_flows() {
-  // Same fused happy path as exchange_halos: drain, and when the
-  // shard's roster is already full, apply + finalize in the same pool
-  // pass. Stragglers take the serial re-post loop and finish after.
-  const auto finish = [&](int s) {
+  drain_and_finish(ShardTag::kFlows, [&](int s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
-    apply_flow_frames(s);
+    apply_frames(s, ShardTag::kFlows);
     // All of the round's adds (local + drained) have landed: materialize
     // the next loads, fold min/max into the same sweep, and swap.
     sh.acc.finalize_stats(sh.round_min, sh.round_max);
     sh.window.swap(sh.acc.values());
-  };
-  std::vector<unsigned char> applied(
-      static_cast<std::size_t>(part_.shards()), 0);
-  std::atomic<bool> all_complete{true};
-  for_shards(true, [&](int s) {
-    drain_frames(s, ShardTag::kFlows);
-    if (inbound_complete(s)) {
-      finish(s);
-      applied[static_cast<std::size_t>(s)] = 1;
-    } else {
-      all_complete.store(false, std::memory_order_relaxed);
-    }
   });
-  if (!all_complete.load(std::memory_order_relaxed)) {
-    collect_frames(ShardTag::kFlows);
-    for_shards(true, [&](int s) {
-      if (!applied[static_cast<std::size_t>(s)]) finish(s);
-    });
-  }
 }
 
 void ShardedEngine::backoff(int attempt) const {
@@ -861,12 +739,13 @@ void ShardedEngine::step() {
   DLB_REQUIRE(dead_count_ == 0,
               "sharded engine: cannot step with a dead shard — the "
               "supervisor must recover it first");
-  const std::uint64_t obs_t0 = round_begin();
-  obs::TraceSpan round_span("round", "sharded", "t", t_ + 1);
+  const Step t = time();
+  const std::uint64_t obs_t0 = ledger_.round_begin();
+  obs::TraceSpan round_span("round", "sharded", "t", t + 1);
   // Round barrier notification: deferred transport state (a fault
   // injector's delayed frames) surfaces now, before any post of this
   // round.
-  channel_->begin_round(t_ + 1);
+  channel_->begin_round(t + 1);
   if (input_log_ != nullptr) {
     for (Shard& sh : shards_) {
       sh.log_scratch.workload.clear();
@@ -876,7 +755,7 @@ void ShardedEngine::step() {
   apply_workload();
   {
     obs::PhaseScope phase(shard_phases().prepare, "prepare", "sharded", "t",
-                          t_ + 1);
+                          t + 1);
     // Serial once-per-round hook, before any shard decides — exactly the
     // decide_all contract. The sink exists only to convey graph/mode (no
     // built-in prepare_round writes flows); global loads are gathered
@@ -885,29 +764,29 @@ void ShardedEngine::step() {
                                             ? gather_into_scratch()
                                             : std::span<const Load>();
     FlowSink sink(*g_, config_.self_loops, &shards_[0].acc);
-    balancer_->prepare_round(loads, t_, sink);
+    balancer_->prepare_round(loads, t, sink);
   }
   const bool parallel_decide = balancer_->parallel_decide_safe();
   if (reach_ >= 0) {
     {
       obs::PhaseScope phase(shard_phases().halo, "halo", "sharded", "t",
-                            t_ + 1);
+                            t + 1);
       exchange_halos();
     }
     obs::PhaseScope phase(shard_phases().decide, "decide", "sharded", "t",
-                          t_ + 1);
-    for_shards(parallel_decide, [&](int s) { decide_shard(s, t_); });
+                          t + 1);
+    for_shards(parallel_decide, [&](int s) { decide_shard(s, t); });
   } else {
     {
       // Serial shard order when the balancer is not parallel-safe keeps
       // e.g. a sequential RNG stream in ascending node order — the same
       // trajectory as the flat serial engine.
       obs::PhaseScope phase(shard_phases().decide, "decide", "sharded", "t",
-                            t_ + 1);
-      for_shards(parallel_decide, [&](int s) { decide_shard(s, t_); });
+                            t + 1);
+      for_shards(parallel_decide, [&](int s) { decide_shard(s, t); });
     }
     obs::PhaseScope phase(shard_phases().drain, "drain", "sharded", "t",
-                          t_ + 1);
+                          t + 1);
     drain_flows();
   }
   Load lo = std::numeric_limits<Load>::max();
@@ -916,20 +795,27 @@ void ShardedEngine::step() {
     lo = std::min(lo, sh.round_min);
     hi = std::max(hi, sh.round_max);
   }
-  round_min_ = lo;
-  round_max_ = hi;
-  round_stats_valid_ = true;
-  after_step();
+  ledger_.publish_round_stats(lo, hi);
+  const NodeId w = reach_ >= 0 ? reach_ : 0;
+  ledger_.end_round([&](bool with_sum) {
+    LoadScan scan;
+    for (const Shard& sh : shards_) {
+      scan.add(std::span<const Load>(sh.window.data() + w,
+                                     static_cast<std::size_t>(sh.size)),
+               with_sum);
+    }
+    return scan;
+  });
   if (input_log_ != nullptr) {
-    // After after_step so `round` is the committed round number — the
+    // After end_round so `round` is the committed round number — the
     // supervisor's log and the engine clock can never disagree.
     for (int s = 0; s < part_.shards(); ++s) {
-      input_log_->record_round(s, t_,
+      input_log_->record_round(s, time(),
                                shards_[static_cast<std::size_t>(s)]
                                    .log_scratch);
     }
   }
-  round_end(obs_t0);
+  ledger_.round_end(obs_t0, "sharded");
 }
 
 void ShardedEngine::run(Step steps) {
@@ -969,7 +855,7 @@ void ShardedEngine::recover_shard(int s, Step t0,
   DLB_REQUIRE(loads_at_t0.size() ==
                   static_cast<std::size_t>(part_.num_nodes()),
               "recover_shard: checkpoint load vector has wrong size");
-  DLB_REQUIRE(t0 >= 0 && t0 + static_cast<Step>(rounds.size()) == t_,
+  DLB_REQUIRE(t0 >= 0 && t0 + static_cast<Step>(rounds.size()) == time(),
               "recover_shard: round inputs do not span t0+1 .. now");
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   const NodeId w = reach_ >= 0 ? reach_ : 0;
@@ -1013,56 +899,6 @@ void ShardedEngine::recover_shard(int s, Step t0,
   --dead_count_;
 }
 
-void ShardedEngine::refresh_stats(bool audit_total) const {
-  const NodeId w = reach_ >= 0 ? reach_ : 0;
-  Load lo = std::numeric_limits<Load>::max();
-  Load hi = std::numeric_limits<Load>::min();
-  Load sum = 0;
-  for (const Shard& sh : shards_) {
-    const Load* x = sh.window.data() + w;
-    if (audit_total) {
-      for (NodeId i = 0; i < sh.size; ++i) {
-        lo = std::min(lo, x[i]);
-        hi = std::max(hi, x[i]);
-        sum += x[i];
-      }
-    } else {
-      for (NodeId i = 0; i < sh.size; ++i) {
-        lo = std::min(lo, x[i]);
-        hi = std::max(hi, x[i]);
-      }
-    }
-  }
-  if (audit_total) {
-    DLB_REQUIRE(sum == total_, "token conservation violated by engine step");
-  }
-  min_load_ = lo;
-  max_load_ = hi;
-  min_load_seen_ = std::min(min_load_seen_, lo);
-  stats_dirty_ = false;
-}
-
-void ShardedEngine::after_step() {
-  // Mirrors RoundEngineBase::after_step so the sharded observable
-  // history (min/max/min_seen/dirty) is bit-equal to the flat engine's.
-  ++t_;
-  const bool audit =
-      audit_.enabled && (audit_.interval == 1 || t_ % audit_.interval == 0);
-  if (audit) {
-    refresh_stats(true);
-  } else if (round_stats_valid_) {
-    min_load_ = round_min_;
-    max_load_ = round_max_;
-    min_load_seen_ = std::min(min_load_seen_, round_min_);
-    stats_dirty_ = false;
-  } else if (deferred_stats_) {
-    stats_dirty_ = true;
-  } else {
-    refresh_stats(false);
-  }
-  round_stats_valid_ = false;
-}
-
 std::size_t ShardedEngine::shard_resident_bytes(int s) const {
   const Shard& sh = shards_[static_cast<std::size_t>(s)];
   // Load window + accumulator values (both Load) + epoch stamps (1 byte).
@@ -1087,41 +923,18 @@ std::uint64_t ShardedEngine::shard_cut_edges(int s) const {
 }
 
 void ShardedEngine::save_core_state(StateWriter& w) const {
-  // Field-for-field the RoundEngineBase layout: a k-shard snapshot IS a
-  // flat snapshot (and restores into any shard count, or the flat
-  // engine, unchanged).
-  w.vec_i64(gather_into_scratch());
-  w.i64(t_);
-  w.i64(total_);
-  w.i64(base_total_);
-  w.i64(injected_total_);
-  w.i64(consumed_total_);
-  w.i64(min_load_);
-  w.i64(max_load_);
-  w.i64(min_load_seen_);
-  w.b(stats_dirty_);
+  ledger_.save_core(w, gather_into_scratch());
 }
 
 void ShardedEngine::load_core_state(StateReader& r) {
-  const std::vector<std::int64_t> loads = r.vec_i64();
-  if (loads.size() != static_cast<std::size_t>(part_.num_nodes())) {
-    throw serial_error("engine core state: load vector size mismatch");
-  }
+  const RoundLedger::Core core = RoundLedger::read_core(
+      r, static_cast<std::size_t>(part_.num_nodes()));
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   for (Shard& sh : shards_) {
-    std::copy(loads.begin() + sh.begin, loads.begin() + sh.begin + sh.size,
-              sh.window.begin() + w);
+    std::copy(core.loads.begin() + sh.begin,
+              core.loads.begin() + sh.begin + sh.size, sh.window.begin() + w);
   }
-  t_ = r.i64();
-  total_ = r.i64();
-  base_total_ = r.i64();
-  injected_total_ = r.i64();
-  consumed_total_ = r.i64();
-  min_load_ = r.i64();
-  max_load_ = r.i64();
-  min_load_seen_ = r.i64();
-  stats_dirty_ = r.b();
-  round_stats_valid_ = false;
+  ledger_.restore(core.ledger);
   // A full-state restore redefines every slice — any killed shard is
   // alive again (this is the supervisor's rollback recovery).
   std::fill(dead_.begin(), dead_.end(), 0);

@@ -35,10 +35,14 @@
 // Equivalence contract (golden-tested): for every registered balancer,
 // graph family, and workload, a k-shard run is byte-identical to the
 // 1-shard run and to the flat Engine — same loads trajectory, same
-// conservation ledger, same min/max history. save_core_state emits the
-// exact byte stream RoundEngineBase does (owned slices gathered in shard
-// order = the flat load vector), so snapshots move freely between the
-// flat engine and any shard count.
+// conservation ledger, same min/max history. The round bookkeeping — the
+// clock, ledger, statistics, audit, workload-delta rule, telemetry and
+// core-state bytes — is the RoundLedger the flat engines hold too; this
+// engine supplies only where loads live (k windows), how a scan visits
+// them, and how dense workload deltas are chunked (by shard, logged for
+// replay). save_core_state gathers the owned slices in shard order into
+// the flat load vector, so snapshots move freely between the flat engine
+// and any shard count.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +55,7 @@
 #include "core/balancer.hpp"
 #include "core/epoch_accumulator.hpp"
 #include "core/load_vector.hpp"
-#include "core/round_engine.hpp"  // ConservationPolicy
+#include "core/round_ledger.hpp"
 #include "graph/graph.hpp"
 #include "graph/topology.hpp"  // ShardPartition
 #include "shard/channel.hpp"
@@ -59,15 +63,8 @@
 
 namespace dlb {
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
-class ThreadPool;
-class WorkloadProcess;
-
-/// Mirrors EngineConfig for the sharded substrate (flow matrices and the
-/// assign-first protocol are flat-engine concerns; shards always scatter).
+/// Mirrors EngineConfig for the sharded substrate (flow matrices are a
+/// flat-engine concern; shards always scatter).
 struct ShardedEngineConfig {
   int self_loops = 0;            ///< d° self-loops per node
   bool check_conservation = true;
@@ -146,9 +143,9 @@ class ShardedEngine {
   void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
   ThreadPool* thread_pool() const noexcept { return pool_; }
 
-  /// Attaches an online workload (not owned; nullptr detaches) — same
-  /// injection/consumption semantics and conservation ledger as
-  /// RoundEngineBase::set_workload.
+  /// Attaches an online workload (not owned; nullptr detaches) — the
+  /// RoundLedger's delta rule and conservation ledger, as on the flat
+  /// engine.
   void set_workload(WorkloadProcess* workload) noexcept {
     workload_ = workload;
   }
@@ -160,26 +157,17 @@ class ShardedEngine {
   /// Executes `steps` rounds.
   void run(Step steps);
 
-  Step time() const noexcept { return t_; }
-  Load total() const noexcept { return total_; }
-  Load base_total() const noexcept { return base_total_; }
-  Load injected_total() const noexcept { return injected_total_; }
-  Load consumed_total() const noexcept { return consumed_total_; }
+  Step time() const noexcept { return ledger_.time(); }
+  Load total() const noexcept { return ledger_.total(); }
+  Load base_total() const noexcept { return ledger_.base_total(); }
+  Load injected_total() const noexcept { return ledger_.injected_total(); }
+  Load consumed_total() const noexcept { return ledger_.consumed_total(); }
   double average() const {
-    return static_cast<double>(total_) / static_cast<double>(part_.num_nodes());
+    return static_cast<double>(total()) /
+           static_cast<double>(part_.num_nodes());
   }
-  Load discrepancy() const noexcept {
-    refresh_if_dirty();
-    return max_load_ - min_load_;
-  }
-  Load min_load_seen() const noexcept {
-    refresh_if_dirty();
-    return min_load_seen_;
-  }
-  /// Same deferral semantics as RoundEngineBase::set_deferred_stats.
-  void set_deferred_stats(bool deferred) noexcept {
-    deferred_stats_ = deferred;
-  }
+  Load discrepancy() const noexcept { return ledger_.discrepancy(); }
+  Load min_load_seen() const noexcept { return ledger_.min_load_seen(); }
 
   /// Load of global node u (window lookup; O(1)). For tests and probes.
   Load load_of(NodeId u) const;
@@ -206,8 +194,8 @@ class ShardedEngine {
   /// shard order into one flat load vector before serialization.
   void save_core_state(StateWriter& w) const;
   /// Restores what save_core_state (or a flat engine's) captured,
-  /// scattering the flat load vector into the shard windows; throws
-  /// serial_error on size mismatch before mutating anything. Also
+  /// scattering the flat load vector into the shard windows. The whole
+  /// blob is parsed first: on any serial_error nothing has changed. Also
   /// revives any killed shard — a full-state restore redefines every
   /// slice, which is exactly the supervisor's rollback recovery.
   void load_core_state(StateReader& r);
@@ -286,8 +274,7 @@ class ShardedEngine {
     ShardRoundInputs log_scratch;  ///< this round's inputs (when logging)
     Load round_min = 0;        ///< this round's emitted min (merged later)
     Load round_max = 0;
-    Load inj = 0;              ///< this round's workload partials
-    Load con = 0;
+    WorkloadTally tally;       ///< this round's workload churn
     obs::Counter* bytes_posted = nullptr;   ///< channel bytes this shard sent
     obs::Counter* bytes_drained = nullptr;  ///< channel bytes it received
   };
@@ -327,9 +314,12 @@ class ShardedEngine {
   void apply_halo_payload(Shard& sh, std::span<const std::byte> payload);
   /// Scatters one frame's flow records into the shard's accumulator.
   void apply_flow_payload(Shard& sh, std::span<const std::byte> payload);
-  /// Applies shard s's completed streams in (sender, seq) order.
-  void apply_halo_frames(int s);
-  void apply_flow_frames(int s);
+  /// Applies shard s's completed `tag` streams in (sender, seq) order.
+  void apply_frames(int s, ShardTag tag);
+  /// Drains every shard's `tag` streams and runs finish(s) once shard s
+  /// has all its frames (re-posting missing ones on a lossy channel).
+  template <class Finish>
+  void drain_and_finish(ShardTag tag, Finish&& finish);
   /// Tier-1 decide body over `bal` (live engine path and replay share it).
   void decide_tier1_core(Shard& sh, Balancer& bal, Step t);
   /// Tier-2 decide body; `discard_remote` drops cross-shard flows
@@ -343,20 +333,6 @@ class ShardedEngine {
   /// Each call is a full barrier.
   template <class Body>
   void for_shards(bool parallel_ok, Body&& body);
-
-  /// One fused pass over all owned slots: min/max always, Σx when
-  /// auditing (mirrors RoundEngineBase::refresh_stats).
-  void refresh_stats(bool audit_total) const;
-  void refresh_if_dirty() const {
-    if (stats_dirty_) refresh_stats(false);
-  }
-  void after_step();
-  /// Metrics begin/commit around one round — the RoundEngineBase
-  /// contract verbatim: observe cached state only, never force a refresh.
-  std::uint64_t round_begin() const noexcept;
-  void round_end(std::uint64_t start_ns);
-  /// The metric handles, registered on first use (RoundEngineBase's rule).
-  obs::EngineTelemetry& telemetry();
 
   /// Gathers the owned slices into scratch_ and returns a span over it
   /// (for prepare hooks that read the global loads).
@@ -372,29 +348,13 @@ class ShardedEngine {
   std::vector<Shard> shards_;
   mutable LoadVector scratch_;  ///< global gather buffer (lazily sized)
 
-  Step t_ = 0;
-  Load total_ = 0;
-  Load base_total_ = 0;
-  Load injected_total_ = 0;
-  Load consumed_total_ = 0;
-  mutable Load min_load_ = 0;
-  mutable Load max_load_ = 0;
-  mutable Load min_load_seen_ = 0;
-  mutable bool stats_dirty_ = false;
-  bool deferred_stats_ = false;
-  Load round_min_ = 0;
-  Load round_max_ = 0;
-  bool round_stats_valid_ = false;
-  ConservationPolicy audit_;
+  RoundLedger ledger_;
   ThreadPool* pool_ = nullptr;
   WorkloadProcess* workload_ = nullptr;
   bool lossless_ = true;           ///< cached channel_->lossless()
   std::vector<std::uint8_t> dead_;  ///< killed shards awaiting recovery
   int dead_count_ = 0;
   ShardInputLog* input_log_ = nullptr;
-  /// Lazily-registered metric handles (null until a round runs with the
-  /// registry armed).
-  std::unique_ptr<obs::EngineTelemetry> telemetry_;
 };
 
 }  // namespace dlb

@@ -257,27 +257,6 @@ TEST(Engine, GatedConservationAuditFiresOnTheAuditStep) {
   EXPECT_THROW(e.step(), invariant_error);
 }
 
-TEST(Engine, DeferredStatsMatchOnDemand) {
-  const Graph g = make_torus2d(6, 6);
-  SendFloor a, b;
-  const LoadVector initial = point_mass(g, 3600);
-  const EngineConfig config{.self_loops = 4,
-                            .check_conservation = true,
-                            .conservation_interval = 64};
-  Engine eager(g, config, a, initial);
-  Engine deferred(g, config, b, initial);
-  deferred.set_deferred_stats(true);
-  for (int t = 0; t < 30; ++t) {
-    eager.step();
-    deferred.step();
-    // Recomputed-on-demand observables equal the fused per-step pass.
-    EXPECT_EQ(eager.discrepancy(), deferred.discrepancy());
-    EXPECT_EQ(eager.loads(), deferred.loads());
-  }
-  // min_load_seen is refreshed at every query above, so it agrees too.
-  EXPECT_EQ(eager.min_load_seen(), deferred.min_load_seen());
-}
-
 // ---------------------------------------------------- epoch accumulator --
 
 TEST(EpochAccumulator, AccumulatesWithinARound) {

@@ -284,41 +284,6 @@ TEST(GoldenEquivalence, ImplicitTopologyMatchesGenericTablesForEveryBalancer) {
   }
 }
 
-TEST(GoldenEquivalence, AssignFirstScatterMatchesEpochScatter) {
-  // The kept-first-assign + plain-adds accumulator protocol
-  // (EngineConfig::assign_first_scatter) against the epoch default, for
-  // the balancer that opts in (SEND(floor)) on all three structured
-  // families plus a generic expander.
-  const auto graphs = golden_graphs();
-  for (const GoldenGraph& gg : graphs) {
-    const Graph& g = gg.graph;
-    const int d = g.degree();
-    for (int d_loops : {0, 1, d}) {
-      const LoadVector initial = random_initial(g.num_nodes(), 500, 99);
-      auto epoch_b = make_balancer(Algorithm::kSendFloor, 7);
-      auto plain_b = make_balancer(Algorithm::kSendFloor, 7);
-      EngineConfig epoch_cfg{.self_loops = d_loops};
-      EngineConfig plain_cfg{.self_loops = d_loops};
-      plain_cfg.assign_first_scatter = true;
-      Engine epoch(g, epoch_cfg, *epoch_b, initial);
-      Engine plain(g, plain_cfg, *plain_b, initial);
-      const auto where = [&] {
-        return std::string(gg.label) + " with d_loops=" +
-               std::to_string(d_loops);
-      };
-      for (Step t = 0; t < 120; ++t) {
-        epoch.step();
-        plain.step();
-        ASSERT_EQ(epoch.loads(), plain.loads())
-            << where() << " diverged at step " << t + 1;
-      }
-      EXPECT_EQ(epoch.min_load_seen(), plain.min_load_seen()) << where();
-      EXPECT_EQ(epoch.discrepancy(), plain.discrepancy()) << where();
-      EXPECT_FALSE(plain.flows_materialized()) << where();
-    }
-  }
-}
-
 TEST(GoldenEquivalence, ParallelRoundsFeedObserversTheSameFlowMatrix) {
   // The row path serves observers in parallel rounds too: records and
   // post-loads must match the serial materialized step exactly.

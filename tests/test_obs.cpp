@@ -8,7 +8,7 @@
 //     metrics armed AND the tracer enabled produces load trajectories,
 //     ledgers, and min/max histories byte-identical to a run with all
 //     telemetry off, on the flat engine and the sharded engine
-//     (k ∈ {1, 8}) at pool sizes {1, 8}, including deferred-stats mode.
+//     (k ∈ {1, 8}) at pool sizes {1, 8}.
 //     Telemetry observes; it must never steer.
 //  3. Tracer mechanics — the span ring is bounded (overwrites, never
 //     grows), and the Chrome trace export is valid JSON with the fields
@@ -213,7 +213,7 @@ struct Trajectory {
 };
 
 Trajectory run_flat(const std::string& name, const Graph& g, int d_loops,
-                    Step steps, int threads, bool deferred) {
+                    Step steps, int threads) {
   const BalancerFactory factory = find_balancer_factory(name);
   std::unique_ptr<Balancer> b = factory(7);
   Engine e(g, EngineConfig{.self_loops = d_loops}, *b,
@@ -222,7 +222,6 @@ Trajectory run_flat(const std::string& name, const Graph& g, int d_loops,
       PoissonWorkload::Params{.arrival_rate = 0.05, .departure_rate = 0.03});
   workload.reset(g.num_nodes(), 11);
   e.set_workload(&workload);
-  e.set_deferred_stats(deferred);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
@@ -232,22 +231,16 @@ Trajectory run_flat(const std::string& name, const Graph& g, int d_loops,
   for (Step t = 0; t < steps; ++t) {
     e.step_parallel();
     out.loads.push_back(e.loads());
-    if (!deferred) {
-      out.min_seen.push_back(e.min_load_seen());
-      out.disc.push_back(e.discrepancy());
-    }
+    out.min_seen.push_back(e.min_load_seen());
+    out.disc.push_back(e.discrepancy());
   }
-  // Deferred mode: observables are read once at the end (reading them
-  // per-round would force refreshes and change what "deferred" means).
-  out.min_seen.push_back(e.min_load_seen());
-  out.disc.push_back(e.discrepancy());
   out.injected = e.injected_total();
   out.consumed = e.consumed_total();
   return out;
 }
 
 Trajectory run_sharded(const std::string& name, const Graph& g, int d_loops,
-                       Step steps, int k, int threads, bool deferred) {
+                       Step steps, int k, int threads) {
   const BalancerFactory factory = find_balancer_factory(name);
   std::unique_ptr<Balancer> b = factory(7);
   ShardedEngine e(g, ShardedEngineConfig{.self_loops = d_loops}, *b,
@@ -256,7 +249,6 @@ Trajectory run_sharded(const std::string& name, const Graph& g, int d_loops,
       PoissonWorkload::Params{.arrival_rate = 0.05, .departure_rate = 0.03});
   workload.reset(g.num_nodes(), 11);
   e.set_workload(&workload);
-  e.set_deferred_stats(deferred);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
@@ -266,13 +258,9 @@ Trajectory run_sharded(const std::string& name, const Graph& g, int d_loops,
   for (Step t = 0; t < steps; ++t) {
     e.step();
     out.loads.push_back(e.gather_loads());
-    if (!deferred) {
-      out.min_seen.push_back(e.min_load_seen());
-      out.disc.push_back(e.discrepancy());
-    }
+    out.min_seen.push_back(e.min_load_seen());
+    out.disc.push_back(e.discrepancy());
   }
-  out.min_seen.push_back(e.min_load_seen());
-  out.disc.push_back(e.discrepancy());
   out.injected = e.injected_total();
   out.consumed = e.consumed_total();
   return out;
@@ -294,19 +282,14 @@ TEST(TelemetryDeterminismTest, FlatEngineIsByteIdenticalWithTelemetryOnOrOff) {
     const BalancerTraits traits = find_balancer_traits(name);
     const int d_loops = std::max(traits.min_loops(g.degree()), g.degree());
     for (const int threads : {1, 8}) {
-      for (const bool deferred : {false, true}) {
-        const std::string where = name + " threads=" +
-                                  std::to_string(threads) +
-                                  (deferred ? " deferred" : "");
-        const Trajectory off =
-            run_flat(name, g, d_loops, kSteps, threads, deferred);
-        Trajectory on;
-        {
-          TelemetryOn telemetry;
-          on = run_flat(name, g, d_loops, kSteps, threads, deferred);
-        }
-        expect_equal(off, on, "flat " + where);
+      const std::string where = name + " threads=" + std::to_string(threads);
+      const Trajectory off = run_flat(name, g, d_loops, kSteps, threads);
+      Trajectory on;
+      {
+        TelemetryOn telemetry;
+        on = run_flat(name, g, d_loops, kSteps, threads);
       }
+      expect_equal(off, on, "flat " + where);
     }
   }
 }
@@ -323,11 +306,11 @@ TEST(TelemetryDeterminismTest,
         const std::string where = name + " k=" + std::to_string(k) +
                                   " threads=" + std::to_string(threads);
         const Trajectory off =
-            run_sharded(name, g, d_loops, kSteps, k, threads, false);
+            run_sharded(name, g, d_loops, kSteps, k, threads);
         Trajectory on;
         {
           TelemetryOn telemetry;
-          on = run_sharded(name, g, d_loops, kSteps, k, threads, false);
+          on = run_sharded(name, g, d_loops, kSteps, k, threads);
         }
         expect_equal(off, on, "sharded " + where);
       }

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -321,9 +322,9 @@ TEST(ShardedEngineTest, WorkloadsMatchFlatAtEveryShardCount) {
   }
 }
 
-TEST(ShardedEngineTest, GatedAuditAndDeferredStatsMatchFlat) {
-  // The audit cadence and the deferred-stats dirty flag are part of the
-  // observable (and snapshotted) state — exercise a non-trivial interval.
+TEST(ShardedEngineTest, GatedAuditMatchesFlat) {
+  // The audit cadence decides which rounds re-scan the loads instead of
+  // committing the published stats — exercise a non-trivial interval.
   const Graph g = make_torus2d(8, 6);
   const LoadVector initial = random_initial(g.num_nodes(), 300, 5);
   auto flat_b = make_balancer(Algorithm::kSendFloor, 7);
@@ -335,8 +336,6 @@ TEST(ShardedEngineTest, GatedAuditAndDeferredStatsMatchFlat) {
       g,
       ShardedEngineConfig{.self_loops = 1, .conservation_interval = 16},
       *shard_b, initial, 3);
-  flat.set_deferred_stats(true);
-  sharded.set_deferred_stats(true);
   for (Step t = 0; t < 40; ++t) {
     flat.step();
     sharded.step();
@@ -344,6 +343,80 @@ TEST(ShardedEngineTest, GatedAuditAndDeferredStatsMatchFlat) {
   EXPECT_EQ(sharded.gather_loads(), flat.loads());
   EXPECT_EQ(sharded.discrepancy(), flat.discrepancy());
   EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen());
+}
+
+// Dense churn that, in round `at`, injects `amount` into each node of
+// `nodes` and nothing anywhere else.
+class SpikeWorkload : public WorkloadProcess {
+ public:
+  SpikeWorkload(Step at, Load amount, std::vector<NodeId> nodes)
+      : at_(at), amount_(amount), nodes_(std::move(nodes)) {}
+  std::string name() const override { return "spike"; }
+  void reset(NodeId, std::uint64_t) override {}
+  Load delta(NodeId u, Step t) override {
+    return t == at_ && std::find(nodes_.begin(), nodes_.end(), u) !=
+                           nodes_.end()
+               ? amount_
+               : 0;
+  }
+  bool parallel_generate_safe() const override { return true; }
+
+ private:
+  Step at_;
+  Load amount_;
+  std::vector<NodeId> nodes_;
+};
+
+TEST(ShardedEngineTest, WorkloadOverflowThrowsTheSameErrorOnEverySubstrate) {
+  // Checked int64 in the one delta rule and ledger: the error names the
+  // node and the round, identically serial, pooled, and sharded — two
+  // nodes in different chunks overflow and the lowest is named.
+  const Graph g = make_cycle(64);
+  const auto error_of = [&](const LoadVector& initial, SpikeWorkload& w,
+                            int mode) {
+    auto b = make_balancer(Algorithm::kSendFloor, 7);
+    ThreadPool pool(4);
+    std::unique_ptr<Engine> flat;
+    std::unique_ptr<ShardedEngine> sharded;
+    if (mode < 2) {
+      flat = std::make_unique<Engine>(
+          g, EngineConfig{.self_loops = g.degree()}, *b, initial);
+      flat->set_workload(&w);
+      if (mode == 1) flat->set_thread_pool(&pool);
+    } else {
+      sharded = std::make_unique<ShardedEngine>(
+          g, ShardedEngineConfig{.self_loops = g.degree()}, *b, initial, 3);
+      sharded->set_workload(&w);
+      sharded->set_thread_pool(&pool);
+    }
+    try {
+      if (flat) flat->run(4); else sharded->run(4);
+    } catch (const invariant_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const char* modes[] = {"flat serial", "flat pool=4", "3 shards"};
+
+  // A load past INT64_MAX: nodes 7 and 50 each receive INT64_MAX in
+  // round 1 on top of a positive load.
+  SpikeWorkload spike(1, std::numeric_limits<Load>::max(), {50, 7});
+  const LoadVector tens(64, 10);
+  for (int mode = 0; mode < 3; ++mode) {
+    const std::string what = error_of(tens, spike, mode);
+    EXPECT_NE(what.find("node 7 in round 1"), std::string::npos)
+        << modes[mode] << ": " << what;
+  }
+
+  // The injected ledger past INT64_MAX while every load still fits.
+  SpikeWorkload halves(2, std::numeric_limits<Load>::max() / 2 + 1,
+                       {3, 40});
+  const LoadVector zeros(64, 0);
+  for (int mode = 0; mode < 3; ++mode) {
+    const std::string what = error_of(zeros, halves, mode);
+    EXPECT_NE(what.find("ledger in round 2"), std::string::npos)
+        << modes[mode] << ": " << what;
+  }
 }
 
 TEST(ShardedEngineTest, ExternalChannelAndAccountingSurface) {

@@ -130,24 +130,6 @@ TEST(SimdGolden, EveryBalancerEveryFamilyEveryTail) {
   }
 }
 
-TEST(SimdGolden, AssignFirstScatterPath) {
-  // The plain-adds accumulator protocol has its own SIMD emit variant
-  // (block stores instead of store+stamp); gate it separately.
-  SimdGuard guard;
-  for (int n : {7, 8, 61, 64, 65}) {
-    const Graph g = make_cycle(n);
-    const LoadVector initial = random_initial(n, 500, /*seed=*/99);
-    auto vec_b = make_balancer(Algorithm::kSendFloor, 7);
-    auto ref_b = make_balancer(Algorithm::kSendFloor, 7);
-    EngineConfig config{.self_loops = g.degree()};
-    config.assign_first_scatter = true;
-    Engine vec(g, config, *vec_b, initial);
-    Engine ref(g, config, *ref_b, initial);
-    expect_lockstep(vec, ref, nullptr, 96,
-                    "assign-first cycle" + std::to_string(n));
-  }
-}
-
 TEST(SimdGolden, HugeLoadsFallBackPerBlock) {
   // Loads beyond the exact int64↔double conversion range (|x| >= 2^51)
   // must route their 4-lane block to the scalar body without touching

@@ -7,9 +7,10 @@
 //               rebuild → deserialize → restore → run T/2
 //
 // with byte-identical loads, per-round discrepancy rows, conservation
-// ledger, and steady-state summary. Also covered: the epoch-stamp wrap
-// round under mid-run assign-first toggling (the >256-round regression),
-// and the refuse-to-load paths — truncation, bit flips, version and
+// ledger, and steady-state summary. Also covered: a snapshot on the
+// epoch-stamp wrap round (the >256-round regression), the shared
+// core-state bytes of the flat and sharded engines, and the refuse-to-load
+// paths — truncation, bit flips, version and
 // topology mismatches must throw clean serial_errors without mutating
 // the restore target (exercised under ASan/UBSan in CI).
 #include <gtest/gtest.h>
@@ -293,15 +294,14 @@ TEST(SnapshotEquivalence, StructuredSimdRunRestoresIntoScalarRun) {
   simd::set_enabled(simd_was);
 }
 
-// -------------------------------------------- epoch wrap × assign-first --
+// ------------------------------------------------------------ epoch wrap --
 
 // The scatter accumulator's epoch stamps live in one byte and wrap every
-// 255 scatter rounds; assign-first rounds bypass the stamping protocol
-// entirely. This run crosses the wrap with the two variants interleaved
-// mid-run AND a snapshot/restore near the wrap round — any stale-stamp
-// value leaking across a toggle, a wrap, or a restore (the restored
-// engine starts with a *fresh* accumulator) shows up as a diverged load.
-TEST(SnapshotEpochWrap, ToggleAssignFirstAcrossWrapWithMidWrapSnapshot) {
+// 255 scatter rounds. This run crosses the wrap with a snapshot/restore
+// on the wrap round — any stale-stamp value leaking across the wrap or
+// the restore (the restored engine starts with a *fresh* accumulator)
+// shows up as a diverged load.
+TEST(SnapshotEpochWrap, SnapshotOnWrapRoundMatchesUninterruptedRun) {
   constexpr Step kT = 300;        // > 256: crosses the stamp wrap
   constexpr Step kSnapAt = 255;   // capture on the wrap round itself
   const Graph g = make_cycle(24);
@@ -320,7 +320,7 @@ TEST(SnapshotEpochWrap, ToggleAssignFirstAcrossWrapWithMidWrapSnapshot) {
     return e;
   };
 
-  // Reference: plain epoch-stamped scatter, never toggled, uninterrupted.
+  // Reference: uninterrupted.
   SendFloor ref_bal;
   CounterWorkload ref_churn = churn;
   auto ref = fresh_engine(ref_bal, ref_churn);
@@ -330,18 +330,14 @@ TEST(SnapshotEpochWrap, ToggleAssignFirstAcrossWrapWithMidWrapSnapshot) {
     ref_rows.push_back(ref->discrepancy());
   }
 
-  // Candidate: assign-first toggled every 64 rounds, snapshot taken on
-  // the wrap round, everything destroyed and restored.
-  auto toggled_step = [](Engine& e) {
-    e.set_assign_first_scatter((e.time() / 64) % 2 == 1);
-    e.step();
-  };
+  // Candidate: snapshot taken on the wrap round, everything destroyed
+  // and restored.
   std::vector<std::uint8_t> bytes;
   {
     SendFloor bal;
     CounterWorkload w = churn;
     auto e = fresh_engine(bal, w);
-    for (Step t = 0; t < kSnapAt; ++t) toggled_step(*e);
+    e->run(kSnapAt);
     bytes = EngineSnapshot::capture(*e).serialize();
   }
   SendFloor bal2;
@@ -357,13 +353,12 @@ TEST(SnapshotEpochWrap, ToggleAssignFirstAcrossWrapWithMidWrapSnapshot) {
     got_rows.assign(ref_rows.begin(), ref_rows.begin() + kSnapAt);
   }
   for (Step t = kSnapAt; t < kT; ++t) {
-    toggled_step(*e2);
+    e2->step();
     got_rows.push_back(e2->discrepancy());
   }
 
   EXPECT_EQ(ref->loads(), e2->loads())
-      << "assign-first/epoch-wrap/restore interleaving changed the "
-         "trajectory";
+      << "epoch-wrap/restore interleaving changed the trajectory";
   EXPECT_EQ(ref_rows, got_rows);
   EXPECT_EQ(ref->total(), e2->total());
   EXPECT_EQ(ref->injected_total(), e2->injected_total());
@@ -493,6 +488,129 @@ TEST_F(SnapshotCorruption, WorkloadAndTrackerPresenceMustMatch) {
   SteadyStateTracker wide(SteadyOptions{.window = 40, .warmup = 4});
   Rig sized("SEND(floor)", Churn::kPoisson, 1);
   EXPECT_THROW(with_wl.restore(*sized.engine, &wide), serial_error);
+}
+
+// Re-frames a valid image with `edit` applied to its core blob, under a
+// fresh, valid checksum (the layout of EngineSnapshot::serialize), so the
+// damage reaches the engine's core-state reader instead of the checksum.
+template <class Edit>
+std::vector<std::uint8_t> with_edited_core(
+    const std::vector<std::uint8_t>& image, Edit&& edit) {
+  StateReader header(image);
+  const std::uint64_t magic = header.u64();
+  const std::uint32_t version = header.u32();
+  const std::uint64_t len = header.u64();
+  header.u64();  // old checksum
+  StateReader r(header.bytes(static_cast<std::size_t>(len)));
+  StateWriter p;
+  p.i32(r.i32());  // n
+  p.i32(r.i32());  // d
+  p.i32(r.i32());  // self-loops
+  p.u8(r.u8());    // structure tag
+  p.vec_i32(r.vec_i32());
+  p.u64(r.u64());  // adjacency hash
+  p.str(r.str());  // graph, balancer, workload names
+  p.str(r.str());
+  p.str(r.str());
+  p.i64(r.i64());  // time
+  p.b(r.b());      // has tracker
+  for (int blob = 0; blob < 4; ++blob) {
+    const auto bytes = r.bytes(static_cast<std::size_t>(r.u64()));
+    std::vector<std::uint8_t> b(bytes.begin(), bytes.end());
+    if (blob == 0) edit(b);
+    p.u64(b.size());
+    p.bytes(b);
+  }
+  StateWriter out;
+  out.u64(magic);
+  out.u32(version);
+  out.u64(p.size());
+  out.u64(fnv1a64(p.data()));
+  out.bytes(p.data());
+  return out.take();
+}
+
+TEST_F(SnapshotCorruption, BadCoreStateLeavesFlatAndShardedTargetsIntact) {
+  // Two images whose checksum is valid but whose core blob is not: one
+  // ends right after the load vector, one sets the stats-dirty byte that
+  // no engine writes. A restore must throw before replacing anything, on
+  // the flat engine and on a 3-shard engine, and the target must keep
+  // stepping exactly like a twin that never saw the attempt.
+  const Graph g = make_cycle(24);
+  const CounterWorkload::Params churn{.arrival_period = 3,
+                                      .arrival_amount = 2,
+                                      .departure_period = 5,
+                                      .departure_amount = 1};
+  const EngineConfig flat_cfg{.self_loops = g.degree()};
+  const ShardedEngineConfig shard_cfg{.self_loops = g.degree()};
+  std::vector<std::uint8_t> image;
+  {
+    SendFloor bal;
+    CounterWorkload w(churn);
+    w.reset(g.num_nodes(), 9);
+    Engine src(g, flat_cfg, bal, random_initial(g.num_nodes(), 300, 3));
+    src.set_workload(&w);
+    src.run(10);
+    image = EngineSnapshot::capture(src).serialize();
+  }
+  const std::size_t loads_bytes = 8 + 8 * static_cast<std::size_t>(24);
+  const std::vector<std::vector<std::uint8_t>> bad = {
+      with_edited_core(image,
+                       [&](std::vector<std::uint8_t>& b) {
+                         b.resize(loads_bytes);
+                       }),
+      with_edited_core(image,
+                       [](std::vector<std::uint8_t>& b) { b.back() = 1; }),
+  };
+  const LoadVector initial = random_initial(g.num_nodes(), 200, 5);
+
+  // Runs `rounds` on a fresh target (flat or k shards), tries every bad
+  // image on it when `attack`, then runs `rounds` more.
+  struct Seen {
+    LoadVector loads;
+    Step time;
+    Load total, base, injected, consumed, disc, min_seen;
+    bool operator==(const Seen&) const = default;
+  };
+  const auto observe = [](const auto& e, LoadVector loads) {
+    return Seen{std::move(loads),     e.time(),           e.total(),
+                e.base_total(),       e.injected_total(), e.consumed_total(),
+                e.discrepancy(),      e.min_load_seen()};
+  };
+  const auto run = [&](int shards, bool attack) {
+    SendFloor bal;
+    CounterWorkload w(churn);
+    w.reset(g.num_nodes(), 9);
+    std::vector<Seen> seen;
+    const auto drive = [&](auto& e, auto loads_of) {
+      e.set_workload(&w);
+      e.run(4);
+      seen.push_back(observe(e, loads_of(e)));
+      if (attack) {
+        for (const auto& bytes : bad) {
+          EXPECT_THROW(EngineSnapshot::deserialize(bytes).restore(e),
+                       serial_error);
+          EXPECT_EQ(observe(e, loads_of(e)), seen.front())
+              << "failed restore changed the target (shards=" << shards
+              << ")";
+        }
+      }
+      e.run(6);
+      seen.push_back(observe(e, loads_of(e)));
+    };
+    if (shards == 0) {
+      Engine e(g, flat_cfg, bal, initial);
+      drive(e, [](const Engine& x) { return x.loads(); });
+    } else {
+      ShardedEngine e(g, shard_cfg, bal, initial, shards);
+      drive(e, [](const ShardedEngine& x) { return x.gather_loads(); });
+    }
+    return seen;
+  };
+  for (const int shards : {0, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_EQ(run(shards, true), run(shards, false));
+  }
 }
 
 TEST_F(SnapshotCorruption, FileRoundtripAndAtomicReplace) {
@@ -1082,6 +1200,72 @@ TEST(BalancerService, CheckpointWriteFailuresAreRetriedAndCounted) {
 }
 
 // ------------------------------------------------- sharded-engine interop --
+
+TEST(SnapshotShardInterop, CoreStateBytesAreIdenticalOnEverySubstrate) {
+  // The core-state layout is written in one place for both substrates:
+  // after the same run, the flat engine and every shard count emit the
+  // same bytes — tier 1 (cycle SEND(floor)) and tier 2 (torus
+  // ROTOR-ROUTER), dense and sparse churn, with a gated audit so the
+  // published-stats and audited-scan commits both land in the bytes.
+  struct Tier {
+    const char* label;
+    Graph g;
+    Algorithm algo;
+    bool windowed;
+  };
+  const Tier tiers[] = {{"cycle SEND(floor)", make_cycle(60),
+                         Algorithm::kSendFloor, true},
+                        {"torus ROTOR-ROUTER", make_torus2d(8, 6),
+                         Algorithm::kRotorRouter, false}};
+  constexpr Step kRounds = 40;
+  constexpr int kInterval = 7;
+  for (const Tier& tier : tiers) {
+    const Graph& g = tier.g;
+    const LoadVector initial = random_initial(g.num_nodes(), 300, 23);
+    for (const bool sparse : {false, true}) {
+      const std::string where = std::string(tier.label) +
+                                (sparse ? " burst" : " poisson");
+      const auto fresh_workload = [&]() -> std::unique_ptr<WorkloadProcess> {
+        std::unique_ptr<WorkloadProcess> w;
+        if (sparse) {
+          w = std::make_unique<BurstWorkload>(
+              BurstWorkload::Params{.period = 5, .burst = 64});
+        } else {
+          w = std::make_unique<PoissonWorkload>(PoissonWorkload::Params{
+              .arrival_rate = 0.3, .departure_rate = 0.2});
+        }
+        w->reset(g.num_nodes(), 42);
+        return w;
+      };
+      auto flat_b = make_balancer(tier.algo, 11);
+      auto flat_w = fresh_workload();
+      Engine flat(g,
+                  EngineConfig{.self_loops = g.degree(),
+                               .conservation_interval = kInterval},
+                  *flat_b, initial);
+      flat.set_workload(flat_w.get());
+      flat.run(kRounds);
+      StateWriter flat_bytes;
+      flat.save_core_state(flat_bytes);
+      for (const int k : {1, 3, 8}) {
+        auto b = make_balancer(tier.algo, 11);
+        auto w = fresh_workload();
+        ShardedEngine sharded(
+            g,
+            ShardedEngineConfig{.self_loops = g.degree(),
+                                .conservation_interval = kInterval},
+            *b, initial, k);
+        ASSERT_EQ(sharded.windowed(), tier.windowed) << where;
+        sharded.set_workload(w.get());
+        sharded.run(kRounds);
+        StateWriter bytes;
+        sharded.save_core_state(bytes);
+        EXPECT_EQ(bytes.take(), flat_bytes.data())
+            << where << " k=" << k;
+      }
+    }
+  }
+}
 
 TEST(SnapshotShardInterop, KShardImageRestoresIntoOneShardAndFlat) {
   // The shard count is an execution choice, not persisted state: an image
