@@ -3,8 +3,8 @@
 //
 // Simulation throughput at the paper's scales (T = c·log(nK)/µ steps over
 // millions of nodes) is what this bench tracks. The `lazy` series run the
-// serial scatter path: one decide_all call per step scatters tokens
-// straight into the next-load accumulator, no flow buffer exists,
+// serial scatter path: one decide_all call per step writes the round
+// straight into the next-load buffer, no flow buffer exists,
 // conservation is audited every 64 steps. items_per_second == engine
 // steps per second.
 //

@@ -22,6 +22,12 @@ the numbers meaningless rather than merely noisy:
     off and must never be recorded or compared as a baseline). Files
     predating the stamp only get a warning.
 
+Timings recorded on a different host are not compared: when the two files'
+google-benchmark "num_cpus" contexts differ, one "different host" line
+replaces the per-series table and its slowdown warnings (the committed
+baseline came from a 1-CPU host). The structural exits above still apply,
+and --strict still compares and fails.
+
 Note the distinct "library_build_type" context is google-benchmark's own
 build flavor (debug on stock distro packages) and is irrelevant to the
 timed code; only dlb_build_type gates.
@@ -69,6 +75,13 @@ def check_build_type(path, doc):
         sys.exit(f"error: {path} was recorded from a '{build}' build of the "
                  "dlb library; re-run with -DCMAKE_BUILD_TYPE=Release "
                  "(debug numbers must not be compared or committed)")
+
+
+def different_host(cur_doc, base_doc):
+    """True when both files record a num_cpus context and they differ."""
+    cur = cur_doc.get("context", {}).get("num_cpus")
+    base = base_doc.get("context", {}).get("num_cpus")
+    return cur is not None and base is not None and cur != base
 
 
 def extract_rates(path, doc):
@@ -224,16 +237,23 @@ def main():
         sys.exit("error: baseline series missing from the current run: "
                  + ", ".join(missing))
 
-    print(f"{'benchmark':<42} {'base/s':>10} {'now/s':>10} {'delta':>8}")
     flagged = []
-    for name in sorted(baseline):
-        base, now = baseline[name], current[name]
-        delta = 100.0 * (now - base) / base
-        mark = ""
-        if delta < -args.max_regression:
-            mark = "  <-- regression"
-            flagged.append(name)
-        print(f"{name:<42} {base:>10.1f} {now:>10.1f} {delta:>+7.1f}%{mark}")
+    if different_host(cur_doc, base_doc) and not args.strict:
+        print(f"different host: timings not compared (num_cpus "
+              f"{base_doc['context']['num_cpus']} in {args.baseline}, "
+              f"{cur_doc['context']['num_cpus']} in {args.current})")
+    else:
+        print(f"{'benchmark':<42} {'base/s':>10} {'now/s':>10} "
+              f"{'delta':>8}")
+        for name in sorted(baseline):
+            base, now = baseline[name], current[name]
+            delta = 100.0 * (now - base) / base
+            mark = ""
+            if delta < -args.max_regression:
+                mark = "  <-- regression"
+                flagged.append(name)
+            print(f"{name:<42} {base:>10.1f} {now:>10.1f} "
+                  f"{delta:>+7.1f}%{mark}")
 
     print()
     print("implicit-topology speedup (steps/sec ratio vs generic tables):")

@@ -26,7 +26,7 @@ template <class Topo>
 void scatter_d2_avx2(const Topo& topo, NodeId first, NodeId last,
                      std::span<const Load> loads, FlowSink& sink,
                      double* carry, int d_plus) {
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   const Load* xs = loads.data();
   const __m256d vdp = _mm256_set1_pd(static_cast<double>(d_plus));
@@ -41,10 +41,10 @@ void scatter_d2_avx2(const Topo& topo, NodeId first, NodeId last,
       const double desired = share + c;
       const auto f = static_cast<Load>(std::llround(desired));
       c = desired - static_cast<double>(f);
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), f);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += f;
       sent += f;
     }
-    next.add(static_cast<std::size_t>(u), x - sent);
+    next[static_cast<std::size_t>(u)] += x - sent;
     cur.advance();
   };
 
@@ -84,9 +84,9 @@ void scatter_d2_avx2(const Topo& topo, NodeId first, NodeId last,
     _mm256_store_si256(reinterpret_cast<__m256i*>(keep),
                        _mm256_sub_epi64(vx, _mm256_add_epi64(f0, f1)));
     for (int i = 0; i < simd::kLanes; ++i) {
-      next.add(static_cast<std::size_t>(cur.neighbor(0)), f0s[i]);
-      next.add(static_cast<std::size_t>(cur.neighbor(1)), f1s[i]);
-      next.add(static_cast<std::size_t>(u + i), keep[i]);
+      next[static_cast<std::size_t>(cur.neighbor(0))] += f0s[i];
+      next[static_cast<std::size_t>(cur.neighbor(1))] += f1s[i];
+      next[static_cast<std::size_t>(u + i)] += keep[i];
       cur.advance();
     }
   }
@@ -156,7 +156,7 @@ void BoundedError::scatter_range(const Topo& topo, NodeId first, NodeId last,
     return;
   }
 #endif
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   for (NodeId u = first; u < last; ++u, cur.advance()) {
     const Load x = loads[static_cast<std::size_t>(u)];
@@ -168,11 +168,11 @@ void BoundedError::scatter_range(const Topo& topo, NodeId first, NodeId last,
       const double desired = share + c;
       const auto f = static_cast<Load>(std::llround(desired));
       c = desired - static_cast<double>(f);
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), f);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += f;
       sent += f;
     }
     // Self-loop ports send nothing; the rest (possibly negative) stays.
-    next.add(static_cast<std::size_t>(u), x - sent);
+    next[static_cast<std::size_t>(u)] += x - sent;
   }
 }
 

@@ -26,7 +26,7 @@ void scatter_d2_avx2(const Topo& topo, NodeId first, NodeId last,
                      std::span<const Load> loads, FlowSink& sink,
                      const double* y, double* w_cum, Load* f_cum,
                      int d_plus) {
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   const Load* xs = loads.data();
   const __m256d vdp = _mm256_set1_pd(static_cast<double>(d_plus));
@@ -45,10 +45,10 @@ void scatter_d2_avx2(const Topo& topo, NodeId first, NodeId last,
       const Load target = static_cast<Load>(std::llround(w_cum[e]));
       const Load f = target - f_cum[e];
       f_cum[e] = target;
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), f);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += f;
       sent += f;
     }
-    next.add(static_cast<std::size_t>(u), x - sent);
+    next[static_cast<std::size_t>(u)] += x - sent;
     cur.advance();
   };
 
@@ -103,9 +103,9 @@ void scatter_d2_avx2(const Topo& topo, NodeId first, NodeId last,
     _mm256_store_si256(reinterpret_cast<__m256i*>(keep),
                        _mm256_sub_epi64(vx, _mm256_add_epi64(f0, f1)));
     for (int i = 0; i < simd::kLanes; ++i) {
-      next.add(static_cast<std::size_t>(cur.neighbor(0)), f0s[i]);
-      next.add(static_cast<std::size_t>(cur.neighbor(1)), f1s[i]);
-      next.add(static_cast<std::size_t>(u + i), keep[i]);
+      next[static_cast<std::size_t>(cur.neighbor(0))] += f0s[i];
+      next[static_cast<std::size_t>(cur.neighbor(1))] += f1s[i];
+      next[static_cast<std::size_t>(u + i)] += keep[i];
       cur.advance();
     }
   }
@@ -237,7 +237,7 @@ void ContinuousMimic::scatter_range(const Topo& topo, NodeId first,
     return;
   }
 #endif
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   for (NodeId u = first; u < last; ++u, cur.advance()) {
     const Load x = loads[static_cast<std::size_t>(u)];
@@ -250,11 +250,11 @@ void ContinuousMimic::scatter_range(const Topo& topo, NodeId first,
       const Load target = static_cast<Load>(std::llround(w_cum_[e]));
       const Load f = target - f_cum_[e];
       f_cum_[e] = target;
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), f);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += f;
       sent += f;
     }
     // Self-loops carry nothing; the (possibly negative) rest stays local.
-    next.add(static_cast<std::size_t>(u), x - sent);
+    next[static_cast<std::size_t>(u)] += x - sent;
   }
 }
 

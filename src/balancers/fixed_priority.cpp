@@ -49,7 +49,7 @@ void FixedPriority::scatter_range(const Topo& topo, NodeId first, NodeId last,
                                   std::span<const Load> loads,
                                   FlowSink& sink) {
   const int d = topo.degree();
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   for (NodeId u = first; u < last; ++u, cur.advance()) {
     const Load x = loads[static_cast<std::size_t>(u)];
@@ -60,11 +60,11 @@ void FixedPriority::scatter_range(const Topo& topo, NodeId first, NodeId last,
     // first min(e(u), d) of those are original edges.
     const Load edge_extras = std::min<Load>(r, d);
     for (int p = 0; p < d; ++p) {
-      next.add(static_cast<std::size_t>(cur.neighbor(p)),
-               q + (p < edge_extras ? 1 : 0));
+      next[static_cast<std::size_t>(cur.neighbor(p))] +=
+          q + (p < edge_extras ? 1 : 0);
     }
     // Self-loop shares (with their extras) and the remainder stay local.
-    next.add(static_cast<std::size_t>(u), x - q * d - edge_extras);
+    next[static_cast<std::size_t>(u)] += x - q * d - edge_extras;
   }
 }
 

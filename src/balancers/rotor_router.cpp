@@ -183,7 +183,7 @@ template <class Topo>
 void RotorRouter::scatter_range(const Topo& topo, NodeId first, NodeId last,
                                 std::span<const Load> loads, FlowSink& sink) {
   const int d = topo.degree();
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   if (natural_order_) {
     // Natural port order: cyclic position == port, so the extras walk is
@@ -198,7 +198,7 @@ void RotorRouter::scatter_range(const Topo& topo, NodeId first, NodeId last,
       int& rotor = rotor_[static_cast<std::size_t>(u)];
 
       for (int p = 0; p < d; ++p) {
-        next.add(static_cast<std::size_t>(cur.neighbor(p)), q);
+        next[static_cast<std::size_t>(cur.neighbor(p))] += q;
       }
       // Fixed trip count of d⁺−1 with a masked increment; the
       // conditional subtract keeps the walk wrap- and division-free.
@@ -206,10 +206,10 @@ void RotorRouter::scatter_range(const Topo& topo, NodeId first, NodeId last,
         int pos = rotor + k;
         pos -= pos >= d_plus_ ? d_plus_ : 0;
         const NodeId dest = pos < d ? cur.neighbor(pos) : u;
-        next.add(static_cast<std::size_t>(dest), static_cast<Load>(k < r));
+        next[static_cast<std::size_t>(dest)] += static_cast<Load>(k < r);
       }
       rotor = rotor + r < d_plus_ ? rotor + r : rotor + r - d_plus_;
-      next.add(static_cast<std::size_t>(u), x - q * d - r);
+      next[static_cast<std::size_t>(u)] += x - q * d - r;
     }
     return;
   }
@@ -223,20 +223,20 @@ void RotorRouter::scatter_range(const Topo& topo, NodeId first, NodeId last,
     int& rotor = rotor_[static_cast<std::size_t>(u)];
 
     for (int p = 0; p < d; ++p) {
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), q);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += q;
     }
     // Every extra token lands on a precomputed target (neighbour or u
     // itself for self-loop positions). Fixed trip count of d⁺−1 with a
     // masked increment: r < d⁺ is data-dependent, so a `k < r` loop bound
     // would mispredict on nearly every node.
     for (int k = 0; k < d_plus_ - 1; ++k) {
-      next.add(static_cast<std::size_t>(targets[rotor + k]),
-               static_cast<Load>(k < r));
+      next[static_cast<std::size_t>(targets[rotor + k])] +=
+          static_cast<Load>(k < r);
     }
     rotor = rotor + r < d_plus_ ? rotor + r : rotor + r - d_plus_;
     // Self-loop base shares stay local; the r extras are all accounted
     // for by the targets walk above.
-    next.add(static_cast<std::size_t>(u), x - q * d - r);
+    next[static_cast<std::size_t>(u)] += x - q * d - r;
   }
 }
 

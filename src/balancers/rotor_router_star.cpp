@@ -95,7 +95,7 @@ void RotorRouterStar::scatter_range(const Topo& topo, NodeId first,
                                     FlowSink& sink) {
   const int d = topo.degree();
   const int d_plus = 2 * d_;
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   for (NodeId u = first; u < last; ++u, cur.advance()) {
     const Load x = loads[static_cast<std::size_t>(u)];
@@ -107,7 +107,7 @@ void RotorRouterStar::scatter_range(const Topo& topo, NodeId first,
     // Ports [0, d) are real edges; [d, 2d−1) ordinary self-loops and
     // 2d−1 the special one — all self-loops resolve to "keep local".
     for (int p = 0; p < d; ++p) {
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), q);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += q;
     }
     // The special self-loop's q + (r > 0) ceiling share stays local, as
     // do the ordinary self-loop base shares; the r−1 rotor extras land on
@@ -123,12 +123,11 @@ void RotorRouterStar::scatter_range(const Topo& topo, NodeId first,
       int pos = rotor + k;
       pos -= pos >= rotor_ports_ ? rotor_ports_ : 0;
       const NodeId dest = pos < d ? cur.neighbor(pos) : u;
-      next.add(static_cast<std::size_t>(dest),
-               static_cast<Load>(k < extras));
+      next[static_cast<std::size_t>(dest)] += static_cast<Load>(k < extras);
     }
     rotor = rotor + extras < rotor_ports_ ? rotor + extras
                                           : rotor + extras - rotor_ports_;
-    next.add(static_cast<std::size_t>(u), x - q * d - extras);
+    next[static_cast<std::size_t>(u)] += x - q * d - extras;
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <limits>
 
 #include "graph/topology.hpp"
@@ -179,15 +178,14 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
                               FlowSink& sink) {
   // Pure streaming stencil: one pass over loads, one write per next-load
   // slot, no adjacency traffic and no read-modify-write accumulation.
-  // Single-touch, so the round's min/max ride the emit sweep
+  // A gather, so the round's min/max ride the emit sweep
   // (FlowSink::merge_emit_stats) and the engine's dedicated stats pass
   // disappears. The AVX2 path processes four interior nodes per vector —
   // three unaligned load streams (left/self/right), lane shifts for the
-  // floor shares (power-of-two d⁺ only), one store plus a 4-byte epoch
-  // stamp — and is byte-identical to the scalar rotation: same integer
-  // arithmetic, and a block store equals four single-touch add()s (see
-  // Scatter::raw_values). The two range boundaries and any tail stay
-  // scalar.
+  // floor shares (power-of-two d⁺ only), one store — and is
+  // byte-identical to the scalar rotation: same integer arithmetic, and a
+  // block store equals four slot stores. The two range boundaries and any
+  // tail stay scalar.
   const NodeId n = topo.num_nodes();
   const Load* xs = loads.data();
   Load lo = std::numeric_limits<Load>::max();
@@ -257,16 +255,11 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
     sweep(first, last, emit);
   };
 
-  const auto next = sink.scatter();
-  [[maybe_unused]] Load* vals = next.raw_values();
-  [[maybe_unused]] std::uint8_t* ep = next.raw_epoch();
-  [[maybe_unused]] const std::uint32_t st4 =
-      std::uint32_t{0x01010101} * next.epoch_stamp();
-  run([&](std::size_t u, Load acc) { next.add(u, acc); },
+  Load* const next = sink.next();
+  run([&](std::size_t u, Load acc) { next[u] = acc; },
 #ifdef DLB_SIMD_AVX2
       [&](std::size_t u, __m256i acc) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + u), acc);
-        std::memcpy(ep + u, &st4, sizeof(st4));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(next + u), acc);
       }
 #else
       0
@@ -296,7 +289,7 @@ void SendFloor::scatter_range(const TorusTopology& topo, NodeId first,
                         loads.data(), last - first, sink);
 }
 
-// The epoch-stamped emit around torus_gather_rows, shared by the flat
+// The next-buffer emit around torus_gather_rows, shared by the flat
 // scatter kernel (storage space == global space) and the windowed shard
 // kernel (storage space == window slots).
 void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
@@ -305,18 +298,13 @@ void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
                                       FlowSink& sink) {
   Load lo = std::numeric_limits<Load>::max();
   Load hi = std::numeric_limits<Load>::min();
-  const auto next = sink.scatter();
-  [[maybe_unused]] Load* vals = next.raw_values();
-  [[maybe_unused]] std::uint8_t* ep = next.raw_epoch();
-  [[maybe_unused]] const std::uint32_t st4 =
-      std::uint32_t{0x01010101} * next.epoch_stamp();
+  Load* const next = sink.next();
   torus_gather_rows(
       topo, div_, first, last, shift, ring_top, xs, lo, hi,
-      [&](std::size_t v, Load acc) { next.add(v, acc); },
+      [&](std::size_t v, Load acc) { next[v] = acc; },
 #ifdef DLB_SIMD_AVX2
       [&](std::size_t v, __m256i acc) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + v), acc);
-        std::memcpy(ep + v, &st4, sizeof(st4));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(next + v), acc);
       }
 #else
       0
@@ -374,17 +362,17 @@ template <class Topo>
 void SendFloor::scatter_range(const Topo& topo, NodeId first, NodeId last,
                               std::span<const Load> loads, FlowSink& sink) {
   const int d = topo.degree();
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   for (NodeId u = first; u < last; ++u, cur.advance()) {
     const Load x = loads[static_cast<std::size_t>(u)];
     DLB_REQUIRE(x >= 0, "SendFloor cannot handle negative load");
     const Load q = div_.quot(x);
     for (int p = 0; p < d; ++p) {
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), q);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += q;
     }
     // d° self-loop shares plus the excess stay local.
-    next.add(static_cast<std::size_t>(u), x - q * d);
+    next[static_cast<std::size_t>(u)] += x - q * d;
   }
 }
 

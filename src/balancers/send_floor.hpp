@@ -52,7 +52,7 @@ class SendFloor : public Balancer {
   void scatter_range(const Topo& topo, NodeId first, NodeId last,
                      std::span<const Load> loads, FlowSink& sink);
   /// Cycle stencil: next(u) = kept(u) + ⌊x(u−1)/d⁺⌋ + ⌊x(u+1)/d⁺⌋ in one
-  /// streaming sweep with a single accumulator touch per slot (integer
+  /// streaming sweep with a single store per next-load slot (integer
   /// addition commutes, so the trajectory is byte-identical to the
   /// generic scatter order).
   void scatter_range(const CycleTopology& topo, NodeId first, NodeId last,
@@ -67,7 +67,7 @@ class SendFloor : public Balancer {
   /// would still stream the port tables.)
   void scatter_range(const TorusTopology& topo, NodeId first, NodeId last,
                      std::span<const Load> loads, FlowSink& sink);
-  /// The shared torus row-gather core with its epoch-stamped emit; the
+  /// The shared torus row-gather core with its next-buffer emit; the
   /// flat kernel calls it with shift 0 / true wrap offsets, the windowed
   /// kernel with window-slot indices and ring-normalized top-dimension
   /// offsets (see send_floor.cpp).

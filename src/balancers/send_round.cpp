@@ -80,18 +80,18 @@ template <class Topo>
 void SendRound::scatter_range(const Topo& topo, NodeId first, NodeId last,
                               std::span<const Load> loads, FlowSink& sink) {
   const int d = topo.degree();
-  const auto next = sink.scatter();
+  Load* const next = sink.next();
   auto cur = topo.cursor(first);
   for (NodeId u = first; u < last; ++u, cur.advance()) {
     const Load x = loads[static_cast<std::size_t>(u)];
     DLB_REQUIRE(x >= 0, "SendRound cannot handle negative load");
     const Load nearest = div_twice_.quot(2 * x + d_plus_);
     for (int p = 0; p < d; ++p) {
-      next.add(static_cast<std::size_t>(cur.neighbor(p)), nearest);
+      next[static_cast<std::size_t>(cur.neighbor(p))] += nearest;
     }
     // Self-loop shares and the remainder stay local — their split across
     // self-loop ports never moves a token.
-    next.add(static_cast<std::size_t>(u), x - nearest * d);
+    next[static_cast<std::size_t>(u)] += x - nearest * d;
   }
 }
 

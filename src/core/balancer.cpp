@@ -1,7 +1,6 @@
 #include "core/balancer.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "util/assertions.hpp"
@@ -36,15 +35,11 @@ void Balancer::decide_range(NodeId first, NodeId last,
   const bool negatives_ok = allows_negative();
   const bool rows = sink.row_mode();
 
-  // Scatter mode reuses one scratch row and a hoisted accumulator view
-  // (kept out of the loop so its pointers stay in registers); row mode
-  // writes straight into the per-node records.
+  // Scatter mode reuses one scratch row and adds into the zero-filled
+  // next-load buffer; row mode writes straight into the per-node records.
   std::vector<Load> scratch;
-  std::optional<EpochAccumulator::Scatter> next;
-  if (!rows) {
-    scratch.assign(static_cast<std::size_t>(d_plus), 0);
-    next.emplace(sink.scatter());
-  }
+  Load* const next = sink.next();
+  if (!rows) scratch.assign(static_cast<std::size_t>(d_plus), 0);
 
   for (NodeId u = first; u < last; ++u) {
     std::span<Load> row = rows ? sink.row(u) : std::span<Load>(scratch);
@@ -66,10 +61,10 @@ void Balancer::decide_range(NodeId first, NodeId last,
 
     Load kept = remainder;
     for (int p = d; p < d_plus; ++p) kept += row[static_cast<std::size_t>(p)];
-    next->add(static_cast<std::size_t>(u), kept);
+    next[static_cast<std::size_t>(u)] += kept;
     for (int p = 0; p < d; ++p) {
-      next->add(static_cast<std::size_t>(g.neighbor(u, p)),
-                row[static_cast<std::size_t>(p)]);
+      next[static_cast<std::size_t>(g.neighbor(u, p))] +=
+          row[static_cast<std::size_t>(p)];
     }
   }
 }

@@ -34,7 +34,6 @@
 #include <span>
 #include <string>
 
-#include "core/epoch_accumulator.hpp"
 #include "core/load_vector.hpp"
 #include "graph/graph.hpp"
 #include "util/serial.hpp"
@@ -53,23 +52,27 @@ namespace dlb {
 ///     has no shared writes — it is the engine's parallel mode, and also
 ///     serves every StepObserver (the records are exactly the step's
 ///     flow matrix).
-///   * scatter mode — no rows exist; kernels push token movements
-///     straight into the epoch-stamped next-load accumulator via add():
-///     add(v, f) for tokens sent over an edge (u→v), add(u, kept) for
-///     self-loop tokens and the remainder. This is the serial hot path —
-///     no per-node record is ever written.
+///   * scatter mode — no rows exist; kernels write the round's next loads
+///     straight into a plain n-slot buffer. A *gather* kernel (the
+///     balancer's window_reach(g) >= 0) stores each slot's final value
+///     exactly once, and the buffer arrives holding an older round's
+///     loads; every other kernel is *multi-touch* — next[v] += f for
+///     tokens sent over an edge (u→v), next[u] += kept for self-loop
+///     tokens and the remainder — into a buffer the engine zero-filled
+///     first. This is the serial hot path — no per-node record is ever
+///     written.
 class FlowSink {
  public:
   /// Row mode. `rows` must hold n×(d+d°) entries; rows need not be
   /// pre-zeroed (kernels overwrite every entry of the rows they decide).
   FlowSink(const Graph& g, int d_loops, Load* rows)
-      : g_(&g), d_loops_(d_loops), d_plus_(g.degree() + d_loops),
-        rows_(rows), acc_(nullptr) {}
+      : FlowSink(g, d_loops, rows, nullptr) {}
 
-  /// Scatter mode. `acc` must be sized to n with begin_round() called.
-  FlowSink(const Graph& g, int d_loops, EpochAccumulator* acc)
-      : g_(&g), d_loops_(d_loops), d_plus_(g.degree() + d_loops),
-        rows_(nullptr), acc_(acc) {}
+  /// Scatter mode into `next` (n slots): zero-filled unless the
+  /// balancer's window_reach(g) >= 0.
+  static FlowSink scatter(const Graph& g, int d_loops, Load* next) {
+    return FlowSink(g, d_loops, nullptr, next);
+  }
 
   const Graph& graph() const noexcept { return *g_; }
   int self_loops() const noexcept { return d_loops_; }
@@ -77,7 +80,7 @@ class FlowSink {
   int ports() const noexcept { return d_plus_; }
 
   /// True when kernels must fill per-node rows (row mode); false when
-  /// they must scatter through add() (scatter mode).
+  /// they must write the next-load buffer (scatter mode).
   bool row_mode() const noexcept { return rows_ != nullptr; }
 
   /// Node u's per-port record (size d⁺). Row mode only.
@@ -86,29 +89,24 @@ class FlowSink {
             static_cast<std::size_t>(d_plus_)};
   }
 
-  /// next[v] += f. Scatter mode only. Convenience for cold call sites —
-  /// hot kernels hoist a scatter() view out of their node loop so the
-  /// accumulator pointers stay in registers.
+  /// The next-load buffer. Scatter mode only; hot kernels hoist it out
+  /// of their node loop.
+  Load* next() const noexcept { return next_; }
+
+  /// next[v] += f. Scatter mode only; a convenience for cold call sites.
   void add(NodeId v, Load f) const noexcept {
-    scatter().add(static_cast<std::size_t>(v), f);
+    next_[static_cast<std::size_t>(v)] += f;
   }
 
-  /// Register-resident accumulator view. Scatter mode only.
-  EpochAccumulator::Scatter scatter() const noexcept {
-    return EpochAccumulator::Scatter(*acc_);
-  }
-
-  /// Emit-fused round statistics. A *single-touch* scatter kernel — one
-  /// that writes each slot of its range exactly once with the slot's
-  /// final next load (the cycle stencil, the torus row gather) — already
+  /// Emit-fused round statistics. A gather kernel — one that writes each
+  /// slot of its range exactly once with the slot's final next load (the
+  /// cycle stencil, the torus row gather, every decide_window) — already
   /// has every emitted value in hand, so it folds the min/max reduction
   /// into the emit sweep and reports it here, together with how many
-  /// slots it covered. Ranges merge; when the merged coverage reaches n,
-  /// the engine has the round's exact min/max and every slot stamped, and
-  /// skips its dedicated post-round pass (finalize_stats)
-  /// — one fewer O(n) sweep per round. Kernels that cannot make the
-  /// single-touch guarantee simply never call this; coverage stays short
-  /// of n and the engine scans as before.
+  /// slots it covered. Ranges merge; a gather round must cover every slot
+  /// (the engines require it: an unwritten slot would still hold an older
+  /// round's load), and its min/max are then the round's statistics.
+  /// Multi-touch kernels never call this.
   void merge_emit_stats(Load lo, Load hi, NodeId covered) noexcept {
     emit_min_ = lo < emit_min_ ? lo : emit_min_;
     emit_max_ = hi > emit_max_ ? hi : emit_max_;
@@ -119,11 +117,15 @@ class FlowSink {
   Load emit_max() const noexcept { return emit_max_; }
 
  private:
+  FlowSink(const Graph& g, int d_loops, Load* rows, Load* next)
+      : g_(&g), d_loops_(d_loops), d_plus_(g.degree() + d_loops),
+        rows_(rows), next_(next) {}
+
   const Graph* g_;
   int d_loops_;
   int d_plus_;
-  Load* rows_;             // nullptr in scatter mode
-  EpochAccumulator* acc_;  // nullptr in row mode
+  Load* rows_;  // nullptr in scatter mode
+  Load* next_;  // nullptr in row mode
   Load emit_min_ = std::numeric_limits<Load>::max();
   Load emit_max_ = std::numeric_limits<Load>::min();
   NodeId emit_covered_ = 0;
@@ -161,10 +163,11 @@ class Balancer {
   /// Decides nodes [first, last) of the round. The default implementation
   /// calls decide() for every node in ascending order, enforcing the
   /// oversend / negative-flow contract exactly as the classic engine did,
-  /// and works in both sink modes. Overrides must be *observationally
-  /// identical* to the default (same loads trajectory, same internal
-  /// state evolution) — the golden-equivalence test asserts this for
-  /// every registered balancer.
+  /// and works in both sink modes (in scatter mode it is multi-touch, so
+  /// a balancer that keeps it must leave window_reach at −1). Overrides
+  /// must be *observationally identical* to the default (same loads
+  /// trajectory, same internal state evolution) — the golden-equivalence
+  /// test asserts this for every registered balancer.
   virtual void decide_range(NodeId first, NodeId last,
                             std::span<const Load> loads, Step t,
                             FlowSink& sink);
@@ -182,19 +185,24 @@ class Balancer {
   /// graph. A non-negative reach R is a promise: for every node u, the
   /// next load next(u) is a pure gather over loads at ring distance ≤ R
   /// from u (mod n, in index space), computable by decide_window() from a
-  /// halo'd window alone. The sharded engine keys its tier-1 fast path on
-  /// this — shards exchange R boundary *loads* before decide instead of
-  /// flows after it, and nothing else ever crosses a shard.
+  /// halo'd window alone; *and* decide_range in scatter mode is a gather
+  /// too — it stores each slot of its range exactly once and reports
+  /// merge_emit_stats over the whole range. Both engines key on this up
+  /// front: the flat engine skips the next-load buffer's zero-fill, and
+  /// the sharded engine takes its tier-1 fast path — shards exchange R
+  /// boundary *loads* before decide instead of flows after it, and
+  /// nothing else ever crosses a shard. A round that leaves a slot
+  /// unwritten throws invariant_error.
   virtual NodeId window_reach(const Graph& g) const;
 
   /// Windowed gather decide over one shard's slice. `window` holds
   /// `owned + 2·reach` loads: slots [0, reach) are the left halo, slots
   /// [reach, reach + owned) are the owned nodes — globally
   /// [global_begin, global_begin + owned) — and the rest is the right
-  /// halo. The kernel must write each owned slot's next load exactly once
-  /// through the sink's scatter view *at window indices* (single-touch,
-  /// like the structured scatter kernels), fold min/max into the emit
-  /// sweep, and report merge_emit_stats(lo, hi, owned). Only called when
+  /// halo. The kernel must store each owned slot's next load exactly once
+  /// into the sink's next buffer *at window indices* (a gather, like the
+  /// structured scatter kernels), fold min/max into the emit sweep, and
+  /// report merge_emit_stats(lo, hi, owned). Only called when
   /// window_reach(g) >= 0; the default aborts.
   virtual void decide_window(std::span<const Load> window, NodeId global_begin,
                              NodeId owned, NodeId reach, Step t,

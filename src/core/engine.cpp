@@ -54,8 +54,8 @@ Engine::Engine(const Graph& g, EngineConfig config, Balancer& balancer,
               ConservationPolicy{config_.check_conservation,
                                  config_.conservation_interval});
   next_.assign(loads_.size(), 0);
-  acc_.reset(loads_.size());
   balancer_->reset(g, config_.self_loops);
+  gather_ = balancer_->window_reach(g) >= 0;
 }
 
 void Engine::add_observer(StepObserver& observer) {
@@ -193,28 +193,22 @@ void Engine::do_step() {
     step_rows(nullptr);
     return;
   }
-  Load round_min = 0;
-  Load round_max = 0;
   const NodeId n = g_->num_nodes();
   obs::PhaseScope phase(flat_phases().scatter, "scatter", "flat", "t",
                         time() + 1);
-  acc_.begin_round();
-  FlowSink sink(*g_, config_.self_loops, &acc_);
+  if (!gather_) std::fill(next_.begin(), next_.end(), Load{0});
+  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next_.data());
   balancer_->decide_all(loads_, time(), sink);
-  if (sink.emit_covered() == n) {
-    // Single-touch kernel: every slot was written (and stamped) exactly
-    // once with its final value, min/max folded into the emit sweep —
-    // no stale slots can exist, so finalize_stats' whole sweep
-    // (stale-fixup + stats) is recovered.
-    round_min = sink.emit_min();
-    round_max = sink.emit_max();
-  } else {
-    // Stale-slot fixup and the round's min/max share one sweep; the
-    // base then skips its own stats pass over the swapped-in vector.
-    acc_.finalize_stats(round_min, round_max);
+  if (gather_) {
+    // Every slot was stored once with its final value and the min/max
+    // rode the emit sweep. A slot left unwritten would hold the loads of
+    // two rounds ago, so full coverage is required, not hoped for.
+    DLB_REQUIRE(sink.emit_covered() == n,
+                "gather kernel did not write every next-load slot");
+    publish_round_stats(sink.emit_min(), sink.emit_max());
   }
-  loads_.swap(acc_.values());
-  publish_round_stats(round_min, round_max);
+  // A multi-touch round publishes nothing: the ledger scans the loads.
+  loads_.swap(next_);
 }
 
 void Engine::do_step_parallel(ThreadPool& pool) { step_rows(&pool); }

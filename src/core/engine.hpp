@@ -2,14 +2,17 @@
 // round pipeline.
 //
 // Serial observer-free steps take the *scatter* path: one decide_all call
-// pushes token movements straight into the epoch-stamped next-load
-// accumulator — no per-node record, no per-step zero-fill. Rounds that
-// need per-node records (an attached StepObserver, a balancer with
-// wants_flow_matrix(), or intra-round parallelism via a ThreadPool) take
-// the *row* path instead: phase 1 fills each node's per-port record
-// (decide), phase 2 pulls every node's incoming flow through rev_port and
-// commits its next load (apply). Neither phase has shared writes, so a
-// parallel round is byte-identical to a serial one at any thread count.
+// writes the round straight into the next-load buffer — no per-node
+// record. A balancer whose window_reach(g) >= 0 gathers, storing every
+// slot once; any other balancer adds token movements into the buffer,
+// which the engine zero-fills first. Rounds that need per-node records
+// (an attached StepObserver, a balancer with wants_flow_matrix(), or
+// intra-round parallelism via a ThreadPool) take the *row* path instead:
+// phase 1 fills each node's per-port record (decide), phase 2 pulls every
+// node's incoming flow through rev_port and commits its next load
+// (apply). Neither phase has shared writes, so a parallel round is
+// byte-identical to a serial one at any thread count. Both paths write
+// the same next-load buffer, which then swaps with the loads.
 // Token conservation is audited every EngineConfig::conservation_interval
 // steps (the paper's model conserves total load exactly).
 #pragma once
@@ -19,7 +22,6 @@
 #include <vector>
 
 #include "core/balancer.hpp"
-#include "core/epoch_accumulator.hpp"
 #include "core/load_vector.hpp"
 #include "core/round_engine.hpp"
 #include "graph/graph.hpp"
@@ -95,9 +97,9 @@ class Engine : public RoundEngineBase {
   const Graph* g_;
   EngineConfig config_;
   Balancer* balancer_;
-  LoadVector next_;        // row-path apply target
+  bool gather_;            // balancer's window_reach(g) >= 0: no zero-fill
+  LoadVector next_;        // next loads: scatter target and apply target
   LoadVector flows_;       // n * (d + d°) records; allocated on first row step
-  EpochAccumulator acc_;   // scatter-path accumulator
   std::vector<StepObserver*> observers_;
 };
 

@@ -18,7 +18,7 @@ namespace dlb {
 using Load = std::int64_t;
 using Step = std::int64_t;
 
-/// The hot per-node arrays (loads, accumulator values) live in
+/// The hot per-node arrays (loads, next loads) live in
 /// cache-line-aligned, huge-page-backed storage (util/alloc.hpp): SIMD
 /// kernels get aligned streams and production-sized vectors (8 MiB at
 /// 2^20 nodes) stop thrashing the TLB. Still a std::vector — only the

@@ -129,8 +129,8 @@ class RoundEngineBase {
   virtual void do_step_parallel(ThreadPool& pool);
 
   /// Subclasses whose round already sweeps the new load vector (the
-  /// engine's apply pull or the scatter accumulator's finalize) publish
-  /// the min/max they computed in that same sweep here, from inside
+  /// engine's apply pull or a gather kernel's emit) publish the min/max
+  /// they computed in that same sweep here, from inside
   /// do_step()/do_step_parallel() — one fewer O(n) pass per round.
   /// Gated conservation audits still re-scan the loads themselves, so a
   /// wrong published value cannot survive an audited step.

@@ -106,10 +106,11 @@ class RoundLedger {
   Load discrepancy() const noexcept { return s_.max - s_.min; }
   Load min_load_seen() const noexcept { return s_.min_seen; }
 
-  /// A round that already swept its new loads (a fused apply pull, an
-  /// emit-fused kernel, the scatter finalize) hands the min/max it saw
-  /// here, and end_round commits them without another O(n) pass. The
-  /// publication lasts until the next end_round.
+  /// A round that already swept its new loads (a fused apply pull, a
+  /// gather kernel's emit) hands the min/max it saw here, and end_round
+  /// commits them without another O(n) pass; a multi-touch scatter round
+  /// publishes nothing and end_round scans. The publication lasts until
+  /// the next end_round.
   void publish_round_stats(Load lo, Load hi) noexcept {
     round_min_ = lo;
     round_max_ = hi;

@@ -51,7 +51,7 @@ class EngineSnapshot {
 
   /// Captures the full stepping state. Must be called between rounds
   /// (i.e. never from inside an observer); per-round transients — flow
-  /// records, the scatter accumulator, workload hotspots — are
+  /// records, the next-load buffer, workload hotspots — are
   /// deliberately not part of the state, they are rebuilt by the next
   /// round. Pass the run's tracker to include its window; nullptr when
   /// the run has none.

@@ -152,7 +152,7 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
     sh.window.assign(static_cast<std::size_t>(sh.size + 2 * w), 0);
     std::copy(initial.begin() + sh.begin, initial.begin() + sh.begin + sh.size,
               sh.window.begin() + w);
-    sh.acc.reset(sh.window.size());
+    sh.next.assign(sh.window.size(), 0);
     sh.inbound.resize(k);
     sh.sent_frames.resize(k);
   }
@@ -526,7 +526,6 @@ void ShardedEngine::apply_flow_payload(Shard& sh,
                                        std::span<const std::byte> payload) {
   DLB_REQUIRE(payload.size() % kFlowRecordBytes == 0,
               "flow stream: truncated record");
-  const EpochAccumulator::Scatter next(sh.acc);
   for (std::size_t off = 0; off < payload.size(); off += kFlowRecordBytes) {
     NodeId v;
     Load f;
@@ -534,7 +533,7 @@ void ShardedEngine::apply_flow_payload(Shard& sh,
     std::memcpy(&f, payload.data() + off + sizeof(NodeId), sizeof(Load));
     DLB_REQUIRE(v >= sh.begin && v < sh.begin + sh.size,
                 "flow stream: node not owned by this shard");
-    next.add(static_cast<std::size_t>(v - sh.begin), f);
+    sh.next[static_cast<std::size_t>(v - sh.begin)] += f;
   }
 }
 
@@ -619,11 +618,10 @@ void ShardedEngine::exchange_halos() {
 }
 
 void ShardedEngine::decide_tier1_core(Shard& sh, Balancer& bal, Step t) {
-  sh.acc.begin_round();
-  // Tier 1: the balancer's windowed gather kernel, single-touch over
-  // the owned window slots, min/max fused into the emit sweep. Nothing
-  // leaves the shard — the halo refill already happened.
-  FlowSink sink(*g_, config_.self_loops, &sh.acc);
+  // Tier 1: the balancer's windowed gather kernel, one store per owned
+  // window slot, min/max fused into the emit sweep. Nothing leaves the
+  // shard — the halo refill already happened.
+  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, sh.next.data());
   bal.decide_window(
       std::span<const Load>(sh.window.data(), sh.window.size()), sh.begin,
       sh.size, reach_, t, sink);
@@ -631,24 +629,24 @@ void ShardedEngine::decide_tier1_core(Shard& sh, Balancer& bal, Step t) {
               "decide_window did not cover every owned slot");
   sh.round_min = sink.emit_min();
   sh.round_max = sink.emit_max();
-  // O(1) apply: the accumulator's owned slots are the next loads; its
-  // (stale) halo slots are refilled before the next decide reads them.
-  sh.window.swap(sh.acc.values());
+  // O(1) apply: the buffer's owned slots are the next loads; its (stale)
+  // halo slots are refilled before the next decide reads them.
+  sh.window.swap(sh.next);
 }
 
 void ShardedEngine::decide_tier2_core(int s, Shard& sh, Balancer& bal, Step t,
                                       bool discard_remote) {
-  sh.acc.begin_round();
   // Tier 2: the default decide() loop over the owned slice — the same
   // contract enforcement as Balancer::decide_range — with flows routed by
-  // owner: local ones scatter into the shard's accumulator, cross-shard
-  // ones are staged per destination (or discarded during a replay, whose
-  // peers already received the originals).
+  // owner: local ones add into the shard's zero-filled next buffer,
+  // cross-shard ones are staged per destination (or discarded during a
+  // replay, whose peers already received the originals).
+  std::fill(sh.next.begin(), sh.next.end(), Load{0});
   const int d = g_->degree();
   const int d_plus = d + config_.self_loops;
   const bool negatives_ok = bal.allows_negative();
   std::vector<Load> row(static_cast<std::size_t>(d_plus));
-  const EpochAccumulator::Scatter next(sh.acc);
+  Load* const next = sh.next.data();
   with_topology(*g_, [&](const auto& topo) {
     for (NodeId i = 0; i < sh.size; ++i) {
       const NodeId u = sh.begin + i;
@@ -668,12 +666,12 @@ void ShardedEngine::decide_tier2_core(int s, Shard& sh, Balancer& bal, Step t,
       for (int p = d; p < d_plus; ++p) {
         kept += row[static_cast<std::size_t>(p)];
       }
-      next.add(static_cast<std::size_t>(i), kept);
+      next[i] += kept;
       if (!sh.boundary[static_cast<std::size_t>(i)]) {
         // Interior node: every neighbor is local by the cut table.
         for (int p = 0; p < d; ++p) {
-          next.add(static_cast<std::size_t>(topo.neighbor(u, p) - sh.begin),
-                   row[static_cast<std::size_t>(p)]);
+          next[topo.neighbor(u, p) - sh.begin] +=
+              row[static_cast<std::size_t>(p)];
         }
       } else {
         for (int p = 0; p < d; ++p) {
@@ -681,7 +679,7 @@ void ShardedEngine::decide_tier2_core(int s, Shard& sh, Balancer& bal, Step t,
           const Load f = row[static_cast<std::size_t>(p)];
           const int o = part_.owner(v);
           if (o == s) {
-            next.add(static_cast<std::size_t>(v - sh.begin), f);
+            next[v - sh.begin] += f;
           } else if (f != 0 && !discard_remote) {
             append_flow(sh.flow_out[static_cast<std::size_t>(o)], v, f);
           }
@@ -719,10 +717,8 @@ void ShardedEngine::drain_flows() {
   drain_and_finish(ShardTag::kFlows, [&](int s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     apply_frames(s, ShardTag::kFlows);
-    // All of the round's adds (local + drained) have landed: materialize
-    // the next loads, fold min/max into the same sweep, and swap.
-    sh.acc.finalize_stats(sh.round_min, sh.round_max);
-    sh.window.swap(sh.acc.values());
+    // All of the round's adds (local + drained) have landed.
+    sh.window.swap(sh.next);
   });
 }
 
@@ -763,7 +759,8 @@ void ShardedEngine::step() {
     const std::span<const Load> loads = balancer_->prepare_reads_loads()
                                             ? gather_into_scratch()
                                             : std::span<const Load>();
-    FlowSink sink(*g_, config_.self_loops, &shards_[0].acc);
+    FlowSink sink =
+        FlowSink::scatter(*g_, config_.self_loops, shards_[0].next.data());
     balancer_->prepare_round(loads, t, sink);
   }
   const bool parallel_decide = balancer_->parallel_decide_safe();
@@ -789,13 +786,17 @@ void ShardedEngine::step() {
                           t + 1);
     drain_flows();
   }
-  Load lo = std::numeric_limits<Load>::max();
-  Load hi = std::numeric_limits<Load>::min();
-  for (const Shard& sh : shards_) {
-    lo = std::min(lo, sh.round_min);
-    hi = std::max(hi, sh.round_max);
+  if (reach_ >= 0) {
+    // Tier-1 gathers fused min/max into their emit; a tier-2 round
+    // publishes nothing and end_round scans the windows.
+    Load lo = std::numeric_limits<Load>::max();
+    Load hi = std::numeric_limits<Load>::min();
+    for (const Shard& sh : shards_) {
+      lo = std::min(lo, sh.round_min);
+      hi = std::max(hi, sh.round_max);
+    }
+    ledger_.publish_round_stats(lo, hi);
   }
-  ledger_.publish_round_stats(lo, hi);
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   ledger_.end_round([&](bool with_sum) {
     LoadScan scan;
@@ -831,7 +832,7 @@ void ShardedEngine::kill_shard(int s) {
   // SIGKILL semantics: the slice is *gone*, not paused — anything short
   // of a checkpoint restore must not be able to resurrect it.
   std::fill(sh.window.begin(), sh.window.end(), 0);
-  sh.acc.reset(sh.window.size());
+  std::fill(sh.next.begin(), sh.next.end(), 0);
   for (auto& buf : sh.flow_out) buf.clear();
   for (auto& stream : sh.sent_frames) stream.clear();
   dead_[static_cast<std::size_t>(s)] = 1;
@@ -878,7 +879,8 @@ void ShardedEngine::recover_shard(int s, Step t0,
       // protocol (ROTOR-ROUTER's lazy table, per-edge carries) so its
       // decides reproduce the lost shard's flows bit-exactly. Replay is
       // gated on !prepare_reads_loads, so the empty span is safe.
-      FlowSink sink(*g_, config_.self_loops, &sh.acc);
+      FlowSink sink =
+          FlowSink::scatter(*g_, config_.self_loops, sh.next.data());
       replay_balancer->prepare_round(std::span<const Load>(), t, sink);
     }
     if (reach_ >= 0) {
@@ -889,10 +891,7 @@ void ShardedEngine::recover_shard(int s, Step t0,
       decide_tier2_core(s, sh, bal, t, /*discard_remote=*/true);
       apply_flow_payload(
           sh, std::span<const std::byte>(in.stream.data(), in.stream.size()));
-      Load lo = 0;
-      Load hi = 0;
-      sh.acc.finalize_stats(lo, hi);
-      sh.window.swap(sh.acc.values());
+      sh.window.swap(sh.next);
     }
   }
   dead_[static_cast<std::size_t>(s)] = 0;
@@ -901,16 +900,14 @@ void ShardedEngine::recover_shard(int s, Step t0,
 
 std::size_t ShardedEngine::shard_resident_bytes(int s) const {
   const Shard& sh = shards_[static_cast<std::size_t>(s)];
-  // Load window + accumulator values (both Load) + epoch stamps (1 byte).
-  return sh.window.size() * sizeof(Load) +
-         sh.acc.size() * (sizeof(Load) + 1);
+  // Load window + next-load buffer, both owned + 2W slots.
+  return (sh.window.size() + sh.next.size()) * sizeof(Load);
 }
 
 std::size_t ShardedEngine::shard_halo_bytes(int s) const {
   if (reach_ >= 0) {
-    // 2W halo slots in the window and in the accumulator's value array,
-    // plus their epoch stamps.
-    return static_cast<std::size_t>(2 * reach_) * (2 * sizeof(Load) + 1);
+    // 2W halo slots in the window and in the next-load buffer.
+    return static_cast<std::size_t>(2 * reach_) * (2 * sizeof(Load));
   }
   const Shard& sh = shards_[static_cast<std::size_t>(s)];
   std::size_t bytes = 0;

@@ -1,9 +1,10 @@
 // ShardedEngine: the decide/apply round over k partitioned load slices.
 //
-// The flat Engine keeps one n-slot load vector and one accumulator; this
-// engine cuts the node range into k contiguous shards (ShardPartition's
-// balanced split), gives each shard a private, cache-line-aligned window
-// of loads and its own epoch accumulator, and runs the round phases
+// The flat Engine keeps one n-slot load vector and one next-load buffer;
+// this engine cuts the node range into k contiguous shards
+// (ShardPartition's balanced split), gives each shard a private,
+// cache-line-aligned window of loads and its own next-load buffer of the
+// same size, and runs the round phases
 // shard-by-shard — shards-as-threads today, with every cross-shard byte
 // moving through the narrow ShardChannel seam so the same protocol runs
 // over processes later.
@@ -18,19 +19,20 @@
 //   adjacency (halo geometry is ring arithmetic from the PR-5 structure
 //   tags, via ring_halo_segments). A shard's window is its owned slice
 //   plus 2W halo slots; decide_window runs the same SIMD kernels as the
-//   flat engine over that window, single-touch, with min/max fused into
-//   the emit sweep. The O(1) window/accumulator swap then retires the
+//   flat engine over that window, one store per owned slot, with min/max
+//   fused into the emit sweep. The O(1) window/next swap then retires the
 //   round.
 //
 //   Tier 2 — routed flows (window_reach < 0: hypercube, generic graphs,
 //   stateful balancers). Each shard runs the default decide() loop over
-//   its owned nodes; flows to local neighbors scatter straight into the
-//   shard's accumulator, flows that cross a shard are staged as (node,
-//   amount) records and posted through the channel, then drained into the
-//   owning shard's accumulator after a barrier. A per-node boundary table
-//   (the edge cut, computed once at partition time) lets interior nodes
-//   skip the owner test entirely. int64 flow adds commute exactly, so the
-//   drain order never shows in the result.
+//   its owned nodes; flows to local neighbors add straight into the
+//   shard's zero-filled next buffer, flows that cross a shard are staged
+//   as (node, amount) records and posted through the channel, then
+//   drained into the owning shard's next buffer after a barrier. The
+//   round publishes no fused min/max; the ledger scans the windows. A
+//   per-node boundary table (the edge cut, computed once at partition
+//   time) lets interior nodes skip the owner test entirely. int64 flow
+//   adds commute exactly, so the drain order never shows in the result.
 //
 // Equivalence contract (golden-tested): for every registered balancer,
 // graph family, and workload, a k-shard run is byte-identical to the
@@ -53,7 +55,6 @@
 #include <vector>
 
 #include "core/balancer.hpp"
-#include "core/epoch_accumulator.hpp"
 #include "core/load_vector.hpp"
 #include "core/round_ledger.hpp"
 #include "graph/graph.hpp"
@@ -179,11 +180,11 @@ class ShardedEngine {
   NodeId shard_begin(int s) const { return part_.begin(s); }
   NodeId shard_size(int s) const { return part_.size(s); }
   /// Bytes of per-shard resident state: the load window plus the
-  /// accumulator's value and epoch arrays (all sized owned + 2W).
+  /// next-load buffer (both sized owned + 2W).
   std::size_t shard_resident_bytes(int s) const;
   /// Bytes of that residency that are halo, not owned slice: the 2W halo
-  /// slots across window, accumulator values, and epoch stamps (tier 1),
-  /// or the flow-staging buffer capacity (tier 2).
+  /// slots of the window and of the next-load buffer (tier 1), or the
+  /// flow-staging buffer capacity (tier 2).
   std::size_t shard_halo_bytes(int s) const;
   /// Edges of shard s whose other endpoint lives on another shard (the
   /// edge cut; 0 on the tier-1 path, where no flow ever crosses).
@@ -205,7 +206,7 @@ class ShardedEngine {
   /// The transport this engine exchanges over (owned or injected).
   ShardChannel& channel() noexcept { return *channel_; }
 
-  /// SIGKILL simulation: wipes shard s's window and accumulator (its
+  /// SIGKILL simulation: wipes shard s's window and next buffer (its
   /// slice of the load vector is *gone*) and marks it dead. step()
   /// refuses to run while any shard is dead — the supervisor must
   /// recover first, exactly as a real barrier would block on the
@@ -258,7 +259,7 @@ class ShardedEngine {
     NodeId begin = 0;          ///< first owned global node
     NodeId size = 0;           ///< owned node count
     LoadVector window;         ///< owned + 2W loads (W = 0 on tier 2)
-    EpochAccumulator acc;      ///< next-load accumulator, window-sized
+    LoadVector next;           ///< next loads, window-sized
     std::vector<HaloSend> sends;          ///< tier 1: halo segments to post
     std::vector<std::uint8_t> boundary;   ///< tier 2: node has a cut edge
     std::vector<std::vector<std::byte>> flow_out;  ///< tier 2: per-dest staging
@@ -272,7 +273,7 @@ class ShardedEngine {
     std::vector<std::byte> frame_scratch;     ///< frame encode buffer
     std::vector<std::byte> payload_scratch;   ///< halo payload build buffer
     ShardRoundInputs log_scratch;  ///< this round's inputs (when logging)
-    Load round_min = 0;        ///< this round's emitted min (merged later)
+    Load round_min = 0;        ///< tier 1: this round's emitted min
     Load round_max = 0;
     WorkloadTally tally;       ///< this round's workload churn
     obs::Counter* bytes_posted = nullptr;   ///< channel bytes this shard sent
@@ -312,7 +313,7 @@ class ShardedEngine {
   /// Parses one frame's halo payload ([dest_window, len, loads…]) into
   /// the shard's window.
   void apply_halo_payload(Shard& sh, std::span<const std::byte> payload);
-  /// Scatters one frame's flow records into the shard's accumulator.
+  /// Adds one frame's flow records into the shard's next buffer.
   void apply_flow_payload(Shard& sh, std::span<const std::byte> payload);
   /// Applies shard s's completed `tag` streams in (sender, seq) order.
   void apply_frames(int s, ShardTag tag);

@@ -1,6 +1,6 @@
 // Aligned / huge-page allocation for the hot arrays.
 //
-// The round kernels stream the load vector and the accumulator arrays
+// The round kernels stream the load vector and the next-load buffer
 // every step; at production sizes (2^20 nodes = 8 MiB per array) the two
 // memory-system levers that matter are cache-line alignment (vector
 // loads never straddle a line, no false sharing between the parallel
@@ -19,8 +19,8 @@
 // deallocate(p, n) — which receives the same n back from the container —
 // always unmaps/deletes through the path that allocated. Allocators of
 // equal Align compare equal (stateless), so containers swap/move freely;
-// LoadVector and the EpochAccumulator arrays adopt it via the
-// container's allocator parameter with zero call-site churn.
+// LoadVector (loads, next loads, flow rows) adopts it via the container's
+// allocator parameter with zero call-site churn.
 #pragma once
 
 #include <atomic>

@@ -4,12 +4,14 @@
 
 #include <vector>
 
+#include "analysis/experiment.hpp"
+#include "balancers/registry.hpp"
 #include "balancers/send_floor.hpp"
 #include "core/engine.hpp"
-#include "core/epoch_accumulator.hpp"
 #include "core/load_vector.hpp"
 #include "graph/generators.hpp"
 #include "util/assertions.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dlb {
 namespace {
@@ -257,56 +259,6 @@ TEST(Engine, GatedConservationAuditFiresOnTheAuditStep) {
   EXPECT_THROW(e.step(), invariant_error);
 }
 
-// ---------------------------------------------------- epoch accumulator --
-
-TEST(EpochAccumulator, AccumulatesWithinARound) {
-  EpochAccumulator acc;
-  acc.reset(4);
-  acc.begin_round();
-  acc.add(0, 5);
-  acc.add(0, 2);
-  acc.add(2, -3);
-  EXPECT_EQ(acc.value(0), 7);
-  EXPECT_EQ(acc.value(1), 0);  // untouched slot reads as zero
-  EXPECT_EQ(acc.value(2), -3);
-  acc.finalize();
-  EXPECT_EQ(acc.values(), (LoadVector{7, 0, -3, 0}));
-}
-
-TEST(EpochAccumulator, StaleEpochSlotsNeverLeakIntoNextLoads) {
-  EpochAccumulator acc;
-  acc.reset(3);
-  acc.begin_round();
-  acc.add(0, 42);
-  acc.add(1, 7);
-  acc.add(2, 9);
-  acc.finalize();
-
-  // Next round: slot 0 and 2 untouched. Their round-1 values (42, 9) are
-  // stale and must read as zero and finalize to zero.
-  acc.begin_round();
-  acc.add(1, 1);
-  EXPECT_EQ(acc.value(0), 0);
-  EXPECT_EQ(acc.value(2), 0);
-  // The first add of the new round overwrites, not accumulates.
-  acc.add(0, 5);
-  EXPECT_EQ(acc.value(0), 5);
-  acc.finalize();
-  EXPECT_EQ(acc.values(), (LoadVector{5, 1, 0}));
-}
-
-TEST(EpochAccumulator, FinalizeIsIdempotentAndResetRestoresZero) {
-  EpochAccumulator acc;
-  acc.reset(2);
-  acc.begin_round();
-  acc.add(0, 3);
-  acc.finalize();
-  acc.finalize();
-  EXPECT_EQ(acc.values(), (LoadVector{3, 0}));
-  acc.reset(2);
-  EXPECT_EQ(acc.values(), (LoadVector{0, 0}));
-}
-
 TEST(Engine, TimeStartsAtZero) {
   const Graph g = make_cycle(3);
   SendFloor b;
@@ -314,6 +266,59 @@ TEST(Engine, TimeStartsAtZero) {
   EXPECT_EQ(e.time(), 0);
   e.step();
   EXPECT_EQ(e.time(), 1);
+}
+
+// ------------------------------------------------------ mixed step paths --
+
+/// Records nothing; attaching it moves the engine onto the row path.
+class NoOpObserver : public StepObserver {
+ public:
+  void on_step(Step, const Graph&, int, std::span<const Load>,
+               std::span<const Load>, std::span<const Load>) override {}
+};
+
+// One engine mixes serial scatter steps, pooled row steps and, after a
+// mid-run add_observer, serial row steps, all through its one next-load
+// buffer. Each round must equal an all-step() twin: a gather round must
+// overwrite every slot a row round left behind, and a multi-touch round
+// must start from zeros whatever the previous round wrote.
+void expect_mixed_paths_match_serial_twin(const Graph& g, Algorithm a) {
+  SCOPED_TRACE(algorithm_name(a));
+  const LoadVector initial = random_initial(g.num_nodes(), 1000, 17);
+  const EngineConfig config{.self_loops = g.degree()};
+  auto twin_bal = make_balancer(a, 5);
+  auto mixed_bal = make_balancer(a, 5);
+  Engine twin(g, config, *twin_bal, initial);
+  Engine mixed(g, config, *mixed_bal, initial);
+  ThreadPool pool(4);
+  mixed.set_thread_pool(&pool);
+  NoOpObserver observer;
+  for (int r = 0; r < 30; ++r) {
+    if (r == 18) mixed.add_observer(observer);
+    if (r % 3 == 2) {
+      mixed.step_parallel();
+    } else {
+      mixed.step();
+    }
+    twin.step();
+    ASSERT_EQ(mixed.loads(), twin.loads()) << "round " << r + 1;
+    ASSERT_EQ(mixed.discrepancy(), twin.discrepancy()) << "round " << r + 1;
+    ASSERT_EQ(mixed.min_load_seen(), twin.min_load_seen());
+  }
+  EXPECT_TRUE(mixed.flows_materialized());
+  EXPECT_FALSE(twin.flows_materialized());
+}
+
+TEST(EngineMixedPaths, SendFloorGatherOnCycleAndTorus) {
+  expect_mixed_paths_match_serial_twin(make_cycle(1001), Algorithm::kSendFloor);
+  expect_mixed_paths_match_serial_twin(make_torus2d(24, 18),
+                                       Algorithm::kSendFloor);
+}
+
+TEST(EngineMixedPaths, MultiTouchScatterOnHypercube) {
+  const Graph g = make_hypercube(9);
+  expect_mixed_paths_match_serial_twin(g, Algorithm::kRotorRouter);
+  expect_mixed_paths_match_serial_twin(g, Algorithm::kBoundedError);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Golden-equivalence gates for the round-kernel refactor:
 //
 //  1. For EVERY balancer in the registry, the lazy/batched engine path
-//     (no observer, so decide_range kernels scatter straight into the
-//     epoch-stamped next-load accumulator) must produce load trajectories
+//     (no observer, so decide_range kernels write straight into the plain
+//     next-load buffer: gathers store each slot once, the rest add into a
+//     zero-filled buffer) must produce load trajectories
 //     identical — step by step — to the per-node row path (observer
 //     attached, records filled through Balancer::decide, the engine's
 //     golden reference semantics).

@@ -430,9 +430,9 @@ TEST(ShardedEngineTest, ExternalChannelAndAccountingSurface) {
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(e.shard_begin(s), 16 * s);
     EXPECT_EQ(e.shard_size(s), 16);
-    // window + accumulator values (Load each) + epoch stamps (1 byte).
-    EXPECT_EQ(e.shard_resident_bytes(s), 18 * (8 + 8 + 1));
-    EXPECT_EQ(e.shard_halo_bytes(s), 2 * (8 + 8 + 1));
+    // window + next-load buffer, one Load per slot each.
+    EXPECT_EQ(e.shard_resident_bytes(s), 18 * 16);
+    EXPECT_EQ(e.shard_halo_bytes(s), 2 * 16);
   }
   EXPECT_GT(channel.capacity_bytes(), 0u);  // halo streams were exercised
   // A channel sized for the wrong endpoint count is rejected.
@@ -440,6 +440,72 @@ TEST(ShardedEngineTest, ExternalChannelAndAccountingSurface) {
   auto b2 = make_balancer(Algorithm::kSendFloor, 7);
   EXPECT_THROW(ShardedEngine(g, {}, *b2, initial, 4, &wrong),
                invariant_error);
+}
+
+/// Promises a gather (window_reach 1) and keeps every node's load, but
+/// with `skip` set leaves the last next-load slot of each range unwritten
+/// in both its flat scatter kernel and its windowed kernel.
+class SkipsOneSlot : public Balancer {
+ public:
+  explicit SkipsOneSlot(bool skip) : skip_(skip) {}
+  std::string name() const override { return "test:skips-one-slot"; }
+  void reset(const Graph&, int) override {}
+  void decide(NodeId, Load, Step, std::span<Load> flows) override {
+    std::fill(flows.begin(), flows.end(), 0);
+  }
+  NodeId window_reach(const Graph&) const override { return 1; }
+  void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
+                    Step, FlowSink& sink) override {
+    emit(loads.data() + first, sink.next() + first, last - first, sink);
+  }
+  void decide_window(std::span<const Load> window, NodeId, NodeId owned,
+                     NodeId reach, Step, FlowSink& sink) override {
+    emit(window.data() + reach, sink.next() + reach, owned, sink);
+  }
+
+ private:
+  void emit(const Load* xs, Load* next, NodeId count, FlowSink& sink) const {
+    const NodeId written = skip_ ? count - 1 : count;
+    Load lo = std::numeric_limits<Load>::max();
+    Load hi = std::numeric_limits<Load>::min();
+    for (NodeId i = 0; i < written; ++i) {
+      next[i] = xs[i];
+      lo = std::min(lo, xs[i]);
+      hi = std::max(hi, xs[i]);
+    }
+    sink.merge_emit_stats(lo, hi, written);
+  }
+
+  bool skip_;
+};
+
+// A gather round that leaves a slot unwritten would commit that slot's
+// load from two rounds ago; both engines must refuse the round instead.
+// The conservation audit is off, so only the coverage check can throw.
+TEST(ShardedEngineTest, GatherRoundThatSkipsASlotThrowsOnBothEngines) {
+  const Graph g = make_cycle(16);
+  const LoadVector initial(16, 5);
+  for (const bool skip : {false, true}) {
+    SCOPED_TRACE(skip ? "skipping kernel" : "covering kernel");
+    SkipsOneSlot flat_bal(skip);
+    Engine flat(g, EngineConfig{.self_loops = 2, .check_conservation = false},
+                flat_bal, initial);
+    SkipsOneSlot shard_bal(skip);
+    ShardedEngineConfig shard_config;
+    shard_config.self_loops = 2;
+    shard_config.check_conservation = false;
+    ShardedEngine sharded(g, shard_config, shard_bal, initial, 2);
+    ASSERT_TRUE(sharded.windowed());
+    if (skip) {
+      EXPECT_THROW(flat.step(), invariant_error);
+      EXPECT_THROW(sharded.step(), invariant_error);
+    } else {
+      flat.run(3);
+      sharded.run(3);
+      EXPECT_EQ(flat.loads(), initial);
+      EXPECT_EQ(sharded.gather_loads(), initial);
+    }
+  }
 }
 
 }  // namespace

@@ -7,9 +7,9 @@
 //               rebuild → deserialize → restore → run T/2
 //
 // with byte-identical loads, per-round discrepancy rows, conservation
-// ledger, and steady-state summary. Also covered: a snapshot on the
-// epoch-stamp wrap round (the >256-round regression), the shared
-// core-state bytes of the flat and sharded engines, and the refuse-to-load
+// ledger, and steady-state summary. Also covered: a snapshot at round 255
+// of a 300-round churned run, the shared core-state bytes of the flat and
+// sharded engines, and the refuse-to-load
 // paths — truncation, bit flips, version and
 // topology mismatches must throw clean serial_errors without mutating
 // the restore target (exercised under ASan/UBSan in CI).
@@ -294,16 +294,16 @@ TEST(SnapshotEquivalence, StructuredSimdRunRestoresIntoScalarRun) {
   simd::set_enabled(simd_was);
 }
 
-// ------------------------------------------------------------ epoch wrap --
+// -------------------------------------------------------------- long run --
 
-// The scatter accumulator's epoch stamps live in one byte and wrap every
-// 255 scatter rounds. This run crosses the wrap with a snapshot/restore
-// on the wrap round — any stale-stamp value leaking across the wrap or
-// the restore (the restored engine starts with a *fresh* accumulator)
-// shows up as a diverged load.
-TEST(SnapshotEpochWrap, SnapshotOnWrapRoundMatchesUninterruptedRun) {
-  constexpr Step kT = 300;        // > 256: crosses the stamp wrap
-  constexpr Step kSnapAt = 255;   // capture on the wrap round itself
+// A long churned run with a snapshot/restore deep inside it: 300 rounds
+// uninterrupted must equal 255 rounds, snapshot, destroy, restore, and 45
+// more. The restored engine starts with a fresh next-load buffer, so any
+// state the round carries outside the snapshot shows up as a diverged
+// load.
+TEST(SnapshotLongRun, SnapshotAt255ThenRestoreMatches300RoundRun) {
+  constexpr Step kT = 300;        // rounds of the uninterrupted reference
+  constexpr Step kSnapAt = 255;   // capture here, restore, run the rest
   const Graph g = make_cycle(24);
   CounterWorkload churn({.arrival_period = 3,
                          .arrival_amount = 2,
@@ -330,8 +330,8 @@ TEST(SnapshotEpochWrap, SnapshotOnWrapRoundMatchesUninterruptedRun) {
     ref_rows.push_back(ref->discrepancy());
   }
 
-  // Candidate: snapshot taken on the wrap round, everything destroyed
-  // and restored.
+  // Candidate: snapshot taken at round 255, everything destroyed and
+  // restored.
   std::vector<std::uint8_t> bytes;
   {
     SendFloor bal;
@@ -358,7 +358,7 @@ TEST(SnapshotEpochWrap, SnapshotOnWrapRoundMatchesUninterruptedRun) {
   }
 
   EXPECT_EQ(ref->loads(), e2->loads())
-      << "epoch-wrap/restore interleaving changed the trajectory";
+      << "snapshot/restore at round 255 changed the trajectory";
   EXPECT_EQ(ref_rows, got_rows);
   EXPECT_EQ(ref->total(), e2->total());
   EXPECT_EQ(ref->injected_total(), e2->injected_total());
