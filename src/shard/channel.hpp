@@ -62,7 +62,7 @@ class ShardChannel {
   /// Discards every undelivered byte and any deferred transport state —
   /// the supervisor calls this before rolling an engine back to a
   /// checkpoint, so frames from the abandoned timeline never surface in
-  /// the replayed one. Default: no-op (override in stateful transports).
+  /// the re-run. Default: no-op (override in stateful transports).
   virtual void reset() {}
 
   /// True when this transport can neither lose nor damage bytes (the

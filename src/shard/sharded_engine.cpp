@@ -297,15 +297,9 @@ void ShardedEngine::apply_workload() {
   if (workload_ == nullptr) return;
   WorkloadProcess& wl = *workload_;
   const NodeId w = reach_ >= 0 ? reach_ : 0;
-  const bool logging = input_log_ != nullptr;
   const Step t = time();
-  // Logged per owning shard, post-truncation, so replay needs no process.
   const auto apply = [&](Shard& sh, NodeId u, Load d, WorkloadTally& tally) {
-    const Load applied = tally.apply(
-        u, sh.window[static_cast<std::size_t>(w + (u - sh.begin))], d);
-    if (logging && applied != 0) {
-      sh.log_scratch.workload.emplace_back(u, applied);
-    }
+    tally.apply(u, sh.window[static_cast<std::size_t>(w + (u - sh.begin))], d);
   };
   ledger_.apply_workload(
       wl, "sharded", pool_, part_.num_nodes(),
@@ -539,7 +533,6 @@ void ShardedEngine::apply_flow_payload(Shard& sh,
 
 void ShardedEngine::apply_frames(int s, ShardTag tag) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
-  const bool logging = input_log_ != nullptr;
   // Ascending (sender, seq) order — fixed regardless of arrival order,
   // which is what keeps a faulted round byte-identical to a clean one.
   for (const InboundStream& st : sh.inbound) {
@@ -550,10 +543,6 @@ void ShardedEngine::apply_frames(int s, ShardTag tag) {
         apply_halo_payload(sh, payload);
       } else {
         apply_flow_payload(sh, payload);
-      }
-      if (logging) {
-        sh.log_scratch.stream.insert(sh.log_scratch.stream.end(),
-                                     payload.begin(), payload.end());
       }
     }
   }
@@ -617,12 +606,12 @@ void ShardedEngine::exchange_halos() {
                    [&](int s) { apply_frames(s, ShardTag::kHaloLoads); });
 }
 
-void ShardedEngine::decide_tier1_core(Shard& sh, Balancer& bal, Step t) {
+void ShardedEngine::decide_tier1_core(Shard& sh, Step t) {
   // Tier 1: the balancer's windowed gather kernel, one store per owned
   // window slot, min/max fused into the emit sweep. Nothing leaves the
   // shard — the halo refill already happened.
   FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, sh.next.data());
-  bal.decide_window(
+  balancer_->decide_window(
       std::span<const Load>(sh.window.data(), sh.window.size()), sh.begin,
       sh.size, reach_, t, sink);
   DLB_REQUIRE(sink.emit_covered() == sh.size,
@@ -634,13 +623,12 @@ void ShardedEngine::decide_tier1_core(Shard& sh, Balancer& bal, Step t) {
   sh.window.swap(sh.next);
 }
 
-void ShardedEngine::decide_tier2_core(int s, Shard& sh, Balancer& bal, Step t,
-                                      bool discard_remote) {
+void ShardedEngine::decide_tier2_core(int s, Shard& sh, Step t) {
   // Tier 2: the default decide() loop over the owned slice — the same
   // contract enforcement as Balancer::decide_range — with flows routed by
   // owner: local ones add into the shard's zero-filled next buffer,
-  // cross-shard ones are staged per destination (or discarded during a
-  // replay, whose peers already received the originals).
+  // cross-shard ones are staged per destination.
+  Balancer& bal = *balancer_;
   std::fill(sh.next.begin(), sh.next.end(), Load{0});
   const int d = g_->degree();
   const int d_plus = d + config_.self_loops;
@@ -680,7 +668,7 @@ void ShardedEngine::decide_tier2_core(int s, Shard& sh, Balancer& bal, Step t,
           const int o = part_.owner(v);
           if (o == s) {
             next[v - sh.begin] += f;
-          } else if (f != 0 && !discard_remote) {
+          } else if (f != 0) {
             append_flow(sh.flow_out[static_cast<std::size_t>(o)], v, f);
           }
         }
@@ -693,14 +681,14 @@ void ShardedEngine::decide_shard(int s, Step t) {
   obs::TraceSpan span("decide", "shard", "shard", s);
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   if (reach_ >= 0) {
-    decide_tier1_core(sh, *balancer_, t);
+    decide_tier1_core(sh, t);
     return;
   }
   reset_inbound(s, ShardTag::kFlows);
   if (!lossless_) {
     for (auto& stream : sh.sent_frames) stream.clear();
   }
-  decide_tier2_core(s, sh, *balancer_, t, /*discard_remote=*/false);
+  decide_tier2_core(s, sh, t);
   // One frame per rostered destination, always — an empty frame is the
   // positive statement "no flows crossed this edge this round", which is
   // what makes loss detectable without timeouts.
@@ -742,12 +730,6 @@ void ShardedEngine::step() {
   // injector's delayed frames) surfaces now, before any post of this
   // round.
   channel_->begin_round(t + 1);
-  if (input_log_ != nullptr) {
-    for (Shard& sh : shards_) {
-      sh.log_scratch.workload.clear();
-      sh.log_scratch.stream.clear();
-    }
-  }
   apply_workload();
   {
     obs::PhaseScope phase(shard_phases().prepare, "prepare", "sharded", "t",
@@ -807,15 +789,6 @@ void ShardedEngine::step() {
     }
     return scan;
   });
-  if (input_log_ != nullptr) {
-    // After end_round so `round` is the committed round number — the
-    // supervisor's log and the engine clock can never disagree.
-    for (int s = 0; s < part_.shards(); ++s) {
-      input_log_->record_round(s, time(),
-                               shards_[static_cast<std::size_t>(s)]
-                                   .log_scratch);
-    }
-  }
   ledger_.round_end(obs_t0, "sharded");
 }
 
@@ -842,60 +815,6 @@ void ShardedEngine::kill_shard(int s) {
 bool ShardedEngine::shard_dead(int s) const {
   DLB_REQUIRE(s >= 0 && s < part_.shards(), "shard_dead: shard out of range");
   return dead_[static_cast<std::size_t>(s)] != 0;
-}
-
-void ShardedEngine::recover_shard(int s, Step t0,
-                                  std::span<const Load> loads_at_t0,
-                                  std::span<const ShardRoundInputs* const>
-                                      rounds,
-                                  Balancer* replay_balancer) {
-  DLB_REQUIRE(s >= 0 && s < part_.shards(),
-              "recover_shard: shard out of range");
-  DLB_REQUIRE(dead_[static_cast<std::size_t>(s)],
-              "recover_shard: shard is not dead");
-  DLB_REQUIRE(loads_at_t0.size() ==
-                  static_cast<std::size_t>(part_.num_nodes()),
-              "recover_shard: checkpoint load vector has wrong size");
-  DLB_REQUIRE(t0 >= 0 && t0 + static_cast<Step>(rounds.size()) == time(),
-              "recover_shard: round inputs do not span t0+1 .. now");
-  Shard& sh = shards_[static_cast<std::size_t>(s)];
-  const NodeId w = reach_ >= 0 ? reach_ : 0;
-  std::copy(loads_at_t0.begin() + sh.begin,
-            loads_at_t0.begin() + sh.begin + sh.size, sh.window.begin() + w);
-  Balancer& bal = replay_balancer != nullptr ? *replay_balancer : *balancer_;
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    DLB_REQUIRE(rounds[i] != nullptr, "recover_shard: missing round inputs");
-    const ShardRoundInputs& in = *rounds[i];
-    // The round that committed at time t0+i+1 ran its decides at
-    // t = t0+i — replay must present the same clock.
-    const Step t = t0 + static_cast<Step>(i);
-    for (const auto& [u, delta] : in.workload) {
-      DLB_REQUIRE(u >= sh.begin && u < sh.begin + sh.size,
-                  "recover_shard: logged workload node not owned");
-      sh.window[static_cast<std::size_t>(w + (u - sh.begin))] += delta;
-    }
-    if (replay_balancer != nullptr) {
-      // A stateful replica follows the live balancer's full per-round
-      // protocol (ROTOR-ROUTER's lazy table, per-edge carries) so its
-      // decides reproduce the lost shard's flows bit-exactly. Replay is
-      // gated on !prepare_reads_loads, so the empty span is safe.
-      FlowSink sink =
-          FlowSink::scatter(*g_, config_.self_loops, sh.next.data());
-      replay_balancer->prepare_round(std::span<const Load>(), t, sink);
-    }
-    if (reach_ >= 0) {
-      apply_halo_payload(
-          sh, std::span<const std::byte>(in.stream.data(), in.stream.size()));
-      decide_tier1_core(sh, bal, t);
-    } else {
-      decide_tier2_core(s, sh, bal, t, /*discard_remote=*/true);
-      apply_flow_payload(
-          sh, std::span<const std::byte>(in.stream.data(), in.stream.size()));
-      sh.window.swap(sh.next);
-    }
-  }
-  dead_[static_cast<std::size_t>(s)] = 0;
-  --dead_count_;
 }
 
 std::size_t ShardedEngine::shard_resident_bytes(int s) const {

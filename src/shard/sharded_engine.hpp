@@ -41,8 +41,8 @@
 // clock, ledger, statistics, audit, workload-delta rule, telemetry and
 // core-state bytes — is the RoundLedger the flat engines hold too; this
 // engine supplies only where loads live (k windows), how a scan visits
-// them, and how dense workload deltas are chunked (by shard, logged for
-// replay). save_core_state gathers the owned slices in shard order into
+// them, and how dense workload deltas are chunked (one chunk per shard).
+// save_core_state gathers the owned slices in shard order into
 // the flat load vector, so snapshots move freely between the flat engine
 // and any shard count.
 #pragma once
@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/balancer.hpp"
@@ -84,27 +83,6 @@ struct ShardedEngineConfig {
     std::uint64_t backoff_ns = 0;          ///< base sleep before retry i
     std::uint64_t backoff_cap_ns = 1000000;  ///< 1 ms ceiling
   } fault;
-};
-
-/// Everything a shard's round consumed from outside its slice: workload
-/// deltas applied to owned nodes (post-truncation, so replay needs no
-/// workload process) and the validated inbound channel payloads (halo
-/// segments or flow records) in application order. A bounded log of
-/// these, kept by the ShardSupervisor, is what turns a per-shard
-/// checkpoint into a byte-exact replay of the lost rounds.
-struct ShardRoundInputs {
-  std::vector<std::pair<NodeId, Load>> workload;  ///< (global node, net delta)
-  std::vector<std::byte> stream;  ///< concatenated validated payloads
-};
-
-/// Sink for the engine's per-round input log (the supervisor implements
-/// it). record_round is called serially, once per shard in ascending
-/// shard order, after round `round` has fully committed.
-class ShardInputLog {
- public:
-  virtual ~ShardInputLog() = default;
-  virtual void record_round(int shard, Step round,
-                            const ShardRoundInputs& inputs) = 0;
 };
 
 class ShardedEngine {
@@ -209,30 +187,11 @@ class ShardedEngine {
   /// SIGKILL simulation: wipes shard s's window and next buffer (its
   /// slice of the load vector is *gone*) and marks it dead. step()
   /// refuses to run while any shard is dead — the supervisor must
-  /// recover first, exactly as a real barrier would block on the
-  /// missing member.
+  /// roll back first (load_core_state revives every shard), exactly as a
+  /// real barrier would block on the missing member.
   void kill_shard(int s);
   bool shard_dead(int s) const;
   int dead_shards() const noexcept { return dead_count_; }
-
-  /// Attaches the per-round input logger (nullptr detaches). While
-  /// attached, every round's externally-sourced inputs are recorded per
-  /// shard — the raw material of per-shard replay.
-  void set_input_log(ShardInputLog* log) noexcept { input_log_ = log; }
-
-  /// Recovers dead shard s from a checkpoint: restores its owned slice
-  /// from `loads_at_t0` (the full load vector captured when time() was
-  /// t0), then replays rounds t0+1 .. time() from `rounds` (one entry
-  /// per round, in order). `replay_balancer` substitutes for the live
-  /// balancer during replay — a private replica restored to its t0
-  /// state, used when the balancer is stateful so the live instance
-  /// (whose state already reflects the present) is never rewound;
-  /// nullptr replays through the live balancer (stateless decides).
-  /// Global ledgers, statistics, and the clock are untouched: only the
-  /// lost slice is rebuilt, byte-identically to the uninterrupted run.
-  void recover_shard(int s, Step t0, std::span<const Load> loads_at_t0,
-                     std::span<const ShardRoundInputs* const> rounds,
-                     Balancer* replay_balancer);
 
  private:
   struct HaloSend {
@@ -272,7 +231,6 @@ class ShardedEngine {
         ///< [dest][seq] retained frames for re-post (lossy channels only)
     std::vector<std::byte> frame_scratch;     ///< frame encode buffer
     std::vector<std::byte> payload_scratch;   ///< halo payload build buffer
-    ShardRoundInputs log_scratch;  ///< this round's inputs (when logging)
     Load round_min = 0;        ///< tier 1: this round's emitted min
     Load round_max = 0;
     WorkloadTally tally;       ///< this round's workload churn
@@ -321,12 +279,11 @@ class ShardedEngine {
   /// has all its frames (re-posting missing ones on a lossy channel).
   template <class Finish>
   void drain_and_finish(ShardTag tag, Finish&& finish);
-  /// Tier-1 decide body over `bal` (live engine path and replay share it).
-  void decide_tier1_core(Shard& sh, Balancer& bal, Step t);
-  /// Tier-2 decide body; `discard_remote` drops cross-shard flows
-  /// instead of staging them (replay: the peers received the originals).
-  void decide_tier2_core(int s, Shard& sh, Balancer& bal, Step t,
-                         bool discard_remote);
+  /// Tier-1 decide body: the balancer's windowed gather kernel.
+  void decide_tier1_core(Shard& sh, Step t);
+  /// Tier-2 decide body: the per-node decide loop, staging cross-shard
+  /// flows per destination.
+  void decide_tier2_core(int s, Shard& sh, Step t);
   void backoff(int attempt) const;
 
   /// Runs body(s) for every shard — through the pool when one is
@@ -355,7 +312,6 @@ class ShardedEngine {
   bool lossless_ = true;           ///< cached channel_->lossless()
   std::vector<std::uint8_t> dead_;  ///< killed shards awaiting recovery
   int dead_count_ = 0;
-  ShardInputLog* input_log_ = nullptr;
 };
 
 }  // namespace dlb

@@ -1,15 +1,12 @@
 #include "shard/supervisor.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <span>
-#include <string>
 #include <utility>
 
 #include "dynamics/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "shard/framing.hpp"
 #include "util/assertions.hpp"
 #include "util/serial.hpp"
 
@@ -21,8 +18,7 @@ namespace {
 /// MetricsRegistry::instance).
 struct SupervisorMetrics {
   obs::Counter& crashes;
-  obs::Counter& recoveries_replay;
-  obs::Counter& recoveries_rollback;
+  obs::Counter& recoveries;
   obs::Counter& checkpoints;
   obs::Counter& replayed_rounds;
   obs::Histogram& recovery_seconds;
@@ -31,23 +27,20 @@ struct SupervisorMetrics {
 SupervisorMetrics& supervisor_metrics() {
   static SupervisorMetrics* m = [] {
     auto& reg = obs::MetricsRegistry::instance();
-    const std::string rec = "dlb_shard_recoveries_total";
-    const std::string rec_help =
-        "Completed shard recoveries, by mechanism (per-shard replay vs "
-        "full engine rollback).";
     return new SupervisorMetrics{
         reg.counter("dlb_shard_crashes_total",
                     "Shard crash-kills the supervisor injected or observed."),
-        reg.counter(rec, rec_help, {{"kind", "replay"}}),
-        reg.counter(rec, rec_help, {{"kind", "rollback"}}),
+        reg.counter("dlb_shard_recoveries_total",
+                    "Completed shard recoveries (one checkpoint rollback "
+                    "per round with dead shards)."),
         reg.counter("dlb_shard_checkpoints_total",
                     "Recovery checkpoints captured by the supervisor."),
         reg.counter("dlb_shard_replayed_rounds_total",
-                    "Rounds re-executed during recoveries (replay: per "
-                    "dead shard; rollback: whole engine)."),
+                    "Rounds the whole engine re-ran from a checkpoint "
+                    "during recoveries."),
         reg.histogram("dlb_shard_recovery_seconds",
-                      "Wall-clock latency of one recovery (all dead shards "
-                      "of the round, checkpoint restore + replay).",
+                      "Wall-clock latency of one recovery (checkpoint "
+                      "restore + re-run of the lost rounds).",
                       obs::phase_seconds_bounds()),
     };
   }();
@@ -72,43 +65,12 @@ ShardSupervisor::ShardSupervisor(ShardedEngine& engine, Options opts)
                 "shard supervisor: crash plan names an already-passed round");
     crashes_.push_back(CrashEvent{c, false});
   }
-
-  const Balancer& bal = engine_->balancer();
-  // Replay gate, per tier. Tier 1 (windowed) decides are pure gathers
-  // over the shard's own window, so only a prepare hook that reads the
-  // global loads disqualifies; tier 2 additionally needs decides that
-  // are independent across shards (one shared sequential RNG is not).
-  can_replay_ = engine_->windowed()
-                    ? !bal.prepare_reads_loads()
-                    : (bal.parallel_decide_safe() && !bal.prepare_reads_loads());
-  {
-    StateWriter probe;
-    bal.save_state(probe);
-    stateless_ = probe.take().empty();
-  }
-  if (opts_.replay_factory) {
-    factory_ = opts_.replay_factory;
-  } else if (!stateless_) {
-    try {
-      factory_ = find_balancer_factory(bal.name());
-    } catch (const invariant_error&) {
-      // Stateful balancer constructed outside the registry and no
-      // factory supplied: no replica can be built — fall back to
-      // rollback, which rewinds the live instance instead.
-    }
-  }
-  if (!stateless_ && !factory_) can_replay_ = false;
-
-  engine_->set_input_log(can_replay_ ? this : nullptr);
   take_checkpoint();
 }
-
-ShardSupervisor::~ShardSupervisor() { engine_->set_input_log(nullptr); }
 
 void ShardSupervisor::take_checkpoint() {
   obs::TraceSpan span("checkpoint", "supervisor", "t", engine_->time());
   ck_t_ = engine_->time();
-  ck_loads_ = engine_->gather_loads();
   StateWriter core;
   engine_->save_core_state(core);
   ck_core_ = core.take();
@@ -122,76 +84,13 @@ void ShardSupervisor::take_checkpoint() {
     engine_->workload()->save_state(w);
     ck_workload_ = w.take();
   }
-  // Rounds at or before the checkpoint can never be replayed again.
-  while (!log_.empty() && log_.front().round <= ck_t_) log_.pop_front();
   supervisor_metrics().checkpoints.inc();
 }
 
-void ShardSupervisor::record_round(int shard, Step round,
-                                   const ShardRoundInputs& inputs) {
-  if (!log_.empty() && round <= log_.back().round) {
-    // A rollback's re-run revisits logged rounds: overwrite in place
-    // (the entries are contiguous, so the offset from the front is the
-    // index).
-    const std::size_t idx =
-        static_cast<std::size_t>(round - log_.front().round);
-    DLB_REQUIRE(round >= log_.front().round && idx < log_.size(),
-                "shard supervisor: input log received a pruned round");
-    log_[idx].per_shard[static_cast<std::size_t>(shard)] = inputs;
-    return;
-  }
-  if (log_.empty() || round > log_.back().round) {
-    DLB_REQUIRE(log_.empty() || round == log_.back().round + 1,
-                "shard supervisor: input log skipped a round");
-    log_.push_back(RoundEntry{
-        round,
-        std::vector<ShardRoundInputs>(
-            static_cast<std::size_t>(engine_->shards()))});
-  }
-  log_.back().per_shard[static_cast<std::size_t>(shard)] = inputs;
-}
-
-std::vector<const ShardRoundInputs*> ShardSupervisor::rounds_for(
-    int s) const {
-  const Step t0 = ck_t_;
-  const Step now = engine_->time();
-  std::vector<const ShardRoundInputs*> rounds;
-  rounds.reserve(static_cast<std::size_t>(now - t0));
-  for (Step r = t0 + 1; r <= now; ++r) {
-    DLB_REQUIRE(!log_.empty() && r >= log_.front().round &&
-                    r <= log_.back().round,
-                "shard supervisor: input log does not cover the replay "
-                "window (checkpoint interval vs log pruning bug)");
-    rounds.push_back(
-        &log_[static_cast<std::size_t>(r - log_.front().round)]
-             .per_shard[static_cast<std::size_t>(s)]);
-  }
-  return rounds;
-}
-
-void ShardSupervisor::replay_shard(int s) {
-  std::unique_ptr<Balancer> replica;
-  if (!stateless_) {
-    replica = factory_(opts_.replay_seed);
-    DLB_REQUIRE(replica != nullptr,
-                "shard supervisor: replay factory returned nothing");
-    replica->reset(engine_->graph(), engine_->self_loops());
-    StateReader r(std::span<const std::uint8_t>(ck_balancer_.data(),
-                                                ck_balancer_.size()));
-    replica->load_state(r);
-    r.expect_done("replay balancer state");
-  }
-  const std::vector<const ShardRoundInputs*> rounds = rounds_for(s);
-  engine_->recover_shard(
-      s, ck_t_, std::span<const Load>(ck_loads_.data(), ck_loads_.size()),
-      std::span<const ShardRoundInputs* const>(rounds.data(), rounds.size()),
-      replica.get());
-  supervisor_metrics().replayed_rounds.inc(
-      static_cast<std::uint64_t>(rounds.size()));
-  supervisor_metrics().recoveries_replay.inc();
-}
-
-void ShardSupervisor::rollback() {
+void ShardSupervisor::recover() {
+  const auto t0 = std::chrono::steady_clock::now();
+  obs::TraceSpan span("recover", "supervisor", "dead",
+                      engine_->dead_shards());
   const Step target = engine_->time();
   // Frames of the abandoned timeline (including a fault injector's
   // delayed posts) must never surface in the re-run.
@@ -222,23 +121,7 @@ void ShardSupervisor::rollback() {
   engine_->run(target - ck_t_);
   supervisor_metrics().replayed_rounds.inc(
       static_cast<std::uint64_t>(target - ck_t_));
-  supervisor_metrics().recoveries_rollback.inc();
-}
-
-void ShardSupervisor::recover() {
-  const auto t0 = std::chrono::steady_clock::now();
-  obs::TraceSpan span("recover", "supervisor", "dead",
-                      engine_->dead_shards());
-  if (can_replay_) {
-    for (int s = 0; s < engine_->shards(); ++s) {
-      if (engine_->shard_dead(s)) replay_shard(s);
-    }
-  } else {
-    DLB_REQUIRE(opts_.allow_rollback,
-                "shard supervisor: balancer is not replay-safe and "
-                "rollback is disabled");
-    rollback();
-  }
+  supervisor_metrics().recoveries.inc();
   supervisor_metrics().recovery_seconds.observe(seconds_since(t0));
 }
 

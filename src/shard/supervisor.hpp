@@ -5,136 +5,83 @@
 // via drain-time detection and bounded re-post. What it cannot survive is
 // a *sender that no longer exists*: a crashed shard leaves its streams
 // permanently incomplete and its slice of the load vector gone. The
-// supervisor closes that gap with the classic checkpoint/replay recipe:
+// supervisor closes that gap with checkpoint/rollback:
 //
 //   * every `checkpoint_interval` rounds it captures the engine state
 //     through the same StateWriter paths EngineSnapshot uses (core blob,
-//     balancer blob, workload blob, plus the gathered load vector);
-//   * between checkpoints it keeps the engine's per-round input log —
-//     for each shard, the workload deltas applied to its nodes and the
-//     validated inbound channel payloads, i.e. everything a shard's
-//     round consumed from outside its slice;
+//     balancer blob, workload blob);
 //   * when a shard dies (a FaultPlan crash, or any caller of
-//     ShardedEngine::kill_shard), it rebuilds exactly that slice:
-//     restore the shard's loads from the checkpoint, then replay the
-//     lost rounds against the logged inputs. Peers are never rolled
-//     back — their state already reflects the present, and the replayed
-//     decides reproduce the lost flows they already received.
+//     ShardedEngine::kill_shard), it restores *every* component from the
+//     newest checkpoint, resets the channel, and re-runs the lost rounds
+//     through the engine itself.
 //
-// Replay needs the dead shard's decides to be re-runnable in isolation:
-// the balancer must not read the global load vector in prepare_round
-// (prepare_reads_loads), and on the tier-2 path its decide stream must
-// not be order-entangled with other shards' (parallel_decide_safe — the
-// RAND-* schemes draw from one sequential RNG across all nodes, so a
-// single shard's draws cannot be reproduced without stepping everyone).
-// Stateful-but-replayable balancers (ROTOR-ROUTER, BOUNDED-ERROR) replay
-// on a private replica restored from the checkpoint's balancer blob, so
-// the live instance is never rewound. When replay is impossible the
-// supervisor falls back to full rollback: restore *every* component from
-// the checkpoint, reset the channel, and re-run the lost rounds through
-// the engine itself. Both paths land on the byte-identical state the
-// uninterrupted run would have reached — the fault-equivalence gate in
-// tests/test_shard_fault.cpp asserts it for every registered balancer.
+// Every balancer is deterministic given its checkpointed state, and the
+// workload and fault injector are keyed counter RNGs, so the re-run lands
+// on the byte-identical state the uninterrupted run would have reached —
+// for every balancer, with no per-balancer gate. The fault-equivalence
+// gate in tests/test_shard_fault.cpp asserts it for every registered
+// balancer.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
-#include "balancers/registry.hpp"  // BalancerFactory
-#include "core/load_vector.hpp"
 #include "shard/faulty_channel.hpp"  // FaultPlan
 #include "shard/sharded_engine.hpp"
 
 namespace dlb {
 
-class ShardSupervisor final : public ShardInputLog {
+class ShardSupervisor {
  public:
   struct Options {
-    /// Rounds between checkpoints; the replay window is at most this
-    /// many rounds of logged inputs. 0 disables periodic checkpoints
-    /// (the construction-time checkpoint still anchors recovery).
+    /// Rounds between checkpoints; a recovery re-runs at most this many
+    /// rounds. 0 disables periodic checkpoints (the construction-time
+    /// checkpoint still anchors recovery).
     Step checkpoint_interval = 16;
     /// Crash schedule ("kill shard s once round R has completed") —
     /// typically FaultPlan::parse(...).crashes; message-fault knobs in
     /// the same plan belong to a FaultyChannel, not the supervisor.
     FaultPlan fault_plan;
-    /// Permits full-rollback recovery when per-shard replay is
-    /// impossible for the engine's balancer. When false, such a crash
-    /// throws instead (for tests that pin the recovery path).
-    bool allow_rollback = true;
-    /// Factory for replay replicas of a stateful balancer. Defaults to
-    /// the registry entry under the live balancer's name(); only needed
-    /// for stateful balancers constructed outside the registry.
-    BalancerFactory replay_factory;
-    /// Seed passed to the factory (the replica's constructed state is
-    /// overwritten by load_state; the seed only has to produce a
-    /// same-shaped instance).
-    std::uint64_t replay_seed = 0;
   };
 
   /// Attaches to `engine` (not owned; must outlive the supervisor) and
-  /// takes the anchoring checkpoint at the current time. While attached,
-  /// the supervisor owns the engine's input log slot.
+  /// takes the anchoring checkpoint at the current time.
   ShardSupervisor(ShardedEngine& engine, Options opts);
-  ~ShardSupervisor() override;
 
   ShardSupervisor(const ShardSupervisor&) = delete;
   ShardSupervisor& operator=(const ShardSupervisor&) = delete;
 
-  /// One supervised round: fire due crashes from the fault plan, recover
-  /// any dead shards (replay or rollback), step the engine, and take a
-  /// periodic checkpoint when the interval divides the new time.
+  /// One supervised round: fire due crashes from the fault plan, roll
+  /// back if any shard is dead, step the engine, and take a periodic
+  /// checkpoint when the interval divides the new time.
   void step();
   /// `steps` supervised rounds.
   void run(Step steps);
 
   ShardedEngine& engine() noexcept { return *engine_; }
-  /// True when this (engine, balancer) pair recovers by per-shard
-  /// replay; false means crashes recover by full rollback.
-  bool can_replay() const noexcept { return can_replay_; }
-  /// Time of the newest checkpoint (the replay/rollback anchor).
+  /// Time of the newest checkpoint (the rollback anchor).
   Step checkpoint_time() const noexcept { return ck_t_; }
   /// Captures a checkpoint now (also called periodically by step()).
   void take_checkpoint();
-
-  // ShardInputLog: called by the engine after each committed round.
-  void record_round(int shard, Step round,
-                    const ShardRoundInputs& inputs) override;
 
  private:
   struct CrashEvent {
     FaultPlan::Crash crash;
     bool fired = false;
   };
-  struct RoundEntry {
-    Step round = 0;
-    std::vector<ShardRoundInputs> per_shard;
-  };
 
   void recover();
-  void replay_shard(int s);
-  void rollback();
-  std::vector<const ShardRoundInputs*> rounds_for(int s) const;
 
   ShardedEngine* engine_;
   Options opts_;
-  bool can_replay_ = false;
-  bool stateless_ = false;  ///< balancer blob empty: replay on the live one
-  BalancerFactory factory_;  ///< resolved replica factory (may be empty)
   std::vector<CrashEvent> crashes_;
 
-  // The newest checkpoint, kept unserialized for the replay path and as
-  // component blobs for the rollback path.
+  // The newest checkpoint, as component blobs.
   Step ck_t_ = 0;
-  LoadVector ck_loads_;
   std::vector<std::uint8_t> ck_core_;
   std::vector<std::uint8_t> ck_balancer_;
   std::vector<std::uint8_t> ck_workload_;
   bool ck_has_workload_ = false;
-
-  std::deque<RoundEntry> log_;  ///< rounds (ck_t_, engine time], in order
 };
 
 }  // namespace dlb

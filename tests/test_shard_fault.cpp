@@ -13,14 +13,18 @@
 //     mixed) is byte-identical to the fault-free run: loads, ledger, and
 //     per-round stats. Faults are weather, never observable state.
 //  4. Crash recovery — a supervisor-managed run that loses shards
-//     mid-flight (checkpoint + per-shard replay, or full rollback when
-//     the balancer is not replay-safe) rejoins the byte-identical
-//     trajectory, with the crash/recovery counters and the recovery
-//     latency histogram advancing.
+//     mid-flight (checkpoint + full rollback) rejoins the byte-identical
+//     trajectory for every registered balancer, with the crash/recovery
+//     counters and the recovery latency histogram advancing.
+//  5. Parser mutation — mutated fault-plan specs and frame bytes either
+//     parse or are rejected with a classified error; nothing crashes or
+//     reads out of bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +41,8 @@
 #include "shard/sharded_engine.hpp"
 #include "shard/supervisor.hpp"
 #include "util/assertions.hpp"
+#include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dlb {
@@ -467,13 +473,15 @@ TEST(ShardedEngineFaultTest, SteppingWithADeadShardIsRefused) {
 }
 
 TEST(ShardSupervisorTest, EveryBalancerRecoversCrashesByteExactly) {
-  // The crash drill across the whole registry on both tiers: shards die
-  // at two different rounds (one shortly after a checkpoint, one just
-  // before the next), and the supervised run must land on the clean
-  // run's exact bytes — via per-shard replay where the balancer allows
-  // it, full rollback where it does not.
+  // The crash drill across the whole registry on both tiers, at every
+  // fault shard count and pool size: shards die at two different rounds
+  // (one shortly after a checkpoint, one just before the next), and the
+  // supervised run must land on the clean run's exact bytes. The crashed
+  // engine's balancer is built with the same seed as the clean one and
+  // nothing else: rollback restores its state from the checkpoint.
   constexpr Step kSteps = 28;
   const auto graphs = fault_graphs();
+  const auto shard_counts = fault_shard_counts();
   for (const std::string& name : registered_balancer_names()) {
     const BalancerFactory factory = find_balancer_factory(name);
     const BalancerTraits traits = find_balancer_traits(name);
@@ -491,31 +499,38 @@ TEST(ShardSupervisorTest, EveryBalancerRecoversCrashesByteExactly) {
       flat.set_workload(&clean_w);
       flat.run(kSteps);
 
-      PoissonWorkload crash_w(
-          PoissonWorkload::Params{.arrival_rate = 0.7, .departure_rate = 0.5});
-      crash_w.reset(g.num_nodes(), 8);
-      std::unique_ptr<Balancer> crash_b = factory(7);
-      ShardedEngine e(g, ShardedEngineConfig{.self_loops = d_loops},
-                      *crash_b, initial, 3);
-      e.set_workload(&crash_w);
-      ShardSupervisor::Options opts;
-      opts.checkpoint_interval = 6;
-      opts.fault_plan = FaultPlan::parse("crash=9@1,crash=17@2");
-      opts.replay_seed = 7;
-      ShardSupervisor sup(e, opts);
-      sup.run(kSteps);
+      for (const int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        for (const int k : shard_counts) {
+          PoissonWorkload crash_w(PoissonWorkload::Params{
+              .arrival_rate = 0.7, .departure_rate = 0.5});
+          crash_w.reset(g.num_nodes(), 8);
+          std::unique_ptr<Balancer> crash_b = factory(7);
+          ShardedEngine e(
+              g, ShardedEngineConfig{.self_loops = d_loops, .fault = {}},
+              *crash_b, initial, k);
+          e.set_thread_pool(&pool);
+          e.set_workload(&crash_w);
+          ShardSupervisor::Options opts;
+          opts.checkpoint_interval = 6;
+          opts.fault_plan = FaultPlan::parse(
+              "crash=9@1,crash=17@" + std::to_string(k - 1));
+          ShardSupervisor sup(e, opts);
+          sup.run(kSteps);
 
-      const auto where = [&] {
-        return name + " on " + gg.label +
-               (sup.can_replay() ? " (replay)" : " (rollback)");
-      };
-      ASSERT_EQ(e.gather_loads(), flat.loads())
-          << where() << ": recovery did not rejoin the clean trajectory";
-      EXPECT_EQ(e.total(), flat.total()) << where();
-      EXPECT_EQ(e.injected_total(), flat.injected_total()) << where();
-      EXPECT_EQ(e.consumed_total(), flat.consumed_total()) << where();
-      EXPECT_EQ(e.min_load_seen(), flat.min_load_seen()) << where();
-      EXPECT_EQ(e.time(), flat.time()) << where();
+          const auto where = [&] {
+            return name + " on " + gg.label + " shards=" + std::to_string(k) +
+                   " threads=" + std::to_string(threads);
+          };
+          ASSERT_EQ(e.gather_loads(), flat.loads())
+              << where() << ": recovery did not rejoin the clean trajectory";
+          EXPECT_EQ(e.total(), flat.total()) << where();
+          EXPECT_EQ(e.injected_total(), flat.injected_total()) << where();
+          EXPECT_EQ(e.consumed_total(), flat.consumed_total()) << where();
+          EXPECT_EQ(e.min_load_seen(), flat.min_load_seen()) << where();
+          EXPECT_EQ(e.time(), flat.time()) << where();
+        }
+      }
     }
   }
 }
@@ -542,7 +557,6 @@ TEST(ShardSupervisorTest, CrashesCombineWithMessageFaults) {
     ShardSupervisor::Options opts;
     opts.checkpoint_interval = 5;
     opts.fault_plan = plan;  // crashes consumed here, message knobs above
-    opts.replay_seed = 7;
     ShardSupervisor sup(e, opts);
     sup.run(32);
     ASSERT_EQ(e.gather_loads(), flat.loads())
@@ -551,70 +565,11 @@ TEST(ShardSupervisorTest, CrashesCombineWithMessageFaults) {
   }
 }
 
-TEST(ShardSupervisorTest, RecoveryPathMatchesTheBalancerContract) {
-  const Graph cycle = make_cycle(48);
-  const Graph cube = make_hypercube(4);
-  const LoadVector ci(48, 10);
-  const LoadVector hi(16, 10);
-  {
-    // Stateless windowed balancer: replay, on the live instance.
-    auto b = make_balancer(Algorithm::kSendFloor, 7);
-    ShardedEngine e(cycle, {}, *b, ci, 3);
-    ShardSupervisor sup(e, {});
-    EXPECT_TRUE(sup.can_replay());
-  }
-  {
-    // Stateful but parallel-safe: replay on a registry replica.
-    auto b = make_balancer(Algorithm::kRotorRouter, 7);
-    ShardedEngine e(cube, {}, *b, hi, 2);
-    ShardSupervisor sup(e, {});
-    EXPECT_TRUE(sup.can_replay());
-  }
-  for (const std::string& name : registered_balancer_names()) {
-    const BalancerFactory factory = find_balancer_factory(name);
-    const BalancerTraits traits = find_balancer_traits(name);
-    const int d_loops = std::max(cube.degree(), traits.min_loops(cube.degree()));
-    std::unique_ptr<Balancer> b = factory(7);
-    ShardedEngine e(cube, ShardedEngineConfig{.self_loops = d_loops}, *b, hi,
-                    2);
-    ShardSupervisor sup(e, {});
-    if (!e.windowed() && (!b->parallel_decide_safe() ||
-                          b->prepare_reads_loads())) {
-      EXPECT_FALSE(sup.can_replay())
-          << name << " must take the rollback path";
-    }
-  }
-}
-
-TEST(ShardSupervisorTest, RollbackDisabledSurfacesTheCrash) {
-  // Find a balancer that cannot replay on the tier-2 path; if the
-  // registry only holds replay-safe balancers, the guard is untestable
-  // and the test degenerates to a no-op.
-  const Graph g = make_hypercube(4);
-  const LoadVector initial(16, 10);
-  for (const std::string& name : registered_balancer_names()) {
-    const BalancerFactory factory = find_balancer_factory(name);
-    const BalancerTraits traits = find_balancer_traits(name);
-    const int d_loops = std::max(g.degree(), traits.min_loops(g.degree()));
-    std::unique_ptr<Balancer> b = factory(7);
-    ShardedEngine e(g, ShardedEngineConfig{.self_loops = d_loops}, *b,
-                    initial, 2);
-    ShardSupervisor::Options opts;
-    opts.fault_plan = FaultPlan::parse("crash=2@0");
-    opts.allow_rollback = false;
-    ShardSupervisor sup(e, opts);
-    if (sup.can_replay()) continue;
-    EXPECT_THROW(sup.run(6), invariant_error) << name;
-    return;
-  }
-}
-
 TEST(ShardSupervisorTest, RecoveryMetricsAndLatencyHistogramAdvance) {
   auto& reg = obs::MetricsRegistry::instance();
   reg.arm(true);
   const double crashes0 = reg.sample("dlb_shard_crashes_total");
-  const double replays0 =
-      reg.sample("dlb_shard_recoveries_total", {{"kind", "replay"}});
+  const double recoveries0 = reg.sample("dlb_shard_recoveries_total");
   const double rounds0 = reg.sample("dlb_shard_replayed_rounds_total");
   const double latency0 = reg.sample("dlb_shard_recovery_seconds");
   const double checkpoints0 = reg.sample("dlb_shard_checkpoints_total");
@@ -631,10 +586,8 @@ TEST(ShardSupervisorTest, RecoveryMetricsAndLatencyHistogramAdvance) {
   }
   reg.arm(false);
   EXPECT_EQ(reg.sample("dlb_shard_crashes_total") - crashes0, 1.0);
-  EXPECT_EQ(reg.sample("dlb_shard_recoveries_total", {{"kind", "replay"}}) -
-                replays0,
-            1.0);
-  // Crash after round 6, checkpoint at round 4: two rounds replayed.
+  EXPECT_EQ(reg.sample("dlb_shard_recoveries_total") - recoveries0, 1.0);
+  // Crash after round 6, checkpoint at round 4: two rounds re-run.
   EXPECT_EQ(reg.sample("dlb_shard_replayed_rounds_total") - rounds0, 2.0);
   EXPECT_EQ(reg.sample("dlb_shard_recovery_seconds") - latency0, 1.0)
       << "one recovery = one latency observation";
@@ -656,6 +609,194 @@ TEST(ShardSupervisorTest, CheckpointCadenceFollowsTheInterval) {
   EXPECT_EQ(sup.checkpoint_time(), 5);
   sup.run(12);
   EXPECT_EQ(sup.checkpoint_time(), 15);
+}
+
+// ---------------------------------------------------------------------
+// 5. Parser mutation: fault-plan specs and frame bytes
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kMutationSeed = 0x5eedf417ULL;
+constexpr int kMutationIterations = 4000;
+
+/// Counter RNG of the mutation tests: iteration i draws from a generator
+/// keyed on (seed, i) alone, so a failure reproduces from the two numbers
+/// its trace prints.
+Rng mutation_rng(std::uint64_t seed, int iteration) {
+  std::uint64_t key =
+      seed ^ (static_cast<std::uint64_t>(iteration) * 0xd1b54a32d192ed03ULL);
+  return Rng(splitmix64(key));
+}
+
+std::size_t pick(Rng& rng, std::size_t bound) {
+  return static_cast<std::size_t>(rng.uniform_u64(bound));
+}
+
+TEST(ParserMutationTest, MutatedFaultPlanSpecsParseOrThrowClassifiedErrors) {
+  const std::vector<std::string> valid = {
+      "seed=7,drop=0.25,dup=0.5,corrupt=0.125,delay=0.75,crash=12@2,"
+      "crash=40@0",
+      "seed=11,drop=0.25",
+      "crash=9@1,crash=17@7",
+      "seed=15,drop=0.1,dup=0.1,corrupt=0.1,delay=0.1",
+      "",
+  };
+  // Splice material: separators, extreme and malformed numbers.
+  const std::vector<std::string> tokens = {
+      ",", "=", "@", "crash=", "seed=", "drop=", "-", "-1", "0", "1",
+      "1e400", "1e-400", "nan", "inf", "0x1p3", "99999999999999999999",
+      "4294967296", "2147483648", " ", "\x01", "\xff"};
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutationIterations; ++i) {
+    Rng rng = mutation_rng(kMutationSeed, i);
+    std::string spec = valid[pick(rng, valid.size())];
+    const std::size_t edits = 1 + pick(rng, 4);
+    for (std::size_t e = 0; e < edits; ++e) {
+      switch (pick(rng, 4)) {
+        case 0:  // bit flip
+          if (!spec.empty()) {
+            spec[pick(rng, spec.size())] ^=
+                static_cast<char>(1u << pick(rng, 8));
+          }
+          break;
+        case 1: {  // splice a slice of another valid spec
+          const std::string& src = valid[pick(rng, valid.size())];
+          if (src.empty()) break;
+          const std::size_t from = pick(rng, src.size());
+          const std::size_t len = 1 + pick(rng, src.size() - from);
+          spec.insert(pick(rng, spec.size() + 1), src, from, len);
+          break;
+        }
+        case 2:  // truncation
+          spec.resize(pick(rng, spec.size() + 1));
+          break;
+        default:  // token splice
+          spec.insert(pick(rng, spec.size() + 1),
+                      tokens[pick(rng, tokens.size())]);
+          break;
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(kMutationSeed) + " iteration " +
+                 std::to_string(i) + " spec '" + spec + "'");
+    try {
+      const FaultPlan plan = FaultPlan::parse(spec);
+      ++parsed;
+      for (const double p : {plan.drop, plan.duplicate, plan.corrupt,
+                             plan.delay}) {
+        EXPECT_TRUE(p >= 0.0 && p <= 1.0) << "accepted probability " << p;
+      }
+      EXPECT_NO_THROW(FaultPlan::parse(plan.describe()))
+          << "an accepted plan must describe itself parseably";
+    } catch (const invariant_error&) {
+      ++rejected;
+    } catch (const serial_error&) {
+      ++rejected;
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << "unclassified exception: " << ex.what();
+    }
+  }
+  // Both outcomes must occur, or the mutator is not exercising the parser.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(ParserMutationTest, MutatedFramesDecodeToAClassifiedStatus) {
+  int statuses[4] = {0, 0, 0, 0};
+  for (int i = 0; i < kMutationIterations; ++i) {
+    Rng rng = mutation_rng(kMutationSeed, i);
+    // A valid multi-frame delivery, as one post would carry it.
+    std::vector<std::byte> bytes;
+    std::vector<std::size_t> starts;
+    const std::size_t frames = 1 + pick(rng, 3);
+    for (std::size_t f = 0; f < frames; ++f) {
+      std::vector<std::byte> payload(pick(rng, 40));
+      for (std::byte& b : payload) b = static_cast<std::byte>(rng.next());
+      starts.push_back(bytes.size());
+      append_frame(bytes, static_cast<std::uint8_t>(pick(rng, 2)),
+                   static_cast<std::int32_t>(pick(rng, 8)),
+                   static_cast<std::int64_t>(1 + pick(rng, 100)),
+                   static_cast<std::uint32_t>(f),
+                   static_cast<std::uint32_t>(frames), payload);
+    }
+    const std::vector<std::byte> original = bytes;
+    const std::size_t edits = 1 + pick(rng, 3);
+    for (std::size_t e = 0; e < edits; ++e) {
+      switch (pick(rng, 4)) {
+        case 0:  // bit flip
+          if (!bytes.empty()) {
+            bytes[pick(rng, bytes.size())] ^=
+                static_cast<std::byte>(1u << pick(rng, 8));
+          }
+          break;
+        case 1: {  // splice a slice of the clean delivery anywhere
+          const std::size_t from = pick(rng, original.size());
+          const std::size_t len = 1 + pick(rng, original.size() - from);
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                           pick(rng, bytes.size() + 1)),
+                       original.begin() + static_cast<std::ptrdiff_t>(from),
+                       original.begin() +
+                           static_cast<std::ptrdiff_t>(from + len));
+          break;
+        }
+        case 2:  // truncation
+          bytes.resize(pick(rng, bytes.size() + 1));
+          break;
+        default: {  // payload-length edit, optionally re-sealed so the
+                    // lie passes the header checksum
+          const std::size_t at = starts[pick(rng, starts.size())];
+          if (at + kFrameHeaderBytes > bytes.size()) break;
+          const std::uint32_t len = framing_detail::get_u32(&bytes[at + 20]);
+          const std::uint32_t lies[] = {0, len - 1, len + 1, len + 48,
+                                        0xFFFFFFFFu,
+                                        static_cast<std::uint32_t>(rng.next())};
+          const std::uint32_t v = lies[pick(rng, std::size(lies))];
+          for (int b = 0; b < 4; ++b) {
+            bytes[at + 20 + static_cast<std::size_t>(b)] =
+                static_cast<std::byte>((v >> (8 * b)) & 0xFFu);
+          }
+          if (pick(rng, 2) == 0) {
+            const std::uint64_t sum = framing_detail::fnv1a64_bytes(
+                std::span<const std::byte>(&bytes[at], 40));
+            for (int b = 0; b < 8; ++b) {
+              bytes[at + 40 + static_cast<std::size_t>(b)] =
+                  static_cast<std::byte>((sum >> (8 * b)) & 0xFFu);
+            }
+          }
+          break;
+        }
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(kMutationSeed) + " iteration " +
+                 std::to_string(i) + " bytes " + std::to_string(bytes.size()));
+    // Decode from an exact-size heap block so any read past the end is a
+    // sanitizer report, not a silent read of vector slack.
+    const std::size_t n = bytes.size();
+    const auto block = std::make_unique<std::byte[]>(n == 0 ? 1 : n);
+    std::copy(bytes.begin(), bytes.end(), block.get());
+    const std::span<const std::byte> buf(block.get(), n);
+    // The drain loop's contract: skip a bad payload, abort on a bad or
+    // truncated header.
+    std::size_t off = 0;
+    while (off < n) {
+      const std::size_t before = off;
+      FrameView frame;
+      const FrameStatus status = decode_frame(buf, off, frame);
+      ++statuses[static_cast<int>(status)];
+      if (status == FrameStatus::kBadHeader ||
+          status == FrameStatus::kTruncated) {
+        EXPECT_EQ(off, before) << "an aborted decode must not move the cursor";
+        break;
+      }
+      ASSERT_TRUE(status == FrameStatus::kOk ||
+                  status == FrameStatus::kBadPayload);
+      ASSERT_GE(off, before + kFrameHeaderBytes);
+      ASSERT_LE(off, n) << "decode advanced past the buffer";
+      EXPECT_EQ(frame.payload.data(), block.get() + before + kFrameHeaderBytes);
+      EXPECT_EQ(frame.payload.size(), off - before - kFrameHeaderBytes);
+    }
+  }
+  // Every status must be reachable by the mutator.
+  for (int s = 0; s < 4; ++s) EXPECT_GT(statuses[s], 0) << "status " << s;
 }
 
 }  // namespace
