@@ -280,6 +280,21 @@ void ContinuousMimic::load_state(StateReader& r) {
               "ContinuousMimic: state size mismatch");
   DLB_REQUIRE(seen >= 0 && seen <= static_cast<NodeId>(y.size()),
               "ContinuousMimic: bad initialization progress");
+  // Invariants of every valid run: a continuous load is a convex
+  // combination of int64 loads, and decide() leaves each edge's discrete
+  // flow at the rounded continuous one (|F − W| <= 1/2). A state outside
+  // them would send arbitrary flows.
+  constexpr double kInt64Range = 0x1p63;
+  for (const double v : y) {
+    DLB_REQUIRE(std::fabs(v) < kInt64Range,
+                "ContinuousMimic: continuous load out of range");
+  }
+  for (std::size_t e = 0; e < w_cum.size(); ++e) {
+    DLB_REQUIRE(std::fabs(w_cum[e]) < kInt64Range &&
+                    std::llround(w_cum[e]) == f_cum[e],
+                "ContinuousMimic: discrete flow is not the rounded "
+                "continuous flow");
+  }
   current_step_ = current_step;
   initialized_ = initialized;
   seen_ = seen;

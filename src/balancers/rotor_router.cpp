@@ -79,19 +79,22 @@ void RotorRouter::reset(const Graph& graph, int d_loops) {
   // row-kernel companion table (port_order2x_) is built lazily in
   // prepare_round — scatter-only runs never pay for it.
   extra_targets_.resize(n * 2 * static_cast<std::size_t>(d_plus_));
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::int32_t* row =
-        port_order_.data() + u * static_cast<std::size_t>(d_plus_);
-    NodeId* tgt = extra_targets_.data() + u * 2 * static_cast<std::size_t>(d_plus_);
-    for (int pos = 0; pos < d_plus_; ++pos) {
-      const std::int32_t port = row[pos];
-      const NodeId dest =
-          port < d ? graph.neighbor(static_cast<NodeId>(u), port)
-                   : static_cast<NodeId>(u);
-      tgt[pos] = dest;
-      tgt[d_plus_ + pos] = dest;
+  with_topology(graph, [&](const auto& topo) {
+    auto cur = topo.cursor(0);
+    for (std::size_t u = 0; u < n; ++u, cur.advance()) {
+      const std::int32_t* row =
+          port_order_.data() + u * static_cast<std::size_t>(d_plus_);
+      NodeId* tgt =
+          extra_targets_.data() + u * 2 * static_cast<std::size_t>(d_plus_);
+      for (int pos = 0; pos < d_plus_; ++pos) {
+        const std::int32_t port = row[pos];
+        const NodeId dest =
+            port < d ? cur.neighbor(port) : static_cast<NodeId>(u);
+        tgt[pos] = dest;
+        tgt[d_plus_ + pos] = dest;
+      }
     }
-  }
+  });
 }
 
 void RotorRouter::prepare_round(std::span<const Load> /*loads*/, Step /*t*/,

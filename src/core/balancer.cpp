@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/topology.hpp"
 #include "util/assertions.hpp"
 
 namespace dlb {
@@ -41,38 +42,35 @@ void Balancer::decide_range(NodeId first, NodeId last,
   Load* const next = sink.next();
   if (!rows) scratch.assign(static_cast<std::size_t>(d_plus), 0);
 
-  for (NodeId u = first; u < last; ++u) {
-    std::span<Load> row = rows ? sink.row(u) : std::span<Load>(scratch);
-    std::fill(row.begin(), row.end(), 0);
+  with_topology(g, [&](const auto& topo) {
+    auto cur = topo.cursor(first);
+    for (NodeId u = first; u < last; ++u, cur.advance()) {
+      std::span<Load> row = rows ? sink.row(u) : std::span<Load>(scratch);
+      std::fill(row.begin(), row.end(), 0);
 
-    const Load x = loads[static_cast<std::size_t>(u)];
-    decide(u, x, t, row);
+      const Load x = loads[static_cast<std::size_t>(u)];
+      decide(u, x, t, row);
 
-    Load sent = 0;
-    for (int p = 0; p < d_plus; ++p) {
-      DLB_ASSERT(negatives_ok || row[static_cast<std::size_t>(p)] >= 0,
-                 "balancer produced a negative flow");
-      sent += row[static_cast<std::size_t>(p)];
+      Load sent = 0;
+      for (int p = 0; p < d_plus; ++p) {
+        DLB_ASSERT(negatives_ok || row[static_cast<std::size_t>(p)] >= 0,
+                   "balancer produced a negative flow");
+        sent += row[static_cast<std::size_t>(p)];
+      }
+      const Load remainder = x - sent;
+      DLB_REQUIRE(negatives_ok || remainder >= 0,
+                  "balancer sent more tokens than available");
+      if (rows) continue;  // the engine's apply phase pulls from the rows
+
+      Load kept = remainder;
+      for (int p = d; p < d_plus; ++p) kept += row[static_cast<std::size_t>(p)];
+      next[static_cast<std::size_t>(u)] += kept;
+      for (int p = 0; p < d; ++p) {
+        next[static_cast<std::size_t>(cur.neighbor(p))] +=
+            row[static_cast<std::size_t>(p)];
+      }
     }
-    const Load remainder = x - sent;
-    DLB_REQUIRE(negatives_ok || remainder >= 0,
-                "balancer sent more tokens than available");
-    if (rows) continue;  // the engine's apply phase pulls from the rows
-
-    Load kept = remainder;
-    for (int p = d; p < d_plus; ++p) kept += row[static_cast<std::size_t>(p)];
-    next[static_cast<std::size_t>(u)] += kept;
-    for (int p = 0; p < d; ++p) {
-      next[static_cast<std::size_t>(g.neighbor(u, p))] +=
-          row[static_cast<std::size_t>(p)];
-    }
-  }
-}
-
-void Balancer::decide_all(std::span<const Load> loads, Step t,
-                          FlowSink& sink) {
-  prepare_round(loads, t, sink);
-  decide_range(0, sink.graph().num_nodes(), loads, t, sink);
+  });
 }
 
 }  // namespace dlb

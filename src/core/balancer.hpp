@@ -26,8 +26,8 @@
 //                     per-round state — e.g. CONT-MIMIC's continuous
 //                     trajectory — advance it here, keeping decide_range
 //                     free of cross-node writes).
-//   decide_all()    — convenience: prepare_round + decide_range over all
-//                     nodes; what the serial engine step calls.
+// A serial engine step is prepare_round() then one decide_range() over
+// every node.
 #pragma once
 
 #include <limits>
@@ -172,14 +172,6 @@ class Balancer {
                             std::span<const Load> loads, Step t,
                             FlowSink& sink);
 
-  /// One whole round: prepare_round() then decide_range() over all
-  /// nodes. Declared final so balancers written against the pre-split
-  /// API (which overrode decide_all as their kernel entry point) fail to
-  /// compile instead of silently losing their kernel — override
-  /// decide_range/prepare_round instead.
-  virtual void decide_all(std::span<const Load> loads, Step t,
-                          FlowSink& sink) final;
-
   /// Stencil reach of this balancer's windowed gather kernel on `g`, in
   /// linearized ring slots, or −1 when it has no windowed kernel for this
   /// graph. A non-negative reach R is a promise: for every node u, the
@@ -228,11 +220,6 @@ class Balancer {
   /// True for schemes (e.g. randomized rounding of [18]) that may send
   /// more than the available load, creating negative loads.
   virtual bool allows_negative() const { return false; }
-
-  /// True if the balancer itself needs the full per-port records every
-  /// step (none of the built-in schemes do); the engine then never takes
-  /// the scatter path for it.
-  virtual bool wants_flow_matrix() const { return false; }
 
   /// Serializes the balancer's complete mutable run state (everything
   /// reset() does not reconstruct from the constructor arguments: rotor

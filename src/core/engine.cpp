@@ -189,7 +189,7 @@ void Engine::step_rows(ThreadPool* pool) {
 }
 
 void Engine::do_step() {
-  if (!observers_.empty() || balancer_->wants_flow_matrix()) {
+  if (!observers_.empty()) {
     step_rows(nullptr);
     return;
   }
@@ -198,7 +198,8 @@ void Engine::do_step() {
                         time() + 1);
   if (!gather_) std::fill(next_.begin(), next_.end(), Load{0});
   FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next_.data());
-  balancer_->decide_all(loads_, time(), sink);
+  balancer_->prepare_round(loads_, time(), sink);
+  balancer_->decide_range(0, n, loads_, time(), sink);
   if (gather_) {
     // Every slot was stored once with its final value and the min/max
     // rode the emit sweep. A slot left unwritten would hold the loads of

@@ -1,18 +1,18 @@
 // Synchronous discrete diffusion engine with a two-phase decide/apply
 // round pipeline.
 //
-// Serial observer-free steps take the *scatter* path: one decide_all call
-// writes the round straight into the next-load buffer — no per-node
-// record. A balancer whose window_reach(g) >= 0 gathers, storing every
-// slot once; any other balancer adds token movements into the buffer,
-// which the engine zero-fills first. Rounds that need per-node records
-// (an attached StepObserver, a balancer with wants_flow_matrix(), or
-// intra-round parallelism via a ThreadPool) take the *row* path instead:
-// phase 1 fills each node's per-port record (decide), phase 2 pulls every
-// node's incoming flow through rev_port and commits its next load
-// (apply). Neither phase has shared writes, so a parallel round is
-// byte-identical to a serial one at any thread count. Both paths write
-// the same next-load buffer, which then swaps with the loads.
+// Serial observer-free steps take the *scatter* path: prepare_round and
+// one decide_range call write the round straight into the next-load
+// buffer — no per-node record. A balancer whose window_reach(g) >= 0
+// gathers, storing every slot once; any other balancer adds token
+// movements into the buffer, which the engine zero-fills first. Rounds
+// that need per-node records (an attached StepObserver, or intra-round
+// parallelism via a ThreadPool) take the *row* path instead: phase 1
+// fills each node's per-port record (decide), phase 2 pulls every node's
+// incoming flow through rev_port and commits its next load (apply).
+// Neither phase has shared writes, so a parallel round is byte-identical
+// to a serial one at any thread count. Both paths write the same
+// next-load buffer, which then swaps with the loads.
 // Token conservation is audited every EngineConfig::conservation_interval
 // steps (the paper's model conserves total load exactly).
 #pragma once
@@ -70,9 +70,9 @@ class Engine : public RoundEngineBase {
   const Balancer& balancer() const noexcept { return *balancer_; }
 
   /// True once the per-node record matrix has been allocated (i.e. some
-  /// step ran on the row path — an observer, wants_flow_matrix(), or a
-  /// parallel round). Serial observer-free runs keep this false — the
-  /// scatter path never touches a row buffer.
+  /// step ran on the row path — an observer or a parallel round). Serial
+  /// observer-free runs keep this false — the scatter path never touches
+  /// a row buffer.
   bool flows_materialized() const noexcept { return !flows_.empty(); }
 
  protected:

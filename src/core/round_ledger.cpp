@@ -137,6 +137,27 @@ RoundLedger::Core RoundLedger::read_core(StateReader& r, std::size_t n) {
         "engine core state: stats-dirty byte set (engines only write 0)");
   }
   r.expect_done("engine core state");
+  // Refuse a state no run reaches: a restored engine must satisfy what
+  // its audits check, Σx == total == base + injected − consumed, with
+  // min/max those of the loads.
+  if (s.t < 0 || s.injected < 0 || s.consumed < 0) {
+    throw serial_error(
+        "engine core state: negative round counter or workload total");
+  }
+  LoadScan scan;
+  scan.add(c.loads, /*with_sum=*/true);
+  Load ledger = 0;
+  if (__builtin_add_overflow(s.base, s.injected, &ledger) ||
+      __builtin_sub_overflow(ledger, s.consumed, &ledger) ||
+      ledger != s.total || scan.sum != s.total) {
+    throw serial_error(
+        "engine core state: ledger does not balance (Σx, total and "
+        "base + injected − consumed disagree)");
+  }
+  if (scan.min != s.min || scan.max != s.max || s.min_seen > s.min) {
+    throw serial_error(
+        "engine core state: statistics disagree with the loads");
+  }
   return c;
 }
 

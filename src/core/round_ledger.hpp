@@ -213,7 +213,9 @@ class RoundLedger {
   /// Parses a whole core-state blob for an engine of `n` nodes without
   /// touching any engine, so a restore commits all of it or nothing.
   /// Throws serial_error on a size mismatch, truncation, trailing bytes,
-  /// or a set stats-dirty byte.
+  /// a set stats-dirty byte, or a state no run reaches: a negative clock
+  /// or workload total, a ledger that does not balance against Σx, or
+  /// statistics that are not the loads' min/max.
   static Core read_core(StateReader& r, std::size_t n);
   /// Commits a parsed ledger (the engine commits the loads).
   void restore(const State& s) noexcept {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/topology.hpp"
 #include "util/assertions.hpp"
 
 namespace dlb {
@@ -16,9 +17,11 @@ void validate_matching(const Graph& g, const Matching& m) {
                     !used[static_cast<std::size_t>(v)],
                 "matching: node matched twice");
     used[static_cast<std::size_t>(u)] = used[static_cast<std::size_t>(v)] = 1;
-    const auto nb = g.neighbors(u);
-    DLB_REQUIRE(std::find(nb.begin(), nb.end(), v) != nb.end(),
-                "matching: pair is not an edge");
+    bool adjacent = false;
+    for (int p = 0; p < g.degree() && !adjacent; ++p) {
+      adjacent = g.neighbor(u, p) == v;
+    }
+    DLB_REQUIRE(adjacent, "matching: pair is not an edge");
   }
 }
 
@@ -75,12 +78,15 @@ Matching random_matching(const Graph& g, Rng& rng) {
   // Collect undirected edges (skip self-edges), shuffle, greedily match.
   std::vector<std::pair<NodeId, NodeId>> edges;
   edges.reserve(static_cast<std::size_t>(g.num_directed_edges()) / 2);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (int p = 0; p < g.degree(); ++p) {
-      const NodeId v = g.neighbor(u, p);
-      if (u < v) edges.emplace_back(u, v);
+  with_topology(g, [&](const auto& topo) {
+    auto cur = topo.cursor(0);
+    for (NodeId u = 0; u < g.num_nodes(); ++u, cur.advance()) {
+      for (int p = 0; p < g.degree(); ++p) {
+        const NodeId v = cur.neighbor(p);
+        if (u < v) edges.emplace_back(u, v);
+      }
     }
-  }
+  });
   rng.shuffle(edges);
   std::vector<char> used(static_cast<std::size_t>(g.num_nodes()), 0);
   Matching m;

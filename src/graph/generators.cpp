@@ -21,14 +21,8 @@ std::uint64_t pair_key(NodeId a, NodeId b) noexcept {
 
 Graph make_cycle(NodeId n) {
   DLB_REQUIRE(n >= 3, "cycle needs n >= 3");
-  std::vector<NodeId> adj(static_cast<std::size_t>(n) * 2);
-  for (NodeId i = 0; i < n; ++i) {
-    adj[static_cast<std::size_t>(i) * 2 + 0] = (i + 1) % n;
-    adj[static_cast<std::size_t>(i) * 2 + 1] = (i + n - 1) % n;
-  }
-  return Graph(n, 2, std::move(adj), "cycle(" + std::to_string(n) + ")",
-               /*allow_self_edges=*/false,
-               StructureInfo{GraphStructure::kCycle, {}});
+  return Graph::implicit(n, 2, "cycle(" + std::to_string(n) + ")",
+                         StructureInfo{GraphStructure::kCycle, {}});
 }
 
 Graph make_torus2d(NodeId width, NodeId height) {
@@ -43,56 +37,22 @@ Graph make_torus(const std::vector<NodeId>& extents) {
     n64 *= e;
     DLB_REQUIRE(n64 <= (1 << 26), "torus too large");
   }
-  const auto n = static_cast<NodeId>(n64);
-  const int r = static_cast<int>(extents.size());
-  const int d = 2 * r;
-
-  // Mixed-radix coordinates: dimension k has stride = product of extents
-  // of dimensions < k.
-  std::vector<std::int64_t> stride(extents.size());
-  std::int64_t acc = 1;
-  for (std::size_t k = 0; k < extents.size(); ++k) {
-    stride[k] = acc;
-    acc *= extents[k];
-  }
-
-  std::vector<NodeId> adj(static_cast<std::size_t>(n) * d);
-  for (NodeId u = 0; u < n; ++u) {
-    for (int k = 0; k < r; ++k) {
-      const auto ext = static_cast<std::int64_t>(extents[static_cast<std::size_t>(k)]);
-      const std::int64_t coord = (u / stride[static_cast<std::size_t>(k)]) % ext;
-      const std::int64_t base = u - coord * stride[static_cast<std::size_t>(k)];
-      const std::int64_t up = base + ((coord + 1) % ext) * stride[static_cast<std::size_t>(k)];
-      const std::int64_t down =
-          base + ((coord + ext - 1) % ext) * stride[static_cast<std::size_t>(k)];
-      adj[static_cast<std::size_t>(u) * d + 2 * k + 0] = static_cast<NodeId>(up);
-      adj[static_cast<std::size_t>(u) * d + 2 * k + 1] = static_cast<NodeId>(down);
-    }
-  }
   std::string name = "torus(";
   for (std::size_t k = 0; k < extents.size(); ++k) {
     if (k) name += "x";
     name += std::to_string(extents[k]);
   }
   name += ")";
-  return Graph(n, d, std::move(adj), std::move(name),
-               /*allow_self_edges=*/false,
-               StructureInfo{GraphStructure::kTorus, extents});
+  return Graph::implicit(static_cast<NodeId>(n64),
+                         2 * static_cast<int>(extents.size()), std::move(name),
+                         StructureInfo{GraphStructure::kTorus, extents});
 }
 
 Graph make_hypercube(int dim) {
   DLB_REQUIRE(dim >= 1 && dim <= 20, "hypercube dim must be in [1,20]");
-  const NodeId n = static_cast<NodeId>(1) << dim;
-  std::vector<NodeId> adj(static_cast<std::size_t>(n) * dim);
-  for (NodeId u = 0; u < n; ++u) {
-    for (int k = 0; k < dim; ++k) {
-      adj[static_cast<std::size_t>(u) * dim + k] = u ^ (NodeId{1} << k);
-    }
-  }
-  return Graph(n, dim, std::move(adj),
-               "hypercube(" + std::to_string(dim) + ")",
-               /*allow_self_edges=*/false,
-               StructureInfo{GraphStructure::kHypercube, {}});
+  return Graph::implicit(NodeId{1} << dim, dim,
+                         "hypercube(" + std::to_string(dim) + ")",
+                         StructureInfo{GraphStructure::kHypercube, {}});
 }
 
 Graph make_complete(NodeId n) {

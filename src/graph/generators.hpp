@@ -1,8 +1,11 @@
 // Generators for the d-regular graph families the paper quantifies over.
 //
-// Each generator returns a Graph together with, where known, the analytic
-// second-largest transition-matrix eigenvalue (see markov/spectral.hpp for
-// how self-loops enter). Families:
+// The cycle, torus and hypercube are arithmetic: their generators return
+// Graph::implicit graphs, which carry only a structure tag and no port
+// tables, so building one costs O(1) time and memory at any size.
+// Every other family is materialized as port tables (kGeneric); call
+// without_structure() for a table-backed copy of a structured graph.
+// Families:
 //   cycle        — Thm 2.3(ii) and the Thm 4.3 odd-cycle lower bound
 //   torus        — r-dimensional torus, r = O(1) (prior-work comparisons)
 //   hypercube    — the classic benchmark graph of [9], [3]
@@ -19,17 +22,20 @@
 
 namespace dlb {
 
-/// Cycle C_n (d = 2). Requires n >= 3.
+/// Cycle C_n (d = 2), implicit. Port 0 is u+1 mod n, port 1 is u−1 mod
+/// n. Requires n >= 3.
 Graph make_cycle(NodeId n);
 
-/// Two-dimensional w×h torus (d = 4). Requires w,h >= 3.
+/// Two-dimensional w×h torus (d = 4), implicit. Requires w,h >= 3.
 Graph make_torus2d(NodeId width, NodeId height);
 
-/// r-dimensional torus with per-dimension extents (d = 2r).
-/// Every extent must be >= 3.
+/// r-dimensional torus with per-dimension extents (d = 2r), implicit.
+/// Ports (2k, 2k+1) are ±1 in dimension k. Every extent must be >= 3 and
+/// the node count at most 2^26.
 Graph make_torus(const std::vector<NodeId>& extents);
 
-/// Hypercube on 2^dim nodes (d = dim). Requires 1 <= dim <= 20.
+/// Hypercube on 2^dim nodes (d = dim), implicit. Port p flips bit p.
+/// Requires 1 <= dim <= 20.
 Graph make_hypercube(int dim);
 
 /// Complete graph K_n (d = n-1). Requires n >= 2.

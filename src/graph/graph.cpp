@@ -9,9 +9,9 @@
 namespace dlb {
 
 Graph::Graph(NodeId num_nodes, int degree, std::vector<NodeId> adjacency,
-             std::string name, bool allow_self_edges, StructureInfo structure)
+             std::string name, bool allow_self_edges)
     : n_(num_nodes), d_(degree), adj_(std::move(adjacency)),
-      name_(std::move(name)), structure_(std::move(structure)) {
+      name_(std::move(name)) {
   DLB_REQUIRE(n_ > 0, "graph must have at least one node");
   DLB_REQUIRE(d_ > 0, "graph must have positive degree");
   DLB_REQUIRE(adj_.size() == static_cast<std::size_t>(n_) * d_,
@@ -25,13 +25,10 @@ Graph::Graph(NodeId num_nodes, int degree, std::vector<NodeId> adjacency,
     }
   }
   build_reverse_ports();
-  verify_structure();
 }
 
 Graph Graph::implicit(NodeId num_nodes, int degree, std::string name,
                       StructureInfo structure) {
-  DLB_REQUIRE(structure.kind != GraphStructure::kGeneric,
-              "implicit graph needs a concrete structure tag");
   Graph g;
   g.n_ = num_nodes;
   g.d_ = degree;
@@ -39,9 +36,6 @@ Graph Graph::implicit(NodeId num_nodes, int degree, std::string name,
   g.structure_ = std::move(structure);
   DLB_REQUIRE(g.n_ > 0, "graph must have at least one node");
   DLB_REQUIRE(g.d_ > 0, "graph must have positive degree");
-  // Same tag-parameter validation as the table constructor; the
-  // entry-by-entry table comparison is vacuous (there are no tables —
-  // the formula *is* the adjacency).
   g.verify_structure();
   return g;
 }
@@ -55,17 +49,23 @@ NodeId Graph::implicit_neighbor(NodeId u, int port) const {
 }
 
 Graph Graph::without_structure() const {
-  DLB_REQUIRE(!is_implicit(),
-              "without_structure: an implicit graph has no table path");
-  Graph g = *this;
-  g.structure_ = StructureInfo{};
-  return g;
+  if (structure_.kind == GraphStructure::kGeneric) return *this;
+  std::vector<NodeId> adj(static_cast<std::size_t>(n_) * d_);
+  with_topology(*this, [&](const auto& topo) {
+    auto cur = topo.cursor(0);
+    NodeId* row = adj.data();
+    for (NodeId u = 0; u < n_; ++u, cur.advance(), row += d_) {
+      for (int p = 0; p < d_; ++p) row[p] = cur.neighbor(p);
+    }
+  });
+  return Graph(n_, d_, std::move(adj), name_);
 }
 
 void Graph::verify_structure() const {
   switch (structure_.kind) {
     case GraphStructure::kGeneric:
-      return;
+      DLB_REQUIRE(false, "implicit graph needs a concrete structure tag");
+      break;
     case GraphStructure::kCycle:
       DLB_REQUIRE(d_ == 2 && n_ >= 3 && structure_.extents.empty(),
                   "cycle tag: need d == 2, n >= 3, no extents");
@@ -80,6 +80,7 @@ void Graph::verify_structure() const {
       for (NodeId e : ext) {
         DLB_REQUIRE(e >= 3, "torus tag: extents must be >= 3");
         prod *= e;
+        DLB_REQUIRE(prod <= n_, "torus tag: extents do not match n and d");
       }
       DLB_REQUIRE(prod == n_ && d_ == 2 * static_cast<int>(ext.size()),
                   "torus tag: extents do not match n and d");
@@ -91,25 +92,6 @@ void Graph::verify_structure() const {
                   "hypercube tag: need n == 2^d, no extents");
       break;
   }
-  // Entry-by-entry check of the tag's arithmetic against the built
-  // tables: O(n·d) integer compares, cheap next to build_reverse_ports'
-  // edge-bucket map, and the reason a structured fast path can never
-  // silently disagree with the tables it skips. Implicit graphs have no
-  // tables to compare against.
-  if (is_implicit()) return;
-  with_topology(*this, [&](const auto& topo) {
-    for (NodeId u = 0; u < n_; ++u) {
-      for (int p = 0; p < d_; ++p) {
-        const std::size_t i = static_cast<std::size_t>(u) * d_ + p;
-        DLB_REQUIRE(adj_[i] == topo.neighbor(u, p),
-                    "structure tag: implicit neighbor formula disagrees "
-                    "with the adjacency table");
-        DLB_REQUIRE(rev_[i] == topo.rev_port(u, p),
-                    "structure tag: implicit rev_port formula disagrees "
-                    "with the reverse-port table");
-      }
-    }
-  });
 }
 
 void Graph::build_reverse_ports() {

@@ -6,15 +6,15 @@
 // stresses — G⁺ is an analysis device only, so this class stores G alone;
 // the number of self-loops is a run-time parameter of the engine.
 //
-// Storage is a flat port array: node u's i-th out-neighbour lives at
-// adj[u*d + i]. Because every directed edge (u→v) has a reverse edge
-// (v→u), we also precompute rev_port so that flow bookkeeping can pair the
-// two directions in O(1). Parallel edges are allowed (the configuration
-// model can produce them); self-edges in G are rejected.
+// A structured graph (cycle, torus, hypercube) is its StructureInfo tag
+// alone: neighbor() and rev_port() evaluate the family's arithmetic. Any
+// other graph is a flat port array — node u's i-th out-neighbour lives at
+// adj[u*d + i] — plus a rev_port table that pairs the two directions of
+// an edge in O(1). Parallel edges are allowed (the configuration model
+// can produce them); self-edges in G are rejected unless allowed.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -36,11 +36,8 @@ enum class GraphStructure : std::uint8_t {
   kHypercube,    ///< port p = u ^ (1 << p)
 };
 
-/// Structure tag carried by a Graph. Set by the generators and *verified
-/// at construction* — a tag whose implicit formula disagrees with the
-/// adjacency (or reverse-port) tables on any entry throws, so a fast-path
-/// kernel can never silently compute different neighbors than the tables
-/// it replaces.
+/// Structure tag of a Graph::implicit graph (kGeneric on a table-built
+/// one); its parameters are checked against n and d at construction.
 struct StructureInfo {
   GraphStructure kind = GraphStructure::kGeneric;
   /// kTorus only: per-dimension extents, size r (degree = 2r, node u's
@@ -61,25 +58,14 @@ class Graph {
   /// unless `allow_self_edges` is set (the Margulis–Gabber–Galil expander
   /// has fixed points of its defining maps; such self-edges always come in
   /// map/inverse-map pairs and are paired with each other). Throws
-  /// invariant_error otherwise.
-  ///
-  /// `structure` tags the graph as an instance of an implicit family
-  /// (cycle/torus/hypercube); every adjacency and reverse-port entry is
-  /// checked against the tag's arithmetic formula, so a bogus tag throws
-  /// instead of letting structured kernels diverge from the tables.
+  /// invariant_error otherwise. The result is always kGeneric.
   Graph(NodeId num_nodes, int degree, std::vector<NodeId> adjacency,
-        std::string name = "graph", bool allow_self_edges = false,
-        StructureInfo structure = {});
+        std::string name = "graph", bool allow_self_edges = false);
 
-  /// Builds a *table-free* structured graph: no adjacency or reverse-port
-  /// arrays are materialized; neighbor()/rev_port() evaluate the tag's
-  /// arithmetic formula instead. This is how graphs bigger than one
-  /// address space's table budget (2^26-node cycle = 512 MiB of adj_
-  /// alone) are represented — the structured kernels never touch tables
-  /// anyway, and the sharded engine computes ownership from the same
-  /// arithmetic. `structure.kind` must not be kGeneric. The parameter
-  /// checks of the tag (n/d/extent consistency) still run; only the
-  /// entry-by-entry table verification is vacuous.
+  /// Builds a *table-free* structured graph: neighbor()/rev_port()
+  /// evaluate the tag's formula, so it costs O(1) memory at any size.
+  /// make_cycle, make_torus and make_hypercube return these. Throws
+  /// invariant_error unless the tag is a structured kind that fits n, d.
   static Graph implicit(NodeId num_nodes, int degree, std::string name,
                         StructureInfo structure);
 
@@ -90,20 +76,12 @@ class Graph {
   }
   const std::string& name() const noexcept { return name_; }
 
-  /// Head of the `port`-th out-edge of `u`.
+  /// Head of the `port`-th out-edge of `u`. A loop over every node
+  /// should sweep a with_topology cursor (graph/topology.hpp) instead.
   NodeId neighbor(NodeId u, int port) const {
     DLB_ASSERT(valid_node(u) && port >= 0 && port < d_, "neighbor: bad args");
     if (!adj_.empty()) return adj_[static_cast<std::size_t>(u) * d_ + port];
     return implicit_neighbor(u, port);
-  }
-
-  /// All out-neighbours of `u` (size d). Table-backed graphs only.
-  std::span<const NodeId> neighbors(NodeId u) const {
-    DLB_ASSERT(valid_node(u), "neighbors: bad node");
-    DLB_REQUIRE(!is_implicit(),
-                "neighbors: implicit graph has no adjacency table");
-    return {adj_.data() + static_cast<std::size_t>(u) * d_,
-            static_cast<std::size_t>(d_)};
   }
 
   /// Port index at `neighbor(u, port)` of the paired reverse edge.
@@ -130,30 +108,25 @@ class Graph {
   /// True if some unordered pair of nodes is joined by >1 edge.
   bool has_parallel_edges() const noexcept { return has_parallel_; }
 
-  /// The verified structure tag (kGeneric when the adjacency has no known
-  /// implicit form). Engines dispatch their fast-path kernels on this.
+  /// The structure tag (kGeneric for a table-built graph). Engines
+  /// dispatch their fast-path kernels on this.
   const StructureInfo& structure() const noexcept { return structure_; }
 
-  /// True when the graph was built by Graph::implicit — adjacency is
-  /// arithmetic only; the raw table accessors below must not be used.
-  bool is_implicit() const noexcept { return adj_.empty(); }
-
-  /// Copy of this graph with the structure tag stripped, forcing every
-  /// kernel onto the generic table path. The implicit≡generic golden
-  /// tests and the BM_StepImplicit_* / BM_StepGeneric_* bench pairs run
-  /// the same adjacency through both paths via this.
+  /// Table-built copy of this graph (the formula written out as port
+  /// tables), forcing every kernel onto the generic path. The
+  /// implicit≡generic golden tests and the BM_StepImplicit_* /
+  /// BM_StepGeneric_* bench pairs run one adjacency through both paths.
   Graph without_structure() const;
 
   /// Raw flat port tables (size n·d, layout [u*d + p]) for the generic
-  /// topology wrapper's unchecked hot-loop access. Implicit graphs carry
-  /// no tables — they are never structure-tagged kGeneric, so the generic
-  /// wrapper is unreachable for them by construction.
+  /// topology wrapper's unchecked hot-loop access. Only kGeneric graphs
+  /// carry tables, and with_topology hands those alone to the wrapper.
   const NodeId* adjacency_data() const noexcept {
-    DLB_ASSERT(!is_implicit(), "adjacency_data: implicit graph");
+    DLB_ASSERT(!adj_.empty(), "adjacency_data: structured graph");
     return adj_.data();
   }
   const std::int32_t* rev_port_data() const noexcept {
-    DLB_ASSERT(!is_implicit(), "rev_port_data: implicit graph");
+    DLB_ASSERT(!rev_.empty(), "rev_port_data: structured graph");
     return rev_.data();
   }
 
@@ -161,8 +134,7 @@ class Graph {
   Graph() = default;  ///< used by the implicit() factory only
   NodeId implicit_neighbor(NodeId u, int port) const;
   void build_reverse_ports();
-  /// Checks every adjacency/rev entry against the tag's formula; throws
-  /// invariant_error on the first mismatch.
+  /// Checks the tag's parameters against n and d.
   void verify_structure() const;
 
   NodeId n_;

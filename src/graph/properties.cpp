@@ -15,7 +15,8 @@ std::vector<int> bfs_distances(const Graph& g, NodeId source) {
   while (!queue.empty()) {
     const NodeId u = queue.front();
     queue.pop_front();
-    for (NodeId v : g.neighbors(u)) {
+    for (int p = 0; p < g.degree(); ++p) {
+      const NodeId v = g.neighbor(u, p);
       if (dist[static_cast<std::size_t>(v)] < 0) {
         dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
         queue.push_back(v);
@@ -40,7 +41,8 @@ bool is_bipartite(const Graph& g) {
     while (!queue.empty()) {
       const NodeId u = queue.front();
       queue.pop_front();
-      for (NodeId v : g.neighbors(u)) {
+      for (int p = 0; p < g.degree(); ++p) {
+        const NodeId v = g.neighbor(u, p);
         auto& cv = color[static_cast<std::size_t>(v)];
         if (cv < 0) {
           cv = 1 - color[static_cast<std::size_t>(u)];
@@ -83,7 +85,8 @@ std::optional<int> odd_girth(const Graph& g) {
     const auto dist = bfs_distances(g, u);
     for (NodeId a = 0; a < g.num_nodes(); ++a) {
       if (dist[static_cast<std::size_t>(a)] < 0) continue;
-      for (NodeId b : g.neighbors(a)) {
+      for (int p = 0; p < g.degree(); ++p) {
+        const NodeId b = g.neighbor(a, p);
         // Visit each undirected edge once; skip self-edges (a degenerate
         // odd closed walk of length 1 is not a cycle of the graph).
         if (b <= a) continue;

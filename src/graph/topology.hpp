@@ -1,24 +1,25 @@
 // Implicit-topology traits: compute neighbors, don't load them.
 //
-// The hot decide/apply loops are memory-bound, and on structured graphs
-// the n·d `adj_`/`rev_` port tables they stream are pure redundancy:
+// A structured graph (cycle, torus, hypercube) is arithmetic:
 // neighbor(u, p) is u±1 mod n on the cycle, a per-dimension offset on the
 // torus, and u ^ (1 << p) on the hypercube, while rev_port(u, p) is the
 // constant p ^ 1 (cycle/torus: the reverse of a +1 edge is the paired −1
 // port) or p (hypercube: flipping a bit twice returns). Each trait type
-// below exposes that arithmetic as branch-light inline calls with the
-// exact same port layout as the corresponding generator, plus a
-// GenericTopology wrapper over the Graph tables so every kernel is
-// written once as a template and instantiated for all four.
+// below is that arithmetic as branch-light inline calls — the only
+// definition of the family's port layout — plus a GenericTopology
+// wrapper over a kGeneric Graph's tables, so every kernel is written
+// once as a template and instantiated for all four.
 //
-// Dispatch: Graph carries a verified StructureInfo tag (graph.hpp);
-// with_topology(g, f) switches on it once — per kernel invocation, i.e.
-// O(1) per round — and calls f with the concrete trait, so the per-node
-// loops inline the arithmetic with no virtual calls and, for the cycle,
-// a compile-time degree. Correctness is enforced twice: the Graph
-// constructor verifies the tag formula against the tables entry by
-// entry, and the golden tests pin implicit trajectories byte-identically
-// to the generic-table path.
+// Dispatch: Graph carries a StructureInfo tag (graph.hpp); with_topology(g,
+// f) switches on it once — per kernel invocation, i.e. O(1) per round —
+// and calls f with the concrete trait, so the per-node loops inline the
+// arithmetic with no virtual calls and, for the cycle, a compile-time
+// degree. A loop over every node sweeps the trait's cursor, which
+// advances by increments instead of re-deriving coordinates per node.
+// Correctness is pinned by tests: tests/test_graph.cpp compares every
+// trait against independently built reference tables, and the golden
+// tests run implicit trajectories byte-identically to the generic-table
+// path of Graph::without_structure().
 #pragma once
 
 #include <algorithm>
@@ -112,13 +113,9 @@ class TorusTopology {
   /// Max supported dimensions: extents >= 3 and n <= 2^26 cap r at 16.
   static constexpr int kMaxDims = 16;
 
+  /// `g` is torus-tagged; Graph::implicit has checked its extents.
   explicit TorusTopology(const Graph& g) {
     const auto& extents = g.structure().extents;
-    DLB_REQUIRE(g.structure().kind == GraphStructure::kTorus,
-                "TorusTopology: graph is not torus-tagged");
-    DLB_REQUIRE(!extents.empty() &&
-                    extents.size() <= static_cast<std::size_t>(kMaxDims),
-                "TorusTopology: unsupported dimension count");
     r_ = static_cast<int>(extents.size());
     std::uint32_t stride = 1;
     for (int k = 0; k < r_; ++k) {
@@ -256,7 +253,7 @@ class HypercubeTopology {
   int dim_;
 };
 
-/// Fallback for untagged graphs: the classic flat port tables through
+/// Fallback for kGeneric graphs: the flat port tables through
 /// raw pointers (no per-call asserts — kernels own the bounds contract).
 class GenericTopology {
  public:
@@ -393,7 +390,7 @@ inline std::vector<HaloSegment> ring_halo_segments(const ShardPartition& part,
   return out;
 }
 
-/// Dispatches f on the graph's verified structure tag: f(topo) runs with
+/// Dispatches f on the graph's structure tag: f(topo) runs with
 /// the concrete trait type, so the compiler specializes the kernel body
 /// per topology. One switch per invocation (kernels call this once per
 /// round/range, never per node).

@@ -16,7 +16,8 @@ NodeId odd_cycle_vertex(const Graph& g) {
     const auto dist = bfs_distances(g, u);
     for (NodeId a = 0; a < g.num_nodes(); ++a) {
       if (dist[static_cast<std::size_t>(a)] < 0) continue;
-      for (NodeId b : g.neighbors(a)) {
+      for (int p = 0; p < g.degree(); ++p) {
+        const NodeId b = g.neighbor(a, p);
         if (b <= a) continue;
         if (dist[static_cast<std::size_t>(b)] !=
             dist[static_cast<std::size_t>(a)])

@@ -17,8 +17,11 @@ CliqueAdversaryInstance make_clique_adversary_instance(const Graph& g) {
   for (NodeId u = 0; u < clique_size; ++u) {
     for (NodeId v = 0; v < clique_size; ++v) {
       if (u == v) continue;
-      const auto nb = g.neighbors(u);
-      DLB_REQUIRE(std::find(nb.begin(), nb.end(), v) != nb.end(),
+      bool adjacent = false;
+      for (int p = 0; p < d && !adjacent; ++p) {
+        adjacent = g.neighbor(u, p) == v;
+      }
+      DLB_REQUIRE(adjacent,
                   "clique adversary: first ⌊d/2⌋ nodes are not a clique");
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/topology.hpp"
 #include "util/assertions.hpp"
 
 namespace dlb {
@@ -19,13 +20,17 @@ void TransitionOperator::apply(std::span<const double> x,
   DLB_REQUIRE(x.size() == n && y.size() == n, "apply: size mismatch");
   const double inv_dplus = 1.0 / balancing_degree();
   const double loop_weight = static_cast<double>(d_loops_) * inv_dplus;
-  for (std::size_t u = 0; u < n; ++u) {
-    double acc = loop_weight * x[u];
-    for (NodeId v : g_->neighbors(static_cast<NodeId>(u))) {
-      acc += inv_dplus * x[static_cast<std::size_t>(v)];
+  const int d = g_->degree();
+  with_topology(*g_, [&](const auto& topo) {
+    auto cur = topo.cursor(0);
+    for (std::size_t u = 0; u < n; ++u, cur.advance()) {
+      double acc = loop_weight * x[u];
+      for (int p = 0; p < d; ++p) {
+        acc += inv_dplus * x[static_cast<std::size_t>(cur.neighbor(p))];
+      }
+      y[u] = acc;
     }
-    y[u] = acc;
-  }
+  });
 }
 
 void TransitionOperator::apply_in_place(std::vector<double>& x) const {
@@ -47,8 +52,9 @@ DenseSymmetric DenseSymmetric::transition_matrix(const Graph& g,
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     m.at(static_cast<std::size_t>(u), static_cast<std::size_t>(u)) =
         self_loops * inv_dplus;
-    for (NodeId v : g.neighbors(u)) {
-      m.at(static_cast<std::size_t>(u), static_cast<std::size_t>(v)) +=
+    for (int p = 0; p < g.degree(); ++p) {
+      m.at(static_cast<std::size_t>(u),
+           static_cast<std::size_t>(g.neighbor(u, p))) +=
           inv_dplus;  // += handles parallel edges
     }
   }

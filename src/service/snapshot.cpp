@@ -18,39 +18,55 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x31504E53424C44ULL;  // "DLBSNP1\0" LE
 
-/// Endian-stable hash of the port tables: each adjacency entry as four
-/// little-endian bytes, in layout order. Two graphs hash equal iff their
-/// flat adjacency arrays are identical (rev ports are derived, so they
-/// need no separate hash).
+/// Endian-stable hash of the adjacency: every neighbor(u, p) as four
+/// little-endian bytes, in port-table order. Two graphs hash equal iff
+/// their adjacency arrays are identical (rev ports are derived), whether
+/// a formula or a table holds them, so snapshots move freely between a
+/// structured graph and its without_structure() copy.
 std::uint64_t hash_adjacency(const Graph& g) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](NodeId entry) {
-    const auto v = static_cast<std::uint32_t>(entry);
-    for (int byte = 0; byte < 4; ++byte) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * byte));
-      h *= 0x100000001b3ULL;
-    }
-  };
-  if (g.is_implicit()) {
-    // No table exists — hash the entries it *would* hold, in layout
-    // order, so an implicit graph and its materialized twin fingerprint
-    // identically (snapshots move freely between the two).
-    const int d = g.degree();
-    with_topology(g, [&](const auto& topo) {
-      for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        for (int p = 0; p < d; ++p) mix(topo.neighbor(u, p));
+  const int d = g.degree();
+  with_topology(g, [&](const auto& topo) {
+    auto cur = topo.cursor(0);
+    for (NodeId u = 0; u < g.num_nodes(); ++u, cur.advance()) {
+      for (int p = 0; p < d; ++p) {
+        const auto v = static_cast<std::uint32_t>(cur.neighbor(p));
+        for (int byte = 0; byte < 4; ++byte) {
+          h ^= static_cast<std::uint8_t>(v >> (8 * byte));
+          h *= 0x100000001b3ULL;
+        }
       }
-    });
-    return h;
-  }
-  const NodeId* adj = g.adjacency_data();
-  const std::int64_t entries = g.num_directed_edges();
-  for (std::int64_t i = 0; i < entries; ++i) mix(adj[i]);
+    }
+  });
   return h;
 }
 
 void check(bool ok, const char* what) {
   if (!ok) throw serial_error(what);
+}
+
+/// Loads balancer, workload (if attached) and tracker (if given) state,
+/// in image order; each blob must be consumed exactly.
+template <class EngineT>
+void load_components(EngineT& engine, SteadyStateTracker* tracker,
+                     std::span<const std::uint8_t> balancer,
+                     std::span<const std::uint8_t> workload,
+                     std::span<const std::uint8_t> tracker_state) {
+  {
+    StateReader r(balancer);
+    engine.balancer().load_state(r);
+    r.expect_done("balancer state");
+  }
+  if (engine.workload() != nullptr) {
+    StateReader r(workload);
+    engine.workload()->load_state(r);
+    r.expect_done("workload state");
+  }
+  if (tracker != nullptr) {
+    StateReader r(tracker_state);
+    tracker->load_state(r);
+    r.expect_done("tracker state");
+  }
 }
 
 /// Writes one length-prefixed component blob.
@@ -121,8 +137,7 @@ EngineSnapshot EngineSnapshot::capture(const ShardedEngine& engine,
 template <class EngineT>
 void EngineSnapshot::restore_impl(EngineT& engine,
                                   SteadyStateTracker* tracker) const {
-  // Full fingerprint validation BEFORE any component is touched: a
-  // restore either happens completely or leaves the engine untouched.
+  // Full fingerprint validation before any component is touched.
   const Graph& g = engine.graph();
   check(g.num_nodes() == n_, "snapshot restore: node count mismatch");
   check(g.degree() == d_, "snapshot restore: degree mismatch");
@@ -133,7 +148,7 @@ void EngineSnapshot::restore_impl(EngineT& engine,
   check(g.structure().extents == extents_,
         "snapshot restore: torus extents mismatch");
   check(hash_adjacency(g) == adjacency_hash_,
-        "snapshot restore: adjacency table mismatch (different topology)");
+        "snapshot restore: adjacency mismatch (different topology)");
   check(engine.balancer().name() == balancer_name_,
         "snapshot restore: balancer mismatch");
   if (workload_name_.empty()) {
@@ -154,28 +169,38 @@ void EngineSnapshot::restore_impl(EngineT& engine,
             : "snapshot restore: a tracker was supplied but the snapshot "
               "carries none");
 
-  // Apply component blobs in order. Each load_state validates sizes and
-  // ranges before assigning, and each blob must be consumed exactly.
+  // The core must describe a state some run reaches, at the image's
+  // round. It is checked here and committed last.
   {
     StateReader r(core_blob_);
-    engine.load_core_state(r);
-    r.expect_done("engine core state");
+    const RoundLedger::State s =
+        RoundLedger::read_core(r, static_cast<std::size_t>(n_)).ledger;
+    check(s.t == time_,
+          "snapshot restore: core state round differs from the image's");
+    check(engine.balancer().allows_negative() || s.min_seen >= 0,
+          "snapshot restore: negative load for a balancer that cannot "
+          "hold one");
   }
-  {
-    StateReader r(balancer_blob_);
-    engine.balancer().load_state(r);
-    r.expect_done("balancer state");
+  // A later component can still be refused after an earlier one was
+  // taken, so their state is saved first and put back on a refusal.
+  StateWriter balancer_before;
+  StateWriter workload_before;
+  StateWriter tracker_before;
+  engine.balancer().save_state(balancer_before);
+  if (engine.workload() != nullptr) {
+    engine.workload()->save_state(workload_before);
   }
-  if (!workload_name_.empty()) {
-    StateReader r(workload_blob_);
-    engine.workload()->load_state(r);
-    r.expect_done("workload state");
+  if (tracker != nullptr) tracker->save_state(tracker_before);
+  try {
+    load_components(engine, tracker, balancer_blob_, workload_blob_,
+                    tracker_blob_);
+  } catch (...) {
+    load_components(engine, tracker, balancer_before.data(),
+                    workload_before.data(), tracker_before.data());
+    throw;
   }
-  if (has_tracker_) {
-    StateReader r(tracker_blob_);
-    tracker->load_state(r);
-    r.expect_done("tracker state");
-  }
+  StateReader r(core_blob_);
+  engine.load_core_state(r);
 }
 
 void EngineSnapshot::restore(Engine& engine,

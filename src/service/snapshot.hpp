@@ -16,14 +16,18 @@
 // The on-disk format is endian-stable (util/serial.hpp): an 8-byte magic,
 // a format version, the payload length, and an FNV-1a checksum, followed
 // by a fingerprint (node count, degree, self-loops, structure tag, an
-// FNV hash of the adjacency table, graph/balancer/workload names) and one
+// FNV hash of the adjacency, graph/balancer/workload names) and one
 // length-prefixed state blob per component. deserialize() and restore()
 // refuse — with a clean serial_error, before mutating anything — on a bad
 // magic, an unsupported version, a truncated buffer, a checksum mismatch,
 // or a fingerprint that does not match the restore target. Component
 // blobs are then applied in order; each component validates sizes and
 // ranges before assigning, and each blob must be consumed exactly
-// (expect_done), so a save/load asymmetry is an error, not a skew.
+// (expect_done), so a save/load asymmetry is an error, not a skew. The
+// core blob must also describe a reachable state (a balanced ledger,
+// statistics that match the loads, no negative load unless the balancer
+// allows one). A blob refused after earlier ones were applied rolls the
+// target back to the state it had before the call.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +72,11 @@ class EngineSnapshot {
   /// Restores into an engine built over the *same* graph, self-loop
   /// count, balancer scheme, and workload configuration as the captured
   /// one (verified via the fingerprint — names, sizes, structure tag,
-  /// and the adjacency-table hash). All validation happens before any
-  /// state is touched; on success the engine, its balancer, its
+  /// and the adjacency hash). On success the engine, its balancer, its
   /// workload, and the tracker continue exactly as the captured run
-  /// would have. Throws serial_error on any mismatch. A tracker must be
-  /// supplied iff the snapshot carries one.
+  /// would have. Throws serial_error (or a component's invariant_error)
+  /// on any mismatch or unreachable state, and then leaves the target
+  /// as it was. A tracker must be supplied iff the snapshot carries one.
   void restore(Engine& engine, SteadyStateTracker* tracker = nullptr) const;
 
   /// Restores into a sharded engine over the same run configuration, at
@@ -107,9 +111,9 @@ class EngineSnapshot {
   const std::string& workload_name() const noexcept { return workload_name_; }
   bool has_tracker() const noexcept { return has_tracker_; }
 
-  /// Fingerprint of the captured topology (FNV-1a over the adjacency
-  /// table, little-endian element bytes) — exposed so tests can corrupt
-  /// it deliberately.
+  /// Fingerprint of the captured topology (FNV-1a over every
+  /// neighbor(u, p) in port-table order, little-endian element bytes) —
+  /// exposed so tests can pin and corrupt it.
   std::uint64_t adjacency_hash() const noexcept { return adjacency_hash_; }
 
  private:

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dynamics/workload.hpp"
@@ -466,7 +464,6 @@ void ShardedEngine::collect_frames(ShardTag tag) {
           std::to_string(attempt) + " re-post attempt(s) — sender lost?");
     }
     proto.retries.inc();
-    backoff(attempt);
     // Re-post exactly the missing sequence numbers of every incomplete
     // stream; duplicates from crossed retries are deduplicated by seq.
     for (int to = 0; to < k; ++to) {
@@ -710,15 +707,6 @@ void ShardedEngine::drain_flows() {
   });
 }
 
-void ShardedEngine::backoff(int attempt) const {
-  const auto& fault = config_.fault;
-  if (fault.backoff_ns == 0) return;
-  const int shift = std::min(attempt, 20);
-  std::uint64_t ns = fault.backoff_ns << shift;
-  if (fault.backoff_cap_ns > 0) ns = std::min(ns, fault.backoff_cap_ns);
-  std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-}
-
 void ShardedEngine::step() {
   DLB_REQUIRE(dead_count_ == 0,
               "sharded engine: cannot step with a dead shard — the "
@@ -734,8 +722,8 @@ void ShardedEngine::step() {
   {
     obs::PhaseScope phase(shard_phases().prepare, "prepare", "sharded", "t",
                           t + 1);
-    // Serial once-per-round hook, before any shard decides — exactly the
-    // decide_all contract. The sink exists only to convey graph/mode (no
+    // Serial once-per-round hook, before any shard decides, as on the
+    // flat engine. The sink exists only to convey graph/mode (no
     // built-in prepare_round writes flows); global loads are gathered
     // only for balancers that declare they read them.
     const std::span<const Load> loads = balancer_->prepare_reads_loads()

@@ -72,16 +72,12 @@ struct ShardedEngineConfig {
   /// Frame-loss recovery budget (only consulted on a lossy channel).
   /// After an exchange's drains, any (sender → receiver) stream that is
   /// still incomplete — frames lost, corrupted, truncated, or delayed —
-  /// triggers a re-post of exactly the missing sequence numbers; the
-  /// engine retries up to `max_retries` times with capped exponential
-  /// backoff before giving up with shard_fault_error. backoff_ns = 0
-  /// (the default) retries immediately — right for the in-process fault
-  /// injector, where the re-post *is* the recovery; a real network
-  /// transport sets a positive base.
+  /// triggers an immediate re-post of exactly the missing sequence
+  /// numbers (on the in-process channel the re-post *is* the recovery);
+  /// the engine retries up to `max_retries` times before giving up with
+  /// shard_fault_error.
   struct FaultTolerance {
     int max_retries = 8;
-    std::uint64_t backoff_ns = 0;          ///< base sleep before retry i
-    std::uint64_t backoff_cap_ns = 1000000;  ///< 1 ms ceiling
   } fault;
 };
 
@@ -284,7 +280,6 @@ class ShardedEngine {
   /// Tier-2 decide body: the per-node decide loop, staging cross-shard
   /// flows per destination.
   void decide_tier2_core(int s, Shard& sh, Step t);
-  void backoff(int attempt) const;
 
   /// Runs body(s) for every shard — through the pool when one is
   /// attached and `parallel_ok`, else serially in ascending shard order.

@@ -70,7 +70,8 @@ TEST(Matching, RandomMatchingIsValidAndMaximal) {
     for (const auto& [u, v] : m) used[u] = used[v] = 1;
     for (NodeId u = 0; u < 64; ++u) {
       if (used[u]) continue;
-      for (NodeId v : g.neighbors(u)) {
+      for (int p = 0; p < g.degree(); ++p) {
+        const NodeId v = g.neighbor(u, p);
         EXPECT_TRUE(used[v]) << "edge (" << u << "," << v << ") unmatched";
       }
     }

@@ -14,6 +14,15 @@
 namespace dlb {
 namespace {
 
+/// Out-neighbours of u in port order.
+std::vector<NodeId> neighbors_of(const Graph& g, NodeId u) {
+  std::vector<NodeId> nb(static_cast<std::size_t>(g.degree()));
+  for (int p = 0; p < g.degree(); ++p) {
+    nb[static_cast<std::size_t>(p)] = g.neighbor(u, p);
+  }
+  return nb;
+}
+
 // -------------------------------------------------------- construction --
 
 TEST(Graph, RejectsAsymmetricEdgeMultiset) {
@@ -87,7 +96,7 @@ TEST(Generators, HypercubeStructure) {
   EXPECT_TRUE(is_connected(g));
   // Neighbors differ in exactly one bit.
   for (NodeId u = 0; u < 16; ++u) {
-    for (NodeId v : g.neighbors(u)) {
+    for (NodeId v : neighbors_of(g, u)) {
       EXPECT_EQ(__builtin_popcount(static_cast<unsigned>(u ^ v)), 1);
     }
   }
@@ -98,7 +107,8 @@ TEST(Generators, CompleteStructure) {
   EXPECT_EQ(g.degree(), 5);
   EXPECT_EQ(verify_regular_symmetric(g), 5);
   for (NodeId u = 0; u < 6; ++u) {
-    std::set<NodeId> nb(g.neighbors(u).begin(), g.neighbors(u).end());
+    const std::vector<NodeId> all = neighbors_of(g, u);
+    const std::set<NodeId> nb(all.begin(), all.end());
     EXPECT_EQ(nb.size(), 5u);
     EXPECT_EQ(nb.count(u), 0u);
   }
@@ -131,7 +141,7 @@ TEST(Generators, CliqueCirculantHasClique) {
   for (NodeId u = 0; u < 4; ++u) {
     for (NodeId v = 0; v < 4; ++v) {
       if (u == v) continue;
-      const auto nb = g.neighbors(u);
+      const std::vector<NodeId> nb = neighbors_of(g, u);
       EXPECT_NE(std::find(nb.begin(), nb.end(), v), nb.end())
           << u << " not adjacent to " << v;
     }
@@ -156,7 +166,8 @@ TEST_P(RandomRegularTest, ProducesSimpleRegularConnectedGraph) {
   // No self-edges is enforced by the Graph constructor; also check
   // distinct neighbors (simple graph).
   for (NodeId u = 0; u < n; ++u) {
-    std::set<NodeId> nb(g.neighbors(u).begin(), g.neighbors(u).end());
+    const std::vector<NodeId> all = neighbors_of(g, u);
+    const std::set<NodeId> nb(all.begin(), all.end());
     EXPECT_EQ(nb.size(), static_cast<std::size_t>(d));
   }
   EXPECT_TRUE(is_connected(g));  // holds w.h.p.; seed fixed so it's stable
@@ -172,9 +183,7 @@ TEST(Generators, RandomRegularDeterministicInSeed) {
   const Graph a = make_random_regular(64, 6, 1234);
   const Graph b = make_random_regular(64, 6, 1234);
   for (NodeId u = 0; u < 64; ++u) {
-    const auto na = a.neighbors(u);
-    const auto nb = b.neighbors(u);
-    EXPECT_TRUE(std::equal(na.begin(), na.end(), nb.begin()));
+    EXPECT_EQ(neighbors_of(a, u), neighbors_of(b, u));
   }
 }
 
@@ -184,47 +193,123 @@ TEST(Generators, RandomRegularRejectsOddTotalDegree) {
 
 // ---------------------------------------------------- implicit topology --
 
-/// Exhaustive check that a tagged graph's implicit arithmetic — both the
-/// random-access trait calls and the ascending-sweep cursors — agrees
-/// with the built adjacency/rev tables on every (node, port). This is
-/// the generator-side counterpart of the constructor's own verification.
-void expect_topology_matches_tables(const Graph& g) {
+// Reference port tables for the structured families, written out from
+// the families' definitions with plain division and modulo, independently
+// of the topology traits. Run through the table constructor, they give
+// generic graphs whose adjacency, reverse ports and parallel-edge flag
+// the formulas must reproduce entry by entry.
+
+std::vector<NodeId> cycle_table(NodeId n) {
+  std::vector<NodeId> adj(static_cast<std::size_t>(n) * 2);
+  for (NodeId i = 0; i < n; ++i) {
+    adj[static_cast<std::size_t>(i) * 2 + 0] = (i + 1) % n;
+    adj[static_cast<std::size_t>(i) * 2 + 1] = (i + n - 1) % n;
+  }
+  return adj;
+}
+
+std::vector<NodeId> torus_table(const std::vector<NodeId>& extents) {
+  const int r = static_cast<int>(extents.size());
+  const int d = 2 * r;
+  std::vector<std::int64_t> stride(extents.size());
+  std::int64_t n = 1;
+  for (std::size_t k = 0; k < extents.size(); ++k) {
+    stride[k] = n;
+    n *= extents[k];
+  }
+  std::vector<NodeId> adj(static_cast<std::size_t>(n) * d);
+  for (std::int64_t u = 0; u < n; ++u) {
+    for (int k = 0; k < r; ++k) {
+      const std::int64_t ext = extents[static_cast<std::size_t>(k)];
+      const std::int64_t s = stride[static_cast<std::size_t>(k)];
+      const std::int64_t coord = (u / s) % ext;
+      const std::int64_t base = u - coord * s;
+      adj[static_cast<std::size_t>(u * d + 2 * k + 0)] =
+          static_cast<NodeId>(base + ((coord + 1) % ext) * s);
+      adj[static_cast<std::size_t>(u * d + 2 * k + 1)] =
+          static_cast<NodeId>(base + ((coord + ext - 1) % ext) * s);
+    }
+  }
+  return adj;
+}
+
+std::vector<NodeId> hypercube_table(int dim) {
+  const NodeId n = NodeId{1} << dim;
+  std::vector<NodeId> adj(static_cast<std::size_t>(n) * dim);
+  for (NodeId u = 0; u < n; ++u) {
+    for (int k = 0; k < dim; ++k) {
+      adj[static_cast<std::size_t>(u) * dim + k] = u ^ (NodeId{1} << k);
+    }
+  }
+  return adj;
+}
+
+/// Entry-by-entry comparison of `g` against the reference graph `ref`:
+/// neighbor, rev_port and has_parallel_edges through the Graph
+/// accessors, and — through with_topology — the trait's random-access
+/// calls and its ascending-sweep cursor.
+void expect_matches_reference(const Graph& g, const Graph& ref) {
+  ASSERT_EQ(g.num_nodes(), ref.num_nodes()) << g.name();
+  ASSERT_EQ(g.degree(), ref.degree()) << g.name();
+  EXPECT_EQ(g.has_parallel_edges(), ref.has_parallel_edges()) << g.name();
   with_topology(g, [&](const auto& topo) {
-    ASSERT_EQ(topo.degree(), g.degree()) << g.name();
+    ASSERT_EQ(topo.degree(), ref.degree()) << g.name();
     auto cur = topo.cursor(0);
-    for (NodeId u = 0; u < g.num_nodes(); ++u, cur.advance()) {
-      for (int p = 0; p < g.degree(); ++p) {
-        ASSERT_EQ(topo.neighbor(u, p), g.neighbor(u, p))
-            << g.name() << " node " << u << " port " << p;
-        ASSERT_EQ(topo.rev_port(u, p), g.rev_port(u, p))
-            << g.name() << " node " << u << " port " << p;
-        ASSERT_EQ(cur.neighbor(p), g.neighbor(u, p))
-            << g.name() << " cursor at node " << u << " port " << p;
-        ASSERT_EQ(cur.rev_port(p), g.rev_port(u, p))
-            << g.name() << " cursor at node " << u << " port " << p;
+    for (NodeId u = 0; u < ref.num_nodes(); ++u, cur.advance()) {
+      for (int p = 0; p < ref.degree(); ++p) {
+        const NodeId v = ref.neighbor(u, p);
+        const int q = ref.rev_port(u, p);
+        ASSERT_EQ(g.neighbor(u, p), v) << g.name() << " node " << u
+                                       << " port " << p;
+        ASSERT_EQ(g.rev_port(u, p), q) << g.name() << " node " << u
+                                       << " port " << p;
+        ASSERT_EQ(topo.neighbor(u, p), v) << g.name() << " node " << u;
+        ASSERT_EQ(topo.rev_port(u, p), q) << g.name() << " node " << u;
+        ASSERT_EQ(cur.neighbor(p), v) << g.name() << " cursor at " << u;
+        ASSERT_EQ(cur.rev_port(p), q) << g.name() << " cursor at " << u;
       }
     }
   });
 }
 
-TEST(Topology, GeneratorTagsMatchTablesExhaustively) {
-  for (NodeId n : {3, 4, 5, 7, 16, 33}) {
-    const Graph g = make_cycle(n);
-    EXPECT_EQ(g.structure().kind, GraphStructure::kCycle) << g.name();
-    expect_topology_matches_tables(g);
+/// `g` is a table-free structured graph of `kind` that matches `ref`,
+/// and so does its generic without_structure() copy.
+void expect_formula_matches(const Graph& g, GraphStructure kind,
+                            const Graph& ref) {
+  EXPECT_EQ(g.structure().kind, kind) << g.name();
+  expect_matches_reference(g, ref);
+  const Graph generic = g.without_structure();
+  EXPECT_EQ(generic.structure().kind, GraphStructure::kGeneric) << g.name();
+  EXPECT_EQ(generic.name(), g.name());
+  expect_matches_reference(generic, ref);
+}
+
+TEST(Topology, FormulasMatchReferenceTablesExhaustively) {
+  for (NodeId n = 3; n <= 40; ++n) {
+    expect_formula_matches(make_cycle(n), GraphStructure::kCycle,
+                           Graph(n, 2, cycle_table(n)));
   }
   for (const std::vector<NodeId>& extents :
-       {std::vector<NodeId>{5}, {3, 4}, {4, 3, 5}, {3, 3, 3, 3}}) {
+       {std::vector<NodeId>{3, 3}, {3, 4, 5}, {4, 3, 3, 3}, {7}}) {
     const Graph g = make_torus(extents);
-    EXPECT_EQ(g.structure().kind, GraphStructure::kTorus) << g.name();
     EXPECT_EQ(g.structure().extents, extents) << g.name();
-    expect_topology_matches_tables(g);
+    expect_formula_matches(
+        g, GraphStructure::kTorus,
+        Graph(g.num_nodes(), g.degree(), torus_table(extents)));
   }
-  for (int dim : {1, 2, 3, 4, 7, 10}) {
-    const Graph g = make_hypercube(dim);
-    EXPECT_EQ(g.structure().kind, GraphStructure::kHypercube) << g.name();
-    expect_topology_matches_tables(g);
+  for (int dim = 1; dim <= 10; ++dim) {
+    expect_formula_matches(make_hypercube(dim), GraphStructure::kHypercube,
+                           Graph(NodeId{1} << dim, dim, hypercube_table(dim)));
   }
+}
+
+TEST(Topology, GeneratorNamesAndTorus2dLayout) {
+  EXPECT_EQ(make_cycle(5).name(), "cycle(5)");
+  EXPECT_EQ(make_torus({3, 4, 5}).name(), "torus(3x4x5)");
+  EXPECT_EQ(make_hypercube(3).name(), "hypercube(3)");
+  const Graph g = make_torus2d(4, 5);
+  EXPECT_EQ(g.name(), "torus(4x5)");
+  expect_matches_reference(g, Graph(20, 4, torus_table({4, 5})));
 }
 
 TEST(Topology, UntaggedGeneratorsStayGeneric) {
@@ -232,39 +317,38 @@ TEST(Topology, UntaggedGeneratorsStayGeneric) {
   EXPECT_EQ(make_petersen().structure().kind, GraphStructure::kGeneric);
   EXPECT_EQ(make_circulant(10, {1, 2}).structure().kind,
             GraphStructure::kGeneric);
+  // without_structure() of a generic graph is the graph itself.
+  const Graph p = make_petersen();
+  expect_matches_reference(p.without_structure(), p);
 }
 
-TEST(Topology, WithoutStructureStripsTheTagButKeepsTheTables) {
-  const Graph g = make_torus2d(4, 5);
-  const Graph stripped = g.without_structure();
-  EXPECT_EQ(stripped.structure().kind, GraphStructure::kGeneric);
-  EXPECT_EQ(stripped.num_nodes(), g.num_nodes());
-  EXPECT_EQ(stripped.degree(), g.degree());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (int p = 0; p < g.degree(); ++p) {
-      EXPECT_EQ(stripped.neighbor(u, p), g.neighbor(u, p));
-      EXPECT_EQ(stripped.rev_port(u, p), g.rev_port(u, p));
-    }
-  }
-}
-
-TEST(Topology, MisTaggedAdjacencyThrowsAtConstruction) {
-  // A 6-cycle's adjacency tagged as a hypercube (wrong n-vs-d relation).
-  std::vector<NodeId> cyc6 = {1, 5, 2, 0, 3, 1, 4, 2, 5, 3, 0, 4};
-  EXPECT_THROW(Graph(6, 2, cyc6, "bogus", false,
-                     StructureInfo{GraphStructure::kHypercube, {}}),
+TEST(Topology, ImplicitRejectsTagsThatDoNotFitTheShape) {
+  const auto implicit = [](NodeId n, int d, StructureInfo s) {
+    return Graph::implicit(n, d, "bogus", std::move(s));
+  };
+  // No family at all.
+  EXPECT_THROW(implicit(6, 2, {GraphStructure::kGeneric, {}}),
                invariant_error);
-  // Right parameter shape, wrong formula: a circulant with offset 2 is
-  // 2-regular on 6 nodes but is not C_6.
-  std::vector<NodeId> circ2 = {2, 4, 3, 5, 4, 0, 5, 1, 0, 2, 1, 3};
-  EXPECT_THROW(Graph(6, 2, circ2, "bogus", false,
-                     StructureInfo{GraphStructure::kCycle, {}}),
+  // Hypercube: n must be 2^d.
+  EXPECT_THROW(implicit(6, 2, {GraphStructure::kHypercube, {}}),
                invariant_error);
-  // Torus tag whose extents do not multiply to n.
-  std::vector<NodeId> cyc6_again = cyc6;
-  EXPECT_THROW(Graph(6, 2, cyc6_again, "bogus", false,
-                     StructureInfo{GraphStructure::kTorus, {3, 3}}),
+  EXPECT_NO_THROW(implicit(4, 2, {GraphStructure::kHypercube, {}}));
+  // Cycle: d == 2, n >= 3, no extents.
+  EXPECT_THROW(implicit(6, 3, {GraphStructure::kCycle, {}}), invariant_error);
+  EXPECT_THROW(implicit(2, 2, {GraphStructure::kCycle, {}}), invariant_error);
+  EXPECT_THROW(implicit(6, 2, {GraphStructure::kCycle, {6}}),
                invariant_error);
+  // Torus: extents >= 3 that multiply to n, d == 2r.
+  EXPECT_THROW(implicit(6, 2, {GraphStructure::kTorus, {3, 3}}),
+               invariant_error);
+  EXPECT_THROW(implicit(9, 2, {GraphStructure::kTorus, {3, 3}}),
+               invariant_error);
+  EXPECT_THROW(implicit(4, 4, {GraphStructure::kTorus, {2, 2}}),
+               invariant_error);
+  EXPECT_THROW(implicit(6, 2, {GraphStructure::kTorus, {}}), invariant_error);
+  EXPECT_NO_THROW(implicit(9, 4, {GraphStructure::kTorus, {3, 3}}));
+  // Non-positive sizes.
+  EXPECT_THROW(implicit(0, 2, {GraphStructure::kCycle, {}}), invariant_error);
 }
 
 TEST(Topology, FastDivU32MatchesHardwareDivision) {

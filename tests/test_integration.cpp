@@ -145,7 +145,7 @@ TEST(ContinuousMimicTest, TracksContinuousFlowWithinHalfToken) {
       std::vector<double> next(g.num_nodes());
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         double acc = 4.0 / 8.0 * y[v];
-        for (NodeId u : g.neighbors(v)) acc += y[u] / 8.0;
+        for (int p = 0; p < 4; ++p) acc += y[g.neighbor(v, p)] / 8.0;
         next[v] = acc;
       }
       y.swap(next);

@@ -9,10 +9,11 @@
 // with byte-identical loads, per-round discrepancy rows, conservation
 // ledger, and steady-state summary. Also covered: a snapshot at round 255
 // of a 300-round churned run, the shared core-state bytes of the flat and
-// sharded engines, and the refuse-to-load
-// paths — truncation, bit flips, version and
-// topology mismatches must throw clean serial_errors without mutating
-// the restore target (exercised under ASan/UBSan in CI).
+// sharded engines, the pinned adjacency fingerprints, and the
+// refuse-to-load paths — truncation, bit flips, version and topology
+// mismatches, and seeded random mutations of valid images must throw
+// clean serial_errors without mutating the restore target, or restore a
+// state the engine can step soundly (exercised under ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -39,6 +40,7 @@
 #include "service/balancer_service.hpp"
 #include "service/snapshot.hpp"
 #include "shard/sharded_engine.hpp"
+#include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -672,6 +674,268 @@ TEST_F(SnapshotCorruption, WriteFileFailuresSurfaceDistinctErrors) {
   EXPECT_FALSE(std::ifstream(dir_path + ".tmp").good())
       << "failed write left its temp file behind";
   ::rmdir(dir_path.c_str());
+}
+
+// ------------------------------------------------ adjacency fingerprint --
+
+TEST(SnapshotFingerprint, AdjacencyHashesArePinned) {
+  // The v2 image stores FNV-1a over neighbor(u, p) in port-table order.
+  // The values are those of the graphs' port tables; the formula form
+  // must reproduce them exactly, or checkpoints taken on one form stop
+  // restoring on the other.
+  struct Pin {
+    Graph g;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {make_cycle(8), 0x6afc7fa6821bf465ULL},
+      {make_torus2d(3, 4), 0x8ac3198fd40831e5ULL},
+      {make_hypercube(3), 0xe979e03ab9720f25ULL},
+      {make_petersen(), 0xb9559e0d5f3828f4ULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const Graph& g : {pin.g, pin.g.without_structure()}) {
+      SCOPED_TRACE(g.name() + (g.structure().kind == GraphStructure::kGeneric
+                                   ? " (tables)"
+                                   : " (formula)"));
+      SendFloor bal;
+      Engine e(g, EngineConfig{.self_loops = g.degree()}, bal,
+               LoadVector(static_cast<std::size_t>(g.num_nodes()), 1));
+      EXPECT_EQ(EngineSnapshot::capture(e).adjacency_hash(), pin.hash);
+    }
+  }
+}
+
+// ----------------------------------------------------- image mutations --
+
+constexpr std::uint64_t kMutationSeed = 0x5eed5a4bULL;
+constexpr int kMutationIterations = 4000;
+
+/// Counter RNG of the mutation test: iteration i draws from a generator
+/// keyed on (seed, i) alone, so a failure reproduces from the two numbers
+/// its trace prints.
+Rng mutation_rng(std::uint64_t seed, int iteration) {
+  std::uint64_t key =
+      seed ^ (static_cast<std::uint64_t>(iteration) * 0xd1b54a32d192ed03ULL);
+  return Rng(splitmix64(key));
+}
+
+std::size_t pick(Rng& rng, std::size_t bound) {
+  return static_cast<std::size_t>(rng.uniform_u64(bound));
+}
+
+/// A valid image split into its header fields and payload, plus the
+/// payload offsets of its length fields: the extents and the three
+/// names, the four component blobs, and the core blob's load vector.
+struct ImageParts {
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint64_t checksum = 0;
+  std::vector<std::uint8_t> payload;
+  std::vector<std::size_t> length_fields;
+};
+
+ImageParts split_image(const std::vector<std::uint8_t>& image) {
+  ImageParts parts;
+  StateReader header(image);
+  parts.magic = header.u64();
+  parts.version = header.u32();
+  const std::uint64_t len = header.u64();
+  parts.checksum = header.u64();
+  const auto payload = header.bytes(static_cast<std::size_t>(len));
+  parts.payload.assign(payload.begin(), payload.end());
+  StateReader r(payload);
+  const auto at = [&] { return payload.size() - r.remaining(); };
+  r.i32();
+  r.i32();
+  r.i32();
+  r.u8();
+  parts.length_fields.push_back(at());  // extents
+  r.vec_i32();
+  r.u64();
+  for (int s = 0; s < 3; ++s) {
+    parts.length_fields.push_back(at());
+    r.str();
+  }
+  r.i64();
+  r.b();
+  for (int blob = 0; blob < 4; ++blob) {
+    parts.length_fields.push_back(at());
+    const std::uint64_t blob_len = r.u64();
+    if (blob == 0) parts.length_fields.push_back(at());  // load count
+    r.bytes(static_cast<std::size_t>(blob_len));
+  }
+  return parts;
+}
+
+/// Frames `payload` with the header fields given (the layout of
+/// EngineSnapshot::serialize).
+std::vector<std::uint8_t> frame_image(std::uint64_t magic,
+                                      std::uint32_t version,
+                                      std::uint64_t len,
+                                      std::uint64_t checksum,
+                                      const std::vector<std::uint8_t>& payload) {
+  StateWriter out;
+  out.u64(magic);
+  out.u32(version);
+  out.u64(len);
+  out.u64(checksum);
+  out.bytes(payload);
+  return out.take();
+}
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t v) {
+  for (std::size_t b = 0; b < 8 && at + b < bytes.size(); ++b) {
+    bytes[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+  }
+}
+
+TEST(SnapshotMutation, MutatedImagesAreRefusedCleanlyOrRestoreSoundly) {
+  // Valid images of runs that fill every component blob: core, a
+  // stateful balancer, a workload (an admission backlog in one), and the
+  // tracker window.
+  struct Base {
+    const char* balancer;
+    Churn churn;
+    ImageParts parts;
+  };
+  std::vector<Base> bases = {{"ROTOR-ROUTER", Churn::kPoisson, {}},
+                             {"BOUNDED-ERROR", Churn::kBurst, {}},
+                             {"CONT-MIMIC", Churn::kAdmission, {}},
+                             {"RAND-ROUND", Churn::kAdversary, {}}};
+  for (Base& base : bases) {
+    Rig rig(base.balancer, base.churn, 1);
+    rig.step_rounds(10);
+    base.parts = split_image(
+        EngineSnapshot::capture(*rig.engine, &rig.tracker).serialize());
+  }
+  const std::uint64_t extremes[] = {
+      0,
+      1,
+      0xFFFFFFFFFFFFFFFFULL,  // -1
+      0x7FFFFFFFFFFFFFFFULL,  // INT64_MAX
+      0x8000000000000000ULL,  // INT64_MIN
+      0x100000000ULL,
+      0x7FFFFFFFULL};
+
+  int refused = 0;
+  int restored = 0;
+  for (int i = 0; i < kMutationIterations; ++i) {
+    Rng rng = mutation_rng(kMutationSeed, i);
+    const Base& base = bases[pick(rng, bases.size())];
+    const ImageParts& parts = base.parts;
+    std::vector<std::uint8_t> payload = parts.payload;
+    const std::size_t edits = 1 + pick(rng, 3);
+    for (std::size_t e = 0; e < edits; ++e) {
+      switch (pick(rng, 4)) {
+        case 0:  // bit flip
+          payload[pick(rng, payload.size())] ^=
+              static_cast<std::uint8_t>(1u << pick(rng, 8));
+          break;
+        case 1: {  // splice a slice of the clean payload anywhere
+          const std::size_t from = pick(rng, parts.payload.size());
+          const std::size_t len =
+              1 + pick(rng, std::min<std::size_t>(
+                                64, parts.payload.size() - from));
+          payload.insert(
+              payload.begin() +
+                  static_cast<std::ptrdiff_t>(pick(rng, payload.size() + 1)),
+              parts.payload.begin() + static_cast<std::ptrdiff_t>(from),
+              parts.payload.begin() + static_cast<std::ptrdiff_t>(from + len));
+          break;
+        }
+        case 2: {  // length-field edit
+          const std::size_t at =
+              parts.length_fields[pick(rng, parts.length_fields.size())];
+          StateReader r(std::span<const std::uint8_t>(parts.payload)
+                            .subspan(at, 8));
+          const std::uint64_t len = r.u64();
+          const std::uint64_t lies[] = {0, len - 1, len + 1, len + 8,
+                                        len * 2, rng.next()};
+          put_u64(payload, at, lies[pick(rng, std::size(lies))]);
+          break;
+        }
+        default:  // an extreme 64-bit value over any field
+          put_u64(payload, pick(rng, payload.size()),
+                  extremes[pick(rng, std::size(extremes))]);
+          break;
+      }
+    }
+    // Most mutants are re-sealed under a valid length and checksum, so
+    // the damage reaches the parsers and restore; the rest keep the
+    // original header and must fail its checks.
+    std::vector<std::uint8_t> bytes =
+        pick(rng, 4) == 0
+            ? frame_image(parts.magic, parts.version, parts.payload.size(),
+                          parts.checksum, payload)
+            : frame_image(parts.magic, parts.version, payload.size(),
+                          fnv1a64(payload), payload);
+    switch (pick(rng, 6)) {
+      case 0:  // truncation
+        bytes.resize(pick(rng, bytes.size() + 1));
+        break;
+      case 1:  // header payload-length edit
+        put_u64(bytes, 12,
+                extremes[pick(rng, std::size(extremes))] + pick(rng, 3));
+        break;
+      case 2:  // bit flip anywhere, header included
+        bytes[pick(rng, bytes.size())] ^=
+            static_cast<std::uint8_t>(1u << pick(rng, 8));
+        break;
+      default:
+        break;
+    }
+    SCOPED_TRACE("seed " + std::to_string(kMutationSeed) + " iteration " +
+                 std::to_string(i) + " (" + base.balancer + ", " +
+                 churn_name(base.churn) + ", " +
+                 std::to_string(bytes.size()) + " bytes)");
+
+    // The target ran a different number of rounds than the image's run,
+    // so a partial restore would show.
+    Rig target(base.balancer, base.churn, 1);
+    target.step_rounds(3);
+    const std::vector<std::uint8_t> before =
+        EngineSnapshot::capture(*target.engine, &target.tracker).serialize();
+    bool ok = false;
+    try {
+      EngineSnapshot::deserialize(bytes).restore(*target.engine,
+                                                 &target.tracker);
+      ok = true;
+    } catch (const serial_error&) {
+    } catch (const invariant_error&) {
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << "unclassified exception: " << ex.what();
+      continue;
+    }
+    if (ok) {
+      ++restored;
+      // A restored engine must step on with its ledger balanced.
+      try {
+        target.step_rounds(8);
+      } catch (const std::exception& ex) {
+        ADD_FAILURE() << "restored engine failed to step: " << ex.what();
+        continue;
+      }
+      const Engine& e = *target.engine;
+      std::uint64_t sum = 0;  // wraps like the engine's own audit
+      for (const Load x : e.loads()) sum += static_cast<std::uint64_t>(x);
+      EXPECT_EQ(static_cast<Load>(sum), e.total());
+      EXPECT_EQ(e.total(),
+                e.base_total() + e.injected_total() - e.consumed_total());
+    } else {
+      ++refused;
+      EXPECT_EQ(EngineSnapshot::capture(*target.engine, &target.tracker)
+                    .serialize(),
+                before)
+          << "a refused image changed the engine";
+    }
+  }
+  // Both outcomes must occur, or the mutator is not reaching restore.
+  RecordProperty("refused", refused);
+  RecordProperty("restored", restored);
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(restored, 0);
 }
 
 // -------------------------------------------------- service + admission --

@@ -137,8 +137,9 @@ TEST(Registry, FactoryRoundTripReportsAConsistentEngineContract) {
   // Audit of every registered balancer (Table-1 and custom): two
   // instances from the same factory must agree on the engine-facing
   // contract — parallel_decide_safe() decides whether dynamic/parallel
-  // rounds may fan the decide phase out, wants_flow_matrix() pins the
-  // row path — and the contract must be stable across reset(). The
+  // rounds may fan the decide phase out, allows_negative() whether
+  // oversends are legal — and the contract must be stable across
+  // reset(). The
   // golden serial≡parallel gate in test_golden_equivalence.cpp then
   // auto-covers behavioral equivalence for every registration.
   const Graph g = make_cycle(8);
@@ -151,18 +152,15 @@ TEST(Registry, FactoryRoundTripReportsAConsistentEngineContract) {
     ASSERT_NE(b, nullptr) << name;
     EXPECT_EQ(a->name(), b->name()) << name;
     EXPECT_EQ(a->parallel_decide_safe(), b->parallel_decide_safe()) << name;
-    EXPECT_EQ(a->wants_flow_matrix(), b->wants_flow_matrix()) << name;
     EXPECT_EQ(a->allows_negative(), b->allows_negative()) << name;
 
     const bool safe_before = a->parallel_decide_safe();
-    const bool wants_before = a->wants_flow_matrix();
     const bool negative_before = a->allows_negative();
     const int d_loops =
         traits.exact_d_loops ? g.degree()
                              : std::max(0, traits.min_loops(g.degree()));
     a->reset(g, d_loops);
     EXPECT_EQ(a->parallel_decide_safe(), safe_before) << name;
-    EXPECT_EQ(a->wants_flow_matrix(), wants_before) << name;
     EXPECT_EQ(a->allows_negative(), negative_before) << name;
   }
 }
