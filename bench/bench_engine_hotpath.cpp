@@ -8,6 +8,13 @@
 // conservation is audited every 64 steps. items_per_second == engine
 // steps per second.
 //
+// Every 2^k-node series has a twin one node (or one torus row) larger:
+// power-of-two array sizes are where the loads and next-load buffers
+// would alias in the cache, so a pair that drifts apart flags an
+// allocator-colouring regression. Pooled series (StepParallel_*,
+// Sharded_*) are timed on the wall clock (UseRealTime): the CPU time a
+// pool worker burns never accrues to the bench thread.
+//
 // CI runs this with --benchmark_min_time=0.1 as a smoke step so that a
 // kernel regression (or an accidental re-materialization) breaks the
 // build loudly rather than silently slowing every sweep.
@@ -18,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -63,8 +71,18 @@ const Graph& cycle_1m() {
   return g;
 }
 
+const Graph& cycle_1m_plus1() {
+  static const Graph g = make_cycle((1 << 20) + 1);
+  return g;
+}
+
 const Graph& torus_512() {
   static const Graph g = make_torus2d(512, 512);
+  return g;
+}
+
+const Graph& torus_513x512() {
+  static const Graph g = make_torus2d(513, 512);
   return g;
 }
 
@@ -83,6 +101,15 @@ void BM_Cycle1M_RotorRouter_Lazy(benchmark::State& s) {
 void BM_Cycle1M_RotorRouterStar_Lazy(benchmark::State& s) {
   run_steps(s, cycle_1m(), Algorithm::kRotorRouterStar);
 }
+void BM_Cycle1Mplus1_SendFloor_Lazy(benchmark::State& s) {
+  run_steps(s, cycle_1m_plus1(), Algorithm::kSendFloor);
+}
+void BM_Cycle1Mplus1_RotorRouter_Lazy(benchmark::State& s) {
+  run_steps(s, cycle_1m_plus1(), Algorithm::kRotorRouter);
+}
+void BM_Cycle1Mplus1_RotorRouterStar_Lazy(benchmark::State& s) {
+  run_steps(s, cycle_1m_plus1(), Algorithm::kRotorRouterStar);
+}
 
 // ------------------------------- n = 2^18 cycle, the double-heavy kernels --
 void BM_Cycle256k_BoundedError_Lazy(benchmark::State& s) {
@@ -93,8 +120,10 @@ void BM_Cycle256k_ContinuousMimic_Lazy(benchmark::State& s) {
 }
 
 // -------------------------- intra-round parallel thread-scaling series --
-// step_parallel() on the decide/apply pipeline; Arg is the pool size
-// (Arg 1 = the serial scatter baseline the speedup is measured against).
+// step_parallel(); Arg is the pool size (Arg 1 = the serial scatter
+// baseline the speedup is measured against). SEND(floor) runs its pool
+// ranges straight into the next-load buffer, ROTOR-ROUTER takes the
+// decide/apply row pipeline.
 // The speedup curve per PR is the acceptance artifact: >= 1.5x steps/sec
 // at 4 threads on a >= 4-core host (flat on a 1-CPU container).
 void run_steps_parallel(benchmark::State& state, const Graph& g,
@@ -131,6 +160,15 @@ void BM_StepParallel_RotorRouter(benchmark::State& s) {
 }
 void BM_StepParallel_Torus_SendFloor(benchmark::State& s) {
   run_steps_parallel(s, torus_512(), Algorithm::kSendFloor);
+}
+void BM_StepParallel_SendFloor_1Mplus1(benchmark::State& s) {
+  run_steps_parallel(s, cycle_1m_plus1(), Algorithm::kSendFloor);
+}
+void BM_StepParallel_RotorRouter_1Mplus1(benchmark::State& s) {
+  run_steps_parallel(s, cycle_1m_plus1(), Algorithm::kRotorRouter);
+}
+void BM_StepParallel_Torus513x512_SendFloor(benchmark::State& s) {
+  run_steps_parallel(s, torus_513x512(), Algorithm::kSendFloor);
 }
 
 // -------------------------- implicit-topology vs generic-table series --
@@ -231,6 +269,12 @@ void BM_Sharded_Cycle1M_SendFloor(benchmark::State& s) {
 void BM_Sharded_Cycle1M_RotorRouter(benchmark::State& s) {
   run_steps_sharded(s, cycle_1m(), Algorithm::kRotorRouter);
 }
+void BM_Sharded_Cycle1Mplus1_SendFloor(benchmark::State& s) {
+  run_steps_sharded(s, cycle_1m_plus1(), Algorithm::kSendFloor);
+}
+void BM_Sharded_Cycle1Mplus1_RotorRouter(benchmark::State& s) {
+  run_steps_sharded(s, cycle_1m_plus1(), Algorithm::kRotorRouter);
+}
 void BM_Sharded_Torus512_SendFloor(benchmark::State& s) {
   run_steps_sharded(s, torus_512(), Algorithm::kSendFloor);
 }
@@ -246,6 +290,10 @@ void BM_Torus512_RotorRouter_Lazy(benchmark::State& s) {
 BENCHMARK(BM_Cycle1M_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouterStar_Lazy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Cycle1Mplus1_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Cycle1Mplus1_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Cycle1Mplus1_RotorRouterStar_Lazy)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle256k_BoundedError_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle256k_ContinuousMimic_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepImplicit_Cycle)->Unit(benchmark::kMillisecond);
@@ -256,18 +304,24 @@ BENCHMARK(BM_StepImplicit_Hypercube)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepGeneric_Hypercube)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Torus512_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Torus512_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepParallel_SendFloor)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepParallel_RotorRouter)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepParallel_Torus_SendFloor)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Sharded_Cycle1M_SendFloor)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Sharded_Cycle1M_RotorRouter)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Sharded_Torus512_SendFloor)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// Pool-size (StepParallel) and shard-count (Sharded) sweeps, timed on the
+// wall clock.
+void pooled_sweep(benchmark::internal::Benchmark* b) {
+  b->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()->Unit(
+      benchmark::kMillisecond);
+}
+BENCHMARK(BM_StepParallel_SendFloor)->Apply(pooled_sweep);
+BENCHMARK(BM_StepParallel_SendFloor_1Mplus1)->Apply(pooled_sweep);
+BENCHMARK(BM_StepParallel_RotorRouter)->Apply(pooled_sweep);
+BENCHMARK(BM_StepParallel_RotorRouter_1Mplus1)->Apply(pooled_sweep);
+BENCHMARK(BM_StepParallel_Torus_SendFloor)->Apply(pooled_sweep);
+BENCHMARK(BM_StepParallel_Torus513x512_SendFloor)->Apply(pooled_sweep);
+BENCHMARK(BM_Sharded_Cycle1M_SendFloor)->Apply(pooled_sweep);
+BENCHMARK(BM_Sharded_Cycle1Mplus1_SendFloor)->Apply(pooled_sweep);
+BENCHMARK(BM_Sharded_Cycle1M_RotorRouter)->Apply(pooled_sweep);
+BENCHMARK(BM_Sharded_Cycle1Mplus1_RotorRouter)->Apply(pooled_sweep);
+BENCHMARK(BM_Sharded_Torus512_SendFloor)->Apply(pooled_sweep);
 
 // -------------------------------------------------- --timed-window mode --
 // Fixed wall-clock measurement, bypassing google-benchmark's iteration
@@ -378,12 +432,57 @@ int run_timed_window(double window_s) {
   return 0;
 }
 
+// ------------------------------------------------------ host fingerprint --
+// CPU model, widest vector ISA and transparent-huge-page mode join
+// google-benchmark's own num_cpus in the JSON context: together they say
+// whether two recorded runs came from the same kind of host, and
+// scripts/check_bench_hotpath.py compares timings only when they match.
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+const char* vector_isa() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return "avx512";
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+  return "sse";
+#else
+  return "non-x86";
+#endif
+}
+
+std::string thp_mode() {
+  // "always [madvise] never": the bracketed word is the active mode.
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string modes;
+  std::getline(in, modes);
+  const std::size_t open = modes.find('[');
+  const std::size_t close = modes.find(']');
+  if (open == std::string::npos || close == std::string::npos ||
+      close < open) {
+    return "unknown";
+  }
+  return modes.substr(open + 1, close - open - 1);
+}
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN so the JSON context records how the binary was
-// built: scripts/check_bench_hotpath.py refuses to gate against numbers
-// from a debug build, and the SIMD line documents which kernel path the
-// recorded baseline measured (see README "SIMD kernels" for the
+// built and where it ran: scripts/check_bench_hotpath.py refuses to gate
+// against numbers from a debug build, compares timings only between
+// matching host fingerprints, and the SIMD line documents which kernel
+// path the recorded baseline measured (see README "SIMD kernels" for the
 // re-record procedure).
 int main(int argc, char** argv) {
   // --timed-window[=SECONDS] is ours, not google-benchmark's: strip it
@@ -420,6 +519,9 @@ int main(int argc, char** argv) {
       "dlb_simd", dlb::simd::enabled()
                       ? "avx2"
                       : (dlb::simd::compiled() ? "disabled" : "scalar-only"));
+  benchmark::AddCustomContext("dlb_cpu_model", cpu_model());
+  benchmark::AddCustomContext("dlb_isa", vector_isa());
+  benchmark::AddCustomContext("dlb_thp", thp_mode());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -8,8 +8,7 @@ Soft regression gate: prints a per-benchmark table (current vs baseline
 steps/sec plus delta) and the implicit-vs-generic speedup ratios per
 topology family, and *warns* on benchmarks slower than baseline by more
 than the threshold (default 10%) — but exits 0 for slowdowns unless
---strict is given (CI machines, and in particular the 1-CPU container
-this repo's baseline was recorded on, are too noisy for a hard perf
+--strict is given (shared CI machines are too noisy for a hard perf
 gate). Two kinds of problem do exit 1 unconditionally, because they make
 the numbers meaningless rather than merely noisy:
 
@@ -22,11 +21,14 @@ the numbers meaningless rather than merely noisy:
     off and must never be recorded or compared as a baseline). Files
     predating the stamp only get a warning.
 
-Timings recorded on a different host are not compared: when the two files'
-google-benchmark "num_cpus" contexts differ, one "different host" line
-replaces the per-series table and its slowdown warnings (the committed
-baseline came from a 1-CPU host). The structural exits above still apply,
-and --strict still compares and fails.
+Timings recorded on a different host are not compared: every run carries a
+host fingerprint — google-benchmark's "num_cpus" plus the bench's own
+"dlb_cpu_model", "dlb_isa" (widest vector ISA: avx512 / avx2 / ...) and
+"dlb_thp" (transparent-huge-page mode) contexts — and when any fingerprint
+field differs between the two files (a field one file lacks counts as
+different), one "different host" line naming the differing fields replaces
+the per-series table and its slowdown warnings. The structural exits above
+still apply, and --strict still compares and fails.
 
 Note the distinct "library_build_type" context is google-benchmark's own
 build flavor (debug on stock distro packages) and is irrelevant to the
@@ -35,13 +37,12 @@ timed code; only dlb_build_type gates.
 With --timed-window CSV, the roster bench_engine_hotpath --timed-window
 printed is cross-checked against the google-benchmark series measuring
 the same configuration (flat 2^20 cycle send-floor vs
-BM_Cycle1M_SendFloor_Lazy; sharded k vs BM_Sharded_Cycle1M_SendFloor/k).
-The comparison uses the benchmark's *wall-clock* per-iteration time
-(real_time), not items_per_second: google-benchmark rates are CPU-time
-based, and the CPU a ShardedEngine burns in pool workers never accrues
-to the bench thread, so the reported k>1 rates are inflated by roughly
-the shard count (29k "steps/s" at k=8 on a 1-CPU container, where the
-wall clock says ~1k). The roster measures wall clock; so must the twin.
+BM_Cycle1M_SendFloor_Lazy; sharded k vs
+BM_Sharded_Cycle1M_SendFloor/k/real_time). The comparison uses the
+benchmark's *wall-clock* per-iteration time (real_time): the roster
+measures wall clock, and so do the pooled series (UseRealTime — the CPU a
+ShardedEngine burns in pool workers never accrues to the bench thread, so
+CPU-time rates would be inflated by roughly the shard count).
 The two harnesses then time the identical engine loop, and steps/s
 diverging by more than 15% means one of the measurements is broken (a
 misloaded CSV, a debug bench, a wrong roster graph) — warn loudly
@@ -77,11 +78,20 @@ def check_build_type(path, doc):
                  "(debug numbers must not be compared or committed)")
 
 
-def different_host(cur_doc, base_doc):
-    """True when both files record a num_cpus context and they differ."""
-    cur = cur_doc.get("context", {}).get("num_cpus")
-    base = base_doc.get("context", {}).get("num_cpus")
-    return cur is not None and base is not None and cur != base
+HOST_FINGERPRINT = ("num_cpus", "dlb_cpu_model", "dlb_isa", "dlb_thp")
+
+
+def host_differences(cur_doc, base_doc):
+    """Fingerprint fields whose values differ, as (field, base, current).
+
+    A field recorded in only one of the files counts as a difference: a
+    baseline that cannot show it came from this kind of host is not
+    compared against it.
+    """
+    cur = cur_doc.get("context", {})
+    base = base_doc.get("context", {})
+    return [(key, base.get(key), cur.get(key)) for key in HOST_FINGERPRINT
+            if base.get(key) != cur.get(key)]
 
 
 def extract_rates(path, doc):
@@ -156,7 +166,7 @@ def cross_check_timed_window(path, rates, tolerance_pct=15.0):
         if row["series"] == "flat":
             return "BM_Cycle1M_SendFloor_Lazy"
         if row["series"] == "sharded":
-            return f"BM_Sharded_Cycle1M_SendFloor/{row['shards']}"
+            return f"BM_Sharded_Cycle1M_SendFloor/{row['shards']}/real_time"
         return None
 
     flagged = []
@@ -238,10 +248,11 @@ def main():
                  + ", ".join(missing))
 
     flagged = []
-    if different_host(cur_doc, base_doc) and not args.strict:
-        print(f"different host: timings not compared (num_cpus "
-              f"{base_doc['context']['num_cpus']} in {args.baseline}, "
-              f"{cur_doc['context']['num_cpus']} in {args.current})")
+    differences = host_differences(cur_doc, base_doc)
+    if differences and not args.strict:
+        detail = "; ".join(f"{key} {base!r} in {args.baseline}, {cur!r} in "
+                           f"{args.current}" for key, base, cur in differences)
+        print(f"different host: timings not compared ({detail})")
     else:
         print(f"{'benchmark':<42} {'base/s':>10} {'now/s':>10} "
               f"{'delta':>8}")

@@ -49,9 +49,9 @@ namespace dlb {
 ///     each node's incoming flow through rev_port (the apply phase).
 ///     Because a kernel writes only the rows of its own node range and
 ///     the apply phase writes only its own range's next loads, row mode
-///     has no shared writes — it is the engine's parallel mode, and also
-///     serves every StepObserver (the records are exactly the step's
-///     flow matrix).
+///     has no shared writes — it is the engine's parallel mode for
+///     balancers that do not gather, and also serves every StepObserver
+///     (the records are exactly the step's flow matrix).
 ///   * scatter mode — no rows exist; kernels write the round's next loads
 ///     straight into a plain n-slot buffer. A *gather* kernel (the
 ///     balancer's window_reach(g) >= 0) stores each slot's final value
@@ -59,8 +59,10 @@ namespace dlb {
 ///     loads; every other kernel is *multi-touch* — next[v] += f for
 ///     tokens sent over an edge (u→v), next[u] += kept for self-loop
 ///     tokens and the remainder — into a buffer the engine zero-filled
-///     first. This is the serial hot path — no per-node record is ever
-///     written.
+///     first. This is the hot path — no per-node record is ever written.
+///     A gather stores only its own range's slots, so a pooled round runs
+///     disjoint ranges concurrently, each into a sink of its own, and
+///     merges their emit statistics.
 class FlowSink {
  public:
   /// Row mode. `rows` must hold n×(d+d°) entries; rows need not be

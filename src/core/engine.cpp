@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <mutex>
 
 #include "graph/topology.hpp"
 #include "obs/trace.hpp"
@@ -19,7 +20,7 @@ struct FlatPhases {
   obs::Histogram& prepare;
   obs::Histogram& decide;
   obs::Histogram& apply;
-  obs::Histogram& scatter;  ///< fused decide+apply of the implicit path
+  obs::Histogram& scatter;  ///< fused decide+apply of the scatter path
 };
 
 FlatPhases& flat_phases() {
@@ -188,30 +189,59 @@ void Engine::step_rows(ThreadPool* pool) {
   publish_round_stats(round_min, round_max);
 }
 
-void Engine::do_step() {
-  if (!observers_.empty()) {
-    step_rows(nullptr);
-    return;
-  }
+void Engine::step_scatter(ThreadPool* pool) {
   const NodeId n = g_->num_nodes();
   obs::PhaseScope phase(flat_phases().scatter, "scatter", "flat", "t",
                         time() + 1);
   if (!gather_) std::fill(next_.begin(), next_.end(), Load{0});
-  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next_.data());
-  balancer_->prepare_round(loads_, time(), sink);
-  balancer_->decide_range(0, n, loads_, time(), sink);
+  FlowSink round = FlowSink::scatter(*g_, config_.self_loops, next_.data());
+  std::mutex merge;  // guards round's emit stats
+  balancer_->prepare_round(loads_, time(), round);
+  // Each range decides into a sink of its own over the shared next-load
+  // buffer: a gather writes only its range's slots, so pooled ranges
+  // never share a write, and their emit stats merge once per range.
+  const auto decide = [&](std::int64_t first, std::int64_t last) {
+    FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next_.data());
+    balancer_->decide_range(static_cast<NodeId>(first),
+                            static_cast<NodeId>(last), loads_, time(), sink);
+    const std::lock_guard<std::mutex> lock(merge);
+    round.merge_emit_stats(sink.emit_min(), sink.emit_max(),
+                           sink.emit_covered());
+  };
+  if (pool != nullptr) {
+    pool->for_ranges(n, decide);
+  } else {
+    decide(0, n);
+  }
   if (gather_) {
     // Every slot was stored once with its final value and the min/max
     // rode the emit sweep. A slot left unwritten would hold the loads of
     // two rounds ago, so full coverage is required, not hoped for.
-    DLB_REQUIRE(sink.emit_covered() == n,
+    DLB_REQUIRE(round.emit_covered() == n,
                 "gather kernel did not write every next-load slot");
-    publish_round_stats(sink.emit_min(), sink.emit_max());
+    publish_round_stats(round.emit_min(), round.emit_max());
   }
   // A multi-touch round publishes nothing: the ledger scans the loads.
   loads_.swap(next_);
 }
 
-void Engine::do_step_parallel(ThreadPool& pool) { step_rows(&pool); }
+void Engine::do_step() {
+  if (observers_.empty()) {
+    step_scatter(nullptr);
+  } else {
+    step_rows(nullptr);
+  }
+}
+
+void Engine::do_step_parallel(ThreadPool& pool) {
+  // A gather with disjoint-range-safe decides runs its ranges straight
+  // into the next-load buffer; rows are for observers and for kernels
+  // that add into shared slots (multi-touch) or decide serially.
+  if (observers_.empty() && gather_ && balancer_->parallel_decide_safe()) {
+    step_scatter(&pool);
+  } else {
+    step_rows(&pool);
+  }
+}
 
 }  // namespace dlb

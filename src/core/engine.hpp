@@ -1,18 +1,21 @@
 // Synchronous discrete diffusion engine with a two-phase decide/apply
 // round pipeline.
 //
-// Serial observer-free steps take the *scatter* path: prepare_round and
-// one decide_range call write the round straight into the next-load
-// buffer — no per-node record. A balancer whose window_reach(g) >= 0
-// gathers, storing every slot once; any other balancer adds token
-// movements into the buffer, which the engine zero-fills first. Rounds
-// that need per-node records (an attached StepObserver, or intra-round
-// parallelism via a ThreadPool) take the *row* path instead: phase 1
-// fills each node's per-port record (decide), phase 2 pulls every node's
-// incoming flow through rev_port and commits its next load (apply).
-// Neither phase has shared writes, so a parallel round is byte-identical
-// to a serial one at any thread count. Both paths write the same
-// next-load buffer, which then swaps with the loads.
+// Observer-free rounds take the *scatter* path: prepare_round and
+// decide_range write the round straight into the next-load buffer — no
+// per-node record. A balancer whose window_reach(g) >= 0 gathers,
+// storing every slot once; any other balancer adds token movements into
+// the buffer, which the engine zero-fills first. Serial rounds run one
+// decide_range over every node; pooled rounds of a parallel_decide_safe()
+// gather run one decide_range per pool range, each into its own slots,
+// and merge the ranges' emit statistics. Rows — the per-node records —
+// are for observers and non-gather balancers only (plus a gather whose
+// decides must stay serial): phase 1 fills each node's per-port record
+// (decide), phase 2 pulls every node's incoming flow through rev_port
+// and commits its next load (apply). Neither path has shared writes, so
+// a parallel round is byte-identical to a serial one at any thread
+// count. Every path writes the same next-load buffer, which then swaps
+// with the loads.
 // Token conservation is audited every EngineConfig::conservation_interval
 // steps (the paper's model conserves total load exactly).
 #pragma once
@@ -70,8 +73,9 @@ class Engine : public RoundEngineBase {
   const Balancer& balancer() const noexcept { return *balancer_; }
 
   /// True once the per-node record matrix has been allocated (i.e. some
-  /// step ran on the row path — an observer or a parallel round). Serial
-  /// observer-free runs keep this false — the scatter path never touches
+  /// step ran on the row path — an observer, or a pooled round of a
+  /// non-gather balancer). Observer-free runs of a parallel-safe gather
+  /// keep this false, serial or pooled — the scatter path never touches
   /// a row buffer.
   bool flows_materialized() const noexcept { return !flows_.empty(); }
 
@@ -93,6 +97,10 @@ class Engine : public RoundEngineBase {
                   Load& range_min, Load& range_max) const;
   /// One row-path round; `pool` may be null (serial decide + apply).
   void step_rows(ThreadPool* pool);
+  /// One scatter-path round: prepare_round, then decide_range over the
+  /// whole node range (`pool` null) or over every pool range (gather
+  /// balancers only), then the coverage check and the swap.
+  void step_scatter(ThreadPool* pool);
 
   const Graph* g_;
   EngineConfig config_;

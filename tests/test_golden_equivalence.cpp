@@ -11,11 +11,18 @@
 //     trajectories identical to the serial path for every registry
 //     balancer at thread counts {1, 2, 8} — the determinism claim of the
 //     two-phase split (no shared writes in either phase).
+//  3. Pooled gather rounds (SEND(floor) on the cycle and torus, no
+//     observer) run each pool range straight into the next-load buffer:
+//     byte-identical to serial step() at every pool size, with no row
+//     matrix ever allocated, and a kernel that leaves a slot unwritten
+//     is refused exactly as on the serial path.
 //
 // Any decide_range override that drifts from its decide() ground truth by
 // even one token on one node in one step fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +31,7 @@
 #include "balancers/registry.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "util/assertions.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dlb {
@@ -316,6 +324,109 @@ TEST(GoldenEquivalence, ParallelRoundsFeedObserversTheSameFlowMatrix) {
     }
     EXPECT_EQ(serial_rec.flows, par_rec.flows) << algorithm_name(a);
     EXPECT_EQ(serial_rec.posts, par_rec.posts) << algorithm_name(a);
+  }
+}
+
+TEST(GoldenEquivalence, PooledGatherRoundsMatchSerialWithoutRows) {
+  // Sizes 2^k and 2^k + 1 (the range split lands on and off vector
+  // boundaries) plus a cycle smaller than the largest pool; d° = 1 makes
+  // d⁺ odd, which keeps the scalar kernels in play beside the AVX2 ones.
+  constexpr Step kSteps = 40;
+  std::vector<GoldenGraph> graphs;
+  graphs.push_back({"cycle1024", make_cycle(1024)});
+  graphs.push_back({"cycle1025", make_cycle(1025)});
+  graphs.push_back({"cycle3", make_cycle(3)});
+  graphs.push_back({"torus32x32", make_torus2d(32, 32)});
+  graphs.push_back({"torus25x41", make_torus2d(25, 41)});
+  for (int threads : {1, 2, 3, 4}) {
+    ThreadPool pool(threads);
+    for (const GoldenGraph& gg : graphs) {
+      const Graph& g = gg.graph;
+      for (int d_loops : {0, 1, g.degree()}) {
+        const LoadVector initial =
+            random_initial(g.num_nodes(), 500, /*seed=*/99);
+        auto serial_b = make_balancer(Algorithm::kSendFloor, 7);
+        auto pooled_b = make_balancer(Algorithm::kSendFloor, 7);
+        const EngineConfig config{.self_loops = d_loops};
+        Engine serial(g, config, *serial_b, initial);
+        Engine pooled(g, config, *pooled_b, initial);
+        pooled.set_thread_pool(&pool);
+        const auto where = [&] {
+          return std::string(gg.label) + " with d_loops=" +
+                 std::to_string(d_loops) +
+                 " threads=" + std::to_string(threads);
+        };
+        for (Step t = 0; t < kSteps; ++t) {
+          serial.step();
+          pooled.step_parallel();
+          ASSERT_EQ(serial.loads(), pooled.loads())
+              << where() << " diverged at step " << t + 1;
+          ASSERT_EQ(serial.discrepancy(), pooled.discrepancy()) << where();
+        }
+        EXPECT_EQ(serial.min_load_seen(), pooled.min_load_seen()) << where();
+        EXPECT_FALSE(pooled.flows_materialized()) << where();
+        EXPECT_FALSE(serial.flows_materialized()) << where();
+      }
+    }
+  }
+}
+
+/// Promises a parallel-safe gather and keeps every node's load, but with
+/// `skip` set leaves the last next-load slot of each range unwritten.
+class KeepsLoadsGather : public Balancer {
+ public:
+  explicit KeepsLoadsGather(bool skip) : skip_(skip) {}
+  std::string name() const override { return "test:keeps-loads-gather"; }
+  void reset(const Graph&, int) override {}
+  void decide(NodeId, Load, Step, std::span<Load> flows) override {
+    std::fill(flows.begin(), flows.end(), 0);
+  }
+  NodeId window_reach(const Graph&) const override { return 0; }
+  bool parallel_decide_safe() const override { return true; }
+  void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
+                    Step, FlowSink& sink) override {
+    const NodeId written = skip_ ? last - 1 : last;
+    Load lo = std::numeric_limits<Load>::max();
+    Load hi = std::numeric_limits<Load>::min();
+    for (NodeId u = first; u < written; ++u) {
+      const Load x = loads[static_cast<std::size_t>(u)];
+      sink.next()[static_cast<std::size_t>(u)] = x;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    sink.merge_emit_stats(lo, hi, written - first);
+  }
+
+ private:
+  bool skip_;
+};
+
+TEST(GoldenEquivalence, PooledGatherRoundThatSkipsASlotIsRefused) {
+  const Graph g = make_cycle(64);
+  const LoadVector initial = random_initial(g.num_nodes(), 100, 3);
+  ThreadPool pool(4);
+  for (const bool skip : {false, true}) {
+    SCOPED_TRACE(skip ? "skipping kernel" : "covering kernel");
+    KeepsLoadsGather balancer(skip);
+    Engine e(g, EngineConfig{.self_loops = 2, .check_conservation = false},
+             balancer, initial);
+    e.set_thread_pool(&pool);
+    if (!skip) {
+      for (int i = 0; i < 3; ++i) e.step_parallel();
+      EXPECT_EQ(e.loads(), initial);
+      EXPECT_FALSE(e.flows_materialized());
+      continue;
+    }
+    try {
+      e.step_parallel();
+      ADD_FAILURE() << "a pooled round with an unwritten slot was accepted";
+    } catch (const invariant_error& err) {
+      EXPECT_NE(std::string(err.what()).find(
+                    "gather kernel did not write every next-load slot"),
+                std::string::npos)
+          << err.what();
+    }
+    EXPECT_FALSE(e.flows_materialized());
   }
 }
 

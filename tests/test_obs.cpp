@@ -376,6 +376,43 @@ TEST(TelemetryDeterminismTest, WorkloadPhasesAreTimedOnBothEngines) {
   }
 }
 
+TEST(TelemetryDeterminismTest, PooledGatherRoundsAreTimedAsOneScatterPhase) {
+  // A pooled observer-free SEND(floor) round is one fused pass, so it
+  // records the scatter phase and nothing else; the decide/apply pair
+  // belongs to row rounds (here a pooled ROTOR-ROUTER round). Each round
+  // lands in exactly one of the two shapes, so traced layer sums add up.
+  const Graph g = make_cycle(256);
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto count = [&](const char* phase) {
+    return reg.sample("dlb_engine_phase_seconds",
+                      {{"engine", "flat"}, {"phase", phase}});
+  };
+  TelemetryOn on(/*trace=*/false);
+  ThreadPool pool(3);
+  struct Case {
+    const char* balancer;
+    double scatter, prepare, decide, apply;
+  };
+  for (const Case& c : {Case{"SEND(floor)", 5, 0, 0, 0},
+                        Case{"ROTOR-ROUTER", 0, 5, 5, 5}}) {
+    SCOPED_TRACE(c.balancer);
+    const double scatter = count("scatter");
+    const double prepare = count("prepare");
+    const double decide = count("decide");
+    const double apply = count("apply");
+    std::unique_ptr<Balancer> b = find_balancer_factory(c.balancer)(7);
+    Engine e(g, EngineConfig{.self_loops = g.degree()}, *b,
+             random_initial(g.num_nodes(), 200, 5));
+    e.set_thread_pool(&pool);
+    e.run(5);
+    EXPECT_EQ(count("scatter") - scatter, c.scatter);
+    EXPECT_EQ(count("prepare") - prepare, c.prepare);
+    EXPECT_EQ(count("decide") - decide, c.decide);
+    EXPECT_EQ(count("apply") - apply, c.apply);
+    EXPECT_EQ(e.flows_materialized(), c.apply > 0);
+  }
+}
+
 TEST(TelemetryDeterminismTest, ShardedChannelByteCountersTrackHaloTraffic) {
   const Graph g = make_cycle(64);
   std::unique_ptr<Balancer> b = find_balancer_factory("SEND(floor)")(7);

@@ -1,16 +1,23 @@
-// Unit tests for the util layer: rng, intmath, stats, csv, assertions.
+// Unit tests for the util layer: rng, intmath, stats, csv, assertions,
+// and the aligned / huge-page allocator.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "util/alloc.hpp"
 #include "util/assertions.hpp"
 #include "util/csv.hpp"
 #include "util/intmath.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dlb {
 namespace {
@@ -273,6 +280,126 @@ TEST(Assertions, RequireThrowsWithMessage) {
 
 TEST(Assertions, RequirePassesSilently) {
   EXPECT_NO_THROW(DLB_REQUIRE(2 + 2 == 4, "math works"));
+}
+
+// ---------------------------------------------------------- allocator --
+
+using HugeAlloc = AlignedAllocator<std::int64_t>;
+constexpr std::size_t kHugeElems = kHugeThreshold / sizeof(std::int64_t);
+
+std::uintptr_t address(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+TEST(AlignedAllocator, EightConsecutiveHugeAllocationsTakeDistinctColours) {
+  HugeAlloc alloc;
+  std::vector<std::int64_t*> blocks;
+  std::set<std::uintptr_t> page_offsets;
+  for (int i = 0; i < 8; ++i) {
+    std::int64_t* p = alloc.allocate(kHugeElems);
+    // The whole requested range is usable.
+    p[0] = i;
+    p[kHugeElems - 1] = i;
+    EXPECT_EQ(address(p) % kCacheLineBytes, 0u) << "allocation " << i;
+    // The colour lives in the first page; the mapping itself starts on a
+    // huge-page boundary so no partial huge page is left at its head.
+    EXPECT_EQ((address(p) & ~std::uintptr_t{4095}) % kHugePageBytes, 0u)
+        << "allocation " << i;
+    page_offsets.insert(address(p) % 4096);
+    blocks.push_back(p);
+  }
+  EXPECT_EQ(page_offsets.size(), 8u)
+      << "two of eight consecutive huge allocations share a page offset";
+  for (std::int64_t* p : blocks) alloc.deallocate(p, kHugeElems);
+}
+
+TEST(AlignedAllocator, SubThresholdAllocationsStayOnTheHeapPath) {
+  HugeAlloc alloc;
+  const std::uint64_t huge_before = alloc_stats().huge_allocs;
+  for (std::size_t elems : {std::size_t{1}, std::size_t{1000},
+                            kHugeElems - 1}) {
+    std::int64_t* p = alloc.allocate(elems);
+    p[elems - 1] = 7;
+    EXPECT_EQ(address(p) % kCacheLineBytes, 0u) << elems << " elements";
+    alloc.deallocate(p, elems);
+  }
+  EXPECT_EQ(alloc_stats().huge_allocs, huge_before);
+  std::int64_t* p = alloc.allocate(kHugeElems);
+  EXPECT_EQ(alloc_stats().huge_allocs, huge_before + 1);
+  alloc.deallocate(p, kHugeElems);
+}
+
+/// Number of mappings and their total size, from /proc/self/maps.
+struct MapsFootprint {
+  std::size_t mappings = 0;
+  std::uintptr_t bytes = 0;
+};
+
+MapsFootprint maps_footprint() {
+  MapsFootprint out;
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    const std::size_t dash = line.find('-');
+    const std::size_t space = line.find(' ');
+    if (dash == std::string::npos || space == std::string::npos) continue;
+    ++out.mappings;
+    out.bytes += std::stoull(line.substr(dash + 1, space - dash - 1), nullptr,
+                             16) -
+                 std::stoull(line.substr(0, dash), nullptr, 16);
+  }
+  return out;
+}
+
+TEST(AlignedAllocator, HugeAllocFreeCyclesLeaveNoMappingBehind) {
+  HugeAlloc alloc;
+  // Two live blocks per cycle, so consecutive colours differ and the
+  // freed pointer is never the mapping base for every block.
+  const auto cycle = [&](int i) {
+    std::int64_t* a = alloc.allocate(kHugeElems);
+    std::int64_t* b = alloc.allocate(kHugeElems + 1);
+    a[0] = b[kHugeElems] = i;
+    alloc.deallocate(b, kHugeElems + 1);
+    alloc.deallocate(a, kHugeElems);
+  };
+  // Warm-up: the first reads and cycles may map heap regions of their
+  // own (a sanitizer's allocator does), which are not the allocator's.
+  for (int i = 0; i < 8; ++i) cycle(i);
+  maps_footprint();
+  const MapsFootprint before = maps_footprint();
+  if (before.mappings == 0) GTEST_SKIP() << "no /proc/self/maps";
+  for (int i = 0; i < 1000; ++i) cycle(i);
+  const MapsFootprint after = maps_footprint();
+  EXPECT_LE(after.mappings, before.mappings);
+  // A leaked colour page per block would be ~8 MiB; allow the heap some
+  // slack for the test's own small allocations.
+  EXPECT_LE(after.bytes, before.bytes + (std::uintptr_t{1} << 20));
+}
+
+TEST(AlignedAllocator, ConcurrentHugeAllocationsFromPoolThreadsAreValid) {
+  ThreadPool pool(4);
+  std::atomic<int> bad{0};
+  std::atomic<int> blocks{0};
+  pool.for_ranges(4, [&](std::int64_t first, std::int64_t last) {
+    HugeAlloc alloc;
+    for (std::int64_t r = first; r < last; ++r) {
+      for (int round = 0; round < 16; ++round) {
+        std::int64_t* p = alloc.allocate(kHugeElems);
+        if (address(p) % kCacheLineBytes != 0) bad.fetch_add(1);
+        for (std::size_t i = 0; i < kHugeElems; i += 512) {
+          p[i] = r;
+        }
+        p[kHugeElems - 1] = r;
+        for (std::size_t i = 0; i < kHugeElems; i += 512) {
+          if (p[i] != r) bad.fetch_add(1);
+        }
+        alloc.deallocate(p, kHugeElems);
+        blocks.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(blocks.load(), 4 * 16);
 }
 
 }  // namespace
