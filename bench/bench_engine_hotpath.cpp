@@ -36,7 +36,9 @@
 #include "balancers/registry.hpp"
 #include "obs/metrics.hpp"
 #include "core/engine.hpp"
+#include "dynamics/workload.hpp"
 #include "graph/generators.hpp"
+#include "service/admission.hpp"
 #include "shard/sharded_engine.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -279,6 +281,73 @@ void BM_Sharded_Torus512_SendFloor(benchmark::State& s) {
   run_steps_sharded(s, torus_512(), Algorithm::kSendFloor);
 }
 
+// ------------------------------------------------ workload generation --
+// One dense round's deltas of a 2^20-node process, fetched through fill()
+// in the 1024-node chunks the engines use, on one thread; items/sec ==
+// deltas/sec. The Poisson series run the service-overload demand
+// (λ_in = 0.08, λ_out = 0.05) on the scalar and the AVX2 path (the two
+// coincide on a host without AVX2); Counter is the torus-sharded churn.
+constexpr PoissonWorkload::Params kServiceDemand{.arrival_rate = 0.08,
+                                                 .departure_rate = 0.05};
+
+void run_fill(benchmark::State& state, WorkloadProcess& w) {
+  const NodeId n = cycle_1m().num_nodes();
+  w.reset(n, 1);
+  std::vector<Load> chunk(1024);
+  Step t = 0;
+  for (auto _ : state) {
+    w.prepare(t, {});
+    for (NodeId first = 0; first < n; first += 1024) {
+      w.fill(t, first, chunk);
+      benchmark::DoNotOptimize(chunk.data());
+    }
+    ++t;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_WorkloadFill_Poisson(benchmark::State& state, bool simd_on) {
+  const bool was = simd::enabled();
+  simd::set_enabled(simd_on);
+  state.SetLabel(simd::enabled() ? "avx2" : "scalar");
+  PoissonWorkload w(kServiceDemand);
+  run_fill(state, w);
+  simd::set_enabled(was);
+}
+void BM_WorkloadFill_Counter(benchmark::State& state) {
+  CounterWorkload w(CounterWorkload::Params{});
+  run_fill(state, w);
+}
+
+// A whole service round at 2^20: the service-overload demand behind an
+// AdmissionQueue (cap 48), then the SEND(floor) kernel, on an Arg-thread
+// pool. Next to BM_StepParallel_SendFloor (the kernel alone) it reads
+// the share workload generation and admission take of a round.
+void BM_ServiceRound_SendFloor(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const Graph& g = cycle_1m();
+  auto balancer = balancer_factory(Algorithm::kSendFloor)(/*seed=*/42);
+  PoissonWorkload demand(kServiceDemand);
+  AdmissionQueue queue(demand, AdmissionQueue::Params{.round_cap = 48});
+  queue.reset(g.num_nodes(), 1);
+  Engine e(g, EngineConfig{.self_loops = g.degree()}, *balancer,
+           LoadVector(static_cast<std::size_t>(g.num_nodes()), 0));
+  e.set_workload(&queue);
+  ThreadPool pool(threads);
+  if (threads > 1) e.set_thread_pool(&pool);
+
+  for (auto _ : state) {
+    e.step_parallel();
+    benchmark::DoNotOptimize(e.loads().data());
+  }
+  state.SetItemsProcessed(state.iterations());  // items/sec == rounds/sec
+  state.counters["threads"] = static_cast<double>(threads);
+  state.counters["node_steps_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(g.num_nodes()),
+      benchmark::Counter::kIsRate);
+}
+
 // ------------------------------------------ n = 2^18 torus (d = 4) slice --
 void BM_Torus512_SendFloor_Lazy(benchmark::State& s) {
   run_steps(s, torus_512(), Algorithm::kSendFloor);
@@ -322,6 +391,15 @@ BENCHMARK(BM_Sharded_Cycle1Mplus1_SendFloor)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1M_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1Mplus1_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Torus512_SendFloor)->Apply(pooled_sweep);
+BENCHMARK_CAPTURE(BM_WorkloadFill_Poisson, scalar, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadFill_Poisson, simd, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorkloadFill_Counter)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceRound_SendFloor)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------- --timed-window mode --
 // Fixed wall-clock measurement, bypassing google-benchmark's iteration

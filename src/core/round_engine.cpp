@@ -47,11 +47,10 @@ void RoundEngineBase::apply_workload(ThreadPool* pool) {
         std::mutex mu;
         const auto body = [&](std::int64_t first, std::int64_t last) {
           WorkloadTally part;
-          for (std::int64_t i = first; i < last; ++i) {
-            const auto u = static_cast<NodeId>(i);
-            part.apply(u, loads_[static_cast<std::size_t>(i)], w.delta(u, t));
-            if (part.overflow_node >= 0) break;
-          }
+          part.apply_filled(w, t, static_cast<NodeId>(first),
+                            std::span<Load>(loads_).subspan(
+                                static_cast<std::size_t>(first),
+                                static_cast<std::size_t>(last - first)));
           const std::lock_guard<std::mutex> lock(mu);
           tally.merge(part);
         };

@@ -1,6 +1,7 @@
 #include "core/round_ledger.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <string>
 
@@ -36,6 +37,21 @@ void LoadScan::add(std::span<const Load> xs, bool with_sum) noexcept {
   }
   min = lo;
   max = hi;
+}
+
+void WorkloadTally::apply_filled(WorkloadProcess& w, Step t, NodeId first,
+                                 std::span<Load> x) {
+  constexpr std::size_t kChunk = 1024;  // 8 KiB of deltas on the stack
+  std::array<Load, kChunk> deltas;
+  for (std::size_t lo = 0; lo < x.size(); lo += kChunk) {
+    const std::size_t len = std::min(kChunk, x.size() - lo);
+    const NodeId base = first + static_cast<NodeId>(lo);
+    w.fill(t, base, std::span<Load>(deltas.data(), len));
+    for (std::size_t i = 0; i < len; ++i) {
+      apply(base + static_cast<NodeId>(i), x[lo + i], deltas[i]);
+      if (overflow_node >= 0) return;
+    }
+  }
 }
 
 void WorkloadTally::merge(const WorkloadTally& o) noexcept {
@@ -105,6 +121,8 @@ void RoundLedger::round_end(std::uint64_t start_ns, const char* kind) {
 }
 
 void RoundLedger::save_core(StateWriter& w, std::span<const Load> loads) const {
+  // Length prefix, the loads, the eight ledger fields, the stats byte.
+  w.reserve(8 + loads.size_bytes() + sizeof(State) + 1);
   w.vec_i64(loads);
   w.i64(s_.t);
   w.i64(s_.total);

@@ -86,6 +86,13 @@ struct WorkloadTally {
     return -take;
   }
 
+  /// Applies round t's deltas of `w` to the loads `x` of nodes first,
+  /// first + 1, …: fetched through WorkloadProcess::fill in fixed stack
+  /// chunks, then apply()'d in node order, stopping at the first node
+  /// whose load would leave int64. The dense-round body of every engine.
+  void apply_filled(WorkloadProcess& w, Step t, NodeId first,
+                    std::span<Load> x);
+
   /// Folds another chunk in. Partials are sums of non-negative terms, so
   /// one overflows iff the whole round's does, and the lowest overflowing
   /// node wins: the outcome is the same at any chunking.

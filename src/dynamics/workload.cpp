@@ -1,9 +1,11 @@
 #include "dynamics/workload.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "util/assertions.hpp"
+#include "util/simd.hpp"
 
 namespace dlb {
 
@@ -108,6 +110,12 @@ void WorkloadProcess::prepare_parallel(Step t, std::span<const Load> loads,
   prepare(t, loads);
 }
 
+void WorkloadProcess::fill(Step t, NodeId first, std::span<Load> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = delta(first + static_cast<NodeId>(i), t);
+  }
+}
+
 void WorkloadProcess::save_state(StateWriter& /*w*/) const {}
 void WorkloadProcess::load_state(StateReader& /*r*/) {}
 
@@ -138,6 +146,23 @@ std::string CounterWorkload::name() const {
 }
 
 void CounterWorkload::reset(NodeId /*n*/, std::uint64_t /*seed*/) {}
+
+void CounterWorkload::fill(Step t, NodeId first, std::span<Load> out) {
+  const Step phase = t + static_cast<Step>(first);
+  const Step ap = params_.arrival_period;
+  const Step dp = params_.departure_period;
+  // Each node's phase within both periods, stepped instead of divided. A
+  // zero period leaves its amount at 0 (its phase never matters).
+  const Load in = ap > 0 ? params_.arrival_amount : 0;
+  const Load gone = dp > 0 ? params_.departure_amount : 0;
+  Step a = ap > 0 ? phase % ap : 0;
+  Step d = dp > 0 ? phase % dp : 0;
+  for (Load& x : out) {
+    x = (a == 0 ? in : 0) - (d == dp - 1 ? gone : 0);
+    if (++a == ap) a = 0;
+    if (++d == dp) d = 0;
+  }
+}
 
 Load CounterWorkload::delta(NodeId u, Step t) {
   const Step phase = t + static_cast<Step>(u);
@@ -174,6 +199,194 @@ Load PoissonWorkload::delta(NodeId u, Step t) {
   const Load arrivals = arrivals_(rng);
   const Load departures = departures_(rng);
   return arrivals - departures;
+}
+
+namespace {
+
+/// stream_key(seed, u, t) with its node-independent part hoisted: the
+/// seed's SplitMix step and t·C.
+struct RoundKeys {
+  RoundKeys(std::uint64_t seed, Step t)
+      : s(seed + kSplitMixGamma),
+        h(splitmix64_finalize(s)),
+        tc(static_cast<std::uint64_t>(t) * kStreamRoundMul) {}
+
+  std::uint64_t key(std::uint64_t u) const noexcept {
+    const std::uint64_t a = (s ^ (u * kStreamNodeMul)) + kSplitMixGamma;
+    const std::uint64_t b = (a ^ tc) + kSplitMixGamma;
+    return h ^ splitmix64_finalize(a) ^ splitmix64_finalize(b);
+  }
+
+  std::uint64_t s;   ///< seed after its SplitMix step
+  std::uint64_t h;   ///< the seed's mix
+  std::uint64_t tc;  ///< t · kStreamRoundMul
+};
+
+/// Word i of the generator Rng(key) seeds.
+constexpr std::uint64_t rng_word(std::uint64_t key, std::uint64_t i) noexcept {
+  return splitmix64_finalize(key + (i + 1) * kSplitMixGamma);
+}
+
+/// xoshiro256**'s output for state word 1 = w: rotl(w·5, 7)·9.
+constexpr std::uint64_t xoshiro_out(std::uint64_t w) noexcept {
+  const std::uint64_t x = w * 5;
+  return ((x << 7) | (x >> 57)) * 9;
+}
+
+/// Largest 53-bit uniform numerator m with m·2^-53 <= limit: the first
+/// product-method uniform ends the draw at 0 iff m <= this. Exact, as
+/// limit·2^53 is.
+std::uint64_t zero_draw_bound(double limit) noexcept {
+  return static_cast<std::uint64_t>(std::ldexp(limit, 53));
+}
+
+/// Both Poisson draws of a node whose generator words 0–2 are known, for
+/// both rates in the product regime (thresholds `arrival_limit`,
+/// `departure_limit`). A generator's first output reads word 1 and its
+/// second w0 ^ w1 ^ w2, so when both pass their bounds the node draws
+/// 0 − 0 without the fourth word; otherwise the full draw runs from the
+/// words already made.
+struct ZeroTest {
+  double arrival_limit;
+  double departure_limit;
+  std::uint64_t arrival_bound = zero_draw_bound(arrival_limit);
+  std::uint64_t departure_bound = zero_draw_bound(departure_limit);
+
+  Load draw(std::uint64_t key, std::uint64_t w0, std::uint64_t w1,
+            std::uint64_t w2) const {
+    if ((xoshiro_out(w1) >> 11) <= arrival_bound &&
+        (xoshiro_out(w0 ^ w1 ^ w2) >> 11) <= departure_bound) {
+      return 0;
+    }
+    return finish(key, w0, w1, w2);
+  }
+
+  Load finish(std::uint64_t key, std::uint64_t w0, std::uint64_t w1,
+              std::uint64_t w2) const {
+    Rng rng;
+    rng.set_state({w0, w1, w2, rng_word(key, 3)});
+    const Load in = poisson_product(rng, arrival_limit);
+    return in - poisson_product(rng, departure_limit);
+  }
+};
+
+#ifdef DLB_SIMD_AVX2
+
+inline __m256i splitmix64_finalize4(__m256i z) noexcept {
+  z = simd::mul_u64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
+                    kSplitMixMul1);
+  z = simd::mul_u64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
+                    kSplitMixMul2);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+}
+
+/// xoshiro_out(w) >> 11 per lane.
+inline __m256i uniform_numerator4(__m256i w) noexcept {
+  const __m256i x = _mm256_add_epi64(_mm256_slli_epi64(w, 2), w);
+  const __m256i r =
+      _mm256_or_si256(_mm256_slli_epi64(x, 7), _mm256_srli_epi64(x, 57));
+  return _mm256_srli_epi64(_mm256_add_epi64(_mm256_slli_epi64(r, 3), r), 11);
+}
+
+/// ZeroTest::draw four nodes per vector over the whole vectors of `out`
+/// (node first + i at out[i]); returns how many entries it wrote. Both
+/// bounds are below 2^53 + 1, so the signed compares are exact. The
+/// vector loop keeps each batch's words and appends its slow lanes to a
+/// list without branching; a second loop then finishes only those, so
+/// the vector loop never stalls on a mispredicted lane test.
+std::size_t fill_zero_test_avx2(const RoundKeys& keys, const ZeroTest& z,
+                                std::uint64_t first, std::span<Load> out) {
+  constexpr std::size_t kBatch = 256;
+  alignas(32) std::uint64_t words[4][kBatch];  // key, w0, w1, w2
+  std::uint32_t slow[kBatch];
+  const __m256i gamma = _mm256_set1_epi64x(
+      static_cast<long long>(kSplitMixGamma));
+  const __m256i s = _mm256_set1_epi64x(static_cast<long long>(keys.s));
+  const __m256i h = _mm256_set1_epi64x(static_cast<long long>(keys.h));
+  const __m256i tc = _mm256_set1_epi64x(static_cast<long long>(keys.tc));
+  const __m256i in_bound =
+      _mm256_set1_epi64x(static_cast<long long>(z.arrival_bound));
+  const __m256i out_bound =
+      _mm256_set1_epi64x(static_cast<long long>(z.departure_bound));
+  // u · kStreamNodeMul for the four lanes, advanced by 4 · kStreamNodeMul
+  // per vector.
+  const auto node_mul = [](std::uint64_t u) {
+    return static_cast<long long>(u * kStreamNodeMul);
+  };
+  __m256i un = _mm256_set_epi64x(node_mul(first + 3), node_mul(first + 2),
+                                 node_mul(first + 1), node_mul(first));
+  const __m256i un_step = _mm256_set1_epi64x(node_mul(4));
+  const auto store = [](std::uint64_t* to, __m256i v) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(to), v);
+  };
+  const std::size_t whole = out.size() & ~std::size_t{3};
+  for (std::size_t base = 0; base < whole; base += kBatch) {
+    const std::size_t len = std::min(kBatch, whole - base);
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < len; j += 4) {
+      const __m256i a = _mm256_add_epi64(_mm256_xor_si256(s, un), gamma);
+      const __m256i b = _mm256_add_epi64(_mm256_xor_si256(a, tc), gamma);
+      const __m256i key =
+          _mm256_xor_si256(h, _mm256_xor_si256(splitmix64_finalize4(a),
+                                               splitmix64_finalize4(b)));
+      const __m256i k1 = _mm256_add_epi64(key, gamma);
+      const __m256i k2 = _mm256_add_epi64(k1, gamma);
+      const __m256i w0 = splitmix64_finalize4(k1);
+      const __m256i w1 = splitmix64_finalize4(k2);
+      const __m256i w2 = splitmix64_finalize4(_mm256_add_epi64(k2, gamma));
+      const __m256i second = _mm256_xor_si256(w0, _mm256_xor_si256(w1, w2));
+      const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_cmpgt_epi64(uniform_numerator4(w1), in_bound),
+          _mm256_cmpgt_epi64(uniform_numerator4(second), out_bound))));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out.data() + base + j),
+                          _mm256_setzero_si256());
+      store(words[0] + j, key);
+      store(words[1] + j, w0);
+      store(words[2] + j, w1);
+      store(words[3] + j, w2);
+      for (std::uint32_t l = 0; l < 4; ++l) {
+        slow[count] = static_cast<std::uint32_t>(j) + l;
+        count += static_cast<std::size_t>((mask >> l) & 1);
+      }
+      un = _mm256_add_epi64(un, un_step);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t j = slow[k];
+      out[base + j] =
+          z.finish(words[0][j], words[1][j], words[2][j], words[3][j]);
+    }
+  }
+  return whole;
+}
+
+#endif  // DLB_SIMD_AVX2
+
+}  // namespace
+
+void PoissonWorkload::fill(Step t, NodeId first, std::span<Load> out) {
+  const RoundKeys keys(seed_, t);
+  const auto u0 = static_cast<std::uint64_t>(first);
+  // At λ = 0 a sampler draws no uniform, so the departures' first uniform
+  // would be the generator's first output: the zero test needs both rates
+  // in the product regime.
+  if (!arrivals_.single_product() || !departures_.single_product()) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      Rng rng(keys.key(u0 + i));
+      const Load in = arrivals_(rng);
+      out[i] = in - departures_(rng);
+    }
+    return;
+  }
+  const ZeroTest z{arrivals_.limit(), departures_.limit()};
+  std::size_t i = 0;
+#ifdef DLB_SIMD_AVX2
+  if (simd::enabled()) i = fill_zero_test_avx2(keys, z, u0, out);
+#endif
+  for (; i < out.size(); ++i) {
+    const std::uint64_t key = keys.key(u0 + i);
+    out[i] = z.draw(key, rng_word(key, 0), rng_word(key, 1),
+                    rng_word(key, 2));
+  }
 }
 
 void PoissonWorkload::save_state(StateWriter& w) const { w.u64(seed_); }
@@ -240,6 +453,15 @@ Load BurstWorkload::delta(NodeId u, Step t) {
     d -= params_.drain_amount;
   }
   return d;
+}
+
+void BurstWorkload::fill(Step t, NodeId first, std::span<Load> out) {
+  const bool drain = params_.drain_period > 0 && t % params_.drain_period == 0;
+  std::fill(out.begin(), out.end(), drain ? -params_.drain_amount : 0);
+  if (hotspot_ >= first &&
+      static_cast<std::size_t>(hotspot_ - first) < out.size()) {
+    out[static_cast<std::size_t>(hotspot_ - first)] += params_.burst;
+  }
 }
 
 // ----------------------------------------------------------- adversary --

@@ -21,6 +21,14 @@
 // (the adversarial injector's argmax scan, the burst hotspot pick)
 // compute it in the serial prepare() hook, exactly like
 // Balancer::prepare_round.
+//
+// Dense rounds read their deltas a block at a time through fill(t, first,
+// out), one virtual call per block: the built-in processes generate a
+// block in an inlined loop (the Poisson draw four nodes per AVX2 vector),
+// so producing a round's arrivals costs about what balancing it does.
+// delta(u, t) is the point query — sparse lists, overflow replays, tests —
+// and the default fill() loops over it, so a process (or a forwarding
+// wrapper) that overrides only delta() stays correct.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +45,10 @@ namespace dlb {
 
 class ThreadPool;
 
+/// Multipliers stream_key folds the node and the round in with.
+inline constexpr std::uint64_t kStreamNodeMul = 0x9e3779b97f4a7c15ULL;
+inline constexpr std::uint64_t kStreamRoundMul = 0xbf58476d1ce4e5b9ULL;
+
 /// Counter-based per-(node, round) stream key: three SplitMix64 rounds
 /// over (seed, node, round). Workload generators seed a throwaway Rng
 /// from this instead of sharing one sequential stream, so any node's
@@ -46,9 +58,9 @@ inline std::uint64_t stream_key(std::uint64_t seed, std::uint64_t node,
                                 std::uint64_t round) noexcept {
   std::uint64_t s = seed;
   std::uint64_t h = splitmix64(s);
-  s ^= node * 0x9e3779b97f4a7c15ULL;
+  s ^= node * kStreamNodeMul;
   h ^= splitmix64(s);
-  s ^= round * 0xbf58476d1ce4e5b9ULL;
+  s ^= round * kStreamRoundMul;
   h ^= splitmix64(s);
   return h;
 }
@@ -86,6 +98,12 @@ class PoissonSampler {
 
   Load operator()(Rng& rng) const;
 
+  /// True when a draw is one product-method run with λ > 0: it then
+  /// returns 0 exactly when its first uniform is <= limit().
+  bool single_product() const noexcept { return chunks_ == 1; }
+  /// The product threshold exp(−λ) (per chunk when split).
+  double limit() const noexcept { return limit_; }
+
  private:
   double lambda_;
   double sqrt_lambda_ = 0.0;  ///< normal regime
@@ -95,7 +113,8 @@ class PoissonSampler {
 
 /// Per-round load perturbation source. Attach to any round engine via
 /// RoundEngineBase::set_workload; the engine calls prepare() once per
-/// round (serially) and then delta() for every node.
+/// round (serially), then fill() over its node ranges on a dense round or
+/// delta() for each listed node on a sparse one (affected_nodes()).
 class WorkloadProcess {
  public:
   virtual ~WorkloadProcess() = default;
@@ -133,6 +152,14 @@ class WorkloadProcess {
   /// prepare(), must be a pure function of (u, t) — no shared writes.
   virtual Load delta(NodeId u, Step t) = 0;
 
+  /// Block form of delta(): writes delta(first + i, t) into out[i] for
+  /// every i < out.size(). Dense rounds read their deltas only through
+  /// this, one call per chunk, under the same purity and concurrency
+  /// contract as delta(). Default: a loop over delta(), so a process that
+  /// overrides only delta() keeps working; the built-ins override it with
+  /// a generation loop free of per-node virtual calls.
+  virtual void fill(Step t, NodeId first, std::span<Load> out);
+
   /// True when delta() over disjoint node ranges may run concurrently
   /// (the counter-stream contract). Default: false — safe for any
   /// third-party process (e.g. one drawing from a sequential member RNG
@@ -144,14 +171,14 @@ class WorkloadProcess {
   /// Sparse-injection fast path. After prepare(t), a process whose round
   /// is known to touch only a small node set may expose it here; the
   /// engine then calls delta() for exactly those nodes instead of
-  /// scanning all n with a virtual call each — the difference between
-  /// O(1) and O(n) bookkeeping per round for a burst or adversary
-  /// process on a 2^20-node graph. Contract: delta(u, t) == 0 for every
-  /// node outside the list, entries are distinct, and the pointer stays
-  /// valid until the next prepare()/reset(). An *empty* list means "no
-  /// churn this round"; returning nullptr (the default) means "dense" —
-  /// the engine scans every node. Equivalence with the dense scan is
-  /// golden-tested for the built-in sparse processes.
+  /// filling and applying all n — the difference between O(1) and O(n)
+  /// bookkeeping per round for a burst or adversary process on a
+  /// 2^20-node graph. Contract: delta(u, t) == 0 for every node outside
+  /// the list, entries are distinct, and the pointer stays valid until the
+  /// next prepare()/reset(). An *empty* list means "no churn this round";
+  /// returning nullptr (the default) means "dense" — the engine fills
+  /// every node. Equivalence with the dense round is golden-tested for the
+  /// built-in sparse processes.
   virtual const std::vector<NodeId>* affected_nodes() const {
     return nullptr;
   }
@@ -187,6 +214,8 @@ class CounterWorkload : public WorkloadProcess {
   std::string name() const override;
   void reset(NodeId n, std::uint64_t seed) override;
   Load delta(NodeId u, Step t) override;
+  /// Steps both phases node by node: no division per node.
+  void fill(Step t, NodeId first, std::span<Load> out) override;
   /// Pure arithmetic in (u, t) — ranges may generate concurrently.
   bool parallel_generate_safe() const override { return true; }
 
@@ -217,6 +246,12 @@ class PoissonWorkload : public WorkloadProcess {
   std::string name() const override;
   void reset(NodeId n, std::uint64_t seed) override;
   Load delta(NodeId u, Step t) override;
+  /// Hoists the round's part of the stream key. With both rates in the
+  /// product regime (0 < λ <= 64), a node whose two first uniforms pass
+  /// their thresholds draws 0 − 0: that test needs three of the four
+  /// generator words, and only the other nodes run the full draw, from
+  /// the words already made. On AVX2 the test runs four nodes per vector.
+  void fill(Step t, NodeId first, std::span<Load> out) override;
   /// Each delta seeds a throwaway Rng from the (seed, node, round)
   /// stream key — no shared stream, ranges may generate concurrently.
   bool parallel_generate_safe() const override { return true; }
@@ -251,6 +286,8 @@ class BurstWorkload : public WorkloadProcess {
   void reset(NodeId n, std::uint64_t seed) override;
   void prepare(Step t, std::span<const Load> loads) override;
   Load delta(NodeId u, Step t) override;
+  /// The round's drain constant, plus the burst at the hotspot.
+  void fill(Step t, NodeId first, std::span<Load> out) override;
   /// delta() only reads the hotspot chosen in the serial prepare().
   bool parallel_generate_safe() const override { return true; }
 

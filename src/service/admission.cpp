@@ -115,14 +115,19 @@ void AdmissionQueue::pass_blocks(Step t, std::int64_t first,
     blk.fresh.clear();
     Load arrived = 0;
     bool overflowed = false;
+    const std::int64_t lo = n * b / count;
     const std::int64_t hi = n * (b + 1) / count;
-    for (std::int64_t i = n * b / count; i < hi && !overflowed; ++i) {
+    inner_->fill(t, static_cast<NodeId>(lo),
+                 std::span<Load>(round_delta_).subspan(
+                     static_cast<std::size_t>(lo),
+                     static_cast<std::size_t>(hi - lo)));
+    for (std::int64_t i = lo; i < hi && !overflowed; ++i) {
       const auto u = static_cast<std::size_t>(i);
-      const Load d = inner_->delta(static_cast<NodeId>(i), t);
+      const Load d = round_delta_[u];
       // Negatives pass through; the table holds no positives before the
       // drain, which admits from the ring.
-      round_delta_[u] = std::min<Load>(d, 0);
       if (d <= 0) continue;
+      round_delta_[u] = 0;
       Load& p = pending_[u];
       if (p == 0) blk.fresh.push_back(static_cast<NodeId>(i));
       overflowed = __builtin_add_overflow(p, d, &p) ||
@@ -231,6 +236,10 @@ Load AdmissionQueue::delta(NodeId u, Step /*t*/) {
   return round_delta_[static_cast<std::size_t>(u)];
 }
 
+void AdmissionQueue::fill(Step /*t*/, NodeId first, std::span<Load> out) {
+  std::copy_n(round_delta_.begin() + first, out.size(), out.begin());
+}
+
 const std::vector<NodeId>* AdmissionQueue::affected_nodes() const {
   return dense_ ? nullptr : &affected_;
 }
@@ -247,6 +256,7 @@ std::vector<NodeId> AdmissionQueue::pending_nodes() const {
 
 void AdmissionQueue::save_state(StateWriter& w) const {
   inner_->save_state(w);
+  w.reserve(16 + 12 * ring_size_);
   w.u64(kRingTag);
   w.u64(ring_size_);
   for (const NodeId u : pending_nodes()) {

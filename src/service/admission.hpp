@@ -22,9 +22,10 @@
 // request-FIFO (backlog first, then the round's arrivals by node).
 //
 // The per-node work (inner deltas, the round table, the pending counters)
-// runs as one pass over fixed node blocks; prepare_parallel() spreads the
-// blocks over the engine's pool when the inner process is dense and
-// parallel-safe. The blocks depend only on n, and their newly pending
+// runs as one pass over fixed node blocks, the inner process fill()ing
+// each block's deltas straight into its slice of the table;
+// prepare_parallel() spreads the blocks over the engine's pool when the
+// inner process is dense and parallel-safe. The blocks depend only on n, and their newly pending
 // nodes are appended to the ring in block order, so the state is
 // byte-identical at any thread count; prepare() runs the same pass
 // inline. Only the drain (at most round_cap tokens) is serial.
@@ -66,8 +67,10 @@ class AdmissionQueue : public WorkloadProcess {
                         ThreadPool& pool) override;
 
   Load delta(NodeId u, Step t) override;
+  /// Copies the round table.
+  void fill(Step t, NodeId first, std::span<Load> out) override;
 
-  /// delta() only reads the table built in prepare().
+  /// delta() and fill() only read the table built in prepare().
   bool parallel_generate_safe() const override { return true; }
 
   /// Adapter: whether prepare() needs the loads is the inner process's

@@ -44,7 +44,7 @@ class BalancerService {
  public:
   struct Options {
     /// Snapshot file; empty disables checkpointing AND restore.
-    std::string checkpoint_path;
+    std::string checkpoint_path{};
     /// Rounds between periodic checkpoints; 0 = only on shutdown.
     Step checkpoint_interval = 0;
     /// Write attempts per checkpoint. A failed write (ENOSPC, a flaky
@@ -65,11 +65,11 @@ class BalancerService {
     /// file (atomic tmp+rename) every `metrics_interval` rounds, on
     /// SIGUSR1, and at shutdown. Non-empty arms the metrics registry for
     /// the process. Empty disables.
-    std::string metrics_file;
+    std::string metrics_file{};
     /// Chrome trace-event JSON written at shutdown (Perfetto-loadable).
     /// Non-empty enables the phase tracer (so does the DLB_TRACE env
     /// var). Empty leaves the tracer as the environment configured it.
-    std::string trace_file;
+    std::string trace_file{};
     std::ostream* csv = nullptr;          ///< per-round CSV sink (no header)
     std::ostream* log = nullptr;          ///< service log lines; nullptr = quiet
     /// Test/CI hook: raise SIGTERM from inside the loop after this many

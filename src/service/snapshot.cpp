@@ -215,6 +215,11 @@ void EngineSnapshot::restore(ShardedEngine& engine,
 
 std::vector<std::uint8_t> EngineSnapshot::serialize() const {
   StateWriter payload;
+  // The blobs and strings, their length prefixes, and the fixed fields.
+  payload.reserve(core_blob_.size() + balancer_blob_.size() +
+                  workload_blob_.size() + tracker_blob_.size() +
+                  graph_name_.size() + balancer_name_.size() +
+                  workload_name_.size() + 4 * extents_.size() + 128);
   payload.i32(n_);
   payload.i32(d_);
   payload.i32(self_loops_);
@@ -232,6 +237,7 @@ std::vector<std::uint8_t> EngineSnapshot::serialize() const {
   put_blob(payload, tracker_blob_);
 
   StateWriter out;
+  out.reserve(28 + payload.size());
   out.u64(kMagic);
   out.u32(kFormatVersion);
   out.u64(payload.size());

@@ -296,9 +296,6 @@ void ShardedEngine::apply_workload() {
   WorkloadProcess& wl = *workload_;
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   const Step t = time();
-  const auto apply = [&](Shard& sh, NodeId u, Load d, WorkloadTally& tally) {
-    tally.apply(u, sh.window[static_cast<std::size_t>(w + (u - sh.begin))], d);
-  };
   ledger_.apply_workload(
       wl, "sharded", pool_, part_.num_nodes(),
       // The prepare hook sees the global loads only when it reads them
@@ -309,17 +306,19 @@ void ShardedEngine::apply_workload() {
                                         : std::span<const Load>();
       },
       [&](NodeId u, Load d, WorkloadTally& tally) {
-        apply(shards_[static_cast<std::size_t>(part_.owner(u))], u, d, tally);
+        Shard& sh = shards_[static_cast<std::size_t>(part_.owner(u))];
+        tally.apply(u, sh.window[static_cast<std::size_t>(w + (u - sh.begin))],
+                    d);
       },
       [&](WorkloadTally& tally) {
         // Shards are the chunks: per-shard tallies merged in shard order.
         for_shards(wl.parallel_generate_safe(), [&](int s) {
           Shard& sh = shards_[static_cast<std::size_t>(s)];
           WorkloadTally part;
-          for (NodeId u = sh.begin; u < sh.begin + sh.size; ++u) {
-            apply(sh, u, wl.delta(u, t), part);
-            if (part.overflow_node >= 0) break;
-          }
+          part.apply_filled(wl, t, sh.begin,
+                            std::span<Load>(sh.window).subspan(
+                                static_cast<std::size_t>(w),
+                                static_cast<std::size_t>(sh.size)));
           sh.tally = part;
         });
         for (const Shard& sh : shards_) tally.merge(sh.tally);

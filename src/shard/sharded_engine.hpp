@@ -78,7 +78,7 @@ struct ShardedEngineConfig {
   /// shard_fault_error.
   struct FaultTolerance {
     int max_retries = 8;
-  } fault;
+  } fault{};
 };
 
 class ShardedEngine {

@@ -14,12 +14,22 @@
 
 namespace dlb {
 
+/// SplitMix64's constants: the state increment and the two multipliers
+/// of its output mix (named so vectorized copies of the mix share them).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+inline constexpr std::uint64_t kSplitMixMul1 = 0xbf58476d1ce4e5b9ULL;
+inline constexpr std::uint64_t kSplitMixMul2 = 0x94d049bb133111ebULL;
+
+/// SplitMix64's output mix of an already advanced state.
+constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * kSplitMixMul1;
+  z = (z ^ (z >> 27)) * kSplitMixMul2;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64 step: used for seeding and as a cheap standalone mixer.
 inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return splitmix64_finalize(state += kSplitMixGamma);
 }
 
 /// xoshiro256** — fast, high-quality, implementation-independent PRNG.

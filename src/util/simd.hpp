@@ -107,6 +107,21 @@ inline __m256d round_half_away(__m256d x) noexcept {
   return _mm256_sub_pd(_mm256_add_pd(t, up), down);
 }
 
+/// Lane-wise x · c mod 2^64 for a constant c. AVX2 multiplies only 32×32
+/// → 64 bits, so the product is lo·lo + ((hi·lo + lo·hi) << 32): three
+/// _mm256_mul_epu32, exact in two's complement (the hi·hi term falls off
+/// the top). The counter-stream hashes (SplitMix64) use it.
+inline __m256i mul_u64(__m256i x, std::uint64_t c) noexcept {
+  const __m256i c_lo =
+      _mm256_set1_epi64x(static_cast<long long>(c & 0xffffffffULL));
+  const __m256i c_hi = _mm256_set1_epi64x(static_cast<long long>(c >> 32));
+  const __m256i lo = _mm256_mul_epu32(x, c_lo);
+  const __m256i cross = _mm256_add_epi64(
+      _mm256_mul_epu32(_mm256_srli_epi64(x, 32), c_lo),
+      _mm256_mul_epu32(x, c_hi));
+  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
+}
+
 /// True if any int64 lane is negative.
 inline bool any_negative(__m256i x) noexcept {
   return _mm256_movemask_pd(_mm256_castsi256_pd(x)) != 0;

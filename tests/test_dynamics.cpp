@@ -22,6 +22,9 @@
 #include "graph/generators.hpp"
 #include "irregular/iengine.hpp"
 #include "markov/spectral.hpp"
+#include "service/admission.hpp"
+#include "shard/sharded_engine.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dlb {
@@ -458,6 +461,229 @@ TEST(SparseWorkload, FastPathMatchesDenseScanTrajectoryAndLedger) {
         ASSERT_EQ(sparse_e.consumed_total(), dense_e.consumed_total())
             << where() << " at step " << t + 1;
       }
+    }
+  }
+}
+
+// ------------------------------------------------------- block fill() --
+
+/// Restores the process-wide SIMD switch on scope exit.
+class SimdSwitch {
+ public:
+  SimdSwitch() : was_(simd::enabled()) {}
+  ~SimdSwitch() { simd::set_enabled(was_); }
+
+ private:
+  bool was_;
+};
+
+/// Node ranges [first, last) whose ends sit at every offset mod 4 (the
+/// AVX2 Poisson path's vector width) around the start, the end and an
+/// interior point of [0, n), plus prime-sized ranges.
+std::vector<std::pair<NodeId, NodeId>> fill_ranges(NodeId n) {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  for (const NodeId anchor : {NodeId{0}, n / 2, n - 8}) {
+    for (NodeId a = 0; a < 4; ++a) {
+      for (NodeId len = 0; len < 12; ++len) {
+        const NodeId first = anchor + a;
+        if (first + len <= n) out.emplace_back(first, first + len);
+      }
+    }
+  }
+  for (const NodeId first : {NodeId{0}, NodeId{3}, NodeId{29}}) {
+    for (const NodeId len : {NodeId{31}, NodeId{127}, NodeId{257},
+                             NodeId{1021}}) {
+      if (first + len <= n) out.emplace_back(first, first + len);
+    }
+  }
+  out.emplace_back(0, n);
+  return out;
+}
+
+/// Over `rounds` rounds of `w` (prepared over loads of size n), every
+/// fill() range equals the delta() values of its nodes — with the AVX2
+/// path on and with it off.
+void expect_fill_equals_delta(WorkloadProcess& w, NodeId n, Step rounds,
+                              const std::string& what) {
+  const LoadVector loads = random_initial(n, 50, 3);
+  const auto ranges = fill_ranges(n);
+  const SimdSwitch restore;
+  for (Step t = 0; t < rounds; ++t) {
+    w.prepare(t, loads);
+    std::vector<Load> want(static_cast<std::size_t>(n));
+    for (NodeId u = 0; u < n; ++u) {
+      want[static_cast<std::size_t>(u)] = w.delta(u, t);
+    }
+    for (const bool vector_path : {false, true}) {
+      simd::set_enabled(vector_path);
+      for (const auto& [first, last] : ranges) {
+        std::vector<Load> got(static_cast<std::size_t>(last - first), -77);
+        w.fill(t, first, got);
+        for (NodeId u = first; u < last; ++u) {
+          ASSERT_EQ(got[static_cast<std::size_t>(u - first)],
+                    want[static_cast<std::size_t>(u)])
+              << what << " t=" << t << " u=" << u << " range [" << first
+              << ", " << last << ")" << (vector_path ? " simd" : " scalar");
+        }
+      }
+    }
+  }
+}
+
+TEST(WorkloadFill, CounterMatchesDeltaIncludingZeroPeriods) {
+  const std::vector<CounterWorkload::Params> cases = {
+      {.arrival_period = 4, .arrival_amount = 3, .departure_period = 4,
+       .departure_amount = 2},
+      {.arrival_period = 3, .arrival_amount = 2, .departure_period = 7,
+       .departure_amount = 1},
+      {.arrival_period = 1, .arrival_amount = 1, .departure_period = 1,
+       .departure_amount = 1},
+      {.arrival_period = 0, .arrival_amount = 5, .departure_period = 3,
+       .departure_amount = 2},
+      {.arrival_period = 5, .arrival_amount = 2, .departure_period = 0,
+       .departure_amount = 4},
+      {.arrival_period = 0, .arrival_amount = 1, .departure_period = 0,
+       .departure_amount = 1},
+  };
+  for (const auto& p : cases) {
+    CounterWorkload w(p);
+    w.reset(1500, 1);
+    expect_fill_equals_delta(w, 1500, 9, w.name());
+  }
+}
+
+TEST(WorkloadFill, PoissonMatchesDeltaAtEveryRegime) {
+  // λ = 0 on either side (no uniform drawn there, so the zero test must
+  // stay off), the product regime on both sides (the zero test, scalar
+  // and AVX2), its upper seam, the split regime and the normal regime.
+  const std::vector<std::pair<double, double>> rates = {
+      {0.0, 0.0},   {0.0, 0.5},   {0.5, 0.0},    {0.05, 0.08},
+      {0.08, 0.05}, {0.5, 0.5},   {64.0, 0.05},  {0.08, 64.0},
+      {64.5, 0.5},  {0.5, 64.5},  {4096.5, 0.08}, {0.05, 4096.5}};
+  for (const auto& [in, out] : rates) {
+    PoissonWorkload w({.arrival_rate = in, .departure_rate = out});
+    w.reset(1500, 17);
+    expect_fill_equals_delta(w, 1500, 3, w.name());
+  }
+}
+
+TEST(WorkloadFill, BurstMatchesDeltaOnDenseAndSparseRounds) {
+  // Drain every 3rd round (dense), a burst every 2nd (sparse otherwise),
+  // and a burst-only process whose rounds are all sparse.
+  BurstWorkload drained({.period = 2, .burst = 40, .drain_period = 3,
+                         .drain_amount = 2});
+  drained.reset(1500, 9);
+  expect_fill_equals_delta(drained, 1500, 12, drained.name());
+  BurstWorkload bursts({.period = 1, .burst = 7});
+  bursts.reset(1500, 4);
+  expect_fill_equals_delta(bursts, 1500, 6, bursts.name());
+}
+
+TEST(WorkloadFill, AdversaryAndAdmissionQueueMatchDelta) {
+  AdversarialInjector adversary({.amount = 5, .period = 2, .drain_min = true});
+  adversary.reset(1500, 0);
+  expect_fill_equals_delta(adversary, 1500, 6, adversary.name());
+
+  // Dense rounds (Poisson demand behind the cap) and sparse ones (bursts).
+  PoissonWorkload demand({.arrival_rate = 0.4, .departure_rate = 0.3});
+  AdmissionQueue dense(demand, {.round_cap = 48});
+  dense.reset(1500, 2);
+  expect_fill_equals_delta(dense, 1500, 6, dense.name());
+  BurstWorkload bursts({.period = 2, .burst = 30, .drain_period = 3,
+                        .drain_amount = 1});
+  AdmissionQueue mixed(bursts, {.round_cap = 8});
+  mixed.reset(1500, 5);
+  expect_fill_equals_delta(mixed, 1500, 9, mixed.name());
+}
+
+/// Forwarding wrapper that overrides delta() but not fill(), the way
+/// timing or tracing wrappers are written: dense rounds then run the
+/// default fill(), a loop over the forwarded delta().
+class DeltaOnlyWrapper : public WorkloadProcess {
+ public:
+  explicit DeltaOnlyWrapper(WorkloadProcess& inner) : inner_(&inner) {}
+  std::string name() const override { return inner_->name(); }
+  void reset(NodeId n, std::uint64_t seed) override { inner_->reset(n, seed); }
+  void prepare(Step t, std::span<const Load> loads) override {
+    inner_->prepare(t, loads);
+  }
+  bool prepare_reads_loads() const override {
+    return inner_->prepare_reads_loads();
+  }
+  Load delta(NodeId u, Step t) override { return inner_->delta(u, t); }
+  bool parallel_generate_safe() const override {
+    return inner_->parallel_generate_safe();
+  }
+  const std::vector<NodeId>* affected_nodes() const override {
+    return inner_->affected_nodes();
+  }
+
+ private:
+  WorkloadProcess* inner_;
+};
+
+TEST(WorkloadFill, DeltaOnlyWrapperRunsIdenticallyOnEveryEngine) {
+  // The default fill() must make a delta()-only wrapper indistinguishable
+  // from the process it wraps: same trajectory and ledger on the flat
+  // serial, flat pooled and sharded (k = 1, 4) engines.
+  const Graph g = make_cycle(203);
+  const LoadVector initial = random_initial(g.num_nodes(), 30, 8);
+  ThreadPool pool(4);
+  const auto make_processes = [] {
+    std::vector<std::unique_ptr<WorkloadProcess>> ps;
+    ps.push_back(std::make_unique<PoissonWorkload>(
+        PoissonWorkload::Params{.arrival_rate = 0.6, .departure_rate = 0.5}));
+    ps.push_back(std::make_unique<CounterWorkload>(CounterWorkload::Params{
+        .arrival_period = 3, .arrival_amount = 2, .departure_period = 4,
+        .departure_amount = 1}));
+    ps.push_back(std::make_unique<BurstWorkload>(BurstWorkload::Params{
+        .period = 4, .burst = 64, .drain_period = 3, .drain_amount = 1}));
+    return ps;
+  };
+  struct Run {
+    LoadVector loads;
+    Load injected;
+    Load consumed;
+  };
+  // shards == 0 runs the flat engine (pooled or serial), otherwise the
+  // sharded engine with that many shards on the pool.
+  const auto run = [&](WorkloadProcess& w, int shards, bool pooled) {
+    SendFloor b;
+    w.reset(g.num_nodes(), 31);
+    constexpr Step kRounds = 40;
+    if (shards == 0) {
+      Engine e(g, EngineConfig{.self_loops = g.degree()}, b, initial);
+      e.set_workload(&w);
+      if (pooled) e.set_thread_pool(&pool);
+      for (Step t = 0; t < kRounds; ++t) e.step_parallel();
+      return Run{e.loads(), e.injected_total(), e.consumed_total()};
+    }
+    ShardedEngine e(g, ShardedEngineConfig{.self_loops = g.degree()}, b,
+                    initial, shards);
+    e.set_workload(&w);
+    e.set_thread_pool(&pool);
+    for (Step t = 0; t < kRounds; ++t) e.step();
+    return Run{e.gather_loads(), e.injected_total(), e.consumed_total()};
+  };
+  const struct {
+    const char* name;
+    int shards;
+    bool pooled;
+  } engines[] = {{"flat serial", 0, false},
+                 {"flat pooled", 0, true},
+                 {"sharded k=1", 1, true},
+                 {"sharded k=4", 4, true}};
+  for (const auto& engine : engines) {
+    auto plain = make_processes();
+    auto inner = make_processes();
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      DeltaOnlyWrapper wrapped(*inner[i]);
+      const Run a = run(*plain[i], engine.shards, engine.pooled);
+      const Run b = run(wrapped, engine.shards, engine.pooled);
+      const std::string where = plain[i]->name() + " on " + engine.name;
+      EXPECT_EQ(a.loads, b.loads) << where;
+      EXPECT_EQ(a.injected, b.injected) << where;
+      EXPECT_EQ(a.consumed, b.consumed) << where;
     }
   }
 }
