@@ -88,6 +88,11 @@ const Graph& torus_513x512() {
   return g;
 }
 
+const Graph& torus_1000() {
+  static const Graph g = make_torus2d(1000, 1000);
+  return g;
+}
+
 const Graph& cycle_256k() {
   static const Graph g = make_cycle(1 << 18);
   return g;
@@ -226,12 +231,13 @@ void BM_StepGeneric_Hypercube(benchmark::State& s) {
 }
 
 // ----------------------------- sharded halo-exchange engine, k-shard series --
-// The ShardedEngine runs each shard's decide/apply on a private 64-byte-
-// aligned window slice and exchanges only boundary data between rounds;
-// this series tracks its node-steps/sec at k ∈ {1, 2, 4, 8} shards. Two
-// legs cover both round protocols: SEND(floor) on the cycle takes the
-// tier-1 windowed halo path (2 loads per shard per round cross the
-// channel), ROTOR-ROUTER takes the tier-2 routed-flow path. k = 1 vs the
+// The ShardedEngine runs each shard's decide/apply on its own slice of the
+// loads and exchanges only boundary data between rounds; this series
+// tracks its node-steps/sec at k ∈ {1, 2, 4, 8} shards. Two legs cover
+// both round protocols: SEND(floor) on the cycle takes the tier-1
+// windowed halo path (2 loads per shard per round cross the channel),
+// ROTOR-ROUTER takes the tier-2 routed-flow path, whose interior runs go
+// through the same decide_range kernel as the flat engine. k = 1 vs the
 // flat BM_Cycle1M_*_Lazy twin is the abstraction overhead of the shard
 // substrate itself.
 void run_steps_sharded(benchmark::State& state, const Graph& g,
@@ -279,6 +285,12 @@ void BM_Sharded_Cycle1Mplus1_RotorRouter(benchmark::State& s) {
 }
 void BM_Sharded_Torus512_SendFloor(benchmark::State& s) {
   run_steps_sharded(s, torus_512(), Algorithm::kSendFloor);
+}
+// The perfbench torus-sharded shape without its churn: each shard's
+// interior rows run ROTOR-ROUTER's flat scatter kernel, only the two
+// outer rows of a slice route flows.
+void BM_Sharded_Torus1000_RotorRouter(benchmark::State& s) {
+  run_steps_sharded(s, torus_1000(), Algorithm::kRotorRouter);
 }
 
 // ------------------------------------------------ workload generation --
@@ -391,6 +403,7 @@ BENCHMARK(BM_Sharded_Cycle1Mplus1_SendFloor)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1M_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1Mplus1_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Torus512_SendFloor)->Apply(pooled_sweep);
+BENCHMARK(BM_Sharded_Torus1000_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK_CAPTURE(BM_WorkloadFill_Poisson, scalar, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WorkloadFill_Poisson, simd, true)

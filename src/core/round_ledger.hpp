@@ -16,6 +16,7 @@
 // deltas are chunked stay with the engine.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -53,6 +54,13 @@ struct LoadScan {
   /// total is checked, so a conserving round's wrapped Σx still equals
   /// it, and the plain loop keeps vectorizing.
   void add(std::span<const Load> xs, bool with_sum) noexcept;
+  /// Folds in another chunk's scan; the sums wrap as in add().
+  void merge(const LoadScan& o) noexcept {
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+    sum = static_cast<Load>(static_cast<std::uint64_t>(sum) +
+                            static_cast<std::uint64_t>(o.sum));
+  }
 };
 
 /// One chunk's workload churn (a pool range, a shard, or a sparse list),

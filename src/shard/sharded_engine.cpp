@@ -143,16 +143,30 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
   const std::size_t k = static_cast<std::size_t>(part_.shards());
   shards_.resize(k);
   dead_.assign(k, 0);
+  done_.assign(k, 0);
+  if (reach_ < 0) {
+    loads_ = initial;
+    next_.assign(initial.size(), 0);
+  }
   for (int s = 0; s < part_.shards(); ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     sh.begin = part_.begin(s);
     sh.size = part_.size(s);
-    sh.window.assign(static_cast<std::size_t>(sh.size + 2 * w), 0);
-    std::copy(initial.begin() + sh.begin, initial.begin() + sh.begin + sh.size,
-              sh.window.begin() + w);
-    sh.next.assign(sh.window.size(), 0);
     sh.inbound.resize(k);
     sh.sent_frames.resize(k);
+    if (reach_ < 0) {
+      const auto at = static_cast<std::size_t>(sh.begin);
+      const auto len = static_cast<std::size_t>(sh.size);
+      sh.window = std::span<Load>(loads_).subspan(at, len);
+      sh.next = std::span<Load>(next_).subspan(at, len);
+      continue;
+    }
+    sh.window_store.assign(static_cast<std::size_t>(sh.size + 2 * w), 0);
+    std::copy(initial.begin() + sh.begin, initial.begin() + sh.begin + sh.size,
+              sh.window_store.begin() + w);
+    sh.next_store.assign(sh.window_store.size(), 0);
+    sh.window = sh.window_store;
+    sh.next = sh.next_store;
   }
   if (reach_ >= 0) {
     build_tier1_plan();
@@ -220,30 +234,39 @@ void ShardedEngine::build_tier1_plan() {
 }
 
 void ShardedEngine::build_tier2_plan() {
-  // The edge cut, computed once: nodes with no cut edge (the common case
-  // on structured graphs — only the slice boundary qualifies) take a
-  // branch-free all-local scatter in the decide loop. The cut also fixes
-  // the frame roster: shard s owes shard o exactly one flow frame per
-  // round iff any s-owned node has a neighbor owned by o — posted even
-  // when empty, so receivers can always distinguish "no flows" from "a
-  // lost frame".
+  // The edge cut, computed once: maximal runs of nodes with no cut edge
+  // (on structured graphs, everything but the slice's outer rows) are
+  // decided by the balancer's own scatter kernel. A gather kernel stores
+  // whole slots, which routed adds cannot share, so a gather balancer on
+  // this tier (a reach that covers the ring) routes every node. The cut
+  // also fixes the frame roster: shard s owes shard o exactly one flow
+  // frame per round iff any s-owned node has a neighbor owned by o —
+  // posted even when empty, so receivers can always distinguish "no
+  // flows" from "a lost frame".
   const int d = g_->degree();
   const std::size_t k = static_cast<std::size_t>(part_.shards());
+  const bool runs = balancer_->window_reach(*g_) < 0;
   with_topology(*g_, [&](const auto& topo) {
     for (int s = 0; s < part_.shards(); ++s) {
       Shard& sh = shards_[static_cast<std::size_t>(s)];
-      sh.boundary.assign(static_cast<std::size_t>(sh.size), 0);
       sh.flow_out.resize(k);
       sh.flow_sends_to.assign(k, 0);
-      for (NodeId i = 0; i < sh.size; ++i) {
-        const NodeId u = sh.begin + i;
+      sh.row.resize(static_cast<std::size_t>(d + config_.self_loops));
+      for (NodeId u = sh.begin; u < sh.begin + sh.size; ++u) {
+        bool cut = false;
         for (int p = 0; p < d; ++p) {
           const int o = part_.owner(topo.neighbor(u, p));
           if (o != s) {
-            sh.boundary[static_cast<std::size_t>(i)] = 1;
+            cut = true;
             ++sh.cut_edges;
             sh.flow_sends_to[static_cast<std::size_t>(o)] = 1;
           }
+        }
+        if (cut || !runs) continue;
+        if (!sh.interior.empty() && sh.interior.back().second == u) {
+          ++sh.interior.back().second;
+        } else {
+          sh.interior.emplace_back(u, u + 1);
         }
       }
     }
@@ -271,10 +294,10 @@ void ShardedEngine::for_shards(bool parallel_ok, Body&& body) {
 }
 
 std::span<const Load> ShardedEngine::gather_into_scratch() const {
+  if (reach_ < 0) return loads_;
   scratch_.resize(static_cast<std::size_t>(part_.num_nodes()));
-  const NodeId w = reach_ >= 0 ? reach_ : 0;
   for (const Shard& sh : shards_) {
-    std::copy(sh.window.begin() + w, sh.window.begin() + w + sh.size,
+    std::copy(sh.window.begin() + reach_, sh.window.begin() + reach_ + sh.size,
               scratch_.begin() + sh.begin);
   }
   return {scratch_.data(), scratch_.size()};
@@ -315,9 +338,9 @@ void ShardedEngine::apply_workload() {
         for_shards(wl.parallel_generate_safe(), [&](int s) {
           Shard& sh = shards_[static_cast<std::size_t>(s)];
           WorkloadTally part;
-          part.apply_filled(wl, t, sh.begin,
-                            std::span<Load>(sh.window).subspan(
-                                static_cast<std::size_t>(w),
+          part.apply_filled(
+              wl, t, sh.begin,
+              sh.window.subspan(static_cast<std::size_t>(w),
                                 static_cast<std::size_t>(sh.size)));
           sh.tally = part;
         });
@@ -552,14 +575,13 @@ void ShardedEngine::drain_and_finish(ShardTag tag, Finish&& finish) {
   // both checksums and the (round, seq, total) checks are ever applied;
   // a shard with missing frames (lossy transport weather) drops into the
   // serial re-post loop below.
-  std::vector<unsigned char> done(static_cast<std::size_t>(part_.shards()),
-                                  0);
+  std::fill(done_.begin(), done_.end(), 0);
   std::atomic<bool> all_complete{true};
   for_shards(true, [&](int s) {
     drain_frames(s, tag);
     if (inbound_complete(s)) {
       finish(s);
-      done[static_cast<std::size_t>(s)] = 1;
+      done_[static_cast<std::size_t>(s)] = 1;
     } else {
       all_complete.store(false, std::memory_order_relaxed);
     }
@@ -567,7 +589,7 @@ void ShardedEngine::drain_and_finish(ShardTag tag, Finish&& finish) {
   if (!all_complete.load(std::memory_order_relaxed)) {
     collect_frames(tag);
     for_shards(true, [&](int s) {
-      if (!done[static_cast<std::size_t>(s)]) finish(s);
+      if (!done_[static_cast<std::size_t>(s)]) finish(s);
     });
   }
 }
@@ -616,26 +638,28 @@ void ShardedEngine::decide_tier1_core(Shard& sh, Step t) {
   sh.round_max = sink.emit_max();
   // O(1) apply: the buffer's owned slots are the next loads; its (stale)
   // halo slots are refilled before the next decide reads them.
-  sh.window.swap(sh.next);
+  std::swap(sh.window, sh.next);
 }
 
 void ShardedEngine::decide_tier2_core(int s, Shard& sh, Step t) {
-  // Tier 2: the default decide() loop over the owned slice — the same
-  // contract enforcement as Balancer::decide_range — with flows routed by
-  // owner: local ones add into the shard's zero-filled next buffer,
-  // cross-shard ones are staged per destination.
+  // Tier 2, in ascending node order (a sequential RNG stream sees the
+  // flat order): each interior run is one decide_range into the whole
+  // next buffer — by the cut table every add lands in this shard's
+  // slice. Boundary nodes take the default decide() loop's contract
+  // enforcement, with flows routed by owner: local ones add into the
+  // zero-filled slice, cross-shard ones are staged per destination.
   Balancer& bal = *balancer_;
   std::fill(sh.next.begin(), sh.next.end(), Load{0});
   const int d = g_->degree();
   const int d_plus = d + config_.self_loops;
   const bool negatives_ok = bal.allows_negative();
-  std::vector<Load> row(static_cast<std::size_t>(d_plus));
-  Load* const next = sh.next.data();
+  const std::span<Load> row(sh.row);
+  Load* const next = next_.data();
+  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next);
   with_topology(*g_, [&](const auto& topo) {
-    for (NodeId i = 0; i < sh.size; ++i) {
-      const NodeId u = sh.begin + i;
+    const auto route = [&](NodeId u) {
       std::fill(row.begin(), row.end(), 0);
-      const Load x = sh.window[static_cast<std::size_t>(i)];
+      const Load x = loads_[static_cast<std::size_t>(u)];
       bal.decide(u, x, t, row);
       Load sent = 0;
       for (int p = 0; p < d_plus; ++p) {
@@ -650,26 +674,25 @@ void ShardedEngine::decide_tier2_core(int s, Shard& sh, Step t) {
       for (int p = d; p < d_plus; ++p) {
         kept += row[static_cast<std::size_t>(p)];
       }
-      next[i] += kept;
-      if (!sh.boundary[static_cast<std::size_t>(i)]) {
-        // Interior node: every neighbor is local by the cut table.
-        for (int p = 0; p < d; ++p) {
-          next[topo.neighbor(u, p) - sh.begin] +=
-              row[static_cast<std::size_t>(p)];
-        }
-      } else {
-        for (int p = 0; p < d; ++p) {
-          const NodeId v = topo.neighbor(u, p);
-          const Load f = row[static_cast<std::size_t>(p)];
-          const int o = part_.owner(v);
-          if (o == s) {
-            next[v - sh.begin] += f;
-          } else if (f != 0) {
-            append_flow(sh.flow_out[static_cast<std::size_t>(o)], v, f);
-          }
+      next[u] += kept;
+      for (int p = 0; p < d; ++p) {
+        const NodeId v = topo.neighbor(u, p);
+        const Load f = row[static_cast<std::size_t>(p)];
+        const int o = part_.owner(v);
+        if (o == s) {
+          next[v] += f;
+        } else if (f != 0) {
+          append_flow(sh.flow_out[static_cast<std::size_t>(o)], v, f);
         }
       }
+    };
+    NodeId u = sh.begin;
+    for (const auto& [first, last] : sh.interior) {
+      for (; u < first; ++u) route(u);
+      bal.decide_range(first, last, loads_, t, sink);
+      u = last;
     }
+    for (; u < sh.begin + sh.size; ++u) route(u);
   });
 }
 
@@ -698,12 +721,11 @@ void ShardedEngine::decide_shard(int s, Step t) {
 }
 
 void ShardedEngine::drain_flows() {
-  drain_and_finish(ShardTag::kFlows, [&](int s) {
-    Shard& sh = shards_[static_cast<std::size_t>(s)];
-    apply_frames(s, ShardTag::kFlows);
-    // All of the round's adds (local + drained) have landed.
-    sh.window.swap(sh.next);
-  });
+  drain_and_finish(ShardTag::kFlows,
+                   [&](int s) { apply_frames(s, ShardTag::kFlows); });
+  // All of the round's adds (local + drained) have landed.
+  loads_.swap(next_);
+  for (Shard& sh : shards_) std::swap(sh.window, sh.next);
 }
 
 void ShardedEngine::step() {
@@ -768,12 +790,15 @@ void ShardedEngine::step() {
   }
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   ledger_.end_round([&](bool with_sum) {
+    for_shards(true, [&](int s) {
+      Shard& sh = shards_[static_cast<std::size_t>(s)];
+      sh.scan = LoadScan{};
+      sh.scan.add(sh.window.subspan(static_cast<std::size_t>(w),
+                                    static_cast<std::size_t>(sh.size)),
+                  with_sum);
+    });
     LoadScan scan;
-    for (const Shard& sh : shards_) {
-      scan.add(std::span<const Load>(sh.window.data() + w,
-                                     static_cast<std::size_t>(sh.size)),
-               with_sum);
-    }
+    for (const Shard& sh : shards_) scan.merge(sh.scan);
     return scan;
   });
   ledger_.round_end(obs_t0, "sharded");
@@ -823,6 +848,13 @@ std::size_t ShardedEngine::shard_halo_bytes(int s) const {
 
 std::uint64_t ShardedEngine::shard_cut_edges(int s) const {
   return shards_[static_cast<std::size_t>(s)].cut_edges;
+}
+
+NodeId ShardedEngine::shard_interior_nodes(int s) const {
+  NodeId nodes = 0;
+  const Shard& sh = shards_[static_cast<std::size_t>(s)];
+  for (const auto& [first, last] : sh.interior) nodes += last - first;
+  return nodes;
 }
 
 void ShardedEngine::save_core_state(StateWriter& w) const {

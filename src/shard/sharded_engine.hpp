@@ -2,9 +2,9 @@
 //
 // The flat Engine keeps one n-slot load vector and one next-load buffer;
 // this engine cuts the node range into k contiguous shards
-// (ShardPartition's balanced split), gives each shard a private,
-// cache-line-aligned window of loads and its own next-load buffer of the
-// same size, and runs the round phases
+// (ShardPartition's balanced split), gives each shard its loads and a
+// next-load buffer (a private halo'd window on tier 1, a slice of two
+// engine-wide buffers on tier 2), and runs the round phases
 // shard-by-shard — shards-as-threads today, with every cross-shard byte
 // moving through the narrow ShardChannel seam so the same protocol runs
 // over processes later.
@@ -24,15 +24,18 @@
 //   round.
 //
 //   Tier 2 — routed flows (window_reach < 0: hypercube, generic graphs,
-//   stateful balancers). Each shard runs the default decide() loop over
-//   its owned nodes; flows to local neighbors add straight into the
-//   shard's zero-filled next buffer, flows that cross a shard are staged
-//   as (node, amount) records and posted through the channel, then
-//   drained into the owning shard's next buffer after a barrier. The
-//   round publishes no fused min/max; the ledger scans the windows. A
-//   per-node boundary table (the edge cut, computed once at partition
-//   time) lets interior nodes skip the owner test entirely. int64 flow
-//   adds commute exactly, so the drain order never shows in the result.
+//   stateful balancers). Shards own disjoint slices of one engine-wide
+//   load vector and one engine-wide next-load buffer, indexed by global
+//   node id. Walking its slice in ascending order, a shard sends each
+//   maximal run of interior nodes (no cut edge; the runs come from the
+//   edge cut, computed once) through decide_range into a scatter sink —
+//   the flat engine's kernel, whose adds all land in the slice. Boundary
+//   nodes take decide(): local flows add into the slice, cross-shard ones
+//   are staged as (node, amount) records, posted through the channel and
+//   drained into the owner's slice after a barrier; one buffer swap
+//   retires the round. The round publishes no fused min/max; the ledger
+//   scans the slices. int64 flow adds commute exactly, so the drain
+//   order never shows in the result.
 //
 // Equivalence contract (golden-tested): for every registered balancer,
 // graph family, and workload, a k-shard run is byte-identical to the
@@ -40,17 +43,18 @@
 // conservation ledger, same min/max history. The round bookkeeping — the
 // clock, ledger, statistics, audit, workload-delta rule, telemetry and
 // core-state bytes — is the RoundLedger the flat engines hold too; this
-// engine supplies only where loads live (k windows), how a scan visits
-// them, and how dense workload deltas are chunked (one chunk per shard).
-// save_core_state gathers the owned slices in shard order into
-// the flat load vector, so snapshots move freely between the flat engine
-// and any shard count.
+// engine supplies only where loads live (k windows or slices), how a scan
+// visits them (per-shard partial scans, merged in shard order), and how
+// dense workload deltas are chunked (one chunk per shard). Snapshots see
+// the flat load vector (tier 1 gathers its owned slices in shard order),
+// so they move freely between the flat engine and any shard count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/balancer.hpp"
@@ -154,7 +158,8 @@ class ShardedEngine {
   NodeId shard_begin(int s) const { return part_.begin(s); }
   NodeId shard_size(int s) const { return part_.size(s); }
   /// Bytes of per-shard resident state: the load window plus the
-  /// next-load buffer (both sized owned + 2W).
+  /// next-load buffer (both sized owned + 2W; W = 0 on tier 2, where they
+  /// are the shard's slices of the engine-wide buffers).
   std::size_t shard_resident_bytes(int s) const;
   /// Bytes of that residency that are halo, not owned slice: the 2W halo
   /// slots of the window and of the next-load buffer (tier 1), or the
@@ -163,6 +168,9 @@ class ShardedEngine {
   /// Edges of shard s whose other endpoint lives on another shard (the
   /// edge cut; 0 on the tier-1 path, where no flow ever crosses).
   std::uint64_t shard_cut_edges(int s) const;
+  /// Nodes of shard s with no cut edge, which tier 2 decides through the
+  /// balancer's decide_range (0 on the tier-1 path).
+  NodeId shard_interior_nodes(int s) const;
 
   /// Byte-identical to RoundEngineBase::save_core_state on the flat
   /// engine holding the same run — the owned slices are gathered in
@@ -213,10 +221,15 @@ class ShardedEngine {
   struct Shard {
     NodeId begin = 0;          ///< first owned global node
     NodeId size = 0;           ///< owned node count
-    LoadVector window;         ///< owned + 2W loads (W = 0 on tier 2)
-    LoadVector next;           ///< next loads, window-sized
+    std::span<Load> window;    ///< owned + 2W loads (tier 2: the owned slice)
+    std::span<Load> next;      ///< next loads, window-sized
+    LoadVector window_store;   ///< tier 1: storage behind window/next
+    LoadVector next_store;
     std::vector<HaloSend> sends;          ///< tier 1: halo segments to post
-    std::vector<std::uint8_t> boundary;   ///< tier 2: node has a cut edge
+    /// Tier 2: maximal runs [first, last) of interior nodes (no cut
+    /// edge), ascending global ids.
+    std::vector<std::pair<NodeId, NodeId>> interior;
+    std::vector<Load> row;                ///< tier 2: a boundary node's flows
     std::vector<std::vector<std::byte>> flow_out;  ///< tier 2: per-dest staging
     std::uint64_t cut_edges = 0;
     std::vector<std::uint32_t> expect_halo;   ///< frames owed per sender
@@ -229,6 +242,7 @@ class ShardedEngine {
     std::vector<std::byte> payload_scratch;   ///< halo payload build buffer
     Load round_min = 0;        ///< tier 1: this round's emitted min
     Load round_max = 0;
+    LoadScan scan;             ///< this round's end-of-round partial scan
     WorkloadTally tally;       ///< this round's workload churn
     obs::Counter* bytes_posted = nullptr;   ///< channel bytes this shard sent
     obs::Counter* bytes_drained = nullptr;  ///< channel bytes it received
@@ -277,8 +291,8 @@ class ShardedEngine {
   void drain_and_finish(ShardTag tag, Finish&& finish);
   /// Tier-1 decide body: the balancer's windowed gather kernel.
   void decide_tier1_core(Shard& sh, Step t);
-  /// Tier-2 decide body: the per-node decide loop, staging cross-shard
-  /// flows per destination.
+  /// Tier-2 decide body: interior runs through decide_range, boundary
+  /// nodes through decide() with cross-shard flows staged per destination.
   void decide_tier2_core(int s, Shard& sh, Step t);
 
   /// Runs body(s) for every shard — through the pool when one is
@@ -287,8 +301,8 @@ class ShardedEngine {
   template <class Body>
   void for_shards(bool parallel_ok, Body&& body);
 
-  /// Gathers the owned slices into scratch_ and returns a span over it
-  /// (for prepare hooks that read the global loads).
+  /// The global loads (for prepare hooks that read them): the flat load
+  /// vector on tier 2, the owned slices gathered into scratch_ on tier 1.
   std::span<const Load> gather_into_scratch() const;
 
   const Graph* g_;
@@ -299,7 +313,10 @@ class ShardedEngine {
   std::unique_ptr<InProcessShardChannel> owned_channel_;
   ShardChannel* channel_;
   std::vector<Shard> shards_;
-  mutable LoadVector scratch_;  ///< global gather buffer (lazily sized)
+  LoadVector loads_;  ///< tier 2: the engine-wide loads, sliced by shard
+  LoadVector next_;   ///< tier 2: the engine-wide next-load buffer
+  mutable LoadVector scratch_;  ///< tier 1: global gather buffer (lazily sized)
+  std::vector<unsigned char> done_;  ///< drain_and_finish: shards finished
 
   RoundLedger ledger_;
   ThreadPool* pool_ = nullptr;

@@ -1,11 +1,14 @@
 // Golden-equivalence gates for the sharded round engine:
 //
 //  1. For EVERY balancer in the registry, on every structured family plus
-//     a generic expander, a k-shard ShardedEngine run (k ∈ {1, 2, 3, 8})
-//     must produce load trajectories byte-identical — step by step — to
-//     the flat Engine, serially and at pool sizes {1, 8}. This covers
-//     both tiers: SEND(floor) on cycle/torus takes the windowed halo-
-//     exchange path, everything else routes flows through the channel.
+//     a generic expander and a random regular graph, a k-shard
+//     ShardedEngine run (k ∈ {1, 2, 3, 8}) must produce load trajectories
+//     byte-identical — step by step — to the flat Engine, serially and at
+//     pool sizes {1, 8}. This covers both tiers: SEND(floor) on
+//     cycle/torus takes the windowed halo-exchange path, everything else
+//     routes flows through the channel — interior runs through the
+//     balancer's decide_range, boundary nodes through decide() (a
+//     balancer that overrides only decide() is pinned separately).
 //  2. The same identity must hold under online workloads (static is case
 //     1; Poisson churn and the adversarial argmax injector exercise the
 //     dense, sparse, and gathered-prepare paths), ledger included.
@@ -20,11 +23,14 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
 #include "balancers/registry.hpp"
+#include "balancers/send_floor.hpp"
 #include "core/engine.hpp"
 #include "dynamics/workload.hpp"
 #include "graph/generators.hpp"
@@ -48,6 +54,10 @@ std::vector<ShardGraph> shard_graphs() {
   out.push_back({"torus3d", make_torus({4, 3, 5})});
   out.push_back({"hypercube", make_hypercube(4)});
   out.push_back({"expander", make_margulis(5)});
+  // A generic graph cuts everywhere: on tier 2, short interior runs
+  // alternate with boundary nodes, and a sequential RNG stream crosses
+  // both decide paths.
+  out.push_back({"random-regular", make_random_regular(200, 4, 17)});
   return out;
 }
 
@@ -177,6 +187,102 @@ TEST(ShardedEngineTest, TierSelectionFollowsTheWindowReachContract) {
   {
     ShardedEngine e(cycle, {}, *rotor, init, 4);
     EXPECT_FALSE(e.windowed());  // stateful balancer: flows, not halos
+  }
+}
+
+TEST(ShardedEngineTest, InteriorNodesAreTheUncutRowsOfTheSlice) {
+  auto rotor = make_balancer(Algorithm::kRotorRouter, 7);
+  for (const ShardGraph& gg : shard_graphs()) {
+    const LoadVector init(static_cast<std::size_t>(gg.graph.num_nodes()), 10);
+    ShardedEngine e(gg.graph, {}, *rotor, init, 1);
+    ASSERT_FALSE(e.windowed());
+    EXPECT_EQ(e.shard_interior_nodes(0), e.shard_size(0)) << gg.label;
+  }
+  // Two shards: every hypercube(4) node has its bit-3 neighbor across
+  // the cut; the cycle keeps all but its 2 slice ends, the 8-wide torus
+  // only the middle one of its 3 rows per shard.
+  const std::pair<Graph, NodeId> cases[] = {
+      {make_hypercube(4), 0}, {make_cycle(48), 22}, {make_torus2d(8, 6), 8}};
+  for (const auto& [g, interior] : cases) {
+    const LoadVector init(static_cast<std::size_t>(g.num_nodes()), 10);
+    ShardedEngine e(g, {}, *rotor, init, 2);
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(e.shard_interior_nodes(s), interior) << g.name() << " s=" << s;
+    }
+  }
+  // The windowed tier decides through its halo'd windows, not runs.
+  auto send = make_balancer(Algorithm::kSendFloor, 7);
+  ShardedEngine windowed(make_cycle(48), {}, *send, LoadVector(48, 10), 2);
+  ASSERT_TRUE(windowed.windowed());
+  EXPECT_EQ(windowed.shard_interior_nodes(0), 0);
+}
+
+/// Overrides only decide(), forwarding to ROTOR-ROUTER: its tier-2
+/// interior runs go through the default decide_range.
+class DecideOnlyRotor : public Balancer {
+ public:
+  DecideOnlyRotor() : inner_(make_balancer(Algorithm::kRotorRouter, 7)) {}
+  std::string name() const override { return "test:decide-only-rotor"; }
+  void reset(const Graph& g, int d_loops) override {
+    inner_->reset(g, d_loops);
+  }
+  void decide(NodeId u, Load load, Step t, std::span<Load> flows) override {
+    inner_->decide(u, load, t, flows);
+  }
+
+ private:
+  std::unique_ptr<Balancer> inner_;
+};
+
+TEST(ShardedEngineTest, DecideOnlyBalancerMatchesFlatThroughTheDefaultRange) {
+  constexpr Step kSteps = 40;
+  for (const int threads : {0, 8}) {  // 0 = no pool attached
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    for (const ShardGraph& gg : shard_graphs()) {
+      const Graph& g = gg.graph;
+      const LoadVector initial = random_initial(g.num_nodes(), 500, 99);
+      auto flat_b = make_balancer(Algorithm::kRotorRouter, 7);
+      Engine flat(g, EngineConfig{.self_loops = 1}, *flat_b, initial);
+      flat.run(kSteps);
+      for (const int k : {1, 3, 8}) {
+        DecideOnlyRotor shard_b;
+        ShardedEngine sharded(g, ShardedEngineConfig{.self_loops = 1},
+                              shard_b, initial, k);
+        if (pool) sharded.set_thread_pool(pool.get());
+        ASSERT_FALSE(sharded.windowed());
+        sharded.run(kSteps);
+        ASSERT_EQ(sharded.gather_loads(), flat.loads())
+            << gg.label << " shards=" << k << " threads=" << threads;
+        EXPECT_EQ(sharded.discrepancy(), flat.discrepancy()) << gg.label;
+        EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen()) << gg.label;
+      }
+    }
+  }
+}
+
+/// SEND(floor) whose stencil reach covers the whole ring: the sharded
+/// engine must route flows, and its gather scatter kernel (which stores
+/// whole slots) must not decide any interior run there.
+class RingWideSendFloor : public SendFloor {
+ public:
+  NodeId window_reach(const Graph& g) const override { return g.num_nodes(); }
+};
+
+TEST(ShardedEngineTest, GatherBalancerOnTheRoutedTierRoutesEveryNode) {
+  const Graph g = make_cycle(48);
+  const LoadVector initial = random_initial(g.num_nodes(), 500, 99);
+  RingWideSendFloor flat_b;
+  Engine flat(g, EngineConfig{.self_loops = 2}, flat_b, initial);
+  flat.run(20);
+  for (const int k : {1, 3}) {
+    RingWideSendFloor shard_b;
+    ShardedEngine sharded(g, ShardedEngineConfig{.self_loops = 2}, shard_b,
+                          initial, k);
+    ASSERT_FALSE(sharded.windowed());
+    EXPECT_EQ(sharded.shard_interior_nodes(0), 0);
+    sharded.run(20);
+    EXPECT_EQ(sharded.gather_loads(), flat.loads()) << "shards=" << k;
   }
 }
 
