@@ -1,15 +1,16 @@
 // Checkpoint cost: what one EngineSnapshot costs at service scale.
 //
-// The service loop pays capture + serialize (+ the atomic file write)
-// every checkpoint_interval rounds, so the interesting number is
-// milliseconds per checkpoint at the paper's 2^20-node scale — that is
-// the figure the ROADMAP quotes for the balancer-as-a-service item. The
-// capture/serialize split shows where the time goes (state gathering vs
-// byte encoding); the restore series bounds the recovery latency after a
-// crash; the file series adds the write-to-temp + rename of a real
-// checkpoint. ROTOR-ROUTER carries per-port state (n·d ints) and is the
-// representative stateful scheme; SEND(floor) bounds the stateless case
-// where the load vector dominates the image.
+// The service loop pays capture (+ the atomic file write) every
+// checkpoint_interval rounds, so the interesting number is milliseconds
+// per checkpoint at the paper's 2^20-node scale — that is the figure the
+// ROADMAP quotes for the balancer-as-a-service item. capture builds the
+// whole image (a snapshot is its serialized bytes), so
+// BM_SnapshotCaptureSerialize adds only a copy of that image to
+// BM_SnapshotCapture. The restore series bounds the recovery latency
+// after a crash; the file series adds the write-to-temp + rename of a
+// real checkpoint. ROTOR-ROUTER carries per-port state (n·d ints) and is
+// the representative stateful scheme; SEND(floor) bounds the stateless
+// case where the load vector dominates the image.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

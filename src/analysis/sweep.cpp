@@ -275,52 +275,30 @@ std::vector<SweepRow> SweepRunner::run(
 
   int raw_threads = options_.threads;
   if (raw_threads == 0) raw_threads = ThreadPool::hardware_parallelism();
-  // kAuto flips to inner nesting only when outer mode would idle threads
-  // AND the scenarios are big enough that a round's work amortizes the
-  // two pool rendezvous per step — on tiny graphs the serial scatter
-  // path beats a round-parallel engine no matter the core count.
-  constexpr NodeId kAutoInnerMinNodes = 1 << 15;
-  const auto big_enough_for_inner = [&] {
+  // Outer mode unless it would idle threads AND the scenarios are big
+  // enough that a round's work amortizes the two pool rendezvous per
+  // step — on tiny graphs the serial scatter path beats a round-parallel
+  // engine no matter the core count. Then the budget is split: one outer
+  // worker per scenario, each running its engine round-parallel on
+  // threads/outer cores (hybrid; inner when there is one scenario, whose
+  // worker gets the whole budget).
+  constexpr NodeId kMinNodesForRoundParallel = 1 << 15;
+  const auto big_enough = [&] {
     for (const Scenario& s : scenarios) {
       if (matrix.graphs()[s.graph_index].graph->num_nodes() >=
-          kAutoInnerMinNodes) {
+          kMinNodesForRoundParallel) {
         return true;
       }
     }
     return false;
   };
-  const bool auto_starved =
-      options_.nesting == SweepNesting::kAuto && raw_threads > 1 &&
-      scenarios.size() < static_cast<std::size_t>(raw_threads) &&
-      big_enough_for_inner();
-  const bool inner = options_.nesting == SweepNesting::kInner ||
-                     (auto_starved && scenarios.size() == 1);
-  // Hybrid splits the budget: scenario-parallel outer workers, each
-  // running its engine round-parallel on threads/outer cores. kAuto
-  // lands here when outer mode would idle threads but there is more
-  // than one scenario to overlap (pure inner would serialize them).
-  const bool hybrid = options_.nesting == SweepNesting::kHybrid ||
-                      (auto_starved && scenarios.size() > 1);
-
-  if (inner) {
-    // Few huge scenarios: run them sequentially, each round-parallel on
-    // one shared pool. Determinism holds because the engines' parallel
-    // pipeline is itself thread-count-invariant.
-    ThreadPool pool(raw_threads);
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      rows[i] = run_one(matrix, scenarios[i], &pool);
-      if (options_.on_result) options_.on_result(rows[i]);
-    }
-    return rows;
-  }
-
   int n_threads = effective_threads(scenarios.size());
   int inner_width = 1;
-  if (hybrid) {
-    n_threads = static_cast<int>(std::min<std::size_t>(
-        scenarios.size(),
-        static_cast<std::size_t>(std::max(1, raw_threads))));
-    inner_width = std::max(1, raw_threads / n_threads);
+  if (raw_threads > 1 &&
+      scenarios.size() < static_cast<std::size_t>(raw_threads) &&
+      big_enough()) {
+    n_threads = static_cast<int>(scenarios.size());
+    inner_width = raw_threads / n_threads;
   }
 
   std::atomic<std::size_t> next{0};

@@ -12,13 +12,14 @@
 // Nesting policy: with many scenarios the worker pool parallelizes
 // *across* scenarios (outer mode — each run serial). With fewer
 // scenarios than threads (a handful of huge-n runs), outer mode would
-// idle most cores, so the runner splits the budget: one outer worker
-// per scenario, each running its engine's intra-round parallel
-// decide/apply pipeline on a private pool of threads/outer cores
-// (hybrid mode), degenerating to inner mode — scenarios sequential,
-// one shared pool — when there is a single scenario. All modes produce
-// byte-identical rows (kAuto picks per sweep; kOuter/kInner/kHybrid
-// force one).
+// idle most cores, so when some scenario graph has >= 2^15 nodes the
+// runner splits the budget: one outer worker per scenario, each running
+// its engine's intra-round parallel decide/apply pipeline on a private
+// pool of threads/outer cores (hybrid mode), degenerating to inner mode
+// — one scenario, round-parallel on the whole pool — when there is a
+// single scenario. Below 2^15 nodes the per-step pool rendezvous costs
+// more than round-parallelism recovers, so few small scenarios stay in
+// outer mode. All modes produce byte-identical rows.
 //
 // Thread-safety model: graphs are immutable and shared read-only;
 // balancer and engine state is per-scenario (every worker constructs its
@@ -201,30 +202,9 @@ struct SweepRow {
   ExperimentResult result;
 };
 
-/// How SweepRunner nests the two levels of parallelism.
-enum class SweepNesting {
-  /// Outer when scenarios >= threads. When threads would idle AND some
-  /// scenario graph has >= 2^15 nodes (below that, the per-step pool
-  /// rendezvous costs more than round-parallelism recovers, so the
-  /// few-small-scenarios case stays serial): inner for a single
-  /// scenario, hybrid for 1 < scenarios < threads.
-  kAuto,
-  kOuter,  ///< always parallelize across scenarios (each run serial)
-  kInner,  ///< scenarios sequential, each run intra-round parallel
-  /// Both levels at once: one outer worker per scenario (capped at the
-  /// thread budget), each running its engine round-parallel on a private
-  /// pool of threads/outer cores. Covers the gap where outer mode idles
-  /// most of the budget but inner mode serializes scenarios that could
-  /// overlap.
-  kHybrid,
-};
-
 struct SweepOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   int threads = 1;
-  /// Outer scenario-parallelism vs inner round-parallelism (see the file
-  /// comment); both are byte-deterministic.
-  SweepNesting nesting = SweepNesting::kAuto;
   /// Template for every scenario's ExperimentSpec; self_loops and seed
   /// are overwritten per scenario.
   ExperimentSpec base;
@@ -240,7 +220,7 @@ struct SweepOptions {
 class ThreadPool;
 
 /// Runs a SweepMatrix across a worker pool; results come back ordered by
-/// scenario index and are identical for any thread count (and for either
+/// scenario index and are identical for any thread count (and for every
 /// nesting mode).
 class SweepRunner {
  public:

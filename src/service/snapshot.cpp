@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "dynamics/workload.hpp"
 #include "graph/topology.hpp"
@@ -17,6 +18,12 @@ namespace dlb {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x31504E53424C44ULL;  // "DLBSNP1\0" LE
+
+// Header layout: magic (8 bytes), version (4), payload length (8),
+// payload checksum (8); the payload follows.
+constexpr std::size_t kLengthAt = 12;
+constexpr std::size_t kChecksumAt = 20;
+constexpr std::size_t kHeaderBytes = 28;
 
 /// Endian-stable hash of the adjacency: every neighbor(u, p) as four
 /// little-endian bytes, in port-table order. Two graphs hash equal iff
@@ -69,59 +76,57 @@ void load_components(EngineT& engine, SteadyStateTracker* tracker,
   }
 }
 
-/// Writes one length-prefixed component blob.
-void put_blob(StateWriter& w, const std::vector<std::uint8_t>& blob) {
-  w.u64(blob.size());
-  w.bytes(blob);
-}
-
-std::vector<std::uint8_t> get_blob(StateReader& r) {
-  const std::uint64_t len = r.u64();
-  if (len > r.remaining()) {
-    throw serial_error("snapshot payload truncated (bad section length)");
-  }
-  const auto s = r.bytes(static_cast<std::size_t>(len));
-  return {s.begin(), s.end()};
-}
-
 }  // namespace
 
 template <class EngineT>
 EngineSnapshot EngineSnapshot::capture_impl(const EngineT& engine,
                                             const SteadyStateTracker* tracker) {
-  EngineSnapshot s;
   const Graph& g = engine.graph();
-  s.n_ = g.num_nodes();
-  s.d_ = g.degree();
-  s.self_loops_ = engine.self_loops();
-  s.structure_kind_ = static_cast<std::uint8_t>(g.structure().kind);
-  s.extents_ = g.structure().extents;
-  s.adjacency_hash_ = hash_adjacency(g);
-  s.graph_name_ = g.name();
-  s.balancer_name_ = engine.balancer().name();
-  s.time_ = engine.time();
-
-  StateWriter core;
-  engine.save_core_state(core);
-  s.core_blob_ = core.take();
-
-  StateWriter bal;
-  engine.balancer().save_state(bal);
-  s.balancer_blob_ = bal.take();
-
-  if (const WorkloadProcess* w = engine.workload()) {
-    s.workload_name_ = w->name();
-    StateWriter ww;
-    w->save_state(ww);
-    s.workload_blob_ = ww.take();
-  }
-  if (tracker != nullptr) {
-    s.has_tracker_ = true;
-    StateWriter tw;
-    tracker->save_state(tw);
-    s.tracker_blob_ = tw.take();
-  }
-  return s;
+  const WorkloadProcess* workload = engine.workload();
+  // One allocation for the header, the fingerprint (names included, up
+  // to a few KiB) and the core blob's loads; a large balancer or
+  // workload state regrows it geometrically. (The size goes through
+  // uint32_t so the compiler sees that the sum cannot wrap.)
+  const std::size_t nodes = static_cast<std::uint32_t>(g.num_nodes());
+  StateWriter w;
+  w.reserve(kHeaderBytes + 4096 + 8 * nodes);
+  w.u64(kMagic);
+  w.u32(kFormatVersion);
+  w.u64(0);  // payload length, patched below
+  w.u64(0);  // payload checksum, patched below
+  w.i32(g.num_nodes());
+  w.i32(g.degree());
+  w.i32(engine.self_loops());
+  w.u8(static_cast<std::uint8_t>(g.structure().kind));
+  w.vec_i32(g.structure().extents);
+  w.u64(hash_adjacency(g));
+  w.str(g.name());
+  w.str(engine.balancer().name());
+  w.str(workload != nullptr ? workload->name() : std::string());
+  w.i64(engine.time());
+  w.b(tracker != nullptr);
+  // Each component writes its blob in place behind a length prefix that
+  // is patched once the blob is done.
+  const auto put_blob = [&w](const auto& save) {
+    const std::size_t at = w.size();
+    w.u64(0);
+    save();
+    w.patch_u64(at, w.size() - at - 8);
+  };
+  put_blob([&] { engine.save_core_state(w); });
+  put_blob([&] { engine.balancer().save_state(w); });
+  put_blob([&] {
+    if (workload != nullptr) workload->save_state(w);
+  });
+  put_blob([&] {
+    if (tracker != nullptr) tracker->save_state(w);
+  });
+  const std::size_t payload_len = w.size() - kHeaderBytes;
+  w.patch_u64(kLengthAt, payload_len);
+  w.patch_u64(kChecksumAt,
+              fnv1a64(std::span<const std::uint8_t>(w.data())
+                          .subspan(kHeaderBytes, payload_len)));
+  return parse(w.take(), /*verify_checksum=*/false);  // just computed
 }
 
 EngineSnapshot EngineSnapshot::capture(const Engine& engine,
@@ -172,7 +177,7 @@ void EngineSnapshot::restore_impl(EngineT& engine,
   // The core must describe a state some run reaches, at the image's
   // round. It is checked here and committed last.
   {
-    StateReader r(core_blob_);
+    StateReader r(blob(core_));
     const RoundLedger::State s =
         RoundLedger::read_core(r, static_cast<std::size_t>(n_)).ledger;
     check(s.t == time_,
@@ -192,14 +197,14 @@ void EngineSnapshot::restore_impl(EngineT& engine,
   }
   if (tracker != nullptr) tracker->save_state(tracker_before);
   try {
-    load_components(engine, tracker, balancer_blob_, workload_blob_,
-                    tracker_blob_);
+    load_components(engine, tracker, blob(balancer_), blob(workload_),
+                    blob(tracker_));
   } catch (...) {
     load_components(engine, tracker, balancer_before.data(),
                     workload_before.data(), tracker_before.data());
     throw;
   }
-  StateReader r(core_blob_);
+  StateReader r(blob(core_));
   engine.load_core_state(r);
 }
 
@@ -214,41 +219,19 @@ void EngineSnapshot::restore(ShardedEngine& engine,
 }
 
 std::vector<std::uint8_t> EngineSnapshot::serialize() const {
-  StateWriter payload;
-  // The blobs and strings, their length prefixes, and the fixed fields.
-  payload.reserve(core_blob_.size() + balancer_blob_.size() +
-                  workload_blob_.size() + tracker_blob_.size() +
-                  graph_name_.size() + balancer_name_.size() +
-                  workload_name_.size() + 4 * extents_.size() + 128);
-  payload.i32(n_);
-  payload.i32(d_);
-  payload.i32(self_loops_);
-  payload.u8(structure_kind_);
-  payload.vec_i32(extents_);
-  payload.u64(adjacency_hash_);
-  payload.str(graph_name_);
-  payload.str(balancer_name_);
-  payload.str(workload_name_);
-  payload.i64(time_);
-  payload.b(has_tracker_);
-  put_blob(payload, core_blob_);
-  put_blob(payload, balancer_blob_);
-  put_blob(payload, workload_blob_);
-  put_blob(payload, tracker_blob_);
-
-  StateWriter out;
-  out.reserve(28 + payload.size());
-  out.u64(kMagic);
-  out.u32(kFormatVersion);
-  out.u64(payload.size());
-  out.u64(fnv1a64(payload.data()));
-  out.bytes(payload.data());
-  return out.take();
+  return image_;
 }
 
 EngineSnapshot EngineSnapshot::deserialize(
     std::span<const std::uint8_t> bytes) {
-  StateReader header(bytes);
+  return parse({bytes.begin(), bytes.end()}, /*verify_checksum=*/true);
+}
+
+EngineSnapshot EngineSnapshot::parse(std::vector<std::uint8_t> image,
+                                     bool verify_checksum) {
+  EngineSnapshot s;
+  s.image_ = std::move(image);
+  StateReader header(s.image_);
   if (header.remaining() < 8 || header.u64() != kMagic) {
     throw serial_error("not a DLB snapshot (bad magic)");
   }
@@ -266,12 +249,11 @@ EngineSnapshot EngineSnapshot::deserialize(
   }
   const auto payload_bytes =
       header.bytes(static_cast<std::size_t>(payload_len));
-  if (fnv1a64(payload_bytes) != checksum) {
+  if (verify_checksum && fnv1a64(payload_bytes) != checksum) {
     throw serial_error("snapshot checksum mismatch (corrupted file)");
   }
 
   StateReader r(payload_bytes);
-  EngineSnapshot s;
   s.n_ = r.i32();
   s.d_ = r.i32();
   s.self_loops_ = r.i32();
@@ -283,16 +265,22 @@ EngineSnapshot EngineSnapshot::deserialize(
   s.workload_name_ = r.str();
   s.time_ = r.i64();
   s.has_tracker_ = r.b();
-  s.core_blob_ = get_blob(r);
-  s.balancer_blob_ = get_blob(r);
-  s.workload_blob_ = get_blob(r);
-  s.tracker_blob_ = get_blob(r);
+  for (Blob* b : {&s.core_, &s.balancer_, &s.workload_, &s.tracker_}) {
+    const std::uint64_t len = r.u64();
+    if (len > r.remaining()) {
+      throw serial_error("snapshot payload truncated (bad section length)");
+    }
+    // The payload runs to the end of the image.
+    b->offset = s.image_.size() - r.remaining();
+    b->size = static_cast<std::size_t>(len);
+    r.bytes(b->size);
+  }
   r.expect_done("snapshot payload");
   return s;
 }
 
 void EngineSnapshot::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = serialize();
+  const std::vector<std::uint8_t>& bytes = image_;
   const std::string tmp = path + ".tmp";
   // POSIX write-fsync-rename: the image is durable *before* it takes the
   // checkpoint's name, so a crash mid-write leaves either the old intact
@@ -355,7 +343,7 @@ EngineSnapshot EngineSnapshot::read_file(const std::string& path) {
   std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
                                   std::istreambuf_iterator<char>()};
   check(!in.bad(), "snapshot read: read failed");
-  return deserialize(bytes);
+  return parse(std::move(bytes), /*verify_checksum=*/true);
 }
 
 }  // namespace dlb

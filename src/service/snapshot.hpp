@@ -17,17 +17,26 @@
 // a format version, the payload length, and an FNV-1a checksum, followed
 // by a fingerprint (node count, degree, self-loops, structure tag, an
 // FNV hash of the adjacency, graph/balancer/workload names) and one
-// length-prefixed state blob per component. deserialize() and restore()
-// refuse — with a clean serial_error, before mutating anything — on a bad
-// magic, an unsupported version, a truncated buffer, a checksum mismatch,
-// or a fingerprint that does not match the restore target. Component
-// blobs are then applied in order; each component validates sizes and
-// ranges before assigning, and each blob must be consumed exactly
-// (expect_done), so a save/load asymmetry is an error, not a skew. The
-// core blob must also describe a reachable state (a balanced ledger,
-// statistics that match the loads, no negative load unless the balancer
-// allows one). A blob refused after earlier ones were applied rolls the
-// target back to the state it had before the call.
+// length-prefixed state blob per component.
+//
+// A snapshot *is* its image. capture() writes the header, the
+// fingerprint and every component blob once, in place, into one buffer,
+// then patches the lengths and the checksum; serialize() copies that
+// buffer and write_file() writes it as is. capture() and deserialize()
+// build their result through the same parser, which keeps the metadata
+// and each blob's byte offset into the owned buffer (offsets, not spans,
+// so a copied or moved snapshot stays valid).
+//
+// deserialize() and restore() refuse — with a clean serial_error, before
+// mutating anything — on a bad magic, an unsupported version, a truncated
+// buffer, a checksum mismatch, or a fingerprint that does not match the
+// restore target. Component blobs are then applied in order; each
+// component validates sizes and ranges before assigning, and each blob
+// must be consumed exactly (expect_done), so a save/load asymmetry is an
+// error, not a skew. The core blob must also describe a reachable state
+// (a balanced ledger, statistics that match the loads, no negative load
+// unless the balancer allows one). A blob refused after earlier ones were
+// applied rolls the target back to the state it had before the call.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +95,8 @@ class EngineSnapshot {
   void restore(ShardedEngine& engine,
                SteadyStateTracker* tracker = nullptr) const;
 
-  /// Flat byte image: header (magic, version, length, checksum) +
-  /// payload.
+  /// A copy of the byte image: header (magic, version, length, checksum)
+  /// + payload. An image read from a version-1 file stays version 1.
   std::vector<std::uint8_t> serialize() const;
 
   /// Parses and fully validates a byte image (magic, version, length,
@@ -95,9 +104,9 @@ class EngineSnapshot {
   /// fingerprint check against a concrete engine.
   static EngineSnapshot deserialize(std::span<const std::uint8_t> bytes);
 
-  /// Atomic checkpoint write: serializes to `path + ".tmp"` and renames
-  /// over `path`, so a crash mid-write can never clobber the previous
-  /// good checkpoint. Throws serial_error on I/O failure.
+  /// Atomic checkpoint write: writes the image to `path + ".tmp"` and
+  /// renames over `path`, so a crash mid-write can never clobber the
+  /// previous good checkpoint. Throws serial_error on I/O failure.
   void write_file(const std::string& path) const;
   static EngineSnapshot read_file(const std::string& path);
 
@@ -117,7 +126,23 @@ class EngineSnapshot {
   std::uint64_t adjacency_hash() const noexcept { return adjacency_hash_; }
 
  private:
+  /// Where one length-prefixed component blob sits in image_.
+  struct Blob {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+
   EngineSnapshot() = default;
+
+  /// The one image parser: checks the header (magic, version, payload
+  /// length and — when `verify_checksum` — the checksum), then reads the
+  /// fingerprint and the blob offsets of the payload. Takes ownership of
+  /// the bytes.
+  static EngineSnapshot parse(std::vector<std::uint8_t> image,
+                              bool verify_checksum);
+  std::span<const std::uint8_t> blob(Blob b) const {
+    return std::span<const std::uint8_t>(image_).subspan(b.offset, b.size);
+  }
 
   /// The capture/restore logic is engine-shape-agnostic — both engines
   /// expose the same stepping-state surface (graph, self_loops, balancer,
@@ -128,6 +153,9 @@ class EngineSnapshot {
                                      const SteadyStateTracker* tracker);
   template <class EngineT>
   void restore_impl(EngineT& engine, SteadyStateTracker* tracker) const;
+
+  /// The framed image; every member below is parsed from it.
+  std::vector<std::uint8_t> image_;
 
   NodeId n_ = 0;
   int d_ = 0;
@@ -141,10 +169,10 @@ class EngineSnapshot {
   Step time_ = 0;
   bool has_tracker_ = false;
 
-  std::vector<std::uint8_t> core_blob_;
-  std::vector<std::uint8_t> balancer_blob_;
-  std::vector<std::uint8_t> workload_blob_;
-  std::vector<std::uint8_t> tracker_blob_;
+  Blob core_;
+  Blob balancer_;
+  Blob workload_;
+  Blob tracker_;
 };
 
 }  // namespace dlb

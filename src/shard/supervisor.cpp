@@ -1,14 +1,11 @@
 #include "shard/supervisor.hpp"
 
 #include <chrono>
-#include <span>
 #include <utility>
 
-#include "dynamics/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assertions.hpp"
-#include "util/serial.hpp"
 
 namespace dlb {
 
@@ -70,20 +67,7 @@ ShardSupervisor::ShardSupervisor(ShardedEngine& engine, Options opts)
 
 void ShardSupervisor::take_checkpoint() {
   obs::TraceSpan span("checkpoint", "supervisor", "t", engine_->time());
-  ck_t_ = engine_->time();
-  StateWriter core;
-  engine_->save_core_state(core);
-  ck_core_ = core.take();
-  StateWriter bal;
-  engine_->balancer().save_state(bal);
-  ck_balancer_ = bal.take();
-  ck_workload_.clear();
-  ck_has_workload_ = engine_->workload() != nullptr;
-  if (ck_has_workload_) {
-    StateWriter w;
-    engine_->workload()->save_state(w);
-    ck_workload_ = w.take();
-  }
+  checkpoint_ = EngineSnapshot::capture(*engine_);
   supervisor_metrics().checkpoints.inc();
 }
 
@@ -95,32 +79,12 @@ void ShardSupervisor::recover() {
   // Frames of the abandoned timeline (including a fault injector's
   // delayed posts) must never surface in the re-run.
   engine_->channel().reset();
-  {
-    StateReader r(
-        std::span<const std::uint8_t>(ck_core_.data(), ck_core_.size()));
-    engine_->load_core_state(r);  // also revives the dead shards
-    r.expect_done("rollback engine core state");
-  }
-  {
-    StateReader r(std::span<const std::uint8_t>(ck_balancer_.data(),
-                                                ck_balancer_.size()));
-    engine_->balancer().load_state(r);
-    r.expect_done("rollback balancer state");
-  }
-  DLB_REQUIRE((engine_->workload() != nullptr) == ck_has_workload_,
-              "shard supervisor: workload attached/detached across a "
-              "checkpoint");
-  if (ck_has_workload_) {
-    StateReader r(std::span<const std::uint8_t>(ck_workload_.data(),
-                                                ck_workload_.size()));
-    engine_->workload()->load_state(r);
-    r.expect_done("rollback workload state");
-  }
+  checkpoint_->restore(*engine_);  // also revives the dead shards
   // Deterministic components + deterministic (keyed) faults: the re-run
   // reaches the exact bytes the crashed timeline would have.
-  engine_->run(target - ck_t_);
-  supervisor_metrics().replayed_rounds.inc(
-      static_cast<std::uint64_t>(target - ck_t_));
+  const Step lost = target - checkpoint_->time();
+  engine_->run(lost);
+  supervisor_metrics().replayed_rounds.inc(static_cast<std::uint64_t>(lost));
   supervisor_metrics().recoveries.inc();
   supervisor_metrics().recovery_seconds.observe(seconds_since(t0));
 }

@@ -7,13 +7,14 @@
 // permanently incomplete and its slice of the load vector gone. The
 // supervisor closes that gap with checkpoint/rollback:
 //
-//   * every `checkpoint_interval` rounds it captures the engine state
-//     through the same StateWriter paths EngineSnapshot uses (core blob,
-//     balancer blob, workload blob);
+//   * every `checkpoint_interval` rounds it captures an EngineSnapshot of
+//     the engine — the same image a service checkpoint writes, so each
+//     checkpoint also pays the adjacency hash and the payload checksum;
 //   * when a shard dies (a FaultPlan crash, or any caller of
-//     ShardedEngine::kill_shard), it restores *every* component from the
-//     newest checkpoint, resets the channel, and re-runs the lost rounds
-//     through the engine itself.
+//     ShardedEngine::kill_shard), it resets the channel, restores the
+//     newest snapshot into the engine (every component, through the
+//     snapshot's fingerprint check and refuse-then-roll-back restore),
+//     and re-runs the lost rounds through the engine itself.
 //
 // Every balancer is deterministic given its checkpointed state, and the
 // workload and fault injector are keyed counter RNGs, so the re-run lands
@@ -23,9 +24,10 @@
 // balancer.
 #pragma once
 
-#include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "service/snapshot.hpp"
 #include "shard/faulty_channel.hpp"  // FaultPlan
 #include "shard/sharded_engine.hpp"
 
@@ -60,7 +62,7 @@ class ShardSupervisor {
 
   ShardedEngine& engine() noexcept { return *engine_; }
   /// Time of the newest checkpoint (the rollback anchor).
-  Step checkpoint_time() const noexcept { return ck_t_; }
+  Step checkpoint_time() const noexcept { return checkpoint_->time(); }
   /// Captures a checkpoint now (also called periodically by step()).
   void take_checkpoint();
 
@@ -75,13 +77,7 @@ class ShardSupervisor {
   ShardedEngine* engine_;
   Options opts_;
   std::vector<CrashEvent> crashes_;
-
-  // The newest checkpoint, as component blobs.
-  Step ck_t_ = 0;
-  std::vector<std::uint8_t> ck_core_;
-  std::vector<std::uint8_t> ck_balancer_;
-  std::vector<std::uint8_t> ck_workload_;
-  bool ck_has_workload_ = false;
+  std::optional<EngineSnapshot> checkpoint_;  ///< the rollback anchor
 };
 
 }  // namespace dlb

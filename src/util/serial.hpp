@@ -92,6 +92,15 @@ class StateWriter {
 
   void vec_f64(std::span<const double> v) { vec(v); }
 
+  /// Overwrites the 8 bytes at `at` (at + 8 <= size()) with `v`,
+  /// little-endian: fills in a length or checksum once what it covers
+  /// has been written behind it.
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
   std::size_t size() const noexcept { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

@@ -1041,13 +1041,36 @@ TEST(DynamicSweep, EightThreadsMatchSequentialByteForByte) {
 }
 
 TEST(DynamicSweep, InnerNestingMatchesOuterByteForByte) {
-  const SweepMatrix m = dynamic_matrix();
-  SweepOptions outer = dynamic_options(4);
-  outer.nesting = SweepNesting::kOuter;
-  SweepOptions inner = dynamic_options(4);
-  inner.nesting = SweepNesting::kInner;  // round-parallel dynamic engines
-  EXPECT_EQ(SweepRunner::csv_string(SweepRunner(outer).run(m)),
-            SweepRunner::csv_string(SweepRunner(inner).run(m)));
+  // On a 2^15-node cycle, 8 threads nest round-parallel dynamic engines:
+  // inner for one scenario, hybrid (3 outer workers × 2-wide pools) for
+  // three. Both must match the serial run byte for byte.
+  constexpr NodeId kN = 1 << 15;
+  SweepMatrix m;
+  m.add_graph("cycle", make_cycle(kN), 1.0 - lambda2_cycle(kN, 2));
+  m.add_balancer(Algorithm::kSendFloor);
+  m.add_balancer(Algorithm::kRandomizedExtra);  // serial-decide path
+  m.add_shape(InitialShape::kBimodal);
+  m.add_workload({"poisson(in=0.5,out=0.5)", [](std::uint64_t) {
+                    return std::make_unique<PoissonWorkload>(
+                        PoissonWorkload::Params{0.5, 0.5});
+                  }});
+  m.add_workload({"adversary(4/1)", [](std::uint64_t) {
+                    return std::make_unique<AdversarialInjector>(
+                        AdversarialInjector::Params{.amount = 4,
+                                                    .period = 1});
+                  }});
+  m.add_load_scale(32);
+  const std::vector<Scenario> all = m.scenarios();
+  for (const std::size_t count : {1, 3}) {
+    SCOPED_TRACE(std::to_string(count) + " scenarios");
+    const std::vector<Scenario> subset(
+        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(count));
+    SweepOptions serial = dynamic_options(1);
+    SweepOptions nested = dynamic_options(8);
+    serial.base.fixed_horizon = nested.base.fixed_horizon = 24;
+    EXPECT_EQ(SweepRunner::csv_string(SweepRunner(serial).run(m, subset)),
+              SweepRunner::csv_string(SweepRunner(nested).run(m, subset)));
+  }
 }
 
 TEST(DynamicSweep, CsvCarriesWorkloadColumnsAndQuotesCommaNames) {

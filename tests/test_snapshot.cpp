@@ -9,11 +9,13 @@
 // with byte-identical loads, per-round discrepancy rows, conservation
 // ledger, and steady-state summary. Also covered: a snapshot at round 255
 // of a 300-round churned run, the shared core-state bytes of the flat and
-// sharded engines, the pinned adjacency fingerprints, and the
+// sharded engines, the pinned adjacency fingerprints and whole-image
+// bytes, a snapshot that outlives the one it was copied from, and the
 // refuse-to-load paths — truncation, bit flips, version and topology
 // mismatches, and seeded random mutations of valid images must throw
-// clean serial_errors without mutating the restore target, or restore a
-// state the engine can step soundly (exercised under ASan/UBSan in CI).
+// clean serial_errors without mutating the (flat or sharded) restore
+// target, or restore a state the engine can step soundly (exercised
+// under ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -23,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,7 +52,14 @@ namespace {
 
 // ------------------------------------------------------------ fixtures --
 
-enum class Churn { kStatic, kPoisson, kBurst, kAdversary, kAdmission };
+enum class Churn {
+  kStatic,
+  kPoisson,
+  kBurst,
+  kAdversary,
+  kAdmission,
+  kPoissonAdmission
+};
 
 const char* churn_name(Churn c) {
   switch (c) {
@@ -58,6 +68,7 @@ const char* churn_name(Churn c) {
     case Churn::kBurst: return "burst";
     case Churn::kAdversary: return "adversary";
     case Churn::kAdmission: return "admission";
+    case Churn::kPoissonAdmission: return "poisson-admission";
   }
   return "?";
 }
@@ -95,41 +106,64 @@ WorkloadBox make_workload(Churn c) {
       box.process = std::make_unique<AdmissionQueue>(
           *box.inner, AdmissionQueue::Params{.round_cap = 16});
       break;
+    case Churn::kPoissonAdmission:
+      // Open-loop demand above the cap, as a service sees it.
+      box.inner = std::make_unique<PoissonWorkload>(
+          PoissonWorkload::Params{.arrival_rate = 0.6, .departure_rate = 0.5});
+      box.process = std::make_unique<AdmissionQueue>(
+          *box.inner, AdmissionQueue::Params{.round_cap = 6});
+      break;
   }
   return box;
 }
 
-/// A complete, independently-destructible run: graph, balancer, workload,
-/// optional pool, engine, tracker. Built identically for the full, the
-/// captured, and the restored leg of the equivalence check.
-struct Rig {
+/// What every rig builds before its engine: cycle(24), the balancer
+/// (seed 11), the workload chain and the tracker, and the self-loop count
+/// and initial loads the engine takes.
+struct RigBase {
   Graph g;
   std::unique_ptr<Balancer> balancer;
   WorkloadBox wl;
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<Engine> engine;
   SteadyStateTracker tracker;
+  int loops;
+  LoadVector initial;
 
-  explicit Rig(const std::string& balancer_name, Churn churn, int threads)
+  RigBase(const std::string& balancer_name, Churn churn)
       : g(make_cycle(24)),
         balancer(find_balancer_factory(balancer_name)(/*seed=*/11)),
         wl(make_workload(churn)),
-        tracker(SteadyOptions{.window = 12, .warmup = 4}) {
+        tracker(SteadyOptions{.window = 12, .warmup = 4}),
+        initial(static_cast<std::size_t>(g.num_nodes()), 0) {
     const BalancerTraits traits = find_balancer_traits(balancer_name);
-    const int d_loops = traits.exact_d_loops
-                            ? g.degree()
-                            : std::max(traits.min_loops(g.degree()),
-                                       g.degree());
-    LoadVector initial(static_cast<std::size_t>(g.num_nodes()), 0);
+    loops = traits.exact_d_loops
+                ? g.degree()
+                : std::max(traits.min_loops(g.degree()), g.degree());
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       initial[static_cast<std::size_t>(u)] = (u % 5 == 0) ? 20 : 1;
     }
-    engine = std::make_unique<Engine>(
-        g, EngineConfig{.self_loops = d_loops}, *balancer, std::move(initial));
-    if (wl.process) {
-      wl.process->reset(g.num_nodes(), /*seed=*/42);
-      engine->set_workload(wl.process.get());
-    }
+  }
+
+  /// Seeds the workload (42) and attaches it to `engine`.
+  template <class EngineT>
+  void attach_workload(EngineT& engine) {
+    if (!wl.process) return;
+    wl.process->reset(g.num_nodes(), /*seed=*/42);
+    engine.set_workload(wl.process.get());
+  }
+};
+
+/// A complete, independently-destructible run: graph, balancer, workload,
+/// optional pool, engine, tracker. Built identically for the full, the
+/// captured, and the restored leg of the equivalence check.
+struct Rig : RigBase {
+  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<Engine> engine;
+
+  explicit Rig(const std::string& balancer_name, Churn churn, int threads)
+      : RigBase(balancer_name, churn) {
+    engine = std::make_unique<Engine>(g, EngineConfig{.self_loops = loops},
+                                      *balancer, initial);
+    attach_workload(*engine);
     if (threads > 1) {
       pool = std::make_unique<ThreadPool>(threads);
       engine->set_thread_pool(pool.get());
@@ -145,6 +179,26 @@ struct Rig {
       }
       tracker.observe(engine->time(), engine->discrepancy());
       if (disc_rows) disc_rows->push_back(engine->discrepancy());
+    }
+  }
+};
+
+/// The same run on a serial ShardedEngine of `shards` shards.
+struct ShardedRig : RigBase {
+  std::unique_ptr<ShardedEngine> engine;
+
+  ShardedRig(const std::string& balancer_name, Churn churn, int shards)
+      : RigBase(balancer_name, churn) {
+    engine = std::make_unique<ShardedEngine>(
+        g, ShardedEngineConfig{.self_loops = loops}, *balancer, initial,
+        shards);
+    attach_workload(*engine);
+  }
+
+  void step_rounds(Step k) {
+    for (Step i = 0; i < k; ++i) {
+      engine->step();
+      tracker.observe(engine->time(), engine->discrepancy());
     }
   }
 };
@@ -706,6 +760,63 @@ TEST(SnapshotFingerprint, AdjacencyHashesArePinned) {
   }
 }
 
+// ------------------------------------------------------ pinned image bytes --
+
+/// The image of `rig` after 10 rounds, with its tracker iff `tracked`.
+template <class RigT>
+std::vector<std::uint8_t> pinned_image(RigT&& rig, bool tracked) {
+  rig.step_rounds(10);
+  return EngineSnapshot::capture(*rig.engine, tracked ? &rig.tracker : nullptr)
+      .serialize();
+}
+
+TEST(SnapshotFormat, ImageBytesArePinned) {
+  // FNV-1a of whole v2 images, recorded when the format was frozen: any
+  // change to what capture writes, or in which order, moves these. The
+  // flat engine and a 3-shard engine write the same image.
+  struct Pin {
+    const char* balancer;
+    Churn churn;
+    bool tracked;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"ROTOR-ROUTER", Churn::kPoissonAdmission, true, 0x06ac0bcd5a1d0d4fULL},
+      {"CONT-MIMIC", Churn::kBurst, false, 0x4928fda6bcec8bebULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.balancer) + " / " + churn_name(pin.churn));
+    const std::vector<std::uint8_t> flat =
+        pinned_image(Rig(pin.balancer, pin.churn, 1), pin.tracked);
+    const std::vector<std::uint8_t> sharded =
+        pinned_image(ShardedRig(pin.balancer, pin.churn, 3), pin.tracked);
+    EXPECT_EQ(fnv1a64(flat), pin.hash) << std::hex << fnv1a64(flat);
+    EXPECT_EQ(sharded, flat);
+    EXPECT_EQ(EngineSnapshot::deserialize(flat).serialize(), flat);
+  }
+}
+
+TEST(SnapshotFormat, CopiedSnapshotOutlivesItsOriginal) {
+  // A snapshot owns its image: a copy restores after the original is
+  // gone, and so does a snapshot moved out of that copy.
+  Rig full("ROTOR-ROUTER", Churn::kAdmission, 1);
+  full.step_rounds(20);
+
+  Rig src("ROTOR-ROUTER", Churn::kAdmission, 1);
+  src.step_rounds(10);
+  auto original = std::make_unique<EngineSnapshot>(
+      EngineSnapshot::capture(*src.engine, &src.tracker));
+  EngineSnapshot copy = *original;
+  original.reset();
+  const EngineSnapshot moved = std::move(copy);
+
+  Rig dst("ROTOR-ROUTER", Churn::kAdmission, 1);
+  dst.step_rounds(3);
+  moved.restore(*dst.engine, &dst.tracker);
+  dst.step_rounds(10);
+  expect_identical(observe(full, {}), observe(dst, {}));
+}
+
 // ----------------------------------------------------- image mutations --
 
 constexpr std::uint64_t kMutationSeed = 0x5eed5a4bULL;
@@ -789,6 +900,53 @@ void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
   for (std::size_t b = 0; b < 8 && at + b < bytes.size(); ++b) {
     bytes[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
   }
+}
+
+LoadVector all_loads(const Engine& e) { return e.loads(); }
+LoadVector all_loads(const ShardedEngine& e) { return e.gather_loads(); }
+
+/// Restores a mutated image into `target`, which first runs a different
+/// number of rounds than the image's run, so a partial restore would
+/// show. A refused image must leave the target's own image unchanged; a
+/// restored engine must step on with its ledger balanced. Returns
+/// whether the image restored, or nullopt after a failure.
+template <class RigT>
+std::optional<bool> restore_mutant(RigT& target,
+                                   const std::vector<std::uint8_t>& bytes) {
+  target.step_rounds(3);
+  const std::vector<std::uint8_t> before =
+      EngineSnapshot::capture(*target.engine, &target.tracker).serialize();
+  bool ok = false;
+  try {
+    EngineSnapshot::deserialize(bytes).restore(*target.engine,
+                                               &target.tracker);
+    ok = true;
+  } catch (const serial_error&) {
+  } catch (const invariant_error&) {
+  } catch (const std::exception& ex) {
+    ADD_FAILURE() << "unclassified exception: " << ex.what();
+    return std::nullopt;
+  }
+  if (!ok) {
+    EXPECT_EQ(EngineSnapshot::capture(*target.engine, &target.tracker)
+                  .serialize(),
+              before)
+        << "a refused image changed the engine";
+    return false;
+  }
+  try {
+    target.step_rounds(8);
+  } catch (const std::exception& ex) {
+    ADD_FAILURE() << "restored engine failed to step: " << ex.what();
+    return std::nullopt;
+  }
+  const auto& e = *target.engine;
+  std::uint64_t sum = 0;  // wraps like the engine's own audit
+  for (const Load x : all_loads(e)) sum += static_cast<std::uint64_t>(x);
+  EXPECT_EQ(static_cast<Load>(sum), e.total());
+  EXPECT_EQ(e.total(),
+            e.base_total() + e.injected_total() - e.consumed_total());
+  return true;
 }
 
 TEST(SnapshotMutation, MutatedImagesAreRefusedCleanlyOrRestoreSoundly) {
@@ -891,45 +1049,15 @@ TEST(SnapshotMutation, MutatedImagesAreRefusedCleanlyOrRestoreSoundly) {
                  churn_name(base.churn) + ", " +
                  std::to_string(bytes.size()) + " bytes)");
 
-    // The target ran a different number of rounds than the image's run,
-    // so a partial restore would show.
-    Rig target(base.balancer, base.churn, 1);
-    target.step_rounds(3);
-    const std::vector<std::uint8_t> before =
-        EngineSnapshot::capture(*target.engine, &target.tracker).serialize();
-    bool ok = false;
-    try {
-      EngineSnapshot::deserialize(bytes).restore(*target.engine,
-                                                 &target.tracker);
-      ok = true;
-    } catch (const serial_error&) {
-    } catch (const invariant_error&) {
-    } catch (const std::exception& ex) {
-      ADD_FAILURE() << "unclassified exception: " << ex.what();
-      continue;
-    }
-    if (ok) {
-      ++restored;
-      // A restored engine must step on with its ledger balanced.
-      try {
-        target.step_rounds(8);
-      } catch (const std::exception& ex) {
-        ADD_FAILURE() << "restored engine failed to step: " << ex.what();
-        continue;
-      }
-      const Engine& e = *target.engine;
-      std::uint64_t sum = 0;  // wraps like the engine's own audit
-      for (const Load x : e.loads()) sum += static_cast<std::uint64_t>(x);
-      EXPECT_EQ(static_cast<Load>(sum), e.total());
-      EXPECT_EQ(e.total(),
-                e.base_total() + e.injected_total() - e.consumed_total());
-    } else {
-      ++refused;
-      EXPECT_EQ(EngineSnapshot::capture(*target.engine, &target.tracker)
-                    .serialize(),
-                before)
-          << "a refused image changed the engine";
-    }
+    // Every mutant meets a flat and a 3-shard target; both must decide
+    // alike.
+    Rig flat(base.balancer, base.churn, 1);
+    ShardedRig sharded(base.balancer, base.churn, 3);
+    const std::optional<bool> ok = restore_mutant(flat, bytes);
+    const std::optional<bool> sharded_ok = restore_mutant(sharded, bytes);
+    if (!ok || !sharded_ok) continue;
+    EXPECT_EQ(*sharded_ok, *ok) << "flat and sharded targets disagree";
+    ++(*ok ? restored : refused);
   }
   // Both outcomes must occur, or the mutator is not reaching restore.
   RecordProperty("refused", refused);

@@ -201,20 +201,41 @@ TEST(SweepRunner, EightThreadsMatchSequentialByteForByte) {
             SweepRunner::csv_string(parallel));
 }
 
+/// Three scenarios on a 2^15-node cycle, the smallest graph on which
+/// SweepRunner nests round-parallel engines, with a short fixed horizon.
+SweepMatrix nesting_matrix() {
+  constexpr NodeId kN = 1 << 15;
+  SweepMatrix m;
+  m.add_graph("cycle", make_cycle(kN), 1.0 - lambda2_cycle(kN, 2));
+  m.add_balancer(Algorithm::kRotorRouter);
+  m.add_balancer(Algorithm::kRandomizedExtra);  // exercises seeded RNG state
+  m.add_balancer(Algorithm::kSendFloor);
+  m.add_shape(InitialShape::kBimodal);
+  m.add_load_scale(64);
+  return m;
+}
+
+SweepOptions nesting_options(int threads) {
+  SweepOptions o = fast_options(threads);
+  o.base.fixed_horizon = 12;
+  return o;
+}
+
 TEST(SweepRunner, InnerNestingMatchesOuterByteForByte) {
-  const SweepMatrix m = small_matrix();
-  SweepOptions outer = fast_options(4);
-  outer.nesting = SweepNesting::kOuter;
-  SweepOptions inner = fast_options(4);
-  inner.nesting = SweepNesting::kInner;  // round-parallel engines
-  EXPECT_EQ(SweepRunner::csv_string(SweepRunner(outer).run(m)),
-            SweepRunner::csv_string(SweepRunner(inner).run(m)));
+  // One big scenario at 8 threads runs inner (round-parallel on the
+  // whole pool); at 1 thread it runs serially. The rows must match.
+  const SweepMatrix m = nesting_matrix();
+  const std::vector<Scenario> one(1, m.scenarios().front());
+  EXPECT_EQ(
+      SweepRunner::csv_string(SweepRunner(nesting_options(1)).run(m, one)),
+      SweepRunner::csv_string(SweepRunner(nesting_options(8)).run(m, one)));
 }
 
 TEST(SweepRunner, AutoNestingStaysDeterministicWithFewScenarios) {
-  // 1 scenario, 8 threads: whatever kAuto picks (it stays outer/serial
-  // for this tiny graph — inner needs >= 2^15 nodes to amortize the
-  // per-step pool rendezvous), the rows must match a serial run.
+  // 1 scenario, 8 threads: whatever the nesting rule picks (it stays
+  // outer/serial for this tiny graph — inner needs >= 2^15 nodes to
+  // amortize the per-step pool rendezvous), the rows must match a serial
+  // run.
   SweepMatrix m;
   m.add_graph("cycle", make_cycle(24), 1.0 - lambda2_cycle(24, 2));
   m.add_balancer(Algorithm::kRotorRouter);
@@ -226,25 +247,15 @@ TEST(SweepRunner, AutoNestingStaysDeterministicWithFewScenarios) {
 }
 
 TEST(SweepRunner, HybridNestingMatchesSerialByteForByte) {
-  // 3 scenarios, 8 threads: hybrid splits the budget into 3 outer
-  // workers × a 2-wide inner pool each. Forced at {1, 8} threads, the
-  // CSV must be byte-identical to the plain serial run — the engines'
-  // round-parallel pipeline is thread-count-invariant and aggregation
-  // is by scenario index, so neither level of nesting may show.
-  const SweepMatrix m = small_matrix();
-  const auto scenarios = m.scenarios();
-  const std::vector<Scenario> subset(scenarios.begin(),
-                                     scenarios.begin() + 3);
-
-  const auto serial = SweepRunner(fast_options(1)).run(m, subset);
-  SweepOptions h1 = fast_options(1);
-  h1.nesting = SweepNesting::kHybrid;
-  SweepOptions h8 = fast_options(8);
-  h8.nesting = SweepNesting::kHybrid;
-  EXPECT_EQ(SweepRunner::csv_string(serial),
-            SweepRunner::csv_string(SweepRunner(h1).run(m, subset)));
-  EXPECT_EQ(SweepRunner::csv_string(serial),
-            SweepRunner::csv_string(SweepRunner(h8).run(m, subset)));
+  // 3 big scenarios, 8 threads: hybrid splits the budget into 3 outer
+  // workers × a 2-wide inner pool each. The CSV must be byte-identical
+  // to the serial run — the engines' round-parallel pipeline is
+  // thread-count-invariant and aggregation is by scenario index, so
+  // neither level of nesting may show.
+  const SweepMatrix m = nesting_matrix();
+  ASSERT_EQ(m.size(), 3u);
+  EXPECT_EQ(SweepRunner::csv_string(SweepRunner(nesting_options(1)).run(m)),
+            SweepRunner::csv_string(SweepRunner(nesting_options(8)).run(m)));
 }
 
 TEST(SweepMatrix, CustomShapeCaseDrivesTheInitialLoads) {
