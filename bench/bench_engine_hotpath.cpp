@@ -5,8 +5,10 @@
 // millions of nodes) is what this bench tracks. The `lazy` series run the
 // serial scatter path: one decide_range call per step writes the round
 // straight into the next-load buffer, no flow buffer exists,
-// conservation is audited every 64 steps. items_per_second == engine
-// steps per second.
+// conservation is audited every 64 steps. BM_Cycle1M_SendFloor_Audit1 is
+// the same round audited every step: the gather folds Σ into its emit,
+// so it should sit within 5% of BM_Cycle1M_SendFloor_Lazy.
+// items_per_second == engine steps per second.
 //
 // Every 2^k-node series has a twin one node (or one torus row) larger:
 // power-of-two array sizes are where the loads and next-load buffers
@@ -47,12 +49,13 @@ namespace {
 
 using namespace dlb;
 
-void run_steps(benchmark::State& state, const Graph& g, Algorithm algo) {
+void run_steps(benchmark::State& state, const Graph& g, Algorithm algo,
+               int conservation_interval = 64) {
   auto balancer = balancer_factory(algo)(/*seed=*/42);
   EngineConfig config;
   config.self_loops = g.degree();  // d° = d, the theorems' regime
   config.check_conservation = true;
-  config.conservation_interval = 64;
+  config.conservation_interval = conservation_interval;
   Engine e(g, config, *balancer, random_initial(g.num_nodes(), 1000, 7));
 
   for (auto _ : state) {
@@ -101,6 +104,9 @@ const Graph& cycle_256k() {
 // --------------------------- n = 2^20 cycle (d = 2), the acceptance pair --
 void BM_Cycle1M_SendFloor_Lazy(benchmark::State& s) {
   run_steps(s, cycle_1m(), Algorithm::kSendFloor);
+}
+void BM_Cycle1M_SendFloor_Audit1(benchmark::State& s) {
+  run_steps(s, cycle_1m(), Algorithm::kSendFloor, /*conservation_interval=*/1);
 }
 void BM_Cycle1M_RotorRouter_Lazy(benchmark::State& s) {
   run_steps(s, cycle_1m(), Algorithm::kRotorRouter);
@@ -369,6 +375,7 @@ void BM_Torus512_RotorRouter_Lazy(benchmark::State& s) {
 }
 
 BENCHMARK(BM_Cycle1M_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Cycle1M_SendFloor_Audit1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouterStar_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1Mplus1_SendFloor_Lazy)->Unit(benchmark::kMillisecond);

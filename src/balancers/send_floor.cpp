@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <limits>
 
 #include "graph/topology.hpp"
@@ -22,12 +23,13 @@ namespace {
 // mod n, and a window filled mod n makes that congruence literal — the
 // flat path keeps the true wrap offsets. Everything else — the row
 // blocking, the per-segment scalar/AVX2 bodies, the emit order, the
-// min/max fold — is byte-for-byte the same arithmetic in both callers.
+// min/max/Σ fold — is byte-for-byte the same arithmetic in both callers.
+// Σ wraps (unsigned adds), as LoadScan's does.
 template <class Emit, class EmitBlock>
 void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
                        NodeId first, NodeId last, NodeId shift, bool ring_top,
-                       const Load* xs, Load& lo, Load& hi, Emit&& emit,
-                       [[maybe_unused]] EmitBlock&& emit_block) {
+                       const Load* xs, Load& lo, Load& hi, std::uint64_t& sum,
+                       Emit&& emit, [[maybe_unused]] EmitBlock&& emit_block) {
   const int d = topo.degree();
   const int r = topo.dims();
   const NodeId ext0 = topo.extent(0);
@@ -56,6 +58,7 @@ void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
       emit_one(static_cast<std::size_t>(v), acc);
       lo = acc < lo ? acc : lo;
       hi = acc > hi ? acc : hi;
+      sum += static_cast<std::uint64_t>(acc);
     }
   };
 
@@ -90,6 +93,7 @@ void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
       segment(u, a, emit);
       __m256i vmin = _mm256_set1_epi64x(std::numeric_limits<Load>::max());
       __m256i vmax = _mm256_set1_epi64x(std::numeric_limits<Load>::min());
+      __m256i vsum = _mm256_setzero_si256();
       NodeId v = a;
       for (; v + simd::kLanes <= b; v += simd::kLanes) {
         const __m256i vx =
@@ -125,11 +129,13 @@ void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
         emit_block(static_cast<std::size_t>(v), acc);
         vmin = simd::min_epi64(vmin, acc);
         vmax = simd::max_epi64(vmax, acc);
+        vsum = _mm256_add_epi64(vsum, acc);
       }
       const Load vlo = simd::reduce_min(vmin);
       const Load vhi = simd::reduce_max(vmax);
       lo = vlo < lo ? vlo : lo;
       hi = vhi > hi ? vhi : hi;
+      sum += simd::reduce_add(vsum);
       segment(v, seg_end, emit);
       u = seg_end;
       continue;
@@ -178,11 +184,11 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
                               FlowSink& sink) {
   // Pure streaming stencil: one pass over loads, one write per next-load
   // slot, no adjacency traffic and no read-modify-write accumulation.
-  // A gather, so the round's min/max ride the emit sweep
-  // (FlowSink::merge_emit_stats) and the engine's dedicated stats pass
-  // disappears. The AVX2 path processes four interior nodes per vector —
-  // three unaligned load streams (left/self/right), lane shifts for the
-  // floor shares (power-of-two d⁺ only), one store — and is
+  // A gather, so the round's min, max and Σ ride the emit sweep
+  // (FlowSink::merge_emit_stats) and the engine needs no stats or audit
+  // pass of its own. The AVX2 path processes four interior nodes per
+  // vector — three unaligned load streams (left/self/right), lane shifts
+  // for the floor shares (power-of-two d⁺ only), one store — and is
   // byte-identical to the scalar rotation: same integer arithmetic, and a
   // block store equals four slot stores. The two range boundaries and any
   // tail stay scalar.
@@ -190,6 +196,7 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
   const Load* xs = loads.data();
   Load lo = std::numeric_limits<Load>::max();
   Load hi = std::numeric_limits<Load>::min();
+  std::uint64_t sum = 0;  // wraps, as LoadScan's Σ does
 
   // Scalar sweep over [a, b): left/right floor shares ride a register
   // rotation; only the two cycle boundaries wrap.
@@ -206,6 +213,7 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
       emit(static_cast<std::size_t>(u), acc);
       lo = acc < lo ? acc : lo;
       hi = acc > hi ? acc : hi;
+      sum += static_cast<std::uint64_t>(acc);
       q_left = q;
       x = x_right;
     }
@@ -222,6 +230,7 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
       sweep(first, a, emit);
       __m256i vmin = _mm256_set1_epi64x(std::numeric_limits<Load>::max());
       __m256i vmax = _mm256_set1_epi64x(std::numeric_limits<Load>::min());
+      __m256i vsum = _mm256_setzero_si256();
       NodeId u = a;
       for (; u + simd::kLanes <= b; u += simd::kLanes) {
         const __m256i vx = _mm256_loadu_si256(
@@ -243,11 +252,13 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
         emit_block(static_cast<std::size_t>(u), acc);
         vmin = simd::min_epi64(vmin, acc);
         vmax = simd::max_epi64(vmax, acc);
+        vsum = _mm256_add_epi64(vsum, acc);
       }
       const Load vlo = simd::reduce_min(vmin);
       const Load vhi = simd::reduce_max(vmax);
       lo = vlo < lo ? vlo : lo;
       hi = vhi > hi ? vhi : hi;
+      sum += simd::reduce_add(vsum);
       sweep(u, last, emit);
       return;
     }
@@ -265,7 +276,7 @@ void SendFloor::scatter_range(const CycleTopology& topo, NodeId first,
       0
 #endif
   );
-  sink.merge_emit_stats(lo, hi, last - first);
+  sink.merge_emit_stats({lo, hi, static_cast<Load>(sum)}, last - first);
 }
 
 void SendFloor::scatter_range(const TorusTopology& topo, NodeId first,
@@ -281,10 +292,11 @@ void SendFloor::scatter_range(const TorusTopology& topo, NodeId first,
   // next(u) = kept(u) + Σ_p ⌊x(neighbor)/d⁺⌋ is what the symmetric
   // scatter delivers, term for term; integer addition commutes, so the
   // trajectory is byte-identical, and the single touch per slot lets
-  // the round's min/max ride the emit sweep (merge_emit_stats). The AVX2
-  // path gathers the same 2r + 3 streams four row-interior nodes at a
-  // time (lane shifts need power-of-two d⁺; q·d is a short add chain so
-  // the integer arithmetic stays exact); row ends and tails stay scalar.
+  // the round's min, max and Σ ride the emit sweep (merge_emit_stats).
+  // The AVX2 path gathers the same 2r + 3 streams four row-interior nodes
+  // at a time (lane shifts need power-of-two d⁺; q·d is a short add chain
+  // so the integer arithmetic stays exact); row ends and tails stay
+  // scalar.
   torus_gather_dispatch(topo, first, last, /*shift=*/0, /*ring_top=*/false,
                         loads.data(), last - first, sink);
 }
@@ -298,9 +310,10 @@ void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
                                       FlowSink& sink) {
   Load lo = std::numeric_limits<Load>::max();
   Load hi = std::numeric_limits<Load>::min();
+  std::uint64_t sum = 0;
   Load* const next = sink.next();
   torus_gather_rows(
-      topo, div_, first, last, shift, ring_top, xs, lo, hi,
+      topo, div_, first, last, shift, ring_top, xs, lo, hi, sum,
       [&](std::size_t v, Load acc) { next[v] = acc; },
 #ifdef DLB_SIMD_AVX2
       [&](std::size_t v, __m256i acc) {
@@ -310,7 +323,7 @@ void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
       0
 #endif
   );
-  sink.merge_emit_stats(lo, hi, covered);
+  sink.merge_emit_stats({lo, hi, static_cast<Load>(sum)}, covered);
 }
 
 NodeId SendFloor::window_reach(const Graph& g) const {

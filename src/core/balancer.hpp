@@ -30,7 +30,6 @@
 // every node.
 #pragma once
 
-#include <limits>
 #include <span>
 #include <string>
 
@@ -103,20 +102,19 @@ class FlowSink {
   /// Emit-fused round statistics. A gather kernel — one that writes each
   /// slot of its range exactly once with the slot's final next load (the
   /// cycle stencil, the torus row gather, every decide_window) — already
-  /// has every emitted value in hand, so it folds the min/max reduction
-  /// into the emit sweep and reports it here, together with how many
-  /// slots it covered. Ranges merge; a gather round must cover every slot
-  /// (the engines require it: an unwritten slot would still hold an older
-  /// round's load), and its min/max are then the round's statistics.
-  /// Multi-touch kernels never call this.
-  void merge_emit_stats(Load lo, Load hi, NodeId covered) noexcept {
-    emit_min_ = lo < emit_min_ ? lo : emit_min_;
-    emit_max_ = hi > emit_max_ ? hi : emit_max_;
+  /// has every emitted value in hand, so it folds min, max and a wrapping
+  /// Σ into the emit sweep and reports them here, together with how many
+  /// slots it covered. Ranges merge as LoadScan::merge does; a gather
+  /// round must cover every slot (the engines require it: an unwritten
+  /// slot would still hold an older round's load), and its scan is then
+  /// the round's statistics and its conservation audit. Multi-touch
+  /// kernels never call this.
+  void merge_emit_stats(const LoadScan& emitted, NodeId covered) noexcept {
+    emit_.merge(emitted);
     emit_covered_ += covered;
   }
   NodeId emit_covered() const noexcept { return emit_covered_; }
-  Load emit_min() const noexcept { return emit_min_; }
-  Load emit_max() const noexcept { return emit_max_; }
+  const LoadScan& emit_stats() const noexcept { return emit_; }
 
  private:
   FlowSink(const Graph& g, int d_loops, Load* rows, Load* next)
@@ -128,8 +126,7 @@ class FlowSink {
   int d_plus_;
   Load* rows_;  // nullptr in scatter mode
   Load* next_;  // nullptr in row mode
-  Load emit_min_ = std::numeric_limits<Load>::max();
-  Load emit_max_ = std::numeric_limits<Load>::min();
+  LoadScan emit_;
   NodeId emit_covered_ = 0;
 };
 
@@ -181,12 +178,14 @@ class Balancer {
   /// from u (mod n, in index space), computable by decide_window() from a
   /// halo'd window alone; *and* decide_range in scatter mode is a gather
   /// too — it stores each slot of its range exactly once and reports
-  /// merge_emit_stats over the whole range. Both engines key on this up
-  /// front: the flat engine skips the next-load buffer's zero-fill, and
-  /// the sharded engine takes its tier-1 fast path — shards exchange R
-  /// boundary *loads* before decide instead of flows after it, and
-  /// nothing else ever crosses a shard. A round that leaves a slot
-  /// unwritten throws invariant_error.
+  /// merge_emit_stats (min, max and Σ of what it stored) over the whole
+  /// range; the engines audit conservation against that Σ and leave the
+  /// full rescan of the loads to every kRescanInterval-th round. Both
+  /// engines key on this up front: the flat engine skips the next-load
+  /// buffer's zero-fill, and the sharded engine takes its tier-1 fast
+  /// path — shards exchange R boundary *loads* before decide instead of
+  /// flows after it, and nothing else ever crosses a shard. A round that
+  /// leaves a slot unwritten throws invariant_error.
   virtual NodeId window_reach(const Graph& g) const;
 
   /// Windowed gather decide over one shard's slice. `window` holds
@@ -195,8 +194,8 @@ class Balancer {
   /// [global_begin, global_begin + owned) — and the rest is the right
   /// halo. The kernel must store each owned slot's next load exactly once
   /// into the sink's next buffer *at window indices* (a gather, like the
-  /// structured scatter kernels), fold min/max into the emit sweep, and
-  /// report merge_emit_stats(lo, hi, owned). Only called when
+  /// structured scatter kernels), fold min, max and Σ into the emit sweep,
+  /// and report merge_emit_stats(scan, owned). Only called when
   /// window_reach(g) >= 0; the default aborts.
   virtual void decide_window(std::span<const Load> window, NodeId global_begin,
                              NodeId owned, NodeId reach, Step t,

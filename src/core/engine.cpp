@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <mutex>
 
@@ -70,14 +69,15 @@ void Engine::ensure_rows() {
 }
 
 template <class Topo>
-void Engine::apply_rows(const Topo& topo, NodeId first, NodeId last,
-                        Load* next, Load& range_min, Load& range_max) const {
+LoadScan Engine::apply_rows(const Topo& topo, NodeId first, NodeId last,
+                            Load* next) const {
   const int d = topo.degree();
   const int d_plus = balancing_degree();
   const Load* rows = flows_.data();
   const bool negatives_ok = balancer_->allows_negative();
   Load lo = std::numeric_limits<Load>::max();
   Load hi = std::numeric_limits<Load>::min();
+  std::uint64_t sum = 0;  // wraps, as LoadScan's Σ does
   auto cur = topo.cursor(first);
   for (NodeId v = first; v < last; ++v, cur.advance()) {
     const Load* own = rows + static_cast<std::size_t>(v) * d_plus;
@@ -109,30 +109,10 @@ void Engine::apply_rows(const Topo& topo, NodeId first, NodeId last,
     next[static_cast<std::size_t>(v)] = acc;
     lo = std::min(lo, acc);
     hi = std::max(hi, acc);
+    sum += static_cast<std::uint64_t>(acc);
   }
-  range_min = lo;
-  range_max = hi;
+  return {lo, hi, static_cast<Load>(sum)};
 }
-
-namespace {
-
-/// Lock-free min/max merge for the parallel apply's per-range results
-/// (called once per range, so contention is irrelevant).
-void atomic_min(std::atomic<Load>& a, Load v) noexcept {
-  Load cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<Load>& a, Load v) noexcept {
-  Load cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 void Engine::step_rows(ThreadPool* pool) {
   ensure_rows();
@@ -161,32 +141,28 @@ void Engine::step_rows(ThreadPool* pool) {
   obs::PhaseScope phase(flat_phases().apply, "apply", "flat", "t", time() + 1);
   // The pull phase dispatches on the topology tag once per round: on
   // cycle/torus/hypercube every neighbor and rev_port is computed in
-  // registers, the tables are never streamed.
-  Load round_min = 0;
-  Load round_max = 0;
+  // registers, the tables are never streamed. Each range folds the
+  // min/max/Σ of the loads it pulled; the ranges merge once each.
+  LoadScan round;
+  std::mutex merge;  // guards round on pooled rounds
   with_topology(*g_, [&](const auto& topo) {
     if (pool != nullptr) {
-      std::atomic<Load> lo{std::numeric_limits<Load>::max()};
-      std::atomic<Load> hi{std::numeric_limits<Load>::min()};
       pool->for_ranges(n, [&](std::int64_t first, std::int64_t last) {
-        Load range_min;
-        Load range_max;
-        apply_rows(topo, static_cast<NodeId>(first), static_cast<NodeId>(last),
-                   next_.data(), range_min, range_max);
-        atomic_min(lo, range_min);
-        atomic_max(hi, range_max);
+        const LoadScan range =
+            apply_rows(topo, static_cast<NodeId>(first),
+                       static_cast<NodeId>(last), next_.data());
+        const std::lock_guard<std::mutex> lock(merge);
+        round.merge(range);
       });
-      round_min = lo.load(std::memory_order_relaxed);
-      round_max = hi.load(std::memory_order_relaxed);
     } else {
-      apply_rows(topo, 0, n, next_.data(), round_min, round_max);
+      round = apply_rows(topo, 0, n, next_.data());
     }
   });
   for (StepObserver* o : observers_) {
     o->on_step(time() + 1, *g_, config_.self_loops, loads_, flows_, next_);
   }
   loads_.swap(next_);
-  publish_round_stats(round_min, round_max);
+  publish_round_stats(round);
 }
 
 void Engine::step_scatter(ThreadPool* pool) {
@@ -205,8 +181,7 @@ void Engine::step_scatter(ThreadPool* pool) {
     balancer_->decide_range(static_cast<NodeId>(first),
                             static_cast<NodeId>(last), loads_, time(), sink);
     const std::lock_guard<std::mutex> lock(merge);
-    round.merge_emit_stats(sink.emit_min(), sink.emit_max(),
-                           sink.emit_covered());
+    round.merge_emit_stats(sink.emit_stats(), sink.emit_covered());
   };
   if (pool != nullptr) {
     pool->for_ranges(n, decide);
@@ -214,12 +189,13 @@ void Engine::step_scatter(ThreadPool* pool) {
     decide(0, n);
   }
   if (gather_) {
-    // Every slot was stored once with its final value and the min/max
-    // rode the emit sweep. A slot left unwritten would hold the loads of
-    // two rounds ago, so full coverage is required, not hoped for.
+    // Every slot was stored once with its final value and the min, max
+    // and Σ rode the emit sweep. A slot left unwritten would hold the
+    // loads of two rounds ago, so full coverage is required, not hoped
+    // for.
     DLB_REQUIRE(round.emit_covered() == n,
                 "gather kernel did not write every next-load slot");
-    publish_round_stats(round.emit_min(), round.emit_max());
+    publish_round_stats(round.emit_stats());
   }
   // A multi-touch round publishes nothing: the ledger scans the loads.
   loads_.swap(next_);

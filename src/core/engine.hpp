@@ -17,7 +17,11 @@
 // count. Every path writes the same next-load buffer, which then swaps
 // with the loads.
 // Token conservation is audited every EngineConfig::conservation_interval
-// steps (the paper's model conserves total load exactly).
+// steps (the paper's model conserves total load exactly). Gather and row
+// rounds sweep their new loads once and fold Σ into that sweep, so an
+// audited round of theirs costs no second pass; the ledger rescans the
+// loads on multi-touch rounds and, with the audit on, every
+// kRescanInterval-th (64th) round (core/round_ledger.hpp).
 #pragma once
 
 #include <cstdint>
@@ -49,7 +53,11 @@ class StepObserver {
 struct EngineConfig {
   int self_loops = 0;             ///< d°, the number of self-loops per node
   bool check_conservation = true; ///< verify Σx invariant (gated below)
-  int conservation_interval = 1;  ///< audit every k-th step (1 = every step)
+  /// Audit every k-th step (1 = every step) against the Σ the round's own
+  /// sweep published, or a scan where it published none; independently
+  /// of k, an audited engine rescans its loads every kRescanInterval-th
+  /// step.
+  int conservation_interval = 1;
 };
 
 /// Drives one balancer over one graph; owns loads and flow buffers.
@@ -91,10 +99,11 @@ class Engine : public RoundEngineBase {
   /// flow pulled from the neighbours' records through the topology's
   /// rev_port — computed arithmetic on structured graphs (the constant
   /// p^1 / p, no rev_ table traffic), table loads on generic ones. The
-  /// range's min/max next loads ride the same sweep (fused stats).
+  /// range's min, max and Σ of next loads ride the same sweep and are
+  /// returned (fused stats and conservation audit).
   template <class Topo>
-  void apply_rows(const Topo& topo, NodeId first, NodeId last, Load* next,
-                  Load& range_min, Load& range_max) const;
+  LoadScan apply_rows(const Topo& topo, NodeId first, NodeId last,
+                      Load* next) const;
   /// One row-path round; `pool` may be null (serial decide + apply).
   void step_rows(ThreadPool* pool);
   /// One scatter-path round: prepare_round, then decide_range over the

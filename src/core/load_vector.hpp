@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -24,6 +25,46 @@ using Step = std::int64_t;
 /// 2^20 nodes) stop thrashing the TLB. Still a std::vector — only the
 /// allocator differs — so spans, iterators, and swap work unchanged.
 using LoadVector = std::vector<Load, AlignedAllocator<Load>>;
+
+/// Min, max and Σ of a set of loads: what a round publishes from its own
+/// sweep (FlowSink's emit stats, the apply pull) and what the ledger's
+/// rescan returns.
+struct LoadScan {
+  Load min = std::numeric_limits<Load>::max();
+  Load max = std::numeric_limits<Load>::min();
+  Load sum = 0;
+
+  /// Folds `xs` in, summing only when `with_sum`. The sum wraps: the
+  /// total is checked, so a conserving round's wrapped Σx still equals
+  /// it, and the plain loop keeps vectorizing.
+  void add(std::span<const Load> xs, bool with_sum) noexcept {
+    Load lo = min;
+    Load hi = max;
+    if (with_sum) {
+      auto s = static_cast<std::uint64_t>(sum);
+      for (const Load v : xs) {
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+        s += static_cast<std::uint64_t>(v);
+      }
+      sum = static_cast<Load>(s);
+    } else {
+      for (const Load v : xs) {
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+      }
+    }
+    min = lo;
+    max = hi;
+  }
+  /// Folds in another chunk's scan; the sums wrap as in add().
+  void merge(const LoadScan& o) noexcept {
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+    sum = static_cast<Load>(static_cast<std::uint64_t>(sum) +
+                            static_cast<std::uint64_t>(o.sum));
+  }
+};
 
 inline Load total_load(std::span<const Load> x) {
   Load sum = 0;

@@ -73,7 +73,7 @@ void RoundEngineBase::run_round(ThreadPool* pool) {
     } else {
       do_step();
     }
-    ledger_.end_round([&](bool with_sum) {
+    ledger_.end_round(engine_kind(), [&](bool with_sum) {
       LoadScan scan;
       scan.add(loads_, with_sum);
       return scan;

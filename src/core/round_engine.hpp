@@ -129,13 +129,15 @@ class RoundEngineBase {
   virtual void do_step_parallel(ThreadPool& pool);
 
   /// Subclasses whose round already sweeps the new load vector (the
-  /// engine's apply pull or a gather kernel's emit) publish the min/max
-  /// they computed in that same sweep here, from inside
-  /// do_step()/do_step_parallel() — one fewer O(n) pass per round.
-  /// Gated conservation audits still re-scan the loads themselves, so a
-  /// wrong published value cannot survive an audited step.
-  void publish_round_stats(Load lo, Load hi) noexcept {
-    ledger_.publish_round_stats(lo, hi);
+  /// engine's apply pull or a gather kernel's emit) publish the min, max
+  /// and wrapping Σ they computed in that same sweep here, from inside
+  /// do_step()/do_step_parallel() — no further O(n) pass per round. An
+  /// audited round checks that Σ against total(); the ledger still
+  /// rescans the loads in full every kRescanInterval-th round (when the
+  /// audit is on), so a kernel whose Σ is right but whose buffer is not
+  /// cannot pass unnoticed.
+  void publish_round_stats(const LoadScan& round) noexcept {
+    ledger_.publish_round_stats(round);
   }
 
   LoadVector loads_;

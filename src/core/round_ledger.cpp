@@ -18,27 +18,6 @@ std::uint64_t mono_ns() noexcept {
 
 }  // namespace
 
-void LoadScan::add(std::span<const Load> xs, bool with_sum) noexcept {
-  Load lo = min;
-  Load hi = max;
-  if (with_sum) {
-    auto s = static_cast<std::uint64_t>(sum);
-    for (const Load v : xs) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-      s += static_cast<std::uint64_t>(v);
-    }
-    sum = static_cast<Load>(s);
-  } else {
-    for (const Load v : xs) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
-  min = lo;
-  max = hi;
-}
-
 void WorkloadTally::apply_filled(WorkloadProcess& w, Step t, NodeId first,
                                  std::span<Load> x) {
   constexpr std::size_t kChunk = 1024;  // 8 KiB of deltas on the stack

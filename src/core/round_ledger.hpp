@@ -4,21 +4,27 @@
 //   * the clock and the conservation ledger — Σx₀ (base), the tokens the
 //     workload injected and consumed, and the conserved total
 //     Σx₀ + injected − consumed, all int64-checked;
+//   * the conservation audit. A round whose one sweep already wrote its
+//     new loads (a gather kernel's emit, the apply pull) publishes their
+//     min, max and Σ; an audited round checks that Σ against the total,
+//     with no second pass. A round that published nothing is scanned
+//     instead, re-summed when audited. With the audit on, every
+//     kRescanInterval-th round also rescans the loads whatever was
+//     published — the independent check that trusts no kernel's
+//     arithmetic, and the one that catches a kernel whose Σ is right but
+//     whose buffer is not (a slot written twice, another skipped) should
+//     no later round's sweep carry the wrong Σ forward;
 //   * the cached statistics (min, max, min ever seen), committed from the
-//     min/max a round published from its own final sweep, or from the
-//     engine's scan of its loads on rounds that published nothing and on
-//     audited rounds (every ConservationPolicy::interval-th), where the
-//     scan also re-sums Σx against the total;
+//     published min/max, or from the scan on rounds that scanned;
 //   * the workload-delta rule and the workload phases around it;
-//   * per-round telemetry and its lazily registered metric handles;
+//   * per-round telemetry and its lazily registered metric handles, the
+//     scan included (phase "audit", timed only on rounds that scan);
 //   * the core-state bytes after the load vector.
 // Where the loads live, how a scan visits them, and how dense workload
 // deltas are chunked stay with the engine.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -33,34 +39,21 @@
 
 namespace dlb {
 
+/// Every kRescanInterval-th round of an audited engine rescans its loads
+/// in full, even when the round published a Σ from its own sweep.
+inline constexpr int kRescanInterval = 64;
+
 /// Conservation-audit policy of a round engine.
 struct ConservationPolicy {
   bool enabled = true;  ///< verify Σx == total after (gated) steps
   int interval = 1;     ///< audit every `interval`-th step (>= 1)
 
   /// Amortized audit for engines whose pre-refactor check was a
-  /// debug-only assert: still always on, but the O(n) re-sum lands on one
-  /// step in 64, which is noise next to the O(n·d) step work.
-  static ConservationPolicy gated() { return {true, 64}; }
-};
-
-/// Min, max and (on audited rounds) Σ of an engine's loads.
-struct LoadScan {
-  Load min = std::numeric_limits<Load>::max();
-  Load max = std::numeric_limits<Load>::min();
-  Load sum = 0;
-
-  /// Folds `xs` in, summing only when `with_sum`. The sum wraps: the
-  /// total is checked, so a conserving round's wrapped Σx still equals
-  /// it, and the plain loop keeps vectorizing.
-  void add(std::span<const Load> xs, bool with_sum) noexcept;
-  /// Folds in another chunk's scan; the sums wrap as in add().
-  void merge(const LoadScan& o) noexcept {
-    min = std::min(min, o.min);
-    max = std::max(max, o.max);
-    sum = static_cast<Load>(static_cast<std::uint64_t>(sum) +
-                            static_cast<std::uint64_t>(o.sum));
-  }
+  /// debug-only assert and whose rounds publish nothing: still always on,
+  /// but the O(n) re-sum lands on the same rounds as the ledger's full
+  /// rescan, one in kRescanInterval, which is noise next to the O(n·d)
+  /// step work.
+  static ConservationPolicy gated() { return {true, kRescanInterval}; }
 };
 
 /// One chunk's workload churn (a pool range, a shard, or a sparse list),
@@ -122,33 +115,34 @@ class RoundLedger {
   Load min_load_seen() const noexcept { return s_.min_seen; }
 
   /// A round that already swept its new loads (a fused apply pull, a
-  /// gather kernel's emit) hands the min/max it saw here, and end_round
-  /// commits them without another O(n) pass; a multi-touch scatter round
-  /// publishes nothing and end_round scans. The publication lasts until
-  /// the next end_round.
-  void publish_round_stats(Load lo, Load hi) noexcept {
-    round_min_ = lo;
-    round_max_ = hi;
+  /// gather kernel's emit) hands the min, max and wrapping Σ it saw here,
+  /// and end_round commits and audits them without another O(n) pass; a
+  /// multi-touch scatter round publishes nothing and end_round scans. The
+  /// publication lasts until the next end_round.
+  void publish_round_stats(const LoadScan& round) noexcept {
+    round_ = round;
     published_ = true;
   }
 
-  /// Closes a round: advances the clock and commits its statistics. On
-  /// an audited round, or one that published nothing, `scan(with_sum)`
-  /// must return the LoadScan of the engine's loads (Σ only when
-  /// with_sum); an audited Σx that differs from total() throws.
+  /// Closes a round: advances the clock, audits it and commits its
+  /// statistics. A round that published nothing, and with the audit on
+  /// every kRescanInterval-th round, calls `scan(with_sum)`, which must
+  /// return the LoadScan of the engine's loads (Σ only when with_sum),
+  /// timed as engine `kind`'s audit phase; any other round uses what it
+  /// published. An audited round, and a rescan, whose Σ differs from
+  /// total() throws.
   template <class Scan>
-  void end_round(Scan&& scan) {
+  void end_round(const char* kind, Scan&& scan) {
     ++s_.t;
     const bool audit = audit_.enabled &&
                        (audit_.interval == 1 || s_.t % audit_.interval == 0);
-    if (audit || !published_) {
-      const LoadScan x = scan(audit);
-      DLB_REQUIRE(!audit || x.sum == s_.total,
-                  "token conservation violated by engine step");
-      commit_stats(x.min, x.max);
-    } else {
-      commit_stats(round_min_, round_max_);
-    }
+    const bool rescan = audit_.enabled && s_.t % kRescanInterval == 0;
+    const LoadScan x = rescan || !published_
+                           ? timed_scan(kind, scan, audit || rescan)
+                           : round_;
+    DLB_REQUIRE(!(audit || rescan) || x.sum == s_.total,
+                "token conservation violated by engine step");
+    commit_stats(x.min, x.max);
     published_ = false;
   }
 
@@ -245,10 +239,17 @@ class RoundLedger {
     s_.min_seen = lo < s_.min_seen ? lo : s_.min_seen;
   }
   void commit_workload(const WorkloadTally& tally);
+  /// scan(with_sum), under the audit phase when metrics or tracing are on
+  /// (the handles are registered lazily, as round_end's are).
+  template <class Scan>
+  LoadScan timed_scan(const char* kind, Scan& scan, bool with_sum) {
+    if (!obs::metrics_armed() && !obs::trace_enabled()) return scan(with_sum);
+    obs::PhaseScope phase(telemetry(kind).audit, "audit", kind, "t", s_.t);
+    return scan(with_sum);
+  }
 
   State s_;
-  Load round_min_ = 0;
-  Load round_max_ = 0;
+  LoadScan round_;
   bool published_ = false;
   ConservationPolicy audit_;
   std::unique_ptr<obs::EngineTelemetry> telemetry_;

@@ -48,6 +48,7 @@ EngineTelemetry::EngineTelemetry(const char* kind)
           "Tokens consumed by the attached workload since adopt_loads.",
           kind_labels(kind))),
       workload_prepare(phase(kind, "workload_prepare")),
-      workload_apply(phase(kind, "workload_apply")) {}
+      workload_apply(phase(kind, "workload_apply")),
+      audit(phase(kind, "audit")) {}
 
 }  // namespace dlb::obs

@@ -5,9 +5,10 @@
 // exposition wants (the service runs one engine; tests run many).
 //
 // RoundLedger creates the bundle lazily, on the first round that
-// executes with the registry armed or applies a workload (its phase
-// scopes take the workload histograms); a disarmed static run never
-// registers the series and the round loop pays a single relaxed load.
+// executes with the registry armed, applies a workload, or scans its
+// loads while tracing (its phase scopes take the workload and audit
+// histograms); a disarmed, untraced static run never registers the
+// series and the round loop pays a single relaxed load.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -30,6 +31,9 @@ struct EngineTelemetry {
   /// application of its deltas to the loads.
   Histogram& workload_prepare;
   Histogram& workload_apply;
+  /// dlb_engine_phase_seconds{phase="audit"}: the ledger's end-of-round
+  /// scan of the loads, observed only on rounds that scan.
+  Histogram& audit;
 };
 
 }  // namespace dlb::obs

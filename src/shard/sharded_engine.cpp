@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -626,16 +625,15 @@ void ShardedEngine::exchange_halos() {
 
 void ShardedEngine::decide_tier1_core(Shard& sh, Step t) {
   // Tier 1: the balancer's windowed gather kernel, one store per owned
-  // window slot, min/max fused into the emit sweep. Nothing leaves the
-  // shard — the halo refill already happened.
+  // window slot, min, max and Σ fused into the emit sweep. Nothing
+  // leaves the shard — the halo refill already happened.
   FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, sh.next.data());
   balancer_->decide_window(
       std::span<const Load>(sh.window.data(), sh.window.size()), sh.begin,
       sh.size, reach_, t, sink);
   DLB_REQUIRE(sink.emit_covered() == sh.size,
               "decide_window did not cover every owned slot");
-  sh.round_min = sink.emit_min();
-  sh.round_max = sink.emit_max();
+  sh.scan = sink.emit_stats();
   // O(1) apply: the buffer's owned slots are the next loads; its (stale)
   // halo slots are refilled before the next decide reads them.
   std::swap(sh.window, sh.next);
@@ -778,18 +776,14 @@ void ShardedEngine::step() {
     drain_flows();
   }
   if (reach_ >= 0) {
-    // Tier-1 gathers fused min/max into their emit; a tier-2 round
-    // publishes nothing and end_round scans the windows.
-    Load lo = std::numeric_limits<Load>::max();
-    Load hi = std::numeric_limits<Load>::min();
-    for (const Shard& sh : shards_) {
-      lo = std::min(lo, sh.round_min);
-      hi = std::max(hi, sh.round_max);
-    }
-    ledger_.publish_round_stats(lo, hi);
+    // Tier-1 gathers fused min, max and Σ into their emit; a tier-2
+    // round publishes nothing and end_round scans the windows.
+    LoadScan round;
+    for (const Shard& sh : shards_) round.merge(sh.scan);
+    ledger_.publish_round_stats(round);
   }
   const NodeId w = reach_ >= 0 ? reach_ : 0;
-  ledger_.end_round([&](bool with_sum) {
+  ledger_.end_round("sharded", [&](bool with_sum) {
     for_shards(true, [&](int s) {
       Shard& sh = shards_[static_cast<std::size_t>(s)];
       sh.scan = LoadScan{};

@@ -19,9 +19,10 @@
 //   adjacency (halo geometry is ring arithmetic from the PR-5 structure
 //   tags, via ring_halo_segments). A shard's window is its owned slice
 //   plus 2W halo slots; decide_window runs the same SIMD kernels as the
-//   flat engine over that window, one store per owned slot, with min/max
-//   fused into the emit sweep. The O(1) window/next swap then retires the
-//   round.
+//   flat engine over that window, one store per owned slot, with min, max
+//   and Σ fused into the emit sweep; the merged folds are the round's
+//   statistics and its conservation audit. The O(1) window/next swap then
+//   retires the round.
 //
 //   Tier 2 — routed flows (window_reach < 0: hypercube, generic graphs,
 //   stateful balancers). Shards own disjoint slices of one engine-wide
@@ -33,7 +34,7 @@
 //   nodes take decide(): local flows add into the slice, cross-shard ones
 //   are staged as (node, amount) records, posted through the channel and
 //   drained into the owner's slice after a barrier; one buffer swap
-//   retires the round. The round publishes no fused min/max; the ledger
+//   retires the round. The round publishes no fused stats; the ledger
 //   scans the slices. int64 flow adds commute exactly, so the drain
 //   order never shows in the result.
 //
@@ -240,9 +241,7 @@ class ShardedEngine {
         ///< [dest][seq] retained frames for re-post (lossy channels only)
     std::vector<std::byte> frame_scratch;     ///< frame encode buffer
     std::vector<std::byte> payload_scratch;   ///< halo payload build buffer
-    Load round_min = 0;        ///< tier 1: this round's emitted min
-    Load round_max = 0;
-    LoadScan scan;             ///< this round's end-of-round partial scan
+    LoadScan scan;  ///< this round's emit stats (tier 1) or partial scan
     WorkloadTally tally;       ///< this round's workload churn
     obs::Counter* bytes_posted = nullptr;   ///< channel bytes this shard sent
     obs::Counter* bytes_drained = nullptr;  ///< channel bytes it received

@@ -158,6 +158,13 @@ inline std::int64_t reduce_max(__m256i v) noexcept {
   const std::int64_t b = lanes[2] > lanes[3] ? lanes[2] : lanes[3];
   return a > b ? a : b;
 }
+/// Horizontal sum of the four int64 lanes, wrapping mod 2^64 as the lane
+/// adds do.
+inline std::uint64_t reduce_add(__m256i v) noexcept {
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
+}
 
 /// De-interleaves four (even, odd) pairs — memory order
 /// [e0 o0 e1 o1 | e2 o2 e3 o3] in `a`/`b` — into evens [e0 e1 e2 e3] and

@@ -371,11 +371,22 @@ TEST(GoldenEquivalence, PooledGatherRoundsMatchSerialWithoutRows) {
   }
 }
 
-/// Promises a parallel-safe gather and keeps every node's load, but with
-/// `skip` set leaves the last next-load slot of each range unwritten.
+/// How KeepsLoadsGather breaks the gather contract.
+enum class GatherFault {
+  kNone,
+  kSkipLast,     ///< leaves the last next-load slot of each range unwritten
+  kLeak,         ///< emits one token fewer at node 0
+  kDoubleWrite,  ///< stores slot `first` twice, skips `first + 1`, and
+                 ///< still reports the whole range as covered
+};
+
+/// Promises a parallel-safe gather and keeps every node's load, folding
+/// min/max/Σ of every value it emits, except as `fault` says.
 class KeepsLoadsGather : public Balancer {
  public:
-  explicit KeepsLoadsGather(bool skip) : skip_(skip) {}
+  explicit KeepsLoadsGather(bool skip)
+      : KeepsLoadsGather(skip ? GatherFault::kSkipLast : GatherFault::kNone) {}
+  explicit KeepsLoadsGather(GatherFault fault) : fault_(fault) {}
   std::string name() const override { return "test:keeps-loads-gather"; }
   void reset(const Graph&, int) override {}
   void decide(NodeId, Load, Step, std::span<Load> flows) override {
@@ -385,20 +396,25 @@ class KeepsLoadsGather : public Balancer {
   bool parallel_decide_safe() const override { return true; }
   void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
                     Step, FlowSink& sink) override {
-    const NodeId written = skip_ ? last - 1 : last;
-    Load lo = std::numeric_limits<Load>::max();
-    Load hi = std::numeric_limits<Load>::min();
-    for (NodeId u = first; u < written; ++u) {
-      const Load x = loads[static_cast<std::size_t>(u)];
-      sink.next()[static_cast<std::size_t>(u)] = x;
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
+    NodeId covered = last - first;
+    LoadScan emitted;
+    for (NodeId u = first; u < last; ++u) {
+      Load x = loads[static_cast<std::size_t>(u)];
+      NodeId slot = u;
+      if (fault_ == GatherFault::kSkipLast && u == last - 1) {
+        --covered;
+        continue;
+      }
+      if (fault_ == GatherFault::kLeak && u == 0) --x;
+      if (fault_ == GatherFault::kDoubleWrite && u == first + 1) slot = first;
+      sink.next()[static_cast<std::size_t>(slot)] = x;
+      emitted.merge({x, x, x});
     }
-    sink.merge_emit_stats(lo, hi, written - first);
+    sink.merge_emit_stats(emitted, covered);
   }
 
  private:
-  bool skip_;
+  GatherFault fault_;
 };
 
 TEST(GoldenEquivalence, PooledGatherRoundThatSkipsASlotIsRefused) {
@@ -427,6 +443,61 @@ TEST(GoldenEquivalence, PooledGatherRoundThatSkipsASlotIsRefused) {
           << err.what();
     }
     EXPECT_FALSE(e.flows_materialized());
+  }
+}
+
+// The per-round audit checks the Σ the gather folded into its emit. A
+// kernel that drops a token fails on that round. One that stores a slot
+// twice and skips the next emits the right Σ but leaves a buffer whose Σ
+// is wrong, and the next round's sweep carries that wrong Σ, so it fails
+// one round later. A correct gather stays green across the ledger's full
+// rescans at t = 64, 128 and 192.
+TEST(GoldenEquivalence, EmitFoldedAuditCatchesBrokenGathers) {
+  const Graph g = make_cycle(64);
+  LoadVector initial(64);
+  for (std::size_t u = 0; u < initial.size(); ++u) {
+    initial[u] = static_cast<Load>(10 + 3 * u);
+  }
+  ThreadPool pool(4);
+  const EngineConfig audited{.self_loops = 2,
+                             .check_conservation = true,
+                             .conservation_interval = 1};
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "flat pooled" : "flat serial");
+    ThreadPool* const attached = pooled ? &pool : nullptr;
+    {
+      KeepsLoadsGather correct(GatherFault::kNone);
+      Engine e(g, audited, correct, initial);
+      e.set_thread_pool(attached);
+      EXPECT_NO_THROW(e.run(200));
+      EXPECT_EQ(e.time(), 200);
+      EXPECT_EQ(e.loads(), initial);
+      EXPECT_FALSE(e.flows_materialized());
+    }
+    for (const GatherFault fault :
+         {GatherFault::kLeak, GatherFault::kDoubleWrite}) {
+      const bool leak = fault == GatherFault::kLeak;
+      SCOPED_TRACE(leak ? "leak" : "double write");
+      KeepsLoadsGather broken(fault);
+      Engine e(g, audited, broken, initial);
+      e.set_thread_pool(attached);
+      // The leak must throw on round 1; the double write on round 1 or 2.
+      const Step last_round = leak ? 1 : 2;
+      Step rounds = 0;
+      std::string what;
+      while (rounds < last_round && what.empty()) {
+        ++rounds;
+        try {
+          e.step_parallel();
+        } catch (const invariant_error& err) {
+          what = err.what();
+        }
+      }
+      EXPECT_NE(what.find("token conservation violated"), std::string::npos)
+          << "no conservation failure within " << last_round
+          << " round(s); last error: " << what;
+      EXPECT_LE(rounds, last_round);
+    }
   }
 }
 

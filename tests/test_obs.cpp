@@ -376,6 +376,49 @@ TEST(TelemetryDeterminismTest, WorkloadPhasesAreTimedOnBothEngines) {
   }
 }
 
+TEST(TelemetryDeterminismTest, AuditPhaseIsTimedOnlyOnRoundsThatScan) {
+  // At conservation interval 1 a SEND(floor) gather round is audited
+  // against the Σ its emit folded, so the ledger scans only on its full
+  // rescans (t = 64 and 128 here). A ROTOR-ROUTER scatter round is
+  // multi-touch and publishes nothing, so every round scans.
+  const Graph g = make_cycle(256);
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto count = [&](const char* engine) {
+    return reg.sample("dlb_engine_phase_seconds",
+                      {{"engine", engine}, {"phase", "audit"}});
+  };
+  TelemetryOn on(/*trace=*/false);
+  constexpr Step kRounds = 128;
+  struct Case {
+    const char* balancer;
+    double scans;
+  };
+  for (const Case& c : {Case{"SEND(floor)", 2}, Case{"ROTOR-ROUTER", 128}}) {
+    SCOPED_TRACE(c.balancer);
+    const LoadVector initial = random_initial(g.num_nodes(), 200, 5);
+    {
+      const double before = count("flat");
+      std::unique_ptr<Balancer> b = find_balancer_factory(c.balancer)(7);
+      Engine e(g,
+               EngineConfig{.self_loops = g.degree(),
+                            .conservation_interval = 1},
+               *b, initial);
+      for (Step t = 0; t < kRounds; ++t) e.step();
+      EXPECT_EQ(count("flat") - before, c.scans);
+    }
+    {
+      const double before = count("sharded");
+      std::unique_ptr<Balancer> b = find_balancer_factory(c.balancer)(7);
+      ShardedEngine e(g,
+                      ShardedEngineConfig{.self_loops = g.degree(),
+                                          .conservation_interval = 1},
+                      *b, initial, /*shards=*/2);
+      e.run(kRounds);
+      EXPECT_EQ(count("sharded") - before, c.scans);
+    }
+  }
+}
+
 TEST(TelemetryDeterminismTest, PooledGatherRoundsAreTimedAsOneScatterPhase) {
   // A pooled observer-free SEND(floor) round is one fused pass, so it
   // records the scatter phase and nothing else; the decide/apply pair

@@ -429,26 +429,50 @@ TEST(ShardedEngineTest, WorkloadsMatchFlatAtEveryShardCount) {
 }
 
 TEST(ShardedEngineTest, GatedAuditMatchesFlat) {
-  // The audit cadence decides which rounds re-scan the loads instead of
-  // committing the published stats — exercise a non-trivial interval.
-  const Graph g = make_torus2d(8, 6);
-  const LoadVector initial = random_initial(g.num_nodes(), 300, 5);
-  auto flat_b = make_balancer(Algorithm::kSendFloor, 7);
-  auto shard_b = make_balancer(Algorithm::kSendFloor, 7);
-  Engine flat(g,
-              EngineConfig{.self_loops = 1, .conservation_interval = 16},
-              *flat_b, initial);
-  ShardedEngine sharded(
-      g,
-      ShardedEngineConfig{.self_loops = 1, .conservation_interval = 16},
-      *shard_b, initial, 3);
-  for (Step t = 0; t < 40; ++t) {
-    flat.step();
-    sharded.step();
+  // The audit cadence decides which rounds check the emit-folded Σ and
+  // which rescan the loads in full (every 64th): neither may show in the
+  // trajectory, the statistics or the image. 200 rounds cross the
+  // rescans at t = 64, 128 and 192 at every interval.
+  struct Case {
+    const char* label;
+    Graph graph;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"cycle96", make_cycle(96)});
+  cases.push_back({"torus8x6", make_torus2d(8, 6)});
+  for (const Case& c : cases) {
+    const Graph& g = c.graph;
+    const LoadVector initial = random_initial(g.num_nodes(), 300, 5);
+    for (const int interval : {1, 7, 16, 64}) {
+      SCOPED_TRACE(std::string(c.label) + " interval " +
+                   std::to_string(interval));
+      auto flat_b = make_balancer(Algorithm::kSendFloor, 7);
+      auto shard_b = make_balancer(Algorithm::kSendFloor, 7);
+      Engine flat(g,
+                  EngineConfig{.self_loops = 1,
+                               .conservation_interval = interval},
+                  *flat_b, initial);
+      ShardedEngine sharded(
+          g,
+          ShardedEngineConfig{.self_loops = 1,
+                              .conservation_interval = interval},
+          *shard_b, initial, 3);
+      ASSERT_TRUE(sharded.windowed());
+      for (Step t = 0; t < 200; ++t) {
+        flat.step();
+        sharded.step();
+        ASSERT_EQ(sharded.discrepancy(), flat.discrepancy()) << "t=" << t + 1;
+      }
+      EXPECT_EQ(sharded.gather_loads(), flat.loads());
+      EXPECT_EQ(sharded.discrepancy(), flat.discrepancy());
+      EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen());
+      StateWriter flat_bytes;
+      flat.save_core_state(flat_bytes);
+      StateWriter shard_bytes;
+      sharded.save_core_state(shard_bytes);
+      EXPECT_EQ(shard_bytes.take(), flat_bytes.data());
+    }
   }
-  EXPECT_EQ(sharded.gather_loads(), flat.loads());
-  EXPECT_EQ(sharded.discrepancy(), flat.discrepancy());
-  EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen());
 }
 
 // Dense churn that, in round `at`, injects `amount` into each node of
@@ -572,14 +596,11 @@ class SkipsOneSlot : public Balancer {
  private:
   void emit(const Load* xs, Load* next, NodeId count, FlowSink& sink) const {
     const NodeId written = skip_ ? count - 1 : count;
-    Load lo = std::numeric_limits<Load>::max();
-    Load hi = std::numeric_limits<Load>::min();
-    for (NodeId i = 0; i < written; ++i) {
-      next[i] = xs[i];
-      lo = std::min(lo, xs[i]);
-      hi = std::max(hi, xs[i]);
-    }
-    sink.merge_emit_stats(lo, hi, written);
+    for (NodeId i = 0; i < written; ++i) next[i] = xs[i];
+    LoadScan emitted;
+    emitted.add(std::span<const Load>(next, static_cast<std::size_t>(written)),
+                /*with_sum=*/true);
+    sink.merge_emit_stats(emitted, written);
   }
 
   bool skip_;
