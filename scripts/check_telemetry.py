@@ -15,7 +15,8 @@ Two checks, runnable together or separately:
                       dur/pid/tid — the shape Perfetto loads.
 
 Optional --require NAME (repeatable, with --prometheus): fail unless the
-metric family NAME is present.
+metric family NAME is present. Families named in KNOWN_TYPES must carry
+that # TYPE wherever they appear.
 
 Exit 0 when every requested artifact validates; 1 with a message on the
 first failure. Stdlib only — CI runs this without any pip install.
@@ -35,6 +36,14 @@ SAMPLE_LINE = re.compile(
     r" (?P<value>[+-]?(?:[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|Inf|NaN))$"
 )
 LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\["\\n])*)"')
+
+# Latency families and their type: each is a histogram in seconds.
+KNOWN_TYPES = {
+    "dlb_engine_round_seconds": "histogram",
+    "dlb_engine_phase_seconds": "histogram",
+    "dlb_service_checkpoint_seconds": "histogram",
+    "dlb_snapshot_fsync_seconds": "histogram",
+}
 
 
 def fail(msg):
@@ -86,6 +95,9 @@ def check_prometheus(path, required):
             if kind not in ("counter", "gauge", "histogram", "summary",
                             "untyped"):
                 fail(f"line {lineno}: unknown type {kind!r}")
+            if name in KNOWN_TYPES and kind != KNOWN_TYPES[name]:
+                fail(f"line {lineno}: {name} is a {kind}, want "
+                     f"{KNOWN_TYPES[name]}")
             types[name] = kind
             continue
         if line.startswith("#"):

@@ -48,6 +48,26 @@ NodeId Graph::implicit_neighbor(NodeId u, int port) const {
                        [&](const auto& topo) { return topo.neighbor(u, port); });
 }
 
+std::uint64_t Graph::adjacency_hash() const {
+  std::uint64_t h = 0;
+  if (adjacency_hash_.get(h)) return h;
+  h = 0xcbf29ce484222325ULL;
+  with_topology(*this, [&](const auto& topo) {
+    auto cur = topo.cursor(0);
+    for (NodeId u = 0; u < n_; ++u, cur.advance()) {
+      for (int p = 0; p < d_; ++p) {
+        const auto v = static_cast<std::uint32_t>(cur.neighbor(p));
+        for (int byte = 0; byte < 4; ++byte) {
+          h ^= static_cast<std::uint8_t>(v >> (8 * byte));
+          h *= 0x100000001b3ULL;
+        }
+      }
+    }
+  });
+  adjacency_hash_.set(h);
+  return h;
+}
+
 Graph Graph::without_structure() const {
   if (structure_.kind == GraphStructure::kGeneric) return *this;
   std::vector<NodeId> adj(static_cast<std::size_t>(n_) * d_);

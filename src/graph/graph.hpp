@@ -14,6 +14,7 @@
 // can produce them); self-edges in G are rejected unless allowed.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,6 +113,14 @@ class Graph {
   /// dispatch their fast-path kernels on this.
   const StructureInfo& structure() const noexcept { return structure_; }
 
+  /// FNV-1a over every neighbor(u, p) as four little-endian bytes, in
+  /// port-table order: the adjacency fingerprint a snapshot carries. Two
+  /// graphs hash equal iff their adjacency arrays are identical, whether
+  /// a formula or a table holds them (rev ports are derived). The O(n·d)
+  /// pass runs on the first call and is cached; any number of threads
+  /// may make that call at once.
+  std::uint64_t adjacency_hash() const;
+
   /// Table-built copy of this graph (the formula written out as port
   /// tables), forcing every kernel onto the generic path. The
   /// implicit≡generic golden tests and the BM_StepImplicit_* /
@@ -137,6 +146,34 @@ class Graph {
   /// Checks the tag's parameters against n and d.
   void verify_structure() const;
 
+  /// adjacency_hash()'s cache. A graph never changes, so a racing first
+  /// call stores the same value twice; a copy takes the value along.
+  class CachedHash {
+   public:
+    CachedHash() = default;
+    CachedHash(const CachedHash& other) noexcept { *this = other; }
+    CachedHash& operator=(const CachedHash& other) noexcept {
+      std::uint64_t v = 0;
+      const bool known = other.get(v);
+      value_.store(v, std::memory_order_relaxed);
+      known_.store(known, std::memory_order_release);
+      return *this;
+    }
+    bool get(std::uint64_t& out) const noexcept {
+      if (!known_.load(std::memory_order_acquire)) return false;
+      out = value_.load(std::memory_order_relaxed);
+      return true;
+    }
+    void set(std::uint64_t v) const noexcept {
+      value_.store(v, std::memory_order_relaxed);
+      known_.store(true, std::memory_order_release);
+    }
+
+   private:
+    mutable std::atomic<std::uint64_t> value_{0};
+    mutable std::atomic<bool> known_{false};
+  };
+
   NodeId n_;
   int d_;
   std::vector<NodeId> adj_;
@@ -144,6 +181,7 @@ class Graph {
   std::string name_;
   bool has_parallel_ = false;
   StructureInfo structure_;
+  CachedHash adjacency_hash_;
 };
 
 }  // namespace dlb

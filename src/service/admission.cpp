@@ -259,9 +259,15 @@ void AdmissionQueue::save_state(StateWriter& w) const {
   w.reserve(16 + 12 * ring_size_);
   w.u64(kRingTag);
   w.u64(ring_size_);
-  for (const NodeId u : pending_nodes()) {
-    w.i32(u);
-    w.i64(pending_[static_cast<std::size_t>(u)]);
+  // The ring in FIFO order, (node, amount) per entry, into one extent.
+  std::uint8_t* out = w.extend(12 * ring_size_);
+  for (std::size_t i = 0, slot = ring_head_; i < ring_size_; ++i) {
+    const NodeId u = ring_[slot];
+    store_le(out, static_cast<std::uint32_t>(u));
+    store_le(out + 4,
+             static_cast<std::uint64_t>(pending_[static_cast<std::size_t>(u)]));
+    out += 12;
+    if (++slot == ring_.size()) slot = 0;
   }
 }
 

@@ -1,16 +1,18 @@
 #include "service/snapshot.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <utility>
 
 #include "dynamics/workload.hpp"
-#include "graph/topology.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "shard/sharded_engine.hpp"
 
 namespace dlb {
@@ -25,26 +27,13 @@ constexpr std::size_t kLengthAt = 12;
 constexpr std::size_t kChecksumAt = 20;
 constexpr std::size_t kHeaderBytes = 28;
 
-/// Endian-stable hash of the adjacency: every neighbor(u, p) as four
-/// little-endian bytes, in port-table order. Two graphs hash equal iff
-/// their adjacency arrays are identical (rev ports are derived), whether
-/// a formula or a table holds them, so snapshots move freely between a
-/// structured graph and its without_structure() copy.
-std::uint64_t hash_adjacency(const Graph& g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const int d = g.degree();
-  with_topology(g, [&](const auto& topo) {
-    auto cur = topo.cursor(0);
-    for (NodeId u = 0; u < g.num_nodes(); ++u, cur.advance()) {
-      for (int p = 0; p < d; ++p) {
-        const auto v = static_cast<std::uint32_t>(cur.neighbor(p));
-        for (int byte = 0; byte < 4; ++byte) {
-          h ^= static_cast<std::uint8_t>(v >> (8 * byte));
-          h *= 0x100000001b3ULL;
-        }
-      }
-    }
-  });
+/// dlb_snapshot_fsync_seconds (registered on first use with telemetry on).
+obs::Histogram& fsync_seconds() {
+  static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
+      "dlb_snapshot_fsync_seconds",
+      "Wall-clock latency of the fsync that makes a checkpoint image "
+      "durable before it takes the checkpoint's name.",
+      obs::phase_seconds_bounds());
   return h;
 }
 
@@ -84,12 +73,15 @@ EngineSnapshot EngineSnapshot::capture_impl(const EngineT& engine,
   const Graph& g = engine.graph();
   const WorkloadProcess* workload = engine.workload();
   // One allocation for the header, the fingerprint (names included, up
-  // to a few KiB) and the core blob's loads; a large balancer or
-  // workload state regrows it geometrically. (The size goes through
+  // to a few KiB) and 32 bytes a node: the core blob's loads plus a
+  // per-node component state as large as ROTOR-ROUTER's ports on a
+  // degree-4 graph or an admission ring. A larger state regrows it
+  // geometrically. Pages fault in only as they are written, so the
+  // headroom costs address space, not memory. (The size goes through
   // uint32_t so the compiler sees that the sum cannot wrap.)
   const std::size_t nodes = static_cast<std::uint32_t>(g.num_nodes());
   StateWriter w;
-  w.reserve(kHeaderBytes + 4096 + 8 * nodes);
+  w.reserve(kHeaderBytes + 4096 + 32 * nodes);
   w.u64(kMagic);
   w.u32(kFormatVersion);
   w.u64(0);  // payload length, patched below
@@ -99,7 +91,7 @@ EngineSnapshot EngineSnapshot::capture_impl(const EngineT& engine,
   w.i32(engine.self_loops());
   w.u8(static_cast<std::uint8_t>(g.structure().kind));
   w.vec_i32(g.structure().extents);
-  w.u64(hash_adjacency(g));
+  w.u64(g.adjacency_hash());
   w.str(g.name());
   w.str(engine.balancer().name());
   w.str(workload != nullptr ? workload->name() : std::string());
@@ -124,8 +116,10 @@ EngineSnapshot EngineSnapshot::capture_impl(const EngineT& engine,
   const std::size_t payload_len = w.size() - kHeaderBytes;
   w.patch_u64(kLengthAt, payload_len);
   w.patch_u64(kChecksumAt,
-              fnv1a64(std::span<const std::uint8_t>(w.data())
-                          .subspan(kHeaderBytes, payload_len)));
+              payload_checksum(kFormatVersion,
+                               std::span<const std::uint8_t>(w.data())
+                                   .subspan(kHeaderBytes, payload_len),
+                               engine.thread_pool()));
   return parse(w.take(), /*verify_checksum=*/false);  // just computed
 }
 
@@ -152,7 +146,7 @@ void EngineSnapshot::restore_impl(EngineT& engine,
         "snapshot restore: graph structure tag mismatch");
   check(g.structure().extents == extents_,
         "snapshot restore: torus extents mismatch");
-  check(hash_adjacency(g) == adjacency_hash_,
+  check(g.adjacency_hash() == adjacency_hash_,
         "snapshot restore: adjacency mismatch (different topology)");
   check(engine.balancer().name() == balancer_name_,
         "snapshot restore: balancer mismatch");
@@ -218,17 +212,24 @@ void EngineSnapshot::restore(ShardedEngine& engine,
   restore_impl(engine, tracker);
 }
 
+std::uint64_t EngineSnapshot::payload_checksum(
+    std::uint32_t version, std::span<const std::uint8_t> payload,
+    ThreadPool* pool) {
+  return version <= 2 ? fnv1a64(payload) : block_checksum(payload, pool);
+}
+
 std::vector<std::uint8_t> EngineSnapshot::serialize() const {
-  return image_;
+  return {image_.begin(), image_.end()};
 }
 
 EngineSnapshot EngineSnapshot::deserialize(
     std::span<const std::uint8_t> bytes) {
-  return parse({bytes.begin(), bytes.end()}, /*verify_checksum=*/true);
+  ImageBytes image(bytes.size());
+  if (!bytes.empty()) std::memcpy(image.data(), bytes.data(), bytes.size());
+  return parse(std::move(image), /*verify_checksum=*/true);
 }
 
-EngineSnapshot EngineSnapshot::parse(std::vector<std::uint8_t> image,
-                                     bool verify_checksum) {
+EngineSnapshot EngineSnapshot::parse(ImageBytes image, bool verify_checksum) {
   EngineSnapshot s;
   s.image_ = std::move(image);
   StateReader header(s.image_);
@@ -249,7 +250,8 @@ EngineSnapshot EngineSnapshot::parse(std::vector<std::uint8_t> image,
   }
   const auto payload_bytes =
       header.bytes(static_cast<std::size_t>(payload_len));
-  if (verify_checksum && fnv1a64(payload_bytes) != checksum) {
+  if (verify_checksum &&
+      payload_checksum(version, payload_bytes) != checksum) {
     throw serial_error("snapshot checksum mismatch (corrupted file)");
   }
 
@@ -280,7 +282,7 @@ EngineSnapshot EngineSnapshot::parse(std::vector<std::uint8_t> image,
 }
 
 void EngineSnapshot::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t>& bytes = image_;
+  const ImageBytes& bytes = image_;
   const std::string tmp = path + ".tmp";
   // POSIX write-fsync-rename: the image is durable *before* it takes the
   // checkpoint's name, so a crash mid-write leaves either the old intact
@@ -318,7 +320,14 @@ void EngineSnapshot::write_file(const std::string& path) const {
     }
     written += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0) fail("fsync failed for");
+  {
+    // Its own checkpoint layer, timed only when telemetry is armed.
+    std::optional<obs::PhaseScope> phase;
+    if (obs::metrics_armed() || obs::trace_enabled()) {
+      phase.emplace(fsync_seconds(), "fsync", "snapshot");
+    }
+    if (::fsync(fd) != 0) fail("fsync failed for");
+  }
   if (::close(fd) != 0) {
     // close() can surface deferred write errors (NFS, quotas); the fd is
     // gone either way, so only unlink and report.
@@ -336,13 +345,32 @@ void EngineSnapshot::write_file(const std::string& path) const {
 }
 
 EngineSnapshot EngineSnapshot::read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  // One sized read straight into the image buffer: the file's size from
+  // fstat, then read() until it is in (a short count only on a signal or
+  // a file that shrank meanwhile, which the parser then refuses).
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     throw serial_error("snapshot read: cannot open " + path);
   }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-  check(!in.bad(), "snapshot read: read failed");
+  struct ::stat st {};
+  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+    ::close(fd);
+    throw serial_error("snapshot read: cannot stat " + path);
+  }
+  ImageBytes bytes(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      throw serial_error("snapshot read: read failed for " + path);
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
   return parse(std::move(bytes), /*verify_checksum=*/true);
 }
 

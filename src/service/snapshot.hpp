@@ -14,10 +14,25 @@
 // byte-identical loads, statistics, and audit counters, at any pool size.
 //
 // The on-disk format is endian-stable (util/serial.hpp): an 8-byte magic,
-// a format version, the payload length, and an FNV-1a checksum, followed
+// a format version, the payload length, and a payload checksum, followed
 // by a fingerprint (node count, degree, self-loops, structure tag, an
 // FNV hash of the adjacency, graph/balancer/workload names) and one
-// length-prefixed state blob per component.
+// length-prefixed state blob per component. The versions:
+//
+//   version | payload checksum              | admission queue blob
+//   --------+-------------------------------+----------------------------
+//   1       | FNV-1a, byte-serial           | one entry per request
+//   2       | FNV-1a, byte-serial           | one entry per pending node
+//   3       | block_checksum (serial.hpp)   | as version 2
+//
+// Version 3 changed the checksum alone: its payload bytes are version 2's.
+// block_checksum reads 64 KiB blocks in four u64 lanes and folds their
+// digests in block order, so capture() hashes the image on the engine's
+// pool at memory speed and the value does not depend on the pool size.
+// capture() writes version 3; the one parser reads all three, checking
+// FNV-1a up to version 2 and the block checksum from version 3 on. The
+// adjacency hash is cached on the Graph, so neither capture() nor
+// restore() re-walks the topology after the first time.
 //
 // A snapshot *is* its image. capture() writes the header, the
 // fingerprint and every component blob once, in place, into one buffer,
@@ -58,9 +73,17 @@ class EngineSnapshot {
   /// versions rather than guessing at field offsets. Version 2 changed
   /// only the admission queue's blob (a per-node ring instead of a
   /// request list); that blob tells the two apart itself, so version-1
-  /// images still restore.
-  static constexpr std::uint32_t kFormatVersion = 2;
+  /// images still restore. Version 3 changed only the payload checksum
+  /// (see the table above).
+  static constexpr std::uint32_t kFormatVersion = 3;
   static constexpr std::uint32_t kOldestReadableVersion = 1;
+
+  /// The payload checksum of format `version`: FNV-1a up to version 2,
+  /// block_checksum from version 3 on (on `pool` when one is given; the
+  /// value is the same without).
+  static std::uint64_t payload_checksum(std::uint32_t version,
+                                        std::span<const std::uint8_t> payload,
+                                        ThreadPool* pool = nullptr);
 
   /// Captures the full stepping state. Must be called between rounds
   /// (i.e. never from inside an observer); per-round transients — flow
@@ -96,7 +119,8 @@ class EngineSnapshot {
                SteadyStateTracker* tracker = nullptr) const;
 
   /// A copy of the byte image: header (magic, version, length, checksum)
-  /// + payload. An image read from a version-1 file stays version 1.
+  /// + payload. An image read from an older-version file keeps its
+  /// version.
   std::vector<std::uint8_t> serialize() const;
 
   /// Parses and fully validates a byte image (magic, version, length,
@@ -106,8 +130,11 @@ class EngineSnapshot {
 
   /// Atomic checkpoint write: writes the image to `path + ".tmp"` and
   /// renames over `path`, so a crash mid-write can never clobber the
-  /// previous good checkpoint. Throws serial_error on I/O failure.
+  /// previous good checkpoint. Throws serial_error on I/O failure. With
+  /// telemetry armed, the fsync is observed in dlb_snapshot_fsync_seconds.
   void write_file(const std::string& path) const;
+  /// Reads a checkpoint file (one sized read into the image buffer) and
+  /// parses it as deserialize() does.
   static EngineSnapshot read_file(const std::string& path);
 
   // -- metadata (for service logs and status lines) --
@@ -138,8 +165,7 @@ class EngineSnapshot {
   /// length and — when `verify_checksum` — the checksum), then reads the
   /// fingerprint and the blob offsets of the payload. Takes ownership of
   /// the bytes.
-  static EngineSnapshot parse(std::vector<std::uint8_t> image,
-                              bool verify_checksum);
+  static EngineSnapshot parse(ImageBytes image, bool verify_checksum);
   std::span<const std::uint8_t> blob(Blob b) const {
     return std::span<const std::uint8_t>(image_).subspan(b.offset, b.size);
   }
@@ -155,7 +181,7 @@ class EngineSnapshot {
   void restore_impl(EngineT& engine, SteadyStateTracker* tracker) const;
 
   /// The framed image; every member below is parsed from it.
-  std::vector<std::uint8_t> image_;
+  ImageBytes image_;
 
   NodeId n_ = 0;
   int d_ = 0;

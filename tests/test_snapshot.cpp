@@ -9,8 +9,11 @@
 // with byte-identical loads, per-round discrepancy rows, conservation
 // ledger, and steady-state summary. Also covered: a snapshot at round 255
 // of a 300-round churned run, the shared core-state bytes of the flat and
-// sharded engines, the pinned adjacency fingerprints and whole-image
-// bytes, a snapshot that outlives the one it was copied from, and the
+// sharded engines, the pinned adjacency fingerprints (cached per graph,
+// first computed by racing threads) and whole-image bytes of formats 2
+// and 3, a re-framed v2 image that resumes identically, the format-3
+// block checksum (pool-size independence, every single-bit flip, swapped
+// blocks), a snapshot that outlives the one it was copied from, and the
 // refuse-to-load paths — truncation, bit flips, version and topology
 // mismatches, and seeded random mutations of valid images must throw
 // clean serial_errors without mutating the (flat or sharded) restore
@@ -51,6 +54,11 @@ namespace dlb {
 namespace {
 
 // ------------------------------------------------------------ fixtures --
+
+/// A writer's bytes as a plain vector, the type serialize() returns.
+std::vector<std::uint8_t> plain(const StateWriter& w) {
+  return {w.data().begin(), w.data().end()};
+}
 
 enum class Churn {
   kStatic,
@@ -581,9 +589,9 @@ std::vector<std::uint8_t> with_edited_core(
   out.u64(magic);
   out.u32(version);
   out.u64(p.size());
-  out.u64(fnv1a64(p.data()));
+  out.u64(EngineSnapshot::payload_checksum(version, p.data()));
   out.bytes(p.data());
-  return out.take();
+  return plain(out);
 }
 
 TEST_F(SnapshotCorruption, BadCoreStateLeavesFlatAndShardedTargetsIntact) {
@@ -760,6 +768,50 @@ TEST(SnapshotFingerprint, AdjacencyHashesArePinned) {
   }
 }
 
+TEST(SnapshotFingerprint, CachedHashTravelsWithCopiesAndMatchesTables) {
+  // The hash is computed once per Graph: a copy taken after the first
+  // call carries the value, one taken before computes its own, the
+  // table-built copy of a structured graph hashes equal, and a graph
+  // assigned over one that had hashed drops the old value.
+  const Graph torus = make_torus2d(30, 40);
+  const Graph before = torus;
+  const std::uint64_t h = torus.adjacency_hash();
+  const Graph after = torus;
+  EXPECT_EQ(after.adjacency_hash(), h);
+  EXPECT_EQ(before.adjacency_hash(), h);
+  const Graph tables = torus.without_structure();
+  EXPECT_EQ(tables.adjacency_hash(), h);
+  EXPECT_EQ(tables.without_structure().adjacency_hash(), h);
+  Graph assigned = make_cycle(8);
+  EXPECT_NE(assigned.adjacency_hash(), h);
+  assigned = make_torus2d(30, 40);
+  EXPECT_EQ(assigned.adjacency_hash(), h);
+  assigned = make_cycle(8);
+  EXPECT_NE(assigned.adjacency_hash(), h);
+  assigned = tables;
+  EXPECT_EQ(assigned.adjacency_hash(), h);
+  EXPECT_NE(make_torus2d(40, 30).adjacency_hash(), h);
+}
+
+TEST(SnapshotFingerprint, ConcurrentFirstCallsAgree) {
+  // Pool threads race to make the first call on fresh graphs (a data
+  // race here is a TSan failure); every caller sees the one value.
+  const Graph reference = make_cycle(1 << 16);
+  const std::uint64_t want = reference.adjacency_hash();
+  ThreadPool pool(8);
+  for (const Graph& g :
+       {make_cycle(1 << 16), make_cycle(1 << 16).without_structure()}) {
+    std::vector<std::uint64_t> seen(64, 0);
+    pool.for_ranges(static_cast<std::int64_t>(seen.size()),
+                    [&](std::int64_t first, std::int64_t last) {
+                      for (std::int64_t i = first; i < last; ++i) {
+                        seen[static_cast<std::size_t>(i)] = g.adjacency_hash();
+                      }
+                    });
+    for (const std::uint64_t v : seen) EXPECT_EQ(v, want);
+  }
+}
+
 // ------------------------------------------------------ pinned image bytes --
 
 /// The image of `rig` after 10 rounds, with its tracker iff `tracked`.
@@ -770,19 +822,43 @@ std::vector<std::uint8_t> pinned_image(RigT&& rig, bool tracked) {
       .serialize();
 }
 
+/// Re-frames a current-format image as version 2: version 2 in the
+/// header and an FNV-1a checksum over the same payload bytes.
+std::vector<std::uint8_t> as_format_two(const std::vector<std::uint8_t>& v3) {
+  StateReader h(v3);
+  const std::uint64_t magic = h.u64();
+  EXPECT_EQ(h.u32(), EngineSnapshot::kFormatVersion);
+  const std::uint64_t len = h.u64();
+  h.u64();  // checksum
+  const auto payload = h.bytes(static_cast<std::size_t>(len));
+  StateWriter image;
+  image.u64(magic);
+  image.u32(2);
+  image.u64(len);
+  image.u64(EngineSnapshot::payload_checksum(2, payload));
+  image.bytes(payload);
+  return plain(image);
+}
+
 TEST(SnapshotFormat, ImageBytesArePinned) {
   // FNV-1a of whole v2 images, recorded when the format was frozen: any
-  // change to what capture writes, or in which order, moves these. The
+  // change to what capture writes, or in which order, moves these.
+  // Version 3 changed the checksum alone, so the v3 image re-framed as
+  // v2 must still hash to them. `v3` is the FNV-1a of the v3 image
+  // itself, header included, which pins the block checksum too. The
   // flat engine and a 3-shard engine write the same image.
   struct Pin {
     const char* balancer;
     Churn churn;
     bool tracked;
     std::uint64_t hash;
+    std::uint64_t v3;
   };
   const Pin pins[] = {
-      {"ROTOR-ROUTER", Churn::kPoissonAdmission, true, 0x06ac0bcd5a1d0d4fULL},
-      {"CONT-MIMIC", Churn::kBurst, false, 0x4928fda6bcec8bebULL},
+      {"ROTOR-ROUTER", Churn::kPoissonAdmission, true, 0x06ac0bcd5a1d0d4fULL,
+       0x48171f90d8fc8a51ULL},
+      {"CONT-MIMIC", Churn::kBurst, false, 0x4928fda6bcec8bebULL,
+       0xd7a27e708d70db90ULL},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(std::string(pin.balancer) + " / " + churn_name(pin.churn));
@@ -790,10 +866,146 @@ TEST(SnapshotFormat, ImageBytesArePinned) {
         pinned_image(Rig(pin.balancer, pin.churn, 1), pin.tracked);
     const std::vector<std::uint8_t> sharded =
         pinned_image(ShardedRig(pin.balancer, pin.churn, 3), pin.tracked);
-    EXPECT_EQ(fnv1a64(flat), pin.hash) << std::hex << fnv1a64(flat);
+    const std::vector<std::uint8_t> v2 = as_format_two(flat);
+    EXPECT_EQ(fnv1a64(v2), pin.hash) << std::hex << fnv1a64(v2);
+    EXPECT_EQ(fnv1a64(flat), pin.v3) << std::hex << fnv1a64(flat);
     EXPECT_EQ(sharded, flat);
     EXPECT_EQ(EngineSnapshot::deserialize(flat).serialize(), flat);
+    EXPECT_EQ(EngineSnapshot::deserialize(v2).serialize(), v2);
   }
+}
+
+TEST(SnapshotFormat, VersionTwoImageRestoresAndContinuesIdentically) {
+  // A v3 image re-framed as v2 restores into a flat and a 3-shard
+  // target, and 10 more rounds land on the bytes of the run that never
+  // stopped.
+  constexpr Step kSnapAt = 10;
+  Rig full("ROTOR-ROUTER", Churn::kPoissonAdmission, 1);
+  full.step_rounds(2 * kSnapAt);
+  const std::vector<std::uint8_t> want =
+      EngineSnapshot::capture(*full.engine, &full.tracker).serialize();
+
+  std::vector<std::uint8_t> v2;
+  {
+    Rig half("ROTOR-ROUTER", Churn::kPoissonAdmission, 1);
+    half.step_rounds(kSnapAt);
+    v2 = as_format_two(
+        EngineSnapshot::capture(*half.engine, &half.tracker).serialize());
+  }
+  Rig flat("ROTOR-ROUTER", Churn::kPoissonAdmission, 1);
+  flat.step_rounds(3);
+  EngineSnapshot::deserialize(v2).restore(*flat.engine, &flat.tracker);
+  flat.step_rounds(kSnapAt);
+  expect_identical(observe(full, {}), observe(flat, {}));
+  EXPECT_EQ(EngineSnapshot::capture(*flat.engine, &flat.tracker).serialize(),
+            want);
+
+  ShardedRig sharded("ROTOR-ROUTER", Churn::kPoissonAdmission, 3);
+  EngineSnapshot::deserialize(v2).restore(*sharded.engine, &sharded.tracker);
+  sharded.step_rounds(kSnapAt);
+  EXPECT_EQ(sharded.engine->gather_loads(), full.engine->loads());
+  EXPECT_EQ(
+      EngineSnapshot::capture(*sharded.engine, &sharded.tracker).serialize(),
+      want);
+}
+
+// ------------------------------------------------------ block checksum --
+
+/// A 2^15-node ROTOR-ROUTER run behind an admission backlog, stepped on
+/// a pool of `threads`: an image of several checksum blocks.
+std::vector<std::uint8_t> multi_block_image(int threads) {
+  const Graph g = make_cycle(1 << 15);
+  const auto balancer = find_balancer_factory("ROTOR-ROUTER")(/*seed=*/3);
+  PoissonWorkload inner(
+      PoissonWorkload::Params{.arrival_rate = 0.6, .departure_rate = 0.3});
+  AdmissionQueue queue(inner, AdmissionQueue::Params{.round_cap = 64});
+  queue.reset(g.num_nodes(), 9);
+  Engine engine(g, EngineConfig{.self_loops = g.degree()}, *balancer,
+                LoadVector(static_cast<std::size_t>(g.num_nodes()), 4));
+  engine.set_workload(&queue);
+  ThreadPool pool(threads);
+  engine.set_thread_pool(&pool);
+  for (int t = 0; t < 6; ++t) engine.step_parallel();
+  return EngineSnapshot::capture(engine).serialize();
+}
+
+/// The error deserialize() throws for `bytes`, or "" if it accepts them.
+std::string refusal(const std::vector<std::uint8_t>& bytes) {
+  try {
+    EngineSnapshot::deserialize(bytes);
+  } catch (const serial_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr std::size_t kImageHeaderBytes = 8 + 4 + 8 + 8;
+
+TEST(SnapshotChecksum, PoolSizeDoesNotChangeTheImage) {
+  const std::vector<std::uint8_t> one = multi_block_image(1);
+  ASSERT_GT(one.size(), 4 * kChecksumBlockBytes);
+  for (const int threads : {3, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EXPECT_EQ(multi_block_image(threads), one);
+  }
+  EXPECT_EQ(refusal(one), "");
+}
+
+TEST(SnapshotChecksum, EverySingleBitFlipInThePayloadIsRefused) {
+  Rig rig("ROTOR-ROUTER", Churn::kAdmission, 1);
+  rig.step_rounds(10);
+  const std::vector<std::uint8_t> image =
+      EngineSnapshot::capture(*rig.engine, &rig.tracker).serialize();
+  std::vector<std::uint8_t> bad = image;
+  for (std::size_t pos = kImageHeaderBytes; pos < image.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bad[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      const std::string why = refusal(bad);
+      bad[pos] = image[pos];
+      if (why.find("checksum") == std::string::npos) {
+        ADD_FAILURE() << "bit " << bit << " of byte " << pos
+                      << " flipped: " << (why.empty() ? "accepted" : why);
+      }
+    }
+  }
+}
+
+TEST(SnapshotChecksum, SwappedBlocksAreRefused) {
+  const std::vector<std::uint8_t> image = multi_block_image(1);
+  ASSERT_GT(image.size() - kImageHeaderBytes, 2 * kChecksumBlockBytes);
+  std::vector<std::uint8_t> swapped = image;
+  const auto first = swapped.begin() + kImageHeaderBytes;
+  const auto second = first + kChecksumBlockBytes;
+  ASSERT_FALSE(std::equal(first, second, second));
+  std::swap_ranges(first, second, second);
+  EXPECT_NE(refusal(swapped).find("checksum"), std::string::npos);
+}
+
+TEST(SnapshotChecksum, ValueIsPinnedAndCoversLengthAndOrder) {
+  // A fixed 5-block input whose last block is a partial stripe: the
+  // value freezes format 3's checksum.
+  std::vector<std::uint8_t> data(4 * kChecksumBlockBytes + 77);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>((i * 131 + (i >> 9)) & 0xFF);
+  }
+  const std::uint64_t want = 0x8ae96f57a257d2f7ULL;
+  EXPECT_EQ(block_checksum(data), want) << std::hex << block_checksum(data);
+  for (const int threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(block_checksum(data, &pool), want) << threads << " threads";
+  }
+  // Zero padding is not the same as zero bytes.
+  std::vector<std::uint8_t> longer = data;
+  longer.push_back(0);
+  EXPECT_NE(block_checksum(longer), want);
+  EXPECT_NE(block_checksum(std::span<const std::uint8_t>(data).first(
+                data.size() - 1)),
+            want);
+  // Blocks in another order hash differently.
+  std::vector<std::uint8_t> rotated = data;
+  std::rotate(rotated.begin(), rotated.begin() + kChecksumBlockBytes,
+              rotated.begin() + 4 * kChecksumBlockBytes);
+  EXPECT_NE(block_checksum(rotated), want);
 }
 
 TEST(SnapshotFormat, CopiedSnapshotOutlivesItsOriginal) {
@@ -892,7 +1104,7 @@ std::vector<std::uint8_t> frame_image(std::uint64_t magic,
   out.u64(len);
   out.u64(checksum);
   out.bytes(payload);
-  return out.take();
+  return plain(out);
 }
 
 void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
@@ -1028,7 +1240,9 @@ TEST(SnapshotMutation, MutatedImagesAreRefusedCleanlyOrRestoreSoundly) {
             ? frame_image(parts.magic, parts.version, parts.payload.size(),
                           parts.checksum, payload)
             : frame_image(parts.magic, parts.version, payload.size(),
-                          fnv1a64(payload), payload);
+                          EngineSnapshot::payload_checksum(parts.version,
+                                                           payload),
+                          payload);
     switch (pick(rng, 6)) {
       case 0:  // truncation
         bytes.resize(pick(rng, bytes.size() + 1));
@@ -1098,7 +1312,7 @@ TEST(AdmissionQueue, CapsPerRoundInjectionAndDrainsFifo) {
 std::vector<std::uint8_t> saved(const WorkloadProcess& w) {
   StateWriter out;
   w.save_state(out);
-  return out.take();
+  return plain(out);
 }
 
 std::vector<Load> round_table(AdmissionQueue& q, NodeId n, Step t) {
@@ -1307,7 +1521,7 @@ TEST(AdmissionQueue, FormatOneRequestListMergesOnLoad) {
 std::vector<std::uint8_t> as_format_one(const std::vector<std::uint8_t>& v2) {
   StateReader h(v2);
   const std::uint64_t magic = h.u64();
-  EXPECT_EQ(h.u32(), 2u);
+  EXPECT_EQ(h.u32(), EngineSnapshot::kFormatVersion);
   const std::uint64_t len = h.u64();
   h.u64();  // checksum
   StateReader p(h.bytes(static_cast<std::size_t>(len)));
@@ -1356,9 +1570,9 @@ std::vector<std::uint8_t> as_format_one(const std::vector<std::uint8_t>& v2) {
   image.u64(magic);
   image.u32(1);
   image.u64(out.size());
-  image.u64(fnv1a64(out.data()));
+  image.u64(EngineSnapshot::payload_checksum(1, out.data()));
   image.bytes(out.data());
-  return image.take();
+  return plain(image);
 }
 
 TEST(AdmissionQueue, FormatOneImageRestoresAndContinuesIdentically) {
@@ -1589,6 +1803,27 @@ TEST(BalancerService, CheckpointWriteFailuresAreRetriedAndCounted) {
             std::string::npos)
       << log.str();
   reg.arm(was_armed);
+}
+
+TEST(BalancerService, CheckpointFsyncIsObservedOnlyWhenArmed) {
+  // fsync is its own checkpoint layer: write_file observes it in
+  // dlb_snapshot_fsync_seconds when telemetry is armed, and not before.
+  auto& reg = obs::MetricsRegistry::instance();
+  const bool was_armed = reg.armed();
+  const std::string path = ::testing::TempDir() + "dlb_fsync_test.ck";
+  Rig rig("SEND(floor)", Churn::kPoisson, 1);
+  rig.step_rounds(3);
+  const EngineSnapshot snap =
+      EngineSnapshot::capture(*rig.engine, &rig.tracker);
+  reg.arm(false);
+  const double before = reg.sample("dlb_snapshot_fsync_seconds");
+  snap.write_file(path);
+  EXPECT_EQ(reg.sample("dlb_snapshot_fsync_seconds"), before);
+  reg.arm(true);
+  snap.write_file(path);
+  EXPECT_EQ(reg.sample("dlb_snapshot_fsync_seconds"), before + 1.0);
+  reg.arm(was_armed);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- sharded-engine interop --
