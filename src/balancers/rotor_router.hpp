@@ -23,6 +23,19 @@
 
 namespace dlb {
 
+/// The rotor's per-port test: dealing r < `ports` extras from `rotor`
+/// gives one to the port at cyclic position `pos` iff
+/// (pos − rotor) mod ports < r. Both rotor balancers deal by it.
+inline Load rotor_extra(int pos, int rotor, int ports, int r) {
+  const int k = pos - rotor;
+  return static_cast<Load>((k < 0 ? k + ports : k) < r);
+}
+
+/// The rotor after dealing those r extras: (rotor + r) mod ports.
+inline int rotor_advance(int rotor, int ports, int r) {
+  return rotor + r < ports ? rotor + r : rotor + r - ports;
+}
+
 class RotorRouter : public Balancer {
  public:
   /// `seed` randomizes per-node port orders and initial rotor positions;
@@ -30,21 +43,17 @@ class RotorRouter : public Balancer {
   explicit RotorRouter(std::uint64_t seed = 0) : seed_(seed) {}
 
   std::string name() const override { return "ROTOR-ROUTER"; }
+  /// Refuses d⁺ > 65536 (a cyclic position must fit the u16 table).
   void reset(const Graph& graph, int d_loops) override;
   void decide(NodeId u, Load load, Step t, std::span<Load> flows) override;
 
-  /// Builds the row-kernel port table on the first row-mode round (the
-  /// scatter hot path never allocates it).
-  void prepare_round(std::span<const Load> loads, Step t,
-                     FlowSink& sink) override;
-
-  /// Scatter kernel: the floor share goes to every neighbour directly and
-  /// only the x mod d⁺ extra tokens walk the rotor permutation — the flow
-  /// row is never materialized. Row kernel: fill q, walk the extras over
-  /// the doubled port permutation, both branch-free. The floor-share loop
-  /// is templated on the topology (computed neighbours on structured
-  /// graphs); the extras still walk the per-node permutation table, which
-  /// encodes state no formula can replace.
+  /// Scatter kernel: each real port p gets q + e_p (e_p = rotor_extra of
+  /// p's cyclic position) in one add to its neighbour, then the node keeps
+  /// the rest in one self-add — d + 1 adds per node, the flow row never
+  /// materialized. Row kernel: row[p] = q + e_p for all d⁺ ports. The
+  /// port loop is templated on the topology (computed neighbours on
+  /// structured graphs); the positions are per-node state no formula can
+  /// replace.
   void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
                     Step t, FlowSink& sink) override;
 
@@ -78,22 +87,10 @@ class RotorRouter : public Balancer {
   std::uint64_t seed_;
   int d_plus_ = 0;
   NonNegDiv div_;  // ⌊x/d⁺⌋ via shift when d⁺ is a power of two
-  std::vector<int> rotor_;                // per node, in [0, d⁺)
-  std::vector<std::int32_t> port_order_;  // n * d⁺ permutation table
-  /// True when the port order is the natural one (seed 0, no prescribed
-  /// permutation): cyclic position == port, so the scatter kernel
-  /// computes extra-token targets from (position, d⁺) through the
-  /// topology cursor and extra_targets_ is never built.
-  bool natural_order_ = false;
-  /// Kernel companion of port_order_ (shuffled/prescribed orders only):
-  /// entry [u*2d⁺ + pos] is the node an extra token dealt at cyclic
-  /// position `pos` lands on — the neighbour behind the port, or u itself
-  /// for self-loop ports. Stored twice per node (positions [0, 2d⁺)) so
-  /// the rotor walk never wraps, making the extras loop branch-free.
-  std::vector<NodeId> extra_targets_;
-  /// port_order_ doubled per node the same way, for the row kernel's
-  /// wrap-free extras walk over *ports*.
-  std::vector<std::int32_t> port_order2x_;
+  std::vector<int> rotor_;  // per node, in [0, d⁺)
+  /// The inverse of the port order: entry [u*d⁺ + p] is port p's cyclic
+  /// position at node u (the identity table for the natural order).
+  std::vector<std::uint16_t> pos_;
   std::vector<int> prescribed_rotors_;
   std::vector<std::int32_t> prescribed_order_;
 };

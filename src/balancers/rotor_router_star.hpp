@@ -31,10 +31,12 @@ class RotorRouterStar : public Balancer {
   void reset(const Graph& graph, int d_loops) override;
   void decide(NodeId u, Load load, Step t, std::span<Load> flows) override;
 
-  /// Scatter kernel: the special self-loop's ⌈x/d⁺⌉ and the ordinary
-  /// self-loop shares stay local implicitly; only real-edge tokens are
-  /// scattered — no flow row is materialized. Row kernel: fill q, stamp
-  /// the special port's ceiling, walk the rotor extras wrap-free.
+  /// Scatter kernel: each real port p gets q plus its extra (the shared
+  /// rotor_extra test over the 2d−1 rotor ports, r−1 extras) in one add
+  /// to its neighbour; the special self-loop's ⌈x/d⁺⌉ and every ordinary
+  /// self-loop share stay local in one self-add — no flow row is
+  /// materialized. Row kernel: row[p] = q + e_p, then the special port's
+  /// ceiling.
   void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
                     Step t, FlowSink& sink) override;
 
@@ -54,9 +56,8 @@ class RotorRouterStar : public Balancer {
   int rotor_ports_ = 0;  // 2d − 1
   NonNegDiv div_;        // ⌊x/2d⌋ via shift when 2d is a power of two
   std::vector<int> rotor_;
-  // No extra-target table: rotor positions are ports directly, so the
-  // scatter kernel computes each extra token's destination from
-  // (position, d) through the topology cursor — see scatter_range.
+  // No port table: rotor positions are the ports themselves (the seed
+  // only randomizes starting positions, never the port layout).
 };
 
 }  // namespace dlb

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "analysis/bounds.hpp"
 #include "analysis/experiment.hpp"
@@ -13,9 +16,12 @@
 #include "balancers/rotor_router_star.hpp"
 #include "balancers/send_floor.hpp"
 #include "balancers/send_round.hpp"
+#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "markov/spectral.hpp"
+#include "util/assertions.hpp"
 #include "util/intmath.hpp"
+#include "util/rng.hpp"
 
 namespace dlb {
 namespace {
@@ -149,6 +155,233 @@ TEST(RotorRouterStarDecide, DealsEntireLoad) {
       EXPECT_LE(f, ceil_div(x, 8));
     }
   }
+}
+
+// ------------------------------------------- rotor dealing: per-port test --
+
+/// The cyclic walk ROTOR-ROUTER dealt its extras by before the per-port
+/// test, kept here as the reference: every port gets q, then the r ports
+/// order[rotor], order[rotor + 1], … (mod d⁺) one extra each. Returns the
+/// advanced rotor.
+int walk_deal(const std::int32_t* order, int d_plus, int rotor, Load q,
+              int r, LoadVector& flows) {
+  flows.assign(static_cast<std::size_t>(d_plus), q);
+  for (int k = 0; k < r; ++k) {
+    ++flows[static_cast<std::size_t>(order[(rotor + k) % d_plus])];
+  }
+  return (rotor + r) % d_plus;
+}
+
+/// A few cyclic orders of d⁺ ports: identity, reversed, and seeded
+/// shuffles.
+std::vector<std::vector<std::int32_t>> sample_orders(int d_plus) {
+  std::vector<std::int32_t> identity(static_cast<std::size_t>(d_plus));
+  std::iota(identity.begin(), identity.end(), 0);
+  std::vector<std::vector<std::int32_t>> out{
+      identity, {identity.rbegin(), identity.rend()}};
+  for (std::uint64_t seed : {3, 11}) {
+    Rng rng(seed);
+    std::vector<std::int32_t> shuffled = identity;
+    rng.shuffle(shuffled);
+    out.push_back(std::move(shuffled));
+  }
+  return out;
+}
+
+TEST(RotorRouterDecide, PerPortTestMatchesTheCyclicWalk) {
+  // Every d⁺ (up to one above the u8 range), every rotor, every r < d⁺,
+  // several orders: decide() must deal exactly the walk's flows and leave
+  // the rotor where the walk does. K2 has d = 1, so d⁺ − 1 self-loops
+  // give any d⁺ >= 1.
+  const Graph g = make_complete(2);
+  for (int d_plus : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 40, 300}) {
+    for (const std::vector<std::int32_t>& order : sample_orders(d_plus)) {
+      std::vector<std::int32_t> both = order;  // node 1 serves reversed
+      both.insert(both.end(), order.rbegin(), order.rend());
+      RotorRouter b(0);
+      b.set_port_order(both);
+      b.reset(g, d_plus - 1);
+      int rotor = 0;
+      LoadVector flows(static_cast<std::size_t>(d_plus));
+      LoadVector expected;
+      const auto deal = [&](int r) {
+        const Load q = r % 3;
+        b.decide(0, q * d_plus + r, 0, flows);
+        rotor = walk_deal(order.data(), d_plus, rotor, q, r, expected);
+        ASSERT_EQ(flows, expected) << "d⁺=" << d_plus << " r=" << r;
+        ASSERT_EQ(b.rotor(0), rotor) << "d⁺=" << d_plus << " r=" << r;
+      };
+      // From each rotor position: deal r, deal back round to the same
+      // position, then step the rotor on by one.
+      for (int start = 0; start < d_plus; ++start) {
+        ASSERT_EQ(rotor, start);
+        for (int r = 0; r < d_plus; ++r) {
+          ASSERT_NO_FATAL_FAILURE(deal(r));
+          ASSERT_NO_FATAL_FAILURE(deal((d_plus - r) % d_plus));
+        }
+        ASSERT_NO_FATAL_FAILURE(deal(1 % d_plus));
+        if (d_plus == 1) break;
+      }
+      EXPECT_EQ(b.rotor(1), 0);  // node 1 never dealt
+    }
+  }
+}
+
+TEST(RotorRouterStarDecide, PerPortTestMatchesTheCyclicWalk) {
+  // ROTOR-ROUTER*: the special port 2d−1 takes the ceiling, and the rotor
+  // deals r−1 extras over ports [0, 2d−1) in port order.
+  for (int d : {1, 2, 3, 4, 8}) {
+    const Graph g = make_complete(d + 1);
+    const int d_plus = 2 * d;
+    const int ports = d_plus - 1;
+    std::vector<std::int32_t> order(static_cast<std::size_t>(ports));
+    std::iota(order.begin(), order.end(), 0);
+    RotorRouterStar b(0);
+    b.reset(g, d);
+    int rotor = 0;
+    LoadVector flows(static_cast<std::size_t>(d_plus));
+    LoadVector expected;
+    for (int pass = 0; pass < ports; ++pass) {  // the rotor keeps moving
+      for (int r = 0; r < d_plus; ++r) {
+        const Load q = r % 3;
+        b.decide(0, q * d_plus + r, 0, flows);
+        const int extras = r > 0 ? r - 1 : 0;
+        rotor = walk_deal(order.data(), ports, rotor, q, extras, expected);
+        expected.push_back(q + (r > 0 ? 1 : 0));
+        // A drifted rotor shows in the next deal's flows.
+        ASSERT_EQ(flows, expected) << "d=" << d << " r=" << r;
+      }
+    }
+  }
+}
+
+/// Forces decide() per node: inherits the default decide_range.
+class DecideOnly : public Balancer {
+ public:
+  explicit DecideOnly(Balancer& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  void reset(const Graph& g, int d_loops) override { inner_.reset(g, d_loops); }
+  void decide(NodeId u, Load load, Step t, std::span<Load> flows) override {
+    inner_.decide(u, load, t, flows);
+  }
+
+ private:
+  Balancer& inner_;
+};
+
+class NoopObserver : public StepObserver {
+ public:
+  void on_step(Step, const Graph&, int, std::span<const Load>,
+               std::span<const Load>, std::span<const Load>) override {}
+};
+
+TEST(RotorRouterKernels, ScatterRowAndDecideAgreeAbove256Ports) {
+  // d⁺ = 302 > 256: a cyclic position no longer fits a byte. The scatter
+  // kernel (no observer), the row kernel (observer attached) and decide()
+  // per node must move the same loads and leave the same rotors.
+  const Graph g = make_cycle(24);
+  const int d_loops = 300;
+  const LoadVector initial = random_initial(g.num_nodes(), 5000, 17);
+  const EngineConfig config{.self_loops = d_loops};
+  RotorRouter scatter_b(9), row_b(9), decide_b(9);
+  DecideOnly decide_only(decide_b);
+  Engine scatter(g, config, scatter_b, initial);
+  Engine row(g, config, row_b, initial);
+  Engine per_node(g, config, decide_only, initial);
+  NoopObserver force_rows;
+  row.add_observer(force_rows);
+  for (Step t = 0; t < 40; ++t) {
+    scatter.step();
+    row.step();
+    per_node.step();
+    ASSERT_EQ(scatter.loads(), per_node.loads()) << "scatter, step " << t + 1;
+    ASSERT_EQ(row.loads(), per_node.loads()) << "row, step " << t + 1;
+  }
+  EXPECT_FALSE(scatter.flows_materialized());
+  EXPECT_TRUE(row.flows_materialized());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_EQ(scatter_b.rotor(u), decide_b.rotor(u)) << "node " << u;
+    EXPECT_EQ(row_b.rotor(u), decide_b.rotor(u)) << "node " << u;
+  }
+}
+
+/// Expects `reset` to throw an invariant_error whose message holds
+/// `needle`.
+void expect_reset_refused(RotorRouter& b, const Graph& g, int d_loops,
+                          const std::string& needle) {
+  try {
+    b.reset(g, d_loops);
+    ADD_FAILURE() << "reset accepted; expected \"" << needle << "\"";
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RotorRouterReset, PortCountIsCappedAt65536) {
+  // 65536 ports is the most a 16-bit cyclic position can index.
+  const Graph g = make_cycle(3);  // d = 2
+  RotorRouter widest(4);
+  widest.reset(g, 65534);  // d⁺ = 65536
+  const Load x = 3 * Load{65536} + 65535;
+  LoadVector flows(65536);
+  widest.decide(0, x, 0, flows);
+  Load sent = 0;
+  for (Load f : flows) {
+    ASSERT_GE(f, 3);
+    ASSERT_LE(f, 4);
+    sent += f;
+  }
+  EXPECT_EQ(sent, x);
+  RotorRouter too_wide(4);
+  expect_reset_refused(too_wide, g, 65535, "more than 65536 ports");
+}
+
+TEST(RotorRouterReset, RefusesMalformedPrescriptions) {
+  const Graph g = make_cycle(3);  // d⁺ = 4 with two self-loops
+  const std::vector<std::int32_t> good = {0, 1, 2, 3, 3, 2, 1, 0,
+                                          2, 0, 3, 1};
+  const auto with_order = [](std::vector<std::int32_t> order) {
+    RotorRouter b(0);
+    b.set_port_order(std::move(order));
+    return b;
+  };
+  const auto with_rotors = [](std::vector<int> rotors) {
+    RotorRouter b(5);
+    b.set_initial_rotors(std::move(rotors));
+    return b;
+  };
+  {
+    RotorRouter ok = with_order(good);
+    ok.reset(g, 2);
+  }
+  std::vector<std::int32_t> dup = good;
+  dup[5] = 3;  // node 1 serves port 3 twice and port 2 never
+  RotorRouter b = with_order(dup);
+  expect_reset_refused(b, g, 2, "not a permutation");
+  for (std::int32_t bad_port : {-1, 4, 1 << 20}) {
+    std::vector<std::int32_t> out_of_range = good;
+    out_of_range[9] = bad_port;
+    b = with_order(out_of_range);
+    expect_reset_refused(b, g, 2, "not a permutation");
+  }
+  std::vector<std::int32_t> short_order(good.begin(), good.end() - 1);
+  b = with_order(short_order);
+  expect_reset_refused(b, g, 2, "wrong size");
+  b = with_order(good);
+  expect_reset_refused(b, g, 3, "wrong size");  // d⁺ = 5 needs 15 entries
+
+  b = with_rotors({0, 1, 2});
+  b.reset(g, 2);
+  EXPECT_EQ(b.rotor(2), 2);
+  b = with_rotors({0, 1});
+  expect_reset_refused(b, g, 2, "wrong size");
+  b = with_rotors({0, 1, 2, 3});
+  expect_reset_refused(b, g, 2, "wrong size");
+  b = with_rotors({0, -1, 2});
+  expect_reset_refused(b, g, 2, "out of range");
+  b = with_rotors({0, 1, 4});
+  expect_reset_refused(b, g, 2, "out of range");
 }
 
 // ------------------------------------------------- continuous process --
