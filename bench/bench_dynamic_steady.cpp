@@ -13,9 +13,9 @@
 // a periodic hotspot burst (with a matching per-node drain), and the
 // adversarial injector that re-targets the current maximum-load node
 // while draining the minimum. The whole grid is one SweepRunner
-// invocation (--threads=N, --csv=FILE); the conservation audit runs
-// every round (conservation_interval = 1), so a smoke run of this bench
-// is also an end-to-end proof of the dynamic identity
+// invocation (--threads=N, --csv=FILE); the engine audits conservation
+// every round, so a smoke run of this bench is also an end-to-end proof
+// of the dynamic identity
 // Σx == Σx₀ + injected − consumed.
 #include <chrono>
 #include <cstdio>
@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
   options.base.fixed_horizon = kHorizon;
   options.base.run_continuous = false;
   options.base.audit_fairness = false;  // lazy path; fairness is static-run
-  options.base.conservation_interval = 1;  // audit Σx every single round
   options.base.steady =
       SteadyOptions{.window = kSteadyWindow, .warmup = kWarmup};
 

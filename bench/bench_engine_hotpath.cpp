@@ -4,10 +4,9 @@
 // Simulation throughput at the paper's scales (T = c·log(nK)/µ steps over
 // millions of nodes) is what this bench tracks. The `lazy` series run the
 // serial scatter path: one decide_range call per step writes the round
-// straight into the next-load buffer, no flow buffer exists,
-// conservation is audited every 64 steps. BM_Cycle1M_SendFloor_Audit1 is
-// the same round audited every step: the gather folds Σ into its emit,
-// so it should sit within 5% of BM_Cycle1M_SendFloor_Lazy.
+// straight into the next-load buffer, no flow buffer exists. Every step
+// is audited, as on every engine: a gather folds Σ into its emit, a
+// multi-touch round sums during the min/max scan it makes anyway.
 // items_per_second == engine steps per second.
 //
 // Every 2^k-node series has a twin one node (or one torus row) larger:
@@ -49,13 +48,10 @@ namespace {
 
 using namespace dlb;
 
-void run_steps(benchmark::State& state, const Graph& g, Algorithm algo,
-               int conservation_interval = 64) {
+void run_steps(benchmark::State& state, const Graph& g, Algorithm algo) {
   auto balancer = balancer_factory(algo)(/*seed=*/42);
   EngineConfig config;
   config.self_loops = g.degree();  // d° = d, the theorems' regime
-  config.check_conservation = true;
-  config.conservation_interval = conservation_interval;
   Engine e(g, config, *balancer, random_initial(g.num_nodes(), 1000, 7));
 
   for (auto _ : state) {
@@ -105,9 +101,6 @@ const Graph& cycle_256k() {
 void BM_Cycle1M_SendFloor_Lazy(benchmark::State& s) {
   run_steps(s, cycle_1m(), Algorithm::kSendFloor);
 }
-void BM_Cycle1M_SendFloor_Audit1(benchmark::State& s) {
-  run_steps(s, cycle_1m(), Algorithm::kSendFloor, /*conservation_interval=*/1);
-}
 void BM_Cycle1M_RotorRouter_Lazy(benchmark::State& s) {
   run_steps(s, cycle_1m(), Algorithm::kRotorRouter);
 }
@@ -145,8 +138,6 @@ void run_steps_parallel(benchmark::State& state, const Graph& g,
   auto balancer = balancer_factory(algo)(/*seed=*/42);
   EngineConfig config;
   config.self_loops = g.degree();  // d° = d, the theorems' regime
-  config.check_conservation = true;
-  config.conservation_interval = 64;
   Engine e(g, config, *balancer, random_initial(g.num_nodes(), 1000, 7));
   ThreadPool pool(threads);
   if (threads > 1) e.set_thread_pool(&pool);
@@ -252,8 +243,6 @@ void run_steps_sharded(benchmark::State& state, const Graph& g,
   auto balancer = balancer_factory(algo)(/*seed=*/42);
   ShardedEngineConfig config;
   config.self_loops = g.degree();  // d° = d, the theorems' regime
-  config.check_conservation = true;
-  config.conservation_interval = 64;
   ShardedEngine e(g, config, *balancer,
                   random_initial(g.num_nodes(), 1000, 7), shards);
   ThreadPool pool(shards);
@@ -375,7 +364,6 @@ void BM_Torus512_RotorRouter_Lazy(benchmark::State& s) {
 }
 
 BENCHMARK(BM_Cycle1M_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cycle1M_SendFloor_Audit1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouterStar_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1Mplus1_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
@@ -470,13 +458,11 @@ void timed_row(const char* series, const Graph& g, Algorithm algo,
   if (shards == 0) {
     EngineConfig config;
     config.self_loops = g.degree();
-    config.conservation_interval = 64;
     Engine e(g, config, *balancer, initial);
     std::tie(steps, elapsed) = spin_window(e, window_s);
   } else {
     ShardedEngineConfig config;
     config.self_loops = g.degree();
-    config.conservation_interval = 64;
     ShardedEngine e(g, config, *balancer, initial, shards);
     ThreadPool pool(shards);
     if (shards > 1) e.set_thread_pool(&pool);

@@ -35,9 +35,8 @@ void BM_BalancerStep(benchmark::State& state) {
   const Graph& g = big_graph();
   // Factory-based construction, as a sweep worker would do it.
   auto balancer = balancer_factory(algo)(1);
-  Engine e(g, EngineConfig{.self_loops = g.degree(),
-                           .check_conservation = false},
-           *balancer, random_initial(g.num_nodes(), 200, 3));
+  Engine e(g, EngineConfig{.self_loops = g.degree()}, *balancer,
+           random_initial(g.num_nodes(), 200, 3));
   for (auto _ : state) {
     e.step();
     benchmark::DoNotOptimize(e.loads().data());

@@ -13,6 +13,7 @@
 //   service_demo --rounds=200 --csv=b.csv                   # uninterrupted
 //   cmp a.csv b.csv
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,19 @@ struct Cli {
   std::string trace_file;    // Chrome trace-event JSON written at exit
 };
 
+[[noreturn]] void usage(const char* bad_arg = nullptr) {
+  if (bad_arg != nullptr) {
+    std::fprintf(stderr, "service_demo: bad argument %s\n", bad_arg);
+  }
+  std::fprintf(stderr,
+               "usage: service_demo [--nodes=N] [--balancer=NAME] "
+               "[--rounds=T] [--stop-after=K] [--checkpoint=PATH] "
+               "[--checkpoint-interval=K] [--metrics-interval=K] "
+               "[--cap=N] [--csv=PATH] [--metrics-file=PATH] "
+               "[--trace=PATH]\n");
+  std::exit(2);
+}
+
 bool parse_flag(const char* arg, const char* name, std::string& out) {
   const std::size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
@@ -54,49 +68,45 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
   return true;
 }
 
-bool parse_flag(const char* arg, const char* name, long long& out) {
+/// Integer flags: the whole value must be a decimal integer of type Int
+/// that is at least `lo` (no sign prefix but '-', no whitespace, no
+/// trailing bytes), otherwise the usage line is printed and the process
+/// exits 2.
+template <class Int>
+bool parse_flag(const char* arg, const char* name, Int& out, Int lo) {
   std::string s;
   if (!parse_flag(arg, name, s)) return false;
-  out = std::atoll(s.c_str());
+  const char* const end = s.data() + s.size();
+  Int v{};
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo) usage(arg);
+  out = v;
   return true;
 }
 
 Cli parse_cli(int argc, char** argv) {
   Cli cli;
   for (int i = 1; i < argc; ++i) {
-    long long v = 0;
-    std::string s;
-    if (parse_flag(argv[i], "--nodes", v)) {
-      cli.nodes = static_cast<NodeId>(v);
-    } else if (parse_flag(argv[i], "--balancer", s)) {
-      cli.balancer = s;
-    } else if (parse_flag(argv[i], "--rounds", v)) {
-      cli.rounds = v;
-    } else if (parse_flag(argv[i], "--stop-after", v)) {
-      cli.stop_after = v;
-    } else if (parse_flag(argv[i], "--checkpoint-interval", v)) {
-      cli.checkpoint_interval = v;
-    } else if (parse_flag(argv[i], "--metrics-interval", v)) {
-      cli.metrics_interval = v;
-    } else if (parse_flag(argv[i], "--cap", v)) {
-      cli.admission_cap = v;
-    } else if (parse_flag(argv[i], "--checkpoint", s)) {
-      cli.checkpoint_path = s;
-    } else if (parse_flag(argv[i], "--csv", s)) {
-      cli.csv_path = s;
-    } else if (parse_flag(argv[i], "--metrics-file", s)) {
-      cli.metrics_file = s;
-    } else if (parse_flag(argv[i], "--trace", s)) {
-      cli.trace_file = s;
-    } else {
-      std::fprintf(stderr,
-                   "usage: service_demo [--nodes=N] [--balancer=NAME] "
-                   "[--rounds=T] [--stop-after=K] [--checkpoint=PATH] "
-                   "[--checkpoint-interval=K] [--metrics-interval=K] "
-                   "[--cap=N] [--csv=PATH] [--metrics-file=PATH] "
-                   "[--trace=PATH]\n");
-      std::exit(2);
+    const char* arg = argv[i];
+    if (parse_flag(arg, "--nodes", cli.nodes, NodeId{3}) ||
+        parse_flag(arg, "--balancer", cli.balancer) ||
+        parse_flag(arg, "--rounds", cli.rounds, Step{0}) ||
+        parse_flag(arg, "--stop-after", cli.stop_after, Step{0}) ||
+        parse_flag(arg, "--checkpoint-interval", cli.checkpoint_interval,
+                   Step{0}) ||
+        parse_flag(arg, "--metrics-interval", cli.metrics_interval,
+                   Step{0}) ||
+        parse_flag(arg, "--cap", cli.admission_cap, Load{1}) ||
+        parse_flag(arg, "--checkpoint", cli.checkpoint_path) ||
+        parse_flag(arg, "--csv", cli.csv_path) ||
+        parse_flag(arg, "--metrics-file", cli.metrics_file) ||
+        parse_flag(arg, "--trace", cli.trace_file)) {
+      continue;
     }
+    usage();
+  }
+  if (!balancer_registered(cli.balancer)) {
+    usage(("--balancer=" + cli.balancer).c_str());
   }
   return cli;
 }

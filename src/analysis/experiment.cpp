@@ -59,12 +59,8 @@ ExperimentResult run_experiment(const Graph& g, Balancer& balancer,
                        spec.time_multiplier *
                        static_cast<double>(r.t_balance))));
 
-  Engine engine(
-      g,
-      EngineConfig{.self_loops = spec.self_loops,
-                   .check_conservation = spec.check_conservation,
-                   .conservation_interval = spec.conservation_interval},
-      balancer, initial);
+  Engine engine(g, EngineConfig{.self_loops = spec.self_loops}, balancer,
+                initial);
   engine.set_thread_pool(spec.pool);
   if (spec.workload != nullptr) {
     spec.workload->reset(g.num_nodes(), spec.seed);
@@ -111,14 +107,12 @@ ExperimentResult run_experiment(const Graph& g, Balancer& balancer,
   r.injected_total = engine.injected_total();
   r.consumed_total = engine.consumed_total();
   if (tracker.active()) r.steady = tracker.summary();
-  if (spec.check_conservation) {
-    // The engine audits Σx == total every conservation_interval steps;
-    // this is the end-to-end restatement against the *initial* vector —
-    // the dynamic conservation identity of the workload subsystem.
-    DLB_REQUIRE(total_load(engine.loads()) ==
-                    total_load(initial) + r.injected_total - r.consumed_total,
-                "dynamic conservation identity violated");
-  }
+  // The engine audits Σx == total after every step; this is the
+  // end-to-end restatement against the *initial* vector — the dynamic
+  // conservation identity of the workload subsystem.
+  DLB_REQUIRE(total_load(engine.loads()) ==
+                  total_load(initial) + r.injected_total - r.consumed_total,
+              "dynamic conservation identity violated");
 
   r.final_discrepancy = engine.discrepancy();
   r.final_balancedness = balancedness(engine.loads());

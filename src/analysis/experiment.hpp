@@ -50,8 +50,6 @@ struct ExperimentSpec {
   /// non-materializing path (the result's `fairness` field is then the
   /// default-constructed report and must not be interpreted).
   bool audit_fairness = true;
-  bool check_conservation = true; ///< audit Σx during the run
-  int conservation_interval = 1;  ///< audit every k-th step (1 = every step)
   /// When >= 0: before the sampled horizon, run until the discrepancy
   /// first drops to this target (capped at reach_cap steps) and record
   /// the step count in ExperimentResult::t_reach — the Thm 3.3
@@ -75,8 +73,8 @@ struct ExperimentSpec {
   /// seed). Null = the classic static run. Dynamic runs skip the
   /// continuous yardstick (it has no injection model), so
   /// continuous_final_discrepancy is NaN, and they verify the dynamic
-  /// conservation identity Σx == Σx₀ + injected − consumed at the end
-  /// when check_conservation is on. Sweeps must NOT set this field
+  /// conservation identity Σx == Σx₀ + injected − consumed at the end.
+  /// Sweeps must NOT set this field
   /// (SweepRunner rejects it — one instance would be shared across
   /// concurrent workers); use SweepMatrix::add_workload, whose factory
   /// makes a fresh instance per scenario.

@@ -50,9 +50,7 @@ Engine::Engine(const Graph& g, EngineConfig config, Balancer& balancer,
   DLB_REQUIRE(config_.self_loops >= 0, "self_loops must be non-negative");
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
-  adopt_loads(std::move(initial),
-              ConservationPolicy{config_.check_conservation,
-                                 config_.conservation_interval});
+  adopt_loads(std::move(initial));
   next_.assign(loads_.size(), 0);
   balancer_->reset(g, config_.self_loops);
   gather_ = balancer_->window_reach(g) >= 0;

@@ -16,11 +16,10 @@
 // a parallel round is byte-identical to a serial one at any thread
 // count. Every path writes the same next-load buffer, which then swaps
 // with the loads.
-// Token conservation is audited every EngineConfig::conservation_interval
-// steps (the paper's model conserves total load exactly). Gather and row
-// rounds sweep their new loads once and fold Σ into that sweep, so an
-// audited round of theirs costs no second pass; the ledger rescans the
-// loads on multi-touch rounds and, with the audit on, every
+// Token conservation is audited after every step (the paper's model
+// conserves total load exactly). Gather and row rounds sweep their new
+// loads once and fold Σ into that sweep, so their audit costs no second
+// pass; the ledger rescans the loads on multi-touch rounds and on every
 // kRescanInterval-th (64th) round (core/round_ledger.hpp).
 #pragma once
 
@@ -51,13 +50,7 @@ class StepObserver {
 };
 
 struct EngineConfig {
-  int self_loops = 0;             ///< d°, the number of self-loops per node
-  bool check_conservation = true; ///< verify Σx invariant (gated below)
-  /// Audit every k-th step (1 = every step) against the Σ the round's own
-  /// sweep published, or a scan where it published none; independently
-  /// of k, an audited engine rescans its loads every kRescanInterval-th
-  /// step.
-  int conservation_interval = 1;
+  int self_loops = 0;  ///< d°, the number of self-loops per node
 };
 
 /// Drives one balancer over one graph; owns loads and flow buffers.

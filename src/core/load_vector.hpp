@@ -34,28 +34,21 @@ struct LoadScan {
   Load max = std::numeric_limits<Load>::min();
   Load sum = 0;
 
-  /// Folds `xs` in, summing only when `with_sum`. The sum wraps: the
-  /// total is checked, so a conserving round's wrapped Σx still equals
-  /// it, and the plain loop keeps vectorizing.
-  void add(std::span<const Load> xs, bool with_sum) noexcept {
+  /// Folds `xs` in. The sum wraps: the total is checked, so a conserving
+  /// round's wrapped Σx still equals it, and the plain loop keeps
+  /// vectorizing.
+  void add(std::span<const Load> xs) noexcept {
     Load lo = min;
     Load hi = max;
-    if (with_sum) {
-      auto s = static_cast<std::uint64_t>(sum);
-      for (const Load v : xs) {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-        s += static_cast<std::uint64_t>(v);
-      }
-      sum = static_cast<Load>(s);
-    } else {
-      for (const Load v : xs) {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
+    auto s = static_cast<std::uint64_t>(sum);
+    for (const Load v : xs) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      s += static_cast<std::uint64_t>(v);
     }
     min = lo;
     max = hi;
+    sum = static_cast<Load>(s);
   }
   /// Folds in another chunk's scan; the sums wrap as in add().
   void merge(const LoadScan& o) noexcept {

@@ -13,9 +13,8 @@ namespace dlb {
 RoundEngineBase::RoundEngineBase() = default;
 RoundEngineBase::~RoundEngineBase() = default;
 
-void RoundEngineBase::adopt_loads(LoadVector initial,
-                                  ConservationPolicy audit) {
-  ledger_.adopt(initial, audit);
+void RoundEngineBase::adopt_loads(LoadVector initial) {
+  ledger_.adopt(initial);
   loads_ = std::move(initial);
 }
 
@@ -73,9 +72,9 @@ void RoundEngineBase::run_round(ThreadPool* pool) {
     } else {
       do_step();
     }
-    ledger_.end_round(engine_kind(), [&](bool with_sum) {
+    ledger_.end_round(engine_kind(), [&] {
       LoadScan scan;
-      scan.add(loads_, with_sum);
+      scan.add(loads_);
       return scan;
     });
   }

@@ -7,7 +7,7 @@
 // a ThreadPool, and step_parallel() (and the run loops, once a pool is
 // attached) routes through the subclass's do_step_parallel(); a parallel
 // round is byte-identical to a serial one at any thread count. Everything
-// else — the clock, the conservation ledger and its gated audit, cached
+// else — the clock, the conservation ledger and its per-round audit, cached
 // min/max statistics, the online-workload hook, telemetry, and the
 // core-state bytes — is the RoundLedger it shares with ShardedEngine.
 //
@@ -59,7 +59,7 @@ class RoundEngineBase {
 
   /// Tokens the workload injected / consumed since adopt_loads. The
   /// conservation audit verifies Σx == base_total() + injected_total()
-  /// − consumed_total() on every audited step.
+  /// − consumed_total() after every step.
   Load injected_total() const noexcept { return ledger_.injected_total(); }
   Load consumed_total() const noexcept { return ledger_.consumed_total(); }
   /// Σx₀: the static part of the conservation identity.
@@ -96,10 +96,9 @@ class RoundEngineBase {
 
   /// Serializes the complete core stepping state in the shared
   /// RoundLedger::save_core layout: the load vector, the round counter,
-  /// the conservation ledger, and the cached statistics. Audit policy,
-  /// pool, and workload attachment are construction-time configuration
-  /// and are NOT captured — the restore target must be configured
-  /// identically.
+  /// the conservation ledger, and the cached statistics. Pool and
+  /// workload attachment are configuration and are NOT captured — the
+  /// restore target must be configured identically.
   void save_core_state(StateWriter& w) const;
 
   /// Restores what save_core_state (or a ShardedEngine's) captured into
@@ -110,9 +109,9 @@ class RoundEngineBase {
  protected:
   RoundEngineBase();
 
-  /// Installs the initial load vector (must be non-empty) and the audit
-  /// policy; computes the conserved total and primes the cached stats.
-  void adopt_loads(LoadVector initial, ConservationPolicy audit);
+  /// Installs the initial load vector (must be non-empty); computes the
+  /// conserved total and primes the cached stats.
+  void adopt_loads(LoadVector initial);
 
   /// Telemetry label of this engine's metric series ("flat", "sharded",
   /// "irregular", ...). Consulted lazily on the first round that runs
@@ -131,11 +130,10 @@ class RoundEngineBase {
   /// Subclasses whose round already sweeps the new load vector (the
   /// engine's apply pull or a gather kernel's emit) publish the min, max
   /// and wrapping Σ they computed in that same sweep here, from inside
-  /// do_step()/do_step_parallel() — no further O(n) pass per round. An
-  /// audited round checks that Σ against total(); the ledger still
-  /// rescans the loads in full every kRescanInterval-th round (when the
-  /// audit is on), so a kernel whose Σ is right but whose buffer is not
-  /// cannot pass unnoticed.
+  /// do_step()/do_step_parallel() — no further O(n) pass per round. The
+  /// audit checks that Σ against total(); the ledger still rescans the
+  /// loads in full every kRescanInterval-th round, so a kernel whose Σ is
+  /// right but whose buffer is not cannot pass unnoticed.
   void publish_round_stats(const LoadScan& round) noexcept {
     ledger_.publish_round_stats(round);
   }

@@ -43,9 +43,8 @@ void WorkloadTally::merge(const WorkloadTally& o) noexcept {
   }
 }
 
-void RoundLedger::adopt(std::span<const Load> loads, ConservationPolicy audit) {
+void RoundLedger::adopt(std::span<const Load> loads) {
   DLB_REQUIRE(!loads.empty(), "round engine: empty load vector");
-  DLB_REQUIRE(audit.interval >= 1, "round engine: audit interval must be >= 1");
   Load sum = 0;
   for (std::size_t u = 0; u < loads.size(); ++u) {
     if (__builtin_add_overflow(sum, loads[u], &sum)) {
@@ -56,7 +55,6 @@ void RoundLedger::adopt(std::span<const Load> loads, ConservationPolicy audit) {
   const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
   s_ = State{0, sum, sum, 0, 0, *lo, *hi, *lo};
   published_ = false;
-  audit_ = audit;
 }
 
 void RoundLedger::commit_workload(const WorkloadTally& w) {
@@ -142,7 +140,7 @@ RoundLedger::Core RoundLedger::read_core(StateReader& r, std::size_t n) {
         "engine core state: negative round counter or workload total");
   }
   LoadScan scan;
-  scan.add(c.loads, /*with_sum=*/true);
+  scan.add(c.loads);
   Load ledger = 0;
   if (__builtin_add_overflow(s.base, s.injected, &ledger) ||
       __builtin_sub_overflow(ledger, s.consumed, &ledger) ||

@@ -4,16 +4,16 @@
 //   * the clock and the conservation ledger — Σx₀ (base), the tokens the
 //     workload injected and consumed, and the conserved total
 //     Σx₀ + injected − consumed, all int64-checked;
-//   * the conservation audit. A round whose one sweep already wrote its
-//     new loads (a gather kernel's emit, the apply pull) publishes their
-//     min, max and Σ; an audited round checks that Σ against the total,
-//     with no second pass. A round that published nothing is scanned
-//     instead, re-summed when audited. With the audit on, every
-//     kRescanInterval-th round also rescans the loads whatever was
-//     published — the independent check that trusts no kernel's
-//     arithmetic, and the one that catches a kernel whose Σ is right but
-//     whose buffer is not (a slot written twice, another skipped) should
-//     no later round's sweep carry the wrong Σ forward;
+//   * the conservation audit, which every round runs. A round whose one
+//     sweep already wrote its new loads (a gather kernel's emit, the apply
+//     pull) publishes their min, max and Σ, and the audit checks that Σ
+//     against the total with no second pass. A round that published
+//     nothing is scanned instead. Every kRescanInterval-th round also
+//     rescans the loads whatever was published — the independent check
+//     that trusts no kernel's arithmetic, and the one that catches a
+//     kernel whose Σ is right but whose buffer is not (a slot written
+//     twice, another skipped) should no later round's sweep carry the
+//     wrong Σ forward;
 //   * the cached statistics (min, max, min ever seen), committed from the
 //     published min/max, or from the scan on rounds that scanned;
 //   * the workload-delta rule and the workload phases around it;
@@ -39,22 +39,9 @@
 
 namespace dlb {
 
-/// Every kRescanInterval-th round of an audited engine rescans its loads
-/// in full, even when the round published a Σ from its own sweep.
+/// Every kRescanInterval-th round rescans the engine's loads in full,
+/// even when the round published a Σ from its own sweep.
 inline constexpr int kRescanInterval = 64;
-
-/// Conservation-audit policy of a round engine.
-struct ConservationPolicy {
-  bool enabled = true;  ///< verify Σx == total after (gated) steps
-  int interval = 1;     ///< audit every `interval`-th step (>= 1)
-
-  /// Amortized audit for engines whose pre-refactor check was a
-  /// debug-only assert and whose rounds publish nothing: still always on,
-  /// but the O(n) re-sum lands on the same rounds as the ledger's full
-  /// rescan, one in kRescanInterval, which is noise next to the O(n·d)
-  /// step work.
-  static ConservationPolicy gated() { return {true, kRescanInterval}; }
-};
 
 /// One chunk's workload churn (a pool range, a shard, or a sparse list),
 /// folded into the ledger by RoundLedger::commit_workload.
@@ -104,7 +91,7 @@ class RoundLedger {
  public:
   /// Restarts the ledger over non-empty `loads`: clock 0, Σx₀ (checked),
   /// min/max primed.
-  void adopt(std::span<const Load> loads, ConservationPolicy audit);
+  void adopt(std::span<const Load> loads);
 
   Step time() const noexcept { return s_.t; }
   Load total() const noexcept { return s_.total; }
@@ -125,22 +112,18 @@ class RoundLedger {
   }
 
   /// Closes a round: advances the clock, audits it and commits its
-  /// statistics. A round that published nothing, and with the audit on
-  /// every kRescanInterval-th round, calls `scan(with_sum)`, which must
-  /// return the LoadScan of the engine's loads (Σ only when with_sum),
-  /// timed as engine `kind`'s audit phase; any other round uses what it
-  /// published. An audited round, and a rescan, whose Σ differs from
-  /// total() throws.
+  /// statistics. A round that published nothing, and every
+  /// kRescanInterval-th round, calls `scan()`, which must return the
+  /// LoadScan of the engine's loads, timed as engine `kind`'s audit
+  /// phase; any other round uses what it published. A round whose Σ
+  /// differs from total() throws.
   template <class Scan>
   void end_round(const char* kind, Scan&& scan) {
     ++s_.t;
-    const bool audit = audit_.enabled &&
-                       (audit_.interval == 1 || s_.t % audit_.interval == 0);
-    const bool rescan = audit_.enabled && s_.t % kRescanInterval == 0;
-    const LoadScan x = rescan || !published_
-                           ? timed_scan(kind, scan, audit || rescan)
-                           : round_;
-    DLB_REQUIRE(!(audit || rescan) || x.sum == s_.total,
+    const LoadScan x = published_ && s_.t % kRescanInterval != 0
+                           ? round_
+                           : timed_scan(kind, scan);
+    DLB_REQUIRE(x.sum == s_.total,
                 "token conservation violated by engine step");
     commit_stats(x.min, x.max);
     published_ = false;
@@ -239,19 +222,18 @@ class RoundLedger {
     s_.min_seen = lo < s_.min_seen ? lo : s_.min_seen;
   }
   void commit_workload(const WorkloadTally& tally);
-  /// scan(with_sum), under the audit phase when metrics or tracing are on
-  /// (the handles are registered lazily, as round_end's are).
+  /// scan(), under the audit phase when metrics or tracing are on (the
+  /// handles are registered lazily, as round_end's are).
   template <class Scan>
-  LoadScan timed_scan(const char* kind, Scan& scan, bool with_sum) {
-    if (!obs::metrics_armed() && !obs::trace_enabled()) return scan(with_sum);
+  LoadScan timed_scan(const char* kind, Scan& scan) {
+    if (!obs::metrics_armed() && !obs::trace_enabled()) return scan();
     obs::PhaseScope phase(telemetry(kind).audit, "audit", kind, "t", s_.t);
-    return scan(with_sum);
+    return scan();
   }
 
   State s_;
   LoadScan round_;
   bool published_ = false;
-  ConservationPolicy audit_;
   std::unique_ptr<obs::EngineTelemetry> telemetry_;
 };
 

@@ -18,7 +18,7 @@ DimensionExchange::DimensionExchange(const Graph& g,
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
   for (const Matching& m : circuit_) validate_matching(g, m);
-  adopt_loads(std::move(initial), ConservationPolicy::gated());
+  adopt_loads(std::move(initial));
 }
 
 DimensionExchange::DimensionExchange(const Graph& g, DePolicy policy,
@@ -27,7 +27,7 @@ DimensionExchange::DimensionExchange(const Graph& g, DePolicy policy,
       rng_(seed) {
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
-  adopt_loads(std::move(initial), ConservationPolicy::gated());
+  adopt_loads(std::move(initial));
 }
 
 void DimensionExchange::apply_pairs(const Matching& m, std::size_t first,

@@ -19,7 +19,7 @@ IrregularEngine::IrregularEngine(const IrregularGraph& g,
               "uniform D must exceed the maximum degree");
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
-  adopt_loads(std::move(initial), ConservationPolicy::gated());
+  adopt_loads(std::move(initial));
   next_.assign(loads_.size(), 0);
   rotor_.assign(loads_.size(), 0);
 }

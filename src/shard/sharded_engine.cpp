@@ -114,14 +114,11 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
     : g_(&g), config_(config), balancer_(&balancer),
       part_(g.num_nodes(), shards) {
   DLB_REQUIRE(config_.self_loops >= 0, "self_loops must be non-negative");
-  DLB_REQUIRE(config_.conservation_interval >= 1,
-              "sharded engine: audit interval must be >= 1");
   DLB_REQUIRE(config_.fault.max_retries >= 0,
               "sharded engine: negative retry budget");
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
-  ledger_.adopt(initial, ConservationPolicy{config_.check_conservation,
-                                            config_.conservation_interval});
+  ledger_.adopt(initial);
   if (channel != nullptr) {
     DLB_REQUIRE(channel->shard_count() == part_.shards(),
                 "sharded engine: channel endpoint count != shard count");
@@ -783,13 +780,12 @@ void ShardedEngine::step() {
     ledger_.publish_round_stats(round);
   }
   const NodeId w = reach_ >= 0 ? reach_ : 0;
-  ledger_.end_round("sharded", [&](bool with_sum) {
+  ledger_.end_round("sharded", [&] {
     for_shards(true, [&](int s) {
       Shard& sh = shards_[static_cast<std::size_t>(s)];
       sh.scan = LoadScan{};
       sh.scan.add(sh.window.subspan(static_cast<std::size_t>(w),
-                                    static_cast<std::size_t>(sh.size)),
-                  with_sum);
+                                    static_cast<std::size_t>(sh.size)));
     });
     LoadScan scan;
     for (const Shard& sh : shards_) scan.merge(sh.scan);

@@ -71,9 +71,7 @@ namespace dlb {
 /// Mirrors EngineConfig for the sharded substrate (flow matrices are a
 /// flat-engine concern; shards always scatter).
 struct ShardedEngineConfig {
-  int self_loops = 0;            ///< d° self-loops per node
-  bool check_conservation = true;
-  int conservation_interval = 1;
+  int self_loops = 0;  ///< d° self-loops per node
   /// Frame-loss recovery budget (only consulted on a lossy channel).
   /// After an exchange's drains, any (sender → receiver) stream that is
   /// still incomplete — frames lost, corrupted, truncated, or delayed —

@@ -695,14 +695,13 @@ TEST(DynamicEngine, ConservationIdentityHoldsEveryRound) {
   SendFloor balancer;
   PoissonWorkload churn({.arrival_rate = 0.8, .departure_rate = 0.8});
   churn.reset(g.num_nodes(), 3);
-  Engine engine(g,
-                EngineConfig{.self_loops = 2, .conservation_interval = 1},
-                balancer, bimodal_initial(48, 20));
+  Engine engine(g, EngineConfig{.self_loops = 2}, balancer,
+                bimodal_initial(48, 20));
   engine.set_workload(&churn);
   const Load base = engine.base_total();
   EXPECT_EQ(base, 20 * 24);
   for (Step t = 0; t < 300; ++t) {
-    engine.step();  // the interval-1 audit re-sums Σx every round
+    engine.step();  // the engine audits Σx every round
     EXPECT_EQ(engine.total(),
               base + engine.injected_total() - engine.consumed_total());
     EXPECT_EQ(total_load(engine.loads()), engine.total());
@@ -722,8 +721,8 @@ TEST(DynamicEngine, ConsumptionTruncatesAtZeroLoad) {
                          .departure_period = 1,
                          .departure_amount = 100});
   churn.reset(g.num_nodes(), 0);
-  Engine engine(g, EngineConfig{.self_loops = 2, .conservation_interval = 1},
-                balancer, bimodal_initial(16, 4));
+  Engine engine(g, EngineConfig{.self_loops = 2}, balancer,
+                bimodal_initial(16, 4));
   engine.set_workload(&churn);
   for (Step t = 0; t < 50; ++t) engine.step();
   EXPECT_GE(engine.min_load_seen(), 0);
@@ -1000,7 +999,6 @@ SweepOptions dynamic_options(int threads) {
   o.base.fixed_horizon = 60;
   o.base.run_continuous = false;
   o.base.audit_fairness = false;
-  o.base.conservation_interval = 1;
   o.base.steady = SteadyOptions{.window = 16, .warmup = 20};
   return o;
 }

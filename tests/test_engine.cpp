@@ -2,6 +2,9 @@
 // protocol, remainder handling, and the run helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -10,6 +13,7 @@
 #include "core/engine.hpp"
 #include "core/load_vector.hpp"
 #include "graph/generators.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/assertions.hpp"
 #include "util/thread_pool.hpp"
 
@@ -229,34 +233,74 @@ TEST(Engine, ObserverFreeRunNeverTouchesFlowBuffer) {
   EXPECT_EQ(obs.records[0].flows.size(), 16u * 8u);  // n * (d + d°)
 }
 
-TEST(Engine, GatedConservationAuditFiresOnTheAuditStep) {
-  // Loses one token per step via a buggy batched kernel; the audit is
-  // gated to every 4th step, so steps 1–3 pass and step 4 throws.
-  class LeakyKernel : public Balancer {
-   public:
-    std::string name() const override { return "test:leaky"; }
-    void reset(const Graph&, int) override {}
-    void decide(NodeId, Load, Step, std::span<Load> flows) override {
-      std::fill(flows.begin(), flows.end(), 0);
-    }
-    void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
-                      Step, FlowSink& sink) override {
-      ASSERT_FALSE(sink.row_mode());  // observer-free: scatter path
+/// Keeps every token but loses one in each decide_range call. Multi-touch
+/// in scatter mode: it adds each node's load to its own slot and then −1
+/// to its range's first slot. In row mode the apply pull conserves
+/// whatever the rows say, so there it takes the token off its range's
+/// first load in place (a kernel writing through to the loads it reads).
+class LeakyKernel : public Balancer {
+ public:
+  std::string name() const override { return "test:leaky"; }
+  void reset(const Graph&, int) override {}
+  void decide(NodeId, Load, Step, std::span<Load> flows) override {
+    std::fill(flows.begin(), flows.end(), 0);
+  }
+  void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
+                    Step, FlowSink& sink) override {
+    if (sink.row_mode()) {
       for (NodeId u = first; u < last; ++u) {
-        sink.add(u, loads[static_cast<std::size_t>(u)]);
+        const std::span<Load> row = sink.row(u);
+        std::fill(row.begin(), row.end(), 0);
       }
-      sink.add(0, -1);  // the leak
+      --const_cast<Load&>(loads[static_cast<std::size_t>(first)]);
+      return;
     }
-  } b;
+    for (NodeId u = first; u < last; ++u) {
+      sink.add(u, loads[static_cast<std::size_t>(u)]);
+    }
+    sink.add(first, -1);  // the leak
+  }
+};
 
-  const Graph g = make_cycle(6);
-  Engine e(g,
-           EngineConfig{.self_loops = 1,
-                        .check_conservation = true,
-                        .conservation_interval = 4},
-           b, LoadVector{9, 9, 9, 9, 9, 9});
-  EXPECT_NO_THROW(e.run(3));
-  EXPECT_THROW(e.step(), invariant_error);
+/// Runs one round, expecting the conservation audit to throw.
+template <class Round>
+void expect_audit_throws(Round&& round) {
+  try {
+    round();
+    ADD_FAILURE() << "the leaking round passed its audit";
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find("token conservation violated"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Engine, ConservationAuditCatchesALeakOnRoundOne) {
+  // Every round of every engine is audited, so a one-token leak throws on
+  // the round that makes it, whichever path the round takes.
+  const Graph g = make_cycle(16);
+  const LoadVector initial(16, 9);
+  {
+    SCOPED_TRACE("flat serial scatter");
+    LeakyKernel b;
+    Engine e(g, EngineConfig{.self_loops = 1}, b, initial);
+    expect_audit_throws([&] { e.step(); });
+  }
+  {
+    SCOPED_TRACE("flat pooled rows");
+    LeakyKernel b;
+    Engine e(g, EngineConfig{.self_loops = 1}, b, initial);
+    ThreadPool pool(2);
+    e.set_thread_pool(&pool);
+    expect_audit_throws([&] { e.step_parallel(); });
+  }
+  {
+    SCOPED_TRACE("2-shard tier 2");
+    LeakyKernel b;
+    ShardedEngine e(g, ShardedEngineConfig{.self_loops = 1}, b, initial, 2);
+    ASSERT_FALSE(e.windowed());
+    expect_audit_throws([&] { e.step(); });
+  }
 }
 
 TEST(Engine, TimeStartsAtZero) {

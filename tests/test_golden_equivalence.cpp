@@ -424,8 +424,7 @@ TEST(GoldenEquivalence, PooledGatherRoundThatSkipsASlotIsRefused) {
   for (const bool skip : {false, true}) {
     SCOPED_TRACE(skip ? "skipping kernel" : "covering kernel");
     KeepsLoadsGather balancer(skip);
-    Engine e(g, EngineConfig{.self_loops = 2, .check_conservation = false},
-             balancer, initial);
+    Engine e(g, EngineConfig{.self_loops = 2}, balancer, initial);
     e.set_thread_pool(&pool);
     if (!skip) {
       for (int i = 0; i < 3; ++i) e.step_parallel();
@@ -459,15 +458,13 @@ TEST(GoldenEquivalence, EmitFoldedAuditCatchesBrokenGathers) {
     initial[u] = static_cast<Load>(10 + 3 * u);
   }
   ThreadPool pool(4);
-  const EngineConfig audited{.self_loops = 2,
-                             .check_conservation = true,
-                             .conservation_interval = 1};
+  const EngineConfig config{.self_loops = 2};
   for (const bool pooled : {false, true}) {
     SCOPED_TRACE(pooled ? "flat pooled" : "flat serial");
     ThreadPool* const attached = pooled ? &pool : nullptr;
     {
       KeepsLoadsGather correct(GatherFault::kNone);
-      Engine e(g, audited, correct, initial);
+      Engine e(g, config, correct, initial);
       e.set_thread_pool(attached);
       EXPECT_NO_THROW(e.run(200));
       EXPECT_EQ(e.time(), 200);
@@ -479,7 +476,7 @@ TEST(GoldenEquivalence, EmitFoldedAuditCatchesBrokenGathers) {
       const bool leak = fault == GatherFault::kLeak;
       SCOPED_TRACE(leak ? "leak" : "double write");
       KeepsLoadsGather broken(fault);
-      Engine e(g, audited, broken, initial);
+      Engine e(g, config, broken, initial);
       e.set_thread_pool(attached);
       // The leak must throw on round 1; the double write on round 1 or 2.
       const Step last_round = leak ? 1 : 2;

@@ -377,8 +377,8 @@ TEST(TelemetryDeterminismTest, WorkloadPhasesAreTimedOnBothEngines) {
 }
 
 TEST(TelemetryDeterminismTest, AuditPhaseIsTimedOnlyOnRoundsThatScan) {
-  // At conservation interval 1 a SEND(floor) gather round is audited
-  // against the Σ its emit folded, so the ledger scans only on its full
+  // A SEND(floor) gather round is audited against the Σ its emit
+  // folded, so the ledger scans only on its full
   // rescans (t = 64 and 128 here). A ROTOR-ROUTER scatter round is
   // multi-touch and publishes nothing, so every round scans.
   const Graph g = make_cycle(256);
@@ -399,20 +399,15 @@ TEST(TelemetryDeterminismTest, AuditPhaseIsTimedOnlyOnRoundsThatScan) {
     {
       const double before = count("flat");
       std::unique_ptr<Balancer> b = find_balancer_factory(c.balancer)(7);
-      Engine e(g,
-               EngineConfig{.self_loops = g.degree(),
-                            .conservation_interval = 1},
-               *b, initial);
+      Engine e(g, EngineConfig{.self_loops = g.degree()}, *b, initial);
       for (Step t = 0; t < kRounds; ++t) e.step();
       EXPECT_EQ(count("flat") - before, c.scans);
     }
     {
       const double before = count("sharded");
       std::unique_ptr<Balancer> b = find_balancer_factory(c.balancer)(7);
-      ShardedEngine e(g,
-                      ShardedEngineConfig{.self_loops = g.degree(),
-                                          .conservation_interval = 1},
-                      *b, initial, /*shards=*/2);
+      ShardedEngine e(g, ShardedEngineConfig{.self_loops = g.degree()}, *b,
+                      initial, /*shards=*/2);
       e.run(kRounds);
       EXPECT_EQ(count("sharded") - before, c.scans);
     }

@@ -428,11 +428,11 @@ TEST(ShardedEngineTest, WorkloadsMatchFlatAtEveryShardCount) {
   }
 }
 
-TEST(ShardedEngineTest, GatedAuditMatchesFlat) {
-  // The audit cadence decides which rounds check the emit-folded Σ and
-  // which rescan the loads in full (every 64th): neither may show in the
+TEST(ShardedEngineTest, AuditRescansMatchFlat) {
+  // Every round's audit checks the emit-folded Σ, and every 64th round
+  // rescans the loads in full instead: neither may show in the
   // trajectory, the statistics or the image. 200 rounds cross the
-  // rescans at t = 64, 128 and 192 at every interval.
+  // rescans at t = 64, 128 and 192.
   struct Case {
     const char* label;
     Graph graph;
@@ -441,37 +441,28 @@ TEST(ShardedEngineTest, GatedAuditMatchesFlat) {
   cases.push_back({"cycle96", make_cycle(96)});
   cases.push_back({"torus8x6", make_torus2d(8, 6)});
   for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
     const Graph& g = c.graph;
     const LoadVector initial = random_initial(g.num_nodes(), 300, 5);
-    for (const int interval : {1, 7, 16, 64}) {
-      SCOPED_TRACE(std::string(c.label) + " interval " +
-                   std::to_string(interval));
-      auto flat_b = make_balancer(Algorithm::kSendFloor, 7);
-      auto shard_b = make_balancer(Algorithm::kSendFloor, 7);
-      Engine flat(g,
-                  EngineConfig{.self_loops = 1,
-                               .conservation_interval = interval},
-                  *flat_b, initial);
-      ShardedEngine sharded(
-          g,
-          ShardedEngineConfig{.self_loops = 1,
-                              .conservation_interval = interval},
-          *shard_b, initial, 3);
-      ASSERT_TRUE(sharded.windowed());
-      for (Step t = 0; t < 200; ++t) {
-        flat.step();
-        sharded.step();
-        ASSERT_EQ(sharded.discrepancy(), flat.discrepancy()) << "t=" << t + 1;
-      }
-      EXPECT_EQ(sharded.gather_loads(), flat.loads());
-      EXPECT_EQ(sharded.discrepancy(), flat.discrepancy());
-      EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen());
-      StateWriter flat_bytes;
-      flat.save_core_state(flat_bytes);
-      StateWriter shard_bytes;
-      sharded.save_core_state(shard_bytes);
-      EXPECT_EQ(shard_bytes.take(), flat_bytes.data());
+    auto flat_b = make_balancer(Algorithm::kSendFloor, 7);
+    auto shard_b = make_balancer(Algorithm::kSendFloor, 7);
+    Engine flat(g, EngineConfig{.self_loops = 1}, *flat_b, initial);
+    ShardedEngine sharded(g, ShardedEngineConfig{.self_loops = 1}, *shard_b,
+                          initial, 3);
+    ASSERT_TRUE(sharded.windowed());
+    for (Step t = 0; t < 200; ++t) {
+      flat.step();
+      sharded.step();
+      ASSERT_EQ(sharded.discrepancy(), flat.discrepancy()) << "t=" << t + 1;
     }
+    EXPECT_EQ(sharded.gather_loads(), flat.loads());
+    EXPECT_EQ(sharded.discrepancy(), flat.discrepancy());
+    EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen());
+    StateWriter flat_bytes;
+    flat.save_core_state(flat_bytes);
+    StateWriter shard_bytes;
+    sharded.save_core_state(shard_bytes);
+    EXPECT_EQ(shard_bytes.take(), flat_bytes.data());
   }
 }
 
@@ -572,6 +563,18 @@ TEST(ShardedEngineTest, ExternalChannelAndAccountingSurface) {
                invariant_error);
 }
 
+/// Steps `engine` once, expecting an invariant_error that names `what`.
+template <class E>
+void expect_invariant_error(E& engine, const std::string& what) {
+  try {
+    engine.step();
+    ADD_FAILURE() << "no error; expected \"" << what << "\"";
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
 /// Promises a gather (window_reach 1) and keeps every node's load, but
 /// with `skip` set leaves the last next-load slot of each range unwritten
 /// in both its flat scatter kernel and its windowed kernel.
@@ -598,8 +601,7 @@ class SkipsOneSlot : public Balancer {
     const NodeId written = skip_ ? count - 1 : count;
     for (NodeId i = 0; i < written; ++i) next[i] = xs[i];
     LoadScan emitted;
-    emitted.add(std::span<const Load>(next, static_cast<std::size_t>(written)),
-                /*with_sum=*/true);
+    emitted.add(std::span<const Load>(next, static_cast<std::size_t>(written)));
     sink.merge_emit_stats(emitted, written);
   }
 
@@ -608,24 +610,22 @@ class SkipsOneSlot : public Balancer {
 
 // A gather round that leaves a slot unwritten would commit that slot's
 // load from two rounds ago; both engines must refuse the round instead.
-// The conservation audit is off, so only the coverage check can throw.
+// The coverage check runs before the round's conservation audit, so it is
+// the check that throws.
 TEST(ShardedEngineTest, GatherRoundThatSkipsASlotThrowsOnBothEngines) {
   const Graph g = make_cycle(16);
   const LoadVector initial(16, 5);
   for (const bool skip : {false, true}) {
     SCOPED_TRACE(skip ? "skipping kernel" : "covering kernel");
     SkipsOneSlot flat_bal(skip);
-    Engine flat(g, EngineConfig{.self_loops = 2, .check_conservation = false},
-                flat_bal, initial);
+    Engine flat(g, EngineConfig{.self_loops = 2}, flat_bal, initial);
     SkipsOneSlot shard_bal(skip);
-    ShardedEngineConfig shard_config;
-    shard_config.self_loops = 2;
-    shard_config.check_conservation = false;
-    ShardedEngine sharded(g, shard_config, shard_bal, initial, 2);
+    ShardedEngine sharded(g, ShardedEngineConfig{.self_loops = 2}, shard_bal,
+                          initial, 2);
     ASSERT_TRUE(sharded.windowed());
     if (skip) {
-      EXPECT_THROW(flat.step(), invariant_error);
-      EXPECT_THROW(sharded.step(), invariant_error);
+      expect_invariant_error(flat, "did not write every next-load slot");
+      expect_invariant_error(sharded, "did not cover every owned slot");
     } else {
       flat.run(3);
       sharded.run(3);

@@ -153,10 +153,10 @@ TEST(SimdGolden, HugeLoadsFallBackPerBlock) {
 }
 
 TEST(SimdGolden, RotorNaturalOrderMatchesForcedTableWalk) {
-  // Seed 0 drops the extra-target table (cyclic position == port, pure
-  // arithmetic); prescribing the identity permutation forces the table
-  // path for the same dealing order. Both must produce the same rotors
-  // and trajectories everywhere.
+  // Seed 0 keeps the natural port order; prescribing the identity
+  // permutation through set_port_order names the same dealing order
+  // explicitly. Both must produce the same rotors and trajectories
+  // everywhere.
   SimdGuard guard;
   const auto graphs = simd_graphs();
   for (const SimdGraph& sg : graphs) {
@@ -165,7 +165,7 @@ TEST(SimdGolden, RotorNaturalOrderMatchesForcedTableWalk) {
     for (int d_loops : {0, d}) {
       const int d_plus = d + d_loops;
       RotorRouter natural(/*seed=*/0);
-      RotorRouter table(/*seed=*/0);
+      RotorRouter prescribed(/*seed=*/0);
       std::vector<std::int32_t> identity(
           static_cast<std::size_t>(g.num_nodes()) *
           static_cast<std::size_t>(d_plus));
@@ -175,22 +175,23 @@ TEST(SimdGolden, RotorNaturalOrderMatchesForcedTableWalk) {
                    static_cast<std::size_t>(k)] = k;
         }
       }
-      table.set_port_order(identity);  // non-empty => table path
+      prescribed.set_port_order(identity);
       const LoadVector initial = random_initial(g.num_nodes(), 500, 99);
       const EngineConfig config{.self_loops = d_loops};
       Engine nat_e(g, config, natural, initial);
-      Engine tab_e(g, config, table, initial);
+      Engine pre_e(g, config, prescribed, initial);
       const std::string where =
-          "rotor natural-vs-table on " + sg.label + " d_loops=" +
+          "rotor natural-vs-prescribed on " + sg.label + " d_loops=" +
           std::to_string(d_loops);
       for (Step t = 0; t < 96; ++t) {
         nat_e.step();
-        tab_e.step();
-        ASSERT_EQ(nat_e.loads(), tab_e.loads())
+        pre_e.step();
+        ASSERT_EQ(nat_e.loads(), pre_e.loads())
             << where << " diverged at step " << t + 1;
       }
       for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        ASSERT_EQ(natural.rotor(u), table.rotor(u)) << where << " node " << u;
+        ASSERT_EQ(natural.rotor(u), prescribed.rotor(u))
+            << where << " node " << u;
       }
     }
   }

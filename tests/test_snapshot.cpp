@@ -1840,8 +1840,8 @@ TEST(SnapshotShardInterop, CoreStateBytesAreIdenticalOnEverySubstrate) {
   // The core-state layout is written in one place for both substrates:
   // after the same run, the flat engine and every shard count emit the
   // same bytes — tier 1 (cycle SEND(floor)) and tier 2 (torus
-  // ROTOR-ROUTER), dense and sparse churn, with a gated audit so the
-  // published-stats and audited-scan commits both land in the bytes.
+  // ROTOR-ROUTER), dense and sparse churn, so the published-stats and
+  // scanned commits both land in the bytes.
   struct Tier {
     const char* label;
     Graph g;
@@ -1853,7 +1853,6 @@ TEST(SnapshotShardInterop, CoreStateBytesAreIdenticalOnEverySubstrate) {
                         {"torus ROTOR-ROUTER", make_torus2d(8, 6),
                          Algorithm::kRotorRouter, false}};
   constexpr Step kRounds = 40;
-  constexpr int kInterval = 7;
   for (const Tier& tier : tiers) {
     const Graph& g = tier.g;
     const LoadVector initial = random_initial(g.num_nodes(), 300, 23);
@@ -1874,10 +1873,8 @@ TEST(SnapshotShardInterop, CoreStateBytesAreIdenticalOnEverySubstrate) {
       };
       auto flat_b = make_balancer(tier.algo, 11);
       auto flat_w = fresh_workload();
-      Engine flat(g,
-                  EngineConfig{.self_loops = g.degree(),
-                               .conservation_interval = kInterval},
-                  *flat_b, initial);
+      Engine flat(g, EngineConfig{.self_loops = g.degree()}, *flat_b,
+                  initial);
       flat.set_workload(flat_w.get());
       flat.run(kRounds);
       StateWriter flat_bytes;
@@ -1886,10 +1883,7 @@ TEST(SnapshotShardInterop, CoreStateBytesAreIdenticalOnEverySubstrate) {
         auto b = make_balancer(tier.algo, 11);
         auto w = fresh_workload();
         ShardedEngine sharded(
-            g,
-            ShardedEngineConfig{.self_loops = g.degree(),
-                                .conservation_interval = kInterval},
-            *b, initial, k);
+            g, ShardedEngineConfig{.self_loops = g.degree()}, *b, initial, k);
         ASSERT_EQ(sharded.windowed(), tier.windowed) << where;
         sharded.set_workload(w.get());
         sharded.run(kRounds);
