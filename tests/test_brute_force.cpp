@@ -5,8 +5,14 @@
 // these tests even if both implementations are internally consistent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <exception>
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -15,11 +21,14 @@
 #include "analysis/potentials.hpp"
 #include "balancers/registry.hpp"
 #include "balancers/rotor_router.hpp"
+#include "core/engine.hpp"
 #include "core/flow_tracker.hpp"
 #include "graph/generators.hpp"
 #include "markov/mixing.hpp"
 #include "markov/spectral.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/intmath.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dlb {
 namespace {
@@ -245,6 +254,160 @@ TEST(ContinuousYardstick, PerStepDeviationStaysWithinRswEnvelope) {
     e.run(balancing_time(g.num_nodes(), 64, mu));
     EXPECT_LE(tracker.max_seen(), bound_rsw(g.degree(), g.num_nodes(), mu))
         << algorithm_name(a);
+  }
+}
+
+// ------------------------------------------ reference round, every engine --
+
+/// One round of the model from its definition alone: dense loads,
+/// decide() per node in ascending order into a dense flow matrix, every
+/// token moved by hand, and a Σ ledger of its own. No kernel, SIMD, pool
+/// or shard is involved, so each engine below is checked against
+/// something that shares none of its code paths.
+class ReferenceRound {
+ public:
+  ReferenceRound(const Graph& g, int d_loops, Balancer& b, LoadVector loads)
+      : g_(g), d_loops_(d_loops), b_(b), loads_(std::move(loads)),
+        flows_(loads_.size() * static_cast<std::size_t>(g.degree() + d_loops)) {
+    b_.reset(g, d_loops);
+    for (const Load x : loads_) total_ += x;
+  }
+
+  const LoadVector& loads() const { return loads_; }
+  Load total() const { return total_; }
+
+  void step() {
+    FlowSink sink(g_, d_loops_, flows_.data());
+    b_.prepare_round(loads_, t_, sink);
+    std::fill(flows_.begin(), flows_.end(), 0);
+    LoadVector next = loads_;
+    for (NodeId u = 0; u < g_.num_nodes(); ++u) {
+      const std::span<Load> row = sink.row(u);
+      const Load x = loads_[static_cast<std::size_t>(u)];
+      b_.decide(u, x, t_, row);
+      Load sent = 0;
+      for (const Load f : row) sent += f;
+      ASSERT_TRUE(b_.allows_negative() || sent <= x)
+          << "reference: node " << u << " oversends";
+      for (int p = 0; p < g_.degree(); ++p) {
+        next[static_cast<std::size_t>(u)] -= row[static_cast<std::size_t>(p)];
+        next[static_cast<std::size_t>(g_.neighbor(u, p))] +=
+            row[static_cast<std::size_t>(p)];
+      }
+    }
+    Load sum = 0;
+    for (const Load x : next) sum += x;
+    ASSERT_EQ(sum, total_) << "reference ledger";
+    loads_ = std::move(next);
+    ++t_;
+  }
+
+ private:
+  const Graph& g_;
+  int d_loops_;
+  Balancer& b_;
+  LoadVector loads_;
+  LoadVector flows_;
+  Load total_ = 0;
+  Step t_ = 0;
+};
+
+/// A d = 4 generic multigraph: a ring whose neighbours are joined twice.
+Graph doubled_ring(NodeId n) {
+  std::vector<NodeId> adj;
+  for (NodeId u = 0; u < n; ++u) {
+    const NodeId r = (u + 1) % n;
+    const NodeId l = (u + n - 1) % n;
+    adj.insert(adj.end(), {r, r, l, l});
+  }
+  return Graph(n, 4, std::move(adj), "doubled-ring");
+}
+
+TEST(ReferenceRound, EveryEngineMatchesTheDefinitionEveryRound) {
+  constexpr Step kRounds = 30;
+  std::vector<int> shard_counts = {1, 3};
+  if (const char* extra = std::getenv("DLB_TEST_EXTRA_SHARDS")) {
+    const int k = std::atoi(extra);
+    if (k >= 1 && k != 1 && k != 3) shard_counts.push_back(k);
+  }
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("cycle", make_cycle(31));
+  graphs.emplace_back("torus", make_torus2d(7, 5));
+  graphs.emplace_back("hypercube", make_hypercube(4));
+  graphs.emplace_back("random-regular", make_random_regular(40, 4, 5));
+  graphs.emplace_back("multigraph", doubled_ring(15));
+  ThreadPool pool(4);
+  std::uint64_t seed = 100;
+  for (const std::string& name : registered_balancer_names()) {
+    const BalancerFactory factory = find_balancer_factory(name);
+    const BalancerTraits traits = find_balancer_traits(name);
+    for (const auto& [label, g] : graphs) {
+      const int d = g.degree();
+      const int lo = traits.exact_d_loops ? d : traits.min_loops(d);
+      std::vector<int> loop_counts = {lo};
+      if (lo != d) loop_counts.push_back(d);
+      for (const int d_loops : loop_counts) {
+        ++seed;
+        const LoadVector initial = random_initial(g.num_nodes(), 300, seed);
+        const auto ref_b = factory(seed);
+        ReferenceRound ref(g, d_loops, *ref_b, initial);
+        struct Run {
+          std::string engine;
+          std::unique_ptr<Balancer> b;
+          std::unique_ptr<Engine> flat;
+          std::unique_ptr<ShardedEngine> sharded;
+        };
+        std::vector<Run> runs;
+        runs.push_back({"flat serial", factory(seed), nullptr, nullptr});
+        runs.back().flat = std::make_unique<Engine>(
+            g, EngineConfig{.self_loops = d_loops}, *runs.back().b, initial);
+        for (const int k : shard_counts) {
+          for (const bool pooled : {false, true}) {
+            runs.push_back({"sharded k=" + std::to_string(k) +
+                                (pooled ? " pool=4" : " serial"),
+                            factory(seed), nullptr, nullptr});
+            Run& r = runs.back();
+            r.sharded = std::make_unique<ShardedEngine>(
+                g, ShardedEngineConfig{.self_loops = d_loops}, *r.b, initial,
+                k);
+            if (pooled) r.sharded->set_thread_pool(&pool);
+          }
+        }
+        for (Step t = 1; t <= kRounds; ++t) {
+          ref.step();
+          ASSERT_FALSE(::testing::Test::HasFatalFailure());
+          for (Run& r : runs) {
+            const auto where = [&] {
+              return "seed=" + std::to_string(seed) + " balancer=" + name +
+                     " graph=" + label + " d_loops=" +
+                     std::to_string(d_loops) + " engine=" + r.engine +
+                     " round=" + std::to_string(t);
+            };
+            LoadVector got;
+            try {
+              if (r.flat) {
+                r.flat->step();
+                got = r.flat->loads();
+              } else {
+                r.sharded->step();
+                got = r.sharded->gather_loads();
+              }
+            } catch (const std::exception& e) {
+              FAIL() << where() << " threw: " << e.what();
+            }
+            const auto diff = std::mismatch(got.begin(), got.end(),
+                                            ref.loads().begin());
+            ASSERT_TRUE(diff.first == got.end())
+                << where() << " first differing node="
+                << (diff.first - got.begin()) << " reference=" << *diff.second
+                << " engine=" << *diff.first;
+            ASSERT_EQ(r.flat ? r.flat->total() : r.sharded->total(),
+                      ref.total())
+                << where();
+          }
+        }
+      }
+    }
   }
 }
 
