@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "markov/spectral.hpp"
+#include "util/parse_number.hpp"
 
 namespace dlb::bench {
 
@@ -28,18 +30,24 @@ struct SweepCli {
   std::string csv_path;
 };
 
-/// Parses argv; on an unknown flag prints usage for `program` and calls
+/// Parses argv; on an unknown flag or a --threads value that is not a
+/// whole non-negative integer prints usage for `program` and calls
 /// std::exit(2) (the benches' established bad-flag contract).
 inline SweepCli parse_sweep_cli(int argc, char** argv, const char* program) {
   SweepCli cli;
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--threads=N] [--csv=FILE]\n", program);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      cli.threads = std::atoi(argv[i] + 10);
+      const std::optional<int> threads = parse_number<int>(argv[i] + 10);
+      if (!threads || *threads < 0) usage();
+      cli.threads = *threads;
     } else if (std::strncmp(argv[i], "--csv=", 6) == 0) {
       cli.csv_path = argv[i] + 6;
     } else {
-      std::fprintf(stderr, "usage: %s [--threads=N] [--csv=FILE]\n", program);
-      std::exit(2);
+      usage();
     }
   }
   return cli;

@@ -41,6 +41,7 @@
 #include "graph/generators.hpp"
 #include "service/admission.hpp"
 #include "shard/sharded_engine.hpp"
+#include "util/parse_number.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -227,15 +228,15 @@ void BM_StepGeneric_Hypercube(benchmark::State& s) {
   run_steps(s, hypercube_20_generic(), Algorithm::kSendFloor);
 }
 
-// ----------------------------- sharded halo-exchange engine, k-shard series --
+// ----------------------------------- sharded engine, k-shard series --
 // The ShardedEngine runs each shard's decide/apply on its own slice of the
-// loads and exchanges only boundary data between rounds; this series
-// tracks its node-steps/sec at k ∈ {1, 2, 4, 8} shards. Two legs cover
-// both round protocols: SEND(floor) on the cycle takes the tier-1
-// windowed halo path (2 loads per shard per round cross the channel),
-// ROTOR-ROUTER takes the tier-2 routed-flow path, whose interior runs go
-// through the same decide_range kernel as the flat engine. k = 1 vs the
-// flat BM_Cycle1M_*_Lazy twin is the abstraction overhead of the shard
+// loads and exchanges only the flows routed over the edge cut; this
+// series tracks its node-steps/sec at k ∈ {1, 2, 4, 8} shards. Interior
+// runs go through the same decide_range kernel as the flat engine. Two
+// legs cover both decide plans: SEND(floor) gathers (its boundary nodes
+// pull; on the cycle 2 flow records per shard per round cross the
+// channel), ROTOR-ROUTER scatters multi-touch. k = 1 vs the flat
+// BM_Cycle1M_*_Lazy twin is the abstraction overhead of the shard
 // substrate itself.
 void run_steps_sharded(benchmark::State& state, const Graph& g,
                        Algorithm algo) {
@@ -262,8 +263,7 @@ void run_steps_sharded(benchmark::State& state, const Graph& g,
   std::size_t halo = 0;
   for (int s = 0; s < shards; ++s) halo += e.shard_halo_bytes(s);
   state.counters["halo_bytes"] = static_cast<double>(halo);
-  state.SetLabel(algorithm_name(algo) +
-                 (e.windowed() ? "/sharded-halo" : "/sharded-routed"));
+  state.SetLabel(algorithm_name(algo) + "/sharded");
 }
 
 void BM_Sharded_Cycle1M_SendFloor(benchmark::State& s) {
@@ -418,8 +418,8 @@ BENCHMARK(BM_ServiceRound_SendFloor)
 // The final roster entry is the capstone capacity demo: a 2^26-node
 // *implicit* cycle (no adjacency table exists; at 8 bytes/node its load
 // state alone is 512 MiB) sharded 8 ways, with each shard's resident
-// slice + halo footprint printed so the memory story is part of the
-// recorded artifact.
+// slice + flow-staging footprint printed so the memory story is part of
+// the recorded artifact.
 
 long peak_rss_kib() {
   rusage u{};
@@ -476,7 +476,7 @@ void timed_row(const char* series, const Graph& g, Algorithm algo,
   // Registry-sampled columns, from the same telemetry the service
   // exposes: the per-row delta of the engines' round counter (must agree
   // with the roster's own step count), the channel bytes the row posted
-  // (0 for flat / tier-1-free runs), and the RSS collector gauge.
+  // (0 for flat runs), and the RSS collector gauge.
   auto& reg = obs::MetricsRegistry::instance();
   const double metric_rounds =
       reg.family_sum("dlb_engine_rounds_total") - rounds_before;
@@ -509,7 +509,7 @@ int run_timed_window(double window_s) {
   }
   // Capacity demo: 2^26 cycle (implicit, so no port tables), 8 shards.
   // The per-shard resident column shows ~1/8th of the load state per
-  // shard; the halo column shows the constant few dozen bytes that
+  // shard; the staging column shows the constant few dozen bytes that
   // actually cross shards.
   timed_row("sharded-demo", make_cycle(NodeId{1} << 26), Algorithm::kSendFloor,
             8, window_s);
@@ -579,7 +579,8 @@ int main(int argc, char** argv) {
     if (arg == "--timed-window") {
       window_s = 2.0;
     } else if (arg.rfind("--timed-window=", 0) == 0) {
-      window_s = std::atof(argv[i] + sizeof("--timed-window=") - 1);
+      window_s = parse_number<double>(argv[i] + sizeof("--timed-window=") - 1)
+                     .value_or(0.0);
       if (window_s <= 0.0) {
         std::fprintf(stderr, "bad --timed-window value: %s\n", argv[i]);
         return 1;

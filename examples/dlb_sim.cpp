@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "analysis/experiment.hpp"
@@ -22,6 +23,7 @@
 #include "core/fairness.hpp"
 #include "graph/generators.hpp"
 #include "markov/spectral.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -39,12 +41,20 @@ using namespace dlb;
   std::exit(2);
 }
 
+/// A numeric argument; a malformed one prints usage and exits 2.
+template <class T>
+T number_arg(const std::string& s) {
+  const std::optional<T> v = parse_number<T>(s);
+  if (!v) usage(("malformed number '" + s + "'").c_str());
+  return *v;
+}
+
 Graph parse_graph(const std::string& spec, std::uint64_t seed) {
   const auto colon = spec.find(':');
   if (colon == std::string::npos) usage("graph spec needs FAMILY:ARGS");
   const std::string family = spec.substr(0, colon);
   const std::string args = spec.substr(colon + 1);
-  auto int_arg = [&](const std::string& s) { return std::atoi(s.c_str()); };
+  const auto int_arg = number_arg<int>;
 
   if (family == "cycle") return make_cycle(int_arg(args));
   if (family == "hypercube") return make_hypercube(int_arg(args));
@@ -102,11 +112,11 @@ int main(int argc, char** argv) {
     };
     if (a == "--graph") graph_spec = next();
     else if (a == "--algo") algo_name = next();
-    else if (a == "--loops") loops = std::atoi(next());
-    else if (a == "--k") k = std::atoll(next());
-    else if (a == "--multiplier") multiplier = std::atof(next());
-    else if (a == "--samples") samples = std::atoi(next());
-    else if (a == "--seed") seed = std::strtoull(next(), nullptr, 10);
+    else if (a == "--loops") loops = number_arg<int>(next());
+    else if (a == "--k") k = number_arg<Load>(next());
+    else if (a == "--multiplier") multiplier = number_arg<double>(next());
+    else if (a == "--samples") samples = number_arg<int>(next());
+    else if (a == "--seed") seed = number_arg<std::uint64_t>(next());
     else usage(("unknown flag " + a).c_str());
   }
   if (graph_spec.empty() || algo_name.empty()) usage("need --graph and --algo");

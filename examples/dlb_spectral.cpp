@@ -9,6 +9,7 @@
 // (graph specs as in dlb_sim)
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "analysis/bounds.hpp"
@@ -16,6 +17,7 @@
 #include "graph/properties.hpp"
 #include "markov/mixing.hpp"
 #include "markov/spectral.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -29,12 +31,20 @@ using namespace dlb;
   std::exit(2);
 }
 
+/// A numeric argument; a malformed one prints usage and exits 2.
+template <class T>
+T number_arg(const std::string& s) {
+  const std::optional<T> v = parse_number<T>(s);
+  if (!v) usage();
+  return *v;
+}
+
 Graph parse_graph(const std::string& spec, std::uint64_t seed) {
   const auto colon = spec.find(':');
   if (colon == std::string::npos) usage();
   const std::string family = spec.substr(0, colon);
   const std::string args = spec.substr(colon + 1);
-  auto int_arg = [&](const std::string& s) { return std::atoi(s.c_str()); };
+  const auto int_arg = number_arg<int>;
   if (family == "cycle") return make_cycle(int_arg(args));
   if (family == "hypercube") return make_hypercube(int_arg(args));
   if (family == "complete") return make_complete(int_arg(args));
@@ -71,8 +81,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--graph") graph_spec = next();
-    else if (a == "--k") k = std::atoll(next());
-    else if (a == "--seed") seed = std::strtoull(next(), nullptr, 10);
+    else if (a == "--k") k = number_arg<Load>(next());
+    else if (a == "--seed") seed = number_arg<std::uint64_t>(next());
     else usage();
   }
   if (graph_spec.empty()) usage();

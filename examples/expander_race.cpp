@@ -10,6 +10,7 @@
 // Usage: expander_race [n] [d] [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "analysis/experiment.hpp"
@@ -17,12 +18,30 @@
 #include "balancers/registry.hpp"
 #include "graph/generators.hpp"
 #include "markov/spectral.hpp"
+#include "util/parse_number.hpp"
+
+namespace {
+
+/// Positional argument i, or `fallback` when absent; a malformed one
+/// prints usage and exits 2.
+template <class T>
+T positional(int argc, char** argv, int i, T fallback) {
+  if (argc <= i) return fallback;
+  const std::optional<T> v = dlb::parse_number<T>(argv[i]);
+  if (!v) {
+    std::fprintf(stderr, "usage: expander_race [n] [d] [seed]\n");
+    std::exit(2);
+  }
+  return *v;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dlb;
-  const NodeId n = argc > 1 ? std::atoi(argv[1]) : 512;
-  const int d = argc > 2 ? std::atoi(argv[2]) : 8;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  const NodeId n = positional<NodeId>(argc, argv, 1, 512);
+  const int d = positional<int>(argc, argv, 2, 8);
+  const auto seed = positional<std::uint64_t>(argc, argv, 3, 7);
 
   Graph g = make_random_regular(n, d, seed);
   const double mu = spectral_gap(g, d).gap;

@@ -13,13 +13,13 @@
 //   service_demo --rounds=200 --csv=b.csv                   # uninterrupted
 //   cmp a.csv b.csv
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "balancers/registry.hpp"
@@ -29,6 +29,7 @@
 #include "graph/generators.hpp"
 #include "service/admission.hpp"
 #include "service/balancer_service.hpp"
+#include "util/parse_number.hpp"
 
 using namespace dlb;
 
@@ -76,11 +77,9 @@ template <class Int>
 bool parse_flag(const char* arg, const char* name, Int& out, Int lo) {
   std::string s;
   if (!parse_flag(arg, name, s)) return false;
-  const char* const end = s.data() + s.size();
-  Int v{};
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < lo) usage(arg);
-  out = v;
+  const std::optional<Int> v = parse_number<Int>(s);
+  if (!v || *v < lo) usage(arg);
+  out = *v;
   return true;
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "analysis/bounds.hpp"
 #include "analysis/potentials.hpp"
@@ -19,10 +20,23 @@
 #include "graph/generators.hpp"
 #include "markov/mixing.hpp"
 #include "markov/spectral.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
 using namespace dlb;
+
+/// Positional argument i, or `fallback` when absent; a malformed one
+/// prints usage and exits 2.
+NodeId positional(int argc, char** argv, int i, NodeId fallback) {
+  if (argc <= i) return fallback;
+  const std::optional<NodeId> v = parse_number<NodeId>(argv[i]);
+  if (!v) {
+    std::fprintf(stderr, "usage: torus_balancing [width] [height]\n");
+    std::exit(2);
+  }
+  return *v;
+}
 
 /// Renders loads as a coarse ASCII height map (one char per tile).
 void render(const LoadVector& loads, NodeId w, NodeId h, double avg) {
@@ -43,8 +57,8 @@ void render(const LoadVector& loads, NodeId w, NodeId h, double avg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const NodeId w = argc > 1 ? std::atoi(argv[1]) : 24;
-  const NodeId h = argc > 2 ? std::atoi(argv[2]) : 12;
+  const NodeId w = positional(argc, argv, 1, 24);
+  const NodeId h = positional(argc, argv, 2, 12);
 
   const Graph g = make_torus2d(w, h);
   const int d = g.degree();

@@ -51,10 +51,6 @@ class ContinuousMimic : public Balancer {
   /// advanced serially in prepare_round), so ranges may run concurrently.
   bool parallel_decide_safe() const override { return true; }
 
-  /// prepare_round captures the step-0 load snapshot from its span — the
-  /// sharded engine must gather the global loads before calling it.
-  bool prepare_reads_loads() const override { return true; }
-
   /// Snapshot state: the full internal continuous process — step cursor,
   /// initialization progress, continuous loads y, and both cumulative
   /// flow vectors (bit-exact doubles; a restored run replays the same

@@ -14,22 +14,14 @@ namespace dlb {
 
 namespace {
 
-// Shared torus row-gather core: sweeps storage-space indices [first, last)
-// of `xs`, extracting coordinates at `storage index + shift` (the flat
-// path runs with shift = 0 over the whole load vector; the windowed path
-// runs with shift = global_begin − reach over a shard's halo'd window).
-// `ring_top` forces the top dimension's offsets to ±stride(r−1): in ring
-// coordinates the wrap offset ±(ext−1)·stride is congruent to ∓stride
-// mod n, and a window filled mod n makes that congruence literal — the
-// flat path keeps the true wrap offsets. Everything else — the row
-// blocking, the per-segment scalar/AVX2 bodies, the emit order, the
-// min/max/Σ fold — is byte-for-byte the same arithmetic in both callers.
-// Σ wraps (unsigned adds), as LoadScan's does.
+// Torus row-gather core: sweeps nodes [first, last) of `xs` row by row —
+// the row blocking, the per-segment scalar/AVX2 bodies, the emit order
+// and the min/max/Σ fold. Σ wraps (unsigned adds), as LoadScan's does.
 template <class Emit, class EmitBlock>
 void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
-                       NodeId first, NodeId last, NodeId shift, bool ring_top,
-                       const Load* xs, Load& lo, Load& hi, std::uint64_t& sum,
-                       Emit&& emit, [[maybe_unused]] EmitBlock&& emit_block) {
+                       NodeId first, NodeId last, const Load* xs, Load& lo,
+                       Load& hi, std::uint64_t& sum, Emit&& emit,
+                       [[maybe_unused]] EmitBlock&& emit_block) {
   const int d = topo.degree();
   const int r = topo.dims();
   const NodeId ext0 = topo.extent(0);
@@ -63,21 +55,14 @@ void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
   };
 
   while (u < last) {
-    const auto c0 = static_cast<NodeId>(topo.coordinate(u + shift, 0));
+    const auto c0 = static_cast<NodeId>(topo.coordinate(u, 0));
     row_start = u - c0;
     const NodeId seg_end = std::min<NodeId>(last, row_start + ext0);
     m = 0;
     for (int k = 1; k < r; ++k) {
       const NodeId ext = topo.extent(k);
       const NodeId stride = topo.stride(k);
-      if (ring_top && k == r - 1) {
-        // Ring window: the top dimension's neighbours are always at
-        // ±stride — the wrap case collapsed into the halo fill.
-        off[static_cast<std::size_t>(m++)] = stride;
-        off[static_cast<std::size_t>(m++)] = -stride;
-        continue;
-      }
-      const auto ck = static_cast<NodeId>(topo.coordinate(u + shift, k));
+      const auto ck = static_cast<NodeId>(topo.coordinate(u, k));
       off[static_cast<std::size_t>(m++)] =
           ck + 1 == ext ? -(ext - 1) * stride : stride;
       off[static_cast<std::size_t>(m++)] =
@@ -150,15 +135,13 @@ void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
 
 void SendFloor::reset(const Graph& graph, int d_loops) {
   DLB_REQUIRE(d_loops >= 0, "SendFloor: negative self-loop count");
-  d_plus_ = graph.degree() + d_loops;
-  div_ = NonNegDiv(d_plus_);
+  div_ = NonNegDiv(graph.degree() + d_loops);
 }
 
 void SendFloor::decide(NodeId /*u*/, Load load, Step /*t*/,
                        std::span<Load> flows) {
   DLB_REQUIRE(load >= 0, "SendFloor cannot handle negative load");
-  const Load share = floor_div(load, d_plus_);
-  std::fill(flows.begin(), flows.end(), share);
+  std::fill(flows.begin(), flows.end(), div_.quot(load));
   // Excess e(u) = load − d⁺·share stays as the remainder.
 }
 
@@ -297,23 +280,12 @@ void SendFloor::scatter_range(const TorusTopology& topo, NodeId first,
   // at a time (lane shifts need power-of-two d⁺; q·d is a short add chain
   // so the integer arithmetic stays exact); row ends and tails stay
   // scalar.
-  torus_gather_dispatch(topo, first, last, /*shift=*/0, /*ring_top=*/false,
-                        loads.data(), last - first, sink);
-}
-
-// The next-buffer emit around torus_gather_rows, shared by the flat
-// scatter kernel (storage space == global space) and the windowed shard
-// kernel (storage space == window slots).
-void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
-                                      NodeId last, NodeId shift, bool ring_top,
-                                      const Load* xs, NodeId covered,
-                                      FlowSink& sink) {
   Load lo = std::numeric_limits<Load>::max();
   Load hi = std::numeric_limits<Load>::min();
   std::uint64_t sum = 0;
   Load* const next = sink.next();
   torus_gather_rows(
-      topo, div_, first, last, shift, ring_top, xs, lo, hi, sum,
+      topo, div_, first, last, loads.data(), lo, hi, sum,
       [&](std::size_t v, Load acc) { next[v] = acc; },
 #ifdef DLB_SIMD_AVX2
       [&](std::size_t v, __m256i acc) {
@@ -323,52 +295,14 @@ void SendFloor::torus_gather_dispatch(const TorusTopology& topo, NodeId first,
       0
 #endif
   );
-  sink.merge_emit_stats({lo, hi, static_cast<Load>(sum)}, covered);
+  sink.merge_emit_stats({lo, hi, static_cast<Load>(sum)}, last - first);
 }
 
-NodeId SendFloor::window_reach(const Graph& g) const {
-  switch (g.structure().kind) {
-    case GraphStructure::kCycle:
-      return 1;
-    case GraphStructure::kTorus: {
-      // Top dimension's stride: every lower dimension's wrap offset
-      // (ext_k − 1)·stride_k < stride_{k+1} stays inside it, and the top
-      // dimension's own wrap ±(ext−1)·stride ≡ ∓stride mod n. A 1-dim
-      // torus is the cycle (reach 1 = stride(0)).
-      const TorusTopology topo(g);
-      return topo.stride(topo.dims() - 1);
-    }
-    default:
-      return -1;  // hypercube/generic: no bounded ring reach
-  }
-}
-
-void SendFloor::decide_window(std::span<const Load> window, NodeId global_begin,
-                              NodeId owned, NodeId reach, Step /*t*/,
-                              FlowSink& sink) {
-  const Graph& g = sink.graph();
+bool SendFloor::gathers(const Graph& g) const {
+  // The cycle stencil and the torus row gather; the hypercube and generic
+  // graphs keep the multi-touch scatter.
   const auto kind = g.structure().kind;
-  DLB_REQUIRE(window.size() ==
-                  static_cast<std::size_t>(owned) + 2 * static_cast<std::size_t>(reach),
-              "SendFloor::decide_window: window size mismatch");
-  if (kind == GraphStructure::kCycle ||
-      (kind == GraphStructure::kTorus && g.structure().extents.size() == 1)) {
-    // The window is a halo'd cycle segment: running the flat cycle
-    // stencil over a synthetic cycle the size of the window, restricted
-    // to the owned interior [reach, reach + owned), performs exactly the
-    // windowed gather — the boundary wraps are never taken, every read
-    // lands on a halo or owned slot. Same div_, same SIMD body, same
-    // emit order → byte-identical next loads.
-    scatter_range(CycleTopology(static_cast<NodeId>(window.size())), reach,
-                  reach + owned, window, sink);
-    return;
-  }
-  DLB_REQUIRE(kind == GraphStructure::kTorus,
-              "SendFloor::decide_window: unsupported structure");
-  const TorusTopology topo(g);
-  torus_gather_dispatch(topo, reach, reach + owned,
-                        /*shift=*/global_begin - reach, /*ring_top=*/true,
-                        window.data(), owned, sink);
+  return kind == GraphStructure::kCycle || kind == GraphStructure::kTorus;
 }
 
 template <class Topo>

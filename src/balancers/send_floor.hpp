@@ -32,20 +32,9 @@ class SendFloor : public Balancer {
 
   bool parallel_decide_safe() const override { return true; }  // stateless
 
-  /// Windowed-gather support for the sharded engine: the cycle stencil
-  /// reaches one slot each way; the r-dim torus row gather reaches
-  /// stride(r−1) ring slots (the top dimension's wrap offset
-  /// ±(ext−1)·stride ≡ ∓stride mod n, so in ring coordinates *every*
-  /// neighbour lies within stride(r−1)). Hypercube/generic have no
-  /// bounded ring reach (−1 → the engine's tier-2 flow routing).
-  NodeId window_reach(const Graph& g) const override;
-
-  /// Per-slice variants of the structured scatter kernels above, running
-  /// the same scalar/SIMD bodies over a halo'd window (indices are window
-  /// slots, all stencil reads in-bounds by the window_reach contract).
-  void decide_window(std::span<const Load> window, NodeId global_begin,
-                     NodeId owned, NodeId reach, Step t,
-                     FlowSink& sink) override;
+  /// The cycle stencil and the torus row gather store each slot once;
+  /// the hypercube and generic graphs keep the multi-touch scatter.
+  bool gathers(const Graph& g) const override;
 
  private:
   template <class Topo>
@@ -67,15 +56,7 @@ class SendFloor : public Balancer {
   /// would still stream the port tables.)
   void scatter_range(const TorusTopology& topo, NodeId first, NodeId last,
                      std::span<const Load> loads, FlowSink& sink);
-  /// The shared torus row-gather core with its next-buffer emit; the
-  /// flat kernel calls it with shift 0 / true wrap offsets, the windowed
-  /// kernel with window-slot indices and ring-normalized top-dimension
-  /// offsets (see send_floor.cpp).
-  void torus_gather_dispatch(const TorusTopology& topo, NodeId first,
-                             NodeId last, NodeId shift, bool ring_top,
-                             const Load* xs, NodeId covered, FlowSink& sink);
 
-  int d_plus_ = 0;
   NonNegDiv div_;  // ⌊x/d⁺⌋ via shift when d⁺ is a power of two
 };
 

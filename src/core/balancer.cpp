@@ -11,15 +11,7 @@ namespace dlb {
 void Balancer::prepare_round(std::span<const Load> /*loads*/, Step /*t*/,
                              FlowSink& /*sink*/) {}
 
-NodeId Balancer::window_reach(const Graph& /*g*/) const { return -1; }
-
-void Balancer::decide_window(std::span<const Load> /*window*/,
-                             NodeId /*global_begin*/, NodeId /*owned*/,
-                             NodeId /*reach*/, Step /*t*/, FlowSink& /*sink*/) {
-  DLB_REQUIRE(false,
-              "decide_window called on a balancer without a windowed "
-              "kernel (window_reach < 0)");
-}
+bool Balancer::gathers(const Graph& /*g*/) const { return false; }
 
 // Stateless default: nothing beyond what reset() reconstructs. Stateful
 // balancers override both; overriding only one trips the snapshot

@@ -53,7 +53,7 @@ namespace dlb {
 ///     (the records are exactly the step's flow matrix).
 ///   * scatter mode — no rows exist; kernels write the round's next loads
 ///     straight into a plain n-slot buffer. A *gather* kernel (the
-///     balancer's window_reach(g) >= 0) stores each slot's final value
+///     balancer's gathers(g) is true) stores each slot's final value
 ///     exactly once, and the buffer arrives holding an older round's
 ///     loads; every other kernel is *multi-touch* — next[v] += f for
 ///     tokens sent over an edge (u→v), next[u] += kept for self-loop
@@ -64,15 +64,17 @@ namespace dlb {
 ///     merges their emit statistics.
 class FlowSink {
  public:
-  /// Row mode. `rows` must hold n×(d+d°) entries; rows need not be
-  /// pre-zeroed (kernels overwrite every entry of the rows they decide).
-  FlowSink(const Graph& g, int d_loops, Load* rows)
-      : FlowSink(g, d_loops, rows, nullptr) {}
+  /// Row mode. `rows` holds the records of nodes [first, …), (d+d°)
+  /// entries each — the engines pass the whole n×(d+d°) matrix with
+  /// first = 0. Rows need not be pre-zeroed (kernels overwrite every
+  /// entry of the rows they decide).
+  FlowSink(const Graph& g, int d_loops, Load* rows, NodeId first = 0)
+      : FlowSink(g, d_loops, rows, first, nullptr) {}
 
   /// Scatter mode into `next` (n slots): zero-filled unless the
-  /// balancer's window_reach(g) >= 0.
+  /// balancer gathers on the graph.
   static FlowSink scatter(const Graph& g, int d_loops, Load* next) {
-    return FlowSink(g, d_loops, nullptr, next);
+    return FlowSink(g, d_loops, nullptr, 0, next);
   }
 
   const Graph& graph() const noexcept { return *g_; }
@@ -86,7 +88,7 @@ class FlowSink {
 
   /// Node u's per-port record (size d⁺). Row mode only.
   std::span<Load> row(NodeId u) const noexcept {
-    return {rows_ + static_cast<std::size_t>(u) * d_plus_,
+    return {rows_ + static_cast<std::size_t>(u - first_) * d_plus_,
             static_cast<std::size_t>(d_plus_)};
   }
 
@@ -101,10 +103,10 @@ class FlowSink {
 
   /// Emit-fused round statistics. A gather kernel — one that writes each
   /// slot of its range exactly once with the slot's final next load (the
-  /// cycle stencil, the torus row gather, every decide_window) — already
-  /// has every emitted value in hand, so it folds min, max and a wrapping
-  /// Σ into the emit sweep and reports them here, together with how many
-  /// slots it covered. Ranges merge as LoadScan::merge does; a gather
+  /// cycle stencil, the torus row gather) — already has every emitted
+  /// value in hand, so it folds min, max and a wrapping Σ into the emit
+  /// sweep and reports them here, together with how many slots it
+  /// covered. Ranges merge as LoadScan::merge does; a gather
   /// round must cover every slot (the engines require it: an unwritten
   /// slot would still hold an older round's load), and its scan is then
   /// the round's statistics and its conservation audit. Multi-touch
@@ -117,14 +119,15 @@ class FlowSink {
   const LoadScan& emit_stats() const noexcept { return emit_; }
 
  private:
-  FlowSink(const Graph& g, int d_loops, Load* rows, Load* next)
+  FlowSink(const Graph& g, int d_loops, Load* rows, NodeId first, Load* next)
       : g_(&g), d_loops_(d_loops), d_plus_(g.degree() + d_loops),
-        rows_(rows), next_(next) {}
+        rows_(rows), first_(first), next_(next) {}
 
   const Graph* g_;
   int d_loops_;
   int d_plus_;
   Load* rows_;  // nullptr in scatter mode
+  NodeId first_;  // node of rows_[0] in row mode
   Load* next_;  // nullptr in row mode
   LoadScan emit_;
   NodeId emit_covered_ = 0;
@@ -163,7 +166,7 @@ class Balancer {
   /// calls decide() for every node in ascending order, enforcing the
   /// oversend / negative-flow contract exactly as the classic engine did,
   /// and works in both sink modes (in scatter mode it is multi-touch, so
-  /// a balancer that keeps it must leave window_reach at −1). Overrides
+  /// a balancer that keeps it must leave gathers false). Overrides
   /// must be *observationally identical* to the default (same loads
   /// trajectory, same internal state evolution) — the golden-equivalence
   /// test asserts this for every registered balancer.
@@ -171,42 +174,21 @@ class Balancer {
                             std::span<const Load> loads, Step t,
                             FlowSink& sink);
 
-  /// Stencil reach of this balancer's windowed gather kernel on `g`, in
-  /// linearized ring slots, or −1 when it has no windowed kernel for this
-  /// graph. A non-negative reach R is a promise: for every node u, the
-  /// next load next(u) is a pure gather over loads at ring distance ≤ R
-  /// from u (mod n, in index space), computable by decide_window() from a
-  /// halo'd window alone; *and* decide_range in scatter mode is a gather
-  /// too — it stores each slot of its range exactly once and reports
-  /// merge_emit_stats (min, max and Σ of what it stored) over the whole
-  /// range; the engines audit conservation against that Σ and leave the
-  /// full rescan of the loads to every kRescanInterval-th round. Both
-  /// engines key on this up front: the flat engine skips the next-load
-  /// buffer's zero-fill, and the sharded engine takes its tier-1 fast
-  /// path — shards exchange R boundary *loads* before decide instead of
-  /// flows after it, and nothing else ever crosses a shard. A round that
-  /// leaves a slot unwritten throws invariant_error.
-  virtual NodeId window_reach(const Graph& g) const;
-
-  /// Windowed gather decide over one shard's slice. `window` holds
-  /// `owned + 2·reach` loads: slots [0, reach) are the left halo, slots
-  /// [reach, reach + owned) are the owned nodes — globally
-  /// [global_begin, global_begin + owned) — and the rest is the right
-  /// halo. The kernel must store each owned slot's next load exactly once
-  /// into the sink's next buffer *at window indices* (a gather, like the
-  /// structured scatter kernels), fold min, max and Σ into the emit sweep,
-  /// and report merge_emit_stats(scan, owned). Only called when
-  /// window_reach(g) >= 0; the default aborts.
-  virtual void decide_window(std::span<const Load> window, NodeId global_begin,
-                             NodeId owned, NodeId reach, Step t,
-                             FlowSink& sink);
-
-  /// True when prepare_round reads its loads span (e.g. CONT-MIMIC's
-  /// step-0 capture). The sharded engine gathers a contiguous global copy
-  /// of the loads before the round's prepare_round call iff this is set;
-  /// balancers that ignore the span (the default no-op, ROTOR-ROUTER's
-  /// lazy table build) skip that O(n) gather. Default: false.
-  virtual bool prepare_reads_loads() const { return false; }
+  /// True when this balancer *gathers* on `g`: decide_range in scatter
+  /// mode stores each slot of its range exactly once, reading only the
+  /// range's nodes and their neighbors, and reports merge_emit_stats
+  /// (min, max and Σ of what it stored) over the whole range; and a
+  /// node's decision (decide(), or decide_range in row mode) is a pure
+  /// function of its load, so an engine may ask for any node's, in any
+  /// order, without changing the trajectory. The engines audit
+  /// conservation against the emitted Σ and leave the full rescan of the
+  /// loads to every kRescanInterval-th round. Both engines key on this up
+  /// front: the flat engine skips the next-load buffer's zero-fill, and
+  /// the sharded engine lets each interior run store its slots while each
+  /// boundary node pulls its same-shard terms from its neighbors' rows. A
+  /// round that leaves a slot unwritten throws invariant_error. Default:
+  /// false.
+  virtual bool gathers(const Graph& g) const;
 
   /// True when decide_range over disjoint ranges may run concurrently —
   /// i.e. a node's decision touches only that node's own state (rotor

@@ -53,7 +53,7 @@ Engine::Engine(const Graph& g, EngineConfig config, Balancer& balancer,
   adopt_loads(std::move(initial));
   next_.assign(loads_.size(), 0);
   balancer_->reset(g, config_.self_loops);
-  gather_ = balancer_->window_reach(g) >= 0;
+  gather_ = balancer_->gathers(g);
 }
 
 void Engine::add_observer(StepObserver& observer) {

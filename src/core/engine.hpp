@@ -3,9 +3,9 @@
 //
 // Observer-free rounds take the *scatter* path: prepare_round and
 // decide_range write the round straight into the next-load buffer — no
-// per-node record. A balancer whose window_reach(g) >= 0 gathers,
-// storing every slot once; any other balancer adds token movements into
-// the buffer, which the engine zero-fills first. Serial rounds run one
+// per-node record. A balancer whose gathers(g) is true stores every slot
+// once; any other balancer adds token movements into the buffer, which
+// the engine zero-fills first. Serial rounds run one
 // decide_range over every node; pooled rounds of a parallel_decide_safe()
 // gather run one decide_range per pool range, each into its own slots,
 // and merge the ranges' emit statistics. Rows — the per-node records —
@@ -107,7 +107,7 @@ class Engine : public RoundEngineBase {
   const Graph* g_;
   EngineConfig config_;
   Balancer* balancer_;
-  bool gather_;            // balancer's window_reach(g) >= 0: no zero-fill
+  bool gather_;            // balancer's gathers(g): no zero-fill
   LoadVector next_;        // next loads: scatter target and apply target
   LoadVector flows_;       // n * (d + d°) records; allocated on first row step
   std::vector<StepObserver*> observers_;

@@ -141,9 +141,8 @@ class WorkloadProcess {
                                 ThreadPool& pool);
 
   /// True when prepare() actually reads its loads span (the adversarial
-  /// argmax scan). The sharded engine gathers a contiguous global copy of
-  /// the loads before prepare() iff this is set; processes that only use
-  /// t (bursts, Poisson streams) skip that O(n) gather. Default: false.
+  /// argmax scan); processes that only use t (bursts, Poisson streams)
+  /// ignore it. Default: false.
   virtual bool prepare_reads_loads() const { return false; }
 
   /// Net token demand at node u in round t: > 0 injects that many

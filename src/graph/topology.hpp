@@ -304,8 +304,8 @@ class GenericTopology {
 /// Balanced contiguous partition of the node range [0, n) into k shards:
 /// shard s owns [begin(s), end(s)), sizes differing by at most one (the
 /// first n mod k shards get the extra node). Ownership is pure O(1)
-/// arithmetic — the sharded engine routes cross-shard flows and computes
-/// halo-exchange send lists from owner() without ever materializing a
+/// arithmetic — the sharded engine computes its edge cut and routes
+/// cross-shard flows from owner() without ever materializing a
 /// node→shard table.
 class ShardPartition {
  public:
@@ -340,55 +340,6 @@ class ShardPartition {
   NodeId q_ = 0;  ///< base shard size (n / k)
   NodeId r_ = 0;  ///< shards carrying one extra node (n mod k)
 };
-
-/// One contiguous piece of a shard's halo: the global ring range
-/// [global_begin, global_begin + len) — no index wrap inside — owned
-/// entirely by shard `owner`, landing at window slots
-/// [window_offset, window_offset + len) of the receiving shard.
-struct HaloSegment {
-  NodeId global_begin = 0;
-  NodeId len = 0;
-  NodeId window_offset = 0;
-  int owner = 0;
-};
-
-/// Halo-exchange receive list for shard s under ring-window semantics:
-/// the shard's decide window is the ring interval
-/// [begin(s) − reach, end(s) + reach) mod n, size m + 2·reach, with the
-/// owned slice at window slots [reach, reach + m). The left halo (window
-/// slots [0, reach)) and right halo (slots [reach + m, m + 2·reach))
-/// are split into maximal runs that neither wrap mod n nor cross a shard
-/// boundary. Aliasing (a global node appearing in both halos when
-/// m + 2·reach > n) is fine for gather kernels — each slot is simply
-/// filled with the same value twice.
-inline std::vector<HaloSegment> ring_halo_segments(const ShardPartition& part,
-                                                   int s, NodeId reach) {
-  const NodeId n = part.num_nodes();
-  const NodeId m = part.size(s);
-  DLB_REQUIRE(reach >= 0 && reach < n, "ring_halo_segments: bad reach");
-  std::vector<HaloSegment> out;
-  const auto emit_region = [&](NodeId ring_start, NodeId window_offset,
-                               NodeId len) {
-    NodeId done = 0;
-    while (done < len) {
-      NodeId g = ring_start + done;
-      if (g >= n) g -= n;  // ring_start < n and done < n, so one wrap max
-      const int o = part.owner(g);
-      // Run ends at the mod-n wrap, the owner's range end, or the region
-      // end — whichever comes first.
-      const NodeId run = std::min({n - g, part.end(o) - g, len - done});
-      out.push_back(HaloSegment{g, run, window_offset + done, o});
-      done += run;
-    }
-  };
-  NodeId left = part.begin(s) - reach;
-  if (left < 0) left += n;
-  emit_region(left, /*window_offset=*/0, reach);
-  NodeId right = part.end(s);
-  if (right >= n) right -= n;  // end(k-1) == n
-  emit_region(right, /*window_offset=*/reach + m, reach);
-  return out;
-}
 
 /// Dispatches f on the graph's structure tag: f(topo) runs with
 /// the concrete trait type, so the compiler specializes the kernel body

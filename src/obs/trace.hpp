@@ -36,7 +36,7 @@ namespace dlb::obs {
 /// One completed span. Names and categories are static strings (the
 /// instrumentation sites pass literals), so the ring stores pointers.
 struct TraceEvent {
-  const char* name = nullptr;  ///< e.g. "decide", "halo", "checkpoint"
+  const char* name = nullptr;  ///< e.g. "decide", "drain", "checkpoint"
   const char* cat = nullptr;   ///< e.g. "round", "shard", "pool"
   std::uint64_t start_ns = 0;  ///< monotonic, relative to enable()
   std::uint64_t dur_ns = 0;
@@ -138,7 +138,7 @@ class TraceSpan {
 
 /// RAII phase probe: one clock pair feeds both the tracer (a span) and a
 /// latency histogram (seconds). The single instrumentation primitive the
-/// engines use for prepare/decide/halo/apply/checkpoint — when neither
+/// engines use for prepare/decide/drain/apply/checkpoint — when neither
 /// metrics nor tracing is armed it costs two relaxed loads and no clock
 /// read.
 class PhaseScope {

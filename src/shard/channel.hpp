@@ -1,9 +1,9 @@
 // ShardChannel: the transport seam of the sharded round engine.
 //
-// Everything that ever crosses a shard boundary — boundary loads before a
-// windowed decide, routed flows after a generic decide — moves as raw
-// bytes through this interface, so the round protocol in
-// sharded_engine.cpp is transport-agnostic: the in-process ring of byte
+// Everything that ever crosses a shard boundary — the flows routed over
+// the edge cut after each decide — moves as raw bytes through this
+// interface, so the round protocol in sharded_engine.cpp is
+// transport-agnostic: the in-process ring of byte
 // buffers below is the shards-as-threads transport, and a socket- or
 // MPI-backed implementation drops in behind the same three calls without
 // touching the engine. The interface is deliberately stream-shaped (post
@@ -39,10 +39,10 @@ namespace dlb {
 
 /// What a posted byte stream carries. One tag per exchange per round, so
 /// a transport can map tags onto independent flows (or MPI tags) without
-/// inspecting payloads.
+/// inspecting payloads. The value is part of every frame header; tag
+/// values lie below kShardTagCount (0 is unused).
 enum class ShardTag : int {
-  kHaloLoads = 0,  ///< boundary loads, posted before a windowed decide
-  kFlows = 1,      ///< routed (node, amount) flow records, posted after decide
+  kFlows = 1,  ///< flows over the edge cut, posted after decide
 };
 inline constexpr int kShardTagCount = 2;
 
@@ -71,9 +71,8 @@ class ShardChannel {
   /// weather; a fault injector or real network returns false.
   virtual bool lossless() const { return true; }
 
-  /// Appends `bytes` to the (from, to, tag) stream. `from == to` is legal
-  /// (a 1-shard ring's halo wraps onto itself); the bytes simply come
-  /// back in the same round's drain. Only shard `from` may post on its
+  /// Appends `bytes` to the (from, to, tag) stream. `from == to` is legal;
+  /// the bytes simply come back in the same round's drain. Only shard `from` may post on its
   /// own streams, and only during the tag's post phase.
   virtual void post(int from, int to, ShardTag tag,
                     std::span<const std::byte> bytes) = 0;
@@ -129,7 +128,7 @@ class InProcessShardChannel final : public ShardChannel {
 
   /// Total bytes of buffer capacity currently held across all streams —
   /// the transport's share of a sharded run's resident memory (reported
-  /// next to the per-shard slice/halo numbers by the bench).
+  /// next to the per-shard slice and staging numbers by the bench).
   std::size_t capacity_bytes() const {
     std::size_t total = 0;
     for (const auto& plane : cells_) {

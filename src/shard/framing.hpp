@@ -1,8 +1,8 @@
 // Frame protocol of the cross-shard channel: detection before trust.
 //
 // The ShardChannel seam is stream-shaped and, until now, assumed perfect
-// delivery — one flipped bit in a halo segment would be memcpy'd straight
-// into a load window and silently desynchronize the round. Every message
+// delivery — one flipped bit in a routed flow would be added straight
+// into a next-load slot and silently desynchronize the round. Every message
 // the sharded engine posts is therefore wrapped in a fixed 48-byte frame
 // header carrying magic, version, tag, sender, round, a (seq, total)
 // position within the sender's per-round stream, the payload length, and
@@ -103,9 +103,7 @@ inline std::uint64_t fnv1a64_bytes(std::span<const std::byte> data) noexcept {
 }  // namespace framing_detail
 
 /// Appends one complete frame (header + payload) to `out`. The payload
-/// may be empty — an empty frame is how a tier-2 sender tells a receiver
-/// "no flows crossed this edge this round", which is what makes the
-/// expected-sender roster static and loss detectable.
+/// may be empty.
 inline void append_frame(std::vector<std::byte>& out, std::uint8_t tag,
                          std::int32_t from, std::int64_t round,
                          std::uint32_t seq, std::uint32_t total,

@@ -21,7 +21,6 @@ namespace {
 /// MetricsRegistry::instance).
 struct ShardPhases {
   obs::Histogram& prepare;
-  obs::Histogram& halo;
   obs::Histogram& decide;
   obs::Histogram& drain;
 };
@@ -35,8 +34,6 @@ ShardPhases& shard_phases() {
     return new ShardPhases{
         reg.histogram(name, help, obs::phase_seconds_bounds(),
                       {{"engine", "sharded"}, {"phase", "prepare"}}),
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "sharded"}, {"phase", "halo"}}),
         reg.histogram(name, help, obs::phase_seconds_bounds(),
                       {{"engine", "sharded"}, {"phase", "decide"}}),
         reg.histogram(name, help, obs::phase_seconds_bounds(),
@@ -90,22 +87,6 @@ ShardProtocol& shard_protocol() {
   return *p;
 }
 
-/// Tier-1 frame payload: [dest_window:NodeId][len:NodeId][len × Load] —
-/// the same self-describing segment bytes the pre-framing wire carried,
-/// now integrity-checked by the frame around them.
-inline constexpr std::size_t kHaloSegmentHeader = 2 * sizeof(NodeId);
-
-/// Wire format of one tier-2 routed flow: (global node, amount), packed
-/// to 12 bytes (no struct padding on the wire).
-inline constexpr std::size_t kFlowRecordBytes = sizeof(NodeId) + sizeof(Load);
-
-inline void append_flow(std::vector<std::byte>& buf, NodeId v, Load f) {
-  std::byte rec[kFlowRecordBytes];
-  std::memcpy(rec, &v, sizeof(NodeId));
-  std::memcpy(rec + sizeof(NodeId), &f, sizeof(Load));
-  buf.insert(buf.end(), rec, rec + kFlowRecordBytes);
-}
-
 }  // namespace
 
 ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
@@ -130,45 +111,26 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
   lossless_ = channel_->lossless();
 
   balancer_->reset(g, config_.self_loops);
-  reach_ = balancer_->window_reach(g);
-  // A window needs reach < n ring slots each way; a degenerate tiny graph
-  // whose reach covers the whole ring routes flows instead.
-  if (reach_ >= g.num_nodes()) reach_ = -1;
+  gather_ = balancer_->gathers(g);
 
-  const NodeId w = reach_ >= 0 ? reach_ : 0;
   const std::size_t k = static_cast<std::size_t>(part_.shards());
   shards_.resize(k);
   dead_.assign(k, 0);
   done_.assign(k, 0);
-  if (reach_ < 0) {
-    loads_ = initial;
-    next_.assign(initial.size(), 0);
-  }
+  loads_ = initial;
+  next_.assign(initial.size(), 0);
   for (int s = 0; s < part_.shards(); ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     sh.begin = part_.begin(s);
     sh.size = part_.size(s);
+    const auto at = static_cast<std::size_t>(sh.begin);
+    const auto len = static_cast<std::size_t>(sh.size);
+    sh.loads = std::span<Load>(loads_).subspan(at, len);
+    sh.next = std::span<Load>(next_).subspan(at, len);
     sh.inbound.resize(k);
     sh.sent_frames.resize(k);
-    if (reach_ < 0) {
-      const auto at = static_cast<std::size_t>(sh.begin);
-      const auto len = static_cast<std::size_t>(sh.size);
-      sh.window = std::span<Load>(loads_).subspan(at, len);
-      sh.next = std::span<Load>(next_).subspan(at, len);
-      continue;
-    }
-    sh.window_store.assign(static_cast<std::size_t>(sh.size + 2 * w), 0);
-    std::copy(initial.begin() + sh.begin, initial.begin() + sh.begin + sh.size,
-              sh.window_store.begin() + w);
-    sh.next_store.assign(sh.window_store.size(), 0);
-    sh.window = sh.window_store;
-    sh.next = sh.next_store;
   }
-  if (reach_ >= 0) {
-    build_tier1_plan();
-  } else {
-    build_tier2_plan();
-  }
+  build_plan();
 
   // Per-shard channel byte counters, registered up front (registration
   // is one mutex pass at construction; the per-post inc() is a no-op
@@ -179,7 +141,7 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
     sh.bytes_posted = &obs::MetricsRegistry::instance().counter(
         "dlb_shard_channel_bytes_posted_total",
         "Bytes this shard posted into the cross-shard channel (framed "
-        "halo segments and routed flow records).",
+        "flows over the edge cut).",
         labels);
     sh.bytes_drained = &obs::MetricsRegistry::instance().counter(
         "dlb_shard_channel_bytes_drained_total",
@@ -189,92 +151,97 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
 
 ShardedEngine::~ShardedEngine() = default;
 
-void ShardedEngine::build_tier1_plan() {
-  const int k = part_.shards();
-  for (Shard& sh : shards_) {
-    sh.expect_halo.assign(static_cast<std::size_t>(k), 0);
-  }
-  // Invert the halo geometry: shard t's halo segments, grouped by owner,
-  // become the owners' send lists. Pure ring arithmetic — no adjacency is
-  // ever consulted, so a 2^26-node implicit cycle plans in O(k) space.
-  // The same inversion fixes the receivers' frame expectations: shard t
-  // is owed exactly one frame per segment its halo borrows from `owner`,
-  // which is what lets a drain tell "nothing crossed" from "a frame was
-  // lost".
-  for (int t = 0; t < k; ++t) {
-    for (const HaloSegment& seg : ring_halo_segments(part_, t, reach_)) {
-      Shard& owner = shards_[static_cast<std::size_t>(seg.owner)];
-      owner.sends.push_back(HaloSend{
-          t, reach_ + (seg.global_begin - owner.begin), seg.len,
-          seg.window_offset, 0, 0});
-      ++shards_[static_cast<std::size_t>(t)]
-            .expect_halo[static_cast<std::size_t>(seg.owner)];
-    }
-  }
-  // Stamp each send with its (seq, total) within the per-destination
-  // stream (sends were built in ascending destination order, so a
-  // stream's frames are contiguous and in order).
-  std::vector<std::uint32_t> count(static_cast<std::size_t>(k));
-  std::vector<std::uint32_t> next(static_cast<std::size_t>(k));
-  for (Shard& sh : shards_) {
-    std::fill(count.begin(), count.end(), 0);
-    std::fill(next.begin(), next.end(), 0);
-    for (const HaloSend& send : sh.sends) {
-      ++count[static_cast<std::size_t>(send.to)];
-    }
-    for (HaloSend& send : sh.sends) {
-      send.seq = next[static_cast<std::size_t>(send.to)]++;
-      send.total = count[static_cast<std::size_t>(send.to)];
-    }
-  }
-}
-
-void ShardedEngine::build_tier2_plan() {
+void ShardedEngine::build_plan() {
   // The edge cut, computed once: maximal runs of nodes with no cut edge
   // (on structured graphs, everything but the slice's outer rows) are
-  // decided by the balancer's own scatter kernel. A gather kernel stores
-  // whole slots, which routed adds cannot share, so a gather balancer on
-  // this tier (a reach that covers the ring) routes every node. The cut
-  // also fixes the frame roster: shard s owes shard o exactly one flow
-  // frame per round iff any s-owned node has a neighbor owned by o —
-  // posted even when empty, so receivers can always distinguish "no
-  // flows" from "a lost frame".
+  // decided by the balancer's own kernel; the rest are boundary nodes.
+  // The cut also fixes the frame roster and layout: shard s owes shard o
+  // exactly one flow frame per round iff any s-owned node has a neighbor
+  // owned by o. Its payload is one Load per such edge, in edge-cut order
+  // (ascending sender node, then port); the receiver knows the edges'
+  // heads from the same cut, so no node id crosses the wire, and a lost
+  // or damaged frame is never mistaken for a quiet edge.
   const int d = g_->degree();
   const std::size_t k = static_cast<std::size_t>(part_.shards());
-  const bool runs = balancer_->window_reach(*g_) < 0;
+  const std::size_t d_plus =
+      static_cast<std::size_t>(d + config_.self_loops);
   with_topology(*g_, [&](const auto& topo) {
     for (int s = 0; s < part_.shards(); ++s) {
       Shard& sh = shards_[static_cast<std::size_t>(s)];
       sh.flow_out.resize(k);
-      sh.flow_sends_to.assign(k, 0);
-      sh.row.resize(static_cast<std::size_t>(d + config_.self_loops));
+      sh.row.resize(d_plus);
       for (NodeId u = sh.begin; u < sh.begin + sh.size; ++u) {
         bool cut = false;
         for (int p = 0; p < d; ++p) {
-          const int o = part_.owner(topo.neighbor(u, p));
-          if (o != s) {
-            cut = true;
-            ++sh.cut_edges;
-            sh.flow_sends_to[static_cast<std::size_t>(o)] = 1;
-          }
+          const NodeId v = topo.neighbor(u, p);
+          const int o = part_.owner(v);
+          if (o == s) continue;
+          cut = true;
+          auto& out = sh.flow_out[static_cast<std::size_t>(o)];
+          sh.cuts.push_back({o, out.size(), 0});
+          out.resize(out.size() + sizeof(Load));
+          shards_[static_cast<std::size_t>(o)]
+              .inbound[static_cast<std::size_t>(s)]
+              .heads.push_back(v);
         }
-        if (cut || !runs) continue;
+        if (cut) {
+          if (gather_) sh.boundary.push_back(u);
+          continue;
+        }
+        ++sh.interior_nodes;
         if (!sh.interior.empty() && sh.interior.back().second == u) {
           ++sh.interior.back().second;
         } else {
           sh.interior.emplace_back(u, u + 1);
         }
       }
+      if (!gather_) continue;
+      // A gather's boundary node pulls its same-shard terms from the
+      // decisions of its same-shard neighbors and stages its own cut
+      // flows. The round works out each of those nodes' decision once,
+      // into one row of `rows`; the plan records where in `rows` each
+      // boundary node finds its own row, each same-shard term and each
+      // of its cut flows.
+      std::vector<NodeId> src;
+      const auto same_shard = [&](NodeId v) { return part_.owner(v) == s; };
+      for (const NodeId b : sh.boundary) {
+        src.push_back(b);
+        for (int p = 0; p < d; ++p) {
+          const NodeId v = topo.neighbor(b, p);
+          if (same_shard(v)) src.push_back(v);
+        }
+      }
+      std::sort(src.begin(), src.end());
+      src.erase(std::unique(src.begin(), src.end()), src.end());
+      const auto row_of = [&](NodeId v) {
+        return static_cast<std::int64_t>(
+                   std::lower_bound(src.begin(), src.end(), v) - src.begin()) *
+               static_cast<std::int64_t>(d_plus);
+      };
+      auto cut = sh.cuts.begin();
+      for (const NodeId b : sh.boundary) {
+        const std::int64_t own = row_of(b);
+        sh.pulls.push_back(own);
+        for (int p = 0; p < d; ++p) {
+          const NodeId v = topo.neighbor(b, p);
+          if (same_shard(v)) {
+            sh.pulls.push_back(row_of(v) + topo.rev_port(b, p));
+          } else {
+            sh.pulls.push_back(-1);
+            (cut++)->flow = own + p;
+          }
+        }
+      }
+      sh.rows.resize(src.size() * d_plus);
+      for (const NodeId v : src) {
+        if (!sh.sources.empty() && sh.sources.back().second == v) {
+          ++sh.sources.back().second;
+        } else {
+          sh.sources.emplace_back(v, v + 1);
+        }
+      }
     }
   });
-  for (int to = 0; to < part_.shards(); ++to) {
-    Shard& rcv = shards_[static_cast<std::size_t>(to)];
-    rcv.expect_flows.assign(k, 0);
-    for (std::size_t from = 0; from < k; ++from) {
-      rcv.expect_flows[from] = shards_[from].flow_sends_to[
-          static_cast<std::size_t>(to)];
-    }
-  }
 }
 
 template <class Body>
@@ -289,69 +256,40 @@ void ShardedEngine::for_shards(bool parallel_ok, Body&& body) {
   }
 }
 
-std::span<const Load> ShardedEngine::gather_into_scratch() const {
-  if (reach_ < 0) return loads_;
-  scratch_.resize(static_cast<std::size_t>(part_.num_nodes()));
-  for (const Shard& sh : shards_) {
-    std::copy(sh.window.begin() + reach_, sh.window.begin() + reach_ + sh.size,
-              scratch_.begin() + sh.begin);
-  }
-  return {scratch_.data(), scratch_.size()};
-}
-
-LoadVector ShardedEngine::gather_loads() const {
-  const std::span<const Load> all = gather_into_scratch();
-  return LoadVector(all.begin(), all.end());
-}
-
 Load ShardedEngine::load_of(NodeId u) const {
   DLB_REQUIRE(u >= 0 && u < part_.num_nodes(), "load_of: node out of range");
-  const Shard& sh = shards_[static_cast<std::size_t>(part_.owner(u))];
-  return sh.window[static_cast<std::size_t>(window_slot(sh, u))];
+  return loads_[static_cast<std::size_t>(u)];
 }
 
 void ShardedEngine::apply_workload() {
   if (workload_ == nullptr) return;
   WorkloadProcess& wl = *workload_;
-  const NodeId w = reach_ >= 0 ? reach_ : 0;
   const Step t = time();
   ledger_.apply_workload(
       wl, "sharded", pool_, part_.num_nodes(),
-      // The prepare hook sees the global loads only when it reads them
-      // (the adversarial argmax scan); otherwise the O(n) gather is
-      // skipped and the span is empty.
-      [&] {
-        return wl.prepare_reads_loads() ? gather_into_scratch()
-                                        : std::span<const Load>();
-      },
+      [&] { return std::span<const Load>(loads_); },
       [&](NodeId u, Load d, WorkloadTally& tally) {
-        Shard& sh = shards_[static_cast<std::size_t>(part_.owner(u))];
-        tally.apply(u, sh.window[static_cast<std::size_t>(w + (u - sh.begin))],
-                    d);
+        tally.apply(u, loads_[static_cast<std::size_t>(u)], d);
       },
       [&](WorkloadTally& tally) {
         // Shards are the chunks: per-shard tallies merged in shard order.
         for_shards(wl.parallel_generate_safe(), [&](int s) {
           Shard& sh = shards_[static_cast<std::size_t>(s)];
           WorkloadTally part;
-          part.apply_filled(
-              wl, t, sh.begin,
-              sh.window.subspan(static_cast<std::size_t>(w),
-                                static_cast<std::size_t>(sh.size)));
+          part.apply_filled(wl, t, sh.begin, sh.loads);
           sh.tally = part;
         });
         for (const Shard& sh : shards_) tally.merge(sh.tally);
       });
 }
 
-void ShardedEngine::post_frame(int from, int to, ShardTag tag,
-                               std::uint32_t seq, std::uint32_t total,
+void ShardedEngine::post_frame(int from, int to,
                                std::span<const std::byte> payload) {
   Shard& sh = shards_[static_cast<std::size_t>(from)];
   sh.frame_scratch.clear();
-  append_frame(sh.frame_scratch, static_cast<std::uint8_t>(tag), from,
-               time() + 1, seq, total, payload);
-  channel_->post(from, to, tag,
+  append_frame(sh.frame_scratch, static_cast<std::uint8_t>(ShardTag::kFlows),
+               from, time() + 1, /*seq=*/0, /*total=*/1, payload);
+  channel_->post(from, to, ShardTag::kFlows,
                  std::span<const std::byte>(sh.frame_scratch.data(),
                                             sh.frame_scratch.size()));
   sh.bytes_posted->inc(sh.frame_scratch.size());
@@ -360,47 +298,25 @@ void ShardedEngine::post_frame(int from, int to, ShardTag tag,
     // Retention for selective re-post: the retry loop repeats exactly
     // these bytes, so a re-posted frame is indistinguishable from the
     // original on the wire.
-    auto& stream = sh.sent_frames[static_cast<std::size_t>(to)];
-    if (stream.size() <= seq) stream.resize(static_cast<std::size_t>(seq) + 1);
-    stream[seq] = sh.frame_scratch;
-  }
-}
-
-void ShardedEngine::reset_inbound(int s, ShardTag tag) {
-  Shard& sh = shards_[static_cast<std::size_t>(s)];
-  const int k = part_.shards();
-  for (int from = 0; from < k; ++from) {
-    InboundStream& st = sh.inbound[static_cast<std::size_t>(from)];
-    if (tag == ShardTag::kHaloLoads) {
-      st.expected = sh.expect_halo.empty()
-                        ? 0
-                        : sh.expect_halo[static_cast<std::size_t>(from)];
-    } else {
-      st.expected = sh.expect_flows.empty()
-                        ? 0
-                        : sh.expect_flows[static_cast<std::size_t>(from)];
-    }
-    st.received = 0;
-    if (st.payloads.size() < st.expected) st.payloads.resize(st.expected);
-    st.seen.assign(st.expected, 0);
+    sh.sent_frames[static_cast<std::size_t>(to)] = sh.frame_scratch;
   }
 }
 
 bool ShardedEngine::inbound_complete(int s) const {
   const Shard& sh = shards_[static_cast<std::size_t>(s)];
   for (const InboundStream& st : sh.inbound) {
-    if (st.received < st.expected) return false;
+    if (!st.heads.empty() && !st.seen) return false;
   }
   return true;
 }
 
-void ShardedEngine::drain_frames(int s, ShardTag tag) {
+void ShardedEngine::drain_frames(int s) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   ShardProtocol& proto = shard_protocol();
   const std::int64_t round = time() + 1;
   const int k = part_.shards();
   channel_->drain(
-      s, tag, [&](int from, std::span<const std::byte> bytes) {
+      s, ShardTag::kFlows, [&](int from, std::span<const std::byte> bytes) {
         sh.bytes_drained->inc(bytes.size());
         std::size_t off = 0;
         while (off < bytes.size()) {
@@ -426,43 +342,42 @@ void ShardedEngine::drain_frames(int s, ShardTag tag) {
             proto.err_stale.inc();
             continue;
           }
-          if (frame.tag != static_cast<std::uint8_t>(tag) ||
+          if (frame.tag != static_cast<std::uint8_t>(ShardTag::kFlows) ||
               frame.from != from || frame.from < 0 || frame.from >= k) {
             proto.err_unexpected.inc();
             continue;
           }
           InboundStream& stream =
               sh.inbound[static_cast<std::size_t>(frame.from)];
-          if (frame.total != stream.expected || frame.seq >= stream.expected) {
+          if (stream.heads.empty() || frame.seq != 0 || frame.total != 1) {
             proto.err_unexpected.inc();
             continue;
           }
-          if (stream.seen[frame.seq]) {
+          if (stream.seen) {
             proto.err_duplicate.inc();
             continue;
           }
-          stream.seen[frame.seq] = 1;
-          stream.payloads[frame.seq].assign(frame.payload.begin(),
-                                            frame.payload.end());
-          ++stream.received;
+          stream.seen = true;
+          stream.payload.assign(frame.payload.begin(), frame.payload.end());
           proto.frames_drained.inc();
         }
       });
 }
 
-void ShardedEngine::collect_frames(ShardTag tag) {
+void ShardedEngine::collect_frames() {
   ShardProtocol& proto = shard_protocol();
   const int k = part_.shards();
+  const auto missing = [](const InboundStream& st) {
+    return !st.heads.empty() && !st.seen;
+  };
   for (int attempt = 0;; ++attempt) {
-    for_shards(true, [&](int s) { drain_frames(s, tag); });
+    for_shards(true, [&](int s) { drain_frames(s); });
     int missing_to = -1;
     int missing_from = -1;
     for (int to = 0; to < k && missing_to < 0; ++to) {
       const Shard& rcv = shards_[static_cast<std::size_t>(to)];
       for (int from = 0; from < k; ++from) {
-        const InboundStream& st =
-            rcv.inbound[static_cast<std::size_t>(from)];
-        if (st.received < st.expected) {
+        if (missing(rcv.inbound[static_cast<std::size_t>(from)])) {
           missing_to = to;
           missing_from = from;
           break;
@@ -476,173 +391,64 @@ void ShardedEngine::collect_frames(ShardTag tag) {
     if (attempt >= config_.fault.max_retries) {
       throw shard_fault_error(
           "sharded engine: frame stream " + std::to_string(missing_from) +
-          " -> " + std::to_string(missing_to) + " (tag " +
-          std::to_string(static_cast<int>(tag)) + ", round " +
+          " -> " + std::to_string(missing_to) + " (round " +
           std::to_string(time() + 1) + ") still incomplete after " +
           std::to_string(attempt) + " re-post attempt(s) — sender lost?");
     }
     proto.retries.inc();
-    // Re-post exactly the missing sequence numbers of every incomplete
-    // stream; duplicates from crossed retries are deduplicated by seq.
+    // Re-post the retained frame of every incomplete stream; duplicates
+    // from crossed retries are deduplicated by the seen flag.
     for (int to = 0; to < k; ++to) {
-      Shard& rcv = shards_[static_cast<std::size_t>(to)];
+      const Shard& rcv = shards_[static_cast<std::size_t>(to)];
       for (int from = 0; from < k; ++from) {
-        InboundStream& st = rcv.inbound[static_cast<std::size_t>(from)];
-        if (st.received >= st.expected) continue;
+        if (!missing(rcv.inbound[static_cast<std::size_t>(from)])) continue;
         Shard& snd = shards_[static_cast<std::size_t>(from)];
         const auto& retained = snd.sent_frames[static_cast<std::size_t>(to)];
-        for (std::uint32_t seq = 0; seq < st.expected; ++seq) {
-          if (st.seen[seq]) continue;
-          DLB_REQUIRE(seq < retained.size() && !retained[seq].empty(),
-                      "sharded engine: no retained frame to re-post");
-          channel_->post(from, to, tag,
-                         std::span<const std::byte>(retained[seq].data(),
-                                                    retained[seq].size()));
-          snd.bytes_posted->inc(retained[seq].size());
-          proto.frames_posted.inc();
-          proto.frames_reposted.inc();
-        }
+        DLB_REQUIRE(!retained.empty(),
+                    "sharded engine: no retained frame to re-post");
+        channel_->post(from, to, ShardTag::kFlows,
+                       std::span<const std::byte>(retained.data(),
+                                                  retained.size()));
+        snd.bytes_posted->inc(retained.size());
+        proto.frames_posted.inc();
+        proto.frames_reposted.inc();
       }
     }
   }
 }
 
-void ShardedEngine::apply_halo_payload(Shard& sh,
-                                       std::span<const std::byte> payload) {
-  std::size_t off = 0;
-  while (off < payload.size()) {
-    NodeId hdr[2];
-    DLB_REQUIRE(off + kHaloSegmentHeader <= payload.size(),
-                "halo stream: truncated header");
-    std::memcpy(hdr, payload.data() + off, kHaloSegmentHeader);
-    const NodeId dest_window = hdr[0];
-    const NodeId len = hdr[1];
-    const std::size_t seg = static_cast<std::size_t>(len) * sizeof(Load);
-    DLB_REQUIRE(off + kHaloSegmentHeader + seg <= payload.size(),
-                "halo stream: truncated payload");
-    DLB_REQUIRE(dest_window >= 0 && len >= 0 &&
-                    static_cast<std::size_t>(dest_window) +
-                            static_cast<std::size_t>(len) <=
-                        sh.window.size(),
-                "halo stream: segment out of window");
-    std::memcpy(sh.window.data() + dest_window,
-                payload.data() + off + kHaloSegmentHeader, seg);
-    off += kHaloSegmentHeader + seg;
-  }
-}
-
-void ShardedEngine::apply_flow_payload(Shard& sh,
-                                       std::span<const std::byte> payload) {
-  DLB_REQUIRE(payload.size() % kFlowRecordBytes == 0,
-              "flow stream: truncated record");
-  for (std::size_t off = 0; off < payload.size(); off += kFlowRecordBytes) {
-    NodeId v;
+void ShardedEngine::apply_flow_payload(Shard& sh, const InboundStream& st) {
+  DLB_REQUIRE(st.payload.size() == st.heads.size() * sizeof(Load),
+              "flow stream: payload does not match the edge cut");
+  const std::byte* at = st.payload.data();
+  for (const NodeId v : st.heads) {
     Load f;
-    std::memcpy(&v, payload.data() + off, sizeof(NodeId));
-    std::memcpy(&f, payload.data() + off + sizeof(NodeId), sizeof(Load));
-    DLB_REQUIRE(v >= sh.begin && v < sh.begin + sh.size,
-                "flow stream: node not owned by this shard");
+    std::memcpy(&f, at, sizeof(Load));
+    at += sizeof(Load);
     sh.next[static_cast<std::size_t>(v - sh.begin)] += f;
   }
 }
 
-void ShardedEngine::apply_frames(int s, ShardTag tag) {
+void ShardedEngine::finish_shard(int s) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
-  // Ascending (sender, seq) order — fixed regardless of arrival order,
-  // which is what keeps a faulted round byte-identical to a clean one.
-  for (const InboundStream& st : sh.inbound) {
-    for (std::uint32_t seq = 0; seq < st.expected; ++seq) {
-      const std::span<const std::byte> payload(st.payloads[seq].data(),
-                                               st.payloads[seq].size());
-      if (tag == ShardTag::kHaloLoads) {
-        apply_halo_payload(sh, payload);
-      } else {
-        apply_flow_payload(sh, payload);
-      }
-    }
+  // Ascending sender order — fixed regardless of arrival order, which is
+  // what keeps a faulted round byte-identical to a clean one.
+  for (const InboundStream& st : sh.inbound) apply_flow_payload(sh, st);
+  // The drained cut flows completed a gather's boundary slots: fold them
+  // into the interior emit, so the round's statistics cover every slot.
+  for (const NodeId b : sh.boundary) {
+    const Load x = next_[static_cast<std::size_t>(b)];
+    sh.scan.merge({x, x, x});
   }
 }
 
-template <class Finish>
-void ShardedEngine::drain_and_finish(ShardTag tag, Finish&& finish) {
-  // Drain/validate/finish in one parallel pass: completeness is a
-  // per-shard property, so a shard whose roster filled on the first
-  // drain finishes without another pool barrier. Only bytes that passed
-  // both checksums and the (round, seq, total) checks are ever applied;
-  // a shard with missing frames (lossy transport weather) drops into the
-  // serial re-post loop below.
-  std::fill(done_.begin(), done_.end(), 0);
-  std::atomic<bool> all_complete{true};
-  for_shards(true, [&](int s) {
-    drain_frames(s, tag);
-    if (inbound_complete(s)) {
-      finish(s);
-      done_[static_cast<std::size_t>(s)] = 1;
-    } else {
-      all_complete.store(false, std::memory_order_relaxed);
-    }
-  });
-  if (!all_complete.load(std::memory_order_relaxed)) {
-    collect_frames(tag);
-    for_shards(true, [&](int s) {
-      if (!done_[static_cast<std::size_t>(s)]) finish(s);
-    });
-  }
-}
-
-void ShardedEngine::exchange_halos() {
-  // Post phase: every shard serializes its boundary loads for the shards
-  // whose halos it feeds, one checksummed frame per segment. Barrier
-  // between the phases, so no drain starts before every post landed.
-  for_shards(true, [&](int s) {
-    Shard& sh = shards_[static_cast<std::size_t>(s)];
-    reset_inbound(s, ShardTag::kHaloLoads);
-    if (!lossless_) {
-      for (auto& stream : sh.sent_frames) stream.clear();
-    }
-    for (const HaloSend& send : sh.sends) {
-      sh.payload_scratch.clear();
-      const NodeId hdr[2] = {send.dest_window, send.len};
-      const auto* hb = reinterpret_cast<const std::byte*>(hdr);
-      sh.payload_scratch.insert(sh.payload_scratch.end(), hb,
-                                hb + kHaloSegmentHeader);
-      const auto* lb = reinterpret_cast<const std::byte*>(
-          sh.window.data() + send.src_window);
-      sh.payload_scratch.insert(
-          sh.payload_scratch.end(), lb,
-          lb + static_cast<std::size_t>(send.len) * sizeof(Load));
-      post_frame(s, send.to, ShardTag::kHaloLoads, send.seq, send.total,
-                 std::span<const std::byte>(sh.payload_scratch.data(),
-                                            sh.payload_scratch.size()));
-    }
-  });
-  drain_and_finish(ShardTag::kHaloLoads,
-                   [&](int s) { apply_frames(s, ShardTag::kHaloLoads); });
-}
-
-void ShardedEngine::decide_tier1_core(Shard& sh, Step t) {
-  // Tier 1: the balancer's windowed gather kernel, one store per owned
-  // window slot, min, max and Σ fused into the emit sweep. Nothing
-  // leaves the shard — the halo refill already happened.
-  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, sh.next.data());
-  balancer_->decide_window(
-      std::span<const Load>(sh.window.data(), sh.window.size()), sh.begin,
-      sh.size, reach_, t, sink);
-  DLB_REQUIRE(sink.emit_covered() == sh.size,
-              "decide_window did not cover every owned slot");
-  sh.scan = sink.emit_stats();
-  // O(1) apply: the buffer's owned slots are the next loads; its (stale)
-  // halo slots are refilled before the next decide reads them.
-  std::swap(sh.window, sh.next);
-}
-
-void ShardedEngine::decide_tier2_core(int s, Shard& sh, Step t) {
-  // Tier 2, in ascending node order (a sequential RNG stream sees the
-  // flat order): each interior run is one decide_range into the whole
-  // next buffer — by the cut table every add lands in this shard's
-  // slice. Boundary nodes take the default decide() loop's contract
-  // enforcement, with flows routed by owner: local ones add into the
-  // zero-filled slice, cross-shard ones are staged per destination.
+void ShardedEngine::decide_scatter(int s, Shard& sh, Step t) {
+  // In ascending node order (a sequential RNG stream sees the flat
+  // order): each interior run is one decide_range into the whole next
+  // buffer — by the cut table every add lands in this shard's slice.
+  // Boundary nodes take decide(), with flows routed by owner: local ones
+  // add into the zero-filled slice, cross-shard ones are staged per
+  // destination.
   Balancer& bal = *balancer_;
   std::fill(sh.next.begin(), sh.next.end(), Load{0});
   const int d = g_->degree();
@@ -651,6 +457,7 @@ void ShardedEngine::decide_tier2_core(int s, Shard& sh, Step t) {
   const std::span<Load> row(sh.row);
   Load* const next = next_.data();
   FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next);
+  const auto* cut = sh.cuts.data();  // boundary nodes meet them in order
   with_topology(*g_, [&](const auto& topo) {
     const auto route = [&](NodeId u) {
       std::fill(row.begin(), row.end(), 0);
@@ -676,8 +483,11 @@ void ShardedEngine::decide_tier2_core(int s, Shard& sh, Step t) {
         const int o = part_.owner(v);
         if (o == s) {
           next[v] += f;
-        } else if (f != 0) {
-          append_flow(sh.flow_out[static_cast<std::size_t>(o)], v, f);
+        } else {
+          DLB_ASSERT(cut->to == o, "cut edges out of plan order");
+          std::memcpy(sh.flow_out[static_cast<std::size_t>(o)].data() +
+                          (cut++)->at,
+                      &f, sizeof(Load));
         }
       }
     };
@@ -691,36 +501,96 @@ void ShardedEngine::decide_tier2_core(int s, Shard& sh, Step t) {
   });
 }
 
+void ShardedEngine::decide_gather(Shard& sh, Step t) {
+  // A gather stores whole slots, so the slice is not zero-filled. Each
+  // interior run is one decide_range, which stores every slot of the run
+  // and folds min, max and Σ into its emit. Each boundary node b then
+  // stores kept(b) plus the flows its same-shard neighbors send it —
+  // their decision at the reverse port, a pure function of their loads,
+  // worked out once per round by a row-mode decide_range over each run
+  // of such nodes. b adds nothing into same-shard slots (their gathers
+  // pulled b's load already); its cut flows are staged for the channel.
+  const int d = g_->degree();
+  const std::size_t d_plus =
+      static_cast<std::size_t>(d + config_.self_loops);
+  const std::span<Load> rows(sh.rows);
+  Load* run_rows = rows.data();
+  for (const auto& [first, last] : sh.sources) {
+    FlowSink run(*g_, config_.self_loops, run_rows, first);
+    balancer_->decide_range(first, last, loads_, t, run);
+    run_rows += static_cast<std::size_t>(last - first) * d_plus;
+  }
+  Load* const next = next_.data();
+  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next);
+  for (const auto& [first, last] : sh.interior) {
+    balancer_->decide_range(first, last, loads_, t, sink);
+  }
+  DLB_REQUIRE(sink.emit_covered() == sh.interior_nodes,
+              "gather kernel did not cover every interior slot");
+  sh.scan = sink.emit_stats();
+  const std::int64_t* pull = sh.pulls.data();
+  for (const NodeId b : sh.boundary) {
+    const Load* own = rows.data() + pull[0];
+    Load acc = loads_[static_cast<std::size_t>(b)];
+    for (int p = 0; p < d; ++p) acc -= own[p];
+    for (int p = 1; p <= d; ++p) {
+      if (pull[p] >= 0) acc += rows[static_cast<std::size_t>(pull[p])];
+    }
+    next[b] = acc;
+    pull += 1 + d;
+  }
+  for (const auto& c : sh.cuts) {
+    std::memcpy(sh.flow_out[static_cast<std::size_t>(c.to)].data() + c.at,
+                rows.data() + c.flow, sizeof(Load));
+  }
+}
+
 void ShardedEngine::decide_shard(int s, Step t) {
   obs::TraceSpan span("decide", "shard", "shard", s);
   Shard& sh = shards_[static_cast<std::size_t>(s)];
-  if (reach_ >= 0) {
-    decide_tier1_core(sh, t);
-    return;
+  for (InboundStream& st : sh.inbound) st.seen = false;
+  if (gather_) {
+    decide_gather(sh, t);
+  } else {
+    decide_scatter(s, sh, t);
   }
-  reset_inbound(s, ShardTag::kFlows);
-  if (!lossless_) {
-    for (auto& stream : sh.sent_frames) stream.clear();
-  }
-  decide_tier2_core(s, sh, t);
-  // One frame per rostered destination, always — an empty frame is the
-  // positive statement "no flows crossed this edge this round", which is
-  // what makes loss detectable without timeouts.
+  // One frame per rostered destination, always — a frame is expected
+  // every round, which is what makes loss detectable without timeouts.
   for (int o = 0; o < part_.shards(); ++o) {
-    if (!sh.flow_sends_to[static_cast<std::size_t>(o)]) continue;
-    std::vector<std::byte>& buf = sh.flow_out[static_cast<std::size_t>(o)];
-    post_frame(s, o, ShardTag::kFlows, 0, 1,
-               std::span<const std::byte>(buf.data(), buf.size()));
-    buf.clear();
+    const std::vector<std::byte>& buf =
+        sh.flow_out[static_cast<std::size_t>(o)];
+    if (buf.empty()) continue;
+    post_frame(s, o, std::span<const std::byte>(buf.data(), buf.size()));
   }
 }
 
 void ShardedEngine::drain_flows() {
-  drain_and_finish(ShardTag::kFlows,
-                   [&](int s) { apply_frames(s, ShardTag::kFlows); });
-  // All of the round's adds (local + drained) have landed.
+  // Drain/validate/apply in one parallel pass: completeness is a
+  // per-shard property, so a shard whose roster filled on the first
+  // drain finishes without another pool barrier. Only bytes that passed
+  // both checksums and the (round, seq, total) checks are ever applied;
+  // a shard with missing frames (lossy transport weather) drops into the
+  // serial re-post loop below.
+  std::fill(done_.begin(), done_.end(), 0);
+  std::atomic<bool> all_complete{true};
+  for_shards(true, [&](int s) {
+    drain_frames(s);
+    if (inbound_complete(s)) {
+      finish_shard(s);
+      done_[static_cast<std::size_t>(s)] = 1;
+    } else {
+      all_complete.store(false, std::memory_order_relaxed);
+    }
+  });
+  if (!all_complete.load(std::memory_order_relaxed)) {
+    collect_frames();
+    for_shards(true, [&](int s) {
+      if (!done_[static_cast<std::size_t>(s)]) finish_shard(s);
+    });
+  }
+  // All of the round's stores and adds (local + drained) have landed.
   loads_.swap(next_);
-  for (Shard& sh : shards_) std::swap(sh.window, sh.next);
+  for (Shard& sh : shards_) std::swap(sh.loads, sh.next);
 }
 
 void ShardedEngine::step() {
@@ -740,52 +610,37 @@ void ShardedEngine::step() {
                           t + 1);
     // Serial once-per-round hook, before any shard decides, as on the
     // flat engine. The sink exists only to convey graph/mode (no
-    // built-in prepare_round writes flows); global loads are gathered
-    // only for balancers that declare they read them.
-    const std::span<const Load> loads = balancer_->prepare_reads_loads()
-                                            ? gather_into_scratch()
-                                            : std::span<const Load>();
-    FlowSink sink =
-        FlowSink::scatter(*g_, config_.self_loops, shards_[0].next.data());
-    balancer_->prepare_round(loads, t, sink);
+    // built-in prepare_round writes flows).
+    FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next_.data());
+    balancer_->prepare_round(loads_, t, sink);
   }
-  const bool parallel_decide = balancer_->parallel_decide_safe();
-  if (reach_ >= 0) {
-    {
-      obs::PhaseScope phase(shard_phases().halo, "halo", "sharded", "t",
-                            t + 1);
-      exchange_halos();
-    }
+  {
+    // Serial shard order when the balancer is not parallel-safe keeps
+    // e.g. a sequential RNG stream in ascending node order — the same
+    // trajectory as the flat serial engine.
     obs::PhaseScope phase(shard_phases().decide, "decide", "sharded", "t",
                           t + 1);
-    for_shards(parallel_decide, [&](int s) { decide_shard(s, t); });
-  } else {
-    {
-      // Serial shard order when the balancer is not parallel-safe keeps
-      // e.g. a sequential RNG stream in ascending node order — the same
-      // trajectory as the flat serial engine.
-      obs::PhaseScope phase(shard_phases().decide, "decide", "sharded", "t",
-                            t + 1);
-      for_shards(parallel_decide, [&](int s) { decide_shard(s, t); });
-    }
+    for_shards(balancer_->parallel_decide_safe(),
+               [&](int s) { decide_shard(s, t); });
+  }
+  {
     obs::PhaseScope phase(shard_phases().drain, "drain", "sharded", "t",
                           t + 1);
     drain_flows();
   }
-  if (reach_ >= 0) {
-    // Tier-1 gathers fused min, max and Σ into their emit; a tier-2
-    // round publishes nothing and end_round scans the windows.
+  if (gather_) {
+    // A gather round's emits and boundary folds cover every slot: they
+    // are the round's statistics and its conservation audit. A
+    // multi-touch round publishes nothing and end_round scans the slices.
     LoadScan round;
     for (const Shard& sh : shards_) round.merge(sh.scan);
     ledger_.publish_round_stats(round);
   }
-  const NodeId w = reach_ >= 0 ? reach_ : 0;
   ledger_.end_round("sharded", [&] {
     for_shards(true, [&](int s) {
       Shard& sh = shards_[static_cast<std::size_t>(s)];
       sh.scan = LoadScan{};
-      sh.scan.add(sh.window.subspan(static_cast<std::size_t>(w),
-                                    static_cast<std::size_t>(sh.size)));
+      sh.scan.add(sh.loads);
     });
     LoadScan scan;
     for (const Shard& sh : shards_) scan.merge(sh.scan);
@@ -806,10 +661,12 @@ void ShardedEngine::kill_shard(int s) {
               "kill_shard: shard is already dead");
   // SIGKILL semantics: the slice is *gone*, not paused — anything short
   // of a checkpoint restore must not be able to resurrect it.
-  std::fill(sh.window.begin(), sh.window.end(), 0);
+  std::fill(sh.loads.begin(), sh.loads.end(), 0);
   std::fill(sh.next.begin(), sh.next.end(), 0);
-  for (auto& buf : sh.flow_out) buf.clear();
-  for (auto& stream : sh.sent_frames) stream.clear();
+  for (auto& buf : sh.flow_out) {
+    std::fill(buf.begin(), buf.end(), std::byte{0});
+  }
+  for (auto& frame : sh.sent_frames) frame.clear();
   dead_[static_cast<std::size_t>(s)] = 1;
   ++dead_count_;
 }
@@ -821,44 +678,32 @@ bool ShardedEngine::shard_dead(int s) const {
 
 std::size_t ShardedEngine::shard_resident_bytes(int s) const {
   const Shard& sh = shards_[static_cast<std::size_t>(s)];
-  // Load window + next-load buffer, both owned + 2W slots.
-  return (sh.window.size() + sh.next.size()) * sizeof(Load);
+  return (sh.loads.size() + sh.next.size()) * sizeof(Load);
 }
 
 std::size_t ShardedEngine::shard_halo_bytes(int s) const {
-  if (reach_ >= 0) {
-    // 2W halo slots in the window and in the next-load buffer.
-    return static_cast<std::size_t>(2 * reach_) * (2 * sizeof(Load));
-  }
   const Shard& sh = shards_[static_cast<std::size_t>(s)];
   std::size_t bytes = 0;
-  for (const auto& buf : sh.flow_out) bytes += buf.capacity();
+  for (const auto& buf : sh.flow_out) bytes += buf.size();
   return bytes;
 }
 
 std::uint64_t ShardedEngine::shard_cut_edges(int s) const {
-  return shards_[static_cast<std::size_t>(s)].cut_edges;
+  return shards_[static_cast<std::size_t>(s)].cuts.size();
 }
 
 NodeId ShardedEngine::shard_interior_nodes(int s) const {
-  NodeId nodes = 0;
-  const Shard& sh = shards_[static_cast<std::size_t>(s)];
-  for (const auto& [first, last] : sh.interior) nodes += last - first;
-  return nodes;
+  return shards_[static_cast<std::size_t>(s)].interior_nodes;
 }
 
 void ShardedEngine::save_core_state(StateWriter& w) const {
-  ledger_.save_core(w, gather_into_scratch());
+  ledger_.save_core(w, loads_);
 }
 
 void ShardedEngine::load_core_state(StateReader& r) {
   const RoundLedger::Core core = RoundLedger::read_core(
       r, static_cast<std::size_t>(part_.num_nodes()));
-  const NodeId w = reach_ >= 0 ? reach_ : 0;
-  for (Shard& sh : shards_) {
-    std::copy(core.loads.begin() + sh.begin,
-              core.loads.begin() + sh.begin + sh.size, sh.window.begin() + w);
-  }
+  std::copy(core.loads.begin(), core.loads.end(), loads_.begin());
   ledger_.restore(core.ledger);
   // A full-state restore redefines every slice — any killed shard is
   // alive again (this is the supervisor's rollback recovery).

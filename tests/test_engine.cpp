@@ -295,7 +295,7 @@ TEST(Engine, ConservationAuditCatchesALeakOnRoundOne) {
     expect_audit_throws([&] { e.step_parallel(); });
   }
   {
-    SCOPED_TRACE("2-shard tier 2");
+    SCOPED_TRACE("2-shard multi-touch");
     LeakyKernel b;
     ShardedEngine e(g, ShardedEngineConfig{.self_loops = 1}, b, initial, 2);
     ASSERT_FALSE(e.windowed());

@@ -392,7 +392,7 @@ class KeepsLoadsGather : public Balancer {
   void decide(NodeId, Load, Step, std::span<Load> flows) override {
     std::fill(flows.begin(), flows.end(), 0);
   }
-  NodeId window_reach(const Graph&) const override { return 0; }
+  bool gathers(const Graph&) const override { return true; }
   bool parallel_decide_safe() const override { return true; }
   void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
                     Step, FlowSink& sink) override {

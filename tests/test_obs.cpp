@@ -451,12 +451,12 @@ TEST(TelemetryDeterminismTest, PooledGatherRoundsAreTimedAsOneScatterPhase) {
   }
 }
 
-TEST(TelemetryDeterminismTest, ShardedChannelByteCountersTrackHaloTraffic) {
+TEST(TelemetryDeterminismTest, ShardedChannelByteCountersTrackFlowTraffic) {
   const Graph g = make_cycle(64);
   std::unique_ptr<Balancer> b = find_balancer_factory("SEND(floor)")(7);
   ShardedEngine e(g, ShardedEngineConfig{.self_loops = g.degree()}, *b,
                   random_initial(g.num_nodes(), 200, 5), /*shards=*/4);
-  ASSERT_TRUE(e.windowed()) << "send-floor on a cycle must take tier 1";
+  ASSERT_TRUE(e.windowed()) << "send-floor on a cycle must gather";
   TelemetryOn on(/*trace=*/false);
   auto& reg = obs::MetricsRegistry::instance();
   const double posted_before =

@@ -8,7 +8,7 @@
 //     (seed, round, edge, nth-post): the same plan over the same traffic
 //     produces the same damaged bytes, twice.
 //  3. The headline equivalence gate — for EVERY registered balancer, on
-//     both protocol tiers, shards {2, 3, 8} and pools {1, 8}, a run over
+//     both decide plans, shards {2, 3, 8} and pools {1, 8}, a run over
 //     a fault-injected channel (drop / duplicate / corrupt / delay /
 //     mixed) is byte-identical to the fault-free run: loads, ledger, and
 //     per-round stats. Faults are weather, never observable state.
@@ -282,8 +282,8 @@ struct ShardGraph {
   Graph graph;
 };
 
-/// Both protocol tiers: cycle + torus take the windowed halo path for
-/// balancers with a window reach, hypercube always routes flows.
+/// Both decide plans: on the cycle and torus a gather balancer's boundary
+/// nodes pull, on the hypercube every balancer scatters.
 std::vector<ShardGraph> fault_graphs() {
   std::vector<ShardGraph> out;
   out.push_back({"cycle", make_cycle(48)});
@@ -377,7 +377,7 @@ TEST(ShardFaultEquivalenceTest, EveryBalancerIsImmuneToMessageFaults) {
 
 TEST(ShardFaultEquivalenceTest, PerRoundTrajectoryMatchesUnderMixedFaults) {
   // The end-state comparison above could in principle hide compensating
-  // drift; pin one representative per tier round by round, with an
+  // drift; pin one representative per plan round by round, with an
   // online workload so the logged-input paths run too.
   for (const Algorithm a : {Algorithm::kSendFloor, Algorithm::kRotorRouter}) {
     const Graph g = a == Algorithm::kSendFloor
@@ -473,7 +473,7 @@ TEST(ShardedEngineFaultTest, SteppingWithADeadShardIsRefused) {
 }
 
 TEST(ShardSupervisorTest, EveryBalancerRecoversCrashesByteExactly) {
-  // The crash drill across the whole registry on both tiers, at every
+  // The crash drill across the whole registry on both plans, at every
   // fault shard count and pool size: shards die at two different rounds
   // (one shortly after a checkpoint, one just before the next), and the
   // supervised run must land on the clean run's exact bytes. The crashed

@@ -1839,14 +1839,14 @@ TEST(BalancerService, CheckpointFsyncIsObservedOnlyWhenArmed) {
 TEST(SnapshotShardInterop, CoreStateBytesAreIdenticalOnEverySubstrate) {
   // The core-state layout is written in one place for both substrates:
   // after the same run, the flat engine and every shard count emit the
-  // same bytes — tier 1 (cycle SEND(floor)) and tier 2 (torus
-  // ROTOR-ROUTER), dense and sparse churn, so the published-stats and
-  // scanned commits both land in the bytes.
+  // same bytes — a gather (cycle SEND(floor)) and a multi-touch balancer
+  // (torus ROTOR-ROUTER), dense and sparse churn, so the published-stats
+  // and scanned commits both land in the bytes.
   struct Tier {
     const char* label;
     Graph g;
     Algorithm algo;
-    bool windowed;
+    bool gathers;
   };
   const Tier tiers[] = {{"cycle SEND(floor)", make_cycle(60),
                          Algorithm::kSendFloor, true},
@@ -1884,7 +1884,7 @@ TEST(SnapshotShardInterop, CoreStateBytesAreIdenticalOnEverySubstrate) {
         auto w = fresh_workload();
         ShardedEngine sharded(
             g, ShardedEngineConfig{.self_loops = g.degree()}, *b, initial, k);
-        ASSERT_EQ(sharded.windowed(), tier.windowed) << where;
+        ASSERT_EQ(sharded.windowed(), tier.gathers) << where;
         sharded.set_workload(w.get());
         sharded.run(kRounds);
         StateWriter bytes;
@@ -1918,7 +1918,7 @@ TEST(SnapshotShardInterop, KShardImageRestoresIntoOneShardAndFlat) {
   ref.set_workload(ref_w.get());
   for (Step t = 0; t < 2 * kHalf; ++t) ref.step();
 
-  // Captured leg: 3 shards (tier-1 windowed path on the torus).
+  // Captured leg: 3 shards (the gather plan on the torus).
   std::vector<std::uint8_t> bytes;
   {
     auto b = make_balancer(Algorithm::kSendFloor, 11);
@@ -1962,8 +1962,8 @@ TEST(SnapshotShardInterop, KShardImageRestoresIntoOneShardAndFlat) {
     EXPECT_EQ(flat.min_load_seen(), ref.min_load_seen());
   }
 
-  // And a FLAT image restores into 8 shards — the tier-2 routed path too
-  // (ROTOR-ROUTER has no windowed kernel).
+  // And a FLAT image restores into 8 shards — the multi-touch plan too
+  // (ROTOR-ROUTER does not gather).
   {
     auto half_b = make_balancer(Algorithm::kRotorRouter, 11);
     Engine half(g, EngineConfig{.self_loops = 1}, *half_b, initial);
