@@ -312,6 +312,13 @@ class ReferenceRound {
   Step t_ = 0;
 };
 
+/// Records nothing; attaching it moves a flat engine onto its row round.
+class NoOpObserver : public StepObserver {
+ public:
+  void on_step(Step, const Graph&, int, std::span<const Load>,
+               std::span<const Load>, std::span<const Load>) override {}
+};
+
 /// A d = 4 generic multigraph: a ring whose neighbours are joined twice.
 Graph doubled_ring(NodeId n) {
   std::vector<NodeId> adj;
@@ -336,7 +343,10 @@ TEST(ReferenceRound, EveryEngineMatchesTheDefinitionEveryRound) {
   graphs.emplace_back("hypercube", make_hypercube(4));
   graphs.emplace_back("random-regular", make_random_regular(40, 4, 5));
   graphs.emplace_back("multigraph", doubled_ring(15));
+  // Three threads split n = 31, 35, 40 and 30 into uneven parts.
+  ThreadPool pool3(3);
   ThreadPool pool(4);
+  NoOpObserver no_op;
   std::uint64_t seed = 100;
   for (const std::string& name : registered_balancer_names()) {
     const BalancerFactory factory = find_balancer_factory(name);
@@ -358,9 +368,20 @@ TEST(ReferenceRound, EveryEngineMatchesTheDefinitionEveryRound) {
           std::unique_ptr<ShardedEngine> sharded;
         };
         std::vector<Run> runs;
-        runs.push_back({"flat serial", factory(seed), nullptr, nullptr});
-        runs.back().flat = std::make_unique<Engine>(
-            g, EngineConfig{.self_loops = d_loops}, *runs.back().b, initial);
+        const auto add_flat = [&](std::string engine, ThreadPool* on,
+                                  bool observed) {
+          runs.push_back({std::move(engine), factory(seed), nullptr, nullptr});
+          Run& r = runs.back();
+          r.flat = std::make_unique<Engine>(
+              g, EngineConfig{.self_loops = d_loops}, *r.b, initial);
+          r.flat->set_thread_pool(on);
+          if (observed) r.flat->add_observer(no_op);
+        };
+        add_flat("flat serial", nullptr, false);
+        add_flat("flat pool=3", &pool3, false);
+        add_flat("flat pool=4", &pool, false);
+        add_flat("flat observed serial", nullptr, true);
+        add_flat("flat observed pool=4", &pool, true);
         for (const int k : shard_counts) {
           for (const bool pooled : {false, true}) {
             runs.push_back({"sharded k=" + std::to_string(k) +
@@ -386,7 +407,7 @@ TEST(ReferenceRound, EveryEngineMatchesTheDefinitionEveryRound) {
             LoadVector got;
             try {
               if (r.flat) {
-                r.flat->step();
+                r.flat->step_parallel();
                 got = r.flat->loads();
               } else {
                 r.sharded->step();
