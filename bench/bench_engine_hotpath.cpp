@@ -3,7 +3,7 @@
 //
 // Simulation throughput at the paper's scales (T = c·log(nK)/µ steps over
 // millions of nodes) is what this bench tracks. The `lazy` series run the
-// serial scatter path: one decide_range call per step writes the round
+// serial 1-part plan round: one decide_range call per step writes the round
 // straight into the next-load buffer, no flow buffer exists. Every step
 // is audited, as on every engine: a gather folds Σ into its emit, a
 // multi-touch round sums during the min/max scan it makes anyway.
@@ -127,10 +127,13 @@ void BM_Cycle256k_ContinuousMimic_Lazy(benchmark::State& s) {
 }
 
 // -------------------------- intra-round parallel thread-scaling series --
-// step_parallel(); Arg is the pool size (Arg 1 = the serial scatter
-// baseline the speedup is measured against). SEND(floor) runs its pool
-// ranges straight into the next-load buffer, ROTOR-ROUTER takes the
-// decide/apply row pipeline.
+// step_parallel(); Arg is the pool size (Arg 1 = the serial 1-part plan
+// round the speedup is measured against). Every pooled round runs the
+// round plan with one part per thread: SEND(floor) gathers (interior runs
+// store their slots, boundary nodes pull), ROTOR-ROUTER adds into
+// zero-filled slices and routes its boundary rows. On the hypercube every
+// node of a part is a boundary node (the high bits cross parts), so its
+// series times the all-boundary shape: row-mode chunks, routed.
 // The speedup curve per PR is the acceptance artifact: >= 1.5x steps/sec
 // at 4 threads on a >= 4-core host (flat on a 1-CPU container).
 void run_steps_parallel(benchmark::State& state, const Graph& g,
@@ -157,6 +160,11 @@ void run_steps_parallel(benchmark::State& state, const Graph& g,
   state.SetLabel(algorithm_name(algo) + "/parallel");
 }
 
+const Graph& hypercube_16() {
+  static const Graph g = make_hypercube(16);  // 2^16 nodes, d = 16
+  return g;
+}
+
 void BM_StepParallel_SendFloor(benchmark::State& s) {
   run_steps_parallel(s, cycle_1m(), Algorithm::kSendFloor);
 }
@@ -174,6 +182,9 @@ void BM_StepParallel_RotorRouter_1Mplus1(benchmark::State& s) {
 }
 void BM_StepParallel_Torus513x512_SendFloor(benchmark::State& s) {
   run_steps_parallel(s, torus_513x512(), Algorithm::kSendFloor);
+}
+void BM_StepParallel_Hypercube_RotorRouter(benchmark::State& s) {
+  run_steps_parallel(s, hypercube_16(), Algorithm::kRotorRouter);
 }
 
 // -------------------------- implicit-topology vs generic-table series --
@@ -393,6 +404,7 @@ BENCHMARK(BM_StepParallel_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_StepParallel_RotorRouter_1Mplus1)->Apply(pooled_sweep);
 BENCHMARK(BM_StepParallel_Torus_SendFloor)->Apply(pooled_sweep);
 BENCHMARK(BM_StepParallel_Torus513x512_SendFloor)->Apply(pooled_sweep);
+BENCHMARK(BM_StepParallel_Hypercube_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1M_SendFloor)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1Mplus1_SendFloor)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1M_RotorRouter)->Apply(pooled_sweep);

@@ -43,25 +43,19 @@ namespace dlb {
 ///
 /// Two modes:
 ///   * row mode — row(u) is node u's per-port record (size d⁺, layout
-///     [u*(d+d°) + port]). Kernels fill every node's row and do nothing
-///     else; the engine derives the load movement itself by *pulling*
-///     each node's incoming flow through rev_port (the apply phase).
-///     Because a kernel writes only the rows of its own node range and
-///     the apply phase writes only its own range's next loads, row mode
-///     has no shared writes — it is the engine's parallel mode for
-///     balancers that do not gather, and also serves every StepObserver
-///     (the records are exactly the step's flow matrix).
+///     [(u − first)*(d+d°) + port]). Kernels fill every row of their range
+///     and do nothing else. The flat engine's observer rounds read the
+///     rows as the step's flow matrix and pull each node's incoming flow
+///     through rev_port; a RoundPlan decides boundary nodes this way and
+///     routes or pulls their rows.
 ///   * scatter mode — no rows exist; kernels write the round's next loads
 ///     straight into a plain n-slot buffer. A *gather* kernel (the
-///     balancer's gathers(g) is true) stores each slot's final value
-///     exactly once, and the buffer arrives holding an older round's
-///     loads; every other kernel is *multi-touch* — next[v] += f for
-///     tokens sent over an edge (u→v), next[u] += kept for self-loop
-///     tokens and the remainder — into a buffer the engine zero-filled
-///     first. This is the hot path — no per-node record is ever written.
-///     A gather stores only its own range's slots, so a pooled round runs
-///     disjoint ranges concurrently, each into a sink of its own, and
-///     merges their emit statistics.
+///     balancer's gathers(g) is true) stores each slot of its range
+///     exactly once over an older round's loads; every other kernel is
+///     *multi-touch* — next[v] += f for tokens sent over an edge (u→v),
+///     next[u] += kept for self-loop tokens and the remainder — into a
+///     buffer zero-filled first. This is the hot path of every
+///     observer-free round: a RoundPlan runs each interior run so.
 class FlowSink {
  public:
   /// Row mode. `rows` holds the records of nodes [first, …), (d+d°)
@@ -101,16 +95,13 @@ class FlowSink {
     next_[static_cast<std::size_t>(v)] += f;
   }
 
-  /// Emit-fused round statistics. A gather kernel — one that writes each
-  /// slot of its range exactly once with the slot's final next load (the
-  /// cycle stencil, the torus row gather) — already has every emitted
-  /// value in hand, so it folds min, max and a wrapping Σ into the emit
-  /// sweep and reports them here, together with how many slots it
-  /// covered. Ranges merge as LoadScan::merge does; a gather
-  /// round must cover every slot (the engines require it: an unwritten
-  /// slot would still hold an older round's load), and its scan is then
-  /// the round's statistics and its conservation audit. Multi-touch
-  /// kernels never call this.
+  /// Emit-fused round statistics. A gather kernel has every value it
+  /// stores in hand, so it folds min, max and a wrapping Σ into the emit
+  /// sweep and reports them here with how many slots it covered. A
+  /// RoundPlan requires every interior slot covered (an unwritten slot
+  /// would still hold an older round's load); the scan is then the
+  /// round's statistics and its conservation audit. Multi-touch kernels
+  /// never call this.
   void merge_emit_stats(const LoadScan& emitted, NodeId covered) noexcept {
     emit_.merge(emitted);
     emit_covered_ += covered;
@@ -180,24 +171,21 @@ class Balancer {
   /// (min, max and Σ of what it stored) over the whole range; and a
   /// node's decision (decide(), or decide_range in row mode) is a pure
   /// function of its load, so an engine may ask for any node's, in any
-  /// order, without changing the trajectory. The engines audit
-  /// conservation against the emitted Σ and leave the full rescan of the
-  /// loads to every kRescanInterval-th round. Both engines key on this up
-  /// front: the flat engine skips the next-load buffer's zero-fill, and
-  /// the sharded engine lets each interior run store its slots while each
-  /// boundary node pulls its same-shard terms from its neighbors' rows. A
-  /// round that leaves a slot unwritten throws invariant_error. Default:
-  /// false.
+  /// order, without changing the trajectory. A RoundPlan then skips the
+  /// zero-fill, lets each interior run store its slots and each boundary
+  /// node pull its same-part terms from its neighbors' rows, and audits
+  /// conservation against the emitted Σ (the ledger's full rescan comes
+  /// every kRescanInterval-th round). A round that leaves a slot
+  /// unwritten throws invariant_error. Default: false.
   virtual bool gathers(const Graph& g) const;
 
   /// True when decide_range over disjoint ranges may run concurrently —
   /// i.e. a node's decision touches only that node's own state (rotor
   /// slots, per-edge carries) plus read-only data. Balancers drawing from
   /// one sequential RNG stream (RAND-EXTRA, RAND-ROUND) must leave this
-  /// false; the parallel engine then decides serially (in ascending node
-  /// order, so the RNG stream matches the serial path) and parallelizes
-  /// only the apply phase. Default: false — safe for any third-party
-  /// balancer.
+  /// false; the engines then decide in ascending node order, so the RNG
+  /// stream matches the serial path. Default: false — safe for any
+  /// third-party balancer.
   virtual bool parallel_decide_safe() const { return false; }
 
   /// True for schemes (e.g. randomized rounding of [18]) that may send

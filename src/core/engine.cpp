@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 
 #include "graph/topology.hpp"
+#include "obs/engine_telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/assertions.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dlb {
 
@@ -19,26 +18,13 @@ struct FlatPhases {
   obs::Histogram& prepare;
   obs::Histogram& decide;
   obs::Histogram& apply;
-  obs::Histogram& scatter;  ///< fused decide+apply of the scatter path
+  obs::Histogram& scatter;  ///< one observer-free (plan) round
 };
 
 FlatPhases& flat_phases() {
-  static FlatPhases* p = [] {
-    auto& reg = obs::MetricsRegistry::instance();
-    const std::string name = "dlb_engine_phase_seconds";
-    const std::string help =
-        "Wall-clock latency of one engine phase within a round.";
-    return new FlatPhases{
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "flat"}, {"phase", "prepare"}}),
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "flat"}, {"phase", "decide"}}),
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "flat"}, {"phase", "apply"}}),
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "flat"}, {"phase", "scatter"}}),
-    };
-  }();
+  static FlatPhases* p = new FlatPhases{
+      obs::phase("flat", "prepare"), obs::phase("flat", "decide"),
+      obs::phase("flat", "apply"), obs::phase("flat", "scatter")};
   return *p;
 }
 
@@ -53,22 +39,15 @@ Engine::Engine(const Graph& g, EngineConfig config, Balancer& balancer,
   adopt_loads(std::move(initial));
   next_.assign(loads_.size(), 0);
   balancer_->reset(g, config_.self_loops);
-  gather_ = balancer_->gathers(g);
+  serial_.emplace(g, config_.self_loops, balancer_->gathers(g), 1);
 }
 
 void Engine::add_observer(StepObserver& observer) {
   observers_.push_back(&observer);
 }
 
-void Engine::ensure_rows() {
-  const std::size_t size =
-      loads_.size() * static_cast<std::size_t>(balancing_degree());
-  if (flows_.size() != size) flows_.assign(size, 0);
-}
-
 template <class Topo>
-LoadScan Engine::apply_rows(const Topo& topo, NodeId first, NodeId last,
-                            Load* next) const {
+LoadScan Engine::apply_rows(const Topo& topo, Load* next) const {
   const int d = topo.degree();
   const int d_plus = balancing_degree();
   const Load* rows = flows_.data();
@@ -76,8 +55,9 @@ LoadScan Engine::apply_rows(const Topo& topo, NodeId first, NodeId last,
   Load lo = std::numeric_limits<Load>::max();
   Load hi = std::numeric_limits<Load>::min();
   std::uint64_t sum = 0;  // wraps, as LoadScan's Σ does
-  auto cur = topo.cursor(first);
-  for (NodeId v = first; v < last; ++v, cur.advance()) {
+  const NodeId n = g_->num_nodes();
+  auto cur = topo.cursor(0);
+  for (NodeId v = 0; v < n; ++v, cur.advance()) {
     const Load* own = rows + static_cast<std::size_t>(v) * d_plus;
     // kept(v) = x(v) − Σ edge flows out of v: the remainder plus every
     // self-loop share, without reading the self-loop slots.
@@ -112,8 +92,10 @@ LoadScan Engine::apply_rows(const Topo& topo, NodeId first, NodeId last,
   return {lo, hi, static_cast<Load>(sum)};
 }
 
-void Engine::step_rows(ThreadPool* pool) {
-  ensure_rows();
+void Engine::step_rows() {
+  // The record matrix needs no zeroing: kernels overwrite every entry of
+  // the rows they decide.
+  flows_.resize(loads_.size() * static_cast<std::size_t>(balancing_degree()));
   const NodeId n = g_->num_nodes();
   FlowSink sink(*g_, config_.self_loops, flows_.data());
   {
@@ -124,38 +106,19 @@ void Engine::step_rows(ThreadPool* pool) {
   {
     obs::PhaseScope phase(flat_phases().decide, "decide", "flat", "t",
                           time() + 1);
-    if (pool != nullptr && balancer_->parallel_decide_safe()) {
-      pool->for_ranges(n, [&](std::int64_t first, std::int64_t last) {
-        balancer_->decide_range(static_cast<NodeId>(first),
-                                static_cast<NodeId>(last), loads_, time(),
-                                sink);
-      });
-    } else {
-      // Serial decide in ascending node order: balancers with a
-      // sequential RNG stream consume it exactly as the serial path does.
-      balancer_->decide_range(0, n, loads_, time(), sink);
-    }
+    balancer_->decide_range(0, n, loads_, time(), sink);
   }
-  obs::PhaseScope phase(flat_phases().apply, "apply", "flat", "t", time() + 1);
-  // The pull phase dispatches on the topology tag once per round: on
-  // cycle/torus/hypercube every neighbor and rev_port is computed in
-  // registers, the tables are never streamed. Each range folds the
-  // min/max/Σ of the loads it pulled; the ranges merge once each.
   LoadScan round;
-  std::mutex merge;  // guards round on pooled rounds
-  with_topology(*g_, [&](const auto& topo) {
-    if (pool != nullptr) {
-      pool->for_ranges(n, [&](std::int64_t first, std::int64_t last) {
-        const LoadScan range =
-            apply_rows(topo, static_cast<NodeId>(first),
-                       static_cast<NodeId>(last), next_.data());
-        const std::lock_guard<std::mutex> lock(merge);
-        round.merge(range);
-      });
-    } else {
-      round = apply_rows(topo, 0, n, next_.data());
-    }
-  });
+  {
+    obs::PhaseScope phase(flat_phases().apply, "apply", "flat", "t",
+                          time() + 1);
+    // The pull dispatches on the topology tag once per round: on
+    // cycle/torus/hypercube every neighbor and rev_port is computed in
+    // registers, the tables are never streamed.
+    with_topology(*g_, [&](const auto& topo) {
+      round = apply_rows(topo, next_.data());
+    });
+  }
   for (StepObserver* o : observers_) {
     o->on_step(time() + 1, *g_, config_.self_loops, loads_, flows_, next_);
   }
@@ -163,59 +126,58 @@ void Engine::step_rows(ThreadPool* pool) {
   publish_round_stats(round);
 }
 
-void Engine::step_scatter(ThreadPool* pool) {
-  const NodeId n = g_->num_nodes();
+void Engine::step_plan(RoundPlan& plan, ThreadPool* pool) {
   obs::PhaseScope phase(flat_phases().scatter, "scatter", "flat", "t",
                         time() + 1);
-  if (!gather_) std::fill(next_.begin(), next_.end(), Load{0});
-  FlowSink round = FlowSink::scatter(*g_, config_.self_loops, next_.data());
-  std::mutex merge;  // guards round's emit stats
-  balancer_->prepare_round(loads_, time(), round);
-  // Each range decides into a sink of its own over the shared next-load
-  // buffer: a gather writes only its range's slots, so pooled ranges
-  // never share a write, and their emit stats merge once per range.
-  const auto decide = [&](std::int64_t first, std::int64_t last) {
-    FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next_.data());
-    balancer_->decide_range(static_cast<NodeId>(first),
-                            static_cast<NodeId>(last), loads_, time(), sink);
-    const std::lock_guard<std::mutex> lock(merge);
-    round.merge_emit_stats(sink.emit_stats(), sink.emit_covered());
-  };
-  if (pool != nullptr) {
-    pool->for_ranges(n, decide);
-  } else {
-    decide(0, n);
+  Load* const next = next_.data();
+  const Step t = time();
+  {
+    FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next);
+    balancer_->prepare_round(loads_, t, sink);
   }
-  if (gather_) {
-    // Every slot was stored once with its final value and the min, max
-    // and Σ rode the emit sweep. A slot left unwritten would hold the
-    // loads of two rounds ago, so full coverage is required, not hoped
-    // for.
-    DLB_REQUIRE(round.emit_covered() == n,
-                "gather kernel did not write every next-load slot");
-    publish_round_stats(round.emit_stats());
+  const int k = plan.parts();
+  std::vector<LoadScan> scans(static_cast<std::size_t>(k));
+  plan.each_part(pool, [&](int s) {
+    plan.decide(s, *balancer_, loads_, t, next);
+  });
+  // Each part adds in what the others staged for it, then closes.
+  plan.each_part(pool, [&](int s) {
+    for (int o = 0; o < k; ++o) {
+      plan.receive(s, o, std::as_bytes(plan.staged(o, s)), next);
+    }
+    scans[static_cast<std::size_t>(s)] = plan.finish(s, next);
+  });
+  if (plan.gathers()) {
+    // The parts' scans cover every slot. A multi-touch round publishes
+    // nothing: the ledger scans the loads.
+    LoadScan round;
+    for (const LoadScan& part : scans) round.merge(part);
+    publish_round_stats(round);
   }
-  // A multi-touch round publishes nothing: the ledger scans the loads.
   loads_.swap(next_);
 }
 
 void Engine::do_step() {
   if (observers_.empty()) {
-    step_scatter(nullptr);
+    step_plan(*serial_, nullptr);
   } else {
-    step_rows(nullptr);
+    step_rows();
   }
 }
 
 void Engine::do_step_parallel(ThreadPool& pool) {
-  // A gather with disjoint-range-safe decides runs its ranges straight
-  // into the next-load buffer; rows are for observers and for kernels
-  // that add into shared slots (multi-touch) or decide serially.
-  if (observers_.empty() && gather_ && balancer_->parallel_decide_safe()) {
-    step_scatter(&pool);
-  } else {
-    step_rows(&pool);
+  // Observer rounds, and balancers whose decides must run in node order,
+  // stay serial; any other runs one part per worker.
+  const int k = static_cast<int>(
+      std::min<std::int64_t>(pool.parallelism(), g_->num_nodes()));
+  if (!observers_.empty() || !balancer_->parallel_decide_safe() || k == 1) {
+    do_step();
+    return;
   }
+  if (!pooled_ || pooled_->parts() != k) {
+    pooled_.emplace(*g_, config_.self_loops, serial_->gathers(), k);
+  }
+  step_plan(*pooled_, &pool);
 }
 
 }  // namespace dlb

@@ -1,35 +1,32 @@
-// Synchronous discrete diffusion engine with a two-phase decide/apply
-// round pipeline.
+// Synchronous discrete diffusion engine: one round rule, run two ways.
 //
-// Observer-free rounds take the *scatter* path: prepare_round and
-// decide_range write the round straight into the next-load buffer — no
-// per-node record. A balancer whose gathers(g) is true stores every slot
-// once; any other balancer adds token movements into the buffer, which
-// the engine zero-fills first. Serial rounds run one
-// decide_range over every node; pooled rounds of a parallel_decide_safe()
-// gather run one decide_range per pool range, each into its own slots,
-// and merge the ranges' emit statistics. Rows — the per-node records —
-// are for observers and non-gather balancers only (plus a gather whose
-// decides must stay serial): phase 1 fills each node's per-port record
-// (decide), phase 2 pulls every node's incoming flow through rev_port
-// and commits its next load (apply). Neither path has shared writes, so
-// a parallel round is byte-identical to a serial one at any thread
-// count. Every path writes the same next-load buffer, which then swaps
-// with the loads.
-// Token conservation is audited after every step (the paper's model
-// conserves total load exactly). Gather and row rounds sweep their new
-// loads once and fold Σ into that sweep, so their audit costs no second
-// pass; the ledger rescans the loads on multi-touch rounds and on every
-// kRescanInterval-th (64th) round (core/round_ledger.hpp).
+// Observer-free rounds run on a RoundPlan (core/round_plan.hpp). A serial
+// round, or a pooled round of a balancer that is not
+// parallel_decide_safe(), is the 1-part plan: prepare_round, then one
+// decide_range writes the round straight into the next-load buffer. A
+// pooled round of a parallel-safe balancer runs a plan of
+// min(parallelism, n) parts, built on the first pooled round and kept:
+// the parts decide concurrently, then each adds the cut flows the others
+// staged for it, with no copy and no frame. Rows — the per-node records —
+// are for observers only: an observer round fills every node's record,
+// pulls each node's incoming flow through rev_port and commits its next
+// load, serially. No path has shared writes, so a pooled round is
+// byte-identical to a serial one at any thread count.
+// Token conservation is audited after every step. Gather and row rounds
+// fold Σ into the sweep that writes their new loads; the ledger rescans
+// the loads on multi-touch rounds and on every kRescanInterval-th (64th)
+// round (core/round_ledger.hpp).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/balancer.hpp"
 #include "core/load_vector.hpp"
 #include "core/round_engine.hpp"
+#include "core/round_plan.hpp"
 #include "graph/graph.hpp"
 
 namespace dlb {
@@ -39,8 +36,8 @@ namespace dlb {
 /// `flows` is laid out as [u * (d + d°) + port]; ports [0, d) are original
 /// edges, [d, d + d°) self-loops. `pre` and `post` are the load vectors
 /// before and after the step; `t` is the 1-based index of the completed
-/// step (after the first step, t == 1). Attaching an observer forces the
-/// engine onto the row (per-node record) path.
+/// step (after the first step, t == 1). Attaching an observer moves the
+/// engine onto its serial row (per-node record) round.
 class StepObserver {
  public:
   virtual ~StepObserver() = default;
@@ -61,7 +58,7 @@ class Engine : public RoundEngineBase {
          LoadVector initial);
 
   /// Registers an observer (not owned); call before stepping. The first
-  /// observer switches the engine onto the row path.
+  /// observer moves the engine onto its serial row round.
   void add_observer(StepObserver& observer);
 
   const Graph& graph() const noexcept { return *g_; }
@@ -73,11 +70,9 @@ class Engine : public RoundEngineBase {
   Balancer& balancer() noexcept { return *balancer_; }
   const Balancer& balancer() const noexcept { return *balancer_; }
 
-  /// True once the per-node record matrix has been allocated (i.e. some
-  /// step ran on the row path — an observer, or a pooled round of a
-  /// non-gather balancer). Observer-free runs of a parallel-safe gather
-  /// keep this false, serial or pooled — the scatter path never touches
-  /// a row buffer.
+  /// True once the per-node record matrix has been allocated, i.e. some
+  /// step ran with an observer. Observer-free runs keep this false,
+  /// serial or pooled — a plan round never touches a row buffer.
   bool flows_materialized() const noexcept { return !flows_.empty(); }
 
  protected:
@@ -85,31 +80,24 @@ class Engine : public RoundEngineBase {
   void do_step_parallel(ThreadPool& pool) override;
 
  private:
-  /// Ensures the n×d⁺ record matrix exists (contents need no zeroing:
-  /// kernels overwrite every entry of the rows they decide).
-  void ensure_rows();
-  /// Apply phase over nodes [first, last): next(v) = kept(v) + incoming
-  /// flow pulled from the neighbours' records through the topology's
-  /// rev_port — computed arithmetic on structured graphs (the constant
-  /// p^1 / p, no rev_ table traffic), table loads on generic ones. The
-  /// range's min, max and Σ of next loads ride the same sweep and are
-  /// returned (fused stats and conservation audit).
+  /// Apply phase: next(v) = kept(v) + the incoming flows pulled from the
+  /// neighbours' records through rev_port (arithmetic on structured
+  /// graphs, table loads on generic ones). Returns the min, max and Σ of
+  /// the next loads, folded into the same sweep.
   template <class Topo>
-  LoadScan apply_rows(const Topo& topo, NodeId first, NodeId last,
-                      Load* next) const;
-  /// One row-path round; `pool` may be null (serial decide + apply).
-  void step_rows(ThreadPool* pool);
-  /// One scatter-path round: prepare_round, then decide_range over the
-  /// whole node range (`pool` null) or over every pool range (gather
-  /// balancers only), then the coverage check and the swap.
-  void step_scatter(ThreadPool* pool);
+  LoadScan apply_rows(const Topo& topo, Load* next) const;
+  /// One observer round: decide into the n×d⁺ records, pull, notify.
+  void step_rows();
+  /// One observer-free round; `pool` runs the parts (null: in order).
+  void step_plan(RoundPlan& plan, ThreadPool* pool);
 
   const Graph* g_;
   EngineConfig config_;
   Balancer* balancer_;
-  bool gather_;            // balancer's gathers(g): no zero-fill
-  LoadVector next_;        // next loads: scatter target and apply target
+  LoadVector next_;        // next loads: plan target and apply target
   LoadVector flows_;       // n * (d + d°) records; allocated on first row step
+  std::optional<RoundPlan> serial_;  // the 1-part plan
+  std::optional<RoundPlan> pooled_;  // built on the first pooled round
   std::vector<StepObserver*> observers_;
 };
 

@@ -3,19 +3,17 @@
 // IrregularEngine, and the matching-model DimensionExchange).
 //
 // The base owns the load vector, the run()/run_until_discrepancy() loops,
-// and the intra-round parallel dispatch: set_thread_pool() attaches
-// a ThreadPool, and step_parallel() (and the run loops, once a pool is
-// attached) routes through the subclass's do_step_parallel(); a parallel
-// round is byte-identical to a serial one at any thread count. Everything
-// else — the clock, the conservation ledger and its per-round audit, cached
-// min/max statistics, the online-workload hook, telemetry, and the
-// core-state bytes — is the RoundLedger it shares with ShardedEngine.
+// and the intra-round parallel dispatch: step_parallel() (and the run
+// loops) route through the subclass's do_step_parallel() once a pool is
+// attached, byte-identically to a serial round at any thread count. The
+// clock, the conservation ledger and its per-round audit, cached min/max
+// statistics, the online-workload hook, telemetry and the core-state bytes
+// are the RoundLedger it shares with ShardedEngine.
 //
-// Subclasses implement do_step(), which must advance loads_ by exactly one
-// synchronous round (and may fan out to observers before publishing the
-// new loads); the base then increments time and refreshes the audit and
-// the cached statistics. Engines with a contention-free two-phase round
-// additionally override do_step_parallel().
+// Subclasses implement do_step(), which advances loads_ by exactly one
+// synchronous round; the base then increments time and refreshes the
+// audit and the cached statistics. Engines with a parallel round override
+// do_step_parallel() too.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +34,9 @@ class RoundEngineBase {
   RoundEngineBase(const RoundEngineBase&) = delete;
   RoundEngineBase& operator=(const RoundEngineBase&) = delete;
 
-  /// Attaches a worker pool (not owned; must outlive the engine's runs).
-  /// Once attached, step_parallel() and the run loops execute rounds
-  /// through the engine's parallel two-phase pipeline; results are
-  /// identical to the serial path at any pool size. Pass nullptr to
-  /// detach.
+  /// Attaches a worker pool (not owned; must outlive the engine's runs;
+  /// nullptr detaches). step_parallel() and the run loops then run the
+  /// engine's parallel round, identical to the serial one at any size.
   void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
   ThreadPool* thread_pool() const noexcept { return pool_; }
 
@@ -127,13 +123,13 @@ class RoundEngineBase {
   /// Default: falls back to the serial round.
   virtual void do_step_parallel(ThreadPool& pool);
 
-  /// Subclasses whose round already sweeps the new load vector (the
-  /// engine's apply pull or a gather kernel's emit) publish the min, max
-  /// and wrapping Σ they computed in that same sweep here, from inside
-  /// do_step()/do_step_parallel() — no further O(n) pass per round. The
-  /// audit checks that Σ against total(); the ledger still rescans the
-  /// loads in full every kRescanInterval-th round, so a kernel whose Σ is
-  /// right but whose buffer is not cannot pass unnoticed.
+  /// A round that already swept its new loads (the apply pull, a gather's
+  /// emit) publishes the min, max and wrapping Σ of that sweep here, from
+  /// inside do_step()/do_step_parallel(). The audit checks that Σ against
+  /// total(); the ledger still rescans the loads every kRescanInterval-th
+  /// round, so a kernel whose Σ is right but whose buffer is not cannot
+  /// pass unnoticed. A round that publishes nothing is scanned (over the
+  /// pool's ranges on a pooled round).
   void publish_round_stats(const LoadScan& round) noexcept {
     ledger_.publish_round_stats(round);
   }

@@ -8,14 +8,14 @@ namespace {
 
 Labels kind_labels(const char* kind) { return {{"engine", kind}}; }
 
+}  // namespace
+
 Histogram& phase(const char* kind, const char* name) {
   return MetricsRegistry::instance().histogram(
       "dlb_engine_phase_seconds",
       "Wall-clock latency of one engine phase within a round.",
       phase_seconds_bounds(), {{"engine", kind}, {"phase", name}});
 }
-
-}  // namespace
 
 EngineTelemetry::EngineTelemetry(const char* kind)
     : rounds(MetricsRegistry::instance().counter(

@@ -15,6 +15,10 @@
 
 namespace dlb::obs {
 
+/// dlb_engine_phase_seconds{engine=kind, phase=name}, registered on first
+/// use.
+Histogram& phase(const char* kind, const char* name);
+
 struct EngineTelemetry {
   explicit EngineTelemetry(const char* kind);
 

@@ -6,15 +6,16 @@
 // the sharded engine posts is therefore wrapped in a fixed 48-byte frame
 // header carrying magic, version, tag, sender, round, a (seq, total)
 // position within the sender's per-round stream, the payload length, and
-// two FNV-1a checksums (one over the header itself, one over the
-// payload). At drain time the receiver can classify every failure a lossy
+// two checksums: the payload's block_checksum (util/serial.hpp, the
+// snapshot-v3 checksum, which runs at memory speed) and an FNV-1a over
+// the header's first 40 bytes. At drain time the receiver can classify every failure a lossy
 // transport produces — corruption, truncation, duplication, reordering,
 // staleness (a frame delayed across a round boundary), and outright loss
 // (a (seq, total) hole) — *before* any payload byte reaches engine state,
 // and the engine's bounded re-post retry turns all of them back into the
 // byte-exact fault-free round. The header is encoded little-endian
-// byte-by-byte (the util/serial.hpp discipline), so frames are
-// implementation-independent bytes a process transport can replay.
+// (util/serial.hpp's store_le), so frames are implementation-independent
+// bytes a process transport can replay.
 //
 // Decode contract: decode_frame distinguishes "the stream is unframed
 // garbage from here on" (kBadHeader / kTruncated — the caller must abort
@@ -49,7 +50,9 @@ class shard_fault_error : public std::runtime_error {
 
 /// "DLBF" little-endian — first four bytes of every frame.
 inline constexpr std::uint32_t kFrameMagic = 0x46424C44u;
-inline constexpr std::uint8_t kFrameVersion = 1;
+/// Version 2: the payload checksum is block_checksum (version 1 used a
+/// byte-serial FNV-1a). A version-1 frame decodes as kBadHeader.
+inline constexpr std::uint8_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 48;
 
 /// One decoded frame: header fields plus a view into the payload bytes
@@ -65,39 +68,30 @@ struct FrameView {
 
 namespace framing_detail {
 
-inline void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-inline void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
+/// Appends `v` little-endian.
+template <class U>
+inline void put_le(std::vector<std::byte>& out, U v) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof v);
+  store_le(reinterpret_cast<std::uint8_t*>(out.data() + at), v);
 }
 
 inline std::uint32_t get_u32(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
+  return load_le<std::uint32_t>(reinterpret_cast<const std::uint8_t*>(p));
 }
 
 inline std::uint64_t get_u64(const std::byte* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
+  return load_le<std::uint64_t>(reinterpret_cast<const std::uint8_t*>(p));
 }
 
+inline std::span<const std::uint8_t> as_u8(
+    std::span<const std::byte> data) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(data.data()), data.size()};
+}
+
+/// The header checksum: FNV-1a over the header's first 40 bytes.
 inline std::uint64_t fnv1a64_bytes(std::span<const std::byte> data) noexcept {
-  return fnv1a64(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(data.data()), data.size()));
+  return fnv1a64(as_u8(data));
 }
 
 }  // namespace framing_detail
@@ -110,21 +104,21 @@ inline void append_frame(std::vector<std::byte>& out, std::uint8_t tag,
                          std::span<const std::byte> payload) {
   using namespace framing_detail;
   const std::size_t base = out.size();
-  put_u32(out, kFrameMagic);
+  put_le<std::uint32_t>(out, kFrameMagic);
   out.push_back(static_cast<std::byte>(kFrameVersion));
   out.push_back(static_cast<std::byte>(tag));
-  out.push_back(std::byte{0});  // flags, reserved in v1
+  out.push_back(std::byte{0});  // flags, reserved
   out.push_back(std::byte{0});  // padding, must be zero
-  put_u32(out, static_cast<std::uint32_t>(from));
-  put_u32(out, seq);
-  put_u32(out, total);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(out, static_cast<std::uint64_t>(round));
-  put_u64(out, fnv1a64_bytes(payload));
+  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(from));
+  put_le<std::uint32_t>(out, seq);
+  put_le<std::uint32_t>(out, total);
+  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
+  put_le<std::uint64_t>(out, static_cast<std::uint64_t>(round));
+  put_le<std::uint64_t>(out, block_checksum(as_u8(payload)));
   // Header checksum covers everything above it; a flip anywhere in the
   // first 40 bytes (including the payload checksum) fails this one.
-  put_u64(out, fnv1a64_bytes(
-                   std::span<const std::byte>(out.data() + base, 40)));
+  put_le<std::uint64_t>(
+      out, fnv1a64_bytes(std::span<const std::byte>(out.data() + base, 40)));
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -164,7 +158,7 @@ inline FrameStatus decode_frame(std::span<const std::byte> buf,
   }
   out.payload = buf.subspan(off + kFrameHeaderBytes, len);
   off += kFrameHeaderBytes + len;
-  if (fnv1a64_bytes(out.payload) != payload_sum) {
+  if (block_checksum(as_u8(out.payload)) != payload_sum) {
     return FrameStatus::kBadPayload;
   }
   return FrameStatus::kOk;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dynamics/workload.hpp"
@@ -26,20 +26,9 @@ struct ShardPhases {
 };
 
 ShardPhases& shard_phases() {
-  static ShardPhases* p = [] {
-    auto& reg = obs::MetricsRegistry::instance();
-    const std::string name = "dlb_engine_phase_seconds";
-    const std::string help =
-        "Wall-clock latency of one engine phase within a round.";
-    return new ShardPhases{
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "sharded"}, {"phase", "prepare"}}),
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "sharded"}, {"phase", "decide"}}),
-        reg.histogram(name, help, obs::phase_seconds_bounds(),
-                      {{"engine", "sharded"}, {"phase", "drain"}}),
-    };
-  }();
+  static ShardPhases* p = new ShardPhases{obs::phase("sharded", "prepare"),
+                                          obs::phase("sharded", "decide"),
+                                          obs::phase("sharded", "drain")};
   return *p;
 }
 
@@ -92,51 +81,42 @@ ShardProtocol& shard_protocol() {
 ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
                              Balancer& balancer, const LoadVector& initial,
                              int shards, ShardChannel* channel)
-    : g_(&g), config_(config), balancer_(&balancer),
-      part_(g.num_nodes(), shards) {
+    : g_(&g), config_(config), balancer_(&balancer) {
   DLB_REQUIRE(config_.self_loops >= 0, "self_loops must be non-negative");
   DLB_REQUIRE(config_.fault.max_retries >= 0,
               "sharded engine: negative retry budget");
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
+  balancer_->reset(g, config_.self_loops);
+  plan_.emplace(g, config_.self_loops, balancer_->gathers(g), shards);
   ledger_.adopt(initial);
   if (channel != nullptr) {
-    DLB_REQUIRE(channel->shard_count() == part_.shards(),
+    DLB_REQUIRE(channel->shard_count() == shards,
                 "sharded engine: channel endpoint count != shard count");
     channel_ = channel;
   } else {
-    owned_channel_ = std::make_unique<InProcessShardChannel>(part_.shards());
+    owned_channel_ = std::make_unique<InProcessShardChannel>(shards);
     channel_ = owned_channel_.get();
   }
   lossless_ = channel_->lossless();
 
-  balancer_->reset(g, config_.self_loops);
-  gather_ = balancer_->gathers(g);
-
-  const std::size_t k = static_cast<std::size_t>(part_.shards());
+  const auto k = static_cast<std::size_t>(shards);
   shards_.resize(k);
   dead_.assign(k, 0);
   done_.assign(k, 0);
   loads_ = initial;
   next_.assign(initial.size(), 0);
-  for (int s = 0; s < part_.shards(); ++s) {
+  for (int s = 0; s < shards; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
-    sh.begin = part_.begin(s);
-    sh.size = part_.size(s);
-    const auto at = static_cast<std::size_t>(sh.begin);
-    const auto len = static_cast<std::size_t>(sh.size);
+    const auto at = static_cast<std::size_t>(shard_begin(s));
+    const auto len = static_cast<std::size_t>(shard_size(s));
     sh.loads = std::span<Load>(loads_).subspan(at, len);
     sh.next = std::span<Load>(next_).subspan(at, len);
     sh.inbound.resize(k);
     sh.sent_frames.resize(k);
-  }
-  build_plan();
-
-  // Per-shard channel byte counters, registered up front (registration
-  // is one mutex pass at construction; the per-post inc() is a no-op
-  // branch until an exporter arms the registry).
-  for (int s = 0; s < part_.shards(); ++s) {
-    Shard& sh = shards_[static_cast<std::size_t>(s)];
+    // Channel byte counters, registered up front (one mutex pass; the
+    // per-post inc() is a no-op branch until an exporter arms the
+    // registry).
     const obs::Labels labels{{"shard", std::to_string(s)}};
     sh.bytes_posted = &obs::MetricsRegistry::instance().counter(
         "dlb_shard_channel_bytes_posted_total",
@@ -151,113 +131,9 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
 
 ShardedEngine::~ShardedEngine() = default;
 
-void ShardedEngine::build_plan() {
-  // The edge cut, computed once: maximal runs of nodes with no cut edge
-  // (on structured graphs, everything but the slice's outer rows) are
-  // decided by the balancer's own kernel; the rest are boundary nodes.
-  // The cut also fixes the frame roster and layout: shard s owes shard o
-  // exactly one flow frame per round iff any s-owned node has a neighbor
-  // owned by o. Its payload is one Load per such edge, in edge-cut order
-  // (ascending sender node, then port); the receiver knows the edges'
-  // heads from the same cut, so no node id crosses the wire, and a lost
-  // or damaged frame is never mistaken for a quiet edge.
-  const int d = g_->degree();
-  const std::size_t k = static_cast<std::size_t>(part_.shards());
-  const std::size_t d_plus =
-      static_cast<std::size_t>(d + config_.self_loops);
-  with_topology(*g_, [&](const auto& topo) {
-    for (int s = 0; s < part_.shards(); ++s) {
-      Shard& sh = shards_[static_cast<std::size_t>(s)];
-      sh.flow_out.resize(k);
-      sh.row.resize(d_plus);
-      for (NodeId u = sh.begin; u < sh.begin + sh.size; ++u) {
-        bool cut = false;
-        for (int p = 0; p < d; ++p) {
-          const NodeId v = topo.neighbor(u, p);
-          const int o = part_.owner(v);
-          if (o == s) continue;
-          cut = true;
-          auto& out = sh.flow_out[static_cast<std::size_t>(o)];
-          sh.cuts.push_back({o, out.size(), 0});
-          out.resize(out.size() + sizeof(Load));
-          shards_[static_cast<std::size_t>(o)]
-              .inbound[static_cast<std::size_t>(s)]
-              .heads.push_back(v);
-        }
-        if (cut) {
-          if (gather_) sh.boundary.push_back(u);
-          continue;
-        }
-        ++sh.interior_nodes;
-        if (!sh.interior.empty() && sh.interior.back().second == u) {
-          ++sh.interior.back().second;
-        } else {
-          sh.interior.emplace_back(u, u + 1);
-        }
-      }
-      if (!gather_) continue;
-      // A gather's boundary node pulls its same-shard terms from the
-      // decisions of its same-shard neighbors and stages its own cut
-      // flows. The round works out each of those nodes' decision once,
-      // into one row of `rows`; the plan records where in `rows` each
-      // boundary node finds its own row, each same-shard term and each
-      // of its cut flows.
-      std::vector<NodeId> src;
-      const auto same_shard = [&](NodeId v) { return part_.owner(v) == s; };
-      for (const NodeId b : sh.boundary) {
-        src.push_back(b);
-        for (int p = 0; p < d; ++p) {
-          const NodeId v = topo.neighbor(b, p);
-          if (same_shard(v)) src.push_back(v);
-        }
-      }
-      std::sort(src.begin(), src.end());
-      src.erase(std::unique(src.begin(), src.end()), src.end());
-      const auto row_of = [&](NodeId v) {
-        return static_cast<std::int64_t>(
-                   std::lower_bound(src.begin(), src.end(), v) - src.begin()) *
-               static_cast<std::int64_t>(d_plus);
-      };
-      auto cut = sh.cuts.begin();
-      for (const NodeId b : sh.boundary) {
-        const std::int64_t own = row_of(b);
-        sh.pulls.push_back(own);
-        for (int p = 0; p < d; ++p) {
-          const NodeId v = topo.neighbor(b, p);
-          if (same_shard(v)) {
-            sh.pulls.push_back(row_of(v) + topo.rev_port(b, p));
-          } else {
-            sh.pulls.push_back(-1);
-            (cut++)->flow = own + p;
-          }
-        }
-      }
-      sh.rows.resize(src.size() * d_plus);
-      for (const NodeId v : src) {
-        if (!sh.sources.empty() && sh.sources.back().second == v) {
-          ++sh.sources.back().second;
-        } else {
-          sh.sources.emplace_back(v, v + 1);
-        }
-      }
-    }
-  });
-}
-
-template <class Body>
-void ShardedEngine::for_shards(bool parallel_ok, Body&& body) {
-  const int k = part_.shards();
-  if (parallel_ok && pool_ != nullptr && pool_->parallelism() > 1 && k > 1) {
-    pool_->for_ranges(k, [&](std::int64_t first, std::int64_t last) {
-      for (std::int64_t s = first; s < last; ++s) body(static_cast<int>(s));
-    });
-  } else {
-    for (int s = 0; s < k; ++s) body(s);
-  }
-}
-
 Load ShardedEngine::load_of(NodeId u) const {
-  DLB_REQUIRE(u >= 0 && u < part_.num_nodes(), "load_of: node out of range");
+  DLB_REQUIRE(u >= 0 && u < plan_->partition().num_nodes(),
+              "load_of: node out of range");
   return loads_[static_cast<std::size_t>(u)];
 }
 
@@ -266,7 +142,7 @@ void ShardedEngine::apply_workload() {
   WorkloadProcess& wl = *workload_;
   const Step t = time();
   ledger_.apply_workload(
-      wl, "sharded", pool_, part_.num_nodes(),
+      wl, "sharded", pool_, plan_->partition().num_nodes(),
       [&] { return std::span<const Load>(loads_); },
       [&](NodeId u, Load d, WorkloadTally& tally) {
         tally.apply(u, loads_[static_cast<std::size_t>(u)], d);
@@ -276,7 +152,7 @@ void ShardedEngine::apply_workload() {
         for_shards(wl.parallel_generate_safe(), [&](int s) {
           Shard& sh = shards_[static_cast<std::size_t>(s)];
           WorkloadTally part;
-          part.apply_filled(wl, t, sh.begin, sh.loads);
+          part.apply_filled(wl, t, shard_begin(s), sh.loads);
           sh.tally = part;
         });
         for (const Shard& sh : shards_) tally.merge(sh.tally);
@@ -303,9 +179,8 @@ void ShardedEngine::post_frame(int from, int to,
 }
 
 bool ShardedEngine::inbound_complete(int s) const {
-  const Shard& sh = shards_[static_cast<std::size_t>(s)];
-  for (const InboundStream& st : sh.inbound) {
-    if (!st.heads.empty() && !st.seen) return false;
+  for (int from = 0; from < shards(); ++from) {
+    if (missing(s, from)) return false;
   }
   return true;
 }
@@ -314,7 +189,7 @@ void ShardedEngine::drain_frames(int s) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   ShardProtocol& proto = shard_protocol();
   const std::int64_t round = time() + 1;
-  const int k = part_.shards();
+  const int k = shards();
   channel_->drain(
       s, ShardTag::kFlows, [&](int from, std::span<const std::byte> bytes) {
         sh.bytes_drained->inc(bytes.size());
@@ -349,7 +224,7 @@ void ShardedEngine::drain_frames(int s) {
           }
           InboundStream& stream =
               sh.inbound[static_cast<std::size_t>(frame.from)];
-          if (stream.heads.empty() || frame.seq != 0 || frame.total != 1) {
+          if (!expects(s, frame.from) || frame.seq != 0 || frame.total != 1) {
             proto.err_unexpected.inc();
             continue;
           }
@@ -366,201 +241,67 @@ void ShardedEngine::drain_frames(int s) {
 
 void ShardedEngine::collect_frames() {
   ShardProtocol& proto = shard_protocol();
-  const int k = part_.shards();
-  const auto missing = [](const InboundStream& st) {
-    return !st.heads.empty() && !st.seen;
-  };
+  const int k = shards();
+  std::vector<std::pair<int, int>> gaps;  // (to, from) still incomplete
   for (int attempt = 0;; ++attempt) {
     for_shards(true, [&](int s) { drain_frames(s); });
-    int missing_to = -1;
-    int missing_from = -1;
-    for (int to = 0; to < k && missing_to < 0; ++to) {
-      const Shard& rcv = shards_[static_cast<std::size_t>(to)];
+    gaps.clear();
+    for (int to = 0; to < k; ++to) {
       for (int from = 0; from < k; ++from) {
-        if (missing(rcv.inbound[static_cast<std::size_t>(from)])) {
-          missing_to = to;
-          missing_from = from;
-          break;
-        }
+        if (missing(to, from)) gaps.emplace_back(to, from);
       }
     }
-    if (missing_to < 0) return;
+    if (gaps.empty()) return;
     DLB_REQUIRE(!lossless_,
                 "sharded engine: incomplete frame stream on a lossless "
                 "channel (protocol bug, not transport weather)");
     if (attempt >= config_.fault.max_retries) {
       throw shard_fault_error(
-          "sharded engine: frame stream " + std::to_string(missing_from) +
-          " -> " + std::to_string(missing_to) + " (round " +
+          "sharded engine: frame stream " + std::to_string(gaps[0].second) +
+          " -> " + std::to_string(gaps[0].first) + " (round " +
           std::to_string(time() + 1) + ") still incomplete after " +
           std::to_string(attempt) + " re-post attempt(s) — sender lost?");
     }
     proto.retries.inc();
     // Re-post the retained frame of every incomplete stream; duplicates
     // from crossed retries are deduplicated by the seen flag.
-    for (int to = 0; to < k; ++to) {
-      const Shard& rcv = shards_[static_cast<std::size_t>(to)];
-      for (int from = 0; from < k; ++from) {
-        if (!missing(rcv.inbound[static_cast<std::size_t>(from)])) continue;
-        Shard& snd = shards_[static_cast<std::size_t>(from)];
-        const auto& retained = snd.sent_frames[static_cast<std::size_t>(to)];
-        DLB_REQUIRE(!retained.empty(),
-                    "sharded engine: no retained frame to re-post");
-        channel_->post(from, to, ShardTag::kFlows,
-                       std::span<const std::byte>(retained.data(),
-                                                  retained.size()));
-        snd.bytes_posted->inc(retained.size());
-        proto.frames_posted.inc();
-        proto.frames_reposted.inc();
-      }
+    for (const auto& [to, from] : gaps) {
+      Shard& snd = shards_[static_cast<std::size_t>(from)];
+      const auto& retained = snd.sent_frames[static_cast<std::size_t>(to)];
+      DLB_REQUIRE(!retained.empty(),
+                  "sharded engine: no retained frame to re-post");
+      channel_->post(from, to, ShardTag::kFlows,
+                     std::span<const std::byte>(retained.data(),
+                                                retained.size()));
+      snd.bytes_posted->inc(retained.size());
+      proto.frames_posted.inc();
+      proto.frames_reposted.inc();
     }
-  }
-}
-
-void ShardedEngine::apply_flow_payload(Shard& sh, const InboundStream& st) {
-  DLB_REQUIRE(st.payload.size() == st.heads.size() * sizeof(Load),
-              "flow stream: payload does not match the edge cut");
-  const std::byte* at = st.payload.data();
-  for (const NodeId v : st.heads) {
-    Load f;
-    std::memcpy(&f, at, sizeof(Load));
-    at += sizeof(Load);
-    sh.next[static_cast<std::size_t>(v - sh.begin)] += f;
   }
 }
 
 void ShardedEngine::finish_shard(int s) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   // Ascending sender order — fixed regardless of arrival order, which is
-  // what keeps a faulted round byte-identical to a clean one.
-  for (const InboundStream& st : sh.inbound) apply_flow_payload(sh, st);
-  // The drained cut flows completed a gather's boundary slots: fold them
-  // into the interior emit, so the round's statistics cover every slot.
-  for (const NodeId b : sh.boundary) {
-    const Load x = next_[static_cast<std::size_t>(b)];
-    sh.scan.merge({x, x, x});
+  // what keeps a faulted round byte-identical to a clean one. A sender
+  // that owes no frame left its stream's payload empty.
+  for (int from = 0; from < shards(); ++from) {
+    plan_->receive(s, from, sh.inbound[static_cast<std::size_t>(from)].payload,
+                   next_.data());
   }
-}
-
-void ShardedEngine::decide_scatter(int s, Shard& sh, Step t) {
-  // In ascending node order (a sequential RNG stream sees the flat
-  // order): each interior run is one decide_range into the whole next
-  // buffer — by the cut table every add lands in this shard's slice.
-  // Boundary nodes take decide(), with flows routed by owner: local ones
-  // add into the zero-filled slice, cross-shard ones are staged per
-  // destination.
-  Balancer& bal = *balancer_;
-  std::fill(sh.next.begin(), sh.next.end(), Load{0});
-  const int d = g_->degree();
-  const int d_plus = d + config_.self_loops;
-  const bool negatives_ok = bal.allows_negative();
-  const std::span<Load> row(sh.row);
-  Load* const next = next_.data();
-  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next);
-  const auto* cut = sh.cuts.data();  // boundary nodes meet them in order
-  with_topology(*g_, [&](const auto& topo) {
-    const auto route = [&](NodeId u) {
-      std::fill(row.begin(), row.end(), 0);
-      const Load x = loads_[static_cast<std::size_t>(u)];
-      bal.decide(u, x, t, row);
-      Load sent = 0;
-      for (int p = 0; p < d_plus; ++p) {
-        DLB_ASSERT(negatives_ok || row[static_cast<std::size_t>(p)] >= 0,
-                   "balancer produced a negative flow");
-        sent += row[static_cast<std::size_t>(p)];
-      }
-      const Load remainder = x - sent;
-      DLB_REQUIRE(negatives_ok || remainder >= 0,
-                  "balancer sent more tokens than available");
-      Load kept = remainder;
-      for (int p = d; p < d_plus; ++p) {
-        kept += row[static_cast<std::size_t>(p)];
-      }
-      next[u] += kept;
-      for (int p = 0; p < d; ++p) {
-        const NodeId v = topo.neighbor(u, p);
-        const Load f = row[static_cast<std::size_t>(p)];
-        const int o = part_.owner(v);
-        if (o == s) {
-          next[v] += f;
-        } else {
-          DLB_ASSERT(cut->to == o, "cut edges out of plan order");
-          std::memcpy(sh.flow_out[static_cast<std::size_t>(o)].data() +
-                          (cut++)->at,
-                      &f, sizeof(Load));
-        }
-      }
-    };
-    NodeId u = sh.begin;
-    for (const auto& [first, last] : sh.interior) {
-      for (; u < first; ++u) route(u);
-      bal.decide_range(first, last, loads_, t, sink);
-      u = last;
-    }
-    for (; u < sh.begin + sh.size; ++u) route(u);
-  });
-}
-
-void ShardedEngine::decide_gather(Shard& sh, Step t) {
-  // A gather stores whole slots, so the slice is not zero-filled. Each
-  // interior run is one decide_range, which stores every slot of the run
-  // and folds min, max and Σ into its emit. Each boundary node b then
-  // stores kept(b) plus the flows its same-shard neighbors send it —
-  // their decision at the reverse port, a pure function of their loads,
-  // worked out once per round by a row-mode decide_range over each run
-  // of such nodes. b adds nothing into same-shard slots (their gathers
-  // pulled b's load already); its cut flows are staged for the channel.
-  const int d = g_->degree();
-  const std::size_t d_plus =
-      static_cast<std::size_t>(d + config_.self_loops);
-  const std::span<Load> rows(sh.rows);
-  Load* run_rows = rows.data();
-  for (const auto& [first, last] : sh.sources) {
-    FlowSink run(*g_, config_.self_loops, run_rows, first);
-    balancer_->decide_range(first, last, loads_, t, run);
-    run_rows += static_cast<std::size_t>(last - first) * d_plus;
-  }
-  Load* const next = next_.data();
-  FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next);
-  for (const auto& [first, last] : sh.interior) {
-    balancer_->decide_range(first, last, loads_, t, sink);
-  }
-  DLB_REQUIRE(sink.emit_covered() == sh.interior_nodes,
-              "gather kernel did not cover every interior slot");
-  sh.scan = sink.emit_stats();
-  const std::int64_t* pull = sh.pulls.data();
-  for (const NodeId b : sh.boundary) {
-    const Load* own = rows.data() + pull[0];
-    Load acc = loads_[static_cast<std::size_t>(b)];
-    for (int p = 0; p < d; ++p) acc -= own[p];
-    for (int p = 1; p <= d; ++p) {
-      if (pull[p] >= 0) acc += rows[static_cast<std::size_t>(pull[p])];
-    }
-    next[b] = acc;
-    pull += 1 + d;
-  }
-  for (const auto& c : sh.cuts) {
-    std::memcpy(sh.flow_out[static_cast<std::size_t>(c.to)].data() + c.at,
-                rows.data() + c.flow, sizeof(Load));
-  }
+  sh.scan = plan_->finish(s, next_.data());
 }
 
 void ShardedEngine::decide_shard(int s, Step t) {
   obs::TraceSpan span("decide", "shard", "shard", s);
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   for (InboundStream& st : sh.inbound) st.seen = false;
-  if (gather_) {
-    decide_gather(sh, t);
-  } else {
-    decide_scatter(s, sh, t);
-  }
+  plan_->decide(s, *balancer_, loads_, t, next_.data());
   // One frame per rostered destination, always — a frame is expected
   // every round, which is what makes loss detectable without timeouts.
-  for (int o = 0; o < part_.shards(); ++o) {
-    const std::vector<std::byte>& buf =
-        sh.flow_out[static_cast<std::size_t>(o)];
-    if (buf.empty()) continue;
-    post_frame(s, o, std::span<const std::byte>(buf.data(), buf.size()));
+  for (int o = 0; o < shards(); ++o) {
+    const std::span<const Load> flows = plan_->staged(s, o);
+    if (!flows.empty()) post_frame(s, o, std::as_bytes(flows));
   }
 }
 
@@ -628,7 +369,7 @@ void ShardedEngine::step() {
                           t + 1);
     drain_flows();
   }
-  if (gather_) {
+  if (windowed()) {
     // A gather round's emits and boundary folds cover every slot: they
     // are the round's statistics and its conservation audit. A
     // multi-touch round publishes nothing and end_round scans the slices.
@@ -655,7 +396,7 @@ void ShardedEngine::run(Step steps) {
 }
 
 void ShardedEngine::kill_shard(int s) {
-  DLB_REQUIRE(s >= 0 && s < part_.shards(), "kill_shard: shard out of range");
+  DLB_REQUIRE(s >= 0 && s < shards(), "kill_shard: shard out of range");
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   DLB_REQUIRE(!dead_[static_cast<std::size_t>(s)],
               "kill_shard: shard is already dead");
@@ -663,16 +404,13 @@ void ShardedEngine::kill_shard(int s) {
   // of a checkpoint restore must not be able to resurrect it.
   std::fill(sh.loads.begin(), sh.loads.end(), 0);
   std::fill(sh.next.begin(), sh.next.end(), 0);
-  for (auto& buf : sh.flow_out) {
-    std::fill(buf.begin(), buf.end(), std::byte{0});
-  }
   for (auto& frame : sh.sent_frames) frame.clear();
   dead_[static_cast<std::size_t>(s)] = 1;
   ++dead_count_;
 }
 
 bool ShardedEngine::shard_dead(int s) const {
-  DLB_REQUIRE(s >= 0 && s < part_.shards(), "shard_dead: shard out of range");
+  DLB_REQUIRE(s >= 0 && s < shards(), "shard_dead: shard out of range");
   return dead_[static_cast<std::size_t>(s)] != 0;
 }
 
@@ -681,28 +419,13 @@ std::size_t ShardedEngine::shard_resident_bytes(int s) const {
   return (sh.loads.size() + sh.next.size()) * sizeof(Load);
 }
 
-std::size_t ShardedEngine::shard_halo_bytes(int s) const {
-  const Shard& sh = shards_[static_cast<std::size_t>(s)];
-  std::size_t bytes = 0;
-  for (const auto& buf : sh.flow_out) bytes += buf.size();
-  return bytes;
-}
-
-std::uint64_t ShardedEngine::shard_cut_edges(int s) const {
-  return shards_[static_cast<std::size_t>(s)].cuts.size();
-}
-
-NodeId ShardedEngine::shard_interior_nodes(int s) const {
-  return shards_[static_cast<std::size_t>(s)].interior_nodes;
-}
-
 void ShardedEngine::save_core_state(StateWriter& w) const {
   ledger_.save_core(w, loads_);
 }
 
 void ShardedEngine::load_core_state(StateReader& r) {
   const RoundLedger::Core core = RoundLedger::read_core(
-      r, static_cast<std::size_t>(part_.num_nodes()));
+      r, static_cast<std::size_t>(plan_->partition().num_nodes()));
   std::copy(core.loads.begin(), core.loads.end(), loads_.begin());
   ledger_.restore(core.ledger);
   // A full-state restore redefines every slice — any killed shard is

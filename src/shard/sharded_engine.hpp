@@ -1,55 +1,35 @@
-// ShardedEngine: the decide/apply round over k partitioned load slices.
+// ShardedEngine: the round over k load slices, exchanged through a
+// channel.
 //
-// The flat Engine keeps one n-slot load vector and one next-load buffer;
-// this engine cuts the node range into k contiguous shards
-// (ShardPartition's balanced split), gives each shard its slice of both
-// buffers, and runs the round phases shard-by-shard — shards-as-threads
-// today, with every cross-shard byte moving through the narrow
-// ShardChannel seam so the same protocol runs over processes later.
-//
-// One round plan serves every balancer on every graph. The edge cut,
-// computed once at construction, splits each slice into maximal runs of
-// interior nodes (no cut edge) and boundary nodes. Walking its slice, a
-// shard sends each interior run through the balancer's decide_range —
-// the flat engine's kernel, whose reads and writes all stay in the slice
-// — and decides its boundary nodes one at a time. Flows over a cut edge
-// are staged in the cut's fixed edge order, one amount per edge, posted
-// through the channel and drained into the owner's slice after a
-// barrier (the receiver knows each edge's head from the cut); one buffer
-// swap retires the round. int64 flow adds commute exactly, so the drain
-// order never shows in the result. How a boundary node decides depends
-// on the kernel:
-//
-//   Multi-touch (balancer->gathers(g) is false: ROTOR-ROUTER, any
-//   stateful or randomized scheme, the hypercube and generic graphs). The
-//   slice is zero-filled, interior runs add into it, a boundary node runs
-//   decide() in ascending order and adds its local flows into the slice.
-//   The round publishes no fused stats; the ledger scans the slices.
-//
-//   Gather (gathers(g) is true: SEND(floor) on the cycle and torus).
-//   Nothing is zero-filled: an interior run stores each of its slots once,
-//   and a boundary node b stores kept(b) plus its same-shard neighbors'
-//   flows into it, read from their decide() at the reverse port — a
-//   gather's decide is a pure function of the load, and each node's
-//   decision is worked out once per round. After the drain, the boundary
-//   slots are folded into the runs' emitted min, max and Σ, and the merged
-//   scan is the round's statistics and its conservation audit.
+// The engine cuts the node range into k contiguous shards, each with its
+// slice of the load and next-load buffers, and runs the round
+// shard-by-shard — shards-as-threads today, with every cross-shard byte
+// moving through the narrow ShardChannel seam so the same protocol runs
+// over processes later. The round itself is the RoundPlan of
+// core/round_plan.hpp, which the flat engine's pooled rounds run too:
+// each shard decides its part and stages one flow per cut edge. This
+// engine adds the transport: each shard frames what it staged for each
+// other shard (shard/framing.hpp) and posts it; after a barrier every
+// shard drains, validates and re-requests its frames until its roster is
+// complete, then hands each payload to the plan in sender order. A lost,
+// damaged or stale frame is re-posted, never applied, so a faulted round
+// stays byte-identical to a clean one.
 //
 // Equivalence contract (golden-tested): for every registered balancer,
 // graph family, and workload, a k-shard run is byte-identical to the
-// 1-shard run and to the flat Engine — same loads trajectory, same
-// conservation ledger, same min/max history. The round bookkeeping — the
-// clock, ledger, statistics, audit, workload-delta rule, telemetry and
-// core-state bytes — is the RoundLedger the flat engines hold too; this
-// engine supplies only how a scan visits the loads (per-shard partial
-// scans, merged in shard order) and how dense workload deltas are chunked
-// (one chunk per shard). Snapshots see the flat load vector, so they move
-// freely between the flat engine and any shard count.
+// 1-shard run and to the flat Engine — same loads trajectory, ledger and
+// min/max history. The round bookkeeping is the RoundLedger the flat
+// engines hold too; this engine supplies only how a scan visits the loads
+// (per-shard partial scans, merged in shard order) and how dense workload
+// deltas are chunked (one chunk per shard). Snapshots see the flat load
+// vector, so they move freely between the flat engine and any shard
+// count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -57,8 +37,8 @@
 #include "core/balancer.hpp"
 #include "core/load_vector.hpp"
 #include "core/round_ledger.hpp"
+#include "core/round_plan.hpp"
 #include "graph/graph.hpp"
-#include "graph/topology.hpp"  // ShardPartition
 #include "shard/channel.hpp"
 #include "util/serial.hpp"
 
@@ -105,10 +85,10 @@ class ShardedEngine {
   Balancer& balancer() noexcept { return *balancer_; }
   const Balancer& balancer() const noexcept { return *balancer_; }
 
-  int shards() const noexcept { return part_.shards(); }
+  int shards() const noexcept { return plan_->parts(); }
   /// True when the balancer gathers on this graph (Balancer::gathers):
   /// interior runs store whole slots and boundary nodes pull.
-  bool windowed() const noexcept { return gather_; }
+  bool windowed() const noexcept { return plan_->gathers(); }
 
   /// Attaches a worker pool (not owned; nullptr detaches). Shards then
   /// run their round phases concurrently — byte-identically to the
@@ -137,7 +117,7 @@ class ShardedEngine {
   Load consumed_total() const noexcept { return ledger_.consumed_total(); }
   double average() const {
     return static_cast<double>(total()) /
-           static_cast<double>(part_.num_nodes());
+           static_cast<double>(plan_->partition().num_nodes());
   }
   Load discrepancy() const noexcept { return ledger_.discrepancy(); }
   Load min_load_seen() const noexcept { return ledger_.min_load_seen(); }
@@ -149,29 +129,33 @@ class ShardedEngine {
   LoadVector gather_loads() const { return loads_; }
 
   // --- per-shard geometry and memory accounting (bench/report surface) ---
-  NodeId shard_begin(int s) const { return part_.begin(s); }
-  NodeId shard_size(int s) const { return part_.size(s); }
+  NodeId shard_begin(int s) const { return plan_->partition().begin(s); }
+  NodeId shard_size(int s) const { return plan_->partition().size(s); }
   /// Bytes of per-shard resident state: the shard's slices of the
   /// engine-wide load and next-load buffers.
   std::size_t shard_resident_bytes(int s) const;
   /// Bytes of the shard's cut-flow staging buffers.
-  std::size_t shard_halo_bytes(int s) const;
+  std::size_t shard_halo_bytes(int s) const {
+    return plan_->cut_edges(s) * sizeof(Load);
+  }
   /// Edges of shard s whose other endpoint lives on another shard (the
   /// edge cut).
-  std::uint64_t shard_cut_edges(int s) const;
+  std::uint64_t shard_cut_edges(int s) const { return plan_->cut_edges(s); }
   /// Nodes of shard s with no cut edge, which the shard decides through
   /// the balancer's decide_range.
-  NodeId shard_interior_nodes(int s) const;
+  NodeId shard_interior_nodes(int s) const {
+    return plan_->interior_nodes(s);
+  }
 
   /// Byte-identical to RoundEngineBase::save_core_state on the flat
   /// engine holding the same run — the owned slices are gathered in
   /// shard order into one flat load vector before serialization.
   void save_core_state(StateWriter& w) const;
   /// Restores what save_core_state (or a flat engine's) captured into
-  /// the shard slices. The whole
-  /// blob is parsed first: on any serial_error nothing has changed. Also
-  /// revives any killed shard — a full-state restore redefines every
-  /// slice, which is exactly the supervisor's rollback recovery.
+  /// the shard slices. The whole blob is parsed first: on any
+  /// serial_error nothing has changed. Also revives any killed shard — a
+  /// full-state restore redefines every slice, which is exactly the
+  /// supervisor's rollback recovery.
   void load_core_state(StateReader& r);
 
   // --- fault-tolerance surface (driven by ShardSupervisor) -----------
@@ -189,51 +173,17 @@ class ShardedEngine {
   int dead_shards() const noexcept { return dead_count_; }
 
  private:
-  /// Reassembly state of one (sender → this shard) frame stream within
-  /// the current round. Every stream carries at most one frame per round,
-  /// and whether it carries one is fixed by the edge cut, so a sender that
-  /// goes silent is detected as an incomplete stream, not silence.
+  /// One (sender → this shard) frame stream of the current round: at
+  /// most one frame, owed iff the sender stages flows for this shard, so
+  /// a silent sender shows as an incomplete stream.
   struct InboundStream {
-    /// Heads of the sender's cut edges into this shard, in edge-cut
-    /// order: the frame carries one flow for each. Empty when the sender
-    /// owes no frame.
-    std::vector<NodeId> heads;
     bool seen = false;               ///< this round's frame has arrived
     std::vector<std::byte> payload;  ///< its payload (kept capacity)
   };
 
   struct Shard {
-    NodeId begin = 0;        ///< first owned global node
-    NodeId size = 0;         ///< owned node count
     std::span<Load> loads;   ///< the owned slice of the engine-wide loads
     std::span<Load> next;    ///< the owned slice of the next-load buffer
-    /// Maximal runs [first, last) of interior nodes (no cut edge),
-    /// ascending global ids, and their node count.
-    std::vector<std::pair<NodeId, NodeId>> interior;
-    NodeId interior_nodes = 0;
-    std::vector<Load> row;   ///< multi-touch: a boundary node's flows
-    /// The shard's cut edges in edge-cut order (ascending node, then
-    /// port): where each one's flow is staged, and for a gather where its
-    /// flow is in `rows`.
-    struct Cut {
-      int to;              ///< the shard owning the edge's head
-      std::size_t at;      ///< byte offset of its flow in flow_out[to]
-      std::int64_t flow;   ///< gather: offset of its flow in `rows`
-    };
-    std::vector<Cut> cuts;
-    /// Per destination, this round's flows over the cut edges into it —
-    /// the payload of the frame sent there (empty: no frame).
-    std::vector<std::vector<std::byte>> flow_out;
-    // Gather plan: the boundary nodes, ascending; the maximal runs
-    // [first, last) of nodes whose decisions they read (each boundary
-    // node and its same-shard neighbors), ascending, with one d⁺-wide
-    // decision row per node in `rows`; and per boundary node, 1 + d
-    // offsets into `rows` — its own row, then per port the neighbor's
-    // flow into it (−1 across the cut).
-    std::vector<NodeId> boundary;
-    std::vector<std::pair<NodeId, NodeId>> sources;
-    std::vector<Load> rows;
-    std::vector<std::int64_t> pulls;
     std::vector<InboundStream> inbound;       ///< per-sender reassembly
     std::vector<std::vector<std::byte>> sent_frames;
         ///< [dest] this round's frame, retained for re-post (lossy only)
@@ -244,14 +194,22 @@ class ShardedEngine {
     obs::Counter* bytes_drained = nullptr;  ///< channel bytes it received
   };
 
-  void build_plan();
-
   /// Round phases (see step() for the order and barriers).
   void apply_workload();
   void decide_shard(int s, Step t);
   void drain_flows();
 
   // --- framed transport plumbing (see decide_shard/drain_flows) -------
+  /// True when shard `from` owes shard `to` a flow frame every round.
+  bool expects(int to, int from) const {
+    return !plan_->staged(from, to).empty();
+  }
+  /// True when that frame has not arrived yet this round.
+  bool missing(int to, int from) const {
+    return expects(to, from) && !shards_[static_cast<std::size_t>(to)]
+                                     .inbound[static_cast<std::size_t>(from)]
+                                     .seen;
+  }
   /// Frames `payload` as this round's flow frame on the (from, to) stream
   /// and posts it; retains a copy for re-post on lossy channels.
   void post_frame(int from, int to, std::span<const std::byte> payload);
@@ -263,28 +221,24 @@ class ShardedEngine {
   /// stream is complete; throws shard_fault_error when the retry budget
   /// is exhausted.
   void collect_frames();
-  /// Adds one stream's flows into the shard's next buffer.
-  void apply_flow_payload(Shard& sh, const InboundStream& st);
-  /// Applies shard s's frames in sender order, then folds a gather's
-  /// boundary slots into the shard's emit scan.
+  /// Hands shard s's frames to the plan in sender order, then closes the
+  /// shard's part.
   void finish_shard(int s);
-  /// Multi-touch decide: interior runs through decide_range, boundary
-  /// nodes through decide() with cross-shard flows staged per destination.
-  void decide_scatter(int s, Shard& sh, Step t);
-  /// Gather decide: interior runs store their slots, boundary nodes pull.
-  void decide_gather(Shard& sh, Step t);
 
   /// Runs body(s) for every shard — through the pool when one is
   /// attached and `parallel_ok`, else serially in ascending shard order.
   /// Each call is a full barrier.
   template <class Body>
-  void for_shards(bool parallel_ok, Body&& body);
+  void for_shards(bool parallel_ok, const Body& body) {
+    const bool pooled = parallel_ok && pool_ != nullptr &&
+                        pool_->parallelism() > 1 && shards() > 1;
+    plan_->each_part(pooled ? pool_ : nullptr, body);
+  }
 
   const Graph* g_;
   ShardedEngineConfig config_;
   Balancer* balancer_;
-  ShardPartition part_;
-  bool gather_ = false;  ///< balancer_->gathers(*g_)
+  std::optional<RoundPlan> plan_;  ///< the partition, cut and staging
   std::unique_ptr<InProcessShardChannel> owned_channel_;
   ShardChannel* channel_;
   std::vector<Shard> shards_;

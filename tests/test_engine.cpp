@@ -233,6 +233,13 @@ TEST(Engine, ObserverFreeRunNeverTouchesFlowBuffer) {
   EXPECT_EQ(obs.records[0].flows.size(), 16u * 8u);  // n * (d + d°)
 }
 
+/// Records nothing; attaching it moves a flat engine onto its row round.
+class NoOpObserver : public StepObserver {
+ public:
+  void on_step(Step, const Graph&, int, std::span<const Load>,
+               std::span<const Load>, std::span<const Load>) override {}
+};
+
 /// Keeps every token but loses one in each decide_range call. Multi-touch
 /// in scatter mode: it adds each node's load to its own slot and then −1
 /// to its range's first slot. In row mode the apply pull conserves
@@ -287,12 +294,12 @@ TEST(Engine, ConservationAuditCatchesALeakOnRoundOne) {
     expect_audit_throws([&] { e.step(); });
   }
   {
-    SCOPED_TRACE("flat pooled rows");
+    SCOPED_TRACE("flat observed rows");
     LeakyKernel b;
     Engine e(g, EngineConfig{.self_loops = 1}, b, initial);
-    ThreadPool pool(2);
-    e.set_thread_pool(&pool);
-    expect_audit_throws([&] { e.step_parallel(); });
+    NoOpObserver observer;
+    e.add_observer(observer);
+    expect_audit_throws([&] { e.step(); });
   }
   {
     SCOPED_TRACE("2-shard multi-touch");
@@ -314,18 +321,12 @@ TEST(Engine, TimeStartsAtZero) {
 
 // ------------------------------------------------------ mixed step paths --
 
-/// Records nothing; attaching it moves the engine onto the row path.
-class NoOpObserver : public StepObserver {
- public:
-  void on_step(Step, const Graph&, int, std::span<const Load>,
-               std::span<const Load>, std::span<const Load>) override {}
-};
-
-// One engine mixes serial scatter steps, pooled row steps and, after a
-// mid-run add_observer, serial row steps, all through its one next-load
-// buffer. Each round must equal an all-step() twin: a gather round must
-// overwrite every slot a row round left behind, and a multi-touch round
-// must start from zeros whatever the previous round wrote.
+// One engine mixes serial 1-part plan steps, pooled plan steps and, after
+// a mid-run add_observer, row steps (serial, also when stepped through
+// the pool), all through its one next-load buffer. Each round must equal
+// an all-step() twin: a gather round must overwrite every slot a row
+// round left behind, and a multi-touch part must start from zeros
+// whatever the previous round wrote.
 void expect_mixed_paths_match_serial_twin(const Graph& g, Algorithm a) {
   SCOPED_TRACE(algorithm_name(a));
   const LoadVector initial = random_initial(g.num_nodes(), 1000, 17);

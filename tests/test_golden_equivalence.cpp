@@ -7,15 +7,15 @@
 //     identical — step by step — to the per-node row path (observer
 //     attached, records filled through Balancer::decide, the engine's
 //     golden reference semantics).
-//  2. The intra-round parallel decide/apply pipeline must produce
+//  2. Pooled rounds (the round plan, one part per worker) must produce
 //     trajectories identical to the serial path for every registry
 //     balancer at thread counts {1, 2, 8} — the determinism claim of the
-//     two-phase split (no shared writes in either phase).
+//     plan (parts write only their own slices and staged cut flows).
 //  3. Pooled gather rounds (SEND(floor) on the cycle and torus, no
-//     observer) run each pool range straight into the next-load buffer:
-//     byte-identical to serial step() at every pool size, with no row
-//     matrix ever allocated, and a kernel that leaves a slot unwritten
-//     is refused exactly as on the serial path.
+//     observer) store every slot of every part straight into the
+//     next-load buffer: byte-identical to serial step() at every pool
+//     size, with no row matrix ever allocated, and a kernel that leaves a
+//     slot unwritten is refused exactly as on the serial path.
 //
 // Any decide_range override that drifts from its decide() ground truth by
 // even one token on one node in one step fails here.
@@ -294,8 +294,8 @@ TEST(GoldenEquivalence, ImplicitTopologyMatchesGenericTablesForEveryBalancer) {
 }
 
 TEST(GoldenEquivalence, ParallelRoundsFeedObserversTheSameFlowMatrix) {
-  // The row path serves observers in parallel rounds too: records and
-  // post-loads must match the serial materialized step exactly.
+  // An observer round stepped through a pool runs on rows too: records
+  // and post-loads must match the serial materialized step exactly.
   class Recorder : public StepObserver {
    public:
     std::vector<LoadVector> flows, posts;
@@ -375,7 +375,7 @@ TEST(GoldenEquivalence, PooledGatherRoundsMatchSerialWithoutRows) {
 enum class GatherFault {
   kNone,
   kSkipLast,     ///< leaves the last next-load slot of each range unwritten
-  kLeak,         ///< emits one token fewer at node 0
+  kLeak,         ///< emits one token fewer at the first slot of each run
   kDoubleWrite,  ///< stores slot `first` twice, skips `first + 1`, and
                  ///< still reports the whole range as covered
 };
@@ -396,6 +396,13 @@ class KeepsLoadsGather : public Balancer {
   bool parallel_decide_safe() const override { return true; }
   void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
                     Step, FlowSink& sink) override {
+    if (sink.row_mode()) {  // a plan's boundary sources: all zero rows
+      for (NodeId u = first; u < last; ++u) {
+        const std::span<Load> row = sink.row(u);
+        std::fill(row.begin(), row.end(), 0);
+      }
+      return;
+    }
     NodeId covered = last - first;
     LoadScan emitted;
     for (NodeId u = first; u < last; ++u) {
@@ -405,7 +412,7 @@ class KeepsLoadsGather : public Balancer {
         --covered;
         continue;
       }
-      if (fault_ == GatherFault::kLeak && u == 0) --x;
+      if (fault_ == GatherFault::kLeak && u == first) --x;
       if (fault_ == GatherFault::kDoubleWrite && u == first + 1) slot = first;
       sink.next()[static_cast<std::size_t>(slot)] = x;
       emitted.merge({x, x, x});

@@ -414,11 +414,12 @@ TEST(TelemetryDeterminismTest, AuditPhaseIsTimedOnlyOnRoundsThatScan) {
   }
 }
 
-TEST(TelemetryDeterminismTest, PooledGatherRoundsAreTimedAsOneScatterPhase) {
-  // A pooled observer-free SEND(floor) round is one fused pass, so it
-  // records the scatter phase and nothing else; the decide/apply pair
-  // belongs to row rounds (here a pooled ROTOR-ROUTER round). Each round
-  // lands in exactly one of the two shapes, so traced layer sums add up.
+TEST(TelemetryDeterminismTest, PooledRoundsAreTimedAsOneScatterPhase) {
+  // A pooled observer-free round runs on the round plan, gather
+  // (SEND(floor)) or multi-touch (ROTOR-ROUTER) alike, so it records the
+  // scatter phase and nothing else; the prepare/decide/apply trio belongs
+  // to observer (row) rounds. Each round lands in exactly one of the two
+  // shapes, so traced layer sums add up.
   const Graph g = make_cycle(256);
   auto& reg = obs::MetricsRegistry::instance();
   const auto count = [&](const char* phase) {
@@ -432,7 +433,7 @@ TEST(TelemetryDeterminismTest, PooledGatherRoundsAreTimedAsOneScatterPhase) {
     double scatter, prepare, decide, apply;
   };
   for (const Case& c : {Case{"SEND(floor)", 5, 0, 0, 0},
-                        Case{"ROTOR-ROUTER", 0, 5, 5, 5}}) {
+                        Case{"ROTOR-ROUTER", 5, 0, 0, 0}}) {
     SCOPED_TRACE(c.balancer);
     const double scatter = count("scatter");
     const double prepare = count("prepare");
@@ -447,7 +448,7 @@ TEST(TelemetryDeterminismTest, PooledGatherRoundsAreTimedAsOneScatterPhase) {
     EXPECT_EQ(count("prepare") - prepare, c.prepare);
     EXPECT_EQ(count("decide") - decide, c.decide);
     EXPECT_EQ(count("apply") - apply, c.apply);
-    EXPECT_EQ(e.flows_materialized(), c.apply > 0);
+    EXPECT_FALSE(e.flows_materialized());
   }
 }
 

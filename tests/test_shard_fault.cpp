@@ -87,6 +87,28 @@ TEST(FramingTest, EmptyPayloadFramesAreValid) {
   EXPECT_TRUE(frame.payload.empty());
 }
 
+// A version-1 frame (byte-serial FNV-1a payload checksum) carries a valid
+// header checksum but the old version byte: it must never be trusted.
+TEST(FramingTest, VersionOneFrameIsABadHeader) {
+  const auto payload = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
+  std::vector<std::byte> v1;
+  append_frame(v1, 1, 0, 7, 0, 1, payload);
+  const auto put_u64 = [&](std::size_t at, std::uint64_t v) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      v1[at + b] = static_cast<std::byte>((v >> (8 * b)) & 0xFFu);
+    }
+  };
+  // Re-seal it exactly as version 1 wrote it.
+  v1[4] = std::byte{1};
+  put_u64(32, framing_detail::fnv1a64_bytes(payload));
+  put_u64(40, framing_detail::fnv1a64_bytes(
+                  std::span<const std::byte>(v1.data(), 40)));
+  std::size_t off = 0;
+  FrameView frame;
+  EXPECT_EQ(decode_frame(v1, off, frame), FrameStatus::kBadHeader);
+  EXPECT_EQ(off, 0u);
+}
+
 TEST(FramingTest, EveryHeaderBitFlipIsDetectedAndAbortsTheDelivery) {
   const auto payload = bytes_of({9, 8, 7});
   std::vector<std::byte> clean;
