@@ -53,13 +53,15 @@ void RoundPlan::build() {
       const NodeId begin = part_.begin(s);
       const NodeId end = part_.end(s);
       const auto local = [&](NodeId v) { return v >= begin && v < end; };
+      NodeId run = begin;  // first node of the current interior run
       auto cur = topo.cursor(begin);
       for (NodeId u = begin; u < end; ++u, cur.advance()) {
         bool cut = false;
-        for (int p = 0; p < d; ++p) {
+        for (int p = 0; p < topo.degree(); ++p) cut |= !local(cur.neighbor(p));
+        if (!cut) continue;
+        for (int p = 0; p < topo.degree(); ++p) {
           const NodeId v = cur.neighbor(p);
           if (local(v)) continue;
-          cut = true;
           const int o = part_.owner(v);
           std::vector<Load>& out = pt.out[static_cast<std::size_t>(o)];
           DLB_REQUIRE(out.size() < std::numeric_limits<std::uint32_t>::max(),
@@ -70,12 +72,13 @@ void RoundPlan::build() {
               .heads[static_cast<std::size_t>(s)]
               .push_back(v);
         }
-        if (cut) {
-          if (gather_) pt.boundary.push_back(u);
-          continue;
-        }
-        ++pt.interior_nodes;
-        extend(pt.interior, u);
+        if (run < u) pt.interior.emplace_back(run, u);
+        run = u + 1;
+        if (gather_) pt.boundary.push_back(u);
+      }
+      if (run < end) pt.interior.emplace_back(run, end);
+      for (const auto& [first, last] : pt.interior) {
+        pt.interior_nodes += last - first;
       }
       if (!gather_) {
         if (pt.interior_nodes < end - begin) {
