@@ -140,8 +140,9 @@ void Engine::step_plan(RoundPlan& plan, ThreadPool* pool) {
   plan.each_part(pool, [&](int s) {
     plan.decide(s, *balancer_, loads_, t, next);
   });
-  // Each part adds in what the others staged for it, then closes.
-  plan.each_part(pool, [&](int s) {
+  // Each part adds in what the others staged for it, then closes; with
+  // no cut there is nothing to add, so no second barrier.
+  plan.each_part(plan.has_cut() ? pool : nullptr, [&](int s) {
     for (int o = 0; o < k; ++o) {
       plan.receive(s, o, std::as_bytes(plan.staged(o, s)), next);
     }
@@ -175,7 +176,8 @@ void Engine::do_step_parallel(ThreadPool& pool) {
     return;
   }
   if (!pooled_ || pooled_->parts() != k) {
-    pooled_.emplace(*g_, config_.self_loops, serial_->gathers(), k);
+    pooled_.emplace(*g_, config_.self_loops, serial_->gathers(), k,
+                    /*shared_loads=*/true);
   }
   step_plan(*pooled_, &pool);
 }

@@ -8,23 +8,11 @@
 
 namespace dlb {
 
-namespace {
-
 /// Boundary nodes per row-mode decide_range: bounds a part's row buffer.
 constexpr NodeId kRowChunk = 256;
 
-/// Appends v to ascending runs [first, last), extending the last one.
-void extend(std::vector<std::pair<NodeId, NodeId>>& runs, NodeId v) {
-  if (!runs.empty() && runs.back().second == v) {
-    ++runs.back().second;
-  } else {
-    runs.emplace_back(v, v + 1);
-  }
-}
-
-}  // namespace
-
-RoundPlan::RoundPlan(const Graph& g, int d_loops, bool gather, int parts)
+RoundPlan::RoundPlan(const Graph& g, int d_loops, bool gather, int parts,
+                     bool shared_loads)
     : g_(&g), d_loops_(d_loops), gather_(gather),
       part_(g.num_nodes(), parts) {
   DLB_REQUIRE(d_loops >= 0, "self_loops must be non-negative");
@@ -34,12 +22,15 @@ RoundPlan::RoundPlan(const Graph& g, int d_loops, bool gather, int parts)
     pt.out.resize(k);
     pt.heads.resize(k);
   }
-  if (parts == 1) {
-    parts_[0].interior.emplace_back(0, g.num_nodes());
-    parts_[0].interior_nodes = g.num_nodes();
+  if (parts > 1 && !(gather && shared_loads)) {
+    build();
     return;
   }
-  build();
+  for (int s = 0; s < parts; ++s) {
+    parts_[static_cast<std::size_t>(s)].interior.emplace_back(part_.begin(s),
+                                                              part_.end(s));
+    parts_[static_cast<std::size_t>(s)].interior_nodes = part_.size(s);
+  }
 }
 
 void RoundPlan::build() {
@@ -63,6 +54,7 @@ void RoundPlan::build() {
           const NodeId v = cur.neighbor(p);
           if (local(v)) continue;
           const int o = part_.owner(v);
+          has_cut_ = true;
           std::vector<Load>& out = pt.out[static_cast<std::size_t>(o)];
           DLB_REQUIRE(out.size() < std::numeric_limits<std::uint32_t>::max(),
                       "round plan: too many cut edges between two parts");
@@ -114,7 +106,13 @@ void RoundPlan::build() {
         }
       }
       pt.rows.resize(src.size() * d_plus);
-      for (const NodeId v : src) extend(pt.sources, v);
+      for (const NodeId v : src) {
+        if (!pt.sources.empty() && pt.sources.back().second == v) {
+          ++pt.sources.back().second;
+        } else {
+          pt.sources.emplace_back(v, v + 1);
+        }
+      }
     }
   });
 }

@@ -19,8 +19,11 @@
 //     folds the boundary slots into the runs' emitted min, max and Σ: the
 //     round's statistics and its conservation audit.
 // A 1-part plan has no cut and needs no scan: one interior run [0, n).
-// The flat Engine exchanges staged flows directly; ShardedEngine frames
-// them through its channel.
+// Neither does a gather whose parts share one load vector: a gather kernel
+// stores only its own slots and may read any load, so each part is one
+// run. The flat Engine plans so and exchanges any staged flows directly;
+// ShardedEngine keeps its parts' loads apart and frames the cut flows
+// through its channel.
 #pragma once
 
 #include <cstddef>
@@ -39,12 +42,16 @@ namespace dlb {
 
 class RoundPlan {
  public:
-  /// `gather` is the balancer's gathers(g).
-  RoundPlan(const Graph& g, int d_loops, bool gather, int parts);
+  /// `gather` is the balancer's gathers(g); `shared_loads` says every
+  /// part may read every load (then a gather's plan has no cut).
+  RoundPlan(const Graph& g, int d_loops, bool gather, int parts,
+            bool shared_loads = false);
 
   const ShardPartition& partition() const noexcept { return part_; }
   int parts() const noexcept { return part_.shards(); }
   bool gathers() const noexcept { return gather_; }
+  /// False when no part stages anything: the exchange has nothing to do.
+  bool has_cut() const noexcept { return has_cut_; }
 
   /// Writes part s's local terms of round t into its slice of `next` (the
   /// engine-wide buffer) and stages its cut flows. Parts touch disjoint
@@ -124,6 +131,7 @@ class RoundPlan {
   const Graph* g_;
   int d_loops_;
   bool gather_;
+  bool has_cut_ = false;
   ShardPartition part_;
   std::vector<Part> parts_;
 };

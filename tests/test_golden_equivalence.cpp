@@ -375,7 +375,7 @@ TEST(GoldenEquivalence, PooledGatherRoundsMatchSerialWithoutRows) {
 enum class GatherFault {
   kNone,
   kSkipLast,     ///< leaves the last next-load slot of each range unwritten
-  kLeak,         ///< emits one token fewer at the first slot of each run
+  kLeak,         ///< emits one token fewer at node 0
   kDoubleWrite,  ///< stores slot `first` twice, skips `first + 1`, and
                  ///< still reports the whole range as covered
 };
@@ -396,13 +396,6 @@ class KeepsLoadsGather : public Balancer {
   bool parallel_decide_safe() const override { return true; }
   void decide_range(NodeId first, NodeId last, std::span<const Load> loads,
                     Step, FlowSink& sink) override {
-    if (sink.row_mode()) {  // a plan's boundary sources: all zero rows
-      for (NodeId u = first; u < last; ++u) {
-        const std::span<Load> row = sink.row(u);
-        std::fill(row.begin(), row.end(), 0);
-      }
-      return;
-    }
     NodeId covered = last - first;
     LoadScan emitted;
     for (NodeId u = first; u < last; ++u) {
@@ -412,7 +405,7 @@ class KeepsLoadsGather : public Balancer {
         --covered;
         continue;
       }
-      if (fault_ == GatherFault::kLeak && u == first) --x;
+      if (fault_ == GatherFault::kLeak && u == 0) --x;
       if (fault_ == GatherFault::kDoubleWrite && u == first + 1) slot = first;
       sink.next()[static_cast<std::size_t>(slot)] = x;
       emitted.merge({x, x, x});
