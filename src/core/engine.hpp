@@ -3,19 +3,17 @@
 // Observer-free rounds run on a RoundPlan (core/round_plan.hpp). A serial
 // round, or a pooled round of a balancer that is not
 // parallel_decide_safe(), is the 1-part plan: prepare_round, then one
-// decide_range writes the round straight into the next-load buffer. A
-// pooled round of a parallel-safe balancer runs a plan of
-// min(parallelism, n) parts, built on the first pooled round and kept:
-// the parts decide concurrently, then each adds the cut flows the others
-// staged for it, with no copy and no frame. Rows — the per-node records —
-// are for observers only: an observer round fills every node's record,
-// pulls each node's incoming flow through rev_port and commits its next
-// load, serially. No path has shared writes, so a pooled round is
-// byte-identical to a serial one at any thread count.
-// Token conservation is audited after every step. Gather and row rounds
-// fold Σ into the sweep that writes their new loads; the ledger rescans
-// the loads on multi-touch rounds and on every kRescanInterval-th (64th)
-// round (core/round_ledger.hpp).
+// decide_range writes the round straight into the next-load buffer. Other
+// pooled rounds run min(parallelism, n) parts (planned on the first
+// pooled round and kept) that decide concurrently and then add the cut
+// flows staged for them, with no copy and no frame. Rows — per-node
+// records — are for observers only: an observer round fills every
+// record, pulls each node's incoming flow through rev_port and commits
+// its next load, serially. No path has shared writes, so a pooled round
+// is byte-identical to a serial one at any thread count. Gather and row
+// rounds fold Σ into the sweep that writes their new loads for the
+// per-round conservation audit; the ledger scans the loads on multi-touch
+// rounds and every kRescanInterval-th round (core/round_ledger.hpp).
 #pragma once
 
 #include <cstdint>

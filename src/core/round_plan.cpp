@@ -65,13 +65,12 @@ void RoundPlan::build() {
               .push_back(v);
         }
         if (run < u) pt.interior.emplace_back(run, u);
+        pt.interior_nodes += u - run;
         run = u + 1;
         if (gather_) pt.boundary.push_back(u);
       }
       if (run < end) pt.interior.emplace_back(run, end);
-      for (const auto& [first, last] : pt.interior) {
-        pt.interior_nodes += last - first;
-      }
+      pt.interior_nodes += end - run;
       if (!gather_) {
         if (pt.interior_nodes < end - begin) {
           pt.rows.resize(

@@ -4,26 +4,22 @@
 // The edge cut, computed once, splits each part into maximal runs of
 // interior nodes (no cut edge) and boundary nodes. Deciding a part sends
 // each interior run through the balancer's decide_range, whose reads and
-// writes all stay in the part, and stages one Load per cut edge in
-// edge-cut order (ascending node, then port); the receiving part knows
-// each edge's head from the same cut. int64 adds commute, so the receive
-// order never shows. Boundary nodes decide by kernel kind:
+// writes stay in the part, and stages one Load per cut edge in edge-cut
+// order (ascending node, then port); the receiving part knows each edge's
+// head from the same cut. Boundary nodes decide by kernel kind:
 //   * multi-touch (gathers(g) false): the slice is zero-filled, interior
-//     runs add into it, and each run of boundary nodes is decided by a
-//     row-mode decide_range, a bounded chunk at a time, then routed —
-//     kept(b) and local flows add into the slice, cut flows are staged.
-//     An all-boundary part (the hypercube at k > 1) keeps kernel speed.
-//   * gather (gathers(g) true): interior runs store their slots once, and
-//     a boundary node stores kept(b) plus its same-part neighbours' flows,
+//     runs add into it, and each run of boundary nodes is decided by
+//     row-mode decide_range chunks whose rows are routed — local flows
+//     add into the slice, cut flows are staged. An all-boundary part (the
+//     hypercube at k > 1) keeps kernel speed.
+//   * gather (gathers(g) true): interior runs store their slots once; a
+//     boundary node stores kept(b) plus its same-part neighbours' flows,
 //     read from their row-mode decisions at the reverse port. finish()
-//     folds the boundary slots into the runs' emitted min, max and Σ: the
-//     round's statistics and its conservation audit.
-// A 1-part plan has no cut and needs no scan: one interior run [0, n).
-// Neither does a gather whose parts share one load vector: a gather kernel
-// stores only its own slots and may read any load, so each part is one
-// run. The flat Engine plans so and exchanges any staged flows directly;
-// ShardedEngine keeps its parts' loads apart and frames the cut flows
-// through its channel.
+//     folds the boundary slots into the runs' emitted min, max and Σ.
+// A 1-part plan has no cut, and neither has a gather whose parts share
+// one load vector (a gather stores only its own slots): each part is one
+// run. The flat Engine plans so and adds any staged flows directly;
+// ShardedEngine frames them through its channel.
 #pragma once
 
 #include <cstddef>

@@ -15,8 +15,7 @@
 
 namespace dlb::obs {
 
-/// dlb_engine_phase_seconds{engine=kind, phase=name}, registered on first
-/// use.
+/// dlb_engine_phase_seconds{engine=kind, phase=name}.
 Histogram& phase(const char* kind, const char* name);
 
 struct EngineTelemetry {

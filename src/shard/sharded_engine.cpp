@@ -306,12 +306,10 @@ void ShardedEngine::decide_shard(int s, Step t) {
 }
 
 void ShardedEngine::drain_flows() {
-  // Drain/validate/apply in one parallel pass: completeness is a
-  // per-shard property, so a shard whose roster filled on the first
-  // drain finishes without another pool barrier. Only bytes that passed
-  // both checksums and the (round, seq, total) checks are ever applied;
-  // a shard with missing frames (lossy transport weather) drops into the
-  // serial re-post loop below.
+  // Drain, validate and apply in one parallel pass: a shard whose roster
+  // filled on the first drain finishes without another barrier. Only
+  // frames that passed both checksums and the (round, seq, total) checks
+  // are applied; missing frames drop into the serial re-post loop.
   std::fill(done_.begin(), done_.end(), 0);
   std::atomic<bool> all_complete{true};
   for_shards(true, [&](int s) {
@@ -350,8 +348,7 @@ void ShardedEngine::step() {
     obs::PhaseScope phase(shard_phases().prepare, "prepare", "sharded", "t",
                           t + 1);
     // Serial once-per-round hook, before any shard decides, as on the
-    // flat engine. The sink exists only to convey graph/mode (no
-    // built-in prepare_round writes flows).
+    // flat engine.
     FlowSink sink = FlowSink::scatter(*g_, config_.self_loops, next_.data());
     balancer_->prepare_round(loads_, t, sink);
   }
