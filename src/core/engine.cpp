@@ -141,16 +141,22 @@ void Engine::step_plan(RoundPlan& plan, ThreadPool* pool) {
     plan.decide(s, *balancer_, loads_, t, next);
   });
   // Each part adds in what the others staged for it, then closes; with
-  // no cut there is nothing to add, so no second barrier.
+  // no cut there is nothing to add, so no second barrier. A pooled
+  // multi-touch part then scans its final slice, sparing the ledger a
+  // serial pass over the loads.
+  const bool scan_parts = pool != nullptr && !plan.gathers();
   plan.each_part(plan.has_cut() ? pool : nullptr, [&](int s) {
     for (int o = 0; o < k; ++o) {
       plan.receive(s, o, std::as_bytes(plan.staged(o, s)), next);
     }
-    scans[static_cast<std::size_t>(s)] = plan.finish(s, next);
+    LoadScan& scan = scans[static_cast<std::size_t>(s)];
+    scan = plan.finish(s, next);
+    const ShardPartition& part = plan.partition();
+    if (scan_parts) scan.add({next + part.begin(s), next + part.end(s)});
   });
-  if (plan.gathers()) {
-    // The parts' scans cover every slot. A multi-touch round publishes
-    // nothing: the ledger scans the loads.
+  if (plan.gathers() || scan_parts) {
+    // The parts' scans cover every slot. A serial multi-touch round
+    // publishes nothing: the ledger scans the loads.
     LoadScan round;
     for (const LoadScan& part : scans) round.merge(part);
     publish_round_stats(round);

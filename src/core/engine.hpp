@@ -12,8 +12,9 @@
 // its next load, serially. No path has shared writes, so a pooled round
 // is byte-identical to a serial one at any thread count. Gather and row
 // rounds fold Σ into the sweep that writes their new loads for the
-// per-round conservation audit; the ledger scans the loads on multi-touch
-// rounds and every kRescanInterval-th round (core/round_ledger.hpp).
+// per-round conservation audit, and pooled multi-touch parts scan their
+// final slices; the ledger scans the loads on serial multi-touch rounds
+// and every kRescanInterval-th round (core/round_ledger.hpp).
 #pragma once
 
 #include <cstdint>

@@ -73,24 +73,8 @@ void RoundEngineBase::run_round(ThreadPool* pool) {
       do_step();
     }
     ledger_.end_round(engine_kind(), [&] {
-      // A pooled round scans its ranges concurrently; min, max and the
-      // wrapping Σ merge in any order.
       LoadScan scan;
-      std::mutex mu;
-      const auto body = [&](std::int64_t first, std::int64_t last) {
-        LoadScan range;
-        range.add(std::span<const Load>(loads_).subspan(
-            static_cast<std::size_t>(first),
-            static_cast<std::size_t>(last - first)));
-        const std::lock_guard<std::mutex> lock(mu);
-        scan.merge(range);
-      };
-      const auto n = static_cast<std::int64_t>(loads_.size());
-      if (pool != nullptr) {
-        pool->for_ranges(n, body);
-      } else {
-        body(0, n);
-      }
+      scan.add(loads_);
       return scan;
     });
   }

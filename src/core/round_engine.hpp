@@ -128,8 +128,7 @@ class RoundEngineBase {
   /// inside do_step()/do_step_parallel(). The audit checks that Σ against
   /// total(); the ledger still rescans the loads every kRescanInterval-th
   /// round, so a kernel whose Σ is right but whose buffer is not cannot
-  /// pass unnoticed. A round that publishes nothing is scanned (over the
-  /// pool's ranges on a pooled round).
+  /// pass unnoticed. A round that publishes nothing is scanned.
   void publish_round_stats(const LoadScan& round) noexcept {
     ledger_.publish_round_stats(round);
   }
