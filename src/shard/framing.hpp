@@ -8,14 +8,14 @@
 // position within the sender's per-round stream, the payload length, and
 // two checksums: the payload's block_checksum (util/serial.hpp, the
 // snapshot-v3 checksum, which runs at memory speed) and an FNV-1a over
-// the header's first 40 bytes. At drain time the receiver can classify every failure a lossy
-// transport produces — corruption, truncation, duplication, reordering,
-// staleness (a frame delayed across a round boundary), and outright loss
-// (a (seq, total) hole) — *before* any payload byte reaches engine state,
-// and the engine's bounded re-post retry turns all of them back into the
-// byte-exact fault-free round. The header is encoded little-endian
-// (util/serial.hpp's store_le), so frames are implementation-independent
-// bytes a process transport can replay.
+// the header's first 40 bytes. At drain time the receiver can classify
+// every failure a lossy transport produces — corruption, truncation,
+// duplication, reordering, staleness (a frame delayed across a round
+// boundary), and outright loss (a (seq, total) hole) — *before* any
+// payload byte reaches engine state, and the engine's bounded re-post
+// retry turns all of them back into the byte-exact fault-free round. The
+// header is encoded little-endian (util/serial.hpp's store_le), so frames
+// are implementation-independent bytes a process transport can replay.
 //
 // Decode contract: decode_frame distinguishes "the stream is unframed
 // garbage from here on" (kBadHeader / kTruncated — the caller must abort
