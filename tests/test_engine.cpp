@@ -247,8 +247,10 @@ class NoOpObserver : public StepObserver {
 /// first load in place (a kernel writing through to the loads it reads).
 class LeakyKernel : public Balancer {
  public:
+  explicit LeakyKernel(bool parallel = false) : parallel_(parallel) {}
   std::string name() const override { return "test:leaky"; }
   void reset(const Graph&, int) override {}
+  bool parallel_decide_safe() const override { return parallel_; }
   void decide(NodeId, Load, Step, std::span<Load> flows) override {
     std::fill(flows.begin(), flows.end(), 0);
   }
@@ -267,6 +269,9 @@ class LeakyKernel : public Balancer {
     }
     sink.add(first, -1);  // the leak
   }
+
+ private:
+  bool parallel_;
 };
 
 /// Runs one round, expecting the conservation audit to throw.
@@ -292,6 +297,15 @@ TEST(Engine, ConservationAuditCatchesALeakOnRoundOne) {
     LeakyKernel b;
     Engine e(g, EngineConfig{.self_loops = 1}, b, initial);
     expect_audit_throws([&] { e.step(); });
+  }
+  {
+    // Two parts: the pooled round publishes the parts' slice scans.
+    SCOPED_TRACE("flat pooled plan");
+    LeakyKernel b(/*parallel=*/true);
+    Engine e(g, EngineConfig{.self_loops = 1}, b, initial);
+    ThreadPool pool(2);
+    e.set_thread_pool(&pool);
+    expect_audit_throws([&] { e.step_parallel(); });
   }
   {
     SCOPED_TRACE("flat observed rows");
