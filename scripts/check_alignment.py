@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Check that the hot functions of a dlb binary start on a cache line.
 
-Usage: check_alignment.py BINARY [--function NAME ...] [--nm NM]
+Usage: check_alignment.py BINARY
 
 The sources that hold the round's hot loops are compiled with
 -falign-functions=64 -falign-loops=64 (CMakeLists.txt), because their
 speed moved with their placement mod 64 whenever unrelated code changed
 size. This script reads the symbol table with `nm -C` and fails (exit 1)
-when a listed function is missing from BINARY or any of its symbols sits
-at an address that is not 0 mod 64. A function's symbols are every
-defined text symbol whose demangled name starts with `NAME(`: each
-overload, each compiler clone (.isra, .constprop) and each lambda defined
-inside it. The `.cold` splits GCC moves out of line are not aligned and
-are excepted. --function (repeatable) replaces the default list below.
+when a function of HOT_FUNCTIONS below is missing from BINARY or any
+of its symbols sits at an address that is not 0 mod 64. A function's
+symbols are every defined text symbol whose demangled name starts with
+`NAME(`: each overload, each compiler clone (.isra, .constprop) and each
+lambda defined inside it. The `.cold` splits GCC moves out of line are not aligned and
+are excepted.
 
 Run it on dlb_perfbench (Release), the binary whose end-to-end numbers
 the placement moves:
@@ -57,10 +57,10 @@ HOT_FUNCTIONS = [
 ALIGN = 64
 
 
-def text_symbols(binary, nm):
+def text_symbols(binary):
     """(address, demangled name) of every defined text symbol."""
     try:
-        out = subprocess.run([nm, "-C", "--defined-only", binary],
+        out = subprocess.run(["nm", "-C", "--defined-only", binary],
                              check=True, capture_output=True, text=True).stdout
     except (OSError, subprocess.CalledProcessError) as e:
         sys.exit(f"error: cannot read symbols of {binary}: {e}")
@@ -76,14 +76,10 @@ def text_symbols(binary, nm):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("binary")
-    ap.add_argument("--function", action="append", default=[],
-                    help="qualified function name (repeatable)")
-    ap.add_argument("--nm", default="nm", help="nm to run (default: nm)")
     args = ap.parse_args()
-    functions = args.function or HOT_FUNCTIONS
-    symbols = text_symbols(args.binary, args.nm)
+    symbols = text_symbols(args.binary)
     failed = False
-    for name in functions:
+    for name in HOT_FUNCTIONS:
         mine = [(addr, sym) for addr, sym in symbols
                 if sym.startswith(name + "(") and "[clone .cold" not in sym]
         if not mine:
@@ -99,7 +95,7 @@ def main():
         print(f"error: hot functions of {args.binary} are missing or not at "
               f"0 mod {ALIGN}", file=sys.stderr)
         return 1
-    print(f"{len(functions)} hot functions, every symbol at 0 mod {ALIGN}")
+    print(f"{len(HOT_FUNCTIONS)} hot functions, every symbol at 0 mod {ALIGN}")
     return 0
 
 
