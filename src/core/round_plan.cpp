@@ -19,7 +19,7 @@ RoundPlan::RoundPlan(const Graph& g, int d_loops, bool gather, int parts,
   const auto k = static_cast<std::size_t>(parts);
   parts_.resize(k);
   for (Part& pt : parts_) {
-    pt.out.resize(k);
+    pt.group.assign(k + 1, 0);
     pt.heads.resize(k);
   }
   if (parts > 1 && !(gather && shared_loads)) {
@@ -55,11 +55,11 @@ void RoundPlan::build() {
           if (local(v)) continue;
           const int o = part_.owner(v);
           has_cut_ = true;
-          std::vector<Load>& out = pt.out[static_cast<std::size_t>(o)];
-          DLB_REQUIRE(out.size() < std::numeric_limits<std::uint32_t>::max(),
-                      "round plan: too many cut edges between two parts");
-          pt.cuts.push_back({o, static_cast<std::uint32_t>(out.size())});
-          out.push_back(0);
+          DLB_REQUIRE(
+              pt.cuts.size() < std::numeric_limits<std::uint32_t>::max(),
+              "round plan: too many cut edges in one part");
+          pt.cuts.push_back(static_cast<std::uint32_t>(o));  // dest for now
+          ++pt.group[static_cast<std::size_t>(o) + 1];
           parts_[static_cast<std::size_t>(o)]
               .heads[static_cast<std::size_t>(s)]
               .push_back(v);
@@ -71,6 +71,15 @@ void RoundPlan::build() {
       }
       if (run < end) pt.interior.emplace_back(run, end);
       pt.interior_nodes += end - run;
+      // Group the staged flows by destination, each group in edge-cut
+      // order, and turn each cut's destination into its slot.
+      for (std::size_t o = 1; o < pt.group.size(); ++o) {
+        pt.group[o] += pt.group[o - 1];
+      }
+      std::vector<std::uint32_t> fill(pt.group.begin(), pt.group.end() - 1);
+      for (std::uint32_t& c : pt.cuts) c = fill[c]++;
+      pt.cuts.push_back(0);  // the spare
+      pt.staged.assign(pt.cuts.size() - 1, 0);
       if (!gather_) {
         if (pt.interior_nodes < end - begin) {
           pt.rows.resize(
@@ -135,7 +144,9 @@ void RoundPlan::decide_multi_touch(int s, Part& pt, Balancer& b,
   const int d_plus = d + d_loops_;
   const bool negatives_ok = b.allows_negative();
   FlowSink sink = FlowSink::scatter(*g_, d_loops_, next);
-  const Cut* cut = pt.cuts.data();  // boundary nodes meet them in order
+  const auto span = static_cast<std::uint32_t>(end - begin);
+  Load* const staged = pt.staged.data();
+  const std::uint32_t* cut = pt.cuts.data();  // met in edge-cut order
   with_topology(*g_, [&](const auto& topo) {
     const auto route = [&](NodeId first, NodeId last) {
       for (NodeId lo = first; lo < last; lo += kRowChunk) {
@@ -151,13 +162,20 @@ void RoundPlan::decide_multi_touch(int s, Part& pt, Balancer& b,
                       "balancer sent more tokens than available");
           next[u] += kept;
           for (int p = 0; p < d; ++p) {
+            // Branch-free: on a generic graph local and cut ports mix at
+            // random, and a branch on them mispredicts about one port in
+            // four. A local port adds into the slice, a cut port
+            // overwrites its staged slot; every port reads a slot (the
+            // spare serves the ports after the part's last cut edge).
             const NodeId v = cur.neighbor(p);
-            if (v >= begin && v < end) {
-              next[v] += own[p];
-            } else {
-              pt.out[static_cast<std::size_t>(cut->to)][cut->at] = own[p];
-              ++cut;
-            }
+            const auto here = static_cast<std::uintptr_t>(
+                static_cast<std::uint32_t>(v - begin) < span);
+            const std::uintptr_t keep = 0 - here;  // all ones when local
+            Load* const to = reinterpret_cast<Load*>(
+                (reinterpret_cast<std::uintptr_t>(next + v) & keep) |
+                (reinterpret_cast<std::uintptr_t>(staged + *cut) & ~keep));
+            *to = (*to & static_cast<Load>(keep)) + own[p];
+            cut += 1 - here;
           }
         }
       }
@@ -170,7 +188,8 @@ void RoundPlan::decide_multi_touch(int s, Part& pt, Balancer& b,
     }
     if (u < end) route(u, end);
   });
-  DLB_ASSERT(cut == pt.cuts.data() + pt.cuts.size(),
+  DLB_ASSERT(static_cast<std::size_t>(cut - pt.cuts.data()) ==
+                 pt.staged.size(),
              "cut edges out of plan order");
 }
 
@@ -198,7 +217,7 @@ void RoundPlan::decide_gather(Part& pt, Balancer& b,
               "did not cover every interior slot)");
   pt.scan = sink.emit_stats();
   const std::int64_t* pull = pt.pulls.data();
-  const Cut* cut = pt.cuts.data();  // boundary nodes meet them in order
+  const std::uint32_t* cut = pt.cuts.data();  // met in edge-cut order
   for (const NodeId u : pt.boundary) {
     const Load* own = rows + pull[0];
     Load acc = loads[static_cast<std::size_t>(u)];
@@ -207,8 +226,7 @@ void RoundPlan::decide_gather(Part& pt, Balancer& b,
       if (pull[1 + p] >= 0) {
         acc += rows[pull[1 + p]];
       } else {
-        pt.out[static_cast<std::size_t>(cut->to)][cut->at] = own[p];
-        ++cut;
+        pt.staged[*cut++] = own[p];
       }
     }
     next[u] = acc;

@@ -4,9 +4,10 @@
 // The edge cut, computed once, splits each part into maximal runs of
 // interior nodes (no cut edge) and boundary nodes. Deciding a part sends
 // each interior run through the balancer's decide_range, whose reads and
-// writes stay in the part, and stages one Load per cut edge in edge-cut
-// order (ascending node, then port); the receiving part knows each edge's
-// head from the same cut. Boundary nodes decide by kernel kind:
+// writes stay in the part, and stages one Load per cut edge, grouped by
+// receiving part and in edge-cut order (ascending node, then port) within
+// a group; the receiving part knows each edge's head from the same cut.
+// Boundary nodes decide by kernel kind:
 //   * multi-touch (gathers(g) false): the slice is zero-filled, interior
 //     runs add into it, and each run of boundary nodes is decided by
 //     row-mode decide_range chunks whose rows are routed — local flows
@@ -60,7 +61,10 @@ class RoundPlan {
   /// Part s's flows to part o this round, one per cut edge in edge-cut
   /// order. Empty: s never sends o anything.
   std::span<const Load> staged(int s, int o) const noexcept {
-    return parts_[static_cast<std::size_t>(s)].out[static_cast<std::size_t>(o)];
+    const Part& pt = parts_[static_cast<std::size_t>(s)];
+    const std::uint32_t first = pt.group[static_cast<std::size_t>(o)];
+    return {pt.staged.data() + first,
+            pt.group[static_cast<std::size_t>(o) + 1] - first};
   }
 
   /// Adds staged(from, s), given as bytes, into part s's slice; call once
@@ -86,25 +90,23 @@ class RoundPlan {
   }
 
   std::uint64_t cut_edges(int s) const noexcept {
-    return parts_[static_cast<std::size_t>(s)].cuts.size();
+    return parts_[static_cast<std::size_t>(s)].staged.size();
   }
   NodeId interior_nodes(int s) const noexcept {
     return parts_[static_cast<std::size_t>(s)].interior_nodes;
   }
 
  private:
-  struct Cut {
-    std::int32_t to;  ///< part owning the head
-    std::uint32_t at;  ///< slot in out[to]
-  };
-
   struct Part {
     /// Maximal interior runs [first, last), ascending; boundary nodes fill
     /// the gaps.
     std::vector<std::pair<NodeId, NodeId>> interior;
     NodeId interior_nodes = 0;
-    std::vector<Cut> cuts;                   ///< edge-cut order
-    std::vector<std::vector<Load>> out;      ///< [dest] staged cut flows
+    /// Per cut edge in edge-cut order, its slot in `staged`; one spare
+    /// entry at the end lets the routing loop read a slot every port.
+    std::vector<std::uint32_t> cuts;
+    std::vector<Load> staged;          ///< cut flows, grouped by dest
+    std::vector<std::uint32_t> group;  ///< [dest] its first slot; k + 1 entries
     std::vector<std::vector<NodeId>> heads;  ///< [sender] its edges' heads
     /// Multi-touch: one chunk of boundary rows. Gather: a row per source.
     std::vector<Load> rows;
