@@ -168,14 +168,13 @@ void RoundPlan::decide_multi_touch(int s, Part& pt, Balancer& b,
             // overwrites its staged slot; every port reads a slot (the
             // spare serves the ports after the part's last cut edge).
             const NodeId v = cur.neighbor(p);
-            const auto here = static_cast<std::uintptr_t>(
-                static_cast<std::uint32_t>(v - begin) < span);
-            const std::uintptr_t keep = 0 - here;  // all ones when local
+            const bool here = static_cast<std::uint32_t>(v - begin) < span;
+            const std::uintptr_t keep = 0 - std::uintptr_t{here};  // ~0: local
             Load* const to = reinterpret_cast<Load*>(
                 (reinterpret_cast<std::uintptr_t>(next + v) & keep) |
                 (reinterpret_cast<std::uintptr_t>(staged + *cut) & ~keep));
-            *to = (*to & static_cast<Load>(keep)) + own[p];
-            cut += 1 - here;
+            *to = (*to & -Load{here}) + own[p];
+            cut += !here;
           }
         }
       }
