@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "util/assertions.hpp"
 
@@ -47,9 +48,7 @@ void RoundPlan::build() {
       NodeId run = begin;  // first node of the current interior run
       auto cur = topo.cursor(begin);
       for (NodeId u = begin; u < end; ++u, cur.advance()) {
-        bool cut = false;
-        for (int p = 0; p < topo.degree(); ++p) cut |= !local(cur.neighbor(p));
-        if (!cut) continue;
+        const std::size_t first_cut = pt.cuts.size();
         for (int p = 0; p < topo.degree(); ++p) {
           const NodeId v = cur.neighbor(p);
           if (local(v)) continue;
@@ -64,6 +63,7 @@ void RoundPlan::build() {
               .heads[static_cast<std::size_t>(s)]
               .push_back(v);
         }
+        if (pt.cuts.size() == first_cut) continue;  // interior
         if (run < u) pt.interior.emplace_back(run, u);
         pt.interior_nodes += u - run;
         run = u + 1;
@@ -73,9 +73,7 @@ void RoundPlan::build() {
       pt.interior_nodes += end - run;
       // Group the staged flows by destination, each group in edge-cut
       // order, and turn each cut's destination into its slot.
-      for (std::size_t o = 1; o < pt.group.size(); ++o) {
-        pt.group[o] += pt.group[o - 1];
-      }
+      std::partial_sum(pt.group.begin(), pt.group.end(), pt.group.begin());
       std::vector<std::uint32_t> fill(pt.group.begin(), pt.group.end() - 1);
       for (std::uint32_t& c : pt.cuts) c = fill[c]++;
       pt.cuts.push_back(0);  // the spare
@@ -162,11 +160,8 @@ void RoundPlan::decide_multi_touch(int s, Part& pt, Balancer& b,
                       "balancer sent more tokens than available");
           next[u] += kept;
           for (int p = 0; p < d; ++p) {
-            // Branch-free: on a generic graph local and cut ports mix at
-            // random, and a branch on them mispredicts about one port in
-            // four. A local port adds into the slice, a cut port
-            // overwrites its staged slot; every port reads a slot (the
-            // spare serves the ports after the part's last cut edge).
+            // Branch-free: a generic graph mixes local and cut ports at
+            // random. The spare slot serves ports after the last cut edge.
             const NodeId v = cur.neighbor(p);
             const bool here = static_cast<std::uint32_t>(v - begin) < span;
             const std::uintptr_t keep = 0 - std::uintptr_t{here};  // ~0: local
@@ -187,8 +182,7 @@ void RoundPlan::decide_multi_touch(int s, Part& pt, Balancer& b,
     }
     if (u < end) route(u, end);
   });
-  DLB_ASSERT(static_cast<std::size_t>(cut - pt.cuts.data()) ==
-                 pt.staged.size(),
+  DLB_ASSERT(cut == pt.cuts.data() + pt.staged.size(),
              "cut edges out of plan order");
 }
 

@@ -4,10 +4,9 @@
 // The edge cut, computed once, splits each part into maximal runs of
 // interior nodes (no cut edge) and boundary nodes. Deciding a part sends
 // each interior run through the balancer's decide_range, whose reads and
-// writes stay in the part, and stages one Load per cut edge, grouped by
-// receiving part and in edge-cut order (ascending node, then port) within
-// a group; the receiving part knows each edge's head from the same cut.
-// Boundary nodes decide by kernel kind:
+// writes stay in the part, and stages one Load per cut edge in edge-cut
+// order (ascending node, then port); the receiving part knows each edge's
+// head from the same cut. Boundary nodes decide by kernel kind:
 //   * multi-touch (gathers(g) false): the slice is zero-filled, interior
 //     runs add into it, and each run of boundary nodes is decided by
 //     row-mode decide_range chunks whose rows are routed — local flows
@@ -102,8 +101,7 @@ class RoundPlan {
     /// the gaps.
     std::vector<std::pair<NodeId, NodeId>> interior;
     NodeId interior_nodes = 0;
-    /// Per cut edge in edge-cut order, its slot in `staged`; one spare
-    /// entry at the end lets the routing loop read a slot every port.
+    /// Per cut edge (edge-cut order) its slot in `staged`, then a spare.
     std::vector<std::uint32_t> cuts;
     std::vector<Load> staged;          ///< cut flows, grouped by dest
     std::vector<std::uint32_t> group;  ///< [dest] its first slot; k + 1 entries
