@@ -11,8 +11,10 @@ when a function of HOT_FUNCTIONS below is missing from BINARY or any
 of its symbols sits at an address that is not 0 mod 64. A function's
 symbols are every defined text symbol whose demangled name starts with
 `NAME(`: each overload, each compiler clone (.isra, .constprop) and each
-lambda defined inside it. The `.cold` splits GCC moves out of line are not aligned and
-are excepted.
+lambda defined inside it, and the `with_topology` instantiation over such
+a lambda, where GCC inlines a kernel's per-topology bodies (the
+`scatter_range` instantiations of a `decide_range`). The `.cold` splits
+GCC moves out of line are not aligned and are excepted.
 
 Run it on dlb_perfbench (Release), the binary whose end-to-end numbers
 the placement moves:
@@ -48,6 +50,8 @@ HOT_FUNCTIONS = [
     "dlb::ShardedEngine::drain_flows",
     # src/balancers/send_floor.cpp
     "dlb::SendFloor::decide_range",
+    # src/balancers/rotor_router.cpp
+    "dlb::RotorRouter::decide_range",
     # src/dynamics/workload.cpp
     "dlb::PoissonWorkload::fill",
     # src/markov/spectral.cpp
@@ -55,6 +59,9 @@ HOT_FUNCTIONS = [
 ]
 
 ALIGN = 64
+
+# How a with_topology instantiation over a lambda of NAME demangles.
+WITH_TOPOLOGY = "decltype(auto) dlb::with_topology<"
 
 
 def text_symbols(binary):
@@ -81,7 +88,9 @@ def main():
     failed = False
     for name in HOT_FUNCTIONS:
         mine = [(addr, sym) for addr, sym in symbols
-                if sym.startswith(name + "(") and "[clone .cold" not in sym]
+                if (sym.startswith(name + "(") or
+                    sym.startswith(WITH_TOPOLOGY + name + "("))
+                and "[clone .cold" not in sym]
         if not mine:
             print(f"MISSING    {name}")
             failed = True

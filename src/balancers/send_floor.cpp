@@ -23,93 +23,72 @@ void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
                        Load& hi, std::uint64_t& sum, Emit&& emit,
                        [[maybe_unused]] EmitBlock&& emit_block) {
   const int d = topo.degree();
-  const int r = topo.dims();
-  const NodeId ext0 = topo.extent(0);
-  std::array<NodeId, 2 * (TorusTopology::kMaxDims - 1)> off{};
-  int m = 0;
-  NodeId row_start = 0;
-  NodeId u = first;
+  auto cur = topo.cursor(first);
+  NodeId u = first;  // the cursor's node
+  std::array<NodeId, 2 * TorusTopology::kMaxDims> off{};
 
-  // Scalar sweep over [a, b) within the current row.
-  const auto segment = [&](NodeId a, NodeId b, auto&& emit_one) {
-    for (NodeId v = a; v < b; ++v) {
-      const NodeId c = v - row_start;
-      const NodeId left = c == 0 ? row_start + ext0 - 1 : v - 1;
-      const NodeId right = c + 1 == ext0 ? row_start : v + 1;
-      const Load x = xs[static_cast<std::size_t>(v)];
-      DLB_REQUIRE(x >= 0, "SendFloor cannot handle negative load");
-      Load acc = x - div.quot(x) * d +
-                 div.quot(xs[static_cast<std::size_t>(left)]) +
-                 div.quot(xs[static_cast<std::size_t>(right)]);
-      for (int j = 0; j < m; j += 2) {
-        acc += div.quot(xs[static_cast<std::size_t>(
-                   v + off[static_cast<std::size_t>(j)])]) +
-               div.quot(xs[static_cast<std::size_t>(
-                   v + off[static_cast<std::size_t>(j + 1)])]);
-      }
-      emit_one(static_cast<std::size_t>(v), acc);
-      lo = acc < lo ? acc : lo;
-      hi = acc > hi ? acc : hi;
-      sum += static_cast<std::uint64_t>(acc);
+  // Scalar next load of node v, whose port-p neighbor is nbr(p).
+  const auto gather = [&](NodeId v, auto&& nbr) {
+    const Load x = xs[static_cast<std::size_t>(v)];
+    DLB_REQUIRE(x >= 0, "SendFloor cannot handle negative load");
+    Load acc = x - div.quot(x) * d +
+               div.quot(xs[static_cast<std::size_t>(nbr(0))]) +
+               div.quot(xs[static_cast<std::size_t>(nbr(1))]);
+    for (int p = 2; p < d; p += 2) {
+      acc += div.quot(xs[static_cast<std::size_t>(nbr(p))]) +
+             div.quot(xs[static_cast<std::size_t>(nbr(p + 1))]);
+    }
+    emit(static_cast<std::size_t>(v), acc);
+    lo = acc < lo ? acc : lo;
+    hi = acc > hi ? acc : hi;
+    sum += static_cast<std::uint64_t>(acc);
+  };
+  // Scalar sweep of the cursor from u to b.
+  const auto sweep_to = [&](NodeId b) {
+    for (; u < b; ++u, cur.advance()) {
+      gather(u, [&](int p) { return cur.neighbor(p); });
     }
   };
 
   while (u < last) {
-    const auto c0 = static_cast<NodeId>(topo.coordinate(u, 0));
-    row_start = u - c0;
-    const NodeId seg_end = std::min<NodeId>(last, row_start + ext0);
-    m = 0;
-    for (int k = 1; k < r; ++k) {
-      const NodeId ext = topo.extent(k);
-      const NodeId stride = topo.stride(k);
-      const auto ck = static_cast<NodeId>(topo.coordinate(u, k));
-      off[static_cast<std::size_t>(m++)] =
-          ck + 1 == ext ? -(ext - 1) * stride : stride;
-      off[static_cast<std::size_t>(m++)] =
-          ck == 0 ? (ext - 1) * stride : -stride;
+    // The segment's first node and the row's last go through the cursor;
+    // between them no dimension-0 step wraps, so every port is one fixed
+    // offset.
+    const NodeId row_end = cur.row_end();
+    const NodeId seg_end = std::min(last, row_end);
+    sweep_to(u + 1);
+    for (int p = 0; p < d; ++p) {
+      off[static_cast<std::size_t>(p)] = cur.neighbor(p) - u;
     }
-
+    const NodeId b = std::min(seg_end, row_end - 1);
+    NodeId v = u;
 #ifdef DLB_SIMD_AVX2
-    if (div.pow2() && simd::enabled() && seg_end - u >= 2 * simd::kLanes) {
+    if (div.pow2() && simd::enabled()) {
       const __m128i sh = _mm_cvtsi32_si128(div.pow2_shift());
-      // Row-interior nodes: dimension-0 neighbors are ±1, no wrap.
-      const NodeId a = std::max<NodeId>(u, row_start + 1);
-      const NodeId b = std::min<NodeId>(seg_end, row_start + ext0 - 1);
-      segment(u, a, emit);
       __m256i vmin = _mm256_set1_epi64x(std::numeric_limits<Load>::max());
       __m256i vmax = _mm256_set1_epi64x(std::numeric_limits<Load>::min());
       __m256i vsum = _mm256_setzero_si256();
-      NodeId v = a;
       for (; v + simd::kLanes <= b; v += simd::kLanes) {
         const __m256i vx =
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + v));
-        if (simd::any_negative(vx)) {
-          segment(v, v + simd::kLanes, emit);
-          continue;
-        }
+        // A negative load: the scalar loop below throws at its node.
+        if (simd::any_negative(vx)) break;
         const __m256i q = _mm256_srl_epi64(vx, sh);
         // q·d as an add chain: exact int64, no 64-bit vector multiply
         // needed (d is small — 2r).
         __m256i qd = q;
         for (int i = 1; i < d; ++i) qd = _mm256_add_epi64(qd, q);
         __m256i acc = _mm256_sub_epi64(vx, qd);
-        acc = _mm256_add_epi64(
-            acc, _mm256_srl_epi64(
-                     _mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(xs + v - 1)),
-                     sh));
-        acc = _mm256_add_epi64(
-            acc, _mm256_srl_epi64(
-                     _mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(xs + v + 1)),
-                     sh));
-        for (int j = 0; j < m; ++j) {
-          const Load* stream = xs + v + off[static_cast<std::size_t>(j)];
-          acc = _mm256_add_epi64(
-              acc,
-              _mm256_srl_epi64(_mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(stream)),
-                               sh));
+        for (int p = 0; p < d; p += 2) {  // the ± pair of each dimension
+          const __m256i up = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(
+                  xs + v + off[static_cast<std::size_t>(p)]));
+          const __m256i down = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(
+                  xs + v + off[static_cast<std::size_t>(p + 1)]));
+          acc = _mm256_add_epi64(acc,
+                                 _mm256_add_epi64(_mm256_srl_epi64(up, sh),
+                                                  _mm256_srl_epi64(down, sh)));
         }
         emit_block(static_cast<std::size_t>(v), acc);
         vmin = simd::min_epi64(vmin, acc);
@@ -121,13 +100,14 @@ void torus_gather_rows(const TorusTopology& topo, const NonNegDiv& div,
       lo = vlo < lo ? vlo : lo;
       hi = vhi > hi ? vhi : hi;
       sum += simd::reduce_add(vsum);
-      segment(v, seg_end, emit);
-      u = seg_end;
-      continue;
     }
 #endif
-    segment(u, seg_end, emit);
-    u = seg_end;
+    for (; v < b; ++v) {
+      gather(v, [&](int p) { return v + off[static_cast<std::size_t>(p)]; });
+    }
+    cur.seek(v);
+    u = v;
+    sweep_to(seg_end);
   }
 }
 
@@ -270,13 +250,14 @@ void SendFloor::scatter_range(const TorusTopology& topo, NodeId first,
   // decision depends only on that dimension's coordinate, constant over
   // the row), and the dimension-0 neighbors are ±1 with wraps at the two
   // row ends. So the inner loop reads 2r constant-stride streams plus
-  // the row itself and writes each next-load slot exactly once — no
-  // coordinate arithmetic per node, no read-modify-write accumulation.
+  // the row itself, with the offsets the topology cursor holds, and
+  // writes each next-load slot exactly once — no coordinate arithmetic
+  // per node, no read-modify-write accumulation.
   // next(u) = kept(u) + Σ_p ⌊x(neighbor)/d⁺⌋ is what the symmetric
   // scatter delivers, term for term; integer addition commutes, so the
   // trajectory is byte-identical, and the single touch per slot lets
   // the round's min, max and Σ ride the emit sweep (merge_emit_stats).
-  // The AVX2 path gathers the same 2r + 3 streams four row-interior nodes
+  // The AVX2 path gathers the same 2r + 1 streams four row-interior nodes
   // at a time (lane shifts need power-of-two d⁺; q·d is a short add chain
   // so the integer arithmetic stays exact); row ends and tails stay
   // scalar.

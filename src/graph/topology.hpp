@@ -15,7 +15,9 @@
 // and calls f with the concrete trait, so the per-node loops inline the
 // arithmetic with no virtual calls and, for the cycle, a compile-time
 // degree. A loop over every node sweeps the trait's cursor, which
-// advances by increments instead of re-deriving coordinates per node.
+// advances by increments instead of re-deriving coordinates per node: the
+// torus cursor holds each port's signed offset and touches the wrap of
+// dimensions above 0 once per row.
 // Correctness is pinned by tests: tests/test_graph.cpp compares every
 // trait against independently built reference tables, and the golden
 // tests run implicit trajectories byte-identically to the generic-table
@@ -105,9 +107,11 @@ class CycleTopology {
 
 /// r-dimensional torus with the make_torus port layout: ports (2k, 2k+1)
 /// are ±1 in dimension k, coordinates mixed-radix with stride_k = ∏ of
-/// lower extents. Coordinate extraction is two FastDivU32 multiplies per
-/// call; the wrap is a conditional move. rev_port is again p ^ 1 (every
-/// extent is >= 3, so ±1 edges are distinct and pair with each other).
+/// lower extents. A port's neighbor is u plus a signed offset that
+/// depends only on u's coordinate in the port's dimension (port_offset,
+/// the one definition of the layout). Coordinate extraction is two
+/// FastDivU32 multiplies. rev_port is again p ^ 1 (every extent is >= 3,
+/// so ±1 edges are distinct and pair with each other).
 class TorusTopology {
  public:
   /// Max supported dimensions: extents >= 3 and n <= 2^26 cap r at 16.
@@ -131,65 +135,72 @@ class TorusTopology {
   }
 
   int degree() const noexcept { return 2 * r_; }
-  int dims() const noexcept { return r_; }
-  NodeId extent(int k) const noexcept {
-    return static_cast<NodeId>(dims_[static_cast<std::size_t>(k)].ext);
-  }
-  NodeId stride(int k) const noexcept {
-    return static_cast<NodeId>(dims_[static_cast<std::size_t>(k)].stride);
-  }
-
-  /// Dimension-k coordinate of u: (u / stride_k) mod ext_k, two FastDiv
-  /// multiplies. Row-stencil kernels call this once per row segment.
-  std::uint32_t coordinate(NodeId u, int k) const noexcept {
-    const Dim& dm = dims_[static_cast<std::size_t>(k)];
-    const std::uint32_t q = dm.by_stride.quot(static_cast<std::uint32_t>(u));
-    return q - dm.by_ext.quot(q) * dm.ext;
-  }
 
   NodeId neighbor(NodeId u, int p) const noexcept {
-    const Dim& dm = dims_[static_cast<std::size_t>(p >> 1)];
-    const std::uint32_t coord = coordinate(u, p >> 1);
-    return offset_in_dim(u, coord, wrap_step(coord, dm, p & 1), dm);
+    return u + port_offset(p, coordinate(u, p >> 1));
   }
 
   static int rev_port(NodeId /*u*/, int p) noexcept { return p ^ 1; }
 
-  /// Ascending-sweep cursor: the mixed-radix coordinate vector is
-  /// extracted once (the only divisions, at cursor construction) and
-  /// then maintained by digit increments — advance() is one add plus a
-  /// carry that fires every ext-th node, so a whole-range sweep costs
-  /// O(1) arithmetic per node with no division and no table traffic.
+  /// Ascending-sweep cursor holding every port's signed offset, so
+  /// neighbor(p) is one add. Inside a dimension-0 row only ports 0 and 1
+  /// change (they wrap at the row's ends); advance() sets them from the
+  /// row position and reloads the whole table, from the coordinates, only
+  /// when a row ends — no division and no per-port wrap test per node.
   class Cursor {
    public:
     Cursor(const TorusTopology& topo, NodeId u) noexcept
-        : topo_(&topo), u_(u) {
-      for (int k = 0; k < topo.r_; ++k) {
-        coord_[static_cast<std::size_t>(k)] = topo.coordinate(u, k);
-      }
+        : topo_(&topo),
+          u_(u),
+          ext0_(static_cast<NodeId>(topo.dims_[0].ext)) {
+      load();
     }
 
     NodeId neighbor(int p) const noexcept {
-      const Dim& dm = topo_->dims_[static_cast<std::size_t>(p >> 1)];
-      const std::uint32_t coord = coord_[static_cast<std::size_t>(p >> 1)];
-      return offset_in_dim(u_, coord, wrap_step(coord, dm, p & 1), dm);
+      return u_ + off_[static_cast<std::size_t>(p)];
     }
 
     int rev_port(int p) const noexcept { return p ^ 1; }
 
+    /// One past the last node of the current node's dimension-0 row.
+    NodeId row_end() const noexcept { return u_ - c0_ + ext0_; }
+
     void advance() noexcept {
       ++u_;
-      for (int k = 0; k < topo_->r_; ++k) {
-        std::uint32_t& c = coord_[static_cast<std::size_t>(k)];
-        if (++c != topo_->dims_[static_cast<std::size_t>(k)].ext) break;
-        c = 0;  // carry into the next dimension
+      if (++c0_ == ext0_) {
+        load();
+        return;
       }
+      // port_offset of ports 0 and 1 at stride 1 (c0_ > 0 here).
+      off_[0] = c0_ + 1 == ext0_ ? 1 - ext0_ : 1;
+      off_[1] = -1;
+    }
+
+    /// Moves the cursor to node v of its current row (u <= v < row_end()).
+    void seek(NodeId v) noexcept {
+      DLB_ASSERT(v >= u_ && v < row_end(), "torus cursor: seek leaves the row");
+      c0_ += v - u_;
+      u_ = v;
+      off_[0] = c0_ + 1 == ext0_ ? 1 - ext0_ : 1;
+      off_[1] = c0_ == 0 ? ext0_ - 1 : -1;
     }
 
    private:
+    void load() noexcept {
+      for (int k = 0; k < topo_->r_; ++k) {
+        const std::uint32_t c = topo_->coordinate(u_, k);
+        if (k == 0) c0_ = static_cast<NodeId>(c);
+        off_[static_cast<std::size_t>(2 * k)] = topo_->port_offset(2 * k, c);
+        off_[static_cast<std::size_t>(2 * k + 1)] =
+            topo_->port_offset(2 * k + 1, c);
+      }
+    }
+
     const TorusTopology* topo_;
     NodeId u_;
-    std::array<std::uint32_t, kMaxDims> coord_{};
+    NodeId c0_ = 0;  ///< u_'s dimension-0 coordinate
+    NodeId ext0_;
+    std::array<NodeId, 2 * kMaxDims> off_{};
   };
   Cursor cursor(NodeId u) const noexcept { return Cursor(*this, u); }
 
@@ -201,21 +212,22 @@ class TorusTopology {
     FastDivU32 by_ext;
   };
 
-  /// coord ± 1 with wraparound (dir 1 = down, 0 = up), branch-light.
-  static std::uint32_t wrap_step(std::uint32_t coord, const Dim& dm,
-                                 int dir) noexcept {
-    if (dir) return (coord == 0 ? dm.ext : coord) - 1;
-    const std::uint32_t up = coord + 1;
-    return up == dm.ext ? 0 : up;
+  /// Dimension-k coordinate of u: (u / stride_k) mod ext_k.
+  std::uint32_t coordinate(NodeId u, int k) const noexcept {
+    const Dim& dm = dims_[static_cast<std::size_t>(k)];
+    const std::uint32_t q = dm.by_stride.quot(static_cast<std::uint32_t>(u));
+    return q - dm.by_ext.quot(q) * dm.ext;
   }
 
-  /// Node u with its dimension coordinate replaced by `next`.
-  static NodeId offset_in_dim(NodeId u, std::uint32_t coord,
-                              std::uint32_t next, const Dim& dm) noexcept {
-    return static_cast<NodeId>(
-        static_cast<std::int64_t>(u) +
-        (static_cast<std::int64_t>(next) - static_cast<std::int64_t>(coord)) *
-            dm.stride);
+  /// Offset from a node to its port-p neighbor, given the node's
+  /// coordinate c in dimension p / 2: ±stride, or ∓(ext − 1)·stride
+  /// where the step wraps.
+  NodeId port_offset(int p, std::uint32_t c) const noexcept {
+    const Dim& dm = dims_[static_cast<std::size_t>(p >> 1)];
+    const auto stride = static_cast<NodeId>(dm.stride);
+    const NodeId wrap = static_cast<NodeId>(dm.ext - 1) * stride;
+    if (p & 1) return c == 0 ? wrap : -stride;
+    return c + 1 == dm.ext ? -wrap : stride;
   }
 
   int r_ = 0;

@@ -272,6 +272,26 @@ void expect_matches_reference(const Graph& g, const Graph& ref) {
   });
 }
 
+/// A cursor started at every node of `g` and swept to n matches `ref`: a
+/// start mid-row or at a row end must see what a sweep from node 0 sees.
+void expect_cursor_matches_from_every_node(const Graph& g, const Graph& ref) {
+  with_topology(g, [&](const auto& topo) {
+    for (NodeId start = 0; start < ref.num_nodes(); ++start) {
+      auto cur = topo.cursor(start);
+      for (NodeId u = start; u < ref.num_nodes(); ++u, cur.advance()) {
+        for (int p = 0; p < ref.degree(); ++p) {
+          ASSERT_EQ(cur.neighbor(p), ref.neighbor(u, p))
+              << g.name() << " cursor from " << start << " at node " << u
+              << " port " << p;
+          ASSERT_EQ(cur.rev_port(p), ref.rev_port(u, p))
+              << g.name() << " cursor from " << start << " at node " << u
+              << " port " << p;
+        }
+      }
+    }
+  });
+}
+
 /// `g` is a table-free structured graph of `kind` that matches `ref`,
 /// and so does its generic without_structure() copy.
 void expect_formula_matches(const Graph& g, GraphStructure kind,
@@ -293,9 +313,9 @@ TEST(Topology, FormulasMatchReferenceTablesExhaustively) {
        {std::vector<NodeId>{3, 3}, {3, 4, 5}, {4, 3, 3, 3}, {7}}) {
     const Graph g = make_torus(extents);
     EXPECT_EQ(g.structure().extents, extents) << g.name();
-    expect_formula_matches(
-        g, GraphStructure::kTorus,
-        Graph(g.num_nodes(), g.degree(), torus_table(extents)));
+    const Graph ref(g.num_nodes(), g.degree(), torus_table(extents));
+    expect_cursor_matches_from_every_node(g, ref);
+    expect_formula_matches(g, GraphStructure::kTorus, ref);
   }
   for (int dim = 1; dim <= 10; ++dim) {
     expect_formula_matches(make_hypercube(dim), GraphStructure::kHypercube,
