@@ -299,6 +299,19 @@ void BM_Sharded_Torus1000_RotorRouter(benchmark::State& s) {
   run_steps_sharded(s, torus_1000(), Algorithm::kRotorRouter);
 }
 
+// The seeded ROTOR-ROUTER set-up of that shape (d° = d, so d⁺ = 8): one
+// Fisher–Yates port order and one rotor drawn per node, serially.
+// items/sec == nodes/sec.
+void BM_Reset_RotorRouter_Torus1000(benchmark::State& s) {
+  const Graph& g = torus_1000();
+  auto balancer = make_balancer(Algorithm::kRotorRouter, /*seed=*/1);
+  for (auto _ : s) {
+    balancer->reset(g, g.degree());
+    benchmark::ClobberMemory();
+  }
+  s.SetItemsProcessed(s.iterations() * g.num_nodes());
+}
+
 // ------------------------------------------------ workload generation --
 // One dense round's deltas of a 2^20-node process, fetched through fill()
 // in the 1024-node chunks the engines use, on one thread; items/sec ==
@@ -411,6 +424,7 @@ BENCHMARK(BM_Sharded_Cycle1M_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Cycle1Mplus1_RotorRouter)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Torus512_SendFloor)->Apply(pooled_sweep);
 BENCHMARK(BM_Sharded_Torus1000_RotorRouter)->Apply(pooled_sweep);
+BENCHMARK(BM_Reset_RotorRouter_Torus1000)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WorkloadFill_Poisson, scalar, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WorkloadFill_Poisson, simd, true)

@@ -9,6 +9,7 @@
 #include "dynamics/workload.hpp"
 #include "markov/mixing.hpp"
 #include "util/assertions.hpp"
+#include "util/intmath.hpp"
 #include "util/rng.hpp"
 
 namespace dlb {
@@ -30,8 +31,10 @@ LoadVector bimodal_initial(NodeId n, Load k) {
 LoadVector random_initial(NodeId n, Load max_per_node, std::uint64_t seed) {
   DLB_REQUIRE(n >= 1 && max_per_node >= 0, "random_initial: bad args");
   Rng rng(seed);
+  // The draws of rng.uniform_int(0, max_per_node), one bound for all.
+  const FastModU64 span(static_cast<std::uint64_t>(max_per_node) + 1);
   LoadVector x(static_cast<std::size_t>(n));
-  for (auto& v : x) v = rng.uniform_int(0, max_per_node);
+  for (auto& v : x) v = static_cast<Load>(rng.uniform_u64(span));
   return x;
 }
 

@@ -10,6 +10,7 @@ namespace dlb {
 void RandomizedExtra::reset(const Graph& graph, int d_loops) {
   DLB_REQUIRE(d_loops >= 0, "RandomizedExtra: negative self-loop count");
   d_plus_ = graph.degree() + d_loops;
+  port_ = FastModU64(static_cast<std::uint64_t>(d_plus_));
   rng_ = Rng(seed_);  // bit-reproducible runs: reseed on reset
 }
 
@@ -20,8 +21,7 @@ void RandomizedExtra::decide(NodeId /*u*/, Load load, Step /*t*/,
   const Load r = load - q * d_plus_;
   std::fill(flows.begin(), flows.end(), q);
   for (Load k = 0; k < r; ++k) {
-    const auto p = rng_.uniform_u64(static_cast<std::uint64_t>(d_plus_));
-    ++flows[static_cast<std::size_t>(p)];
+    ++flows[static_cast<std::size_t>(rng_.uniform_u64(port_))];
   }
 }
 

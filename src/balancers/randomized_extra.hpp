@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "core/balancer.hpp"
+#include "util/intmath.hpp"
 #include "util/rng.hpp"
 
 namespace dlb {
@@ -33,6 +34,7 @@ class RandomizedExtra : public Balancer {
   std::uint64_t seed_;
   Rng rng_;
   int d_plus_ = 0;
+  FastModU64 port_;  // draws a port in [0, d⁺)
 };
 
 }  // namespace dlb

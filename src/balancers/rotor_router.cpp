@@ -1,6 +1,7 @@
 #include "balancers/rotor_router.hpp"
 
 #include <numeric>
+#include <utility>
 
 #include "graph/topology.hpp"
 #include "util/assertions.hpp"
@@ -36,11 +37,18 @@ void RotorRouter::reset(const Graph& graph, int d_loops) {
   Rng rng(seed_);
   std::vector<std::int32_t> drawn(d_plus);
   std::vector<std::size_t> seen(d_plus, n);
+  // The draws of rng.shuffle(drawn) then rng.uniform_u64(d_plus), each
+  // against a bound b in 1..d⁺ whose remainder helper by_bound[b] is built
+  // once here instead of a hardware division per draw.
+  std::vector<FastModU64> by_bound(seed_ != 0 ? d_plus + 1 : 0);
+  for (std::size_t b = 1; b < by_bound.size(); ++b) by_bound[b] = FastModU64(b);
   for (std::size_t u = 0; u < n; ++u) {
     std::iota(drawn.begin(), drawn.end(), 0);
     if (seed_ != 0) {
-      rng.shuffle(drawn);
-      rotor_[u] = static_cast<int>(rng.uniform_u64(d_plus));
+      for (std::size_t i = d_plus - 1; i > 0; --i) {
+        std::swap(drawn[i], drawn[rng.uniform_u64(by_bound[i + 1])]);
+      }
+      rotor_[u] = static_cast<int>(rng.uniform_u64(by_bound[d_plus]));
     }
     const std::int32_t* order = prescribed_order_.empty()
                                     ? drawn.data()

@@ -18,10 +18,8 @@ void RotorRouterStar::reset(const Graph& graph, int d_loops) {
   rotor_.assign(static_cast<std::size_t>(graph.num_nodes()), 0);
   if (seed_ != 0) {
     Rng rng(seed_);
-    for (auto& r : rotor_) {
-      r = static_cast<int>(rng.uniform_u64(
-          static_cast<std::uint64_t>(rotor_ports_)));
-    }
+    const FastModU64 ports(static_cast<std::uint64_t>(rotor_ports_));
+    for (auto& r : rotor_) r = static_cast<int>(rng.uniform_u64(ports));
   }
 }
 

@@ -81,4 +81,39 @@ class NonNegDiv {
   int shift_ = 0;  // -1 when the divisor is not a power of two
 };
 
+/// x mod b against a fixed divisor b >= 1, exact for every 64-bit x and
+/// free of hardware division: a mask when b is a power of two, otherwise
+/// Lemire's fastmod through the 128-bit reciprocal M = ⌊(2¹²⁸ − 1)/b⌋ + 1
+/// (Lemire, Kaser & Kurz 2019: 128 fractional bits cover a 64-bit
+/// dividend and a 64-bit divisor). The bounded draws of Rng take it where
+/// one bound serves many draws.
+class FastModU64 {
+ public:
+  FastModU64() = default;  ///< divisor 1 (rem(x) == 0)
+  explicit FastModU64(std::uint64_t divisor) : d_(divisor) {
+    DLB_REQUIRE(divisor >= 1, "FastModU64: divisor must be positive");
+    pow2_ = (divisor & (divisor - 1)) == 0;
+    if (!pow2_) m_ = ~static_cast<unsigned __int128>(0) / divisor + 1;
+  }
+
+  std::uint64_t divisor() const noexcept { return d_; }
+
+  std::uint64_t rem(std::uint64_t x) const noexcept {
+    if (pow2_) return x & (d_ - 1);
+    // The fraction M·x mod 2¹²⁸, times b, shifted down 128 bits: the high
+    // word of a 128×64-bit product, summed from its two 64×64 halves.
+    const unsigned __int128 frac = m_ * x;
+    const unsigned __int128 lo =
+        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(frac)) *
+         d_) >> 64;
+    const unsigned __int128 hi = (frac >> 64) * d_;
+    return static_cast<std::uint64_t>((lo + hi) >> 64);
+  }
+
+ private:
+  unsigned __int128 m_ = 0;
+  std::uint64_t d_ = 1;
+  bool pow2_ = true;
+};
+
 }  // namespace dlb

@@ -11,6 +11,7 @@
 #include <limits>
 
 #include "util/assertions.hpp"
+#include "util/intmath.hpp"
 
 namespace dlb {
 
@@ -67,14 +68,25 @@ class Rng {
     return result;
   }
 
-  /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
+  /// Uniform integer in [0, bound) by modulo rejection: a raw draw r is
+  /// kept, as r mod bound, iff r >= 2⁶⁴ mod bound, which removes the
+  /// modulo bias. That threshold is below `bound`, so it is computed only
+  /// in the rare case r < bound.
   std::uint64_t uniform_u64(std::uint64_t bound) {
     DLB_REQUIRE(bound > 0, "uniform_u64 bound must be positive");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
       const std::uint64_t r = next();
-      if (r >= threshold) return r % bound;
+      if (r >= bound || r >= (0 - bound) % bound) return r % bound;
+    }
+  }
+
+  /// uniform_u64(bound.divisor()) — the same draws and the same output,
+  /// without a hardware division, for a bound that serves many draws.
+  std::uint64_t uniform_u64(const FastModU64& bound) noexcept {
+    const std::uint64_t b = bound.divisor();
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= b || r >= bound.rem(0 - b)) return bound.rem(r);
     }
   }
 

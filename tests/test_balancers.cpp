@@ -11,6 +11,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/experiment.hpp"
 #include "balancers/continuous.hpp"
+#include "balancers/randomized_extra.hpp"
 #include "balancers/registry.hpp"
 #include "balancers/rotor_router.hpp"
 #include "balancers/rotor_router_star.hpp"
@@ -382,6 +383,152 @@ TEST(RotorRouterReset, RefusesMalformedPrescriptions) {
   expect_reset_refused(b, g, 2, "out of range");
   b = with_rotors({0, 1, 4});
   expect_reset_refused(b, g, 2, "out of range");
+}
+
+// ----------------------------------------- seeded draws: known answers --
+//
+// Hashes recorded from the division-based draws, so the remainder-helper
+// draws of reset() and decide() stay bit-identical to them. The graphs
+// give d⁺ ∈ {2, 3, 4} on the cycle and {4, 5, 8} on the torus and the
+// hypercube: powers of two and not.
+
+/// FNV-1a over the little-endian bytes of `v`, continuing from `h`.
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::vector<Graph> known_answer_graphs() {
+  std::vector<Graph> out;
+  out.push_back(make_cycle(101));
+  out.push_back(make_torus2d(37, 41));
+  out.push_back(make_hypercube(4));
+  return out;
+}
+
+/// Folds every node's decide() row at load `load(u, d⁺)` into `h`.
+template <class LoadOf>
+std::uint64_t hash_rows(Balancer& b, const Graph& g, int d_plus, Step t,
+                        std::uint64_t h, LoadOf load) {
+  LoadVector flows(static_cast<std::size_t>(d_plus));
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    b.decide(u, load(u, d_plus), t, flows);
+    for (Load f : flows) h = fnv_word(h, static_cast<std::uint64_t>(f));
+  }
+  return h;
+}
+
+TEST(RotorRouterReset, SeededOrdersAndRotorsKnownAnswers) {
+  // Per (seed, graph, d°): the hash of the rotors after reset, then of
+  // every node's row at load d⁺−1, then of d⁺ rounds of rows at load 1,
+  // which deal one token to each port in cyclic order and so pin every
+  // node's permutation.
+  const std::uint64_t want[2][3][3][2] = {
+      {{{0x9e55e8dc03f75504ULL, 0xc9acadb408de8004ULL},
+        {0x1cd68e50ce5e6f44ULL, 0x9bcbe46558c003c4ULL},
+        {0x32c827b3e315c245ULL, 0x3cde08277ecc4124ULL}},
+       {{0x2aceb9372b020184ULL, 0xa9923d52ff4b6e24ULL},
+        {0xccfca1e051dc4786ULL, 0x23396a419537d084ULL},
+        {0xa8c61c29b7391da4ULL, 0x94b038f636c45f84ULL}},
+       {{0x9a88051ff2683aa5ULL, 0x977ce8a343330945ULL},
+        {0xf11936670e36ada1ULL, 0x7d5ca669181f6165ULL},
+        {0x97c3cf788ce2cf84ULL, 0x6ddd426f583588c5ULL}}},
+      {{{0xb170d269addd26c5ULL, 0xdcbcb798729eba64ULL},
+        {0xf117c1e71b1120c6ULL, 0xdf0c7b5f9b49b784ULL},
+        {0x2d0435628753e3e5ULL, 0x461ad03939913da4ULL}},
+       {{0x79e502ab3b2550c6ULL, 0x2581845ed3a74b44ULL},
+        {0x61ae791b9105ebe0ULL, 0xb85ff038cdece984ULL},
+        {0x835e6c4c413f58c7ULL, 0x8fbaa8aabd43e944ULL}},
+       {{0xf4577f3ce9725804ULL, 0x12aacc37dbbb6145ULL},
+        {0xb43eee88786d1a24ULL, 0xbc0f432e438d9125ULL},
+        {0x4012bca8552d6aa2ULL, 0x7989fa5b1a88ff65ULL}}}};
+  const std::uint64_t seeds[] = {1, 42};
+  const std::vector<Graph> graphs = known_answer_graphs();
+  for (int s = 0; s < 2; ++s) {
+    for (int gi = 0; gi < 3; ++gi) {
+      const Graph& g = graphs[static_cast<std::size_t>(gi)];
+      const int d = g.degree();
+      const int loops[] = {0, 1, d};
+      for (int li = 0; li < 3; ++li) {
+        RotorRouter b(seeds[s]);
+        b.reset(g, loops[li]);
+        std::uint64_t rotors = kFnvBasis;
+        for (NodeId u = 0; u < g.num_nodes(); ++u) {
+          rotors = fnv_word(rotors, static_cast<std::uint64_t>(b.rotor(u)));
+        }
+        const int d_plus = d + loops[li];
+        std::uint64_t rows =
+            hash_rows(b, g, d_plus, 0, kFnvBasis,
+                      [](NodeId, int dp) { return Load{dp - 1}; });
+        for (int k = 0; k < d_plus; ++k) {
+          rows = hash_rows(b, g, d_plus, 0, rows,
+                           [](NodeId, int) { return Load{1}; });
+        }
+        const std::string where = "seed " + std::to_string(seeds[s]) + " " +
+                                  g.name() + " d° " +
+                                  std::to_string(loops[li]);
+        EXPECT_EQ(rotors, want[s][gi][li][0]) << where << " rotors";
+        EXPECT_EQ(rows, want[s][gi][li][1]) << where << " rows";
+      }
+    }
+  }
+}
+
+TEST(RotorRouterStarReset, SeededRotorsKnownAnswers) {
+  // Rows at load 2d−2 deal 2d−3 extras over the 2d−1 rotor ports, so the
+  // ports left out pin every seeded rotor.
+  const std::uint64_t want[2][3] = {
+      {0xb391702a479e7885ULL, 0x9f366936aea82705ULL, 0x66bc89b767422725ULL},
+      {0x59ec51cb7e6092e5ULL, 0x3bed0e8e2d832d05ULL, 0x133ce6dbb3a12f65ULL}};
+  const std::uint64_t seeds[] = {1, 42};
+  const std::vector<Graph> graphs = known_answer_graphs();
+  for (int s = 0; s < 2; ++s) {
+    for (int gi = 0; gi < 3; ++gi) {
+      const Graph& g = graphs[static_cast<std::size_t>(gi)];
+      RotorRouterStar b(seeds[s]);
+      b.reset(g, g.degree());
+      const std::uint64_t rows =
+          hash_rows(b, g, 2 * g.degree(), 0, kFnvBasis,
+                    [](NodeId, int d_plus) { return Load{d_plus - 2}; });
+      EXPECT_EQ(rows, want[s][gi]) << "seed " << seeds[s] << " " << g.name();
+    }
+  }
+}
+
+TEST(RandomizedExtraDecide, SeededExtrasKnownAnswers) {
+  // Three rounds of rows at load u mod 3d⁺, every remainder 0..d⁺−1 drawn.
+  const std::uint64_t want[2][3][3] = {
+      {{0x51c03ba9e4ecc8a7ULL, 0xebb6e6508f72fee0ULL, 0x8143a6e0f9e685e1ULL},
+       {0x1c5503b3753c2ee7ULL, 0xca1b1fc8de2226e1ULL, 0x80cdf702e6edab47ULL},
+       {0x274f3ce430608a87ULL, 0xf6884dea49b8b4e2ULL, 0x3a41da870802d6a1ULL}},
+      {{0xbf4d46411afb4647ULL, 0xee04ad497a348f26ULL, 0xa1e15e654f885605ULL},
+       {0x1d58db31c35c4e87ULL, 0x1ff8030890148703ULL, 0xf742f3d0bfa61483ULL},
+       {0x4e5c737d2895e621ULL, 0x2897440ea942ccc4ULL, 0xf153fab42a059b87ULL}}};
+  const std::uint64_t seeds[] = {1, 42};
+  const std::vector<Graph> graphs = known_answer_graphs();
+  for (int s = 0; s < 2; ++s) {
+    for (int gi = 0; gi < 3; ++gi) {
+      const Graph& g = graphs[static_cast<std::size_t>(gi)];
+      const int d = g.degree();
+      const int loops[] = {0, 1, d};
+      for (int li = 0; li < 3; ++li) {
+        RandomizedExtra b(seeds[s]);
+        b.reset(g, loops[li]);
+        std::uint64_t h = kFnvBasis;
+        for (Step t = 0; t < 3; ++t) {
+          h = hash_rows(b, g, d + loops[li], t, h, [](NodeId u, int d_plus) {
+            return Load{u % (3 * d_plus)};
+          });
+        }
+        EXPECT_EQ(h, want[s][gi][li])
+            << "seed " << seeds[s] << " " << g.name() << " d° " << loops[li];
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- continuous process --

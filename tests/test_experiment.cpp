@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "analysis/bounds.hpp"
 #include "analysis/experiment.hpp"
@@ -45,6 +47,31 @@ TEST(InitialLoads, RandomWithinRangeAndSeedStable) {
   for (Load v : a) {
     EXPECT_GE(v, 0);
     EXPECT_LE(v, 25);
+  }
+}
+
+TEST(InitialLoads, RandomKnownAnswers) {
+  // FNV-1a over the 1000 loads of random_initial(1000, max, 7), recorded
+  // from uniform_int(0, max) draws; 2⁶³−1 makes the bound 2⁶³.
+  const struct {
+    Load max;
+    std::uint64_t hash;
+  } cases[] = {
+      {0, 0x51e78e744621f425ULL},
+      {1, 0xd42330b2b125e5a5ULL},
+      {1000, 0x85b07425948edd2bULL},
+      {Load{1} << 40, 0xe7a8d8af2952dae3ULL},
+      {std::numeric_limits<Load>::max(), 0x3f0bd67c6b84017dULL},
+  };
+  for (const auto& c : cases) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (Load v : random_initial(1000, c.max, 7)) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    EXPECT_EQ(h, c.hash) << "max_per_node " << c.max;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -86,6 +87,67 @@ TEST(Rng, ShufflePreservesMultiset) {
   EXPECT_EQ(v, sorted);
 }
 
+/// FNV-1a over the little-endian bytes of `v`, continuing from `h`.
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// Known answers: the hash of the first 64 bounded draws from Rng(2015),
+// then of the next raw word (which pins how many draws were rejected).
+// 2⁶³+1 rejects about half its draws; 2⁶⁴−1 rejects only r = 0. Both
+// overloads must give the recorded stream.
+TEST(Rng, UniformU64KnownAnswers) {
+  const struct {
+    std::uint64_t bound, hash;
+  } cases[] = {
+      {1, 0xe6f8593a9e49d412ULL},
+      {2, 0x682ed975c06c7392ULL},
+      {3, 0x604f433a631fc2b2ULL},
+      {7, 0xffd10ec34f09fa6fULL},
+      {8, 0x4638a0e4db6718bcULL},
+      {1001, 0x65a7dc68603d3c5cULL},
+      {(std::uint64_t{1} << 32) + 1, 0x18dbca791200f069ULL},
+      {(std::uint64_t{1} << 63) + 1, 0x8d4ea907b8b33f9eULL},
+      {~std::uint64_t{0}, 0x0536a2bc7d03af87ULL},
+  };
+  for (const auto& c : cases) {
+    Rng plain(2015), fast(2015);
+    const FastModU64 bound(c.bound);
+    std::uint64_t h_plain = kFnvBasis, h_fast = kFnvBasis;
+    for (int i = 0; i < 64; ++i) {
+      h_plain = fnv_word(h_plain, plain.uniform_u64(c.bound));
+      h_fast = fnv_word(h_fast, fast.uniform_u64(bound));
+    }
+    h_plain = fnv_word(h_plain, plain.next());
+    h_fast = fnv_word(h_fast, fast.next());
+    EXPECT_EQ(h_plain, c.hash) << "bound " << c.bound;
+    EXPECT_EQ(h_fast, c.hash) << "bound " << c.bound << " (FastModU64)";
+  }
+}
+
+TEST(Rng, ShuffleKnownAnswers) {
+  const struct {
+    std::vector<int> shuffled;
+    std::uint64_t next;
+  } cases[] = {
+      {{2, 7, 3, 4, 1, 5, 0, 6}, 0x82410b221db78af7ULL},
+      {{4, 8, 7, 1, 0, 12, 9, 2, 11, 6, 10, 5, 3}, 0xbfdf11cec8ec5c4aULL},
+  };
+  for (const auto& c : cases) {
+    Rng rng(2015);
+    std::vector<int> v(c.shuffled.size());
+    std::iota(v.begin(), v.end(), 0);
+    rng.shuffle(v);
+    EXPECT_EQ(v, c.shuffled) << v.size() << " elements";
+    EXPECT_EQ(rng.next(), c.next) << v.size() << " elements";
+  }
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(23);
   Rng child = a.split();
@@ -149,6 +211,43 @@ TEST(IntMath, NonNegDivMatchesHardwareDivision) {
       EXPECT_EQ(div.quot(x) * d + div.rem(x), x) << "x=" << x << " d=" << d;
     }
   }
+}
+
+TEST(IntMath, FastModU64MatchesHardwareRemainder) {
+  // 10⁶ (x, b) pairs: fixed divisors at the edges (1, powers of two, 2³²
+  // and 2⁶⁴ neighbours) and random divisors of every bit width, each
+  // against dividends at multiples of b and their neighbours — where a
+  // reciprocal rounded the wrong way first shows — and random ones.
+  Rng rng(29);
+  std::vector<std::uint64_t> divisors = {
+      1, 2, 3, 4, 5, 7, 8, 1001, 1024, (std::uint64_t{1} << 32) - 1,
+      std::uint64_t{1} << 32, (std::uint64_t{1} << 32) + 1,
+      std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1,
+      ~std::uint64_t{0} - 1, ~std::uint64_t{0}};
+  while (divisors.size() < 50000) {
+    const std::uint64_t b = rng.next() >> rng.uniform_u64(64);
+    if (b != 0) divisors.push_back(b);
+  }
+  for (std::uint64_t b : divisors) {
+    const FastModU64 mod(b);
+    ASSERT_EQ(mod.divisor(), b);
+    const std::uint64_t k = ~std::uint64_t{0} / b;  // largest multiple index
+    const std::uint64_t m1 = b * (1 + rng.uniform_u64(k));
+    const std::uint64_t xs[] = {0, 1, b - 1, b, m1 - 1, m1, m1 + 1,
+                                b * k, ~std::uint64_t{0}, rng.next(),
+                                rng.next(), rng.next(), rng.next(),
+                                rng.next(), rng.next(), rng.next(),
+                                rng.next(), rng.next(), rng.next(),
+                                rng.next()};
+    for (std::uint64_t x : xs) {
+      ASSERT_EQ(mod.rem(x), x % b) << "x=" << x << " b=" << b;
+    }
+  }
+}
+
+TEST(IntMath, FastModU64RejectsZeroDivisor) {
+  EXPECT_THROW(FastModU64(0), invariant_error);
+  EXPECT_EQ(FastModU64().rem(12345), 0u);
 }
 
 TEST(IntMath, NonNegDivRejectsNonPositiveDivisor) {
