@@ -316,8 +316,10 @@ void BM_Reset_RotorRouter_Torus1000(benchmark::State& s) {
 // One dense round's deltas of a 2^20-node process, fetched through fill()
 // in the 1024-node chunks the engines use, on one thread; items/sec ==
 // deltas/sec. The Poisson series run the service-overload demand
-// (λ_in = 0.08, λ_out = 0.05) on the scalar and the AVX2 path (the two
-// coincide on a host without AVX2); Counter is the torus-sharded churn.
+// (λ_in = 0.08, λ_out = 0.05) on the scalar and the widest vector path,
+// which the label names (AVX-512 where the CPU has it, else AVX2; the
+// two series coincide on a host without AVX2); Counter is the
+// torus-sharded churn.
 constexpr PoissonWorkload::Params kServiceDemand{.arrival_rate = 0.08,
                                                  .departure_rate = 0.05};
 
@@ -340,7 +342,9 @@ void run_fill(benchmark::State& state, WorkloadProcess& w) {
 void BM_WorkloadFill_Poisson(benchmark::State& state, bool simd_on) {
   const bool was = simd::enabled();
   simd::set_enabled(simd_on);
-  state.SetLabel(simd::enabled() ? "avx2" : "scalar");
+  state.SetLabel(simd::avx512() ? "avx512"
+                 : simd::enabled() ? "avx2"
+                                   : "scalar");
   PoissonWorkload w(kServiceDemand);
   run_fill(state, w);
   simd::set_enabled(was);
@@ -352,7 +356,7 @@ void BM_WorkloadFill_Counter(benchmark::State& state) {
 
 // A whole service round at 2^20: the service-overload demand behind an
 // AdmissionQueue (cap 48), then the SEND(floor) kernel, on an Arg-thread
-// pool. Next to BM_StepParallel_SendFloor (the kernel alone) it reads
+// pool (serially at 1). Next to BM_StepParallel_SendFloor (the kernel alone) it reads
 // the share workload generation and admission take of a round.
 void BM_ServiceRound_SendFloor(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
@@ -431,6 +435,7 @@ BENCHMARK_CAPTURE(BM_WorkloadFill_Poisson, simd, true)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WorkloadFill_Counter)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServiceRound_SendFloor)
+    ->Arg(1)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -54,6 +54,9 @@ HOT_FUNCTIONS = [
     "dlb::RotorRouter::decide_range",
     # src/dynamics/workload.cpp
     "dlb::PoissonWorkload::fill",
+    "dlb::poisson_fill::scalar",
+    "dlb::poisson_fill::avx2",
+    "dlb::poisson_fill::avx512",
     # src/markov/spectral.cpp
     "dlb::spectral_gap",
 ]

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "dynamics/poisson_fill.hpp"
 #include "util/assertions.hpp"
 #include "util/simd.hpp"
 
@@ -201,26 +202,9 @@ Load PoissonWorkload::delta(NodeId u, Step t) {
   return arrivals - departures;
 }
 
+namespace poisson_fill {
+
 namespace {
-
-/// stream_key(seed, u, t) with its node-independent part hoisted: the
-/// seed's SplitMix step and t·C.
-struct RoundKeys {
-  RoundKeys(std::uint64_t seed, Step t)
-      : s(seed + kSplitMixGamma),
-        h(splitmix64_finalize(s)),
-        tc(static_cast<std::uint64_t>(t) * kStreamRoundMul) {}
-
-  std::uint64_t key(std::uint64_t u) const noexcept {
-    const std::uint64_t a = (s ^ (u * kStreamNodeMul)) + kSplitMixGamma;
-    const std::uint64_t b = (a ^ tc) + kSplitMixGamma;
-    return h ^ splitmix64_finalize(a) ^ splitmix64_finalize(b);
-  }
-
-  std::uint64_t s;   ///< seed after its SplitMix step
-  std::uint64_t h;   ///< the seed's mix
-  std::uint64_t tc;  ///< t · kStreamRoundMul
-};
 
 /// Word i of the generator Rng(key) seeds.
 constexpr std::uint64_t rng_word(std::uint64_t key, std::uint64_t i) noexcept {
@@ -240,37 +224,40 @@ std::uint64_t zero_draw_bound(double limit) noexcept {
   return static_cast<std::uint64_t>(std::ldexp(limit, 53));
 }
 
-/// Both Poisson draws of a node whose generator words 0–2 are known, for
-/// both rates in the product regime (thresholds `arrival_limit`,
-/// `departure_limit`). A generator's first output reads word 1 and its
-/// second w0 ^ w1 ^ w2, so when both pass their bounds the node draws
-/// 0 − 0 without the fourth word; otherwise the full draw runs from the
-/// words already made.
-struct ZeroTest {
-  double arrival_limit;
-  double departure_limit;
-  std::uint64_t arrival_bound = zero_draw_bound(arrival_limit);
-  std::uint64_t departure_bound = zero_draw_bound(departure_limit);
+/// The full draw of a slow node from its generator words 0–2.
+Load finish(const ZeroTest& z, std::uint64_t key, std::uint64_t w0,
+            std::uint64_t w1, std::uint64_t w2) {
+  Rng rng;
+  rng.set_state({w0, w1, w2, rng_word(key, 3)});
+  const Load in = poisson_product(rng, z.arrival_limit);
+  return in - poisson_product(rng, z.departure_limit);
+}
 
-  Load draw(std::uint64_t key, std::uint64_t w0, std::uint64_t w1,
-            std::uint64_t w2) const {
-    if ((xoshiro_out(w1) >> 11) <= arrival_bound &&
-        (xoshiro_out(w0 ^ w1 ^ w2) >> 11) <= departure_bound) {
-      return 0;
-    }
-    return finish(key, w0, w1, w2);
-  }
+}  // namespace
 
-  Load finish(std::uint64_t key, std::uint64_t w0, std::uint64_t w1,
-              std::uint64_t w2) const {
-    Rng rng;
-    rng.set_state({w0, w1, w2, rng_word(key, 3)});
-    const Load in = poisson_product(rng, arrival_limit);
-    return in - poisson_product(rng, departure_limit);
+ZeroTest::ZeroTest(double arrival_limit, double departure_limit)
+    : arrival_limit(arrival_limit),
+      departure_limit(departure_limit),
+      arrival_bound(zero_draw_bound(arrival_limit)),
+      departure_bound(zero_draw_bound(departure_limit)) {}
+
+void scalar(const RoundKeys& keys, const ZeroTest& z, std::uint64_t first,
+            std::span<Load> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t key = keys.key(first + i);
+    const std::uint64_t w0 = rng_word(key, 0);
+    const std::uint64_t w1 = rng_word(key, 1);
+    const std::uint64_t w2 = rng_word(key, 2);
+    out[i] = (xoshiro_out(w1) >> 11) <= z.arrival_bound &&
+                     (xoshiro_out(w0 ^ w1 ^ w2) >> 11) <= z.departure_bound
+                 ? 0
+                 : finish(z, key, w0, w1, w2);
   }
-};
+}
 
 #ifdef DLB_SIMD_AVX2
+
+namespace {
 
 inline __m256i splitmix64_finalize4(__m256i z) noexcept {
   z = simd::mul_u64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
@@ -288,14 +275,15 @@ inline __m256i uniform_numerator4(__m256i w) noexcept {
   return _mm256_srli_epi64(_mm256_add_epi64(_mm256_slli_epi64(r, 3), r), 11);
 }
 
-/// ZeroTest::draw four nodes per vector over the whole vectors of `out`
-/// (node first + i at out[i]); returns how many entries it wrote. Both
-/// bounds are below 2^53 + 1, so the signed compares are exact. The
+}  // namespace
+
+/// Both bounds are below 2^53 + 1, so the signed compares are exact. The
 /// vector loop keeps each batch's words and appends its slow lanes to a
 /// list without branching; a second loop then finishes only those, so
-/// the vector loop never stalls on a mispredicted lane test.
-std::size_t fill_zero_test_avx2(const RoundKeys& keys, const ZeroTest& z,
-                                std::uint64_t first, std::span<Load> out) {
+/// the vector loop never stalls on a mispredicted lane test. The last
+/// size mod 4 nodes take the scalar kernel.
+void avx2(const RoundKeys& keys, const ZeroTest& z, std::uint64_t first,
+          std::span<Load> out) {
   constexpr std::size_t kBatch = 256;
   alignas(32) std::uint64_t words[4][kBatch];  // key, w0, w1, w2
   std::uint32_t slow[kBatch];
@@ -353,18 +341,185 @@ std::size_t fill_zero_test_avx2(const RoundKeys& keys, const ZeroTest& z,
     for (std::size_t k = 0; k < count; ++k) {
       const std::uint32_t j = slow[k];
       out[base + j] =
-          z.finish(words[0][j], words[1][j], words[2][j], words[3][j]);
+          finish(z, words[0][j], words[1][j], words[2][j], words[3][j]);
     }
   }
-  return whole;
+  scalar(keys, z, first + whole, out.subspan(whole));
+}
+
+// The AVX-512 body is compiled for AVX-512F+DQ per function, never per
+// file: a file built with -mavx512* may emit the header inline functions
+// it calls (Rng::next, splitmix64_finalize, std:: helpers) in EVEX form,
+// and the linker may keep those copies for every caller, which would
+// fault on an AVX2-only host. Every helper it inlines carries the same
+// attribute; scripts/check_isa.py checks that no other function of the
+// benchmark binary holds an AVX-512 instruction.
+#define DLB_TARGET_AVX512 __attribute__((target("avx512f,avx512dq")))
+
+// GCC 12's AVX-512 shift and rotate intrinsics pass a self-initialised
+// _mm512_undefined_epi32() as their unused merge source, which
+// -Wmaybe-uninitialized reports at every inlined use (GCC bug 105593).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+namespace {
+
+DLB_TARGET_AVX512 inline __m512i splat(std::uint64_t v) noexcept {
+  return _mm512_set1_epi64(static_cast<long long>(v));
+}
+
+/// The first n lanes (all eight for n >= 8).
+inline __mmask8 first_lanes(std::size_t n) noexcept {
+  return n >= 8 ? __mmask8{0xff} : static_cast<__mmask8>((1U << n) - 1);
+}
+
+DLB_TARGET_AVX512 inline __m512i splitmix64_finalize8(__m512i z) noexcept {
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
+                         splat(kSplitMixMul1));
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
+                         splat(kSplitMixMul2));
+  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+}
+
+/// xoshiro_out(w) per lane.
+DLB_TARGET_AVX512 inline __m512i xoshiro_out8(__m512i w) noexcept {
+  const __m512i r =
+      _mm512_rol_epi64(_mm512_add_epi64(_mm512_slli_epi64(w, 2), w), 7);
+  return _mm512_add_epi64(_mm512_slli_epi64(r, 3), r);
+}
+
+/// The lanes of `m`: poisson_product(rng, limit) per lane over the
+/// generators in s0–s3, which advance in those lanes only, by as many
+/// outputs as each lane's draw reads.
+DLB_TARGET_AVX512 inline __m512i poisson_product8(__mmask8 m, __m512i& s0,
+                                                  __m512i& s1, __m512i& s2,
+                                                  __m512i& s3,
+                                                  __m512d limit) noexcept {
+  const __m512d scale = _mm512_set1_pd(0x1.0p-53);
+  __m512d p = _mm512_set1_pd(1.0);
+  __m512i k = splat(~std::uint64_t{0});  // −1: k counts the uniforms
+  while (m != 0) {
+    // Rng::next and uniform_real, in the lanes still drawing.
+    const __m512i r = xoshiro_out8(s1);
+    const __m512i t = _mm512_slli_epi64(s1, 17);
+    s2 = _mm512_mask_xor_epi64(s2, m, s2, s0);
+    s3 = _mm512_mask_xor_epi64(s3, m, s3, s1);
+    s1 = _mm512_mask_xor_epi64(s1, m, s1, s2);
+    s0 = _mm512_mask_xor_epi64(s0, m, s0, s3);
+    s2 = _mm512_mask_xor_epi64(s2, m, s2, t);
+    s3 = _mm512_mask_rol_epi64(s3, m, s3, 45);
+    const __m512d u =
+        _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(r, 11)), scale);
+    p = _mm512_mask_mul_pd(p, m, p, u);
+    k = _mm512_mask_add_epi64(k, m, k, splat(1));
+    m = _mm512_mask_cmp_pd_mask(m, p, limit, _CMP_GT_OQ);
+  }
+  return k;
+}
+
+}  // namespace
+
+/// The vector loop keeps nothing of a fast lane. It compresses each slow
+/// lane's key, words 0–2 and index onto five lists, without branching;
+/// the second loop then finishes those eight at a time: word 3 from one
+/// vector SplitMix, then the arrivals' and the departures' product draws
+/// on a masked xoshiro256** per lane, scattered back to `out`. A tail
+/// under eight nodes runs as one masked vector. Both bounds are below
+/// 2^53 + 1, so the unsigned compares against the 53-bit numerators are
+/// exact.
+DLB_TARGET_AVX512 void avx512(const RoundKeys& keys, const ZeroTest& z,
+                              std::uint64_t first, std::span<Load> out) {
+  constexpr std::size_t kBatch = 512;
+  // A compress stores a whole vector at the list's end; that end is at
+  // most j, the batch offset, so the store stays inside the list.
+  alignas(64) std::uint64_t slow[5][kBatch];  // key, w0, w1, w2, index
+  const __m512i gamma = splat(kSplitMixGamma);
+  const __m512i s = splat(keys.s);
+  const __m512i h = splat(keys.h);
+  const __m512i tc = splat(keys.tc);
+  const __m512i in_bound = splat(z.arrival_bound);
+  const __m512i out_bound = splat(z.departure_bound);
+  const __m512d in_limit = _mm512_set1_pd(z.arrival_limit);
+  const __m512d out_limit = _mm512_set1_pd(z.departure_limit);
+  const __m512i lanes = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  // u · kStreamNodeMul for the eight lanes, advanced by 8 · kStreamNodeMul
+  // per vector.
+  __m512i un = _mm512_mullo_epi64(_mm512_add_epi64(splat(first), lanes),
+                                  splat(kStreamNodeMul));
+  const __m512i un_step = splat(8 * kStreamNodeMul);
+  for (std::size_t base = 0; base < out.size(); base += kBatch) {
+    const std::size_t len = std::min(kBatch, out.size() - base);
+    Load* const to = out.data() + base;
+    std::size_t count = 0;
+    __m512i index = lanes;
+    for (std::size_t j = 0; j < len; j += 8) {
+      const __mmask8 live = first_lanes(len - j);
+      const __m512i a = _mm512_add_epi64(_mm512_xor_si512(s, un), gamma);
+      const __m512i b = _mm512_add_epi64(_mm512_xor_si512(a, tc), gamma);
+      const __m512i key =
+          _mm512_xor_si512(h, _mm512_xor_si512(splitmix64_finalize8(a),
+                                               splitmix64_finalize8(b)));
+      const __m512i k1 = _mm512_add_epi64(key, gamma);
+      const __m512i k2 = _mm512_add_epi64(k1, gamma);
+      const __m512i w0 = splitmix64_finalize8(k1);
+      const __m512i w1 = splitmix64_finalize8(k2);
+      const __m512i w2 = splitmix64_finalize8(_mm512_add_epi64(k2, gamma));
+      const __m512i second = _mm512_xor_si512(w0, _mm512_xor_si512(w1, w2));
+      const __mmask8 m =
+          _mm512_mask_cmpgt_epu64_mask(
+              live, _mm512_srli_epi64(xoshiro_out8(w1), 11), in_bound) |
+          _mm512_mask_cmpgt_epu64_mask(
+              live, _mm512_srli_epi64(xoshiro_out8(second), 11), out_bound);
+      _mm512_mask_storeu_epi64(to + j, live, _mm512_setzero_si512());
+      const __m512i lists[5] = {key, w0, w1, w2, index};
+      for (int l = 0; l < 5; ++l) {
+        _mm512_storeu_si512(slow[l] + count,
+                            _mm512_maskz_compress_epi64(m, lists[l]));
+      }
+      count += static_cast<std::size_t>(__builtin_popcount(m));
+      un = _mm512_add_epi64(un, un_step);
+      index = _mm512_add_epi64(index, splat(8));
+    }
+    for (std::size_t k = 0; k < count; k += 8) {
+      const __mmask8 m = first_lanes(count - k);
+      const __m512i key = _mm512_load_si512(slow[0] + k);
+      __m512i s0 = _mm512_load_si512(slow[1] + k);
+      __m512i s1 = _mm512_load_si512(slow[2] + k);
+      __m512i s2 = _mm512_load_si512(slow[3] + k);
+      __m512i s3 = splitmix64_finalize8(
+          _mm512_add_epi64(key, splat(4 * kSplitMixGamma)));
+      const __m512i in = poisson_product8(m, s0, s1, s2, s3, in_limit);
+      const __m512i gone = poisson_product8(m, s0, s1, s2, s3, out_limit);
+      _mm512_mask_i64scatter_epi64(to, m, _mm512_load_si512(slow[4] + k),
+                                   _mm512_sub_epi64(in, gone), 8);
+    }
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#undef DLB_TARGET_AVX512
+
+#else
+
+void avx2(const RoundKeys& keys, const ZeroTest& z, std::uint64_t first,
+          std::span<Load> out) {
+  scalar(keys, z, first, out);
+}
+void avx512(const RoundKeys& keys, const ZeroTest& z, std::uint64_t first,
+            std::span<Load> out) {
+  scalar(keys, z, first, out);
 }
 
 #endif  // DLB_SIMD_AVX2
 
-}  // namespace
+}  // namespace poisson_fill
 
 void PoissonWorkload::fill(Step t, NodeId first, std::span<Load> out) {
-  const RoundKeys keys(seed_, t);
+  const poisson_fill::RoundKeys keys(seed_, t);
   const auto u0 = static_cast<std::uint64_t>(first);
   // At λ = 0 a sampler draws no uniform, so the departures' first uniform
   // would be the generator's first output: the zero test needs both rates
@@ -377,15 +532,13 @@ void PoissonWorkload::fill(Step t, NodeId first, std::span<Load> out) {
     }
     return;
   }
-  const ZeroTest z{arrivals_.limit(), departures_.limit()};
-  std::size_t i = 0;
-#ifdef DLB_SIMD_AVX2
-  if (simd::enabled()) i = fill_zero_test_avx2(keys, z, u0, out);
-#endif
-  for (; i < out.size(); ++i) {
-    const std::uint64_t key = keys.key(u0 + i);
-    out[i] = z.draw(key, rng_word(key, 0), rng_word(key, 1),
-                    rng_word(key, 2));
+  const poisson_fill::ZeroTest z(arrivals_.limit(), departures_.limit());
+  if (simd::avx512()) {
+    poisson_fill::avx512(keys, z, u0, out);
+  } else if (simd::enabled()) {
+    poisson_fill::avx2(keys, z, u0, out);
+  } else {
+    poisson_fill::scalar(keys, z, u0, out);
   }
 }
 

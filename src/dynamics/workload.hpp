@@ -24,8 +24,9 @@
 //
 // Dense rounds read their deltas a block at a time through fill(t, first,
 // out), one virtual call per block: the built-in processes generate a
-// block in an inlined loop (the Poisson draw four nodes per AVX2 vector),
-// so producing a round's arrivals costs about what balancing it does.
+// block in an inlined loop (the Poisson draw eight nodes per AVX-512
+// vector, or four per AVX2 vector), so producing a round's arrivals
+// costs about what balancing it does.
 // delta(u, t) is the point query — sparse lists, overflow replays, tests —
 // and the default fill() loops over it, so a process (or a forwarding
 // wrapper) that overrides only delta() stays correct.
@@ -249,7 +250,12 @@ class PoissonWorkload : public WorkloadProcess {
   /// product regime (0 < λ <= 64), a node whose two first uniforms pass
   /// their thresholds draws 0 − 0: that test needs three of the four
   /// generator words, and only the other nodes run the full draw, from
-  /// the words already made. On AVX2 the test runs four nodes per vector.
+  /// the words already made. Each call picks one kernel
+  /// (dynamics/poisson_fill.hpp): with simd::avx512(), the test runs
+  /// eight nodes per vector and the full draws run eight at a time too,
+  /// on a masked xoshiro256** per lane; with simd::enabled() only, the
+  /// test runs four nodes per AVX2 vector and the full draws one by one;
+  /// otherwise everything is scalar.
   void fill(Step t, NodeId first, std::span<Load> out) override;
   /// Each delta seeds a throwaway Rng from the (seed, node, round)
   /// stream key — no shared stream, ranges may generate concurrently.

@@ -15,6 +15,15 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
+bool cpu_has_avx512() noexcept {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0;
+#else
+  return false;
+#endif
+}
+
 bool env_disabled() noexcept {
   const char* v = std::getenv("DLB_NO_SIMD");
   if (v == nullptr || v[0] == '\0') return false;
@@ -46,6 +55,11 @@ bool compiled() noexcept {
 }
 
 bool enabled() noexcept { return flag().load(std::memory_order_relaxed); }
+
+bool avx512() noexcept {
+  static const bool cpu = cpu_has_avx512();
+  return cpu && enabled();
+}
 
 void set_enabled(bool on) noexcept {
   flag().store(on && compiled() && cpu_has_avx2(),

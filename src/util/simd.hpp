@@ -23,6 +23,15 @@
 //     binary degrades gracefully on a pre-AVX2 CPU instead of faulting.
 //     Tests flip the switch per engine step via set_enabled() to run the
 //     two paths in lockstep.
+//   * AVX-512 level — a kernel with a 512-bit body (the Poisson zero
+//     test, dynamics/workload.cpp) picks it once per call when
+//     dlb::simd::avx512() holds: enabled() and a CPU that reports
+//     AVX-512F and AVX-512DQ. The body is compiled for those extensions
+//     by a function attribute, never by a per-file -mavx512* flag, so
+//     nothing else in the binary carries an AVX-512 instruction
+//     (scripts/check_isa.py). The switch covers it too: DLB_NO_SIMD=1 or
+//     set_enabled(false) runs the scalar path, and an AVX-512 host runs
+//     the AVX2 body only when a test calls it directly.
 //   * shape gates — each kernel additionally checks its own algebraic
 //     preconditions (power-of-two d⁺ for the shift-division stencils,
 //     d == 2 for the carry-deinterleave cores) and per-block value ranges
@@ -51,6 +60,11 @@ bool compiled() noexcept;
 /// they have not been disabled (DLB_NO_SIMD / set_enabled(false)).
 /// Kernels read this once per range invocation.
 bool enabled() noexcept;
+
+/// True when enabled() holds and the CPU reports AVX-512F and AVX-512DQ:
+/// the level of the kernels that also have a 512-bit body, read once
+/// per call like enabled().
+bool avx512() noexcept;
 
 /// Runtime override, primarily for the golden tests (scalar ≡ SIMD in one
 /// process) and benchmarks. Enabling is ignored when compiled() is false

@@ -17,6 +17,7 @@
 #include "balancers/send_floor.hpp"
 #include "core/engine.hpp"
 #include "dimexchange/de_engine.hpp"
+#include "dynamics/poisson_fill.hpp"
 #include "dynamics/steady_stats.hpp"
 #include "dynamics/workload.hpp"
 #include "graph/generators.hpp"
@@ -278,6 +279,72 @@ TEST(PoissonWorkload, DeltasArePureInNodeRoundSeed) {
   EXPECT_GT(diffs, 0);  // different seed, different stream
 }
 
+/// FNV-1a over the little-endian bytes of `v`, continuing from `h`.
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// Known answers for the Poisson stream: the hash of delta() over 2^14
+// nodes × 5 rounds (seed 3), in (t, u) order, at the service-overload
+// rates, at the defaults and at rates where most or every node needs
+// the full draw. Every fill() path is checked against delta(), so these
+// pin all of them to one stream.
+TEST(PoissonWorkload, DeltasKnownAnswers) {
+  const struct {
+    double in, out;
+    std::uint64_t hash;
+  } cases[] = {
+      {0.08, 0.05, 0x532ff30b9119ae35ULL},
+      {0.5, 0.5, 0x5ecc5032acee2a7aULL},
+      {5.0, 3.0, 0x1ff4ba6c5c74ed94ULL},
+      {40.0, 0.05, 0xac4d086b279a85beULL},
+  };
+  constexpr NodeId kNodes = NodeId{1} << 14;
+  for (const auto& c : cases) {
+    PoissonWorkload w({.arrival_rate = c.in, .departure_rate = c.out});
+    w.reset(kNodes, 3);
+    std::uint64_t h = kFnvBasis;
+    for (Step t = 0; t < 5; ++t) {
+      for (NodeId u = 0; u < kNodes; ++u) {
+        h = fnv_word(h, static_cast<std::uint64_t>(w.delta(u, t)));
+      }
+    }
+    EXPECT_EQ(h, c.hash) << w.name() << std::hex << " hash 0x" << h;
+  }
+}
+
+// Known answer for a service round: the final loads of SEND(floor) on a
+// 2^14 cycle after 120 rounds of the service-overload demand (Poisson
+// 0.08 in, 0.05 out) behind an AdmissionQueue capped at 48, serial and
+// on a 4-thread pool.
+TEST(PoissonWorkload, AdmittedServiceRoundsKnownAnswer) {
+  constexpr std::uint64_t kHash = 0x8d8a202d0616a024ULL;
+  const Graph g = make_cycle(NodeId{1} << 14);
+  ThreadPool pool(4);
+  for (const bool pooled : {false, true}) {
+    SendFloor b;
+    PoissonWorkload demand({.arrival_rate = 0.08, .departure_rate = 0.05});
+    AdmissionQueue queue(demand, {.round_cap = 48});
+    queue.reset(g.num_nodes(), 1);
+    Engine e(g, EngineConfig{.self_loops = g.degree()}, b,
+             LoadVector(static_cast<std::size_t>(g.num_nodes()), 0));
+    e.set_workload(&queue);
+    if (pooled) e.set_thread_pool(&pool);
+    for (Step t = 0; t < 120; ++t) e.step_parallel();
+    std::uint64_t h = kFnvBasis;
+    for (const Load x : e.loads()) {
+      h = fnv_word(h, static_cast<std::uint64_t>(x));
+    }
+    EXPECT_EQ(h, kHash) << (pooled ? "pooled" : "serial") << std::hex
+                        << " hash 0x" << h;
+  }
+}
+
 TEST(BurstWorkload, OneHotspotPerPeriodAndUniformDrain) {
   const Graph g = make_cycle(32);
   BurstWorkload w({.period = 8, .burst = 100, .drain_period = 2,
@@ -477,14 +544,15 @@ class SimdSwitch {
   bool was_;
 };
 
-/// Node ranges [first, last) whose ends sit at every offset mod 4 (the
-/// AVX2 Poisson path's vector width) around the start, the end and an
-/// interior point of [0, n), plus prime-sized ranges.
+/// Node ranges [first, last) whose ends sit at every offset mod 8 (the
+/// AVX-512 Poisson path's vector width, a multiple of AVX2's) around the
+/// start, the end and an interior point of [0, n), plus prime-sized
+/// ranges.
 std::vector<std::pair<NodeId, NodeId>> fill_ranges(NodeId n) {
   std::vector<std::pair<NodeId, NodeId>> out;
-  for (const NodeId anchor : {NodeId{0}, n / 2, n - 8}) {
-    for (NodeId a = 0; a < 4; ++a) {
-      for (NodeId len = 0; len < 12; ++len) {
+  for (const NodeId anchor : {NodeId{0}, n / 2, n - 16}) {
+    for (NodeId a = 0; a < 8; ++a) {
+      for (NodeId len = 0; len < 24; ++len) {
         const NodeId first = anchor + a;
         if (first + len <= n) out.emplace_back(first, first + len);
       }
@@ -501,8 +569,8 @@ std::vector<std::pair<NodeId, NodeId>> fill_ranges(NodeId n) {
 }
 
 /// Over `rounds` rounds of `w` (prepared over loads of size n), every
-/// fill() range equals the delta() values of its nodes — with the AVX2
-/// path on and with it off.
+/// fill() range equals the delta() values of its nodes — with the vector
+/// paths on (AVX-512 where the CPU has it, else AVX2) and with them off.
 void expect_fill_equals_delta(WorkloadProcess& w, NodeId n, Step rounds,
                               const std::string& what) {
   const LoadVector loads = random_initial(n, 50, 3);
@@ -530,6 +598,87 @@ void expect_fill_equals_delta(WorkloadProcess& w, NodeId n, Step rounds,
   }
 }
 
+// Each Poisson zero-test kernel, called directly on every range of
+// fill_ranges(): the service demand (most vectors all fast), the
+// defaults, rates where every lane is slow and a draw reads up to ~60
+// uniforms, and the product regime's upper seam.
+using PoissonKernel = void (*)(const poisson_fill::RoundKeys&,
+                               const poisson_fill::ZeroTest&, std::uint64_t,
+                               std::span<Load>);
+
+const std::vector<std::pair<double, double>> kKernelRates = {
+    {0.08, 0.05}, {0.05, 0.08}, {0.5, 0.5},  {5.0, 3.0},
+    {40.0, 0.05}, {0.05, 40.0}, {64.0, 64.0}};
+constexpr NodeId kKernelNodes = 1500;
+constexpr std::uint64_t kKernelSeed = 17;
+
+void expect_kernel_equals_delta(PoissonKernel kernel, const char* path) {
+  const auto ranges = fill_ranges(kKernelNodes);
+  for (const auto& [in, out] : kKernelRates) {
+    PoissonWorkload w({.arrival_rate = in, .departure_rate = out});
+    w.reset(kKernelNodes, kKernelSeed);
+    const poisson_fill::ZeroTest z(PoissonSampler(in).limit(),
+                                   PoissonSampler(out).limit());
+    for (Step t = 0; t < 3; ++t) {
+      const poisson_fill::RoundKeys keys(kKernelSeed, t);
+      for (const auto& [first, last] : ranges) {
+        std::vector<Load> got(static_cast<std::size_t>(last - first), -77);
+        kernel(keys, z, static_cast<std::uint64_t>(first), got);
+        for (NodeId u = first; u < last; ++u) {
+          ASSERT_EQ(got[static_cast<std::size_t>(u - first)], w.delta(u, t))
+              << path << " " << w.name() << " t=" << t << " u=" << u
+              << " range [" << first << ", " << last << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(PoissonFillKernels, RatesGiveVectorsWithNoAndOnlySlowLanes) {
+  // A node is slow (runs the full draw) unless both its draws are 0 from
+  // one uniform each. Over the kernel rates, some vector of eight nodes
+  // must be all fast and some all slow, so both ends of the compress and
+  // of the slow-lane finish are exercised.
+  bool all_fast = false;
+  bool all_slow = false;
+  for (const auto& [in, out] : kKernelRates) {
+    const PoissonSampler arrivals(in);
+    const PoissonSampler departures(out);
+    for (NodeId v = 0; v + 8 <= kKernelNodes; v += 8) {
+      int slow = 0;
+      for (NodeId u = v; u < v + 8; ++u) {
+        Rng rng(stream_key(kKernelSeed, static_cast<std::uint64_t>(u), 0));
+        const Load a = arrivals(rng);
+        slow += a != 0 || departures(rng) != 0;
+      }
+      all_fast |= slow == 0;
+      all_slow |= slow == 8;
+    }
+  }
+  EXPECT_TRUE(all_fast);
+  EXPECT_TRUE(all_slow);
+}
+
+TEST(PoissonFillKernels, ScalarMatchesDelta) {
+  expect_kernel_equals_delta(poisson_fill::scalar, "scalar");
+}
+
+TEST(PoissonFillKernels, Avx2MatchesDelta) {
+  const SimdSwitch restore;
+  simd::set_enabled(true);
+  if (!simd::enabled()) GTEST_SKIP() << "no AVX2 build or AVX2 CPU";
+  expect_kernel_equals_delta(poisson_fill::avx2, "avx2");
+}
+
+TEST(PoissonFillKernels, Avx512MatchesDelta) {
+  const SimdSwitch restore;
+  simd::set_enabled(true);
+  if (!simd::avx512()) {
+    GTEST_SKIP() << "the CPU lacks AVX-512F/DQ (or this is no AVX2 build)";
+  }
+  expect_kernel_equals_delta(poisson_fill::avx512, "avx512");
+}
+
 TEST(WorkloadFill, CounterMatchesDeltaIncludingZeroPeriods) {
   const std::vector<CounterWorkload::Params> cases = {
       {.arrival_period = 4, .arrival_amount = 3, .departure_period = 4,
@@ -555,7 +704,7 @@ TEST(WorkloadFill, CounterMatchesDeltaIncludingZeroPeriods) {
 TEST(WorkloadFill, PoissonMatchesDeltaAtEveryRegime) {
   // λ = 0 on either side (no uniform drawn there, so the zero test must
   // stay off), the product regime on both sides (the zero test, scalar
-  // and AVX2), its upper seam, the split regime and the normal regime.
+  // and vector), its upper seam, the split regime and the normal regime.
   const std::vector<std::pair<double, double>> rates = {
       {0.0, 0.0},   {0.0, 0.5},   {0.5, 0.0},    {0.05, 0.08},
       {0.08, 0.05}, {0.5, 0.5},   {64.0, 0.05},  {0.08, 64.0},
