@@ -19,7 +19,9 @@
 // Poisson demand queued behind an AdmissionQueue until nearly every node
 // has a backlog — a 20 MiB image, three fifths of it the admission ring.
 // It is the kernel figure to read beside that workload's end-to-end
-// snapshot.capture_ms_p50.
+// snapshot.capture_ms_p50. BM_SnapshotRestore_Service restores that image
+// (checksum, core state, the admission ring's validation): the recovery
+// latency of the service.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -142,6 +144,20 @@ void BM_SnapshotCapture_Service(benchmark::State& state) {
       static_cast<double>(dep.queue.backlog_entries());
 }
 BENCHMARK(BM_SnapshotCapture_Service)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_SnapshotRestore_Service(benchmark::State& state) {
+  ServiceDeployment dep;
+  const auto image = EngineSnapshot::capture(dep.engine).serialize();
+  for (auto _ : state) {
+    EngineSnapshot::deserialize(image).restore(dep.engine);
+  }
+  state.counters["image_bytes"] = static_cast<double>(image.size());
+  state.counters["backlog_nodes"] =
+      static_cast<double>(dep.queue.backlog_entries());
+}
+BENCHMARK(BM_SnapshotRestore_Service)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -42,8 +42,6 @@ HOT_FUNCTIONS = [
     "dlb::RoundPlan::decide_gather",
     "dlb::RoundPlan::receive",
     "dlb::RoundPlan::finish",
-    # src/core/round_ledger.cpp
-    "dlb::WorkloadTally::apply_filled",
     # src/shard/sharded_engine.cpp
     "dlb::ShardedEngine::step",
     "dlb::ShardedEngine::decide_shard",
@@ -53,6 +51,7 @@ HOT_FUNCTIONS = [
     # src/balancers/rotor_router.cpp
     "dlb::RotorRouter::decide_range",
     # src/dynamics/workload.cpp
+    "dlb::WorkloadTally::apply_filled",
     "dlb::PoissonWorkload::fill",
     "dlb::poisson_fill::scalar",
     "dlb::poisson_fill::avx2",

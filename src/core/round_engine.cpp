@@ -1,6 +1,5 @@
 #include "core/round_engine.hpp"
 
-#include <mutex>
 #include <utility>
 
 #include "dynamics/workload.hpp"
@@ -30,43 +29,13 @@ void RoundEngineBase::load_core_state(StateReader& r) {
   ledger_.restore(core.ledger);
 }
 
-void RoundEngineBase::apply_workload(ThreadPool* pool) {
-  if (workload_ == nullptr) return;
-  WorkloadProcess& w = *workload_;
-  const Step t = time();
-  ledger_.apply_workload(
-      w, engine_kind(), pool, static_cast<NodeId>(loads_.size()),
-      [&] { return std::span<const Load>(loads_); },
-      [&](NodeId u, Load d, WorkloadTally& tally) {
-        tally.apply(u, loads_[static_cast<std::size_t>(u)], d);
-      },
-      [&](WorkloadTally& tally) {
-        // Per-chunk tallies merged under a lock, once per chunk: the
-        // merge is order-independent, so thread count never shows.
-        std::mutex mu;
-        const auto body = [&](std::int64_t first, std::int64_t last) {
-          WorkloadTally part;
-          part.apply_filled(w, t, static_cast<NodeId>(first),
-                            std::span<Load>(loads_).subspan(
-                                static_cast<std::size_t>(first),
-                                static_cast<std::size_t>(last - first)));
-          const std::lock_guard<std::mutex> lock(mu);
-          tally.merge(part);
-        };
-        const auto n = static_cast<std::int64_t>(loads_.size());
-        if (pool != nullptr && w.parallel_generate_safe()) {
-          pool->for_ranges(n, body);
-        } else {
-          body(0, n);
-        }
-      });
-}
-
 void RoundEngineBase::run_round(ThreadPool* pool) {
   const std::uint64_t t0 = ledger_.round_begin();
   {
     obs::TraceSpan span("round", engine_kind(), "t", time() + 1);
-    apply_workload(pool);
+    if (workload_ != nullptr) {
+      ledger_.apply_workload(*workload_, engine_kind(), pool, loads_);
+    }
     if (pool != nullptr) {
       do_step_parallel(*pool);
     } else {

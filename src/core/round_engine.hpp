@@ -44,10 +44,9 @@ class RoundEngineBase {
   /// runs; nullptr detaches). Before every subsequent round the engine
   /// applies the process's per-node deltas by WorkloadTally::apply's
   /// rule: positive deltas inject, negative deltas consume, truncated at
-  /// zero load. Injection composes with parallel rounds: when the process
-  /// is parallel_generate_safe(), deltas of disjoint node ranges are
-  /// generated and applied concurrently, byte-identically to the serial
-  /// order.
+  /// zero load. Injection composes with parallel rounds: a dense round is
+  /// the process's apply_dense() on the pool, byte-identical to the serial
+  /// order at any thread count.
   void set_workload(WorkloadProcess* workload) noexcept {
     workload_ = workload;
   }
@@ -136,12 +135,9 @@ class RoundEngineBase {
   LoadVector loads_;
 
  private:
-  /// One round with shared bookkeeping; `pool` is null for a serial round.
+  /// One round with shared bookkeeping, the attached workload's churn
+  /// first; `pool` is null for a serial round.
   void run_round(ThreadPool* pool);
-  /// Applies the attached workload's deltas for the coming round (no-op
-  /// without one); dense deltas are chunked over `pool` when it is
-  /// non-null and the process allows parallel generation.
-  void apply_workload(ThreadPool* pool);
 
   RoundLedger ledger_;
   ThreadPool* pool_ = nullptr;

@@ -1,7 +1,6 @@
 #include "core/round_ledger.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <string>
 
@@ -18,29 +17,34 @@ std::uint64_t mono_ns() noexcept {
 
 }  // namespace
 
-void WorkloadTally::apply_filled(WorkloadProcess& w, Step t, NodeId first,
-                                 std::span<Load> x) {
-  constexpr std::size_t kChunk = 1024;  // 8 KiB of deltas on the stack
-  std::array<Load, kChunk> deltas;
-  for (std::size_t lo = 0; lo < x.size(); lo += kChunk) {
-    const std::size_t len = std::min(kChunk, x.size() - lo);
-    const NodeId base = first + static_cast<NodeId>(lo);
-    w.fill(t, base, std::span<Load>(deltas.data(), len));
-    for (std::size_t i = 0; i < len; ++i) {
-      apply(base + static_cast<NodeId>(i), x[lo + i], deltas[i]);
-      if (overflow_node >= 0) return;
+void RoundLedger::apply_workload(WorkloadProcess& w, const char* kind,
+                                 ThreadPool* pool, std::span<Load> loads) {
+  obs::EngineTelemetry& tel = telemetry(kind);
+  {
+    obs::PhaseScope phase(tel.workload_prepare, "workload_prepare", kind, "t",
+                          s_.t + 1);
+    w.prepare_round(s_.t, loads);
+  }
+  obs::PhaseScope phase(tel.workload_apply, "workload_apply", kind, "t",
+                        s_.t + 1);
+  WorkloadTally tally;
+  // Sparse fast path: a process that knows its touched-node set (burst
+  // hotspot, adversary targets) hands it over — no n virtual delta()
+  // calls per round. The list crosses a trust boundary and is tiny, so
+  // its bounds check is always on.
+  if (const std::vector<NodeId>* list = w.affected_nodes()) {
+    const auto n = static_cast<NodeId>(loads.size());
+    for (const NodeId u : *list) {
+      DLB_REQUIRE(u >= 0 && u < n, "workload affected node out of range");
+      tally.apply(u, loads[static_cast<std::size_t>(u)], w.delta(u, s_.t));
+      if (tally.overflow_node >= 0) break;
     }
+  } else {
+    w.apply_dense(s_.t, loads,
+                  pool != nullptr && pool->parallelism() > 1 ? pool : nullptr,
+                  tally);
   }
-}
-
-void WorkloadTally::merge(const WorkloadTally& o) noexcept {
-  ledger_overflow |= o.ledger_overflow;
-  ledger_overflow |= __builtin_add_overflow(injected, o.injected, &injected);
-  ledger_overflow |= __builtin_add_overflow(consumed, o.consumed, &consumed);
-  if (o.overflow_node >= 0 &&
-      (overflow_node < 0 || o.overflow_node < overflow_node)) {
-    overflow_node = o.overflow_node;
-  }
+  commit_workload(tally);
 }
 
 void RoundLedger::adopt(std::span<const Load> loads) {

@@ -16,12 +16,13 @@
 //     wrong Σ forward;
 //   * the cached statistics (min, max, min ever seen), committed from the
 //     published min/max, or from the scan on rounds that scanned;
-//   * the workload-delta rule and the workload phases around it;
+//   * the workload phases, around the process's own apply;
 //   * per-round telemetry and its lazily registered metric handles, the
 //     scan included (phase "audit", timed only on rounds that scan);
 //   * the core-state bytes after the load vector.
-// Where the loads live, how a scan visits them, and how dense workload
-// deltas are chunked stay with the engine.
+// Where the loads live and how a scan visits them stay with the engine;
+// how a dense workload round is chunked is the process's
+// (WorkloadProcess::apply_dense).
 #pragma once
 
 #include <cstdint>
@@ -42,50 +43,6 @@ namespace dlb {
 /// Every kRescanInterval-th round rescans the engine's loads in full,
 /// even when the round published a Σ from its own sweep.
 inline constexpr int kRescanInterval = 64;
-
-/// One chunk's workload churn (a pool range, a shard, or a sparse list),
-/// folded into the ledger by RoundLedger::commit_workload.
-struct WorkloadTally {
-  Load injected = 0;
-  Load consumed = 0;
-  bool ledger_overflow = false;  ///< a partial sum left int64
-  NodeId overflow_node = -1;     ///< first node whose load left int64
-
-  /// The delta rule: d > 0 injects; d < 0 consumes, truncated at zero, so
-  /// churn never drives a node negative on its own (a node at or below
-  /// zero gives nothing). Returns the change made to x. A load that would
-  /// leave int64 is left untouched and u is recorded; the caller stops its
-  /// chunk there, so each chunk reports its first such node.
-  Load apply(NodeId u, Load& x, Load d) noexcept {
-    if (d > 0) {
-      Load next;
-      if (__builtin_add_overflow(x, d, &next)) {
-        overflow_node = u;
-        return 0;
-      }
-      x = next;
-      ledger_overflow |= __builtin_add_overflow(injected, d, &injected);
-      return d;
-    }
-    if (d >= 0 || x <= 0) return 0;
-    const Load take = d < -x ? x : -d;
-    x -= take;
-    ledger_overflow |= __builtin_add_overflow(consumed, take, &consumed);
-    return -take;
-  }
-
-  /// Applies round t's deltas of `w` to the loads `x` of nodes first,
-  /// first + 1, …: fetched through WorkloadProcess::fill in fixed stack
-  /// chunks, then apply()'d in node order, stopping at the first node
-  /// whose load would leave int64. The dense-round body of every engine.
-  void apply_filled(WorkloadProcess& w, Step t, NodeId first,
-                    std::span<Load> x);
-
-  /// Folds another chunk in. Partials are sums of non-negative terms, so
-  /// one overflows iff the whole round's does, and the lowest overflowing
-  /// node wins: the outcome is the same at any chunking.
-  void merge(const WorkloadTally& o) noexcept;
-};
 
 class RoundLedger {
  public:
@@ -140,46 +97,15 @@ class RoundLedger {
   /// first armed round, or the first round with a workload.
   obs::EngineTelemetry& telemetry(const char* kind);
 
-  /// One round's workload churn, timed as the workload_prepare and
-  /// workload_apply phases. `w` prepares over `loads()` (through
-  /// prepare_parallel when `pool` has parallelism > 1); a sparse process's
-  /// list is applied in list order through `sparse(u, d, tally)`, a dense
-  /// one through `dense(tally)`, which chunks the n nodes the engine's
-  /// way. Either applies each delta with WorkloadTally::apply. Throws
-  /// invariant_error naming the round when the ledger would leave int64,
-  /// and the node too when a load would.
-  template <class LoadsFn, class Sparse, class Dense>
+  /// One round's workload churn into the engine-wide `loads`, timed as
+  /// the workload_prepare and workload_apply phases: `w` prepares the
+  /// round over them (prepare_round), then applies a sparse round's list
+  /// in list order through delta(), or its dense round through
+  /// apply_dense() on `pool` (nullptr, or parallelism 1, for a serial
+  /// round). Throws invariant_error naming the round when the ledger
+  /// would leave int64, and the node too when a load would.
   void apply_workload(WorkloadProcess& w, const char* kind, ThreadPool* pool,
-                      NodeId n, LoadsFn&& loads, Sparse&& sparse,
-                      Dense&& dense) {
-    obs::EngineTelemetry& tel = telemetry(kind);
-    {
-      obs::PhaseScope phase(tel.workload_prepare, "workload_prepare", kind,
-                            "t", s_.t + 1);
-      if (pool != nullptr && pool->parallelism() > 1) {
-        w.prepare_parallel(s_.t, loads(), *pool);
-      } else {
-        w.prepare(s_.t, loads());
-      }
-    }
-    obs::PhaseScope phase(tel.workload_apply, "workload_apply", kind, "t",
-                          s_.t + 1);
-    WorkloadTally tally;
-    // Sparse fast path: a process that knows its touched-node set (burst
-    // hotspot, adversary targets) hands it over — no n virtual delta()
-    // calls per round. The list crosses a trust boundary and is tiny, so
-    // its bounds check is always on.
-    if (const std::vector<NodeId>* list = w.affected_nodes()) {
-      for (const NodeId u : *list) {
-        DLB_REQUIRE(u >= 0 && u < n, "workload affected node out of range");
-        sparse(u, w.delta(u, s_.t), tally);
-        if (tally.overflow_node >= 0) break;
-      }
-    } else {
-      dense(tally);
-    }
-    commit_workload(tally);
-  }
+                      std::span<Load> loads);
 
   /// The core-state fields after the load vector, in byte order. The
   /// stats-dirty byte of the format is always written as 0; no engine

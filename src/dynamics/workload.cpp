@@ -1,12 +1,15 @@
 #include "dynamics/workload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 
 #include "dynamics/poisson_fill.hpp"
 #include "util/assertions.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dlb {
 
@@ -106,14 +109,59 @@ Load poisson_draw(Rng& rng, double lambda) {
 
 void WorkloadProcess::prepare(Step /*t*/, std::span<const Load> /*loads*/) {}
 
-void WorkloadProcess::prepare_parallel(Step t, std::span<const Load> loads,
-                                       ThreadPool& /*pool*/) {
+void WorkloadProcess::prepare_round(Step t, std::span<const Load> loads) {
   prepare(t, loads);
+}
+
+void WorkloadProcess::apply_dense(Step t, std::span<Load> loads,
+                                  ThreadPool* pool, WorkloadTally& tally) {
+  // Per-chunk tallies merged under a lock, once per chunk: the merge is
+  // order-independent, so thread count never shows.
+  std::mutex mu;
+  const auto body = [&](std::int64_t first, std::int64_t last) {
+    WorkloadTally part;
+    part.apply_filled(*this, t, static_cast<NodeId>(first),
+                      loads.subspan(static_cast<std::size_t>(first),
+                                    static_cast<std::size_t>(last - first)));
+    const std::lock_guard<std::mutex> lock(mu);
+    tally.merge(part);
+  };
+  const auto n = static_cast<std::int64_t>(loads.size());
+  if (pool != nullptr && parallel_generate_safe()) {
+    pool->for_ranges(n, body);
+  } else {
+    body(0, n);
+  }
 }
 
 void WorkloadProcess::fill(Step t, NodeId first, std::span<Load> out) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = delta(first + static_cast<NodeId>(i), t);
+  }
+}
+
+void WorkloadTally::apply_filled(WorkloadProcess& w, Step t, NodeId first,
+                                 std::span<Load> x) {
+  constexpr std::size_t kChunk = 1024;  // 8 KiB of deltas on the stack
+  std::array<Load, kChunk> deltas;
+  for (std::size_t lo = 0; lo < x.size(); lo += kChunk) {
+    const std::size_t len = std::min(kChunk, x.size() - lo);
+    const NodeId base = first + static_cast<NodeId>(lo);
+    w.fill(t, base, std::span<Load>(deltas.data(), len));
+    for (std::size_t i = 0; i < len; ++i) {
+      apply(base + static_cast<NodeId>(i), x[lo + i], deltas[i]);
+      if (overflow_node >= 0) return;
+    }
+  }
+}
+
+void WorkloadTally::merge(const WorkloadTally& o) noexcept {
+  ledger_overflow |= o.ledger_overflow;
+  ledger_overflow |= __builtin_add_overflow(injected, o.injected, &injected);
+  ledger_overflow |= __builtin_add_overflow(consumed, o.consumed, &consumed);
+  if (o.overflow_node >= 0 &&
+      (overflow_node < 0 || o.overflow_node < overflow_node)) {
+    overflow_node = o.overflow_node;
   }
 }
 

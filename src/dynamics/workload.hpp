@@ -22,14 +22,19 @@
 // compute it in the serial prepare() hook, exactly like
 // Balancer::prepare_round.
 //
-// Dense rounds read their deltas a block at a time through fill(t, first,
-// out), one virtual call per block: the built-in processes generate a
-// block in an inlined loop (the Poisson draw eight nodes per AVX-512
-// vector, or four per AVX2 vector), so producing a round's arrivals
-// costs about what balancing it does.
+// An engine hands each round to the process in two calls: prepare_round()
+// with the pre-injection loads, then, on a dense round, apply_dense() with
+// the engine-wide load span, which applies every node's delta by
+// WorkloadTally::apply. The default apply_dense() reads the deltas a block
+// at a time through fill(t, first, out), one virtual call per block, and
+// the built-in processes generate a block in an inlined loop (the Poisson
+// draw eight nodes per AVX-512 vector, or four per AVX2 vector), so
+// producing a round's arrivals costs about what balancing it does. A
+// process whose deltas depend on per-node bookkeeping (the admission
+// queue) overrides the pair and applies its round in one pass.
 // delta(u, t) is the point query — sparse lists, overflow replays, tests —
 // and the default fill() loops over it, so a process (or a forwarding
-// wrapper) that overrides only delta() stays correct.
+// wrapper) that overrides only prepare() and delta() stays correct.
 #pragma once
 
 #include <cstdint>
@@ -112,10 +117,57 @@ class PoissonSampler {
   int chunks_ = 0;            ///< product draws per sample (0 = normal)
 };
 
+class WorkloadProcess;
+
+/// One chunk's workload churn (a pool range, an admission block, or a
+/// sparse list), folded into the engine's ledger by
+/// RoundLedger::apply_workload.
+struct WorkloadTally {
+  Load injected = 0;
+  Load consumed = 0;
+  bool ledger_overflow = false;  ///< a partial sum left int64
+  NodeId overflow_node = -1;     ///< first node whose load left int64
+
+  /// The delta rule: d > 0 injects; d < 0 consumes, truncated at zero, so
+  /// churn never drives a node negative on its own (a node at or below
+  /// zero gives nothing). Returns the change made to x. A load that would
+  /// leave int64 is left untouched and u is recorded; the caller stops its
+  /// chunk there, so each chunk reports its first such node.
+  Load apply(NodeId u, Load& x, Load d) noexcept {
+    if (d > 0) {
+      Load next;
+      if (__builtin_add_overflow(x, d, &next)) {
+        overflow_node = u;
+        return 0;
+      }
+      x = next;
+      ledger_overflow |= __builtin_add_overflow(injected, d, &injected);
+      return d;
+    }
+    if (d >= 0 || x <= 0) return 0;
+    const Load take = d < -x ? x : -d;
+    x -= take;
+    ledger_overflow |= __builtin_add_overflow(consumed, take, &consumed);
+    return -take;
+  }
+
+  /// Applies round t's deltas of `w` to the loads `x` of nodes first,
+  /// first + 1, …: fetched through WorkloadProcess::fill in fixed stack
+  /// chunks, then apply()'d in node order, stopping at the first node
+  /// whose load would leave int64. The body of the default apply_dense().
+  void apply_filled(WorkloadProcess& w, Step t, NodeId first,
+                    std::span<Load> x);
+
+  /// Folds another chunk in. Partials are sums of non-negative terms, so
+  /// one overflows iff the whole round's does, and the lowest overflowing
+  /// node wins: the outcome is the same at any chunking.
+  void merge(const WorkloadTally& o) noexcept;
+};
+
 /// Per-round load perturbation source. Attach to any round engine via
-/// RoundEngineBase::set_workload; the engine calls prepare() once per
-/// round (serially), then fill() over its node ranges on a dense round or
-/// delta() for each listed node on a sparse one (affected_nodes()).
+/// RoundEngineBase::set_workload; the engine calls prepare_round() once
+/// per round (serially), then apply_dense() on a dense round or delta()
+/// for each listed node on a sparse one (affected_nodes()).
 class WorkloadProcess {
  public:
   virtual ~WorkloadProcess() = default;
@@ -133,13 +185,25 @@ class WorkloadProcess {
   /// argmax scan) compute it here. Default: no-op.
   virtual void prepare(Step t, std::span<const Load> loads);
 
-  /// prepare() with the engine's worker pool at hand. Engines holding a
-  /// pool with parallelism > 1 call this instead of prepare(); a process
-  /// whose round needs per-node work of its own (the admission adapter)
-  /// may spread it over the pool, but the state it leaves must equal what
-  /// prepare(t, loads) leaves, at any pool size. Default: prepare(t, loads).
-  virtual void prepare_parallel(Step t, std::span<const Load> loads,
-                                ThreadPool& pool);
+  /// The engine's once-per-round hook, in place of prepare(): prepares
+  /// round t for an engine that applies a dense round through
+  /// apply_dense() and a sparse one through delta(). A process whose dense
+  /// round is cheaper applied in one pass (the admission adapter) may
+  /// leave that round's per-node work to apply_dense(); delta() and fill()
+  /// then answer only on a sparse round. The hook is serial and gets no
+  /// pool: per-node work that wants the pool belongs in apply_dense().
+  /// Default: prepare(t, loads).
+  virtual void prepare_round(Step t, std::span<const Load> loads);
+
+  /// Applies the dense round t, prepared by prepare_round(), to the
+  /// engine-wide `loads`: every node's delta by WorkloadTally::apply, the
+  /// churn tallied into `tally`. `pool` is the engine's worker pool
+  /// (nullptr for a serial round); the loads and the tally must come out
+  /// the same at any pool size. Default: fill() in fixed chunks over
+  /// `pool`'s ranges when parallel_generate_safe(), else serially, per
+  /// chunk in node order.
+  virtual void apply_dense(Step t, std::span<Load> loads, ThreadPool* pool,
+                           WorkloadTally& tally);
 
   /// True when prepare() actually reads its loads span (the adversarial
   /// argmax scan); processes that only use t (bursts, Poisson streams)
@@ -153,11 +217,11 @@ class WorkloadProcess {
   virtual Load delta(NodeId u, Step t) = 0;
 
   /// Block form of delta(): writes delta(first + i, t) into out[i] for
-  /// every i < out.size(). Dense rounds read their deltas only through
-  /// this, one call per chunk, under the same purity and concurrency
-  /// contract as delta(). Default: a loop over delta(), so a process that
-  /// overrides only delta() keeps working; the built-ins override it with
-  /// a generation loop free of per-node virtual calls.
+  /// every i < out.size(). The default apply_dense() reads its deltas only
+  /// through this, one call per chunk, under the same purity and
+  /// concurrency contract as delta(). Default: a loop over delta(), so a
+  /// process that overrides only delta() keeps working; the built-ins
+  /// override it with a generation loop free of per-node virtual calls.
   virtual void fill(Step t, NodeId first, std::span<Load> out);
 
   /// True when delta() over disjoint node ranges may run concurrently
@@ -168,17 +232,17 @@ class WorkloadProcess {
   /// opt in, mirroring Balancer::parallel_decide_safe.
   virtual bool parallel_generate_safe() const { return false; }
 
-  /// Sparse-injection fast path. After prepare(t), a process whose round
-  /// is known to touch only a small node set may expose it here; the
-  /// engine then calls delta() for exactly those nodes instead of
-  /// filling and applying all n — the difference between O(1) and O(n)
-  /// bookkeeping per round for a burst or adversary process on a
-  /// 2^20-node graph. Contract: delta(u, t) == 0 for every node outside
-  /// the list, entries are distinct, and the pointer stays valid until the
-  /// next prepare()/reset(). An *empty* list means "no churn this round";
-  /// returning nullptr (the default) means "dense" — the engine fills
-  /// every node. Equivalence with the dense round is golden-tested for the
-  /// built-in sparse processes.
+  /// Sparse-injection fast path. After prepare(t) or prepare_round(t), a
+  /// process whose round is known to touch only a small node set may
+  /// expose it here; the engine then calls delta() for exactly those
+  /// nodes instead of filling and applying all n — the difference between
+  /// O(1) and O(n) bookkeeping per round for a burst or adversary process
+  /// on a 2^20-node graph. Contract: delta(u, t) == 0 for every node
+  /// outside the list, entries are distinct, and the pointer stays valid
+  /// until the next prepare()/reset(). An *empty* list means "no churn
+  /// this round"; returning nullptr (the default) means "dense" — the
+  /// engine hands every node to apply_dense(). Equivalence with the dense
+  /// round is golden-tested for the built-in sparse processes.
   virtual const std::vector<NodeId>* affected_nodes() const {
     return nullptr;
   }

@@ -21,18 +21,33 @@
 // When no node ever has two requests queued this is exactly the classic
 // request-FIFO (backlog first, then the round's arrivals by node).
 //
-// The per-node work (inner deltas, the round table, the pending counters)
-// runs as one pass over fixed node blocks, the inner process fill()ing
-// each block's deltas straight into its slice of the table;
-// prepare_parallel() spreads the blocks over the engine's pool when the
-// inner process is dense and parallel-safe. The blocks depend only on n, and their newly pending
-// nodes are appended to the ring in block order, so the state is
-// byte-identical at any thread count; prepare() runs the same pass
-// inline. Only the drain (at most round_cap tokens) is serial.
+// A dense round runs as one pass over fixed node blocks: the inner process
+// fill()s a stack chunk, its positive deltas are booked, and every node's
+// final delta goes to a sink. For that, the drain (step 4) is decided
+// before the pass. It only ever takes a prefix of the ring, at most
+// round_cap nodes, so prepare_round() walks the old ring's front with
+// point queries of the inner process, granting each node
+// min(pending + max(0, delta), budget); the pass then hands a node's
+// consumption and its grant to the sink as one delta, as the policy
+// defines them. Only when the old ring runs dry do nodes appended this
+// round get grants, after the pass (their pass delta was 0, since they
+// drew arrivals).
+//   * apply_dense() — the engine's path — sinks straight into the loads by
+//     WorkloadTally::apply, with the blocks spread over the engine's pool
+//     when the inner process is parallel-safe;
+//   * prepare() — the point-query path, for forwarding wrappers and tests
+//     — sinks into a per-node table that delta() and fill() read. The
+//     table is allocated on its first use, so an engine that attaches the
+//     queue itself never touches it on dense rounds.
+// The blocks depend only on n, and their newly pending nodes are appended
+// to the ring in block order, so the state is byte-identical at any thread
+// count and on either path. A sparse round (the inner process lists its
+// touched nodes) books the list and drains into the table.
 //
 // The queue is part of the recovery state: save_state/load_state persist
 // the ring (node, pending amount) in FIFO order after the inner process's
-// state — 12 bytes per pending node. load_state also reads the format-v1
+// state — 12 bytes per pending node. load_state validates that extent in
+// one pass before it changes anything, and also reads the format-v1
 // request list (one entry per queued request), summing each node's
 // amounts and ordering nodes by first occurrence.
 #pragma once
@@ -55,17 +70,26 @@ class AdmissionQueue : public WorkloadProcess {
   std::string name() const override;
   void reset(NodeId n, std::uint64_t seed) override;
 
-  /// Advances the inner process, runs the per-node pass serially, then
-  /// drains the ring up to the cap. Throws invariant_error naming the node
-  /// and round if the pending tokens would overflow the int64 ledger.
+  /// Advances the inner process and runs the whole round into the table
+  /// that delta() and fill() read (the point-query path). Throws
+  /// invariant_error naming the node and round if the pending tokens would
+  /// overflow the int64 ledger.
   void prepare(Step t, std::span<const Load> loads) override;
 
-  /// prepare() with the per-node pass on `pool` (dense, parallel-safe
-  /// inner processes only; otherwise exactly prepare()). Same state at
-  /// any pool size.
-  void prepare_parallel(Step t, std::span<const Load> loads,
-                        ThreadPool& pool) override;
+  /// Advances the inner process. A sparse round then runs as in prepare();
+  /// a dense one only decides the old ring's share of the drain, and
+  /// apply_dense() runs the rest.
+  void prepare_round(Step t, std::span<const Load> loads) override;
 
+  /// The dense round prepared by prepare_round(), in one pass that applies
+  /// each node's final delta to `loads` (blocks on `pool` when the inner
+  /// process is parallel-safe). Same state at any pool size; throws as
+  /// prepare() does.
+  void apply_dense(Step t, std::span<Load> loads, ThreadPool* pool,
+                   WorkloadTally& tally) override;
+
+  /// Point queries of the table prepare() builds (on a sparse round,
+  /// prepare_round() too).
   Load delta(NodeId u, Step t) override;
   /// Copies the round table.
   void fill(Step t, NodeId first, std::span<Load> out) override;
@@ -79,9 +103,8 @@ class AdmissionQueue : public WorkloadProcess {
     return inner_->prepare_reads_loads();
   }
 
-  /// Dense (nullptr) when the inner process's round was dense — the table
-  /// then covers every node and the engine applies it in parallel —
-  /// otherwise the touched-node list.
+  /// Dense (nullptr) when the inner process's round was dense, otherwise
+  /// the touched-node list.
   const std::vector<NodeId>* affected_nodes() const override;
 
   /// Snapshot state: the inner process's state, then the ring.
@@ -96,26 +119,42 @@ class AdmissionQueue : public WorkloadProcess {
   std::vector<NodeId> pending_nodes() const;
 
  private:
-  /// Per-block output of the per-node pass.
+  /// Per-block output of the pass.
   struct alignas(64) Block {
     std::vector<NodeId> fresh;  ///< nodes whose counter became positive
     Load arrived = 0;           ///< positive tokens added this round
     bool overflow = false;      ///< a counter or `arrived` overflowed
+    WorkloadTally tally;        ///< churn applied to the loads
+  };
+  /// One node's share of the coming drain.
+  struct Grant {
+    NodeId node;
+    Load granted;
   };
 
-  /// The round after the inner prepare: the per-node pass (on `pool` when
-  /// it may run there), then the drain.
-  void admit_round(Step t, ThreadPool* pool);
-  /// Dense per-node pass over blocks [first, last) of round t.
-  void pass_blocks(Step t, std::int64_t first, std::int64_t last);
+  /// Sparse round: books the inner process's listed nodes, then drains,
+  /// into the table.
+  void sparse_round(Step t, const std::vector<NodeId>& nodes);
+  /// Decides the old ring front's grants for dense round t.
+  void plan_drain(Step t);
+  /// The pass over block b: books its positive deltas and hands each
+  /// chunk's final deltas to sink(tally, first, deltas, touched), the
+  /// tally the block's; `touched` lists, in order, the offsets of every
+  /// delta that may be nonzero.
+  template <class Sink>
+  void pass_block(Step t, std::size_t b, Sink& sink);
   /// Books the blocks' arrivals into the total and the ring, in block
   /// order; on overflow, throws naming the first node that overflows.
   void commit_blocks(Step t);
-  /// Sparse round: only the inner process's listed nodes.
-  void pass_sparse(Step t, const std::vector<NodeId>& nodes);
-  /// Admits up to round_cap tokens from the ring front.
-  void drain();
+  /// Admits up to round_cap tokens from the ring front. Its first
+  /// planned_.size() grants are the planned ones, which the pass applied;
+  /// every later one goes to grant(u, g).
+  template <class GrantFn>
+  void drain(GrantFn&& grant);
   void push_ring(NodeId u);
+  /// The table, zeroed on its first use.
+  std::vector<Load>& table();
+  void publish_backlog() const;
   [[noreturn]] void throw_overflow(NodeId u, Step t) const;
 
   WorkloadProcess* inner_;
@@ -127,9 +166,12 @@ class AdmissionQueue : public WorkloadProcess {
   std::size_t ring_size_ = 0;
   Load backlog_total_ = 0;         // Σ pending_
   std::vector<Block> blocks_;      // fixed by n
-  std::vector<Load> round_delta_;  // per-node table for delta()
+  std::vector<Grant> planned_;     // the old ring front's grants, by node
+  std::vector<Load> round_delta_;  // per-node table for delta(); lazy
   std::vector<NodeId> affected_;   // nodes touched this round (sparse)
-  bool dense_ = false;             // this round's table covers every node
+  bool dense_ = false;             // this round covers every node
+  bool table_full_ = false;        // a dense round wrote the whole table
+  bool deferred_ = false;          // apply_dense() runs this round's pass
 };
 
 }  // namespace dlb

@@ -137,28 +137,6 @@ Load ShardedEngine::load_of(NodeId u) const {
   return loads_[static_cast<std::size_t>(u)];
 }
 
-void ShardedEngine::apply_workload() {
-  if (workload_ == nullptr) return;
-  WorkloadProcess& wl = *workload_;
-  const Step t = time();
-  ledger_.apply_workload(
-      wl, "sharded", pool_, plan_->partition().num_nodes(),
-      [&] { return std::span<const Load>(loads_); },
-      [&](NodeId u, Load d, WorkloadTally& tally) {
-        tally.apply(u, loads_[static_cast<std::size_t>(u)], d);
-      },
-      [&](WorkloadTally& tally) {
-        // Shards are the chunks: per-shard tallies merged in shard order.
-        for_shards(wl.parallel_generate_safe(), [&](int s) {
-          Shard& sh = shards_[static_cast<std::size_t>(s)];
-          WorkloadTally part;
-          part.apply_filled(wl, t, shard_begin(s), sh.loads);
-          sh.tally = part;
-        });
-        for (const Shard& sh : shards_) tally.merge(sh.tally);
-      });
-}
-
 void ShardedEngine::post_frame(int from, int to,
                                std::span<const std::byte> payload) {
   Shard& sh = shards_[static_cast<std::size_t>(from)];
@@ -343,7 +321,9 @@ void ShardedEngine::step() {
   // injector's delayed frames) surfaces now, before any post of this
   // round.
   channel_->begin_round(t + 1);
-  apply_workload();
+  if (workload_ != nullptr) {
+    ledger_.apply_workload(*workload_, "sharded", pool_, loads_);
+  }
   {
     obs::PhaseScope phase(shard_phases().prepare, "prepare", "sharded", "t",
                           t + 1);

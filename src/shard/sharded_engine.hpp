@@ -20,10 +20,10 @@
 // 1-shard run and to the flat Engine — same loads trajectory, ledger and
 // min/max history. The round bookkeeping is the RoundLedger the flat
 // engines hold too; this engine supplies only how a scan visits the loads
-// (per-shard partial scans, merged in shard order) and how dense workload
-// deltas are chunked (one chunk per shard). Snapshots see the flat load
-// vector, so they move freely between the flat engine and any shard
-// count.
+// (per-shard partial scans, merged in shard order). The workload process
+// applies its round to the engine-wide load vector, as on the flat
+// engine. Snapshots see the flat load vector, so they move freely between
+// the flat engine and any shard count.
 #pragma once
 
 #include <cstddef>
@@ -189,13 +189,11 @@ class ShardedEngine {
         ///< [dest] this round's frame, retained for re-post (lossy only)
     std::vector<std::byte> frame_scratch;     ///< frame encode buffer
     LoadScan scan;  ///< this round's emit stats (gather) or partial scan
-    WorkloadTally tally;       ///< this round's workload churn
     obs::Counter* bytes_posted = nullptr;   ///< channel bytes this shard sent
     obs::Counter* bytes_drained = nullptr;  ///< channel bytes it received
   };
 
   /// Round phases (see step() for the order and barriers).
-  void apply_workload();
   void decide_shard(int s, Step t);
   void drain_flows();
 

@@ -1329,6 +1329,27 @@ std::vector<Load> round_table(AdmissionQueue& q, NodeId n, Step t) {
   return table;
 }
 
+/// Round t the way an engine with `pool` runs it — prepare_round(), then
+/// apply_dense() on a dense round or delta() on a sparse one — over loads
+/// high enough that no consumption truncates; returns each node's delta.
+std::vector<Load> engine_round(AdmissionQueue& q, NodeId n, Step t,
+                               ThreadPool& pool) {
+  constexpr Load kHigh = Load{1} << 40;
+  LoadVector loads(static_cast<std::size_t>(n), kHigh);
+  q.prepare_round(t, loads);
+  WorkloadTally tally;
+  if (const std::vector<NodeId>* list = q.affected_nodes()) {
+    for (const NodeId u : *list) {
+      tally.apply(u, loads[static_cast<std::size_t>(u)], q.delta(u, t));
+    }
+  } else {
+    q.apply_dense(t, loads, &pool, tally);
+  }
+  std::vector<Load> deltas;
+  for (const Load x : loads) deltas.push_back(x - kHigh);
+  return deltas;
+}
+
 TEST(AdmissionQueue, LaterArrivalsMergeIntoTheirNodesPlace) {
   // Node 5 bursts, then node 2; node 5 bursts again while still queued.
   // The second burst joins node 5's place at the front, not the tail.
@@ -1358,12 +1379,13 @@ TEST(AdmissionQueue, LaterArrivalsMergeIntoTheirNodesPlace) {
 }
 
 TEST(AdmissionQueue, StateIsIdenticalSeriallyAndOnEveryPool) {
-  // 200 overloaded rounds, run serially and through prepare_parallel on
-  // pools of 1, 2, 3 and 8: every round's table, the ring order, the
-  // token total and the saved bytes must agree. The Poisson inner process
-  // is dense (the pooled per-node pass); the burst one is sparse on most
-  // rounds and dense on its drain rounds, so the table also crosses
-  // between the two modes.
+  // 200 overloaded rounds, through prepare() serially and through the
+  // engine hooks (engine_round) on pools of 1, 2, 3 and 8: every round's
+  // deltas (the table, or what the pooled pass applied), the ring order,
+  // the token total and the saved bytes must agree. The Poisson inner
+  // process is dense (the pooled per-node pass); the burst one is sparse
+  // on most rounds and dense on its drain rounds, so the table also
+  // crosses between the two modes.
   constexpr NodeId kN = 1000;
   const auto make_inner = [](bool dense) -> std::unique_ptr<WorkloadProcess> {
     if (dense) {
@@ -1399,13 +1421,7 @@ TEST(AdmissionQueue, StateIsIdenticalSeriallyAndOnEveryPool) {
     const LoadVector loads(kN, 0);
     for (Step t = 0; t < 200; ++t) {
       const Load backlog_before = legs[0].queue->backlog_total();
-      for (Leg& leg : legs) {
-        if (leg.pool) {
-          leg.queue->prepare_parallel(t, loads, *leg.pool);
-        } else {
-          leg.queue->prepare(t, loads);
-        }
-      }
+      legs[0].queue->prepare(t, loads);
       AdmissionQueue& ref = *legs[0].queue;
       const std::vector<Load> table = round_table(ref, kN, t);
       replay->prepare(t, loads);
@@ -1432,7 +1448,7 @@ TEST(AdmissionQueue, StateIsIdenticalSeriallyAndOnEveryPool) {
         AdmissionQueue& q = *legs[i].queue;
         SCOPED_TRACE("pool " + std::to_string(legs[i].pool->parallelism()) +
                      " round " + std::to_string(t));
-        ASSERT_EQ(round_table(q, kN, t), table);
+        ASSERT_EQ(engine_round(q, kN, t, *legs[i].pool), table);
         ASSERT_EQ(q.pending_nodes(), ref.pending_nodes());
         ASSERT_EQ(q.backlog_total(), ref.backlog_total());
         ASSERT_EQ(saved(q), saved(ref));
@@ -1453,10 +1469,9 @@ TEST(AdmissionQueue, StateStaysBoundedUnderSustainedOverload) {
   AdmissionQueue q(inner, AdmissionQueue::Params{.round_cap = 64});
   q.reset(kN, 9);
   ThreadPool pool(4);
-  const LoadVector loads(kN, 0);
   Load backlog_at_1000 = 0;
   for (Step t = 0; t < 10000; ++t) {
-    q.prepare_parallel(t, loads, pool);
+    engine_round(q, kN, t, pool);
     ASSERT_LE(q.backlog_entries(), static_cast<std::size_t>(kN));
     if (t == 999 || t == 9999) {
       const std::size_t bytes = saved(q).size();
@@ -1608,7 +1623,7 @@ TEST(AdmissionQueue, FormatOneImageRestoresAndContinuesIdentically) {
 }
 
 TEST(AdmissionQueue, DenseInnerRunsIdenticallyFlatShardedAndRestored) {
-  // Poisson demand behind the cap: the dense admission table, applied by
+  // Poisson demand behind the cap: the dense admission round, applied by
   // the flat engine serially and on a pool, by a 3-shard engine on a
   // pool, and through a mid-run snapshot — all the same trajectory.
   constexpr Step kT = 60;
@@ -1661,6 +1676,131 @@ TEST(AdmissionQueue, DenseInnerRunsIdenticallyFlatShardedAndRestored) {
   EXPECT_EQ(saved(demand.queue), want.second);
 }
 
+/// Forwards prepare() and delta() but neither prepare_round() nor
+/// apply_dense(), as a timing or tracing wrapper is written: an engine then
+/// runs the queue's point-query path, its table read through the default
+/// hooks.
+class PointQueryWrapper final : public WorkloadProcess {
+ public:
+  explicit PointQueryWrapper(WorkloadProcess& inner) : inner_(&inner) {}
+  std::string name() const override { return inner_->name(); }
+  void reset(NodeId n, std::uint64_t seed) override { inner_->reset(n, seed); }
+  void prepare(Step t, std::span<const Load> loads) override {
+    inner_->prepare(t, loads);
+  }
+  bool prepare_reads_loads() const override {
+    return inner_->prepare_reads_loads();
+  }
+  Load delta(NodeId u, Step t) override { return inner_->delta(u, t); }
+  bool parallel_generate_safe() const override {
+    return inner_->parallel_generate_safe();
+  }
+  const std::vector<NodeId>* affected_nodes() const override {
+    return inner_->affected_nodes();
+  }
+  void save_state(StateWriter& w) const override { inner_->save_state(w); }
+  void load_state(StateReader& r) override { inner_->load_state(r); }
+
+ private:
+  WorkloadProcess* inner_;
+};
+
+TEST(AdmissionQueue, WrapperPathMatchesDirectPath) {
+  // Overloaded Poisson demand on low loads, the queue attached directly
+  // (the fused pass into the loads) and through PointQueryWrapper (the
+  // table): the same loads, ledger and saved queue every round, flat at 1,
+  // 3 and 4 threads and sharded at k = 1 and 3. An overflowing round
+  // fails with the same message on both paths.
+  const Graph g = make_cycle(3001);
+  const LoadVector initial = random_initial(g.num_nodes(), 2, 17);
+  const Graph big = make_cycle(NodeId{1} << 14);
+  const LoadVector big_initial(static_cast<std::size_t>(big.num_nodes()), 0);
+  ThreadPool pool3(3);
+  ThreadPool pool4(4);
+  struct Leg {
+    const char* name;
+    ThreadPool* pool;
+    int shards;  ///< 0: the flat engine
+  };
+  const Leg legs[] = {{"flat 1 thread", nullptr, 0},
+                      {"flat 3 threads", &pool3, 0},
+                      {"flat 4 threads", &pool4, 0},
+                      {"sharded k=1", &pool4, 1},
+                      {"sharded k=3", &pool3, 3}};
+  struct Side {
+    PoissonWorkload inner;
+    AdmissionQueue queue;
+    PointQueryWrapper wrapper;
+    std::unique_ptr<Balancer> b = make_balancer(Algorithm::kSendFloor, 4);
+    std::unique_ptr<Engine> flat;
+    std::unique_ptr<ShardedEngine> sharded;
+
+    Side(double rate, const Graph& g, const LoadVector& initial,
+         const Leg& leg, bool wrapped)
+        : inner(PoissonWorkload::Params{.arrival_rate = rate,
+                                        .departure_rate = 0.4}),
+          queue(inner, AdmissionQueue::Params{.round_cap = 24}),
+          wrapper(queue) {
+      queue.reset(g.num_nodes(), 8);
+      WorkloadProcess* w = wrapped ? static_cast<WorkloadProcess*>(&wrapper)
+                                   : &queue;
+      if (leg.shards == 0) {
+        flat = std::make_unique<Engine>(g, EngineConfig{.self_loops = 2}, *b,
+                                        initial);
+        flat->set_workload(w);
+        flat->set_thread_pool(leg.pool);
+      } else {
+        sharded = std::make_unique<ShardedEngine>(
+            g, ShardedEngineConfig{.self_loops = 2}, *b, initial, leg.shards);
+        sharded->set_workload(w);
+        sharded->set_thread_pool(leg.pool);
+      }
+    }
+    void step() { flat ? flat->step_parallel() : sharded->step(); }
+    std::vector<Load> loads() const {
+      const LoadVector x = flat ? flat->loads() : sharded->gather_loads();
+      return {x.begin(), x.end()};
+    }
+    std::vector<Load> ledger() const {
+      if (flat) {
+        return {flat->total(), flat->injected_total(), flat->consumed_total()};
+      }
+      return {sharded->total(), sharded->injected_total(),
+              sharded->consumed_total()};
+    }
+    std::string overflow() {
+      try {
+        step();
+      } catch (const invariant_error& e) {
+        return e.what();
+      }
+      return "no overflow";
+    }
+  };
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    Side direct(0.3, g, initial, leg, false);
+    Side wrapped(0.3, g, initial, leg, true);
+    for (Step t = 1; t <= 60; ++t) {
+      direct.step();
+      wrapped.step();
+      ASSERT_EQ(direct.loads(), wrapped.loads()) << "round " << t;
+      ASSERT_EQ(direct.ledger(), wrapped.ledger()) << "round " << t;
+      ASSERT_EQ(saved(direct.queue), saved(wrapped.queue)) << "round " << t;
+    }
+    EXPECT_GT(direct.queue.backlog_total(), 0) << "not overloaded";
+    // λ = 1e15 on 2^14 nodes offers past int64 in round 0.
+    Side huge_direct(1e15, big, big_initial, leg, false);
+    Side huge_wrapped(1e15, big, big_initial, leg, true);
+    const std::string message = huge_direct.overflow();
+    EXPECT_NE(message.find("AdmissionQueue: pending tokens overflow the "
+                           "int64 ledger at node "),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(huge_wrapped.overflow(), message);
+  }
+}
+
 TEST(AdmissionQueue, LedgerOverflowNamesNodeAndRound) {
   // λ = 1e15 (the largest rate PoissonWorkload accepts) at 2^14 nodes
   // offers ~1.6e19 tokens in round 0, past int64. The error names the
@@ -1677,7 +1817,7 @@ TEST(AdmissionQueue, LedgerOverflowNamesNodeAndRound) {
         q.prepare(0, loads);
       } else {
         ThreadPool pool(threads);
-        q.prepare_parallel(0, loads, pool);
+        engine_round(q, kN, 0, pool);
       }
     } catch (const invariant_error& e) {
       return std::string(e.what());
