@@ -28,15 +28,18 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "balancers/registry.hpp"
 #include "obs/metrics.hpp"
 #include "core/engine.hpp"
+#include "core/fairness.hpp"
 #include "dynamics/workload.hpp"
 #include "graph/generators.hpp"
 #include "service/admission.hpp"
@@ -391,6 +394,77 @@ void BM_Torus512_RotorRouter_Lazy(benchmark::State& s) {
   run_steps(s, torus_512(), Algorithm::kRotorRouter);
 }
 
+// -------------------------------------------------- the fairness audit --
+// The four Table-1 graphs at bench_table1's sizes, d° = d, ROTOR-ROUTER.
+// BM_FairnessAudit times FairnessAuditor::on_step alone, replaying one
+// captured round's flow matrix every iteration; BM_AuditedRound times a
+// whole Engine::step with the auditor attached (the serial row round plus
+// the audit). items/sec == nodes/sec: 1e9 / items_per_second is ns/node.
+const Graph& hypercube_10() {
+  static const Graph g = make_hypercube(10);
+  return g;
+}
+
+const Graph& random_regular_1024() {
+  static const Graph g = make_random_regular(1024, 8, 7);
+  return g;
+}
+
+const Graph& torus_16() {
+  static const Graph g = make_torus2d(16, 16);
+  return g;
+}
+
+const Graph& cycle_128() {
+  static const Graph g = make_cycle(128);
+  return g;
+}
+
+/// Keeps a copy of the last round it observed.
+class RoundCapture : public StepObserver {
+ public:
+  void on_step(Step, const Graph&, int, std::span<const Load> pre,
+               std::span<const Load> flows,
+               std::span<const Load> post) override {
+    pre_.assign(pre.begin(), pre.end());
+    flows_.assign(flows.begin(), flows.end());
+    post_.assign(post.begin(), post.end());
+  }
+  std::vector<Load> pre_, flows_, post_;
+};
+
+void BM_FairnessAudit(benchmark::State& s, const Graph& (*graph)()) {
+  const Graph& g = graph();
+  auto balancer = make_balancer(Algorithm::kRotorRouter, /*seed=*/42);
+  Engine e(g, EngineConfig{.self_loops = g.degree()}, *balancer,
+           random_initial(g.num_nodes(), 1000, 7));
+  RoundCapture round;
+  e.add_observer(round);
+  e.step();
+  FairnessAuditor auditor;
+  Step t = 0;
+  for (auto _ : s) {
+    auditor.on_step(t++, g, g.degree(), round.pre_, round.flows_,
+                    round.post_);
+    benchmark::DoNotOptimize(auditor.report().observed_delta);
+  }
+  s.SetItemsProcessed(s.iterations() * g.num_nodes());
+}
+
+void BM_AuditedRound(benchmark::State& s, const Graph& (*graph)()) {
+  const Graph& g = graph();
+  auto balancer = make_balancer(Algorithm::kRotorRouter, /*seed=*/42);
+  Engine e(g, EngineConfig{.self_loops = g.degree()}, *balancer,
+           random_initial(g.num_nodes(), 1000, 7));
+  FairnessAuditor auditor;
+  e.add_observer(auditor);
+  for (auto _ : s) {
+    e.step();
+    benchmark::DoNotOptimize(e.loads().data());
+  }
+  s.SetItemsProcessed(s.iterations() * g.num_nodes());
+}
+
 BENCHMARK(BM_Cycle1M_SendFloor_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouter_Lazy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cycle1M_RotorRouterStar_Lazy)->Unit(benchmark::kMillisecond);
@@ -439,6 +513,22 @@ BENCHMARK(BM_ServiceRound_SendFloor)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FairnessAudit, hypercube10, hypercube_10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_FairnessAudit, random_regular1024, random_regular_1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_FairnessAudit, torus16, torus_16)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_FairnessAudit, cycle128, cycle_128)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AuditedRound, hypercube10, hypercube_10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AuditedRound, random_regular1024, random_regular_1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AuditedRound, torus16, torus_16)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AuditedRound, cycle128, cycle_128)
+    ->Unit(benchmark::kMicrosecond);
 
 // -------------------------------------------------- --timed-window mode --
 // Fixed wall-clock measurement, bypassing google-benchmark's iteration

@@ -36,6 +36,8 @@ HOT_FUNCTIONS = [
     "dlb::Engine::do_step",
     "dlb::Engine::do_step_parallel",
     "dlb::Engine::step_plan",
+    # src/core/fairness.cpp
+    "dlb::FairnessAuditor::on_step",
     # src/core/round_plan.cpp
     "dlb::RoundPlan::decide",
     "dlb::RoundPlan::decide_multi_touch",

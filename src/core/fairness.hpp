@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "util/intmath.hpp"
 
 namespace dlb {
 
@@ -49,7 +50,9 @@ struct FairnessReport {
   Step steps = 0;
 };
 
-/// StepObserver that incrementally builds a FairnessReport.
+/// StepObserver that incrementally builds a FairnessReport. One auditor
+/// watches one run: every round must come from the graph size, degree and
+/// d° of the first.
 class FairnessAuditor : public StepObserver {
  public:
   FairnessAuditor() = default;
@@ -65,6 +68,7 @@ class FairnessAuditor : public StepObserver {
   NodeId n_ = 0;
   int d_ = 0;
   int d_loops_ = 0;
+  FastDivU32 by_d_plus_;   // ⌊x/d⁺⌋ for 0 <= x < 2^32
   std::vector<Load> cum_;  // cumulative per original edge: n * d
   FairnessReport report_;
 };

@@ -31,37 +31,9 @@
 
 #include "graph/graph.hpp"
 #include "util/assertions.hpp"
+#include "util/intmath.hpp"
 
 namespace dlb {
-
-/// ⌊x / d⌋ for 32-bit x by one 64×64→128 multiply (Granlund–Montgomery
-/// round-up method): m = ⌈2^(32+ℓ) / d⌉ with ℓ = ⌈log₂ d⌉ satisfies
-/// m·d − 2^(32+ℓ) ≤ 2^ℓ, which makes (m·x) >> (32+ℓ) exact for every
-/// x < 2^32. The torus trait uses this for its per-dimension coordinate
-/// extraction — a hardware division per port per node would eat the
-/// memory-traffic win the implicit path exists for.
-class FastDivU32 {
- public:
-  FastDivU32() = default;  ///< divisor 1 (quot(x) == x)
-  explicit FastDivU32(std::uint32_t divisor) {
-    DLB_REQUIRE(divisor >= 1, "FastDivU32: divisor must be positive");
-    int l = 0;
-    while ((std::uint64_t{1} << l) < divisor) ++l;
-    shift_ = 32 + l;
-    mul_ = static_cast<std::uint64_t>(
-        ((static_cast<unsigned __int128>(1) << shift_) + divisor - 1) /
-        divisor);
-  }
-
-  std::uint32_t quot(std::uint32_t x) const noexcept {
-    return static_cast<std::uint32_t>(
-        (static_cast<unsigned __int128>(mul_) * x) >> shift_);
-  }
-
- private:
-  std::uint64_t mul_ = 1;
-  int shift_ = 0;
-};
 
 /// C_n with the make_cycle port layout: port 0 = successor, port 1 =
 /// predecessor. The reverse of a +1 edge is the neighbor's −1 port and

@@ -81,6 +81,35 @@ class NonNegDiv {
   int shift_ = 0;  // -1 when the divisor is not a power of two
 };
 
+/// ⌊x / d⌋ for 32-bit x by one 64×64→128 multiply (Granlund–Montgomery
+/// round-up method): m = ⌈2^(32+ℓ) / d⌉ with ℓ = ⌈log₂ d⌉ satisfies
+/// m·d − 2^(32+ℓ) ≤ 2^ℓ, which makes (m·x) >> (32+ℓ) exact for every
+/// x < 2^32. The torus trait uses this for its per-dimension coordinate
+/// extraction and the fairness auditor for its per-node ⌊x/d⁺⌋ — a
+/// hardware division per port or per node would eat either loop.
+class FastDivU32 {
+ public:
+  FastDivU32() = default;  ///< divisor 1 (quot(x) == x)
+  explicit FastDivU32(std::uint32_t divisor) {
+    DLB_REQUIRE(divisor >= 1, "FastDivU32: divisor must be positive");
+    int l = 0;
+    while ((std::uint64_t{1} << l) < divisor) ++l;
+    shift_ = 32 + l;
+    mul_ = static_cast<std::uint64_t>(
+        ((static_cast<unsigned __int128>(1) << shift_) + divisor - 1) /
+        divisor);
+  }
+
+  std::uint32_t quot(std::uint32_t x) const noexcept {
+    return static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(mul_) * x) >> shift_);
+  }
+
+ private:
+  std::uint64_t mul_ = 1;
+  int shift_ = 0;
+};
+
 /// x mod b against a fixed divisor b >= 1, exact for every 64-bit x and
 /// free of hardware division: a mask when b is a power of two, otherwise
 /// Lemire's fastmod through the 128-bit reciprocal M = ⌊(2¹²⁸ − 1)/b⌋ + 1

@@ -3,8 +3,14 @@
 // (Observations 2.2 and 3.2), and that the deliberate outliers do not.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "balancers/fixed_priority.hpp"
@@ -18,6 +24,7 @@
 #include "core/fairness.hpp"
 #include "core/flow_tracker.hpp"
 #include "graph/generators.hpp"
+#include "util/intmath.hpp"
 
 namespace dlb {
 namespace {
@@ -208,6 +215,262 @@ TEST(FlowTracker, EdgeImbalanceSeesRotorStagger) {
   e.add_observer(tracker);
   e.run(200);
   EXPECT_LE(tracker.max_edge_imbalance(), 1);
+}
+
+// ------------------------------------------------- one-pass oracle --
+
+/// The definitions checked port by port: two divisions per node and a
+/// branch per port and check. FairnessAuditor's one-pass kernel must
+/// produce the same FairnessReport after every round.
+class ReferenceAuditor : public StepObserver {
+ public:
+  void on_step(Step /*t*/, const Graph& g, int d_loops,
+               std::span<const Load> pre, std::span<const Load> flows,
+               std::span<const Load> /*post*/) override {
+    if (!initialized_) {
+      n_ = g.num_nodes();
+      d_ = g.degree();
+      d_loops_ = d_loops;
+      cum_.assign(static_cast<std::size_t>(n_) * d_, 0);
+      initialized_ = true;
+    }
+    const int d_plus = d_ + d_loops_;
+
+    for (NodeId u = 0; u < n_; ++u) {
+      const Load x = pre[static_cast<std::size_t>(u)];
+      const Load* row = flows.data() + static_cast<std::size_t>(u) * d_plus;
+      const Load floor_share = floor_div(x, d_plus);
+      const Load ceil_share = ceil_div(x, d_plus);
+      const Load excess = x - d_plus * floor_share;  // e(u) ∈ [0, d⁺)
+
+      Load sent = 0;
+      Load ceil_self_loops = 0;
+      for (int p = 0; p < d_plus; ++p) {
+        const Load f = row[p];
+        sent += f;
+        if (f < 0) report_.negative_seen = true;
+        if (f < floor_share) report_.floor_condition_ok = false;
+        if (f != floor_share && f != ceil_share) report_.round_fair = false;
+        if (p >= d_ && excess > 0 && f >= ceil_share) ++ceil_self_loops;
+      }
+
+      const Load remainder = x - sent;
+      if (remainder < 0) report_.negative_seen = true;
+      report_.max_remainder =
+          std::max(report_.max_remainder, std::abs(remainder));
+
+      // s-self-preference: the step admits any s with
+      // min{s, e(u)} <= ceil_self_loops; when ceil_self_loops >= e(u) every
+      // s works, otherwise the largest admissible s is ceil_self_loops.
+      if (excess > 0 && ceil_self_loops < excess) {
+        report_.observed_s = std::min(report_.observed_s, ceil_self_loops);
+      }
+
+      // Cumulative imbalance over the original edges (Definition 2.1 (ii)).
+      Load* cum_row = cum_.data() + static_cast<std::size_t>(u) * d_;
+      for (int p = 0; p < d_; ++p) cum_row[p] += row[p];
+      const auto [lo, hi] = std::minmax_element(cum_row, cum_row + d_);
+      report_.observed_delta = std::max(report_.observed_delta, *hi - *lo);
+    }
+    ++report_.steps;
+  }
+
+  const FairnessReport& report() const noexcept { return report_; }
+
+ private:
+  bool initialized_ = false;
+  NodeId n_ = 0;
+  int d_ = 0;
+  int d_loops_ = 0;
+  std::vector<Load> cum_;
+  FairnessReport report_;
+};
+
+/// Every field of the two reports, with `where` naming the run and round.
+void expect_same_report(const FairnessReport& got, const FairnessReport& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.observed_delta, want.observed_delta) << where;
+  EXPECT_EQ(got.floor_condition_ok, want.floor_condition_ok) << where;
+  EXPECT_EQ(got.round_fair, want.round_fair) << where;
+  EXPECT_EQ(got.observed_s, want.observed_s) << where;
+  EXPECT_EQ(got.max_remainder, want.max_remainder) << where;
+  EXPECT_EQ(got.negative_seen, want.negative_seen) << where;
+  EXPECT_EQ(got.steps, want.steps) << where;
+}
+
+/// A d = 4 generic multigraph: a ring whose neighbours are joined twice.
+Graph doubled_ring(NodeId n) {
+  std::vector<NodeId> adj;
+  for (NodeId u = 0; u < n; ++u) {
+    const NodeId r = (u + 1) % n;
+    const NodeId l = (u + n - 1) % n;
+    adj.insert(adj.end(), {r, r, l, l});
+  }
+  return Graph(n, 4, std::move(adj), "doubled-ring");
+}
+
+TEST(FairnessAuditor, MatchesReferenceOnEveryBalancer) {
+  constexpr Step kRounds = 120;
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("cycle", make_cycle(31));
+  graphs.emplace_back("torus", make_torus2d(7, 5));
+  graphs.emplace_back("hypercube", make_hypercube(4));
+  graphs.emplace_back("random-regular", make_random_regular(40, 4, 5));
+  graphs.emplace_back("multigraph", doubled_ring(15));
+  std::uint64_t seed = 500;
+  for (const std::string& name : registered_balancer_names()) {
+    const BalancerFactory factory = find_balancer_factory(name);
+    const BalancerTraits traits = find_balancer_traits(name);
+    for (const auto& [label, g] : graphs) {
+      const int d = g.degree();
+      const int lo = traits.exact_d_loops ? d : traits.min_loops(d);
+      std::vector<int> loop_counts = {lo};
+      if (lo != d) loop_counts.push_back(d);
+      for (const int d_loops : loop_counts) {
+        ++seed;
+        // A spread of small loads, with one node above 2^32 so the rows
+        // past the 32-bit quotient are audited as well.
+        LoadVector initial = random_initial(g.num_nodes(), 300, seed);
+        initial[0] += Load{3} << 32;
+        const auto b = factory(seed);
+        Engine e(g, EngineConfig{.self_loops = d_loops}, *b, initial);
+        FairnessAuditor auditor;
+        ReferenceAuditor reference;
+        e.add_observer(auditor);
+        e.add_observer(reference);
+        for (Step t = 0; t < kRounds; ++t) {
+          e.step();
+          expect_same_report(auditor.report(), reference.report(),
+                             name + " on " + label + " d°=" +
+                                 std::to_string(d_loops) + " seed " +
+                                 std::to_string(seed) + " round " +
+                                 std::to_string(t));
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(FairnessAuditor, MatchesReferenceOnCraftedRows) {
+  // C_3 (d = 2) fed hand-built rounds: three nodes, each a row of d⁺ flows.
+  const Graph g = make_cycle(3);
+  constexpr Load kBig = Load{5} << 32;
+  for (const int d_loops : {0, 1, 2, 5}) {
+    const int d_plus = 2 + d_loops;
+    const auto share = [&](Load x) { return floor_div(x, d_plus); };
+    // Every port the floor share, then `extra[p]` added per port.
+    const auto row = [&](Load x, std::vector<Load> extra) {
+      std::vector<Load> r(static_cast<std::size_t>(d_plus), share(x));
+      for (std::size_t p = 0; p < extra.size() && p < r.size(); ++p) {
+        r[p] += extra[p];
+      }
+      return r;
+    };
+    const auto ones = [&](int from, int count) {
+      std::vector<Load> r(static_cast<std::size_t>(d_plus), 0);
+      for (int p = from; p < from + count && p < d_plus; ++p) r[p] = 1;
+      return r;
+    };
+    struct Round {
+      std::vector<Load> pre;
+      std::vector<std::vector<Load>> rows;
+    };
+    const Load e2 = 4 * d_plus + std::min(2, d_plus - 1);  // e = min(2, d⁺−1)
+    std::vector<Round> rounds = {
+        // x = 0, and e = 0 with every port the exact share.
+        {{0, 4 * d_plus, 7 * d_plus}, {row(0, {}), row(4 * d_plus, {}),
+                                       row(7 * d_plus, {})}},
+        // Negative x (RAND-ROUND's oversubscribed nodes).
+        {{-7, -1, -3 * d_plus}, {row(-7, {}), row(-1, {0, 1}),
+                                  row(-3 * d_plus, {})}},
+        // x >= 2^32, on and off the floor/ceil band.
+        {{kBig + 3, kBig, kBig * 3 + 1}, {row(kBig + 3, ones(0, 2)),
+                                          row(kBig, {}),
+                                          row(kBig * 3 + 1, {0, 2})}},
+        // Self-loop ceilings short of e: the extras go to the real ports.
+        {{e2, e2, e2}, {row(e2, ones(0, 2)), row(e2, ones(1, 2)),
+                        row(e2, ones(2, 1))}},
+        // Self-loop ceilings covering e.
+        {{e2, e2, e2}, {row(e2, ones(2, 2)), row(e2, ones(2, 2)),
+                        row(e2, ones(0, 0))}},
+        // A negative flow, and a negative remainder (over-sent).
+        {{10, 3, 0}, {row(10, {-12}), row(3, {5, 5}), row(0, {0, 1})}},
+        // Floor kept, band broken: one port two above the floor.
+        {{e2, 9, 1}, {row(e2, {2}), row(9, {}), row(1, {})}},
+        // A cumulative imbalance that grows, then shrinks.
+        {{100, 100, 100}, {row(100, {3}), row(100, {0, 4}), row(100, {})}},
+        {{100, 100, 100}, {row(100, {0, 3}), row(100, {4}), row(100, {})}},
+    };
+    // Then random rounds: loads over every regime, flows the floor share
+    // nudged by -1..+2 per port.
+    std::mt19937_64 rng(static_cast<std::uint64_t>(d_loops) + 17);
+    for (int r = 0; r < 200; ++r) {
+      Round round;
+      for (int u = 0; u < 3; ++u) {
+        const std::uint64_t pick = rng() % 4;
+        Load x = static_cast<Load>(rng() % 64);
+        if (pick == 1) x = -x;
+        if (pick == 2) x += static_cast<Load>(rng() % 8) << 32;
+        if (pick == 3) x += (Load{1} << 32) - 32;  // straddles 2^32
+        std::vector<Load> extra(static_cast<std::size_t>(d_plus));
+        for (Load& f : extra) {
+          const std::uint64_t k = rng() % 8;
+          f = k < 5 ? 0 : static_cast<Load>(k) - 6;  // mostly 0, else -1..1
+        }
+        if (rng() % 16 == 0) extra[rng() % extra.size()] += 2;
+        round.pre.push_back(x);
+        round.rows.push_back(row(x, extra));
+      }
+      rounds.push_back(std::move(round));
+    }
+
+    // The flags are sticky, so each round is audited twice: as one round
+    // of a fresh pair, and in sequence after all the rounds before it.
+    FairnessAuditor auditor;
+    ReferenceAuditor reference;
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+      std::vector<Load> flows;
+      for (const auto& r : rounds[i].rows) {
+        flows.insert(flows.end(), r.begin(), r.end());
+      }
+      const std::string where =
+          "d°=" + std::to_string(d_loops) + " round " + std::to_string(i);
+      FairnessAuditor fresh;
+      ReferenceAuditor fresh_reference;
+      fresh.on_step(0, g, d_loops, rounds[i].pre, flows, rounds[i].pre);
+      fresh_reference.on_step(0, g, d_loops, rounds[i].pre, flows,
+                              rounds[i].pre);
+      expect_same_report(fresh.report(), fresh_reference.report(),
+                         where + " alone");
+      auditor.on_step(0, g, d_loops, rounds[i].pre, flows, rounds[i].pre);
+      reference.on_step(0, g, d_loops, rounds[i].pre, flows, rounds[i].pre);
+      expect_same_report(auditor.report(), reference.report(),
+                         where + " in sequence");
+    }
+  }
+}
+
+TEST(FairnessAuditor, RejectsASecondGraphOrLoopCount) {
+  const Graph small = make_cycle(8);
+  const Graph large = make_hypercube(6);
+  SendFloor b1, b2, b3;
+  Engine first(small, EngineConfig{.self_loops = 2}, b1,
+               random_initial(small.num_nodes(), 50, 1));
+  FairnessAuditor auditor;
+  first.add_observer(auditor);
+  first.run(3);
+  // A larger n·d would index past the first graph's cumulative flows.
+  Engine larger(large, EngineConfig{.self_loops = 6}, b2,
+                random_initial(large.num_nodes(), 50, 2));
+  larger.add_observer(auditor);
+  EXPECT_THROW(larger.step(), invariant_error);
+  // Same graph, other d°.
+  Engine other_loops(small, EngineConfig{.self_loops = 1}, b3,
+                     random_initial(small.num_nodes(), 50, 3));
+  other_loops.add_observer(auditor);
+  EXPECT_THROW(other_loops.step(), invariant_error);
+  EXPECT_EQ(auditor.report().steps, 3);
 }
 
 // ------------------------------------------------------- registry --
